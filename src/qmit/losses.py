@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .noise import MitigationModel, apply_inverse_channel_data
+from .noise import MitigationModel, apply_pauli_fidelities
 from .pqc import CircuitSpec, build_layer_unitary
 from .qsim import DensityMatrix, hermitian_power, hermitize
 
@@ -363,7 +363,8 @@ def backward_cascade_data(
     """
     for j in range(last_layer, first_layer - 1, -1):
         if mode == "loss_only":
-            x = apply_inverse_channel_data(x, mitigation.layer_model(j - 1))
+            model = mitigation.layer_model(j - 1)
+            x = apply_pauli_fidelities(x, model.generators, model.rates, inverse=True)
         u = (
             unitaries[j - 1]
             if unitaries is not None

@@ -1,19 +1,34 @@
 """Pauli-Lindblad noise channels and their quasi-probability inverses.
 
 A noise model is a set of Pauli-string generators with nonnegative rates
-``lambda``.  Two equivalent encodings are implemented: the first-order
-linear map ``rho + sum lambda (P rho P - rho)`` and the product channel
-whose per-generator factor mixes ``rho`` with ``P rho P`` at weight
-``w = (1 + exp(-2 lambda)) / 2``.  The product channel has an exact linear
-inverse with per-factor normalization ``(2w - 1)^{-1}``; the inverse is
-trace preserving but not completely positive, so its outputs may be
-quasi-states with small negative eigenvalues.
+``lambda``.  Two encodings are implemented: the first-order linear map
+``rho + sum lambda (P rho P - rho)`` and the product channel whose
+per-generator factor mixes ``rho`` with ``P rho P`` at weight
+``w = (1 + exp(-2 lambda)) / 2``.
 
-Conjugation by a Pauli string is a signed permutation of matrix entries,
-which is used as a fast path and validated against direct matrix products
-in the test suite.  Pauli conjugation superoperators commute with one
-another (anticommutation signs cancel under conjugation), so the generator
-application order is fixed purely for reproducible rate indexing.
+The product channel is diagonal in the Pauli basis: the component of
+``rho`` along a Pauli string ``b`` is multiplied by the fidelity
+``f_b = exp(-2 sum_k lambda_k <b, k>)``, where ``<b, k>`` is 1 when ``b``
+and generator ``k`` anticommute, so each anticommuting factor contributes
+``2w - 1 = exp(-2 lambda_k)`` (van den Berg, Minev, Kandala, Temme,
+Nat. Phys. 19, 1116 (2023), arXiv:2201.09866).  Its exact linear inverse
+multiplies by ``1/f_b``; it is trace preserving but not completely
+positive, so its outputs may be quasi-states with small negative
+eigenvalues.  The rate derivative of the inverse is closed form too:
+``d/dlambda_k`` of the output ``y`` is ``y - P_k y P_k``.
+
+One Pauli-fidelity kernel, :func:`apply_pauli_fidelities`, applies every
+such channel, its inverse and (being self-adjoint) their adjoints, to a
+single matrix or a batch, and :func:`pauli_rate_gradient` contracts the
+rate derivative.  Both pick one of two cases by reading the generator
+letters.  When every generator has weight 1 (the default X, Y, Z on each
+qubit) the fidelities factor over qubits and the channel is one strided
+2x2 mix per qubit.  Otherwise the state is taken to the Pauli basis one
+qubit at a time, multiplied by the fidelity table built from the
+symplectic anticommutation form, and taken back.
+
+Conjugation by a single Pauli string is a signed permutation of matrix
+entries; :func:`pauli_conjugate` uses it for the first-order linear map.
 """
 
 from __future__ import annotations
@@ -308,7 +323,200 @@ def load_noise_layers(path) -> list[NoiseModel]:
 
 
 # ---------------------------------------------------------------------------
-# Channel application (array cores + DensityMatrix wrappers)
+# Pauli-fidelity kernel
+# ---------------------------------------------------------------------------
+
+
+def _num_qubits(x: np.ndarray) -> int:
+    return x.shape[-1].bit_length() - 1
+
+
+def _qubit_quarters(x: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
+    """Views of ``x`` at row bit ``a`` and column bit ``b`` of qubit ``q``.
+
+    Returned in the order ``ab`` = 00, 01, 10, 11.  They are views only when
+    ``x`` is C-contiguous, so every buffer written through them is allocated
+    C-contiguous here.
+    """
+    n = _num_qubits(x)
+    hi, lo = 1 << q, 1 << (n - q - 1)
+    v = x.reshape(x.shape[:-2] + (hi, 2, lo, hi, 2, lo))
+    return tuple(v[..., a, :, :, b, :] for a in (0, 1) for b in (0, 1))
+
+
+def _qubit_passes(x: np.ndarray, qubits, step) -> np.ndarray:
+    """Run ``step(src_quarters, dst_quarters, q)`` for each qubit in turn.
+
+    Passes alternate between two new buffers, so ``x`` is never written;
+    with no qubits ``x`` itself is returned.
+    """
+    out, spare = x, None
+    for q in qubits:
+        dst = np.empty(x.shape, np.result_type(x.dtype, np.float64)) if spare is None else spare
+        step(_qubit_quarters(out, q), _qubit_quarters(dst, q), q)
+        spare = None if out is x else out
+        out = dst
+    return out
+
+
+def _butterfly(src, dst, _q) -> None:
+    """Unnormalized Pauli transform on one qubit: the 00, 11, 01 and 10
+    quarters become twice the I, Z and X components and -2i times the Y
+    component; applying it twice doubles the input."""
+    s00, s01, s10, s11 = src
+    d00, d01, d10, d11 = dst
+    np.add(s00, s11, out=d00)
+    np.subtract(s00, s11, out=d11)
+    np.add(s01, s10, out=d01)
+    np.subtract(s01, s10, out=d10)
+
+
+def _pauli_transform(x: np.ndarray) -> np.ndarray:
+    """``_butterfly`` on every qubit: entry ``(i, j)`` becomes ``2^n`` times
+    the coefficient of the Pauli string with X-bits ``i ^ j`` and Z-bits ``i``
+    (up to a fixed phase per string)."""
+    return _qubit_passes(x, range(_num_qubits(x)), _butterfly)
+
+
+@lru_cache(maxsize=256)
+def _separable_incidence(letters: tuple[str, ...]) -> np.ndarray | None:
+    """``M[k, q, t]`` = 1 when generator ``k`` acts on qubit ``q`` with a
+    letter that anticommutes with ``XYZ[t]``; ``None`` unless every generator
+    has weight at most 1."""
+    n = len(letters[0])
+    table = np.zeros((len(letters), n, 3))
+    for k, word in enumerate(letters):
+        support = [q for q, ch in enumerate(word) if ch != "I"]
+        if len(support) > 1:
+            return None
+        for q in support:
+            table[k, q] = [ch != word[q] for ch in "XYZ"]
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=64)
+def _anticommutation_mask(word: str) -> np.ndarray:
+    """Boolean ``(d, d)``: whether the Pauli string at each entry of the
+    ``_pauli_transform`` layout anticommutes with ``word`` (symplectic form)."""
+    n = len(word)
+    gx = sum(1 << (n - 1 - q) for q, ch in enumerate(word) if ch in "XY")
+    gz = sum(1 << (n - 1 - q) for q, ch in enumerate(word) if ch in "YZ")
+    rows = np.arange(1 << n)[:, None]
+    cols = np.arange(1 << n)[None, :]
+    overlap = (((rows ^ cols) & gz) ^ (rows & gx)).astype(np.int64)
+    parity = np.zeros_like(overlap)
+    for bit in range(n):
+        parity ^= (overlap >> bit) & 1
+    mask = parity.astype(bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _letters(generators) -> tuple[str, ...]:
+    return tuple(gen.letters for gen in generators)
+
+
+def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = False) -> np.ndarray:
+    """The Pauli-Lindblad channel of ``generators`` and ``rates`` on ``x``.
+
+    ``x`` has shape ``(..., d, d)``.  The product of the factors
+    ``rho -> w rho + (1 - w) P rho P`` multiplies the component of ``rho``
+    along each Pauli string ``b`` by its fidelity
+    ``f_b = exp(-2 sum_k lambda_k <b, k>)``, where ``<b, k>`` is 1 when ``b``
+    and generator ``k`` anticommute; ``inverse=True`` multiplies by ``1/f_b``
+    instead.  Rates are used as given: negative values act as the opposite
+    map, which finite-difference checks rely on.  The map is self-adjoint
+    under ``tr(g x)``.
+
+    When every generator has weight 1 the fidelities factor over qubits and
+    each qubit whose fidelities are not all 1 costs one strided 2x2 mix of
+    the (00, 11) and (01, 10) quarters.  Otherwise ``x`` is taken to the
+    Pauli basis one qubit at a time, multiplied by the fidelity table and
+    taken back.  May return ``x`` itself when every rate is zero.
+    """
+    rates = np.asarray(rates, dtype=float)
+    if not np.any(rates):
+        return x
+    letters = _letters(generators)
+    sign = 2.0 if inverse else -2.0
+    incidence = _separable_incidence(letters)
+    if incidence is not None:
+        k, n, _ = incidence.shape
+        log_f = sign * (rates @ incidence.reshape(k, 3 * n)).reshape(n, 3)  # over X, Y, Z
+        fid = np.exp(log_f)
+
+        def mix(src, dst, q):
+            fx, fy, fz = fid[q]
+            keep = 0.5 * (1.0 + fz)
+            # 1 - keep is exact, so the diagonal weights sum to exactly 1 and
+            # rounding cannot drift the trace the same way on every call.
+            _mix_pairs(src, dst, (keep, 1.0 - keep), (0.5 * (fx + fy), 0.5 * (fx - fy)))
+
+        return _qubit_passes(x, np.flatnonzero(np.any(log_f != 0.0, axis=1)), mix)
+    exponent = np.zeros((x.shape[-1],) * 2)
+    for word, rate in zip(letters, rates):
+        exponent[_anticommutation_mask(word)] += rate
+    out = _pauli_transform(x)
+    out *= np.exp(sign * exponent) / x.shape[-1]
+    return _pauli_transform(out)
+
+
+def _mix_pairs(src, dst, diag, off) -> None:
+    """Per quarter pair, ``dst = [[a, b], [b, a]] src``: (00, 11) by ``diag``
+    and (01, 10) by ``off``."""
+    s00, s01, s10, s11 = src
+    d00, d01, d10, d11 = dst
+    for u, v, du, dv, (a, b) in ((s00, s11, d00, d11, diag), (s01, s10, d01, d10, off)):
+        np.multiply(u, a, out=du)
+        np.multiply(v, a, out=dv)
+        if b != 0.0:
+            du += b * v
+            dv += b * u
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``Re sum(a * b)`` over all entries of two C-contiguous arrays."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()).real)
+
+
+def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
+    """``Re tr(g (y - P_k y P_k))`` per generator, summed over leading axes.
+
+    When ``y`` is the output of :func:`apply_pauli_fidelities` with
+    ``inverse=True``, ``dy/dlambda_k = y - P_k y P_k`` (twice the part of
+    ``y`` that anticommutes with ``P_k``), so this is the rate gradient of a
+    loss whose gradient with respect to ``y`` is ``g``; for the forward
+    channel it is the negative.  Only ``y`` is needed, no per-factor stages.
+    """
+    letters = _letters(generators)
+    if not letters:
+        return np.zeros(0)
+    g = np.ascontiguousarray(g)
+    # tr(g D) = sum(g * D^T), and (P y P)^T = P y^T P for a Pauli string P.
+    yt = np.ascontiguousarray(np.swapaxes(y, -1, -2))
+    incidence = _separable_incidence(letters)
+    if incidence is not None:
+        overlaps = np.zeros(incidence.shape[1:])  # (n, 3) over X, Y, Z
+        for q in np.flatnonzero(np.any(incidence, axis=(0, 2))):
+            g00, g01, g10, g11 = _qubit_quarters(g, q)
+            y00, y01, y10, y11 = _qubit_quarters(yt, q)
+            overlaps[q] = (
+                _real_dot(g01 + g10, y01 + y10),
+                _real_dot(g01 - g10, y01 - y10),
+                _real_dot(g00 - g11, y00 - y11),
+            )
+        return incidence.reshape(len(letters), -1) @ overlaps.ravel()
+    d = g.shape[-1]
+    products = np.einsum(
+        "bij,bij->ij", _pauli_transform(g).reshape(-1, d, d), _pauli_transform(yt).reshape(-1, d, d)
+    ).real
+    scale = 2.0 / d
+    return np.array([scale * products[_anticommutation_mask(w)].sum() for w in letters])
+
+
+# ---------------------------------------------------------------------------
+# Channel application (validated DensityMatrix wrappers)
 # ---------------------------------------------------------------------------
 
 
@@ -318,33 +526,6 @@ def apply_linear_channel_data(data: np.ndarray, model: NoiseModel) -> np.ndarray
         if rate != 0.0:
             out = out + rate * gen.conjugate_state(data)
     return out
-
-
-def apply_channel_data(data: np.ndarray, model: NoiseModel) -> np.ndarray:
-    out = data
-    for gen, w in zip(model.generators, model.weights):
-        if w != 1.0:
-            out = w * out + (1.0 - w) * gen.conjugate_state(out)
-    return out
-
-
-def apply_inverse_channel_data(data: np.ndarray, model: NoiseModel) -> np.ndarray:
-    out = data
-    for gen, rate in zip(model.generators, model.rates):
-        if rate != 0.0:
-            out = apply_inverse_factor_data(out, gen, rate)
-    return out
-
-
-def apply_inverse_factor_data(data: np.ndarray, gen: PauliString, rate: float) -> np.ndarray:
-    """One inverse factor ``(2w-1)^{-1} (w rho - (1-w) P rho P)``.
-
-    Valid for any finite rate (negative rates act as a forward factor),
-    which gradient checks rely on.
-    """
-    w = float(rate_to_weight(rate))
-    gamma = np.exp(2.0 * float(rate))  # (2w - 1)^{-1}
-    return gamma * (w * data - (1.0 - w) * gen.conjugate_state(data))
 
 
 def _require_dims(rho: DensityMatrix, model: NoiseModel) -> None:
@@ -369,14 +550,16 @@ def apply_linear_channel(rho: DensityMatrix, model: NoiseModel) -> DensityMatrix
 def apply_channel(rho: DensityMatrix, model: NoiseModel) -> DensityMatrix:
     """Product channel: each factor mixes ``rho`` with ``P rho P`` at weight w."""
     _require_dims(rho, model)
-    data = hermitize(apply_channel_data(rho.data, model))
+    data = hermitize(apply_pauli_fidelities(rho.data, model.generators, model.rates))
     return DensityMatrix(rho.n, data, quasi=rho.quasi)
 
 
 def apply_inverse_channel(rho: DensityMatrix, model: NoiseModel) -> DensityMatrix:
     """Exact linear inverse of :func:`apply_channel`; output may be a quasi-state."""
     _require_dims(rho, model)
-    data = hermitize(apply_inverse_channel_data(rho.data, model))
+    data = hermitize(
+        apply_pauli_fidelities(rho.data, model.generators, model.rates, inverse=True)
+    )
     return DensityMatrix(rho.n, data, quasi=True)
 
 

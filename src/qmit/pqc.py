@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -272,16 +273,25 @@ def forward_mitigated(
     return states, mitigated
 
 
+@lru_cache(maxsize=None)
+def z_sign_table(n: int) -> np.ndarray:
+    """Row ``i`` holds the diagonal of ``Z`` on qubit ``i``: ``+1`` where the
+    qubit's bit is 0, ``-1`` where it is 1; shape ``(n, 2^n)``, read-only."""
+    idx = np.arange(1 << n)
+    table = np.stack([1.0 - 2.0 * ((idx >> (n - 1 - i)) & 1) for i in range(n)])
+    table.setflags(write=False)
+    return table
+
+
 def readout(rho: DensityMatrix, circuit: CircuitSpec) -> np.ndarray:
     """Vector of per-qubit Z expectations ``z_i = Tr(H_i rho)``."""
     if rho.n != circuit.n:
         raise ValidationError("state does not match circuit width")
     diag = np.real(np.diagonal(rho.data))
+    signs = z_sign_table(circuit.n)
     z = np.empty(circuit.n)
-    idx = np.arange(1 << circuit.n)
     for i in range(circuit.n):
-        signs = 1.0 - 2.0 * ((idx >> (circuit.n - 1 - i)) & 1)
-        z[i] = float(np.dot(signs, diag))
+        z[i] = float(np.dot(signs[i], diag))
     return z
 
 

@@ -3,10 +3,11 @@
 The forward pass propagates a batch of encoded states through the noisy
 (or inline-mitigated) layer chain, computes the block forward-backward
 losses and the softmax task loss, and the backward pass pushes adjoint
-matrices through the same graph: conjugations, Pauli channel factors,
-inverse-channel factors (with per-rate derivatives), and the conditioned
-fidelity head.  Gradients are exact derivatives of the implemented loss;
-the test suite holds every component to a central finite-difference oracle.
+matrices through the same graph: conjugations, the Pauli channels and
+their inverses (one kernel in :mod:`qmit.noise`, with closed-form rate
+derivatives), and the conditioned fidelity head.  Gradients are exact
+derivatives of the implemented loss; the test suite holds every component
+to a central finite-difference oracle.
 
 Optimizer: SGD with momentum; mitigation rates are projected to ``>= 0``
 after every step.  A single seeded RNG stream per training run is consumed
@@ -30,10 +31,10 @@ from .losses import LossWeights, _fb_pair_backward, _fb_pair_forward
 from .noise import (
     MitigationModel,
     NoiseModel,
-    _pauli_conj_tables,
+    apply_pauli_fidelities,
     default_generators,
     load_noise_layers,
-    rate_to_weight,
+    pauli_rate_gradient,
 )
 from .pqc import (
     DESIGN_AXES,
@@ -42,6 +43,7 @@ from .pqc import (
     LayerSpec,
     encode,
     layer_unitary_and_gradients,
+    z_sign_table,
 )
 from .qsim import hermitize
 
@@ -66,7 +68,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     momentum: float = 0.9
     rate_lr_scale: float = 1.0
-    rate_cap: float = 0.3
     seed: int = 0
     noise_source: str = "seeded"
     noise_low: float = 0.002
@@ -197,72 +198,24 @@ def encode_dataset(dataset: Dataset, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _conj(x: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    return x[..., perm[:, None], perm[None, :]] * phase
+def _apply_noise_layer(x, model: NoiseModel):
+    return apply_pauli_fidelities(x, model.generators, model.rates)
 
 
-def _channel_factor(x, w, perm, phase):
-    return w * x + (1.0 - w) * _conj(x, perm, phase)
+def _noise_layer_adjoint(g, model: NoiseModel):
+    # Real fidelities in the Pauli basis: the channel is its own adjoint.
+    return apply_pauli_fidelities(g, model.generators, model.rates)
 
 
-def _inverse_factor(x, rate, perm, phase):
-    w = float(rate_to_weight(rate))
-    gamma = math.exp(2.0 * float(rate))
-    return gamma * (w * x - (1.0 - w) * _conj(x, perm, phase))
+def _inverse_stack_forward(x, rate_row, generators):
+    return apply_pauli_fidelities(x, generators, rate_row, inverse=True)
 
 
-def _noise_tables(models: list[NoiseModel]):
-    tables = []
-    for model in models:
-        layer = []
-        for gen, w in zip(model.generators, model.weights):
-            perm, phase = _pauli_conj_tables(gen.letters)
-            layer.append((float(w), perm, phase))
-        tables.append(layer)
-    return tables
-
-
-def _generator_tables(generators):
-    return [_pauli_conj_tables(g.letters) for g in generators]
-
-
-def _apply_noise_layer(x, table):
-    for w, perm, phase in table:
-        if w != 1.0:
-            x = _channel_factor(x, w, perm, phase)
-    return x
-
-
-def _noise_layer_adjoint(g, table):
-    for w, perm, phase in reversed(table):
-        if w != 1.0:
-            g = _channel_factor(g, w, perm, phase)
-    return g
-
-
-def _inverse_stack_forward(x, rate_row, gen_tables):
-    """Apply every inverse factor, caching each stage input for the adjoint."""
-    stages = [x]
-    for rate, (perm, phase) in zip(rate_row, gen_tables):
-        x = _inverse_factor(x, rate, perm, phase)
-        stages.append(x)
-    return x, stages
-
-
-def _inverse_stack_backward(g, rate_row, gen_tables, stages, grad_row):
-    """Adjoint of the inverse stack; accumulates per-rate derivatives.
-
-    Per factor ``Psi(x) = gamma (w x - (1-w) P x P)`` the rate derivative is
-    ``dPsi/dlambda (x) = 2 Psi(x) - x - P x P``.
-    """
-    for g_idx in range(len(gen_tables) - 1, -1, -1):
-        perm, phase = gen_tables[g_idx]
-        x_pre = stages[g_idx]
-        x_post = stages[g_idx + 1]
-        deriv = 2.0 * x_post - x_pre - _conj(x_pre, perm, phase)
-        grad_row[g_idx] += float(np.einsum("bij,bji->", g, deriv).real)
-        g = _inverse_factor(g, rate_row[g_idx], perm, phase)
-    return g
+def _inverse_stack_backward(g, y, rate_row, generators, grad_row):
+    """Adjoint of the inverse stack whose output was ``y``; accumulates the
+    closed-form rate derivatives ``Re tr(g (y - P_k y P_k))`` into ``grad_row``."""
+    grad_row += pauli_rate_gradient(g, y, generators)
+    return apply_pauli_fidelities(g, generators, rate_row, inverse=True)
 
 
 def _theta_grad_forward_conj(g_out, x_in, u, du_flat, out_vec):
@@ -277,11 +230,6 @@ def _theta_grad_backward_conj(g_out, x_in, u, du_flat, out_vec):
     a = (x_in @ u @ g_out).sum(axis=0)
     for p, du in enumerate(du_flat):
         out_vec[p] += 2.0 * np.vdot(du, a).real
-
-
-def _sign_table(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return np.stack([1.0 - 2.0 * ((idx >> (n - 1 - i)) & 1) for i in range(n)])
 
 
 @dataclass
@@ -303,8 +251,8 @@ def _run_batch(
     theta: list[np.ndarray],
     rates: np.ndarray,
     config: TrainConfig,
-    noise_tables,
-    gen_tables,
+    noise_true: list[NoiseModel],
+    generators,
     want_grads: bool,
 ) -> BatchResult:
     depth = config.layers
@@ -324,14 +272,12 @@ def _run_batch(
 
     # Forward chain: chain[i] is the propagated state after layer i.
     chain = [rho0]
-    chain_inv_stages = [None] * depth  # cascaded mode only
     cur = rho0
     for i in range(depth):
         cur = units[i] @ cur @ units[i].conj().T
-        cur = _apply_noise_layer(cur, noise_tables[i])
+        cur = _apply_noise_layer(cur, noise_true[i])
         if cascaded:
-            cur, stages = _inverse_stack_forward(cur, rates[i], gen_tables)
-            chain_inv_stages[i] = stages
+            cur = _inverse_stack_forward(cur, rates[i], generators)
         chain.append(cur)
 
     # Forward-backward blocks.
@@ -344,12 +290,12 @@ def _run_batch(
         x = chain[end]
         layer_caches = []
         for j in range(end - 1, start - 1, -1):
-            inv_stages = None
             if not cascaded:
-                x, inv_stages = _inverse_stack_forward(x, rates[j], gen_tables)
-            conj_input = x
+                x = _inverse_stack_forward(x, rates[j], generators)
+            # In loss_only mode the conjugation's input is also the inverse
+            # stack's output, which that stack's adjoint needs.
+            layer_caches.append((j, x))
             x = units[j].conj().T @ x @ units[j]
-            layer_caches.append((j, inv_stages, conj_input))
         loss_vec, fid_cache = _fb_pair_forward(chain[start], hermitize(x))
         fb_per_sample += loss_vec / num_blocks
         clamped += fid_cache["neg_mass"]
@@ -358,10 +304,9 @@ def _run_batch(
     # Task head.
     if cascaded:
         rho_hat_final = chain[depth]
-        task_stages = None
     else:
-        rho_hat_final, task_stages = _inverse_stack_forward(chain[depth], rates[-1], gen_tables)
-    signs = _sign_table(n)
+        rho_hat_final = _inverse_stack_forward(chain[depth], rates[-1], generators)
+    signs = z_sign_table(n)
     diag = np.real(np.diagonal(rho_hat_final, axis1=-2, axis2=-1))
     z = diag @ signs.T  # (batch, n)
     logits = z[:, :c]
@@ -396,7 +341,7 @@ def _run_batch(
             g_chain[depth] += g_task
         else:
             g = _inverse_stack_backward(
-                g_task, rates[-1], gen_tables, task_stages, grad_rates[-1]
+                g_task, rho_hat_final, rates[-1], generators, grad_rates[-1]
             )
             g_chain[depth] += g
 
@@ -407,12 +352,12 @@ def _run_batch(
             g_target, g_back = _fb_pair_backward(fid_cache, g_loss)
             g_chain[start] += g_target
             g = g_back
-            for j, inv_stages, conj_input in reversed(layer_caches):
+            for j, conj_input in reversed(layer_caches):
                 _theta_grad_backward_conj(g, conj_input, units[j], du_flat[j], grad_theta_flat[j])
                 g = units[j] @ g @ units[j].conj().T
                 if not cascaded:
                     g = _inverse_stack_backward(
-                        g, rates[j], gen_tables, inv_stages, grad_rates[j]
+                        g, conj_input, rates[j], generators, grad_rates[j]
                     )
             g_chain[end] += g
 
@@ -420,10 +365,8 @@ def _run_batch(
     for i in range(depth - 1, -1, -1):
         g = g_chain[i + 1]
         if cascaded:
-            g = _inverse_stack_backward(
-                g, rates[i], gen_tables, chain_inv_stages[i], grad_rates[i]
-            )
-        g = _noise_layer_adjoint(g, noise_tables[i])
+            g = _inverse_stack_backward(g, chain[i + 1], rates[i], generators, grad_rates[i])
+        g = _noise_layer_adjoint(g, noise_true[i])
         _theta_grad_forward_conj(g, chain[i], units[i], du_flat[i], grad_theta_flat[i])
         g_chain[i] += units[i].conj().T @ g @ units[i]
 
@@ -467,7 +410,7 @@ def _prepare(circuit: CircuitSpec, mitigation: MitigationModel, noise_true, conf
     if mitigation.layers != config.layers:
         raise ValidationError("mitigation model layer count does not match the config")
     theta = [layer.theta for layer in circuit.layers]
-    return theta, _noise_tables(noise_true), _generator_tables(mitigation.generators)
+    return theta
 
 
 def loss_and_gradients(
@@ -479,10 +422,10 @@ def loss_and_gradients(
 ) -> LossAndGrads:
     """Mean batch loss and exact gradients for every angle and rate."""
     features, labels = _batch_arrays(batch)
-    theta, noise_tables, gen_tables = _prepare(circuit, mitigation, noise_true, config)
+    theta = _prepare(circuit, mitigation, noise_true, config)
     rho0 = np.stack([encode(f, circuit.encoder).data for f in features])
     result = _run_batch(
-        rho0, labels, theta, mitigation.rates, config, noise_tables, gen_tables, True
+        rho0, labels, theta, mitigation.rates, config, noise_true, mitigation.generators, True
     )
     if not np.isfinite(result.total):
         raise TrainingError(
@@ -507,10 +450,10 @@ def batch_loss(
 ) -> float:
     """Loss only; the evaluation path used by finite-difference oracles."""
     features, labels = _batch_arrays(batch)
-    theta, noise_tables, gen_tables = _prepare(circuit, mitigation, noise_true, config)
+    theta = _prepare(circuit, mitigation, noise_true, config)
     rho0 = np.stack([encode(f, circuit.encoder).data for f in features])
     result = _run_batch(
-        rho0, labels, theta, mitigation.rates, config, noise_tables, gen_tables, False
+        rho0, labels, theta, mitigation.rates, config, noise_true, mitigation.generators, False
     )
     return result.total
 
@@ -538,8 +481,6 @@ def train_epoch(
         noise_true = noise_models_from_config(config)
     if encoded is None:
         encoded = encode_dataset(dataset, config.n_qubits)
-    noise_tables = _noise_tables(noise_true)
-    gen_tables = _generator_tables(state.generators)
     order = state.rng.permutation(len(dataset))
     lr = config.learning_rate
     mom = config.momentum
@@ -554,8 +495,8 @@ def train_epoch(
             state.theta,
             state.rates,
             config,
-            noise_tables,
-            gen_tables,
+            noise_true,
+            state.generators,
             True,
         )
         if not np.isfinite(result.total) or result.total > DIVERGENCE_ABORT:
@@ -618,8 +559,6 @@ def evaluate(
         noise_true = noise_models_from_config(config)
     if encoded is None:
         encoded = encode_dataset(dataset, config.n_qubits)
-    noise_tables = _noise_tables(noise_true)
-    gen_tables = _generator_tables(generators)
     c = config.num_classes
     correct = np.zeros(c, dtype=np.int64)
     total = np.zeros(c, dtype=np.int64)
@@ -631,8 +570,8 @@ def evaluate(
             theta,
             rates,
             config,
-            noise_tables,
-            gen_tables,
+            noise_true,
+            generators,
             False,
         )
         labels = dataset.labels[sel]
@@ -659,14 +598,13 @@ def recover_rates(
     global minimum at the true rates, making this an identifiability probe.
     """
     fb_cfg = replace(config, alpha_fb=1.0, alpha_task=0.0)
-    noise_tables = _noise_tables(noise_true)
-    gen_tables = _generator_tables(default_generators(config.n_qubits))
-    rates = np.zeros((config.layers, len(gen_tables)))
+    generators = default_generators(config.n_qubits)
+    rates = np.zeros((config.layers, len(generators)))
     vel = np.zeros_like(rates)
     labels = np.zeros(rho0_batch.shape[0], dtype=np.int64)
     for _ in range(steps):
         result = _run_batch(
-            rho0_batch, labels, theta, rates, fb_cfg, noise_tables, gen_tables, True
+            rho0_batch, labels, theta, rates, fb_cfg, noise_true, generators, True
         )
         vel = momentum * vel - lr * result.grad_rates
         rates = np.maximum(rates + vel, 0.0)

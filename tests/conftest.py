@@ -1,4 +1,7 @@
-"""Shared fixtures: a hermetic IDX image corpus for the benchmark pipeline.
+"""Shared test settings and fixtures.
+
+The hypothesis profile makes property tests deterministic.  The fixture is
+a hermetic IDX image corpus for the benchmark pipeline.
 
 Real MNIST/Fashion IDX files are used when QMIT_DATA_DIR points at them.
 Otherwise a surrogate corpus is generated from scikit-learn's bundled 8x8
@@ -12,8 +15,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qmit import data
+
+# Property tests draw the same examples on every run and keep no example
+# database, so tier-1 stays deterministic; no deadline, because timing on a
+# shared host varies.
+settings.register_profile("qmit", derandomize=True, database=None, deadline=None)
+settings.load_profile("qmit")
 
 TRAIN_AUG = 3
 TEST_AUG = 5

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import dense_reference as dense
 from qmit import losses, noise, qsim
 from qmit.errors import ValidationError
 
@@ -320,3 +323,115 @@ class TestMitigationModel:
         for ma, mb in zip(a, b):
             np.testing.assert_allclose(ma.rates, mb.rates)
         assert np.all(a[0].rates >= 0.002) and np.all(a[0].rates <= 0.02)
+
+
+# Generator sets for the kernel checks: weight-1 sets take the per-qubit
+# (separable) path, sets with two- and three-qubit strings the general path.
+GENERATOR_SETS = {
+    "default-1": [g.letters for g in noise.default_generators(1)],
+    "default-2": [g.letters for g in noise.default_generators(2)],
+    "default-3": [g.letters for g in noise.default_generators(3)],
+    "one-qubit-model": [g.letters for g in noise.single_qubit_model(3, 1, [0.1] * 3).generators],
+    "general-2": ["XX", "ZY", "YI", "IZ", "ZZ"],
+    "general-3": ["XXI", "IZY", "XYZ", "ZIZ", "YII", "IXX"],
+}
+
+
+def _kernel_case(name, seed):
+    rng = np.random.default_rng(seed)
+    letters = GENERATOR_SETS[name]
+    n = len(letters[0])
+    gens = tuple(noise.PauliString(n, w) for w in letters)
+    rates = rng.uniform(0.0, 0.3, len(letters))
+    shape = (3, 1 << n, 1 << n)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return letters, gens, rates, x, g
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+class TestPauliFidelityKernel:
+    """The kernel against the dense reference (``P rho P`` products)."""
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_matches_dense_channel(self, name, inverse):
+        letters, gens, rates, x, _ = _kernel_case(name, 31)
+        got = noise.apply_pauli_fidelities(x, gens, rates, inverse=inverse)
+        np.testing.assert_allclose(got, dense.channel(x, letters, rates, inverse), atol=1e-13)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_is_its_own_adjoint(self, name, inverse):
+        letters, gens, rates, x, g = _kernel_case(name, 32)
+        kernel_adj = noise.apply_pauli_fidelities(g, gens, rates, inverse=inverse)
+        np.testing.assert_allclose(
+            kernel_adj, dense.adjoint(g, letters, rates, inverse), atol=1e-13
+        )
+        lhs = dense.pairing(g, noise.apply_pauli_fidelities(x, gens, rates, inverse=inverse))
+        rhs = dense.pairing(kernel_adj, x)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_rate_gradient_matches_dense_differences(self, name):
+        """``pauli_rate_gradient`` is the rate derivative of ``Re tr(g y)``
+        for ``y`` the inverse stack's output, by central differences of the
+        dense inverse."""
+        letters, gens, rates, x, g = _kernel_case(name, 33)
+        y = noise.apply_pauli_fidelities(x, gens, rates, inverse=True)
+        got = noise.pauli_rate_gradient(g, y, gens)
+        h = 1e-6
+        for k in range(len(letters)):
+            step = np.zeros_like(rates)
+            step[k] = h
+            fd = (
+                dense.pairing(g, dense.channel(x, letters, rates + step, inverse=True))
+                - dense.pairing(g, dense.channel(x, letters, rates - step, inverse=True))
+            ).real / (2 * h)
+            assert got[k] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    def test_does_not_write_its_input(self, name):
+        _, gens, rates, x, _ = _kernel_case(name, 34)
+        before = x.copy()
+        noise.apply_pauli_fidelities(x, gens, rates)
+        noise.pauli_rate_gradient(x, x, gens)
+        assert np.array_equal(x, before)
+
+
+def _pauli_words(n):
+    return st.text(alphabet="IXYZ", min_size=n, max_size=n).filter(lambda w: set(w) != {"I"})
+
+
+@st.composite
+def noise_models(draw, max_rate=0.5):
+    n = draw(st.integers(1, 3))
+    words = draw(st.lists(_pauli_words(n), min_size=1, max_size=6))
+    rates = draw(st.lists(st.floats(0.0, max_rate), min_size=len(words), max_size=len(words)))
+    return noise.NoiseModel(n, tuple(noise.PauliString(n, w) for w in words), rates)
+
+
+class TestKernelProperties:
+    @given(noise_models(), st.integers(0, 2**32 - 1))
+    def test_inverse_undoes_channel(self, model, seed):
+        rho = qsim.random_density_matrix(model.n, np.random.default_rng(seed))
+        back = noise.apply_inverse_channel(noise.apply_channel(rho, model), model)
+        assert np.linalg.norm(back.data - rho.data) <= 1e-10
+
+    @given(noise_models(), st.integers(0, 2**32 - 1))
+    def test_trace_preserved(self, model, seed):
+        rho = qsim.random_density_matrix(model.n, np.random.default_rng(seed)).data
+        for inverse in (False, True):
+            out = noise.apply_pauli_fidelities(rho, model.generators, model.rates, inverse)
+            assert abs(np.trace(out) - 1.0) <= 1e-12
+
+    @given(noise_models(), st.data())
+    def test_anticommuting_factor_contributes_weight(self, model, data):
+        """Each generator anticommuting with a Pauli string ``b`` scales it by
+        ``2w - 1 = exp(-2 lambda)``; commuting generators leave it alone."""
+        word = data.draw(st.text(alphabet="IXYZ", min_size=model.n, max_size=model.n))
+        pb = noise._pauli_matrix(word)
+        factor = 1.0
+        for gen, w, rate in zip(model.generators, model.weights, model.rates):
+            pk = gen.matrix()
+            if np.allclose(pb @ pk, -pk @ pb):
+                assert 2.0 * w - 1.0 == pytest.approx(np.exp(-2.0 * rate), rel=1e-12)
+                factor *= 2.0 * w - 1.0
+        got = noise.apply_pauli_fidelities(pb, model.generators, model.rates)
+        np.testing.assert_allclose(got, factor * pb, atol=1e-12)

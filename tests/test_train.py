@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_reference
 from qmit import data, losses, noise, pqc, qsim, train
 from qmit.errors import ConfigError, TrainingError, ValidationError
 
@@ -58,6 +59,35 @@ def fd_vs_analytic(config, circuit, mit, noise_true, batch, h=1e-4):
             ) / (2 * h)
             worst = max(worst, grad_mismatch(got.grad_rates[i, g], fd))
     return worst
+
+
+def dense_reference_loss(features, label, circuit, mit, noise_true, config):
+    """Total loss of one sample from dense channels, unitaries and readout."""
+    letters = [g.letters for g in mit.generators]
+    units = [pqc.build_layer_unitary(layer).data for layer in circuit.layers]
+    cascaded = config.mode == "cascaded"
+    chain = [pqc.encode(features, circuit.encoder).data]
+    for u, model, rates in zip(units, noise_true, mit.rates):
+        cur = u @ chain[-1] @ u.conj().T
+        cur = dense_reference.channel(cur, [g.letters for g in model.generators], model.rates)
+        if cascaded:
+            cur = dense_reference.channel(cur, letters, rates, inverse=True)
+        chain.append(cur)
+    fb = []
+    for start in range(0, config.layers, config.step_size):
+        back = chain[start + config.step_size]
+        for j in range(start + config.step_size - 1, start - 1, -1):
+            if not cascaded:
+                back = dense_reference.channel(back, letters, mit.rates[j], inverse=True)
+            back = units[j].conj().T @ back @ units[j]
+        loss, _ = losses._fb_pair_forward(chain[start][None], qsim.hermitize(back)[None])
+        fb.append(loss[0])
+    final = chain[-1] if cascaded else dense_reference.channel(
+        chain[-1], letters, mit.rates[-1], inverse=True
+    )
+    z = [np.trace(obs.data @ final).real for obs in circuit.observables]
+    task = losses.task_loss(z, int(label), config.num_classes)
+    return losses.total_loss(np.mean(fb), task, config.weights)
 
 
 def grad_mismatch(analytic, fd):
@@ -127,9 +157,9 @@ class TestGradients:
         assert abs(got.grad_theta[0][0, 2]) <= 1e-8
         assert abs(got.grad_theta[0][1, 0]) > 1e-6
 
-    def test_engine_agrees_with_public_ops(self):
-        """The batched engine computes the same loss as composing the public
-        per-sample operations."""
+    def test_engine_agrees_with_dense_reference(self):
+        """The batched engine computes the same loss as composing dense
+        per-sample channels (``P rho P`` products), layer by layer."""
         rng = np.random.default_rng(4)
         for mode in ("loss_only", "cascaded"):
             config = small_config(mode=mode, alpha_fb=0.7, alpha_task=1.3)
@@ -139,17 +169,24 @@ class TestGradients:
             features = rng.uniform(0, 1, (3, 64))
             labels = np.array([0, 1, 0])
             engine_loss = train.batch_loss((features, labels), circuit, mit, noise_true, config)
+            reference = np.mean([
+                dense_reference_loss(x, y, circuit, mit, noise_true, config)
+                for x, y in zip(features, labels)
+            ])
+            assert engine_loss == pytest.approx(reference, abs=1e-12)
 
-            total = 0.0
-            for x, y in zip(features, labels):
-                rho0 = pqc.encode(x, circuit.encoder)
-                states, mitigated = pqc.forward_mitigated(rho0, circuit, noise_true, mit, mode)
-                chain = [rho0] + (mitigated if mode == "cascaded" else states)
-                fb = losses.total_fb_loss(chain, circuit, mit, config.step_size, mode).value
-                z = pqc.readout(mitigated[-1], circuit)
-                task = losses.task_loss(z, int(y), config.num_classes)
-                total += losses.total_loss(fb, task, config.weights)
-            assert engine_loss == pytest.approx(total / 3, abs=1e-12)
+    @pytest.mark.parametrize("mode", ["loss_only", "cascaded"])
+    def test_general_generators_match_finite_differences(self, mode):
+        """Two- and three-qubit generators take the kernel's general path."""
+        rng = np.random.default_rng(6)
+        config = small_config(mode=mode)
+        circuit = pqc.random_circuit(3, 2, "U2", rng, theta_scale=1.0)
+        true_gens = tuple(noise.PauliString(3, w) for w in ("ZZI", "IXX", "YIY", "XII"))
+        noise_true = noise.draw_noise_models(3, 2, seed=7, generators=true_gens)
+        mit_gens = tuple(noise.PauliString(3, w) for w in ("XXI", "IZY", "XYZ", "ZIZ", "YII"))
+        mit = noise.MitigationModel(3, mit_gens, rng.uniform(0, 0.03, (2, 5)))
+        batch = (rng.uniform(0, 1, (2, 64)), np.array([0, 1]))
+        assert fd_vs_analytic(config, circuit, mit, noise_true, batch) <= 1e-3
 
     def test_loss_and_gradients_rejects_shape_mismatch(self):
         rng = np.random.default_rng(5)
