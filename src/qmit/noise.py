@@ -20,12 +20,12 @@ eigenvalues.  The rate derivative of the inverse is closed form too:
 One Pauli-fidelity kernel, :func:`apply_pauli_fidelities`, applies every
 such channel, its inverse and (being self-adjoint) their adjoints, to a
 single matrix or a batch, and :func:`pauli_rate_gradient` contracts the
-rate derivative.  Both pick one of two cases by reading the generator
-letters.  When every generator has weight 1 (the default X, Y, Z on each
-qubit) the fidelities factor over qubits and the channel is one strided
-2x2 mix per qubit.  Otherwise the state is taken to the Pauli basis one
-qubit at a time, multiplied by the fidelity table built from the
-symplectic anticommutation form, and taken back.
+rate derivative in the Pauli basis.  The kernel picks one of two cases by
+reading the generator letters.  When every generator has weight 1 (the
+default X, Y, Z on each qubit) the fidelities factor over qubits and the
+channel is one strided 2x2 mix per qubit.  Otherwise the state is taken to
+the Pauli basis one qubit at a time, multiplied by the fidelity table built
+from the symplectic anticommutation form, and taken back.
 
 Conjugation by a single Pauli string is a signed permutation of matrix
 entries; :func:`pauli_conjugate` uses it for the first-order linear map.
@@ -475,11 +475,6 @@ def _mix_pairs(src, dst, diag, off) -> None:
             dv += b * u
 
 
-def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``Re sum(a * b)`` over all entries of two C-contiguous arrays."""
-    return float(np.einsum("i,i->", a.ravel(), b.ravel()).real)
-
-
 def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
     """``Re tr(g (y - P_k y P_k))`` per generator, summed over leading axes.
 
@@ -488,6 +483,8 @@ def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
     ``y`` that anticommutes with ``P_k``), so this is the rate gradient of a
     loss whose gradient with respect to ``y`` is ``g``; for the forward
     channel it is the negative.  Only ``y`` is needed, no per-factor stages.
+    Both arguments are taken to the Pauli basis, where each generator's term
+    is a sum over the strings it anticommutes with.
     """
     letters = _letters(generators)
     if not letters:
@@ -495,18 +492,6 @@ def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
     g = np.ascontiguousarray(g)
     # tr(g D) = sum(g * D^T), and (P y P)^T = P y^T P for a Pauli string P.
     yt = np.ascontiguousarray(np.swapaxes(y, -1, -2))
-    incidence = _separable_incidence(letters)
-    if incidence is not None:
-        overlaps = np.zeros(incidence.shape[1:])  # (n, 3) over X, Y, Z
-        for q in np.flatnonzero(np.any(incidence, axis=(0, 2))):
-            g00, g01, g10, g11 = _qubit_quarters(g, q)
-            y00, y01, y10, y11 = _qubit_quarters(yt, q)
-            overlaps[q] = (
-                _real_dot(g01 + g10, y01 + y10),
-                _real_dot(g01 - g10, y01 - y10),
-                _real_dot(g00 - g11, y00 - y11),
-            )
-        return incidence.reshape(len(letters), -1) @ overlaps.ravel()
     d = g.shape[-1]
     products = np.einsum(
         "bij,bij->ij", _pauli_transform(g).reshape(-1, d, d), _pauli_transform(yt).reshape(-1, d, d)

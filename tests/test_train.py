@@ -158,8 +158,9 @@ class TestGradients:
         assert abs(got.grad_theta[0][1, 0]) > 1e-6
 
     def test_engine_agrees_with_dense_reference(self):
-        """The batched engine computes the same loss as composing dense
-        per-sample channels (``P rho P`` products), layer by layer."""
+        """The batched engine and the composition of the public per-sample
+        operations both compute the loss of dense per-sample channels
+        (``P rho P`` products), layer by layer."""
         rng = np.random.default_rng(4)
         for mode in ("loss_only", "cascaded"):
             config = small_config(mode=mode, alpha_fb=0.7, alpha_task=1.3)
@@ -174,6 +175,17 @@ class TestGradients:
                 for x, y in zip(features, labels)
             ])
             assert engine_loss == pytest.approx(reference, abs=1e-12)
+
+            total = 0.0
+            for x, y in zip(features, labels):
+                rho0 = pqc.encode(x, circuit.encoder)
+                states, mitigated = pqc.forward_mitigated(rho0, circuit, noise_true, mit, mode)
+                chain = [rho0] + (mitigated if mode == "cascaded" else states)
+                fb = losses.total_fb_loss(chain, circuit, mit, config.step_size, mode).value
+                z = pqc.readout(mitigated[-1], circuit)
+                task = losses.task_loss(z, int(y), config.num_classes)
+                total += losses.total_loss(fb, task, config.weights)
+            assert total / 3 == pytest.approx(reference, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["loss_only", "cascaded"])
     def test_general_generators_match_finite_differences(self, mode):
