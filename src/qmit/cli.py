@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -129,14 +129,11 @@ def build_train_config(payload: dict, where: str = "config") -> TrainConfig:
     if benchmark is None:
         raise ConfigError(f"{where}: missing required key 'benchmark'")
     num_classes = _benchmark_classes(benchmark)
-    kwargs = {}
-    for key in (
-        "n_qubits", "layers", "design", "step_size", "mode", "alpha_fb", "alpha_task",
-        "epochs", "batch_size", "learning_rate", "momentum", "rate_lr_scale", "seed",
-        "noise_source", "noise_low", "noise_high", "noise_path",
-    ):
-        if key in payload:
-            kwargs[key] = payload[key]
+    kwargs = {
+        f.name: payload[f.name]
+        for f in fields(TrainConfig)
+        if f.name != "num_classes" and f.name in payload
+    }
     try:
         return TrainConfig(num_classes=num_classes, **kwargs)
     except ValidationError as exc:

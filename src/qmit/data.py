@@ -161,21 +161,48 @@ def save_idx_labels(path, labels: np.ndarray) -> None:
         fh.write(labels.tobytes())
 
 
-def bilinear_resize(image: np.ndarray, side: int = TARGET_SIDE) -> np.ndarray:
-    """Corner-aligned bilinear resize of a 2D array to ``side x side``."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2:
-        raise ValidationError(f"expected a 2D image, got shape {img.shape}")
-    rows, cols = img.shape
+def bilinear_resize(images: np.ndarray, side: int = TARGET_SIDE) -> np.ndarray:
+    """Corner-aligned bilinear resize of the last two axes to ``side x side``.
+
+    The four corner pixels are gathered from the input before the float
+    conversion, so a uint8 stack is never converted whole.
+    """
+    img = np.asarray(images)
+    if img.ndim < 2:
+        raise ValidationError(f"expected (..., rows, cols) images, got shape {img.shape}")
+    rows, cols = img.shape[-2:]
     r_src = np.linspace(0.0, rows - 1.0, side)
     c_src = np.linspace(0.0, cols - 1.0, side)
-    r0 = np.clip(np.floor(r_src).astype(int), 0, rows - 2)
-    c0 = np.clip(np.floor(c_src).astype(int), 0, cols - 2)
-    fr = (r_src - r0)[:, None]
-    fc = (c_src - c0)[None, :]
-    top = (1.0 - fc) * img[np.ix_(r0, c0)] + fc * img[np.ix_(r0, c0 + 1)]
-    bottom = (1.0 - fc) * img[np.ix_(r0 + 1, c0)] + fc * img[np.ix_(r0 + 1, c0 + 1)]
+    r0 = np.clip(np.floor(r_src).astype(int), 0, rows - 2)[:, None]
+    c0 = np.clip(np.floor(c_src).astype(int), 0, cols - 2)[None, :]
+    fr = r_src[:, None] - r0
+    fc = c_src[None, :] - c0
+
+    def corner(dr: int, dc: int) -> np.ndarray:
+        return img[..., r0 + dr, c0 + dc].astype(float)
+
+    top = (1.0 - fc) * corner(0, 0) + fc * corner(0, 1)
+    bottom = (1.0 - fc) * corner(1, 0) + fc * corner(1, 1)
     return (1.0 - fr) * top + fr * bottom
+
+
+# Images per bilinear_resize call in preprocess_all: bounds the float
+# temporaries to a few MB while keeping the per-call overhead negligible.
+RESIZE_CHUNK = 1024
+
+
+def preprocess_all(images: np.ndarray) -> np.ndarray:
+    """``(N, 28, 28)`` uint8 images to ``(N, 64)`` features in [0, 1],
+    each image resized to 8x8 and flattened row-major."""
+    imgs = np.asarray(images)
+    if imgs.ndim != 3 or imgs.shape[1:] != (28, 28):
+        raise ValidationError(f"expected (N, 28, 28) images, got shape {imgs.shape}")
+    out = np.empty((imgs.shape[0], FEATURES))
+    for lo in range(0, imgs.shape[0], RESIZE_CHUNK):
+        chunk = imgs[lo : lo + RESIZE_CHUNK]
+        out[lo : lo + chunk.shape[0]] = bilinear_resize(chunk).reshape(-1, FEATURES)
+    out /= 255.0
+    return out
 
 
 def preprocess(image: np.ndarray) -> np.ndarray:
@@ -183,12 +210,7 @@ def preprocess(image: np.ndarray) -> np.ndarray:
     img = np.asarray(image)
     if img.shape != (28, 28):
         raise ValidationError(f"expected a 28x28 image, got shape {img.shape}")
-    resized = bilinear_resize(img.astype(float), TARGET_SIDE)
-    return (resized / 255.0).reshape(FEATURES)
-
-
-def preprocess_all(images: np.ndarray) -> np.ndarray:
-    return np.stack([preprocess(img) for img in images])
+    return preprocess_all(img[None])[0]
 
 
 def dataset_from_idx(images_path, labels_path) -> Dataset:

@@ -24,6 +24,7 @@ from .qsim import (
     DensityMatrix,
     Observable,
     Unitary,
+    check_density_matrices,
     cnot_gate,
     embed_one_qubit,
     evolve,
@@ -180,31 +181,49 @@ def layer_unitary_and_gradients(layer: LayerSpec) -> tuple[np.ndarray, list[list
     return u, grads
 
 
-def encoder_unitary(x, spec: EncoderSpec) -> np.ndarray:
-    """Full encoding unitary for a 64-feature vector in [0, 1]."""
-    feats = np.asarray(x, dtype=float).ravel()
-    if feats.size != spec.features:
-        raise ValidationError(f"expected {spec.features} features, got {feats.size}")
-    if np.any(feats < 0.0) or np.any(feats > 1.0):
+def _product_states(features: np.ndarray, spec: EncoderSpec) -> np.ndarray:
+    feats = np.asarray(features, dtype=float)
+    if feats.ndim != 2 or feats.shape[1] != spec.features:
+        raise ValidationError(
+            f"expected {spec.features} features per sample, got shape {feats.shape}"
+        )
+    if not np.all((feats >= 0.0) & (feats <= 1.0)):
         raise ValidationError("encoder features must lie in [0, 1]")
-    n = spec.n
-    u = np.eye(1 << n, dtype=np.complex128)
+    count, n = feats.shape[0], spec.n
+    # Features beyond the 64th leave the last sub-layer's qubits unrotated.
+    angles = np.zeros((count, spec.sublayers * n))
+    angles[:, : spec.features] = math.pi * feats
+    half = (0.5 * angles).reshape(count, spec.sublayers, n, 1, 1)
+    cos, sin = np.cos(half), np.sin(half)
+    qubits = np.zeros((count, n, 2), dtype=np.complex128)
+    qubits[..., 0] = 1.0
     for t in range(spec.sublayers):
-        axis = spec.axes[t % len(spec.axes)]
-        angles = np.zeros(n)
-        for j in range(n):
-            idx = t * n + j
-            if idx < spec.features:
-                angles[j] = math.pi * feats[idx]
-        u = _rotation_sublayer(axis, angles) @ u
-    return u
+        sigma = PAULIS[spec.axes[t % len(spec.axes)]]
+        rot = cos[:, t] * PAULIS["I"] - 1j * sin[:, t] * sigma  # (count, n, 2, 2)
+        qubits = (rot * qubits[:, :, None, :]).sum(axis=-1)
+    psi = qubits[:, 0]
+    for q in range(1, n):
+        psi = (psi[:, :, None] * qubits[:, q, None, :]).reshape(count, -1)
+    return psi[:, :, None] * psi.conj()[:, None, :]
+
+
+def encode_batch(features, spec: EncoderSpec) -> np.ndarray:
+    """Phase-encode a ``(N, 64)`` feature array into ``(N, d, d)`` pure states.
+
+    The encoder has no entanglers, so each qubit's state is its own
+    sub-layer rotations (2x2 matrices) applied to ``|0>``, and the register
+    state is the Kronecker product of the ``n`` qubit states.  Every state
+    passes the :class:`DensityMatrix` check.
+    """
+    states = _product_states(features, spec)
+    check_density_matrices(states)
+    return states
 
 
 def encode(x, spec: EncoderSpec) -> DensityMatrix:
     """Phase-encode a feature vector into a pure state on ``n`` qubits."""
-    u = encoder_unitary(x, spec)
-    psi = u[:, 0]
-    return DensityMatrix(spec.n, np.outer(psi, psi.conj()))
+    feats = np.asarray(x, dtype=float).reshape(1, -1)
+    return DensityMatrix(spec.n, _product_states(feats, spec)[0])
 
 
 def forward_noise_free(rho0: DensityMatrix, circuit: CircuitSpec) -> list[DensityMatrix]:

@@ -53,12 +53,35 @@ def _as_complex_matrix(data, dim: int, what: str) -> np.ndarray:
 
 
 def _hermiticity_defect(data: np.ndarray) -> float:
-    return float(np.max(np.abs(data - data.conj().T))) if data.size else 0.0
+    return float(np.max(np.abs(data - np.conj(np.swapaxes(data, -1, -2))))) if data.size else 0.0
 
 
 def hermitize(data: np.ndarray) -> np.ndarray:
     """Symmetrize away the floating-point anti-Hermitian residue."""
     return 0.5 * (data + np.conj(np.swapaxes(data, -1, -2)))
+
+
+def check_density_matrices(data: np.ndarray, quasi: bool = False) -> None:
+    """Raise unless every matrix on the last two axes of ``data`` (one state
+    or a stack) is Hermitian, has trace 1 and no eigenvalue below the PSD
+    floor (the quasi-state floor if ``quasi``)."""
+    if data.size == 0:
+        return
+    defect = _hermiticity_defect(data)
+    if defect > HERMITIAN_ATOL:
+        raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
+    traces = np.trace(data, axis1=-2, axis2=-1)
+    errors = np.abs(traces - 1.0)
+    if errors.max() > TRACE_ATOL:
+        tr = complex(np.ravel(traces)[np.argmax(errors)])
+        raise ValidationError(f"density matrix trace is {tr:.12g}, expected 1")
+    floor = QUASI_EIGENVALUE_FLOOR if quasi else -PSD_ATOL
+    min_eig = float(np.linalg.eigvalsh(data)[..., 0].min())
+    if min_eig < floor:
+        raise ValidationError(
+            f"density matrix has eigenvalue {min_eig:.3e} below the "
+            f"{'quasi-state' if quasi else 'PSD'} floor {floor:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -78,19 +101,7 @@ class DensityMatrix:
         dim = 1 << self.n
         arr = _as_complex_matrix(self.data, dim, "density matrix")
         object.__setattr__(self, "data", arr)
-        defect = _hermiticity_defect(arr)
-        if defect > HERMITIAN_ATOL:
-            raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
-        tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"density matrix trace is {tr:.12g}, expected 1")
-        floor = QUASI_EIGENVALUE_FLOOR if self.quasi else -PSD_ATOL
-        min_eig = float(np.linalg.eigvalsh(arr)[0])
-        if min_eig < floor:
-            raise ValidationError(
-                f"density matrix has eigenvalue {min_eig:.3e} below the "
-                f"{'quasi-state' if self.quasi else 'PSD'} floor {floor:.3e}"
-            )
+        check_density_matrices(arr, self.quasi)
 
     @property
     def dim(self) -> int:

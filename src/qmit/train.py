@@ -21,7 +21,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,8 @@ from .pqc import (
     CircuitSpec,
     EncoderSpec,
     LayerSpec,
-    encode,
+    build_layer_unitary,
+    encode_batch,
     layer_unitary_and_gradients,
     z_sign_table,
 )
@@ -189,8 +190,7 @@ def mitigation_from_state(state: TrainState, config: TrainConfig) -> MitigationM
 
 def encode_dataset(dataset: Dataset, n: int) -> np.ndarray:
     """Precompute the encoded pure states of every sample, shape (N, d, d)."""
-    spec = EncoderSpec(n)
-    return np.stack([encode(f, spec).data for f in dataset.features])
+    return encode_batch(dataset.features, EncoderSpec(n))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +232,35 @@ def _theta_grad_backward_conj(g_out, x_in, u, du_flat, out_vec):
         out_vec[p] += 2.0 * np.vdot(du, a).real
 
 
+def _forward_chain(rho0, units, rates, config: TrainConfig, noise_true, generators) -> list:
+    """``chain[i]`` is the propagated state after layer ``i`` (``chain[0] = rho0``):
+    the layer unitary, the true noise and, when cascaded, the inverse stack."""
+    cascaded = config.mode == "cascaded"
+    chain = [rho0]
+    cur = rho0
+    for i, u in enumerate(units):
+        cur = u @ cur @ u.conj().T
+        cur = _apply_noise_layer(cur, noise_true[i])
+        if cascaded:
+            cur = _inverse_stack_forward(cur, rates[i], generators)
+        chain.append(cur)
+    return chain
+
+
+def _readout_head(final, rate_row, config: TrainConfig, generators):
+    """Mitigated readout state and the softmax over its first ``num_classes``
+    Z expectations; in ``loss_only`` mode the last inverse stack is applied here."""
+    if config.mode == "cascaded":
+        rho_hat = final
+    else:
+        rho_hat = _inverse_stack_forward(final, rate_row, generators)
+    diag = np.real(np.diagonal(rho_hat, axis1=-2, axis2=-1))
+    logits = (diag @ z_sign_table(config.n_qubits).T)[:, : config.num_classes]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    return rho_hat, expd / expd.sum(axis=1, keepdims=True)
+
+
 @dataclass
 class BatchResult:
     """Loss terms, gradients and diagnostics of one batch pass."""
@@ -270,15 +299,7 @@ def _run_batch(
     du_flat = [[ld[1][q][a] for q in range(n) for a in range(len(DESIGN_AXES[config.design]))]
                for ld in layer_data]
 
-    # Forward chain: chain[i] is the propagated state after layer i.
-    chain = [rho0]
-    cur = rho0
-    for i in range(depth):
-        cur = units[i] @ cur @ units[i].conj().T
-        cur = _apply_noise_layer(cur, noise_true[i])
-        if cascaded:
-            cur = _inverse_stack_forward(cur, rates[i], generators)
-        chain.append(cur)
+    chain = _forward_chain(rho0, units, rates, config, noise_true, generators)
 
     # Forward-backward blocks.
     block_caches = []
@@ -301,18 +322,7 @@ def _run_batch(
         clamped += fid_cache["neg_mass"]
         block_caches.append((start, end, layer_caches, loss_vec, fid_cache))
 
-    # Task head.
-    if cascaded:
-        rho_hat_final = chain[depth]
-    else:
-        rho_hat_final = _inverse_stack_forward(chain[depth], rates[-1], generators)
-    signs = z_sign_table(n)
-    diag = np.real(np.diagonal(rho_hat_final, axis1=-2, axis2=-1))
-    z = diag @ signs.T  # (batch, n)
-    logits = z[:, :c]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=1, keepdims=True)
+    rho_hat_final, probs = _readout_head(chain[depth], rates[-1], config, generators)
     ce_per_sample = -np.log(probs[np.arange(batch), labels])
     predictions = np.argmax(probs, axis=1)
 
@@ -333,7 +343,7 @@ def _run_batch(
         g_logits = probs.copy()
         g_logits[np.arange(batch), labels] -= 1.0
         g_logits *= config.alpha_task / batch
-        diag_vals = g_logits @ signs[:c]  # (batch, dim)
+        diag_vals = g_logits @ z_sign_table(n)[:c]  # (batch, dim)
         g_task = np.zeros_like(rho0)
         idx = np.arange(rho0.shape[-1])
         g_task[:, idx, idx] = diag_vals.astype(complex)
@@ -423,7 +433,7 @@ def loss_and_gradients(
     """Mean batch loss and exact gradients for every angle and rate."""
     features, labels = _batch_arrays(batch)
     theta = _prepare(circuit, mitigation, noise_true, config)
-    rho0 = np.stack([encode(f, circuit.encoder).data for f in features])
+    rho0 = encode_batch(features, circuit.encoder)
     result = _run_batch(
         rho0, labels, theta, mitigation.rates, config, noise_true, mitigation.generators, True
     )
@@ -451,7 +461,7 @@ def batch_loss(
     """Loss only; the evaluation path used by finite-difference oracles."""
     features, labels = _batch_arrays(batch)
     theta = _prepare(circuit, mitigation, noise_true, config)
-    rho0 = np.stack([encode(f, circuit.encoder).data for f in features])
+    rho0 = encode_batch(features, circuit.encoder)
     result = _run_batch(
         rho0, labels, theta, mitigation.rates, config, noise_true, mitigation.generators, False
     )
@@ -559,26 +569,20 @@ def evaluate(
         noise_true = noise_models_from_config(config)
     if encoded is None:
         encoded = encode_dataset(dataset, config.n_qubits)
+    units = [build_layer_unitary(LayerSpec(config.design, config.n_qubits, t)).data for t in theta]
     c = config.num_classes
     correct = np.zeros(c, dtype=np.int64)
     total = np.zeros(c, dtype=np.int64)
     for lo in range(0, len(dataset), chunk):
         sel = slice(lo, lo + chunk)
-        result = _run_batch(
-            encoded[sel],
-            dataset.labels[sel],
-            theta,
-            rates,
-            config,
-            noise_true,
-            generators,
-            False,
-        )
+        chain = _forward_chain(encoded[sel], units, rates, config, noise_true, generators)
+        _rho_hat, probs = _readout_head(chain[-1], rates[-1], config, generators)
+        predictions = np.argmax(probs, axis=1)
         labels = dataset.labels[sel]
         for k in range(c):
             mask = labels == k
             total[k] += int(mask.sum())
-            correct[k] += int(np.sum(result.predictions[mask] == k))
+            correct[k] += int(np.sum(predictions[mask] == k))
     return EvalResult(float(correct.sum() / max(total.sum(), 1)), correct, total)
 
 
@@ -619,8 +623,7 @@ def recover_rates_report(
     rng = np.random.default_rng(seed)
     theta = [rng.uniform(-math.pi, math.pi, size=config.theta_shape) for _ in range(config.layers)]
     noise_true = noise_models_from_config(config)
-    spec = EncoderSpec(config.n_qubits)
-    rho0 = np.stack([encode(rng.uniform(0.0, 1.0, 64), spec).data for _ in range(states)])
+    rho0 = encode_batch(rng.uniform(0.0, 1.0, (states, 64)), EncoderSpec(config.n_qubits))
     fitted = recover_rates(config, theta, noise_true, rho0, steps=steps, lr=lr)
     truth = np.stack([m.rates for m in noise_true])
     rel_err = np.abs(fitted - truth) / truth
@@ -752,26 +755,7 @@ def load_checkpoint(path) -> dict:
 
 
 def config_to_json(config: TrainConfig) -> dict:
-    return {
-        "n_qubits": config.n_qubits,
-        "layers": config.layers,
-        "design": config.design,
-        "step_size": config.step_size,
-        "mode": config.mode,
-        "alpha_fb": config.alpha_fb,
-        "alpha_task": config.alpha_task,
-        "num_classes": config.num_classes,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate,
-        "momentum": config.momentum,
-        "rate_lr_scale": config.rate_lr_scale,
-        "seed": config.seed,
-        "noise_source": config.noise_source,
-        "noise_low": config.noise_low,
-        "noise_high": config.noise_high,
-        "noise_path": config.noise_path,
-    }
+    return asdict(config)
 
 
 def config_from_json(payload: dict) -> TrainConfig:

@@ -1,13 +1,17 @@
-"""Dense reference for Pauli-Lindblad channels, independent of the kernel.
+"""Dense references, independent of the kernels they check.
 
-Each factor is applied as an explicit matrix product ``P rho P^dagger``
-with ``P`` from ``noise._pauli_matrix``, one generator at a time; the
-adjoint comes from the transposed superoperator matrix.  Meant for n <= 3.
+Pauli-Lindblad channels: each factor is applied as an explicit matrix
+product ``P rho P^dagger`` with ``P`` from ``noise._pauli_matrix``, one
+generator at a time; the adjoint comes from the transposed superoperator
+matrix.  Meant for n <= 3.
+
+Encoder: the full encoding unitary as a product of dense Kronecker
+sub-layers.
 """
 
 import numpy as np
 
-from qmit import noise
+from qmit import noise, qsim
 
 
 def channel(x, letters, rates, inverse=False):
@@ -44,3 +48,19 @@ def adjoint(g, letters, rates, inverse=False):
 def pairing(g, x):
     """``tr(g x)`` summed over leading axes."""
     return np.einsum("...ij,...ji->...", g, x).sum()
+
+
+def encoder_unitary(x, spec):
+    """Full encoding unitary: the sub-layers as dense Kronecker products of
+    one rotation per qubit, multiplied in order."""
+    n = spec.n
+    u = np.eye(1 << n, dtype=np.complex128)
+    for t in range(spec.sublayers):
+        axis = spec.axes[t % len(spec.axes)]
+        sub = np.eye(1, dtype=np.complex128)
+        for j in range(n):
+            idx = t * n + j
+            angle = np.pi * x[idx] if idx < spec.features else 0.0
+            sub = np.kron(sub, qsim.rotation_matrix_2x2(axis, angle))
+        u = sub @ u
+    return u

@@ -1,5 +1,6 @@
 """CLI commands: config validation, outputs, determinism, exit codes."""
 
+import gzip
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qmit import cli, selftest
+from qmit import cli, data, selftest
 from qmit.errors import ConfigError
 
 
@@ -111,6 +112,49 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["role"] == "baseline"
+
+
+def write_gzipped_idx_corpus(out_dir, seed=0, train_count=300, test_count=100):
+    """Seeded 28x28 uint8 images (a bright block whose place depends on the
+    digit, over pixel noise) with labels 0-9, as gzipped MNIST-named IDX files."""
+    rng = np.random.default_rng(seed)
+    for prefix, count in (("train", train_count), ("t10k", test_count)):
+        labels = (np.arange(count) % 10).astype(np.uint8)
+        images = rng.integers(0, 60, size=(count, 28, 28), dtype=np.uint8)
+        for img, label in zip(images, labels):
+            row, col = divmod(int(label), 4)
+            img[4 + 7 * row : 10 + 7 * row, 2 + 6 * col : 8 + 6 * col] = 230
+        for kind, save, payload in (
+            ("images-idx3-ubyte", data.save_idx_images, images),
+            ("labels-idx1-ubyte", data.save_idx_labels, labels),
+        ):
+            raw = out_dir / f"{prefix}-{kind}"
+            save(raw, payload)
+            with open(raw, "rb") as src, gzip.open(f"{raw}.gz", "wb") as dst:
+                dst.write(src.read())
+            raw.unlink()
+
+
+class TestIdxPipeline:
+    def test_mnist4_train_from_gzipped_idx(self, tmp_path):
+        """qmit train on MNIST-4 reads gzipped IDX files through
+        dataset_from_idx, and a rerun writes the same metrics.csv."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_gzipped_idx_corpus(corpus)
+        payload = synthetic_train_payload(
+            benchmark="MNIST-4", data_dir=str(corpus), train_cap=40, test_cap=20, repeats=1
+        )
+        del payload["separation"]
+        path = write_config(tmp_path, payload)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+        metrics = (outs[0] / "metrics.csv").read_bytes()
+        assert metrics == (outs[1] / "metrics.csv").read_bytes()
+        assert len(metrics.decode().splitlines()) == 3 + payload["epochs"]
+        resolved = json.loads((outs[0] / "summary.json").read_text())["config"]["resolved"]
+        assert resolved["num_classes"] == 4
 
 
 class TestAblationCommand:

@@ -111,6 +111,27 @@ class TestPreprocess:
         with pytest.raises(ValidationError):
             data.preprocess(np.zeros((27, 28), dtype=np.uint8))
 
+    def test_batched_resize_matches_per_image(self):
+        """Chunked batch resize is bitwise the per-image resize, including a
+        partial last chunk."""
+        rng = np.random.default_rng(4)
+        images = rng.integers(0, 256, size=(2 * data.RESIZE_CHUNK + 37, 28, 28), dtype=np.uint8)
+        per_image = np.stack([data.bilinear_resize(img) for img in images])
+        assert np.array_equal(data.bilinear_resize(images), per_image)
+        expected = np.stack([data.preprocess(img) for img in images])
+        assert np.array_equal(data.preprocess_all(images), expected)
+        assert np.array_equal(expected, per_image.reshape(-1, 64) / 255.0)
+
+    def test_batched_resize_of_floats_upsamples(self):
+        rng = np.random.default_rng(5)
+        stack = rng.uniform(0, 255, (3, 8, 8))
+        per_image = np.stack([data.bilinear_resize(img, 28) for img in stack])
+        assert np.array_equal(data.bilinear_resize(stack, 28), per_image)
+
+    def test_preprocess_all_rejects_wrong_shape(self):
+        with pytest.raises(ValidationError):
+            data.preprocess_all(np.zeros((3, 27, 28), dtype=np.uint8))
+
 
 def _raw_dataset(rng, per_class=40, classes=10):
     feats = rng.uniform(0, 1, (per_class * classes, 64))

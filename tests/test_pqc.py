@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qmit import losses, noise, pqc, qsim
+import dense_reference
+from qmit import data, losses, noise, pqc, qsim, train
 from qmit.errors import ValidationError
 
 
@@ -143,6 +144,41 @@ class TestEncoder:
     def test_rejects_wrong_count(self):
         with pytest.raises(ValidationError):
             pqc.encode(np.zeros(32), pqc.EncoderSpec(4))
+
+    def test_batch_matches_dense_reference(self):
+        """Closed-form product states against the dense Kronecker encoder,
+        including widths whose last sub-layer is partly filled (n = 3, 5, 6, 7)."""
+        rng = np.random.default_rng(6)
+        for n in range(1, 9):
+            spec = pqc.EncoderSpec(n)
+            features = rng.uniform(0, 1, (3, 64))
+            states = pqc.encode_batch(features, spec)
+            assert states.shape == (3, 1 << n, 1 << n)
+            for x, rho in zip(features, states):
+                psi = dense_reference.encoder_unitary(x, spec)[:, 0]
+                np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), rtol=0, atol=1e-13)
+
+    def test_encode_is_one_row_of_encode_dataset(self):
+        rng = np.random.default_rng(7)
+        dataset = data.Dataset(rng.uniform(0, 1, (5, 64)), np.zeros(5, dtype=np.int64))
+        for n in (3, 4):
+            states = train.encode_dataset(dataset, n)
+            for x, rho in zip(dataset.features, states):
+                assert np.array_equal(pqc.encode(x, pqc.EncoderSpec(n)).data, rho)
+
+    def test_batch_rejects_bad_features(self):
+        spec = pqc.EncoderSpec(4)
+        features = np.zeros((3, 64))
+        features[2, 10] = -0.01
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            pqc.encode_batch(features, spec)
+        features[2, 10] = np.nan
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            pqc.encode_batch(features, spec)
+        with pytest.raises(ValidationError, match="features"):
+            pqc.encode_batch(np.zeros((3, 63)), spec)
+        with pytest.raises(ValidationError, match="features"):
+            pqc.encode_batch(np.zeros(64), spec)
 
     def test_sublayer_count(self):
         assert pqc.EncoderSpec(4).sublayers == 16

@@ -68,6 +68,20 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             qsim.DensityMatrix(1, data, quasi=True)
 
+    def test_batch_check_names_the_failing_rule(self):
+        """One bad member fails a stack; each rule is checked on every member."""
+        good = np.stack([qsim.maximally_mixed(1).data, qsim.pure_state([1, 0]).data])
+        qsim.check_density_matrices(good)
+        cases = [
+            (np.array([[1.0, 0.5], [0.0, 0.0]]), "Hermitian"),
+            (np.eye(2, dtype=complex), "trace"),
+            (np.diag([1.2, -0.2]).astype(complex), "PSD"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                qsim.check_density_matrices(np.concatenate([good, bad[None]]))
+        qsim.check_density_matrices(np.diag([1.01, -0.01])[None], quasi=True)
+
     def test_max_qubits_enforced(self):
         with pytest.raises(ValidationError):
             qsim.maximally_mixed(11)

@@ -299,6 +299,29 @@ class TestEvaluate:
             accs.append(train.evaluate(state, dataset, config).accuracy)
         assert sorted(accs) == [0.0, 1.0]
 
+    def test_predictions_match_run_batch(self):
+        """The forward-only path predicts bitwise what the full batch pass does."""
+        dataset = data.synthetic_blobs(2, 30, 1.0, seed=14)
+        for mode in ("loss_only", "cascaded"):
+            config = small_config(mode=mode, layers=4, step_size=2)
+            state = train.init_state(config)
+            rng = np.random.default_rng(15)
+            state.theta = [rng.uniform(-math.pi, math.pi, t.shape) for t in state.theta]
+            # Rates far apart make the final inverse stack reorder the logits.
+            state.rates = rng.uniform(0.0, 0.2, state.rates.shape)
+            noise_true = train.noise_models_from_config(config)
+            encoded = train.encode_dataset(dataset, config.n_qubits)
+            result = train._run_batch(
+                encoded, dataset.labels, state.theta, state.rates, config, noise_true,
+                state.generators, want_grads=False,
+            )
+            # Labelled with the batch pass's predictions, every sample is
+            # classified correctly only if evaluate predicts the same class.
+            relabelled = data.Dataset(dataset.features, result.predictions)
+            assert len(set(result.predictions.tolist())) == 2
+            got = train.evaluate(state, relabelled, config, noise_true, encoded, chunk=7)
+            assert got.accuracy == 1.0
+
     def test_repeated_evaluation_identical(self):
         dataset = data.synthetic_blobs(2, 10, 3.0, seed=9)
         config = small_config()
