@@ -194,9 +194,9 @@ def _eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(hermitize(x))
 
 
-def _psd_sqrt_from_eigh(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    root = np.sqrt(np.clip(eigs, 0.0, None))
-    return (vecs * root[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+def _from_eigh(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``V diag(eigs) V^dagger`` for batched eigenpairs."""
+    return (vecs * eigs[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
 
 
 def condition_state(
@@ -217,7 +217,7 @@ def condition_state(
     fe = _softplus(sharpness * eigs) / sharpness
     trace = np.sum(fe, axis=-1)
     dim = x.shape[-1]
-    smooth = (vecs * fe[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    smooth = _from_eigh(fe, vecs)
     eye = np.eye(dim, dtype=complex)
     cond = (1.0 - floor) * smooth / trace[..., None, None] + (floor / dim) * eye
     neg_mass = float(np.sum(np.clip(-eigs, 0.0, None)))
@@ -261,20 +261,16 @@ def condition_state_adjoint(grad: np.ndarray, cache: dict) -> np.ndarray:
     return vecs @ (rotated * kernel) @ vh
 
 
-def _conditioned_sqrt(cache: dict) -> np.ndarray:
-    """Square root of the conditioned state, reusing its eigenbasis.
+def _conditioned_spectrum(cache: dict) -> np.ndarray:
+    """Eigenvalues of the conditioned state, in the order of ``cache["vecs"]``.
 
     The admixture of the identity commutes with everything, so the
     conditioned state shares eigenvectors with the softplus-mapped one and
-    its spectrum is strictly positive by construction.
+    its spectrum is at least ``floor / d`` by construction.
     """
     fe = cache["fe"]
-    trace = cache["trace"]
     floor = cache["floor"]
-    dim = fe.shape[-1]
-    scaled = (1.0 - floor) * fe / trace[..., None] + floor / dim
-    vecs = cache["vecs"]
-    return (vecs * np.sqrt(scaled)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    return (1.0 - floor) * fe / cache["trace"][..., None] + floor / fe.shape[-1]
 
 
 def _fb_pair_forward(a_raw: np.ndarray, b_raw: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -282,10 +278,10 @@ def _fb_pair_forward(a_raw: np.ndarray, b_raw: np.ndarray) -> tuple[np.ndarray, 
 
     Inputs have shape ``(..., d, d)``; the returned loss has the batch shape.
     """
-    a_cond, cache_a, neg_a = condition_state(a_raw)
+    _a_cond, cache_a, neg_a = condition_state(a_raw)
     b_cond, cache_b, neg_b = condition_state(b_raw)
 
-    a_sqrt = _conditioned_sqrt(cache_a)
+    a_sqrt = _from_eigh(np.sqrt(_conditioned_spectrum(cache_a)), cache_a["vecs"])
     mid = hermitize(a_sqrt @ b_cond @ a_sqrt)
     em, vm = _eigh(mid)
     em_c = np.clip(em, 0.0, None)
@@ -296,7 +292,6 @@ def _fb_pair_forward(a_raw: np.ndarray, b_raw: np.ndarray) -> tuple[np.ndarray, 
     cache = {
         "cache_a": cache_a,
         "cache_b": cache_b,
-        "a_cond": a_cond,
         "a_sqrt": a_sqrt,
         "em": em,
         "vm": vm,
@@ -307,32 +302,43 @@ def _fb_pair_forward(a_raw: np.ndarray, b_raw: np.ndarray) -> tuple[np.ndarray, 
     return loss, cache
 
 
-def _fb_pair_backward(cache: dict, g_loss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the conditioned pair loss w.r.t. both raw inputs."""
+def _fb_pair_backward(
+    cache: dict, g_loss: np.ndarray, with_target: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients of the conditioned pair loss w.r.t. both raw inputs.
+
+    With ``A``, ``B`` the conditioned target and pullback and
+    ``M = A^{1/2} B A^{1/2}``, ``dF/dB = 2 sqrt(F) A^{1/2} M^{-1/2} A^{1/2}``
+    and, by the symmetry of ``F``, ``dF/dA = 2 sqrt(F) B # A^{-1}`` with the
+    matrix geometric mean ``X # Y = X^{1/2} (X^{-1/2} Y X^{-1/2})^{1/2}
+    X^{1/2}``.  The geometric mean is symmetric, so ``B # A^{-1} = A^{-1} # B
+    = A^{-1/2} M^{1/2} A^{-1/2}``; the identity is exact for positive
+    definite arguments, and both conditioned states are, with spectrum at
+    least ``FB_STATE_FLOOR / d``.  The target side therefore reuses ``A``'s
+    eigenbasis and ``M``'s eigenpairs from the forward pass and needs no
+    further ``eigh``.  ``with_target=False`` skips it and returns ``None``
+    in its place.
+    """
     fid = cache["fid"]
     trace_sqrt = cache["trace_sqrt"]
     a_sqrt = cache["a_sqrt"]
     em = cache["em"]
     vm = cache["vm"]
-    a_cond = cache["a_cond"]
 
-    g_fid = (np.asarray(g_loss) * (-1.0 / fid))[..., None, None]
-    scale = trace_sqrt[..., None, None]
+    g_scale = (np.asarray(g_loss) * (-1.0 / fid) * trace_sqrt)[..., None, None]
 
     inv_root_m = 1.0 / np.sqrt(np.clip(em, _INV_SQRT_FLOOR, None))
-    m_inv_sqrt = (vm * inv_root_m[..., None, :]) @ np.conj(np.swapaxes(vm, -1, -2))
-    g_b_cond = hermitize(g_fid * scale * (a_sqrt @ m_inv_sqrt @ a_sqrt))
+    g_b_cond = hermitize(g_scale * (a_sqrt @ _from_eigh(inv_root_m, vm) @ a_sqrt))
+    g_b_raw = hermitize(condition_state_adjoint(g_b_cond, cache["cache_b"]))
+    if not with_target:
+        return None, g_b_raw
 
-    b_sqrt = _conditioned_sqrt(cache["cache_b"])
-    nmid = hermitize(b_sqrt @ a_cond @ b_sqrt)
-    en, vn = _eigh(nmid)
-    inv_root_n = 1.0 / np.sqrt(np.clip(en, _INV_SQRT_FLOOR, None))
-    n_inv_sqrt = (vn * inv_root_n[..., None, :]) @ np.conj(np.swapaxes(vn, -1, -2))
-    g_a_cond = hermitize(g_fid * scale * (b_sqrt @ n_inv_sqrt @ b_sqrt))
-
-    g_a_raw = condition_state_adjoint(g_a_cond, cache["cache_a"])
-    g_b_raw = condition_state_adjoint(g_b_cond, cache["cache_b"])
-    return hermitize(g_a_raw), hermitize(g_b_raw)
+    cache_a = cache["cache_a"]
+    a_inv_sqrt = _from_eigh(1.0 / np.sqrt(_conditioned_spectrum(cache_a)), cache_a["vecs"])
+    m_sqrt = _from_eigh(np.sqrt(np.clip(em, 0.0, None)), vm)
+    g_a_cond = hermitize(g_scale * (a_inv_sqrt @ m_sqrt @ a_inv_sqrt))
+    g_a_raw = hermitize(condition_state_adjoint(g_a_cond, cache_a))
+    return g_a_raw, g_b_raw
 
 
 @dataclass(frozen=True)

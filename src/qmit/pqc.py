@@ -123,13 +123,17 @@ class CircuitSpec:
         return self._observables
 
 
+@lru_cache(maxsize=None)
 def _cnot_ring(n: int) -> np.ndarray:
-    """Ring CNOT(j, j+1 mod n) for ascending j; identity for n = 1."""
+    """Ring CNOT(j, j+1 mod n) for ascending j; identity for n = 1.
+
+    Built once per ``n`` and returned read-only."""
     dim = 1 << n
     ring = np.eye(dim, dtype=np.complex128)
     if n >= 2:
         for j in range(n):
             ring = cnot_gate(j, (j + 1) % n, n).data @ ring
+    ring.setflags(write=False)
     return ring
 
 
@@ -141,44 +145,60 @@ def _rotation_sublayer(axis: str, angles: np.ndarray) -> np.ndarray:
     return mat
 
 
+def layer_factors(layer: LayerSpec) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Layer unitary ``U`` and the factors its angle derivatives need.
+
+    Returns ``(U, upto, after)``: ``upto[a]`` is the product of rotation
+    sub-layers ``0..a`` and ``after[a]`` everything applied after sub-layer
+    ``a`` (the later sub-layers, then the CNOT ring), so
+    ``U = after[a] @ upto[a]`` for every ``a``.
+    """
+    subs = [_rotation_sublayer(axis, layer.theta[:, a]) for a, axis in enumerate(layer.axes)]
+    ring = _cnot_ring(layer.n)
+    upto = []
+    cur = np.eye(1 << layer.n, dtype=np.complex128)
+    for s in subs:
+        cur = s @ cur
+        upto.append(cur)
+    after = [ring] * len(subs)
+    for a in range(len(subs) - 2, -1, -1):
+        after[a] = after[a + 1] @ subs[a + 1]
+    return ring @ cur, upto, after
+
+
 def build_layer_unitary(layer: LayerSpec) -> Unitary:
     """Per-qubit rotations in design order, then the CNOT ring."""
-    u = np.eye(1 << layer.n, dtype=np.complex128)
-    for a, axis in enumerate(layer.axes):
-        u = _rotation_sublayer(axis, layer.theta[:, a]) @ u
-    return Unitary(layer.n, _cnot_ring(layer.n) @ u)
+    return Unitary(layer.n, layer_factors(layer)[0])
 
 
-def layer_unitary_and_gradients(layer: LayerSpec) -> tuple[np.ndarray, list[list[np.ndarray]]]:
-    """Layer unitary plus ``dU/dtheta[q, a]`` for every angle.
-
-    The derivative of a rotation factor is ``-i/2 sigma`` times the factor,
-    inserted at the generating sub-layer's position in the product.
-    """
-    n = layer.n
-    axes = layer.axes
-    subs = [_rotation_sublayer(axis, layer.theta[:, a]) for a, axis in enumerate(axes)]
-    ring = _cnot_ring(n)
-
-    # prefix[a] = product of sub-layers applied before sub-layer a
-    prefix = [np.eye(1 << n, dtype=np.complex128)]
-    for s in subs:
-        prefix.append(s @ prefix[-1])
-    u = ring @ prefix[-1]
-
-    # suffix[a] = everything applied after sub-layer a (including the ring)
-    suffix = [ring] * len(axes)
-    for a in range(len(axes) - 2, -1, -1):
-        suffix[a] = suffix[a + 1] @ subs[a + 1]
-
-    grads: list[list[np.ndarray]] = []
+def _one_qubit_marginals(w: np.ndarray) -> np.ndarray:
+    """Partial traces ``Tr_{!=q} w`` onto each qubit ``q``, shape ``(n, 2, 2)``."""
+    dim = w.shape[-1]
+    n = dim.bit_length() - 1
+    out = np.empty((n, 2, 2), dtype=w.dtype)
     for q in range(n):
-        per_qubit = []
-        for a, axis in enumerate(axes):
-            gen = embed_one_qubit(-0.5j * PAULIS[axis], q, n)
-            per_qubit.append(suffix[a] @ gen @ subs[a] @ prefix[a])
-        grads.append(per_qubit)
-    return u, grads
+        left, right = 1 << q, 1 << (n - q - 1)
+        out[q] = np.einsum("iajibj->ab", w.reshape(left, 2, right, left, 2, right))
+    return out
+
+
+def angle_gradients(
+    k: np.ndarray, upto: list[np.ndarray], after: list[np.ndarray], axes: str
+) -> np.ndarray:
+    """``2 Re tr(dU/dtheta[q, a] K)`` for every angle, shape ``(n, len(axes))``.
+
+    The derivative of sub-layer ``a``'s rotation on qubit ``q`` inserts the
+    generator ``-i/2 sigma_a`` on that qubit: ``dU = after[a] G upto[a]``
+    (Jones & Gacon, arXiv:2009.02823).  With ``W_a = upto[a] K after[a]``,
+    ``2 Re tr(dU K) = Re(-i tr(sigma_a Tr_{!=q} W_a)) = Im tr(sigma_a
+    Tr_{!=q} W_a)``: two matmuls per sub-layer and one partial trace per
+    qubit, with no ``dU`` formed.
+    """
+    grads = []
+    for a, axis in enumerate(axes):
+        marg = _one_qubit_marginals(upto[a] @ k @ after[a])
+        grads.append(np.einsum("ij,qji->q", PAULIS[axis], marg).imag)
+    return np.stack(grads, axis=1)
 
 
 def _product_states(features: np.ndarray, spec: EncoderSpec) -> np.ndarray:

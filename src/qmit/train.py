@@ -41,9 +41,10 @@ from .pqc import (
     CircuitSpec,
     EncoderSpec,
     LayerSpec,
+    angle_gradients,
     build_layer_unitary,
     encode_batch,
-    layer_unitary_and_gradients,
+    layer_factors,
     z_sign_table,
 )
 from .qsim import hermitize
@@ -218,18 +219,20 @@ def _inverse_stack_backward(g, y, rate_row, generators, grad_row):
     return apply_pauli_fidelities(g, generators, rate_row, inverse=True)
 
 
-def _theta_grad_forward_conj(g_out, x_in, u, du_flat, out_vec):
-    """Contribution of ``y = U x U^dagger`` to every angle of the layer."""
+def _theta_grad_forward_conj(g_out, x_in, factors, axes, out):
+    """Contribution of ``y = U x U^dagger`` to every angle of the layer:
+    ``2 Re tr(dU K)`` with ``K = sum_b x_b U^dagger g_b``."""
+    u, upto, after = factors
     k = (x_in @ u.conj().T @ g_out).sum(axis=0)
-    for p, du in enumerate(du_flat):
-        out_vec[p] += 2.0 * np.einsum("ij,ji->", du, k).real
+    out += angle_gradients(k, upto, after, axes)
 
 
-def _theta_grad_backward_conj(g_out, x_in, u, du_flat, out_vec):
-    """Contribution of the pullback ``y = U^dagger x U``."""
+def _theta_grad_backward_conj(g_out, x_in, factors, axes, out):
+    """Contribution of the pullback ``y = U^dagger x U``: the same
+    contraction with ``K = A^dagger``, ``A = sum_b x_b U g_b``."""
+    u, upto, after = factors
     a = (x_in @ u @ g_out).sum(axis=0)
-    for p, du in enumerate(du_flat):
-        out_vec[p] += 2.0 * np.vdot(du, a).real
+    out += angle_gradients(a.conj().T, upto, after, axes)
 
 
 def _forward_chain(rho0, units, rates, config: TrainConfig, noise_true, generators) -> list:
@@ -292,12 +295,9 @@ def _run_batch(
     c = config.num_classes
     cascaded = config.mode == "cascaded"
 
-    layer_data = [
-        layer_unitary_and_gradients(LayerSpec(config.design, n, theta[i])) for i in range(depth)
-    ]
-    units = [ld[0] for ld in layer_data]
-    du_flat = [[ld[1][q][a] for q in range(n) for a in range(len(DESIGN_AXES[config.design]))]
-               for ld in layer_data]
+    axes = DESIGN_AXES[config.design]
+    factors = [layer_factors(LayerSpec(config.design, n, theta[i])) for i in range(depth)]
+    units = [f[0] for f in factors]
 
     chain = _forward_chain(rho0, units, rates, config, noise_true, generators)
 
@@ -333,10 +333,10 @@ def _run_batch(
     if not want_grads:
         return BatchResult(total, fb_mean, task_mean, None, None, predictions, clamped)
 
-    num_params = n * len(DESIGN_AXES[config.design])
-    grad_theta_flat = [np.zeros(num_params) for _ in range(depth)]
+    grad_theta = [np.zeros((n, len(axes))) for _ in range(depth)]
     grad_rates = np.zeros_like(rates)
-    g_chain = [np.zeros_like(rho0) for _ in range(depth + 1)]
+    # g_chain[0], the gradient w.r.t. the encoded input, is never formed.
+    g_chain = [None] + [np.zeros_like(rho0) for _ in range(depth)]
 
     # Task head adjoint.
     if config.alpha_task != 0.0:
@@ -359,11 +359,11 @@ def _run_batch(
     if config.alpha_fb != 0.0:
         g_loss = np.full(batch, config.alpha_fb / (num_blocks * batch))
         for start, end, layer_caches, _loss_vec, fid_cache in block_caches:
-            g_target, g_back = _fb_pair_backward(fid_cache, g_loss)
-            g_chain[start] += g_target
-            g = g_back
+            g_target, g = _fb_pair_backward(fid_cache, g_loss, with_target=start > 0)
+            if start > 0:
+                g_chain[start] += g_target
             for j, conj_input in reversed(layer_caches):
-                _theta_grad_backward_conj(g, conj_input, units[j], du_flat[j], grad_theta_flat[j])
+                _theta_grad_backward_conj(g, conj_input, factors[j], axes, grad_theta[j])
                 g = units[j] @ g @ units[j].conj().T
                 if not cascaded:
                     g = _inverse_stack_backward(
@@ -377,11 +377,10 @@ def _run_batch(
         if cascaded:
             g = _inverse_stack_backward(g, chain[i + 1], rates[i], generators, grad_rates[i])
         g = _noise_layer_adjoint(g, noise_true[i])
-        _theta_grad_forward_conj(g, chain[i], units[i], du_flat[i], grad_theta_flat[i])
-        g_chain[i] += units[i].conj().T @ g @ units[i]
+        _theta_grad_forward_conj(g, chain[i], factors[i], axes, grad_theta[i])
+        if i > 0:
+            g_chain[i] += units[i].conj().T @ g @ units[i]
 
-    p = len(DESIGN_AXES[config.design])
-    grad_theta = [vec.reshape(n, p) for vec in grad_theta_flat]
     return BatchResult(total, fb_mean, task_mean, grad_theta, grad_rates, predictions, clamped)
 
 

@@ -7,11 +7,18 @@ matrix.  Meant for n <= 3.
 
 Encoder: the full encoding unitary as a product of dense Kronecker
 sub-layers.
+
+Layer derivatives: every ``dU/dtheta[q, a]`` as a dense matrix, with the
+generator embedded on its qubit by Kronecker products and inserted at its
+sub-layer's position in the product.
+
+Fidelity: the target-side gradient of the conditioned pair loss with its
+own ``eigh`` of ``B^{1/2} A B^{1/2}``.
 """
 
 import numpy as np
 
-from qmit import noise, qsim
+from qmit import losses, noise, qsim
 
 
 def channel(x, letters, rates, inverse=False):
@@ -64,3 +71,57 @@ def encoder_unitary(x, spec):
             sub = np.kron(sub, qsim.rotation_matrix_2x2(axis, angle))
         u = sub @ u
     return u
+
+
+def _sublayer(axis, angles):
+    sub = np.eye(1, dtype=np.complex128)
+    for angle in angles:
+        sub = np.kron(sub, qsim.rotation_matrix_2x2(axis, float(angle)))
+    return sub
+
+
+def layer_unitary_and_gradients(layer):
+    """Layer unitary plus dense ``dU/dtheta[q, a]`` (``grads[q][a]``) for
+    every angle: ``suffix[a] (-i/2 sigma_a on qubit q) sub[a] prefix[a]``."""
+    n = layer.n
+    dim = 1 << n
+    subs = [_sublayer(axis, layer.theta[:, a]) for a, axis in enumerate(layer.axes)]
+    ring = np.eye(dim, dtype=np.complex128)
+    if n >= 2:
+        for j in range(n):
+            ring = qsim.cnot_gate(j, (j + 1) % n, n).data @ ring
+    prefix = [np.eye(dim, dtype=np.complex128)]
+    for s in subs:
+        prefix.append(s @ prefix[-1])
+    suffix = [ring] * len(subs)
+    for a in range(len(subs) - 2, -1, -1):
+        suffix[a] = suffix[a + 1] @ subs[a + 1]
+    grads = [
+        [
+            suffix[a] @ qsim.embed_one_qubit(-0.5j * qsim.PAULIS[axis], q, n) @ subs[a] @ prefix[a]
+            for a, axis in enumerate(layer.axes)
+        ]
+        for q in range(n)
+    ]
+    return ring @ prefix[-1], grads
+
+
+def fb_target_gradient(cache, g_loss):
+    """Target-side gradient of the conditioned pair loss w.r.t. the raw
+    target, from ``dF/dA = 2 sqrt(F) B^{1/2} N^{-1/2} B^{1/2}`` with
+    ``N = B^{1/2} A B^{1/2}`` diagonalized afresh."""
+    cache_a, cache_b = cache["cache_a"], cache["cache_b"]
+
+    def power(c, exponent):
+        dim = c["fe"].shape[-1]
+        spec = (1.0 - c["floor"]) * c["fe"] / c["trace"][..., None] + c["floor"] / dim
+        vecs = c["vecs"]
+        return (vecs * (spec**exponent)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+
+    b_sqrt = power(cache_b, 0.5)
+    a_cond = power(cache_a, 1.0)
+    en, vn = np.linalg.eigh(qsim.hermitize(b_sqrt @ a_cond @ b_sqrt))
+    n_inv_sqrt = (vn / np.sqrt(en)[..., None, :]) @ np.conj(np.swapaxes(vn, -1, -2))
+    scale = (np.asarray(g_loss) * (-1.0 / cache["fid"]) * cache["trace_sqrt"])[..., None, None]
+    g_a_cond = qsim.hermitize(scale * (b_sqrt @ n_inv_sqrt @ b_sqrt))
+    return qsim.hermitize(losses.condition_state_adjoint(g_a_cond, cache_a))

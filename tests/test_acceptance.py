@@ -1,10 +1,8 @@
 """Acceptance suite: one test per release criterion.
 
 Each test prints a single pass line with its measured figure (visible with
-``pytest -s`` or in the captured-output section).  Criteria 9-11 train on
-the MNIST-4 benchmark; with no IDX files configured via QMIT_DATA_DIR they
-run on the generated surrogate digit corpus (see conftest) through the
-identical pipeline and thresholds.
+``pytest -s`` or in the captured-output section).  Criteria 9-11
+(training-trend claims on the MNIST-4 benchmark) are not implemented yet.
 """
 
 import json

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_reference
 from qmit import losses, noise, pqc, qsim
 from qmit.errors import ValidationError
 
@@ -351,3 +352,67 @@ class TestConditioning:
                 fd = float((up[0] - dn[0]) / (2 * h))
                 got = np.einsum("ij,ji->", grad[0], direction).real
                 assert got == pytest.approx(fd, abs=1e-6)
+
+
+def _fb_pairs(rng, n):
+    """Named ``(target, pullback)`` pairs on ``n`` qubits: random mixed
+    states, a pure target (as ``chain[0]`` is), equal inputs (loss 0), and
+    a pair with nearly degenerate spectra close to each other."""
+    dim = 1 << n
+    mixed = qsim.random_density_matrix(n, rng).data
+    pure = qsim.random_pure_state(n, rng).data
+    near = np.eye(dim, dtype=complex) / dim + 1e-9 * qsim.random_density_matrix(n, rng).data
+    near /= np.trace(near).real
+    near_b = near + 1e-6 * (qsim.random_density_matrix(n, rng).data - np.eye(dim) / dim)
+    return {
+        "mixed": (mixed, qsim.random_density_matrix(n, rng).data),
+        "pure_target": (pure, qsim.random_density_matrix(n, rng).data),
+        "equal": (mixed, mixed.copy()),
+        "near_degenerate": (near, near_b),
+    }
+
+
+class TestFbPairBackward:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_target_side_matches_two_eigh_formula(self, n):
+        """``A^{-1/2} M^{1/2} A^{-1/2}`` equals ``B^{1/2} N^{-1/2} B^{1/2}``."""
+        rng = np.random.default_rng(40 + n)
+        for name, (a, b) in _fb_pairs(rng, n).items():
+            _, cache = losses._fb_pair_forward(a[None], b[None])
+            g_loss = np.array([0.7])
+            ga, _ = losses._fb_pair_backward(cache, g_loss)
+            ref = dense_reference.fb_target_gradient(cache, g_loss)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(ga - ref)) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_central_differences(self, n):
+        rng = np.random.default_rng(50 + n)
+        dim = 1 << n
+        h = 1e-6
+        for name, (a, b) in _fb_pairs(rng, n).items():
+            loss, cache = losses._fb_pair_forward(a[None], b[None])
+            if name == "equal":
+                assert loss[0] <= 1e-12
+            ga, gb = losses._fb_pair_backward(cache, np.ones(1))
+            for _ in range(3):
+                direction = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                direction = 0.5 * (direction + direction.conj().T)
+                for grad, moved in ((ga, "a"), (gb, "b")):
+                    step = h * direction
+                    ap, am = (a + step, a - step) if moved == "a" else (a, a)
+                    bp, bm = (b + step, b - step) if moved == "b" else (b, b)
+                    up, _ = losses._fb_pair_forward(ap[None], bp[None])
+                    dn, _ = losses._fb_pair_forward(am[None], bm[None])
+                    fd = float((up[0] - dn[0]) / (2 * h))
+                    got = np.einsum("ij,ji->", grad[0], direction).real
+                    assert got == pytest.approx(fd, abs=1e-6), (name, moved)
+
+    def test_without_target_skips_it(self):
+        rng = np.random.default_rng(60)
+        a, b = _fb_pairs(rng, 2)["mixed"]
+        _, cache = losses._fb_pair_forward(a[None], b[None])
+        ga, gb = losses._fb_pair_backward(cache, np.ones(1))
+        none, gb_only = losses._fb_pair_backward(cache, np.ones(1), with_target=False)
+        assert none is None
+        assert np.array_equal(gb, gb_only)

@@ -100,7 +100,7 @@ class TestLayerUnitary:
         for design in ("RX", "U3"):
             p = len(pqc.DESIGN_AXES[design])
             theta = rng.uniform(-1, 1, (3, p))
-            _, grads = pqc.layer_unitary_and_gradients(pqc.LayerSpec(design, 3, theta))
+            _, grads = dense_reference.layer_unitary_and_gradients(pqc.LayerSpec(design, 3, theta))
             for q in range(3):
                 for a in range(p):
                     tp = theta.copy()
@@ -112,6 +112,48 @@ class TestLayerUnitary:
                         - pqc.build_layer_unitary(pqc.LayerSpec(design, 3, tm)).data
                     ) / (2 * h)
                     np.testing.assert_allclose(grads[q][a], fd, atol=1e-8)
+
+    def test_layer_factors_compose_to_the_layer_unitary(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 6):
+            for design in ("RX", "U2", "U3"):
+                p = len(pqc.DESIGN_AXES[design])
+                layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
+                u, upto, after = pqc.layer_factors(layer)
+                ref, _ = dense_reference.layer_unitary_and_gradients(layer)
+                np.testing.assert_allclose(u, ref, atol=1e-13)
+                assert np.array_equal(u, pqc.build_layer_unitary(layer).data)
+                for a in range(p):
+                    np.testing.assert_allclose(after[a] @ upto[a], u, atol=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("design", ["RX", "U2", "U3"])
+    def test_angle_gradients_match_dense_reference(self, n, design):
+        """Generator insertion equals ``2 Re tr(dU K)`` over the dense ``dU``,
+        in the forward form (``K``) and the backward form (``K = A^dagger``,
+        i.e. ``2 Re <dU, A>``)."""
+        rng = np.random.default_rng(100 * n + len(design))
+        p = len(pqc.DESIGN_AXES[design])
+        dim = 1 << n
+        layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
+        _, upto, after = pqc.layer_factors(layer)
+        _, dense = dense_reference.layer_unitary_and_gradients(layer)
+        k = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        fwd = pqc.angle_gradients(k, upto, after, layer.axes)
+        bwd = pqc.angle_gradients(a.conj().T, upto, after, layer.axes)
+        ref_fwd = np.array([[2.0 * np.einsum("ij,ji->", du, k).real for du in row] for row in dense])
+        ref_bwd = np.array([[2.0 * np.vdot(du, a).real for du in row] for row in dense])
+        assert fwd.shape == bwd.shape == (n, p)
+        np.testing.assert_allclose(fwd, ref_fwd, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bwd, ref_bwd, rtol=0, atol=1e-12)
+
+    def test_cnot_ring_is_cached_and_read_only(self):
+        ring = pqc._cnot_ring(4)
+        assert pqc._cnot_ring(4) is ring
+        assert not ring.flags.writeable
+        with pytest.raises(ValueError):
+            ring[0, 0] = 0.0
 
 
 class TestEncoder:

@@ -187,6 +187,30 @@ class TestGradients:
                 total += losses.total_loss(fb, task, config.weights)
             assert total / 3 == pytest.approx(reference, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_theta_grad_contractions_match_dense_reference(self, n):
+        """The engine's two conjugation contractions against the dense ``dU``:
+        ``2 Re tr(dU sum_b x_b U^dagger g_b)`` and ``2 Re <dU, sum_b x_b U g_b>``."""
+        rng = np.random.default_rng(70 + n)
+        dim = 1 << n
+        for design in ("RX", "U2", "U3"):
+            p = len(pqc.DESIGN_AXES[design])
+            layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
+            factors = pqc.layer_factors(layer)
+            u, dense = dense_reference.layer_unitary_and_gradients(layer)
+            g = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+            x = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+            k = (x @ u.conj().T @ g).sum(axis=0)
+            a = (x @ u @ g).sum(axis=0)
+            fwd = np.zeros((n, p))
+            bwd = np.zeros((n, p))
+            train._theta_grad_forward_conj(g, x, factors, layer.axes, fwd)
+            train._theta_grad_backward_conj(g, x, factors, layer.axes, bwd)
+            ref_fwd = [[2.0 * np.einsum("ij,ji->", du, k).real for du in row] for row in dense]
+            ref_bwd = [[2.0 * np.vdot(du, a).real for du in row] for row in dense]
+            np.testing.assert_allclose(fwd, ref_fwd, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(bwd, ref_bwd, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("mode", ["loss_only", "cascaded"])
     def test_general_generators_match_finite_differences(self, mode):
         """Two- and three-qubit generators take the kernel's general path."""
