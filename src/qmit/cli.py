@@ -35,30 +35,20 @@ from .train import TrainConfig, config_to_json, run_experiment, save_checkpoint
 
 SYNTHETIC_BENCHMARKS = ("synthetic-2", "synthetic-4")
 
+# JSON types accepted for each annotation of a TrainConfig field.
+_ANNOTATION_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": str}
 _TRAIN_KEYS = {
+    **{
+        f.name: _ANNOTATION_TYPES[f.type]
+        for f in fields(TrainConfig)
+        if f.name != "num_classes"  # resolved from the benchmark
+    },
     "benchmark": str,
     "data_dir": str,
     "train_cap": int,
     "test_cap": int,
     "repeats": int,
     "separation": (int, float),
-    "n_qubits": int,
-    "layers": int,
-    "design": str,
-    "step_size": int,
-    "mode": str,
-    "alpha_fb": (int, float),
-    "alpha_task": (int, float),
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": (int, float),
-    "momentum": (int, float),
-    "rate_lr_scale": (int, float),
-    "seed": int,
-    "noise_source": str,
-    "noise_low": (int, float),
-    "noise_high": (int, float),
-    "noise_path": str,
 }
 
 _ABLATION_KEYS = dict(_TRAIN_KEYS, grid=dict)

@@ -163,11 +163,11 @@ def task_loss(z, label: int, num_classes: int) -> float:
 
 
 def softmax_head(z, num_classes: int) -> np.ndarray:
-    """Softmax over the first ``num_classes`` components of the readout."""
-    logits = np.asarray(z, dtype=float).ravel()[:num_classes]
-    shifted = logits - logits.max()
+    """Softmax over the first ``num_classes`` readouts on the last axis of ``z``."""
+    logits = np.asarray(z, dtype=float)[..., :num_classes]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
-    return expd / expd.sum()
+    return expd / expd.sum(axis=-1, keepdims=True)
 
 
 def total_loss(fb: float, task: float, weights: LossWeights) -> float:
@@ -341,6 +341,40 @@ def _fb_pair_backward(
     return g_a_raw, g_b_raw
 
 
+def fb_blocks(chain, units, step: int, rates=None, generators=None) -> list[tuple]:
+    """Forward-backward blocks of a propagated chain ``[t_0, ..., t_L]``.
+
+    Entries of ``chain`` are stacks ``(..., d, d)``.  Block ``b`` covers
+    layers ``start = b * step`` to ``end = start + step``: ``t_end`` is
+    pulled back through the block's layers, last first, and compared with
+    ``t_start`` by the conditioned ``-log F``.  With ``rates`` (``loss_only``
+    mode) each layer's pullback first undoes the learned residual noise
+    ``rates[j]`` over ``generators``; without them (``cascaded`` mode) the
+    chain is mitigated inline, so only the unitary pullback remains (the
+    mitigation layer and its exact inverse cancel algebraically).
+
+    Returns ``(start, end, layer_caches, loss, cache)`` per block:
+    ``layer_caches`` lists ``(j, x)`` with ``x`` the input of layer ``j``'s
+    inverse conjugation, ``loss`` has the batch shape and ``cache`` is the
+    fidelity cache of :func:`_fb_pair_backward`.
+    """
+    blocks = []
+    for start in range(0, len(units), step):
+        end = start + step
+        x = chain[end]
+        layer_caches = []
+        for j in range(end - 1, start - 1, -1):
+            if rates is not None:
+                x = apply_pauli_fidelities(x, generators, rates[j], inverse=True)
+            # In loss_only mode the conjugation's input is also the inverse
+            # stack's output, which that stack's adjoint needs.
+            layer_caches.append((j, x))
+            x = units[j].conj().T @ x @ units[j]
+        loss, cache = _fb_pair_forward(chain[start], hermitize(x))
+        blocks.append((start, end, layer_caches, loss, cache))
+    return blocks
+
+
 @dataclass(frozen=True)
 class TotalFbLoss:
     """Mean conditioned block loss, per-block values, and clamped mass."""
@@ -348,36 +382,6 @@ class TotalFbLoss:
     value: float
     per_block: tuple[float, ...]
     clamped_mass: float
-
-
-def backward_cascade_data(
-    x: np.ndarray,
-    circuit: CircuitSpec,
-    mitigation: MitigationModel,
-    first_layer: int,
-    last_layer: int,
-    mode: str,
-    unitaries: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Pull a chain state back through layers ``last_layer .. first_layer`` (1-based).
-
-    Per layer: undo the estimated residual noise, then the unitary.  In
-    ``loss_only`` mode the residual estimate is the layer's learned channel;
-    in ``cascaded`` mode the chain is already mitigated inline, so only the
-    unitary pullback remains (the mitigation layer and its exact inverse
-    cancel algebraically).
-    """
-    for j in range(last_layer, first_layer - 1, -1):
-        if mode == "loss_only":
-            model = mitigation.layer_model(j - 1)
-            x = apply_pauli_fidelities(x, model.generators, model.rates, inverse=True)
-        u = (
-            unitaries[j - 1]
-            if unitaries is not None
-            else build_layer_unitary(circuit.layers[j - 1]).data
-        )
-        x = u.conj().T @ x @ u
-    return hermitize(x)
 
 
 def total_fb_loss(
@@ -392,8 +396,8 @@ def total_fb_loss(
     ``states`` is the full propagated chain ``[t_0, ..., t_L]`` (noisy for
     ``loss_only``, mitigated for ``cascaded``).  Each block forwards ``step``
     layers, pulls the endpoint back through the block's mitigation and
-    inverse unitaries, and compares against the block's start state.  With
-    ``step=1`` every layer forms its own block.
+    inverse unitaries, and compares against the block's start state (see
+    :func:`fb_blocks`).  With ``step=1`` every layer forms its own block.
     """
     depth = len(states) - 1
     if depth != circuit.depth:
@@ -406,15 +410,9 @@ def total_fb_loss(
         raise ValidationError(f"unknown execution mode {mode!r}")
 
     unitaries = [build_layer_unitary(layer).data for layer in circuit.layers]
-    per_block = []
-    clamped = 0.0
-    for start in range(0, depth, step):
-        end = start + step
-        back = backward_cascade_data(
-            _state_data(states[end]), circuit, mitigation, start + 1, end, mode, unitaries
-        )
-        target = _state_data(states[start])
-        loss, cache = _fb_pair_forward(target[None], back[None])
-        per_block.append(float(loss[0]))
-        clamped += cache["neg_mass"]
-    return TotalFbLoss(float(np.mean(per_block)), tuple(per_block), clamped)
+    chain = [_state_data(s)[None] for s in states]
+    rates = np.maximum(mitigation.rates, 0.0) if mode == "loss_only" else None
+    blocks = fb_blocks(chain, unitaries, step, rates, mitigation.generators)
+    per_block = tuple(float(loss[0]) for *_, loss, _cache in blocks)
+    clamped = sum(cache["neg_mass"] for *_, cache in blocks)
+    return TotalFbLoss(float(np.mean(per_block)), per_block, clamped)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .noise import MitigationModel, NoiseModel, apply_channel, apply_inverse_channel
+from .noise import MitigationModel, NoiseModel, apply_pauli_fidelities
 from .qsim import (
     PAULIS,
     DensityMatrix,
@@ -258,22 +258,47 @@ def forward_noise_free(rho0: DensityMatrix, circuit: CircuitSpec) -> list[Densit
     return states
 
 
+def layer_chain(rho0, units, noise, rates=None, generators=None) -> list[np.ndarray]:
+    """Propagated states ``[t_0, ..., t_L]`` of a stack ``(..., d, d)`` of inputs.
+
+    Layer ``i`` conjugates by ``units[i]`` and applies the true noise
+    ``noise[i]``; with ``rates`` (cascaded mode) it then applies the learned
+    inverse stack ``rates[i]`` over ``generators``.  Nothing is hermitized
+    or validated: the training engine runs this on batches, and the
+    validated wrappers below on a batch of one.
+    """
+    chain = [rho0]
+    cur = rho0
+    for i, (u, model) in enumerate(zip(units, noise)):
+        cur = u @ cur @ u.conj().T
+        cur = apply_pauli_fidelities(cur, model.generators, model.rates)
+        if rates is not None:
+            cur = apply_pauli_fidelities(cur, generators, rates[i], inverse=True)
+        chain.append(cur)
+    return chain
+
+
+def _check_chain_inputs(rho0: DensityMatrix, circuit: CircuitSpec, noise) -> list[np.ndarray]:
+    """Validate a per-state chain's inputs; return the layer unitaries."""
+    if rho0.n != circuit.n:
+        raise ValidationError("input state does not match circuit width")
+    if len(noise) != circuit.depth:
+        raise ValidationError(f"{len(noise)} noise models for {circuit.depth} layers")
+    for model in noise:
+        if model.n != circuit.n:
+            raise ValidationError(
+                f"dimension mismatch: circuit on {circuit.n} qubits, noise model on {model.n}"
+            )
+    return [build_layer_unitary(layer).data for layer in circuit.layers]
+
+
 def forward_noisy(
     rho0: DensityMatrix, circuit: CircuitSpec, noise: list[NoiseModel]
 ) -> list[DensityMatrix]:
     """Noisy chain: unitary, then the layer's Pauli channel."""
-    if rho0.n != circuit.n:
-        raise ValidationError("input state does not match circuit width")
-    if len(noise) != circuit.depth:
-        raise ValidationError(
-            f"{len(noise)} noise models for {circuit.depth} layers"
-        )
-    states = []
-    cur = rho0
-    for layer, model in zip(circuit.layers, noise):
-        cur = apply_channel(evolve(cur, build_layer_unitary(layer)), model)
-        states.append(cur)
-    return states
+    units = _check_chain_inputs(rho0, circuit, noise)
+    chain = layer_chain(rho0.data, units, noise)
+    return [DensityMatrix(rho0.n, hermitize(x), quasi=rho0.quasi) for x in chain[1:]]
 
 
 def forward_mitigated(
@@ -293,22 +318,26 @@ def forward_mitigated(
     """
     if mode not in EXECUTION_MODES:
         raise ValidationError(f"unknown execution mode {mode!r}")
-    if rho0.n != circuit.n:
-        raise ValidationError("input state does not match circuit width")
-    if len(noise) != circuit.depth or mitigation.layers != circuit.depth:
+    units = _check_chain_inputs(rho0, circuit, noise)
+    if mitigation.layers != circuit.depth or mitigation.n != circuit.n:
         raise ValidationError(
-            f"layer count mismatch: circuit {circuit.depth}, noise {len(noise)}, "
-            f"mitigation {mitigation.layers}"
+            f"mitigation model ({mitigation.layers} layers on {mitigation.n} qubits) does "
+            f"not match the circuit ({circuit.depth} layers on {circuit.n} qubits)"
         )
-    states: list[DensityMatrix] = []
-    mitigated: list[DensityMatrix] = []
-    cur = rho0
-    for i, (layer, model) in enumerate(zip(circuit.layers, noise)):
-        pre = apply_channel(evolve(cur, build_layer_unitary(layer)), model)
-        hat = apply_inverse_channel(pre, mitigation.layer_model(i))
-        states.append(pre)
-        mitigated.append(hat)
-        cur = hat if mode == "cascaded" else pre
+    cascaded = mode == "cascaded"
+    gens = mitigation.generators
+    rates = np.maximum(mitigation.rates, 0.0)
+    outs = layer_chain(rho0.data, units, noise, rates if cascaded else None, gens)[1:]
+    # The chain holds one side of each layer's mitigation: the inverse stack
+    # gives the other in loss_only mode, its inverse (the channel) in cascaded.
+    other = [apply_pauli_fidelities(x, gens, r, inverse=not cascaded) for x, r in zip(outs, rates)]
+    pre, hat = (other, outs) if cascaded else (outs, other)
+    # A cascaded layer consumes the previous quasi-state.
+    states = [
+        DensityMatrix(rho0.n, hermitize(x), quasi=rho0.quasi or (cascaded and i > 0))
+        for i, x in enumerate(pre)
+    ]
+    mitigated = [DensityMatrix(rho0.n, hermitize(x), quasi=True) for x in hat]
     return states, mitigated
 
 
@@ -322,16 +351,17 @@ def z_sign_table(n: int) -> np.ndarray:
     return table
 
 
+def z_expectations(x: np.ndarray) -> np.ndarray:
+    """Per-qubit ``Tr(Z_i x)`` of a stack ``(..., d, d)`` of states, shape ``(..., n)``."""
+    diag = np.real(np.diagonal(x, axis1=-2, axis2=-1))
+    return diag @ z_sign_table(x.shape[-1].bit_length() - 1).T
+
+
 def readout(rho: DensityMatrix, circuit: CircuitSpec) -> np.ndarray:
     """Vector of per-qubit Z expectations ``z_i = Tr(H_i rho)``."""
     if rho.n != circuit.n:
         raise ValidationError("state does not match circuit width")
-    diag = np.real(np.diagonal(rho.data))
-    signs = z_sign_table(circuit.n)
-    z = np.empty(circuit.n)
-    for i in range(circuit.n):
-        z[i] = float(np.dot(signs[i], diag))
-    return z
+    return z_expectations(rho.data)
 
 
 def random_circuit(

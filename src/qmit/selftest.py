@@ -312,6 +312,46 @@ def check_fb_loss_zero_baseline():
 # --- train -----------------------------------------------------------------
 
 
+def grad_mismatch(analytic: float, fd: float) -> float:
+    """Relative error, or scaled absolute error below the 1e-6 magnitude floor
+    (scaled so the 1e-3 bound applies uniformly)."""
+    if abs(fd) < 1e-6:
+        return abs(analytic - fd) / 1e-6 * 1e-3
+    return abs(analytic - fd) / abs(fd)
+
+
+def fd_vs_analytic(config, circuit, mit, noise_true, batch, h: float = 1e-4) -> float:
+    """Worst :func:`grad_mismatch` between the analytic gradient of every angle
+    and rate and its central difference with step ``h``."""
+    got = train.loss_and_gradients(batch, circuit, mit, noise_true, config)
+
+    def loss(circ, rates):
+        model = noise.MitigationModel(config.n_qubits, mit.generators, rates)
+        return train.batch_loss(batch, circ, model, noise_true, config)
+
+    worst = 0.0
+    base_theta = [layer.theta for layer in circuit.layers]
+    for i, (theta, rates) in enumerate(zip(base_theta, mit.rates)):
+        for q, a in np.ndindex(theta.shape):
+            tp = [t.copy() for t in base_theta]
+            tm = [t.copy() for t in base_theta]
+            tp[i][q, a] += h
+            tm[i][q, a] -= h
+            fd = (
+                loss(train.circuit_from_theta(tp, config), mit.rates)
+                - loss(train.circuit_from_theta(tm, config), mit.rates)
+            ) / (2 * h)
+            worst = max(worst, grad_mismatch(got.grad_theta[i][q, a], fd))
+        for g in range(rates.size):
+            rp = mit.rates.copy()
+            rm = mit.rates.copy()
+            rp[i, g] += h
+            rm[i, g] -= h
+            fd = (loss(circuit, rp) - loss(circuit, rm)) / (2 * h)
+            worst = max(worst, grad_mismatch(got.grad_rates[i, g], fd))
+    return worst
+
+
 def _gradcheck_once(seed: int, mode: str) -> float:
     rng = np.random.default_rng(seed)
     config = train.TrainConfig(
@@ -328,48 +368,8 @@ def _gradcheck_once(seed: int, mode: str) -> float:
     circuit = pqc.random_circuit(3, 2, "U2", rng, theta_scale=1.0)
     noise_true = noise.draw_noise_models(3, 2, seed=seed + 1)
     mit = noise.MitigationModel(3, noise.default_generators(3), rng.uniform(0.0, 0.03, (2, 9)))
-    features = rng.uniform(0.0, 1.0, (2, 64))
-    labels = np.array([0, 1])
-    batch = (features, labels)
-    got = train.loss_and_gradients(batch, circuit, mit, noise_true, config)
-
-    worst = 0.0
-    h = 1e-4
-    base_theta = [layer.theta for layer in circuit.layers]
-    for i in range(config.layers):
-        for q in range(3):
-            for a in range(2):
-                theta_p = [t.copy() for t in base_theta]
-                theta_m = [t.copy() for t in base_theta]
-                theta_p[i][q, a] += h
-                theta_m[i][q, a] -= h
-                c_p = train.circuit_from_theta(theta_p, config)
-                c_m = train.circuit_from_theta(theta_m, config)
-                fd = (
-                    train.batch_loss(batch, c_p, mit, noise_true, config)
-                    - train.batch_loss(batch, c_m, mit, noise_true, config)
-                ) / (2 * h)
-                worst = max(worst, _grad_err(got.grad_theta[i][q, a], fd))
-    for i in range(config.layers):
-        for g in range(9):
-            rates_p = mit.rates.copy()
-            rates_m = mit.rates.copy()
-            rates_p[i, g] += h
-            rates_m[i, g] -= h
-            mit_p = noise.MitigationModel(3, mit.generators, rates_p)
-            mit_m = noise.MitigationModel(3, mit.generators, rates_m)
-            fd = (
-                train.batch_loss(batch, circuit, mit_p, noise_true, config)
-                - train.batch_loss(batch, circuit, mit_m, noise_true, config)
-            ) / (2 * h)
-            worst = max(worst, _grad_err(got.grad_rates[i, g], fd))
-    return worst
-
-
-def _grad_err(analytic: float, fd: float) -> float:
-    if abs(fd) < 1e-6:
-        return abs(analytic - fd) / 1e-6 * 1e-3  # scaled so the 1e-3 bound applies uniformly
-    return abs(analytic - fd) / abs(fd)
+    batch = (rng.uniform(0.0, 1.0, (2, 64)), np.array([0, 1]))
+    return fd_vs_analytic(config, circuit, mit, noise_true, batch)
 
 
 def check_gradient_contract():

@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, TrainingError, ValidationError
-from .losses import LossWeights, _fb_pair_backward, _fb_pair_forward
+from .losses import LossWeights, _fb_pair_backward, fb_blocks, softmax_head
 from .noise import (
     MitigationModel,
     NoiseModel,
@@ -44,10 +44,11 @@ from .pqc import (
     angle_gradients,
     build_layer_unitary,
     encode_batch,
+    layer_chain,
     layer_factors,
+    z_expectations,
     z_sign_table,
 )
-from .qsim import hermitize
 
 NOISE_SEED_STREAM = 0xA11CE  # noise rates come from (seed, this tag), fixed across repeats
 DIVERGENCE_ABORT = 1e4
@@ -199,19 +200,6 @@ def encode_dataset(dataset: Dataset, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _apply_noise_layer(x, model: NoiseModel):
-    return apply_pauli_fidelities(x, model.generators, model.rates)
-
-
-def _noise_layer_adjoint(g, model: NoiseModel):
-    # Real fidelities in the Pauli basis: the channel is its own adjoint.
-    return apply_pauli_fidelities(g, model.generators, model.rates)
-
-
-def _inverse_stack_forward(x, rate_row, generators):
-    return apply_pauli_fidelities(x, generators, rate_row, inverse=True)
-
-
 def _inverse_stack_backward(g, y, rate_row, generators, grad_row):
     """Adjoint of the inverse stack whose output was ``y``; accumulates the
     closed-form rate derivatives ``Re tr(g (y - P_k y P_k))`` into ``grad_row``."""
@@ -235,33 +223,14 @@ def _theta_grad_backward_conj(g_out, x_in, factors, axes, out):
     out += angle_gradients(a.conj().T, upto, after, axes)
 
 
-def _forward_chain(rho0, units, rates, config: TrainConfig, noise_true, generators) -> list:
-    """``chain[i]`` is the propagated state after layer ``i`` (``chain[0] = rho0``):
-    the layer unitary, the true noise and, when cascaded, the inverse stack."""
-    cascaded = config.mode == "cascaded"
-    chain = [rho0]
-    cur = rho0
-    for i, u in enumerate(units):
-        cur = u @ cur @ u.conj().T
-        cur = _apply_noise_layer(cur, noise_true[i])
-        if cascaded:
-            cur = _inverse_stack_forward(cur, rates[i], generators)
-        chain.append(cur)
-    return chain
-
-
 def _readout_head(final, rate_row, config: TrainConfig, generators):
     """Mitigated readout state and the softmax over its first ``num_classes``
     Z expectations; in ``loss_only`` mode the last inverse stack is applied here."""
     if config.mode == "cascaded":
         rho_hat = final
     else:
-        rho_hat = _inverse_stack_forward(final, rate_row, generators)
-    diag = np.real(np.diagonal(rho_hat, axis1=-2, axis2=-1))
-    logits = (diag @ z_sign_table(config.n_qubits).T)[:, : config.num_classes]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return rho_hat, expd / expd.sum(axis=1, keepdims=True)
+        rho_hat = apply_pauli_fidelities(final, generators, rate_row, inverse=True)
+    return rho_hat, softmax_head(z_expectations(rho_hat), config.num_classes)
 
 
 @dataclass
@@ -299,28 +268,13 @@ def _run_batch(
     factors = [layer_factors(LayerSpec(config.design, n, theta[i])) for i in range(depth)]
     units = [f[0] for f in factors]
 
-    chain = _forward_chain(rho0, units, rates, config, noise_true, generators)
-
-    # Forward-backward blocks.
-    block_caches = []
+    chain = layer_chain(rho0, units, noise_true, rates if cascaded else None, generators)
+    blocks = fb_blocks(chain, units, step, None if cascaded else rates, generators)
     fb_per_sample = np.zeros(batch)
     clamped = 0.0
-    for b in range(num_blocks):
-        start = b * step
-        end = start + step
-        x = chain[end]
-        layer_caches = []
-        for j in range(end - 1, start - 1, -1):
-            if not cascaded:
-                x = _inverse_stack_forward(x, rates[j], generators)
-            # In loss_only mode the conjugation's input is also the inverse
-            # stack's output, which that stack's adjoint needs.
-            layer_caches.append((j, x))
-            x = units[j].conj().T @ x @ units[j]
-        loss_vec, fid_cache = _fb_pair_forward(chain[start], hermitize(x))
+    for *_, loss_vec, fid_cache in blocks:
         fb_per_sample += loss_vec / num_blocks
         clamped += fid_cache["neg_mass"]
-        block_caches.append((start, end, layer_caches, loss_vec, fid_cache))
 
     rho_hat_final, probs = _readout_head(chain[depth], rates[-1], config, generators)
     ce_per_sample = -np.log(probs[np.arange(batch), labels])
@@ -358,7 +312,7 @@ def _run_batch(
     # Block adjoints.
     if config.alpha_fb != 0.0:
         g_loss = np.full(batch, config.alpha_fb / (num_blocks * batch))
-        for start, end, layer_caches, _loss_vec, fid_cache in block_caches:
+        for start, end, layer_caches, _loss_vec, fid_cache in blocks:
             g_target, g = _fb_pair_backward(fid_cache, g_loss, with_target=start > 0)
             if start > 0:
                 g_chain[start] += g_target
@@ -376,7 +330,8 @@ def _run_batch(
         g = g_chain[i + 1]
         if cascaded:
             g = _inverse_stack_backward(g, chain[i + 1], rates[i], generators, grad_rates[i])
-        g = _noise_layer_adjoint(g, noise_true[i])
+        # Real fidelities in the Pauli basis: the channel is its own adjoint.
+        g = apply_pauli_fidelities(g, noise_true[i].generators, noise_true[i].rates)
         _theta_grad_forward_conj(g, chain[i], factors[i], axes, grad_theta[i])
         if i > 0:
             g_chain[i] += units[i].conj().T @ g @ units[i]
@@ -389,16 +344,6 @@ def _run_batch(
 # ---------------------------------------------------------------------------
 
 
-def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(batch, Dataset):
-        return batch.features, batch.labels
-    if isinstance(batch, tuple) and len(batch) == 2:
-        return np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=np.int64)
-    features = np.stack([s.features for s in batch])
-    labels = np.array([s.label for s in batch], dtype=np.int64)
-    return features, labels
-
-
 @dataclass
 class LossAndGrads:
     total: float
@@ -409,7 +354,11 @@ class LossAndGrads:
     clamped_mass: float
 
 
-def _prepare(circuit: CircuitSpec, mitigation: MitigationModel, noise_true, config: TrainConfig):
+def _batch_pass(
+    batch, circuit: CircuitSpec, mitigation: MitigationModel, noise_true, config: TrainConfig,
+    want_grads: bool,
+) -> BatchResult:
+    """Validate, encode ``batch = (features, labels)`` and run the engine on it."""
     if circuit.depth != config.layers or circuit.n != config.n_qubits:
         raise ValidationError("circuit shape does not match the config")
     if any(layer.design != config.design for layer in circuit.layers):
@@ -418,8 +367,19 @@ def _prepare(circuit: CircuitSpec, mitigation: MitigationModel, noise_true, conf
         raise ValidationError("need one true-noise model per layer")
     if mitigation.layers != config.layers:
         raise ValidationError("mitigation model layer count does not match the config")
-    theta = [layer.theta for layer in circuit.layers]
-    return theta
+    if not (isinstance(batch, tuple) and len(batch) == 2):
+        raise ValidationError("batch must be a (features, labels) tuple")
+    features, labels = batch
+    return _run_batch(
+        encode_batch(features, circuit.encoder),
+        np.asarray(labels, dtype=np.int64),
+        [layer.theta for layer in circuit.layers],
+        mitigation.rates,
+        config,
+        noise_true,
+        mitigation.generators,
+        want_grads,
+    )
 
 
 def loss_and_gradients(
@@ -429,13 +389,9 @@ def loss_and_gradients(
     noise_true: list[NoiseModel],
     config: TrainConfig,
 ) -> LossAndGrads:
-    """Mean batch loss and exact gradients for every angle and rate."""
-    features, labels = _batch_arrays(batch)
-    theta = _prepare(circuit, mitigation, noise_true, config)
-    rho0 = encode_batch(features, circuit.encoder)
-    result = _run_batch(
-        rho0, labels, theta, mitigation.rates, config, noise_true, mitigation.generators, True
-    )
+    """Mean loss of ``batch = (features, labels)`` and exact gradients for
+    every angle and rate."""
+    result = _batch_pass(batch, circuit, mitigation, noise_true, config, True)
     if not np.isfinite(result.total):
         raise TrainingError(
             f"non-finite loss: total={result.total} fb={result.fb} task={result.task}"
@@ -457,14 +413,9 @@ def batch_loss(
     noise_true: list[NoiseModel],
     config: TrainConfig,
 ) -> float:
-    """Loss only; the evaluation path used by finite-difference oracles."""
-    features, labels = _batch_arrays(batch)
-    theta = _prepare(circuit, mitigation, noise_true, config)
-    rho0 = encode_batch(features, circuit.encoder)
-    result = _run_batch(
-        rho0, labels, theta, mitigation.rates, config, noise_true, mitigation.generators, False
-    )
-    return result.total
+    """Loss only of ``batch = (features, labels)``; the evaluation path used
+    by finite-difference oracles."""
+    return _batch_pass(batch, circuit, mitigation, noise_true, config, False).total
 
 
 @dataclass
@@ -572,9 +523,10 @@ def evaluate(
     c = config.num_classes
     correct = np.zeros(c, dtype=np.int64)
     total = np.zeros(c, dtype=np.int64)
+    cascaded_rates = rates if config.mode == "cascaded" else None
     for lo in range(0, len(dataset), chunk):
         sel = slice(lo, lo + chunk)
-        chain = _forward_chain(encoded[sel], units, rates, config, noise_true, generators)
+        chain = layer_chain(encoded[sel], units, noise_true, cascaded_rates, generators)
         _rho_hat, probs = _readout_head(chain[-1], rates[-1], config, generators)
         predictions = np.argmax(probs, axis=1)
         labels = dataset.labels[sel]

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmit import cli, data, losses, noise, pqc, qsim, train
+from qmit import cli, data, losses, noise, pqc, qsim, selftest, train
 
 
 def report(criterion, detail):
@@ -151,37 +151,7 @@ def test_criterion_07_gradient_contract():
             4, noise.default_generators(4), rng.uniform(0.0, 0.03, (4, 12))
         )
         batch = (rng.uniform(0, 1, (2, 64)), rng.integers(0, 4, 2))
-        got = train.loss_and_gradients(batch, circuit, mit, noise_true, config)
-
-        def mismatch(analytic, fd):
-            if abs(fd) < 1e-6:
-                return abs(analytic - fd) / 1e-6 * 1e-3
-            return abs(analytic - fd) / abs(fd)
-
-        base_theta = [layer.theta for layer in circuit.layers]
-        p = base_theta[0].shape[1]
-        for i in range(4):
-            for q in range(4):
-                for a in range(p):
-                    tp = [t.copy() for t in base_theta]
-                    tm = [t.copy() for t in base_theta]
-                    tp[i][q, a] += h
-                    tm[i][q, a] -= h
-                    fd = (
-                        train.batch_loss(batch, train.circuit_from_theta(tp, config), mit, noise_true, config)
-                        - train.batch_loss(batch, train.circuit_from_theta(tm, config), mit, noise_true, config)
-                    ) / (2 * h)
-                    worst = max(worst, mismatch(got.grad_theta[i][q, a], fd))
-            for g in range(12):
-                rp = mit.rates.copy()
-                rm = mit.rates.copy()
-                rp[i, g] += h
-                rm[i, g] -= h
-                fd = (
-                    train.batch_loss(batch, circuit, noise.MitigationModel(4, mit.generators, rp), noise_true, config)
-                    - train.batch_loss(batch, circuit, noise.MitigationModel(4, mit.generators, rm), noise_true, config)
-                ) / (2 * h)
-                worst = max(worst, mismatch(got.grad_rates[i, g], fd))
+        worst = max(worst, selftest.fd_vs_analytic(config, circuit, mit, noise_true, batch, h))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-3
     assert elapsed < 300.0

@@ -4,11 +4,12 @@ import gzip
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from qmit import cli, data, selftest
+from qmit import cli, data, selftest, train
 from qmit.errors import ConfigError
 
 
@@ -71,6 +72,18 @@ class TestConfigValidation:
     def test_weights_both_zero_rejected_at_load(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_train_payload(alpha_fb=0.0, alpha_task=0.0))
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+    def test_train_keys_follow_the_config_class(self, tmp_path):
+        """Every TrainConfig field but num_classes (set by the benchmark) is a
+        typed key, and a value of the wrong type exits with code 2."""
+        sample = {"int": 1, "float": 0.5, "str": "x", "str | None": "x"}
+        assert "num_classes" not in cli._TRAIN_KEYS
+        for f in fields(train.TrainConfig):
+            if f.name == "num_classes":
+                continue
+            cli._check_keys({f.name: sample[f.type]}, cli._TRAIN_KEYS, "train config")
+            path = write_config(tmp_path, synthetic_train_payload(**{f.name: [1]}))
+            assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
     def test_mnist_requires_data_dir(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_train_payload(benchmark="MNIST-4"))

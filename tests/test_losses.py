@@ -192,6 +192,15 @@ class TestTaskLoss:
         assert got == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.1269, abs=1e-4)
 
+    def test_batched_softmax_head_matches_row_by_row(self):
+        rng = np.random.default_rng(22)
+        z = rng.uniform(-1, 1, (2, 3, 4))
+        got = losses.softmax_head(z, 3)
+        assert got.shape == (2, 3, 3)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(got[idx], losses.softmax_head(z[idx], 3), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
             losses.task_loss(np.zeros(4), 2, 2)

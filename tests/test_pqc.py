@@ -345,6 +345,29 @@ class TestForwardMitigated:
         free = pqc.forward_noise_free(rho0, circuit)
         assert np.linalg.norm(mitigated[-1].data - free[-1].data) > 1e-4
 
+    def test_cascaded_states_follow_the_mitigated_chain(self):
+        """With nonzero rates each cascaded pre-mitigation state is the noisy
+        layer applied to the previous mitigated state, and every layer after
+        the first consumes a quasi-state; loss_only keeps the input's flag."""
+        rng = np.random.default_rng(21)
+        circuit = pqc.random_circuit(3, 3, "U2", rng)
+        rho0 = qsim.random_pure_state(3, rng)
+        models = noise.draw_noise_models(3, 3, seed=5)
+        mit = noise.MitigationModel(3, noise.default_generators(3), rng.uniform(0, 0.03, (3, 9)))
+        states, mitigated = pqc.forward_mitigated(rho0, circuit, models, mit, "cascaded")
+        prev = rho0
+        for i, (layer, model) in enumerate(zip(circuit.layers, models)):
+            expected = noise.apply_channel(qsim.evolve(prev, pqc.build_layer_unitary(layer)), model)
+            np.testing.assert_allclose(states[i].data, expected.data, rtol=0, atol=1e-12)
+            hat = noise.apply_inverse_channel(states[i], mit.layer_model(i))
+            np.testing.assert_allclose(mitigated[i].data, hat.data, rtol=0, atol=1e-12)
+            assert states[i].quasi == (i > 0)
+            assert mitigated[i].quasi
+            prev = mitigated[i]
+        states, mitigated = pqc.forward_mitigated(rho0, circuit, models, mit, "loss_only")
+        assert not any(s.quasi for s in states)
+        assert all(m.quasi for m in mitigated)
+
     def test_mode_validated(self):
         rng = np.random.default_rng(16)
         circuit = pqc.random_circuit(2, 2, "RX", rng)
@@ -381,6 +404,17 @@ class TestReadout:
         np.testing.assert_allclose(
             pqc.readout(qsim.pure_state(vec), circuit), [1, -1, 1, -1], atol=1e-12
         )
+
+    def test_batched_z_expectations_match_row_by_row(self):
+        rng = np.random.default_rng(21)
+        circuit = pqc.random_circuit(3, 1, "U2", rng)
+        stack = np.stack([qsim.random_density_matrix(3, rng).data for _ in range(5)])
+        got = pqc.z_expectations(stack)
+        assert got.shape == (5, 3)
+        for row, rho in zip(got, stack):
+            np.testing.assert_allclose(
+                row, pqc.readout(qsim.DensityMatrix(3, rho), circuit), rtol=0, atol=1e-15
+            )
 
     def test_matches_expectation_op(self):
         rng = np.random.default_rng(20)

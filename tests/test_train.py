@@ -10,6 +10,7 @@ import pytest
 import dense_reference
 from qmit import data, losses, noise, pqc, qsim, train
 from qmit.errors import ConfigError, TrainingError, ValidationError
+from qmit.selftest import fd_vs_analytic, grad_mismatch
 
 
 def small_config(**overrides):
@@ -28,37 +29,6 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return train.TrainConfig(**base)
-
-
-def fd_vs_analytic(config, circuit, mit, noise_true, batch, h=1e-4):
-    """Worst-case mismatch between analytic gradients and central differences."""
-    got = train.loss_and_gradients(batch, circuit, mit, noise_true, config)
-    worst = 0.0
-    base_theta = [layer.theta for layer in circuit.layers]
-    p = base_theta[0].shape[1]
-    for i in range(config.layers):
-        for q in range(config.n_qubits):
-            for a in range(p):
-                tp = [t.copy() for t in base_theta]
-                tm = [t.copy() for t in base_theta]
-                tp[i][q, a] += h
-                tm[i][q, a] -= h
-                fd = (
-                    train.batch_loss(batch, train.circuit_from_theta(tp, config), mit, noise_true, config)
-                    - train.batch_loss(batch, train.circuit_from_theta(tm, config), mit, noise_true, config)
-                ) / (2 * h)
-                worst = max(worst, grad_mismatch(got.grad_theta[i][q, a], fd))
-        for g in range(mit.rates.shape[1]):
-            rp = mit.rates.copy()
-            rm = mit.rates.copy()
-            rp[i, g] += h
-            rm[i, g] -= h
-            fd = (
-                train.batch_loss(batch, circuit, noise.MitigationModel(config.n_qubits, mit.generators, rp), noise_true, config)
-                - train.batch_loss(batch, circuit, noise.MitigationModel(config.n_qubits, mit.generators, rm), noise_true, config)
-            ) / (2 * h)
-            worst = max(worst, grad_mismatch(got.grad_rates[i, g], fd))
-    return worst
 
 
 def dense_reference_loss(features, label, circuit, mit, noise_true, config):
@@ -88,13 +58,6 @@ def dense_reference_loss(features, label, circuit, mit, noise_true, config):
     z = [np.trace(obs.data @ final).real for obs in circuit.observables]
     task = losses.task_loss(z, int(label), config.num_classes)
     return losses.total_loss(np.mean(fb), task, config.weights)
-
-
-def grad_mismatch(analytic, fd):
-    """Relative error, or scaled absolute error below the 1e-6 magnitude floor."""
-    if abs(fd) < 1e-6:
-        return abs(analytic - fd) / 1e-6 * 1e-3
-    return abs(analytic - fd) / abs(fd)
 
 
 class TestGradients:
