@@ -260,11 +260,6 @@ def hermitian_power(
     return (vecs * powered) @ vecs.conj().T
 
 
-def matrix_sqrt_psd(data: np.ndarray) -> np.ndarray:
-    """Square root of a (numerically) PSD Hermitian matrix."""
-    return hermitian_power(data, 0.5)
-
-
 def haar_random_unitary(n: int, rng: np.random.Generator) -> Unitary:
     """Haar-distributed unitary via QR of a complex Gaussian matrix.
 

@@ -12,8 +12,10 @@ Layer derivatives: every ``dU/dtheta[q, a]`` as a dense matrix, with the
 generator embedded on its qubit by Kronecker products and inserted at its
 sub-layer's position in the product.
 
-Fidelity: the target-side gradient of the conditioned pair loss with its
-own ``eigh`` of ``B^{1/2} A B^{1/2}``.
+Fidelity: the conditioned pair loss and both its gradients in matrix form
+(every conditioned state, square root and adjoint rebuilt as a d x d
+matrix and rotated in the standard basis), and the target-side gradient
+with its own ``eigh`` of ``B^{1/2} A B^{1/2}``.
 """
 
 import numpy as np
@@ -106,22 +108,94 @@ def layer_unitary_and_gradients(layer):
     return ring @ prefix[-1], grads
 
 
+def _dagger(x):
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+def _from_eigh(eigs, vecs):
+    return (vecs * eigs[..., None, :]) @ _dagger(vecs)
+
+
+def condition(x):
+    """Conditioned state as a matrix: ``(1 - floor) f(x) / tr f(x) + floor I / d``
+    with ``f`` the softplus floor."""
+    sharpness, floor = losses.FB_SPECTRAL_SHARPNESS, losses.FB_STATE_FLOOR
+    eigs, vecs = np.linalg.eigh(qsim.hermitize(x))
+    fe = np.logaddexp(0.0, sharpness * eigs) / sharpness
+    trace = np.sum(fe, axis=-1)
+    dim = x.shape[-1]
+    smooth = _from_eigh(fe, vecs)
+    cond = (1.0 - floor) * smooth / trace[..., None, None] + (floor / dim) * np.eye(dim)
+    cache = {"eigs": eigs, "vecs": vecs, "fe": fe, "trace": trace,
+             "cond": (1.0 - floor) * fe / trace[..., None] + floor / dim,
+             "sharpness": sharpness, "floor": floor}
+    return cond, cache
+
+
+def condition_adjoint(grad, cache):
+    """Adjoint of the conditioning from ``eigs``, ``vecs``, ``fe``, ``trace``,
+    ``sharpness`` and ``floor``: the trace term against the rebuilt
+    ``f(x)``, then the gradient rotated into the eigenbasis, multiplied by
+    the divided differences of ``f`` and rotated back."""
+    eigs, vecs, fe, trace = cache["eigs"], cache["vecs"], cache["fe"], cache["trace"]
+    floor = cache["floor"]
+    smooth = _from_eigh(fe, vecs)
+    inner = np.einsum("...ij,...ji->...", grad, smooth).real
+    g_smooth = (1.0 - floor) * (
+        grad / trace[..., None, None]
+        - (inner / trace**2)[..., None, None] * np.eye(grad.shape[-1])
+    )
+    de = eigs[..., :, None] - eigs[..., None, :]
+    df = fe[..., :, None] - fe[..., None, :]
+    near = np.abs(de) < losses._EIG_DEGENERACY_TOL
+    mid = 0.5 * (eigs[..., :, None] + eigs[..., None, :])
+    derivative = 0.5 * (1.0 + np.tanh(0.5 * cache["sharpness"] * mid))
+    kernel = np.where(near, derivative, np.where(near, 0.0, df) / np.where(near, 1.0, de))
+    return vecs @ ((_dagger(vecs) @ g_smooth @ vecs) * kernel) @ _dagger(vecs)
+
+
+def _power(c, exponent):
+    """``c``'s conditioned state to the power ``exponent``, as a matrix."""
+    return _from_eigh(c["cond"] ** exponent, c["vecs"])
+
+
+def fb_pair_forward(a_raw, b_raw):
+    """Conditioned ``-log F``: ``M = A^{1/2} B A^{1/2}`` built as a matrix."""
+    _, cache_a = condition(a_raw)
+    b_cond, cache_b = condition(b_raw)
+    a_sqrt = _power(cache_a, 0.5)
+    em, vm = np.linalg.eigh(qsim.hermitize(a_sqrt @ b_cond @ a_sqrt))
+    trace_sqrt = np.sum(np.sqrt(np.clip(em, 0.0, None)), axis=-1)
+    fid = trace_sqrt**2
+    cache = {"cache_a": cache_a, "cache_b": cache_b, "a_sqrt": a_sqrt, "em": em, "vm": vm,
+             "trace_sqrt": trace_sqrt, "fid": fid}
+    return np.maximum(-np.log(fid), 0.0), cache
+
+
+def fb_pair_backward(cache, g_loss):
+    """Both raw-input gradients of :func:`fb_pair_forward`:
+    ``A^{1/2} M^{-1/2} A^{1/2}`` and ``A^{-1/2} M^{1/2} A^{-1/2}`` built as
+    matrices, then passed through :func:`condition_adjoint`."""
+    em, vm, a_sqrt = cache["em"], cache["vm"], cache["a_sqrt"]
+    scale = (np.asarray(g_loss) * (-1.0 / cache["fid"]) * cache["trace_sqrt"])[..., None, None]
+    m_inv_sqrt = _from_eigh(1.0 / np.sqrt(np.clip(em, losses._INV_SQRT_FLOOR, None)), vm)
+    g_b = qsim.hermitize(scale * (a_sqrt @ m_inv_sqrt @ a_sqrt))
+    a_inv_sqrt = _power(cache["cache_a"], -0.5)
+    m_sqrt = _from_eigh(np.sqrt(np.clip(em, 0.0, None)), vm)
+    g_a = qsim.hermitize(scale * (a_inv_sqrt @ m_sqrt @ a_inv_sqrt))
+    return (
+        qsim.hermitize(condition_adjoint(g_a, cache["cache_a"])),
+        qsim.hermitize(condition_adjoint(g_b, cache["cache_b"])),
+    )
+
+
 def fb_target_gradient(cache, g_loss):
     """Target-side gradient of the conditioned pair loss w.r.t. the raw
     target, from ``dF/dA = 2 sqrt(F) B^{1/2} N^{-1/2} B^{1/2}`` with
     ``N = B^{1/2} A B^{1/2}`` diagonalized afresh."""
     cache_a, cache_b = cache["cache_a"], cache["cache_b"]
-
-    def power(c, exponent):
-        dim = c["fe"].shape[-1]
-        spec = (1.0 - c["floor"]) * c["fe"] / c["trace"][..., None] + c["floor"] / dim
-        vecs = c["vecs"]
-        return (vecs * (spec**exponent)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
-
-    b_sqrt = power(cache_b, 0.5)
-    a_cond = power(cache_a, 1.0)
-    en, vn = np.linalg.eigh(qsim.hermitize(b_sqrt @ a_cond @ b_sqrt))
-    n_inv_sqrt = (vn / np.sqrt(en)[..., None, :]) @ np.conj(np.swapaxes(vn, -1, -2))
+    b_sqrt = _power(cache_b, 0.5)
+    en, vn = np.linalg.eigh(qsim.hermitize(b_sqrt @ _power(cache_a, 1.0) @ b_sqrt))
     scale = (np.asarray(g_loss) * (-1.0 / cache["fid"]) * cache["trace_sqrt"])[..., None, None]
-    g_a_cond = qsim.hermitize(scale * (b_sqrt @ n_inv_sqrt @ b_sqrt))
-    return qsim.hermitize(losses.condition_state_adjoint(g_a_cond, cache_a))
+    g_a_cond = qsim.hermitize(scale * (b_sqrt @ _from_eigh(1.0 / np.sqrt(en), vn) @ b_sqrt))
+    return qsim.hermitize(condition_adjoint(g_a_cond, cache_a))

@@ -340,6 +340,34 @@ class TestConditioning:
             got = np.einsum("ij,ji->", grad_in, direction).real
             assert got == pytest.approx(fd, abs=1e-6)
 
+    @pytest.mark.parametrize("case", ["pure", "maximally_mixed", "batch_of_three"])
+    def test_adjoint_matches_finite_differences_on_degenerate_spectra(self, case):
+        """Equal eigenvalues take the divided differences' derivative branch."""
+        rng = np.random.default_rng(24)
+        pure = qsim.random_pure_state(2, rng).data
+        mixed = np.eye(4, dtype=complex) / 4
+        rho = {
+            "pure": pure,
+            "maximally_mixed": mixed,
+            "batch_of_three": np.stack([pure, mixed, qsim.random_density_matrix(2, rng).data]),
+        }[case]
+
+        def hermitian():
+            x = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
+            return 0.5 * (x + np.conj(np.swapaxes(x, -1, -2)))
+
+        grad_out = hermitian()
+        _, cache, _ = losses.condition_state(rho)
+        grad_in = losses.condition_state_adjoint(grad_out, cache)
+        h = 1e-6
+        for _ in range(3):
+            direction = hermitian()
+            up, _, _ = losses.condition_state(rho + h * direction)
+            dn, _, _ = losses.condition_state(rho - h * direction)
+            fd = dense_reference.pairing(grad_out, (up - dn) / (2 * h)).real
+            got = dense_reference.pairing(grad_in, direction).real
+            assert got == pytest.approx(fd, abs=1e-6)
+
     def test_pair_backward_matches_finite_differences(self):
         rng = np.random.default_rng(23)
         a = qsim.random_density_matrix(2, rng).data
@@ -365,23 +393,47 @@ class TestConditioning:
 
 def _fb_pairs(rng, n):
     """Named ``(target, pullback)`` pairs on ``n`` qubits: random mixed
-    states, a pure target (as ``chain[0]`` is), equal inputs (loss 0), and
-    a pair with nearly degenerate spectra close to each other."""
+    states, a pure target (as ``chain[0]`` is), equal inputs (loss 0), a
+    pair with nearly degenerate spectra close to each other, and a
+    quasi-state pullback with one negative eigenvalue (as an
+    over-mitigated pullback can be)."""
     dim = 1 << n
     mixed = qsim.random_density_matrix(n, rng).data
     pure = qsim.random_pure_state(n, rng).data
     near = np.eye(dim, dtype=complex) / dim + 1e-9 * qsim.random_density_matrix(n, rng).data
     near /= np.trace(near).real
     near_b = near + 1e-6 * (qsim.random_density_matrix(n, rng).data - np.eye(dim) / dim)
-    return {
+    pairs = {
         "mixed": (mixed, qsim.random_density_matrix(n, rng).data),
         "pure_target": (pure, qsim.random_density_matrix(n, rng).data),
         "equal": (mixed, mixed.copy()),
         "near_degenerate": (near, near_b),
     }
+    eigs, vecs = np.linalg.eigh(qsim.random_density_matrix(n, rng).data)
+    eigs[0] = -0.03
+    eigs /= eigs.sum()
+    pairs["quasi_pullback"] = (mixed, (vecs * eigs) @ vecs.conj().T)
+    return pairs
 
 
 class TestFbPairBackward:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dense_reference(self, n):
+        """The eigenbasis head agrees with the matrix-form head on a stack
+        of every pair type."""
+        rng = np.random.default_rng(30 + n)
+        pairs = _fb_pairs(rng, n)
+        a = np.stack([a for a, _ in pairs.values()])
+        b = np.stack([b for _, b in pairs.values()])
+        g_loss = np.linspace(0.3, 1.2, len(pairs))
+        loss, cache = losses._fb_pair_forward(a, b)
+        ga, gb = losses._fb_pair_backward(cache, g_loss)
+        ref_loss, ref_cache = dense_reference.fb_pair_forward(a, b)
+        ref_ga, ref_gb = dense_reference.fb_pair_backward(ref_cache, g_loss)
+        for got, ref in ((loss, ref_loss), (ga, ref_ga), (gb, ref_gb)):
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_target_side_matches_two_eigh_formula(self, n):
         """``A^{-1/2} M^{1/2} A^{-1/2}`` equals ``B^{1/2} N^{-1/2} B^{1/2}``."""

@@ -50,7 +50,7 @@ def dense_reference_loss(features, label, circuit, mit, noise_true, config):
             if not cascaded:
                 back = dense_reference.channel(back, letters, mit.rates[j], inverse=True)
             back = units[j].conj().T @ back @ units[j]
-        loss, _ = losses._fb_pair_forward(chain[start][None], qsim.hermitize(back)[None])
+        loss, _ = dense_reference.fb_pair_forward(chain[start][None], back[None])
         fb.append(loss[0])
     final = chain[-1] if cascaded else dense_reference.channel(
         chain[-1], letters, mit.rates[-1], inverse=True
