@@ -251,9 +251,10 @@ def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
     de = eigs[..., :, None] - eigs[..., None, :]
     df = fe[..., :, None] - fe[..., None, :]
     near = np.abs(de) < _EIG_DEGENERACY_TOL
-    ratio = np.where(near, 0.0, df) / np.where(near, 1.0, de)
-    mid = 0.5 * (eigs[..., :, None] + eigs[..., None, :])
-    kernel = np.where(near, _sigmoid(cache["sharpness"] * mid), ratio)
+    kernel = np.where(near, 0.0, df) / np.where(near, 1.0, de)
+    *batch, row, col = np.nonzero(near)
+    mid = 0.5 * (eigs[(*batch, row)] + eigs[(*batch, col)])
+    kernel[near] = _sigmoid(cache["sharpness"] * mid)
 
     vecs = cache["vecs"]
     return vecs @ (g * kernel) @ _dagger(vecs)

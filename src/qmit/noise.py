@@ -1,10 +1,8 @@
 """Pauli-Lindblad noise channels and their quasi-probability inverses.
 
 A noise model is a set of Pauli-string generators with nonnegative rates
-``lambda``.  Two encodings are implemented: the first-order linear map
-``rho + sum lambda (P rho P - rho)`` and the product channel whose
-per-generator factor mixes ``rho`` with ``P rho P`` at weight
-``w = (1 + exp(-2 lambda)) / 2``.
+``lambda``.  Its channel is the product of per-generator factors, each
+mixing ``rho`` with ``P rho P`` at weight ``w = (1 + exp(-2 lambda)) / 2``.
 
 The product channel is diagonal in the Pauli basis: the component of
 ``rho`` along a Pauli string ``b`` is multiplied by the fidelity
@@ -26,9 +24,6 @@ default X, Y, Z on each qubit) the fidelities factor over qubits and the
 channel is one strided 2x2 mix per qubit.  Otherwise the state is taken to
 the Pauli basis one qubit at a time, multiplied by the fidelity table built
 from the symplectic anticommutation form, and taken back.
-
-Conjugation by a single Pauli string is a signed permutation of matrix
-entries; :func:`pauli_conjugate` uses it for the first-order linear map.
 """
 
 from __future__ import annotations
@@ -54,48 +49,6 @@ def _pauli_matrix(letters: str) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=4096)
-def _pauli_perm_phase(letters: str) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose ``P|b> = phase_b |perm(b)>`` for a Pauli string.
-
-    X and Y flip the qubit's bit; Y and Z contribute bit-dependent phases.
-    """
-    n = len(letters)
-    dim = 1 << n
-    flip_mask = 0
-    for q, ch in enumerate(letters):
-        if ch in ("X", "Y"):
-            flip_mask |= 1 << (n - 1 - q)
-    indices = np.arange(dim)
-    perm = indices ^ flip_mask
-    phases = np.ones(dim, dtype=np.complex128)
-    for q, ch in enumerate(letters):
-        bits = (indices >> (n - 1 - q)) & 1
-        if ch == "Y":
-            phases = phases * np.where(bits == 0, 1j, -1j)
-        elif ch == "Z":
-            phases = phases * np.where(bits == 0, 1.0, -1.0)
-    perm.setflags(write=False)
-    phases.setflags(write=False)
-    return perm, phases
-
-
-@lru_cache(maxsize=4096)
-def _pauli_conj_tables(letters: str) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation and entrywise phase matrix for ``rho -> P rho P``."""
-    perm, phases = _pauli_perm_phase(letters)
-    pp = phases[perm]
-    phase_matrix = np.outer(pp, pp.conj())
-    phase_matrix.setflags(write=False)
-    return perm, phase_matrix
-
-
-def pauli_conjugate(data: np.ndarray, letters: str) -> np.ndarray:
-    """``P rho P`` via the signed-permutation fast path (supports batches)."""
-    perm, phase_matrix = _pauli_conj_tables(letters)
-    return data[..., perm[:, None], perm[None, :]] * phase_matrix
-
-
 @dataclass(frozen=True)
 class PauliString:
     """Tensor product of single-qubit I/X/Y/Z operators."""
@@ -119,9 +72,6 @@ class PauliString:
 
     def matrix(self) -> np.ndarray:
         return _pauli_matrix(self.letters)
-
-    def conjugate_state(self, data: np.ndarray) -> np.ndarray:
-        return pauli_conjugate(data, self.letters)
 
 
 def rate_to_weight(rate):
@@ -505,31 +455,11 @@ def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def apply_linear_channel_data(data: np.ndarray, model: NoiseModel) -> np.ndarray:
-    out = data * (1.0 - float(np.sum(model.rates)))
-    for gen, rate in zip(model.generators, model.rates):
-        if rate != 0.0:
-            out = out + rate * gen.conjugate_state(data)
-    return out
-
-
 def _require_dims(rho: DensityMatrix, model: NoiseModel) -> None:
     if rho.n != model.n:
         raise ValidationError(
             f"dimension mismatch: state on {rho.n} qubits, noise model on {model.n}"
         )
-
-
-def apply_linear_channel(rho: DensityMatrix, model: NoiseModel) -> DensityMatrix:
-    """First-order map ``rho + sum lambda (P rho P - rho)``; trace preserving.
-
-    Positivity of the output is the caller's concern for large total rates
-    (the map is a convex combination only while ``sum lambda <= 1``).
-    """
-    _require_dims(rho, model)
-    data = hermitize(apply_linear_channel_data(rho.data, model))
-    quasi = rho.quasi or float(np.sum(model.rates)) > 1.0
-    return DensityMatrix(rho.n, data, quasi=quasi)
 
 
 def apply_channel(rho: DensityMatrix, model: NoiseModel) -> DensityMatrix:

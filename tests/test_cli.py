@@ -257,6 +257,18 @@ class TestSelftest:
         assert "FAIL  demo.fail" in out
         assert "boom" in out
 
+    def test_exit_code_through_cli(self, monkeypatch, capsys):
+        """``qmit selftest`` exits 0 when every check passes and 1 when one fails."""
+
+        def fail():
+            raise AssertionError("boom")
+
+        monkeypatch.setattr(selftest, "CHECKS", [("demo.pass", lambda: "ok")])
+        assert cli.main(["selftest"]) == 0
+        monkeypatch.setattr(selftest, "CHECKS", [("demo.pass", lambda: "ok"), ("demo.fail", fail)])
+        assert cli.main(["selftest"]) == 1
+        assert "FAIL  demo.fail" in capsys.readouterr().out
+
     def test_corrupted_inverse_channel_is_caught(self, monkeypatch):
         """Substituting the forward channel for the inverse breaks the
         round-trip invariant by name."""
@@ -264,12 +276,12 @@ class TestSelftest:
 
         monkeypatch.setattr(noise, "apply_inverse_channel", noise.apply_channel)
         with pytest.raises(AssertionError, match="roundtrip"):
-            selftest.check_inverse_roundtrip()
+            selftest.channel_inversion(seed=101, pairs=20)
 
     def test_quick_checks_pass(self):
-        assert selftest.check_inverse_roundtrip()
-        assert selftest.check_overhead_dual_form()
-        assert selftest.check_fb_loss_zero_baseline()
+        assert selftest.channel_inversion(seed=101, pairs=20)
+        assert selftest.overhead_dual_form(seed=102, models=20)
+        assert selftest.fidelity_suite(seed=106, pairs=20)
 
 
 class TestEntryPoint:
@@ -279,3 +291,4 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "qmit" in proc.stdout
+        assert proc.stderr == ""
