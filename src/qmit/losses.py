@@ -66,7 +66,9 @@ class LossWeights:
 
 
 def _state_data(state) -> np.ndarray:
-    data = state.data if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
+    if isinstance(state, DensityMatrix):
+        return state.data  # square, and Hermitian to HERMITIAN_ATOL (1e-10)
+    data = np.asarray(state, dtype=complex)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValidationError(f"state must be a square matrix, got shape {data.shape}")
     defect = float(np.max(np.abs(data - data.conj().T)))
@@ -139,7 +141,12 @@ def petz_renyi_divergence(rho, sigma, alpha: float = 2.0) -> float:
     if a.shape != b.shape:
         raise ValidationError(f"state shapes differ: {a.shape} vs {b.shape}")
     rho_a = hermitian_power(a, alpha, rel_floor=_SPECTRAL_REL_FLOOR)
-    sigma_b = hermitian_power(b, 1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
+    # The reference is usually one state compared against many (a whole
+    # trace against the maximally mixed state), so its power is memoized.
+    if isinstance(sigma, DensityMatrix):
+        sigma_b = sigma.power(1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
+    else:
+        sigma_b = hermitian_power(b, 1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
     value = float(np.trace(rho_a @ sigma_b).real)
     if value <= 0.0:
         return math.inf

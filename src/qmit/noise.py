@@ -466,7 +466,7 @@ def apply_channel(rho: DensityMatrix, model: NoiseModel) -> DensityMatrix:
     """Product channel: each factor mixes ``rho`` with ``P rho P`` at weight w."""
     _require_dims(rho, model)
     data = hermitize(apply_pauli_fidelities(rho.data, model.generators, model.rates))
-    return DensityMatrix(rho.n, data, quasi=rho.quasi)
+    return DensityMatrix._derived(rho.n, data, rho.quasi)
 
 
 def apply_inverse_channel(rho: DensityMatrix, model: NoiseModel) -> DensityMatrix:

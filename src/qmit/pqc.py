@@ -25,12 +25,12 @@ from .qsim import (
     Observable,
     Unitary,
     check_density_matrices,
-    cnot_gate,
     embed_one_qubit,
     evolve,
     hermitize,
     rotation_matrix_2x2,
     _check_qubit_count,
+    _cnot_matrix,
 )
 
 DESIGN_AXES = {"RX": "X", "U2": "XY", "U3": "XYZ"}
@@ -132,7 +132,7 @@ def _cnot_ring(n: int) -> np.ndarray:
     ring = np.eye(dim, dtype=np.complex128)
     if n >= 2:
         for j in range(n):
-            ring = cnot_gate(j, (j + 1) % n, n).data @ ring
+            ring = _cnot_matrix(j, (j + 1) % n, n) @ ring
     ring.setflags(write=False)
     return ring
 
@@ -295,10 +295,13 @@ def _check_chain_inputs(rho0: DensityMatrix, circuit: CircuitSpec, noise) -> lis
 def forward_noisy(
     rho0: DensityMatrix, circuit: CircuitSpec, noise: list[NoiseModel]
 ) -> list[DensityMatrix]:
-    """Noisy chain: unitary, then the layer's Pauli channel."""
+    """Noisy chain: unitary, then the layer's Pauli channel.
+
+    Neither step can lower the smallest eigenvalue of the validated
+    ``rho0``, so the states are built by ``DensityMatrix._derived``."""
     units = _check_chain_inputs(rho0, circuit, noise)
     chain = layer_chain(rho0.data, units, noise)
-    return [DensityMatrix(rho0.n, hermitize(x), quasi=rho0.quasi) for x in chain[1:]]
+    return [DensityMatrix._derived(rho0.n, hermitize(x), rho0.quasi) for x in chain[1:]]
 
 
 def forward_mitigated(

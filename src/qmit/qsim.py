@@ -8,12 +8,27 @@ Conventions:
       so ``|q0 q1 ... q_{n-1}>`` has index ``sum_j q_j * 2**(n-1-j)``.
     * Every operation is a pure function over immutable values; returned
       arrays never alias the inputs.
+
+Validation:
+    A :class:`DensityMatrix` built from outside data (``pure_state``,
+    ``maximally_mixed``, the encoder, user arrays) gets the full check:
+    Hermiticity, unit trace and the ``eigvalsh`` eigenvalue floor.  States
+    derived from a validated one by :func:`evolve`,
+    :func:`qmit.noise.apply_channel` or :func:`qmit.pqc.forward_noisy`
+    check the trace only.  Unitary conjugation keeps the spectrum, and a
+    Pauli channel with nonnegative rates is a convex mixture of Pauli
+    conjugations, which cannot lower the (concave) smallest eigenvalue, so
+    neither step can cross the floor; their data comes from
+    :func:`hermitize`, Hermitian bit for bit.  Steps that can cross the
+    floor (the inverse channel, amplitude damping, the mitigated forward
+    pass) keep the full check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +76,14 @@ def hermitize(data: np.ndarray) -> np.ndarray:
     return 0.5 * (data + np.conj(np.swapaxes(data, -1, -2)))
 
 
+def _check_traces(data: np.ndarray) -> None:
+    traces = np.trace(data, axis1=-2, axis2=-1)
+    errors = np.abs(traces - 1.0)
+    if errors.max() > TRACE_ATOL:
+        tr = complex(np.ravel(traces)[np.argmax(errors)])
+        raise ValidationError(f"density matrix trace is {tr:.12g}, expected 1")
+
+
 def check_density_matrices(data: np.ndarray, quasi: bool = False) -> None:
     """Raise unless every matrix on the last two axes of ``data`` (one state
     or a stack) is Hermitian, has trace 1 and no eigenvalue below the PSD
@@ -70,11 +93,7 @@ def check_density_matrices(data: np.ndarray, quasi: bool = False) -> None:
     defect = _hermiticity_defect(data)
     if defect > HERMITIAN_ATOL:
         raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
-    traces = np.trace(data, axis1=-2, axis2=-1)
-    errors = np.abs(traces - 1.0)
-    if errors.max() > TRACE_ATOL:
-        tr = complex(np.ravel(traces)[np.argmax(errors)])
-        raise ValidationError(f"density matrix trace is {tr:.12g}, expected 1")
+    _check_traces(data)
     floor = QUASI_EIGENVALUE_FLOOR if quasi else -PSD_ATOL
     min_eig = float(np.linalg.eigvalsh(data)[..., 0].min())
     if min_eig < floor:
@@ -86,10 +105,13 @@ def check_density_matrices(data: np.ndarray, quasi: bool = False) -> None:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian trace-1 matrix of dimension ``2**n``.
+    """Hermitian trace-1 matrix of dimension ``2**n``, stored read-only.
 
     ``quasi=True`` relaxes the positivity check for mitigated states, which
-    may carry small negative eigenvalues.
+    may carry small negative eigenvalues.  Constructing one runs the full
+    check; :meth:`_derived` is the trace-only construction for the output
+    of a step that cannot lower the input's smallest eigenvalue (see the
+    module docstring).
     """
 
     n: int
@@ -103,9 +125,39 @@ class DensityMatrix:
         object.__setattr__(self, "data", arr)
         check_density_matrices(arr, self.quasi)
 
+    @classmethod
+    def _derived(cls, n: int, data: np.ndarray, quasi: bool) -> "DensityMatrix":
+        """Trace-checked state for the output of a step that cannot lower
+        the smallest eigenvalue of a validated input (module docstring).
+
+        ``data`` must be a fresh :func:`hermitize` result; it is stored, not
+        copied, and made read-only.
+        """
+        _check_traces(data)
+        data.setflags(write=False)
+        state = object.__new__(cls)
+        for name, value in (("n", n), ("data", data), ("quasi", quasi)):
+            object.__setattr__(state, name, value)
+        return state
+
     @property
     def dim(self) -> int:
         return 1 << self.n
+
+    def power(self, exponent: float, rel_floor: float = 0.0) -> np.ndarray:
+        """:func:`hermitian_power` of the data, computed once per instance
+        and returned read-only.
+
+        The data is read-only, so the memo cannot go stale.  It lives in the
+        instance dict, which the frozen dataclass leaves writable.
+        """
+        memo = self.__dict__.setdefault("_powers", {})
+        key = (exponent, rel_floor)
+        if key not in memo:
+            out = hermitian_power(self.data, exponent, rel_floor=rel_floor)
+            out.setflags(write=False)
+            memo[key] = out
+        return memo[key]
 
 
 @dataclass(frozen=True)
@@ -197,8 +249,8 @@ def rotation_gate(axis: str, theta: float, target: int, n: int) -> Unitary:
     return Unitary(n, embed_one_qubit(rotation_matrix_2x2(axis, theta), target, n))
 
 
-def cnot_gate(control: int, target: int, n: int) -> Unitary:
-    """Controlled-NOT embedded in an ``n``-qubit register."""
+def _cnot_matrix(control: int, target: int, n: int) -> np.ndarray:
+    """The controlled-NOT matrix, built afresh on every call."""
     _check_qubit_count(n)
     if not 0 <= control < n or not 0 <= target < n:
         raise ValidationError(f"cnot qubits ({control}, {target}) out of range for {n} qubits")
@@ -206,10 +258,20 @@ def cnot_gate(control: int, target: int, n: int) -> Unitary:
         raise ValidationError("cnot control and target must differ")
     p0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
     p1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
-    data = embed_one_qubit(p0, control, n) + embed_one_qubit(p1, control, n) @ embed_one_qubit(
+    return embed_one_qubit(p0, control, n) + embed_one_qubit(p1, control, n) @ embed_one_qubit(
         PAULI_X, target, n
     )
-    return Unitary(n, data)
+
+
+@lru_cache(maxsize=None)
+def cnot_gate(control: int, target: int, n: int) -> Unitary:
+    """Controlled-NOT embedded in an ``n``-qubit register.
+
+    Built once per ``(control, target, n)``; the same read-only gate is
+    returned on every later call.  The cache keeps each gate (16 MiB at
+    ten qubits) for the life of the process, so the training engine's
+    CNOT ring multiplies :func:`_cnot_matrix` results instead."""
+    return Unitary(n, _cnot_matrix(control, target, n))
 
 
 def evolve(rho: DensityMatrix, u: Unitary) -> DensityMatrix:
@@ -217,7 +279,7 @@ def evolve(rho: DensityMatrix, u: Unitary) -> DensityMatrix:
     if rho.n != u.n:
         raise ValidationError(f"dimension mismatch: state on {rho.n} qubits, unitary on {u.n}")
     data = hermitize(u.data @ rho.data @ u.data.conj().T)
-    return DensityMatrix(rho.n, data, quasi=rho.quasi)
+    return DensityMatrix._derived(rho.n, data, rho.quasi)
 
 
 def expectation(rho: DensityMatrix, obs: Observable) -> float:

@@ -130,7 +130,7 @@ def fidelity_suite(seed: int, pairs: int) -> str:
         rho = qsim.random_density_matrix(2, rng)
         sigma = qsim.random_density_matrix(2, rng)
         f = losses.fidelity(rho, sigma)
-        worst_bound = max(worst_bound, -f, f - (1.0 + 1e-9))
+        worst_bound = max(worst_bound, -f, f - 1.0)
         worst_sym = max(worst_sym, abs(f - losses.fidelity(sigma, rho)))
         u = qsim.haar_random_unitary(2, rng)
         worst_inv = max(

@@ -12,6 +12,8 @@ Layer derivatives: every ``dU/dtheta[q, a]`` as a dense matrix, with the
 generator embedded on its qubit by Kronecker products and inserted at its
 sub-layer's position in the product.
 
+CNOT: the permutation of basis states it is.
+
 Fidelity: the conditioned pair loss and both its gradients in matrix form
 (every conditioned state, square root and adjoint rebuilt as a d x d
 matrix and rotated in the standard basis), and the target-side gradient
@@ -75,6 +77,17 @@ def encoder_unitary(x, spec):
     return u
 
 
+def cnot(control, target, n):
+    """The permutation flipping bit ``target`` of basis states whose bit
+    ``control`` is set (qubit 0 the most significant bit)."""
+    dim = 1 << n
+    flip, ctrl = 1 << (n - 1 - target), 1 << (n - 1 - control)
+    out = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        out[i ^ flip if i & ctrl else i, i] = 1.0
+    return out
+
+
 def _sublayer(axis, angles):
     sub = np.eye(1, dtype=np.complex128)
     for angle in angles:
@@ -91,7 +104,7 @@ def layer_unitary_and_gradients(layer):
     ring = np.eye(dim, dtype=np.complex128)
     if n >= 2:
         for j in range(n):
-            ring = qsim.cnot_gate(j, (j + 1) % n, n).data @ ring
+            ring = cnot(j, (j + 1) % n, n) @ ring
     prefix = [np.eye(dim, dtype=np.complex128)]
     for s in subs:
         prefix.append(s @ prefix[-1])

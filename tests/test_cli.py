@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -9,7 +10,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qmit import cli, data, selftest, train
+import dense_reference as dense
+from qmit import cli, data, losses, pqc, qsim, selftest, train
 from qmit.errors import ConfigError
 
 
@@ -233,6 +235,71 @@ class TestTraceCommand:
     def test_pauli_channel_runs(self, tmp_path):
         values = cli.divergence_trace(3, 30, "pauli", 0.02, seed=6)
         assert values[-1] < values[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pauli_matches_dense_loop(self, seed):
+        """The same random stream through dense gates, the per-factor
+        channel and ``D_2(rho || I/d) = log(d tr rho^2)``."""
+        n, rate = 3, 0.02
+        rng = np.random.default_rng(seed)
+        u = dense.encoder_unitary(rng.uniform(0.0, 1.0, 64), pqc.EncoderSpec(n))
+        rho = np.outer(u[:, 0], u[:, 0].conj())
+
+        def step(rho, gate, qubits):
+            out = gate @ rho @ gate.conj().T
+            for q in qubits:
+                letters = ["I" * q + ch + "I" * (n - q - 1) for ch in "XYZ"]
+                out = dense.channel(out, letters, rng.uniform(0.0, rate, 3))
+            return out
+
+        def d2(rho):
+            return math.log((1 << n) * np.trace(rho @ rho).real)
+
+        want = [d2(rho)]
+        while len(want) <= 60:
+            for q in range(n):
+                axis = "XYZ"[int(rng.integers(3))]
+                angle = rng.uniform(-np.pi, np.pi)
+                gate = qsim.embed_one_qubit(qsim.rotation_matrix_2x2(axis, angle), q, n)
+                rho = step(rho, gate, [q])
+                want.append(d2(rho))
+            for q in range(n):
+                rho = step(rho, dense.cnot(q, (q + 1) % n, n), [q, (q + 1) % n])
+                want.append(d2(rho))
+        got = cli.divergence_trace(n, 60, "pauli", rate, seed=seed)
+        np.testing.assert_allclose(got, want[:61], rtol=0, atol=1e-12)
+
+    def test_each_state_checked_once(self, monkeypatch):
+        """Only the encoded state and the reference run the full check, and
+        the reference's power is computed once for the whole trace."""
+        counts = {"checks": 0, "powers": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            qsim, "check_density_matrices", counting("checks", qsim.check_density_matrices)
+        )
+        power = counting("powers", qsim.hermitian_power)
+        monkeypatch.setattr(qsim, "hermitian_power", power)
+        monkeypatch.setattr(losses, "hermitian_power", power)
+        values = cli.divergence_trace(3, 30, "pauli", 0.02, seed=6)
+        assert counts == {"checks": 2, "powers": len(values) + 1}
+
+    def test_rerun_in_process_is_byte_identical(self, tmp_path):
+        """A second run in the same process, with the gate cache warm,
+        writes the same ``trace.csv`` bytes."""
+        payload = {"channel": "pauli", "operations": 50, "rate": 0.01, "n_qubits": 4, "seed": 9}
+        path = write_config(tmp_path, payload)
+        outputs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert cli.main(["trace-divergence", "--config", path, "--out", str(out)]) == 0
+            outputs.append((out / "trace.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_unknown_channel_rejected(self, tmp_path):
         payload = {"channel": "cosmic", "operations": 10, "rate": 0.1}

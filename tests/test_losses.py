@@ -109,6 +109,20 @@ class TestPetzRenyi:
         assert got == pytest.approx(math.log(1.25), abs=1e-12)
         assert got == pytest.approx(0.2231, abs=1e-4)
 
+    def test_reference_power_memo_is_bitwise(self):
+        """Calls that reuse one reference state return exactly what a fresh
+        reference state or its raw array gives."""
+        rng = np.random.default_rng(12)
+        sigma = qsim.random_density_matrix(3, rng)
+        for alpha in (0.5, 2.0, 3.0):
+            for _ in range(2):
+                rho = qsim.random_density_matrix(3, rng)
+                got = losses.petz_renyi_divergence(rho, sigma, alpha)
+                fresh = qsim.DensityMatrix(3, sigma.data)
+                assert got == losses.petz_renyi_divergence(rho, fresh, alpha)
+                assert got == losses.petz_renyi_divergence(rho, sigma.data, alpha)
+        assert not sigma.power(-1.0).flags.writeable
+
     def test_alpha_one_rejected(self):
         mixed = qsim.maximally_mixed(1)
         with pytest.raises(ValidationError):

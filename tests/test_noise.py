@@ -152,6 +152,13 @@ class TestInverseChannel:
         assert out.quasi
         assert np.linalg.eigvalsh(out.data)[0] < -1e-12
 
+    def test_output_below_quasi_floor_rejected(self):
+        """|0><0| = (I + Z) / 2 and the inverse of an X channel at rate 0.5
+        scales Z by e, leaving eigenvalue (1 - e) / 2 < -0.05."""
+        model = noise.NoiseModel(1, (noise.PauliString(1, "X"),), [0.5])
+        with pytest.raises(ValidationError, match="quasi-state floor"):
+            noise.apply_inverse_channel(qsim.pure_state([1, 0]), model)
+
 
 class TestSamplingOverhead:
     def test_zero_rates(self):
@@ -392,3 +399,75 @@ class TestKernelProperties:
                 factor *= 2.0 * w - 1.0
         got = noise.apply_pauli_fidelities(pb, model.generators, model.rates)
         np.testing.assert_allclose(got, factor * pb, atol=1e-12)
+
+
+@st.composite
+def _word_of_weight(draw, n, weight):
+    """A Pauli word with exactly ``weight`` non-identity letters."""
+    support = draw(st.permutations(range(n)))[:weight]
+    letters = draw(st.text(alphabet="XYZ", min_size=weight, max_size=weight))
+    word = ["I"] * n
+    for q, ch in zip(support, letters):
+        word[q] = ch
+    return "".join(word)
+
+
+def _quasi_state(n, rng, shift):
+    """Random eigenbasis, smallest eigenvalue exactly ``-shift``, trace 1."""
+    eigs = np.concatenate([[-shift], rng.dirichlet(np.ones((1 << n) - 1)) * (1.0 + shift)])
+    vecs = qsim.haar_random_unitary(n, rng).data
+    return qsim.DensityMatrix(n, (vecs * eigs) @ vecs.conj().T, quasi=True)
+
+
+@st.composite
+def derived_cases(draw):
+    """A validated input state (pure, mixed, or quasi with smallest
+    eigenvalue down to -0.0499), a noise model over the default, a weight-1
+    or a weight-2 generator set, and a Haar unitary, on 1-3 qubits."""
+    generator_set = draw(st.sampled_from(["default", "weight-1", "weight-2"]))
+    n = draw(st.integers(2 if generator_set == "weight-2" else 1, 3))
+    if generator_set == "default":
+        gens = noise.default_generators(n)
+    else:
+        weight = int(generator_set[-1])
+        words = draw(st.lists(_word_of_weight(n, weight), min_size=1, max_size=6))
+        gens = tuple(noise.PauliString(n, w) for w in words)
+    rates = draw(st.lists(st.floats(0.0, 0.5), min_size=len(gens), max_size=len(gens)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["pure", "mixed", "quasi"]))
+    if kind == "pure":
+        rho = qsim.random_pure_state(n, rng)
+    elif kind == "mixed":
+        rho = qsim.random_density_matrix(n, rng)
+    else:
+        rho = _quasi_state(n, rng, draw(st.floats(0.0, 0.0499)))
+    return rho, noise.NoiseModel(n, gens, rates), qsim.haar_random_unitary(n, rng)
+
+
+class TestDerivedStates:
+    """``evolve`` and ``apply_channel`` build their outputs without the
+    eigenvalue-floor check; these properties are why that is safe."""
+
+    @given(derived_cases())
+    def test_channel_cannot_lower_smallest_eigenvalue(self, case):
+        rho, model, _ = case
+        out = noise.apply_channel(rho, model)
+        assert np.linalg.eigvalsh(out.data)[0] >= np.linalg.eigvalsh(rho.data)[0] - 1e-12
+
+    @given(derived_cases())
+    def test_evolve_keeps_spectrum(self, case):
+        rho, _, u = case
+        out = qsim.evolve(rho, u)
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(out.data), np.linalg.eigvalsh(rho.data), rtol=0, atol=1e-12
+        )
+
+    @given(derived_cases())
+    def test_outputs_are_owned_valid_states(self, case):
+        rho, model, u = case
+        for out in (noise.apply_channel(rho, model), qsim.evolve(rho, u)):
+            assert not out.data.flags.writeable
+            assert not np.shares_memory(out.data, rho.data)
+            assert out.quasi == rho.quasi
+            assert np.array_equal(out.data, out.data.conj().T)
+            assert abs(np.trace(out.data) - 1.0) <= qsim.TRACE_ATOL

@@ -48,6 +48,14 @@ def brute_force_layer(design, n, theta):
 
 
 class TestLayerUnitary:
+    def test_ring_leaves_cnot_cache_empty(self):
+        """The engine's CNOT ring does not keep its factors in
+        ``qsim.cnot_gate``'s process-wide cache."""
+        qsim.cnot_gate.cache_clear()
+        pqc._cnot_ring.cache_clear()
+        pqc._cnot_ring(5)
+        assert qsim.cnot_gate.cache_info().currsize == 0
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
         for design in ("RX", "U2", "U3"):

@@ -139,6 +139,13 @@ class TestGates:
         u = qsim.cnot_gate(0, 1, 2).data
         np.testing.assert_allclose(u @ u, np.eye(4), atol=1e-14)
 
+    def test_cnot_is_cached_read_only(self):
+        """Repeated calls return the one gate built for those arguments."""
+        u = qsim.cnot_gate(2, 0, 3)
+        assert qsim.cnot_gate(2, 0, 3) is u
+        with pytest.raises(ValueError):
+            u.data[0, 0] = 0.0
+
     def test_cnot_validates_indices(self):
         with pytest.raises(ValidationError):
             qsim.cnot_gate(1, 1, 2)
