@@ -28,9 +28,9 @@ from . import __version__
 from .data import BENCHMARKS, Dataset, dataset_from_idx, make_benchmark, synthetic_blobs
 from .errors import ConfigError, DataFormatError, TrainingError, ValidationError
 from .losses import petz_renyi_divergence
-from .noise import amplitude_damping, apply_channel, single_qubit_model
+from .noise import amplitude_damping, apply_channel, apply_qubit_superoperators, single_qubit_model
 from .pqc import EncoderSpec, encode
-from .qsim import DensityMatrix, cnot_gate, evolve, maximally_mixed, rotation_gate
+from .qsim import DensityMatrix, cnot_gate, evolve, hermitize, maximally_mixed, rotation_matrix_2x2
 from .train import TrainConfig, config_to_json, run_experiment, save_checkpoint
 
 SYNTHETIC_BENCHMARKS = ("synthetic-2", "synthetic-4")
@@ -331,7 +331,10 @@ def divergence_trace(
 
     The stream cycles through fresh random single-qubit rotations (one per
     qubit) followed by the ring of CNOTs; after every operation the chosen
-    noise acts on the qubit(s) the operation touched.
+    noise acts on the qubit(s) the operation touched.  A rotation ``R`` on
+    qubit ``q`` is the 4x4 superoperator ``R (x) conj(R)`` on that qubit, and
+    like :func:`qsim.evolve` it keeps the spectrum, so its output is only
+    trace checked.
     """
     if channel not in _TRACE_CHANNELS:
         raise ConfigError(f"channel must be one of {_TRACE_CHANNELS}, got {channel!r}")
@@ -361,7 +364,9 @@ def divergence_trace(
                 break
             axis = "XYZ"[int(rng.integers(3))]
             theta = float(rng.uniform(-np.pi, np.pi))
-            state = apply_noise(evolve(state, rotation_gate(axis, theta, q, n)), [q])
+            r = rotation_matrix_2x2(axis, theta)
+            data = hermitize(apply_qubit_superoperators(state.data, [(q, np.kron(r, r.conj()))]))
+            state = apply_noise(DensityMatrix._derived(n, data, state.quasi), [q])
             values.append(petz_renyi_divergence(state, mixed, alpha))
             done += 1
         for q in range(n):

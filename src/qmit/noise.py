@@ -21,9 +21,12 @@ single matrix or a batch, and :func:`pauli_rate_gradient` contracts the
 rate derivative in the Pauli basis.  The kernel picks one of two cases by
 reading the generator letters.  When every generator has weight 1 (the
 default X, Y, Z on each qubit) the fidelities factor over qubits and the
-channel is one strided 2x2 mix per qubit.  Otherwise the state is taken to
-the Pauli basis one qubit at a time, multiplied by the fidelity table built
-from the symplectic anticommutation form, and taken back.
+channel is one 4x4 mix per qubit.  Otherwise the state is taken to the
+Pauli basis by one 4x4 transform per qubit, multiplied by the fidelity
+table built from the symplectic anticommutation form, and taken back.
+Both cases, and any other map that acts on each qubit's (row bit, column
+bit) pair alone, run through :func:`apply_qubit_superoperators`: one 4x4
+GEMM per qubit in a layout that puts the qubit's pair first.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .qsim import PAULIS, DensityMatrix, embed_one_qubit, hermitize, _check_qubit_count
+from .qsim import PAULIS, DensityMatrix, hermitize, _check_qubit_count
 
 PAULI_LETTERS = "IXYZ"
 
@@ -281,51 +284,62 @@ def _num_qubits(x: np.ndarray) -> int:
     return x.shape[-1].bit_length() - 1
 
 
-def _qubit_quarters(x: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
-    """Views of ``x`` at row bit ``a`` and column bit ``b`` of qubit ``q``.
+def apply_qubit_superoperators(x: np.ndarray, ops) -> np.ndarray:
+    """Apply the one-qubit superoperators ``ops = [(q, S), ...]``, in order,
+    to a stack ``x`` of shape ``(..., d, d)``.
 
-    Returned in the order ``ab`` = 00, 01, 10, 11.  They are views only when
-    ``x`` is C-contiguous, so every buffer written through them is allocated
-    C-contiguous here.
+    ``S`` is 4x4 and acts on qubit ``q``'s (row bit, column bit) pair, index
+    ``2 * row + col``; ``rho -> R rho R^dagger`` is ``np.kron(R, R.conj())``.
+    Ops on one qubit are composed first, since ops on different qubits
+    commute.  One transpose puts each active qubit's pair first and the
+    leading axes and inactive bits last.  Each active qubit is then one GEMM
+    ``(4, m)^T @ S^T``, which leaves that pair last, so after the last GEMM
+    one transpose takes the result back.  ``x`` is never written; with no
+    ops ``x`` itself is returned.
     """
-    n = _num_qubits(x)
-    hi, lo = 1 << q, 1 << (n - q - 1)
-    v = x.reshape(x.shape[:-2] + (hi, 2, lo, hi, 2, lo))
-    return tuple(v[..., a, :, :, b, :] for a in (0, 1) for b in (0, 1))
+    per_qubit = {}
+    for q, s in ops:
+        per_qubit[q] = s @ per_qubit[q] if q in per_qubit else np.asarray(s)
+    if not per_qubit:
+        return x
+    dtype = np.result_type(x, np.float64, *per_qubit.values())
+    lead, n = x.ndim - 2, _num_qubits(x)
+    rows = [lead + q for q in range(n) if q not in per_qubit]
+    order = [ax for q in per_qubit for ax in (lead + q, lead + n + q)]
+    order += list(range(lead)) + rows + [ax + n for ax in rows]
+    split = x.reshape(x.shape[:lead] + (2,) * (2 * n))
+    y = np.ascontiguousarray(split.transpose(order), dtype=dtype)
+    for s in per_qubit.values():
+        y = y.reshape(4, -1).T @ s.T.astype(dtype)
+    order = order[2 * len(per_qubit):] + order[: 2 * len(per_qubit)]
+    y = y.reshape([split.shape[ax] for ax in order])
+    return y.transpose(np.argsort(order)).reshape(x.shape)
 
 
-def _qubit_passes(x: np.ndarray, qubits, step) -> np.ndarray:
-    """Run ``step(src_quarters, dst_quarters, q)`` for each qubit in turn.
-
-    Passes alternate between two new buffers, so ``x`` is never written;
-    with no qubits ``x`` itself is returned.
-    """
-    out, spare = x, None
-    for q in qubits:
-        dst = np.empty(x.shape, np.result_type(x.dtype, np.float64)) if spare is None else spare
-        step(_qubit_quarters(out, q), _qubit_quarters(dst, q), q)
-        spare = None if out is x else out
-        out = dst
-    return out
-
-
-def _butterfly(src, dst, _q) -> None:
-    """Unnormalized Pauli transform on one qubit: the 00, 11, 01 and 10
-    quarters become twice the I, Z and X components and -2i times the Y
-    component; applying it twice doubles the input."""
-    s00, s01, s10, s11 = src
-    d00, d01, d10, d11 = dst
-    np.add(s00, s11, out=d00)
-    np.subtract(s00, s11, out=d11)
-    np.add(s01, s10, out=d01)
-    np.subtract(s01, s10, out=d10)
+# Unnormalized one-qubit Pauli transform: the 00, 11, 01 and 10 entries
+# become twice the I, Z and X components and -2i times the Y component.
+_BUTTERFLY = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]], dtype=float)
+_BUTTERFLY.setflags(write=False)
 
 
 def _pauli_transform(x: np.ndarray) -> np.ndarray:
-    """``_butterfly`` on every qubit: entry ``(i, j)`` becomes ``2^n`` times
-    the coefficient of the Pauli string with X-bits ``i ^ j`` and Z-bits ``i``
-    (up to a fixed phase per string)."""
-    return _qubit_passes(x, range(_num_qubits(x)), _butterfly)
+    """``_BUTTERFLY`` on every qubit: entry ``(i, j)`` becomes ``tr(P x)``
+    for the Pauli string ``P`` with X-bits ``i ^ j`` and Z-bits ``i``, up to
+    a fixed phase per string; applying it twice multiplies by ``2^n``."""
+    return apply_qubit_superoperators(x, [(q, _BUTTERFLY) for q in range(_num_qubits(x))])
+
+
+def _mix_matrix(fx: float, fy: float, fz: float) -> np.ndarray:
+    """One qubit's factor of a separable channel with Pauli fidelities
+    ``fx, fy, fz``: ``[[k, 1 - k], [1 - k, k]]`` on the (00, 11) entries,
+    ``k = (1 + fz) / 2``, and ``[[a, b], [b, a]]`` on (01, 10),
+    ``a, b = (fx +- fy) / 2``."""
+    keep = 0.5 * (1.0 + fz)
+    # 1 - keep is exact, so the diagonal weights sum to exactly 1 and
+    # rounding cannot drift the trace the same way on every call.
+    flip = 1.0 - keep
+    a, b = 0.5 * (fx + fy), 0.5 * (fx - fy)
+    return np.array([[keep, 0, 0, flip], [0, a, b, 0], [0, b, a, 0], [flip, 0, 0, keep]])
 
 
 @lru_cache(maxsize=256)
@@ -380,10 +394,11 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = Fal
     under ``tr(g x)``.
 
     When every generator has weight 1 the fidelities factor over qubits and
-    each qubit whose fidelities are not all 1 costs one strided 2x2 mix of
-    the (00, 11) and (01, 10) quarters.  Otherwise ``x`` is taken to the
-    Pauli basis one qubit at a time, multiplied by the fidelity table and
-    taken back.  May return ``x`` itself when every rate is zero.
+    each qubit whose fidelities are not all 1 gets one 4x4 mix matrix
+    (:func:`_mix_matrix`).  Otherwise ``x`` is taken to the Pauli basis by
+    one 4x4 transform per qubit, multiplied by the fidelity table and taken
+    back.  Both run through :func:`apply_qubit_superoperators`, so ``x`` is
+    never written.  May return ``x`` itself when every rate is zero.
     """
     rates = np.asarray(rates, dtype=float)
     if not np.any(rates):
@@ -395,34 +410,14 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = Fal
         k, n, _ = incidence.shape
         log_f = sign * (rates @ incidence.reshape(k, 3 * n)).reshape(n, 3)  # over X, Y, Z
         fid = np.exp(log_f)
-
-        def mix(src, dst, q):
-            fx, fy, fz = fid[q]
-            keep = 0.5 * (1.0 + fz)
-            # 1 - keep is exact, so the diagonal weights sum to exactly 1 and
-            # rounding cannot drift the trace the same way on every call.
-            _mix_pairs(src, dst, (keep, 1.0 - keep), (0.5 * (fx + fy), 0.5 * (fx - fy)))
-
-        return _qubit_passes(x, np.flatnonzero(np.any(log_f != 0.0, axis=1)), mix)
+        active = np.flatnonzero(np.any(log_f != 0.0, axis=1))
+        return apply_qubit_superoperators(x, [(q, _mix_matrix(*fid[q])) for q in active])
     exponent = np.zeros((x.shape[-1],) * 2)
     for word, rate in zip(letters, rates):
         exponent[_anticommutation_mask(word)] += rate
     out = _pauli_transform(x)
     out *= np.exp(sign * exponent) / x.shape[-1]
     return _pauli_transform(out)
-
-
-def _mix_pairs(src, dst, diag, off) -> None:
-    """Per quarter pair, ``dst = [[a, b], [b, a]] src``: (00, 11) by ``diag``
-    and (01, 10) by ``off``."""
-    s00, s01, s10, s11 = src
-    d00, d01, d10, d11 = dst
-    for u, v, du, dv, (a, b) in ((s00, s11, d00, d11, diag), (s01, s10, d01, d10, off)):
-        np.multiply(u, a, out=du)
-        np.multiply(v, a, out=dv)
-        if b != 0.0:
-            du += b * v
-            dv += b * u
 
 
 def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
@@ -439,9 +434,8 @@ def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
     letters = _letters(generators)
     if not letters:
         return np.zeros(0)
-    g = np.ascontiguousarray(g)
     # tr(g D) = sum(g * D^T), and (P y P)^T = P y^T P for a Pauli string P.
-    yt = np.ascontiguousarray(np.swapaxes(y, -1, -2))
+    yt = np.swapaxes(y, -1, -2)
     d = g.shape[-1]
     products = np.einsum(
         "bij,bij->ij", _pauli_transform(g).reshape(-1, d, d), _pauli_transform(yt).reshape(-1, d, d)
@@ -500,7 +494,6 @@ def amplitude_damping(rho: DensityMatrix, gamma_ad: float, target: int) -> Densi
         raise ValidationError(f"target qubit {target} out of range for {rho.n} qubits")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma_ad)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(gamma_ad)], [0.0, 0.0]], dtype=np.complex128)
-    a0 = embed_one_qubit(k0, target, rho.n)
-    a1 = embed_one_qubit(k1, target, rho.n)
-    data = a0 @ rho.data @ a0.conj().T + a1 @ rho.data @ a1.conj().T
+    superop = np.kron(k0, k0.conj()) + np.kron(k1, k1.conj())
+    data = apply_qubit_superoperators(rho.data, [(target, superop)])
     return DensityMatrix(rho.n, hermitize(data), quasi=rho.quasi)

@@ -223,16 +223,6 @@ def _theta_grad_backward_conj(g_out, x_in, factors, axes, out):
     out += angle_gradients(a.conj().T, upto, after, axes)
 
 
-def _readout_head(final, rate_row, config: TrainConfig, generators):
-    """Mitigated readout state and the softmax over its first ``num_classes``
-    Z expectations; in ``loss_only`` mode the last inverse stack is applied here."""
-    if config.mode == "cascaded":
-        rho_hat = final
-    else:
-        rho_hat = apply_pauli_fidelities(final, generators, rate_row, inverse=True)
-    return rho_hat, softmax_head(z_expectations(rho_hat), config.num_classes)
-
-
 @dataclass
 class BatchResult:
     """Loss terms, gradients and diagnostics of one batch pass."""
@@ -276,7 +266,10 @@ def _run_batch(
         fb_per_sample += loss_vec / num_blocks
         clamped += fid_cache["neg_mass"]
 
-    rho_hat_final, probs = _readout_head(chain[depth], rates[-1], config, generators)
+    # The readout state: in loss_only mode the last block's first pullback
+    # step has already applied the last inverse stack to chain[depth].
+    rho_hat_final = chain[depth] if cascaded else blocks[-1][2][0][1]
+    probs = softmax_head(z_expectations(rho_hat_final), c)
     ce_per_sample = -np.log(probs[np.arange(batch), labels])
     predictions = np.argmax(probs, axis=1)
 
@@ -289,6 +282,7 @@ def _run_batch(
 
     grad_theta = [np.zeros((n, len(axes))) for _ in range(depth)]
     grad_rates = np.zeros_like(rates)
+    g_readout = None
     # g_chain[0], the gradient w.r.t. the encoded input, is never formed.
     g_chain = [None] + [np.zeros_like(rho0) for _ in range(depth)]
 
@@ -304,10 +298,9 @@ def _run_batch(
         if cascaded:
             g_chain[depth] += g_task
         else:
-            g = _inverse_stack_backward(
-                g_task, rho_hat_final, rates[-1], generators, grad_rates[-1]
-            )
-            g_chain[depth] += g
+            # Pending: it shares the last inverse stack's adjoint with the
+            # last block, which adds it before the one backward call.
+            g_readout = g_task
 
     # Block adjoints.
     if config.alpha_fb != 0.0:
@@ -320,10 +313,16 @@ def _run_batch(
                 _theta_grad_backward_conj(g, conj_input, factors[j], axes, grad_theta[j])
                 g = units[j] @ g @ units[j].conj().T
                 if not cascaded:
+                    if j == depth - 1 and g_readout is not None:
+                        g, g_readout = g + g_readout, None
                     g = _inverse_stack_backward(
                         g, conj_input, rates[j], generators, grad_rates[j]
                     )
             g_chain[end] += g
+    if g_readout is not None:
+        g_chain[depth] += _inverse_stack_backward(
+            g_readout, rho_hat_final, rates[-1], generators, grad_rates[-1]
+        )
 
     # Chain adjoint.
     for i in range(depth - 1, -1, -1):
@@ -527,7 +526,10 @@ def evaluate(
     for lo in range(0, len(dataset), chunk):
         sel = slice(lo, lo + chunk)
         chain = layer_chain(encoded[sel], units, noise_true, cascaded_rates, generators)
-        _rho_hat, probs = _readout_head(chain[-1], rates[-1], config, generators)
+        rho_hat = chain[-1]
+        if config.mode == "loss_only":
+            rho_hat = apply_pauli_fidelities(rho_hat, generators, rates[-1], inverse=True)
+        probs = softmax_head(z_expectations(rho_hat), c)
         predictions = np.argmax(probs, axis=1)
         labels = dataset.labels[sel]
         for k in range(c):

@@ -5,6 +5,9 @@ product ``P rho P^dagger`` with ``P`` from ``noise._pauli_matrix``, one
 generator at a time; the adjoint comes from the transposed superoperator
 matrix.  Meant for n <= 3.
 
+One-qubit superoperators: each 4x4 op Kronecker-embedded as a d^2 x d^2
+matrix on the row-major ``vec``, multiplied in order.  Meant for n <= 4.
+
 Encoder: the full encoding unitary as a product of dense Kronecker
 sub-layers.
 
@@ -54,6 +57,26 @@ def adjoint(g, letters, rates, inverse=False):
     s = superoperator(letters, rates, dim, inverse)
     gt = np.swapaxes(g, -1, -2).reshape(-1, dim * dim)
     return np.swapaxes((gt @ s).reshape(g.shape), -1, -2)
+
+
+def qubit_superoperator(ops, n):
+    """Matrix of the one-qubit ops ``[(q, S), ...]`` applied in order to a
+    ``2^n x 2^n`` matrix, on the row-major ``vec``.
+
+    ``vec(A x B^T) = (A (x) B) vec(x)``, and ``S[2a + b, 2c + e]`` maps
+    entry ``(c, e)`` of qubit ``q``'s (row, column) pair to ``(a, b)``, so
+    each op is ``sum S[2a + b, 2c + e] E_ac (x) E_be`` with ``E_ac`` the
+    embedded ``|a><c|``.
+    """
+    out = np.eye(1 << (2 * n), dtype=complex)
+    for q, s in ops:
+        full = np.zeros_like(out)
+        for a, b, c, e in np.ndindex(2, 2, 2, 2):
+            e_ac = qsim.embed_one_qubit(np.outer(np.eye(2)[a], np.eye(2)[c]), q, n)
+            e_be = qsim.embed_one_qubit(np.outer(np.eye(2)[b], np.eye(2)[e]), q, n)
+            full += s[2 * a + b, 2 * c + e] * np.kron(e_ac, e_be)
+        out = full @ out
+    return out
 
 
 def pairing(g, x):

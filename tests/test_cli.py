@@ -3,6 +3,7 @@
 import gzip
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -120,6 +121,24 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", path, "--out", str(out_b)]) == 0
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+    def test_blas_thread_count_keeps_bytes(self, tmp_path):
+        """At n=3, ``metrics.csv`` does not depend on the BLAS thread count
+        that the Pauli kernel's GEMMs and every ``eigh`` run under.  (From
+        d=128 up, ``eigh`` itself returns different bits under 1 and 2.)"""
+        path = write_config(tmp_path, synthetic_train_payload(n_qubits=3, epochs=1, repeats=1))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qmit.cli", "train", "--config", path, "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "metrics.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_baseline_role_label(self, tmp_path):
         path = write_config(tmp_path, synthetic_train_payload(alpha_fb=0.0, repeats=1))

@@ -203,6 +203,17 @@ class TestAmplitudeDamping:
         with pytest.raises(ValidationError):
             noise.amplitude_damping(qsim.maximally_mixed(1), 1.5, 0)
 
+    @pytest.mark.parametrize("target", [0, 1, 2])
+    def test_matches_embedded_kraus_pair(self, target):
+        rho = qsim.random_density_matrix(3, np.random.default_rng(20 + target))
+        gamma = 0.3
+        kraus = ([[1, 0], [0, math.sqrt(1 - gamma)]], [[0, math.sqrt(gamma)], [0, 0]])
+        want = sum(
+            a @ rho.data @ a.conj().T for a in (qsim.embed_one_qubit(k, target, 3) for k in kraus)
+        )
+        got = noise.amplitude_damping(rho, gamma, target).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
 
 class TestDepolarizing:
     def test_zero_rate_identity(self):
@@ -357,6 +368,62 @@ class TestPauliFidelityKernel:
         noise.apply_pauli_fidelities(x, gens, rates)
         noise.pauli_rate_gradient(x, x, gens)
         assert np.array_equal(x, before)
+
+
+@st.composite
+def superoperator_cases(draw):
+    """A stack on 1-4 qubits with leading shape (), (1,) or (3,) and up to
+    five random complex 4x4 ops on unordered, possibly repeated qubits."""
+    n = draw(st.integers(1, 4))
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    qubits = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = [(q, rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))) for q in qubits]
+    shape = lead + (1 << n, 1 << n)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x.setflags(write=False)
+    return n, ops, x
+
+
+class TestQubitSuperoperators:
+    """The GEMM kernel against Kronecker-embedded dense superoperators."""
+
+    @given(superoperator_cases())
+    def test_matches_dense_superoperator(self, case):
+        n, ops, x = case
+        d = 1 << n
+        before = x.copy()
+        got = noise.apply_qubit_superoperators(x, ops)
+        want = (x.reshape(-1, d * d) @ dense.qubit_superoperator(ops, n).T).reshape(x.shape)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.array_equal(x, before)
+        if ops:
+            assert not np.shares_memory(got, x)
+        else:
+            assert got is x
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_transform_layout(self, n):
+        """Entry ``(i, j)`` of the transform is ``(-i)^{#Y} tr(P x)`` for
+        the string ``P`` with X-bits ``i ^ j`` and Z-bits ``i``, and
+        ``_anticommutation_mask`` marks where that string anticommutes."""
+        d = 1 << n
+        rng = np.random.default_rng(40 + n)
+        x = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+        got = noise._pauli_transform(x)
+        words = [g.letters for g in noise.default_generators(n)] + ["Y" * n, ("XZ" * n)[:n]]
+        for i in range(d):
+            for j in range(d):
+                bits = [((i ^ j) >> (n - 1 - q) & 1, i >> (n - 1 - q) & 1) for q in range(n)]
+                word = "".join("IZXY"[2 * xb + zb] for xb, zb in bits)
+                p = noise._pauli_matrix(word)
+                want = (-1j) ** word.count("Y") * np.einsum("ij,bji->b", p, x)
+                np.testing.assert_allclose(got[:, i, j], want, rtol=0, atol=1e-12)
+                for gen in words:
+                    pk = noise._pauli_matrix(gen)
+                    anti = np.allclose(p @ pk, -pk @ p)
+                    assert noise._anticommutation_mask(gen)[i, j] == anti
 
 
 def _pauli_words(n):
