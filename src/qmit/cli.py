@@ -30,7 +30,7 @@ from .errors import ConfigError, DataFormatError, TrainingError, ValidationError
 from .losses import petz_renyi_divergence
 from .noise import amplitude_damping, apply_channel, apply_qubit_superoperators, single_qubit_model
 from .pqc import EncoderSpec, encode
-from .qsim import DensityMatrix, cnot_gate, evolve, hermitize, maximally_mixed, rotation_matrix_2x2
+from .qsim import DensityMatrix, hermitize, maximally_mixed, rotation_matrix_2x2
 from .train import TrainConfig, config_to_json, run_experiment, save_checkpoint
 
 SYNTHETIC_BENCHMARKS = ("synthetic-2", "synthetic-4")
@@ -333,7 +333,9 @@ def divergence_trace(
     qubit) followed by the ring of CNOTs; after every operation the chosen
     noise acts on the qubit(s) the operation touched.  A rotation ``R`` on
     qubit ``q`` is the 4x4 superoperator ``R (x) conj(R)`` on that qubit, and
-    like :func:`qsim.evolve` it keeps the spectrum, so its output is only
+    a CNOT permutes the basis, so ``rho -> rho[p][:, p]`` with ``p`` its
+    index permutation (exactly Hermitian, no products).  Like
+    :func:`qsim.evolve`, both keep the spectrum, so their outputs are only
     trace checked.
     """
     if channel not in _TRACE_CHANNELS:
@@ -356,6 +358,7 @@ def divergence_trace(
                 rho = amplitude_damping(rho, rate, q)
         return rho
 
+    index = np.arange(1 << n)
     values = [petz_renyi_divergence(state, mixed, alpha)]
     done = 0
     while done < operations:
@@ -372,7 +375,12 @@ def divergence_trace(
         for q in range(n):
             if done >= operations or n < 2:
                 break
-            state = apply_noise(evolve(state, cnot_gate(q, (q + 1) % n, n)), [q, (q + 1) % n])
+            target = (q + 1) % n
+            # CNOT(q, target) flips the target bit of every basis index whose
+            # control bit is set (qubit 0 is the most significant bit).
+            perm = index ^ (((index >> (n - 1 - q)) & 1) << (n - 1 - target))
+            data = state.data[np.ix_(perm, perm)]
+            state = apply_noise(DensityMatrix._derived(n, data, state.quasi), [q, target])
             values.append(petz_renyi_divergence(state, mixed, alpha))
             done += 1
     return np.asarray(values)

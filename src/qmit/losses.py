@@ -133,6 +133,13 @@ def petz_renyi_divergence(rho, sigma, alpha: float = 2.0) -> float:
 
     Requires ``alpha > 0`` and ``alpha != 1``; ``sigma`` must be full rank
     when ``alpha > 1``.
+
+    At integer ``alpha``, ``rho^alpha`` is the plain matrix power (products
+    only, no ``eigh``), and ``rho``'s eigenvalues are not clamped: on a
+    state that passes the PSD check it equals the clamped spectral power to
+    rounding, but a quasi-state's negative eigenvalues count with their
+    sign.  Other orders take the clamped spectral power of
+    :func:`hermitian_power`.
     """
     if not (alpha > 0.0) or alpha == 1.0:
         raise ValidationError(f"divergence order must be positive and != 1, got {alpha}")
@@ -140,14 +147,18 @@ def petz_renyi_divergence(rho, sigma, alpha: float = 2.0) -> float:
     b = _state_data(sigma)
     if a.shape != b.shape:
         raise ValidationError(f"state shapes differ: {a.shape} vs {b.shape}")
-    rho_a = hermitian_power(a, alpha, rel_floor=_SPECTRAL_REL_FLOOR)
+    if float(alpha).is_integer():
+        rho_a = np.linalg.matrix_power(a, int(alpha))
+    else:
+        rho_a = hermitian_power(a, alpha, rel_floor=_SPECTRAL_REL_FLOOR)
     # The reference is usually one state compared against many (a whole
     # trace against the maximally mixed state), so its power is memoized.
     if isinstance(sigma, DensityMatrix):
         sigma_b = sigma.power(1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
     else:
         sigma_b = hermitian_power(b, 1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
-    value = float(np.trace(rho_a @ sigma_b).real)
+    # Tr[A S] = sum_ij A_ij S_ji = vdot(S, A) for Hermitian S: no product.
+    value = float(np.vdot(sigma_b, rho_a).real)
     if value <= 0.0:
         return math.inf
     return math.log(value) / (alpha - 1.0)

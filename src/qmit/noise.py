@@ -297,11 +297,25 @@ def apply_qubit_superoperators(x: np.ndarray, ops) -> np.ndarray:
     one transpose takes the result back.  ``x`` is never written; with no
     ops ``x`` itself is returned.
     """
+    if not ops:
+        return x
+    y, order = _superoperators_pairs_last(x, ops)
+    return y.transpose(np.argsort(order)).reshape(x.shape)
+
+
+def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, list[int]]:
+    """:func:`apply_qubit_superoperators` without its last transpose.
+
+    Returns the result in the layout the GEMMs leave it in: the leading
+    axes, the inactive row bits, the inactive column bits, then each active
+    qubit's (row bit, column bit) pair in order of first appearance in
+    ``ops``.  ``order[k]`` is the axis of ``x`` split into bits (leading
+    axes first, then ``n`` row bits and ``n`` column bits) that axis ``k``
+    of the result holds.  ``ops`` must not be empty.
+    """
     per_qubit = {}
     for q, s in ops:
         per_qubit[q] = s @ per_qubit[q] if q in per_qubit else np.asarray(s)
-    if not per_qubit:
-        return x
     dtype = np.result_type(x, np.float64, *per_qubit.values())
     lead, n = x.ndim - 2, _num_qubits(x)
     rows = [lead + q for q in range(n) if q not in per_qubit]
@@ -312,8 +326,7 @@ def apply_qubit_superoperators(x: np.ndarray, ops) -> np.ndarray:
     for s in per_qubit.values():
         y = y.reshape(4, -1).T @ s.T.astype(dtype)
     order = order[2 * len(per_qubit):] + order[: 2 * len(per_qubit)]
-    y = y.reshape([split.shape[ax] for ax in order])
-    return y.transpose(np.argsort(order)).reshape(x.shape)
+    return y.reshape([split.shape[ax] for ax in order]), order
 
 
 # Unnormalized one-qubit Pauli transform: the 00, 11, 01 and 10 entries
@@ -435,11 +448,15 @@ def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
     if not letters:
         return np.zeros(0)
     # tr(g D) = sum(g * D^T), and (P y P)^T = P y^T P for a Pauli string P.
-    yt = np.swapaxes(y, -1, -2)
-    d = g.shape[-1]
-    products = np.einsum(
-        "bij,bij->ij", _pauli_transform(g).reshape(-1, d, d), _pauli_transform(yt).reshape(-1, d, d)
-    ).real
+    # Both transforms stay in the kernel's pair layout; only their d x d
+    # sum over the leading axes is permuted back.
+    d, n = g.shape[-1], _num_qubits(g)
+    butterflies = [(q, _BUTTERFLY) for q in range(n)]
+    tg, order = _superoperators_pairs_last(g, butterflies)
+    ty, _ = _superoperators_pairs_last(np.swapaxes(y, -1, -2), butterflies)
+    summed = np.einsum("bk,bk->k", tg.reshape(-1, d * d), ty.reshape(-1, d * d)).real
+    bits = order[g.ndim - 2:]  # the 2n bit axes, each qubit's pair together
+    products = summed.reshape((2,) * 2 * n).transpose(np.argsort(bits)).reshape(d, d)
     scale = 2.0 / d
     return np.array([scale * products[_anticommutation_mask(w)].sum() for w in letters])
 

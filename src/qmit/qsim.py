@@ -130,8 +130,9 @@ class DensityMatrix:
         """Trace-checked state for the output of a step that cannot lower
         the smallest eigenvalue of a validated input (module docstring).
 
-        ``data`` must be a fresh :func:`hermitize` result; it is stored, not
-        copied, and made read-only.
+        ``data`` must be fresh and Hermitian bit for bit, such as a
+        :func:`hermitize` result or a basis permutation of one; it is
+        stored, not copied, and made read-only.
         """
         _check_traces(data)
         data.setflags(write=False)

@@ -186,10 +186,6 @@ def circuit_from_theta(theta: list[np.ndarray], config: TrainConfig) -> CircuitS
     return CircuitSpec(config.n_qubits, EncoderSpec(config.n_qubits), layers)
 
 
-def mitigation_from_state(state: TrainState, config: TrainConfig) -> MitigationModel:
-    return MitigationModel(config.n_qubits, state.generators, np.maximum(state.rates, 0.0))
-
-
 def encode_dataset(dataset: Dataset, n: int) -> np.ndarray:
     """Precompute the encoded pure states of every sample, shape (N, d, d)."""
     return encode_batch(dataset.features, EncoderSpec(n))

@@ -290,7 +290,7 @@ class TestTraceCommand:
 
     def test_each_state_checked_once(self, monkeypatch):
         """Only the encoded state and the reference run the full check, and
-        the reference's power is computed once for the whole trace."""
+        the only matrix power of the trace is the reference's, computed once."""
         counts = {"checks": 0, "powers": 0}
 
         def counting(name, fn):
@@ -306,7 +306,21 @@ class TestTraceCommand:
         monkeypatch.setattr(qsim, "hermitian_power", power)
         monkeypatch.setattr(losses, "hermitian_power", power)
         values = cli.divergence_trace(3, 30, "pauli", 0.02, seed=6)
-        assert counts == {"checks": 2, "powers": len(values) + 1}
+        assert len(values) == 31
+        assert counts == {"checks": 2, "powers": 1}
+
+    def test_no_eigendecomposition_per_state(self, monkeypatch):
+        """Beyond the two full state checks (``eigvalsh``), the trace makes
+        one ``eigh``: the reference's inverse, for all 31 divergences."""
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            def wrapper(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, wrapper)
+        values = cli.divergence_trace(3, 30, "pauli", 0.02, seed=6)
+        assert len(values) == 31
+        assert counts == {"eigh": 1, "eigvalsh": 2}
 
     def test_rerun_in_process_is_byte_identical(self, tmp_path):
         """A second run in the same process, with the gate cache warm,

@@ -123,6 +123,24 @@ class TestPetzRenyi:
                 assert got == losses.petz_renyi_divergence(rho, sigma.data, alpha)
         assert not sigma.power(-1.0).flags.writeable
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_integer_order_matches_eigendecomposition(self, n):
+        """At integer order the matrix-product form agrees with the spectral
+        form ``Tr[rho^a sigma^(1-a)]`` built from ``eigh`` to 1e-12."""
+
+        def spectral(rho, sigma, alpha):
+            rho_a = qsim.hermitian_power(rho.data, alpha, rel_floor=1e-13)
+            sigma_b = qsim.hermitian_power(sigma.data, 1.0 - alpha, rel_floor=1e-13)
+            return math.log(np.trace(rho_a @ sigma_b).real) / (alpha - 1.0)
+
+        rng = np.random.default_rng(40 + n)
+        for alpha in (2.0, 3.0):
+            for rho in (qsim.random_pure_state(n, rng), qsim.random_density_matrix(n, rng)):
+                for sigma in (qsim.maximally_mixed(n), qsim.random_density_matrix(n, rng)):
+                    want = spectral(rho, sigma, alpha)
+                    got = losses.petz_renyi_divergence(rho, sigma, alpha)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_alpha_one_rejected(self):
         mixed = qsim.maximally_mixed(1)
         with pytest.raises(ValidationError):
