@@ -230,10 +230,12 @@ def cmd_train(config_path: str, out_dir: str) -> int:
     write_csv(os.path.join(out_dir, "metrics.csv"), echo, _METRIC_COLUMNS, result.metrics_rows)
     for r, checkpoint in enumerate(result.checkpoints):
         save_checkpoint(os.path.join(out_dir, f"checkpoint_r{r}.json"), checkpoint)
+    # Rates that cannot move stay at 0, the identity mitigation.
+    frozen = config.rate_lr_scale == 0.0 or config.learning_rate == 0.0
     summary = {
         "version": __version__,
         "config": echo,
-        "role": "baseline" if config.alpha_fb == 0.0 else "mitigated",
+        "role": "baseline" if frozen else "mitigated",
         "per_seed_accuracy": result.per_seed_accuracy,
         "mean_accuracy": result.mean_accuracy,
         "std_accuracy": result.std_accuracy,

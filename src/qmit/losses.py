@@ -12,11 +12,17 @@ small maximally mixed admixture is added, and the trace is renormalized.
 Conditioning is smooth, keeps the loss exactly zero for identical inputs,
 and bounds the fidelity gradients, which hard clamping does not.
 
-The training head works in the eigenbases its three ``eigh`` calls return
-(conditioned target, conditioned pullback, and the root overlap ``M``):
-no conditioned state or square root is rebuilt as a matrix, and each side's
-gradient leaves its eigenbasis once.  A block costs 9 batched d x d
-products with the target's gradient and 6 without it.
+The training head works in the eigenbases of the conditioned target, the
+conditioned pullback and the root overlap ``M``: no conditioned state or
+square root is rebuilt as a matrix, and each side's gradient leaves its
+eigenbasis once.  The pullback's last conjugation, by the block's first
+layer ``U``, is never formed: the head decomposes its input ``X``, whose
+eigenvectors rotated by ``U^dagger`` are the pullback's, and the
+pullback's gradient leaves that eigenbasis already conjugated back to
+``X``.  A block costs 10 batched d x d products with the target's gradient
+and 7 without it, besides up to three ``eigh``; a pure target's spectrum
+is closed form (no ``eigh``, one product less), and a chain state that is
+one block's pullback input and the next block's target is decomposed once.
 """
 
 from __future__ import annotations
@@ -222,27 +228,73 @@ def _dagger(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-def _condition_spectrum(x: np.ndarray, sharpness: float, floor: float) -> dict:
-    """Eigenpairs of ``x`` and the spectrum ``cond`` of its conditioned form.
-
-    Conditioning is a spectral map, so the conditioned state is
-    ``vecs diag(cond) vecs^dagger``: each eigenvalue passes through the
-    softplus floor ``fe``, the result is scaled to trace ``1 - floor`` and
-    ``floor / d`` is added, which bounds ``cond`` below by ``floor / d``.
-    """
-    eigs, vecs = _eigh(x)
+def _spectrum_cache(eigs: np.ndarray, basis: dict, sharpness: float, floor: float) -> dict:
+    """The conditioned spectrum ``cond`` of eigenvalues ``eigs``: each passes
+    through the softplus floor ``fe``, the result is scaled to trace
+    ``1 - floor`` and ``floor / d`` is added, which bounds ``cond`` below by
+    ``floor / d``.  ``basis`` holds the eigenvectors (see :func:`_rotated_vecs`)."""
     fe = _softplus(sharpness * eigs) / sharpness
     trace = np.sum(fe, axis=-1)
     return {
         "eigs": eigs,
-        "vecs": vecs,
+        **basis,
         "fe": fe,
         "trace": trace,
-        "cond": (1.0 - floor) * fe / trace[..., None] + floor / x.shape[-1],
+        "cond": (1.0 - floor) * fe / trace[..., None] + floor / eigs.shape[-1],
         "sharpness": sharpness,
         "floor": floor,
         "neg_mass": float(np.sum(np.clip(-eigs, 0.0, None))),
     }
+
+
+def _condition_spectrum(x: np.ndarray, sharpness: float, floor: float) -> dict:
+    """Eigenpairs of ``x`` and the spectrum ``cond`` of its conditioned form.
+
+    Conditioning is a spectral map, so the conditioned state is
+    ``vecs diag(cond) vecs^dagger``.
+    """
+    eigs, vecs = _eigh(x)
+    return _spectrum_cache(eigs, {"vecs": vecs}, sharpness, floor)
+
+
+def _pure_spectrum(psi: np.ndarray, sharpness: float, floor: float) -> dict:
+    """:func:`_condition_spectrum` of the pure states ``psi psi^dagger``, in
+    closed form from the vectors ``psi`` (shape ``(..., d)``), with no ``eigh``.
+
+    ``psi psi^dagger`` has the eigenvalue ``|psi|^2`` on ``psi`` and 0 on
+    its orthogonal complement.  The eigenvectors are the columns of the
+    Householder reflection ``H = I - 2 w w^dagger`` that takes the last
+    basis vector to a unit multiple of ``psi``, so the eigenvalues stay in
+    ``eigh``'s ascending order; the cache holds ``w`` under
+    ``"householder"``.
+    """
+    norm2 = np.sum(psi.real**2 + psi.imag**2, axis=-1)
+    unit = psi / np.sqrt(norm2)[..., None]
+    size = np.abs(unit[..., -1])
+    # H maps e_last to -phase * unit; the phase makes that vector's last
+    # entry -size <= 0, which keeps w away from zero.
+    phase = np.conj(unit[..., -1]) / np.where(size > 0.0, size, 1.0)
+    phase[size == 0.0] = 1.0
+    w = phase[..., None] * unit
+    w[..., -1] += 1.0
+    w /= np.sqrt(2.0 + 2.0 * size)[..., None]
+    eigs = np.zeros(psi.shape)
+    eigs[..., -1] = norm2
+    return _spectrum_cache(eigs, {"householder": w}, sharpness, floor)
+
+
+def _rotated_vecs(cache: dict, unit: np.ndarray | None = None) -> np.ndarray:
+    """``unit @ V`` for the eigenvectors ``V`` of a spectrum cache (``V``
+    itself without ``unit``): one product, or for a Householder ``V = I - 2
+    w w^dagger`` the rank-one update ``unit - 2 (unit w) w^dagger``."""
+    w = cache.get("householder")
+    if w is None:
+        return cache["vecs"] if unit is None else unit @ cache["vecs"]
+    if unit is None:
+        unit, uw = np.eye(w.shape[-1]), w
+    else:
+        uw = w @ unit.T
+    return unit - 2.0 * uw[..., :, None] * w.conj()[..., None, :]
 
 
 def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
@@ -274,7 +326,7 @@ def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
     mid = 0.5 * (eigs[(*batch, row)] + eigs[(*batch, col)])
     kernel[near] = _sigmoid(cache["sharpness"] * mid)
 
-    vecs = cache["vecs"]
+    vecs = _rotated_vecs(cache)
     return vecs @ (g * kernel) @ _dagger(vecs)
 
 
@@ -304,20 +356,34 @@ def condition_state_adjoint(grad: np.ndarray, cache: dict) -> np.ndarray:
     return _condition_adjoint_eigenbasis(_dagger(vecs) @ grad @ vecs, cache)
 
 
-def _fb_pair_forward(a_raw: np.ndarray, b_raw: np.ndarray) -> tuple[np.ndarray, dict]:
+def _fb_pair_forward(a, b, unit: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
     """Conditioned ``-log F`` for batched Hermitian state pairs.
 
-    Inputs have shape ``(..., d, d)``; the returned loss has the batch shape.
+    ``a`` is the target and ``b`` the pullback's input, each a stack
+    ``(..., d, d)`` or a spectrum cache formed before (by
+    :func:`_condition_spectrum`, or :func:`_pure_spectrum` for a pure
+    target), so a state that two blocks share is decomposed once; the
+    returned loss has the batch shape.  The state compared with the target
+    is ``B = unit^dagger b unit`` (``b`` itself without ``unit``): it has
+    ``b``'s spectrum and the eigenvectors ``V_B = unit^dagger V_b``, so the
+    conjugation is never formed.
+
     With ``A = V_A diag(a) V_A^dagger`` and ``B = V_B diag(b) V_B^dagger``
     the conditioned target and pullback, ``M = A^{1/2} B A^{1/2}`` is
     diagonalized in ``A``'s eigenbasis, ``V_A^dagger M V_A = P diag(b)
-    P^dagger`` with ``P = diag(sqrt(a)) V_A^dagger V_B``: two matrix
-    products besides the three ``eigh``.
+    P^dagger`` with ``P = diag(sqrt(a)) (unit V_A)^dagger V_b``: three
+    matrix products besides the ``eigh`` calls, two when ``unit V_A`` is a
+    rank-one update (a pure target, or ``unit`` absent).
     """
-    cache_a = _condition_spectrum(a_raw, FB_SPECTRAL_SHARPNESS, FB_STATE_FLOOR)
-    cache_b = _condition_spectrum(b_raw, FB_SPECTRAL_SHARPNESS, FB_STATE_FLOOR)
+    cache_a = a if isinstance(a, dict) else _condition_spectrum(
+        a, FB_SPECTRAL_SHARPNESS, FB_STATE_FLOOR
+    )
+    cache_b = b if isinstance(b, dict) else _condition_spectrum(
+        b, FB_SPECTRAL_SHARPNESS, FB_STATE_FLOOR
+    )
 
-    p = np.sqrt(cache_a["cond"])[..., :, None] * (_dagger(cache_a["vecs"]) @ cache_b["vecs"])
+    overlap = _dagger(_rotated_vecs(cache_a, unit)) @ _rotated_vecs(cache_b)
+    p = np.sqrt(cache_a["cond"])[..., :, None] * overlap
     em, vm = _eigh((p * cache_b["cond"][..., None, :]) @ _dagger(p))
     trace_sqrt = np.sum(np.sqrt(np.clip(em, 0.0, None)), axis=-1)
     fid = trace_sqrt**2
@@ -339,7 +405,9 @@ def _fb_pair_forward(a_raw: np.ndarray, b_raw: np.ndarray) -> tuple[np.ndarray, 
 def _fb_pair_backward(
     cache: dict, g_loss: np.ndarray, with_target: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Gradients of the conditioned pair loss w.r.t. both raw inputs.
+    """Gradients of the conditioned pair loss w.r.t. the raw target and the
+    pullback's input ``b`` (for ``B = unit^dagger b unit``, that is ``unit
+    g_B unit^dagger``, at no extra cost: the rotation out uses ``V_b``).
 
     With ``A``, ``B`` and ``M`` as in :func:`_fb_pair_forward`, ``dF/dB = 2
     sqrt(F) A^{1/2} M^{-1/2} A^{1/2}`` and, by the symmetry of ``F``,
@@ -378,7 +446,7 @@ def _fb_pair_backward(
     return g_a_raw, g_b_raw
 
 
-def fb_blocks(chain, units, step: int, rates=None, generators=None) -> list[tuple]:
+def fb_blocks(chain, units, step: int, rates=None, generators=None, psi0=None) -> list[tuple]:
     """Forward-backward blocks of a propagated chain ``[t_0, ..., t_L]``.
 
     Entries of ``chain`` are stacks ``(..., d, d)``.  Block ``b`` covers
@@ -390,12 +458,26 @@ def fb_blocks(chain, units, step: int, rates=None, generators=None) -> list[tupl
     chain is mitigated inline, so only the unitary pullback remains (the
     mitigation layer and its exact inverse cancel algebraically).
 
+    The conjugation by the block's first layer ``units[start]`` is left to
+    the fidelity head (:func:`_fb_pair_forward`), which decomposes its input
+    instead.  When that input is ``chain[end]`` itself (``cascaded`` mode at
+    ``step`` 1), its spectrum is the next block's target's.  ``psi0`` are
+    state vectors with ``chain[0] = psi0 psi0^dagger``: block 0's target
+    then takes its closed-form spectrum (:func:`_pure_spectrum`).  A
+    block's forward costs two batched d x d products per layer after its
+    first (the explicit conjugations) and the head's three (two with a
+    pure target).
+
     Returns ``(start, end, layer_caches, loss, cache)`` per block:
     ``layer_caches`` lists ``(j, x)`` with ``x`` the input of layer ``j``'s
     inverse conjugation, ``loss`` has the batch shape and ``cache`` is the
-    fidelity cache of :func:`_fb_pair_backward`.
+    fidelity cache of :func:`_fb_pair_backward`, whose pullback gradient is
+    with respect to the last ``x`` (``j = start``).
     """
     blocks = []
+    shared = None
+    if psi0 is not None:
+        shared = _pure_spectrum(psi0, FB_SPECTRAL_SHARPNESS, FB_STATE_FLOOR)
     for start in range(0, len(units), step):
         end = start + step
         x = chain[end]
@@ -406,8 +488,11 @@ def fb_blocks(chain, units, step: int, rates=None, generators=None) -> list[tupl
             # In loss_only mode the conjugation's input is also the inverse
             # stack's output, which that stack's adjoint needs.
             layer_caches.append((j, x))
-            x = units[j].conj().T @ x @ units[j]
-        loss, cache = _fb_pair_forward(chain[start], x)
+            if j > start:
+                x = units[j].conj().T @ x @ units[j]
+        target = chain[start] if shared is None else shared
+        loss, cache = _fb_pair_forward(target, x, units[start])
+        shared = cache["cache_b"] if x is chain[end] else None
         blocks.append((start, end, layer_caches, loss, cache))
     return blocks
 

@@ -239,9 +239,6 @@ class MitigationModel:
     def layer_model(self, layer: int) -> NoiseModel:
         return NoiseModel(self.n, self.generators, np.maximum(self.rates[layer], 0.0))
 
-    def project_nonnegative(self) -> None:
-        np.maximum(self.rates, 0.0, out=self.rates)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

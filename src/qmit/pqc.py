@@ -24,7 +24,6 @@ from .qsim import (
     DensityMatrix,
     Observable,
     Unitary,
-    check_density_matrices,
     embed_one_qubit,
     evolve,
     hermitize,
@@ -201,7 +200,14 @@ def angle_gradients(
     return np.stack(grads, axis=1)
 
 
-def _product_states(features: np.ndarray, spec: EncoderSpec) -> np.ndarray:
+def encode_vectors(features, spec: EncoderSpec) -> np.ndarray:
+    """Phase-encode a ``(N, 64)`` feature array into ``(N, d)`` state vectors.
+
+    The encoder has no entanglers, so each qubit's state is its own
+    sub-layer rotations (2x2 matrices) applied to ``|0>``, and the register
+    state is the Kronecker product of the ``n`` qubit states: a unit vector
+    by construction.
+    """
     feats = np.asarray(features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] != spec.features:
         raise ValidationError(
@@ -224,26 +230,18 @@ def _product_states(features: np.ndarray, spec: EncoderSpec) -> np.ndarray:
     psi = qubits[:, 0]
     for q in range(1, n):
         psi = (psi[:, :, None] * qubits[:, q, None, :]).reshape(count, -1)
-    return psi[:, :, None] * psi.conj()[:, None, :]
+    return psi
 
 
-def encode_batch(features, spec: EncoderSpec) -> np.ndarray:
-    """Phase-encode a ``(N, 64)`` feature array into ``(N, d, d)`` pure states.
-
-    The encoder has no entanglers, so each qubit's state is its own
-    sub-layer rotations (2x2 matrices) applied to ``|0>``, and the register
-    state is the Kronecker product of the ``n`` qubit states.  Every state
-    passes the :class:`DensityMatrix` check.
-    """
-    states = _product_states(features, spec)
-    check_density_matrices(states)
-    return states
+def pure_states(psi: np.ndarray) -> np.ndarray:
+    """Density matrices ``psi psi^dagger`` of a stack ``(..., d)`` of state vectors."""
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def encode(x, spec: EncoderSpec) -> DensityMatrix:
     """Phase-encode a feature vector into a pure state on ``n`` qubits."""
     feats = np.asarray(x, dtype=float).reshape(1, -1)
-    return DensityMatrix(spec.n, _product_states(feats, spec)[0])
+    return DensityMatrix(spec.n, pure_states(encode_vectors(feats, spec))[0])
 
 
 def forward_noise_free(rho0: DensityMatrix, circuit: CircuitSpec) -> list[DensityMatrix]:

@@ -43,9 +43,10 @@ from .pqc import (
     LayerSpec,
     angle_gradients,
     build_layer_unitary,
-    encode_batch,
+    encode_vectors,
     layer_chain,
     layer_factors,
+    pure_states,
     z_expectations,
     z_sign_table,
 )
@@ -187,8 +188,8 @@ def circuit_from_theta(theta: list[np.ndarray], config: TrainConfig) -> CircuitS
 
 
 def encode_dataset(dataset: Dataset, n: int) -> np.ndarray:
-    """Precompute the encoded pure states of every sample, shape (N, d, d)."""
-    return encode_batch(dataset.features, EncoderSpec(n))
+    """Precompute the encoded pure state vectors of every sample, shape (N, d)."""
+    return encode_vectors(dataset.features, EncoderSpec(n))
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +204,31 @@ def _inverse_stack_backward(g, y, rate_row, generators, grad_row):
     return apply_pauli_fidelities(g, generators, rate_row, inverse=True)
 
 
+def _stacked_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_b x_b @ y_b`` over a stack ``(batch, d, d)`` as one GEMM whose
+    inner dimension is ``batch * d``."""
+    d = x.shape[-1]
+    return np.ascontiguousarray(np.swapaxes(x, 0, 1)).reshape(d, -1) @ y.reshape(-1, d)
+
+
 def _theta_grad_forward_conj(g_out, x_in, factors, axes, out):
     """Contribution of ``y = U x U^dagger`` to every angle of the layer:
-    ``2 Re tr(dU K)`` with ``K = sum_b x_b U^dagger g_b``."""
+    ``2 Re tr(dU K)`` with ``K = sum_b x_b h_b``, ``h = U^dagger g_out``.
+
+    Returns ``h``: the gradient w.r.t. ``x`` is ``h U``."""
     u, upto, after = factors
-    k = (x_in @ u.conj().T @ g_out).sum(axis=0)
-    out += angle_gradients(k, upto, after, axes)
+    h = u.conj().T @ g_out
+    out += angle_gradients(_stacked_product(x_in, h), upto, after, axes)
+    return h
 
 
-def _theta_grad_backward_conj(g_out, x_in, factors, axes, out):
-    """Contribution of the pullback ``y = U^dagger x U``: the same
-    contraction with ``K = A^dagger``, ``A = sum_b x_b U g_b``."""
+def _theta_grad_backward_conj(g_in, x_in, factors, axes, out):
+    """Contribution of the pullback ``y = U^dagger x U`` from ``g_in``, the
+    gradient w.r.t. its input ``x`` (``U g_y U^dagger``): the same
+    contraction with ``K = A^dagger``, ``A = sum_b x_b U g_y,b = (sum_b
+    x_b g_in,b) U``."""
     u, upto, after = factors
-    a = (x_in @ u @ g_out).sum(axis=0)
+    a = _stacked_product(x_in, g_in) @ u
     out += angle_gradients(a.conj().T, upto, after, axes)
 
 
@@ -242,6 +255,12 @@ def _run_batch(
     generators,
     want_grads: bool,
 ) -> BatchResult:
+    """One forward (and with ``want_grads`` backward) pass over a batch.
+
+    ``rho0`` holds the input states: density matrices ``(batch, d, d)``, or
+    pure state vectors ``(batch, d)`` such as :func:`encode_dataset`
+    returns, whose block-0 target spectrum is then closed form.
+    """
     depth = config.layers
     step = config.step_size
     num_blocks = depth // step
@@ -249,13 +268,16 @@ def _run_batch(
     n = config.n_qubits
     c = config.num_classes
     cascaded = config.mode == "cascaded"
+    psi0 = rho0 if rho0.ndim == 2 else None
+    if psi0 is not None:
+        rho0 = pure_states(psi0)
 
     axes = DESIGN_AXES[config.design]
     factors = [layer_factors(LayerSpec(config.design, n, theta[i])) for i in range(depth)]
     units = [f[0] for f in factors]
 
     chain = layer_chain(rho0, units, noise_true, rates if cascaded else None, generators)
-    blocks = fb_blocks(chain, units, step, None if cascaded else rates, generators)
+    blocks = fb_blocks(chain, units, step, None if cascaded else rates, generators, psi0)
     fb_per_sample = np.zeros(batch)
     clamped = 0.0
     for *_, loss_vec, fid_cache in blocks:
@@ -302,12 +324,15 @@ def _run_batch(
     if config.alpha_fb != 0.0:
         g_loss = np.full(batch, config.alpha_fb / (num_blocks * batch))
         for start, end, layer_caches, _loss_vec, fid_cache in blocks:
+            # g is the gradient w.r.t. the input of layer start's conjugation,
+            # which the fidelity head absorbed.
             g_target, g = _fb_pair_backward(fid_cache, g_loss, with_target=start > 0)
             if start > 0:
                 g_chain[start] += g_target
             for j, conj_input in reversed(layer_caches):
+                if j > start:
+                    g = units[j] @ g @ units[j].conj().T
                 _theta_grad_backward_conj(g, conj_input, factors[j], axes, grad_theta[j])
-                g = units[j] @ g @ units[j].conj().T
                 if not cascaded:
                     if j == depth - 1 and g_readout is not None:
                         g, g_readout = g + g_readout, None
@@ -327,9 +352,9 @@ def _run_batch(
             g = _inverse_stack_backward(g, chain[i + 1], rates[i], generators, grad_rates[i])
         # Real fidelities in the Pauli basis: the channel is its own adjoint.
         g = apply_pauli_fidelities(g, noise_true[i].generators, noise_true[i].rates)
-        _theta_grad_forward_conj(g, chain[i], factors[i], axes, grad_theta[i])
+        h = _theta_grad_forward_conj(g, chain[i], factors[i], axes, grad_theta[i])
         if i > 0:
-            g_chain[i] += units[i].conj().T @ g @ units[i]
+            g_chain[i] += h @ units[i]
 
     return BatchResult(total, fb_mean, task_mean, grad_theta, grad_rates, predictions, clamped)
 
@@ -366,7 +391,7 @@ def _batch_pass(
         raise ValidationError("batch must be a (features, labels) tuple")
     features, labels = batch
     return _run_batch(
-        encode_batch(features, circuit.encoder),
+        encode_vectors(features, circuit.encoder),
         np.asarray(labels, dtype=np.int64),
         [layer.theta for layer in circuit.layers],
         mitigation.rates,
@@ -429,7 +454,10 @@ def train_epoch(
     noise_true: list[NoiseModel] | None = None,
     encoded: np.ndarray | None = None,
 ) -> EpochMetrics:
-    """One shuffled pass of SGD with momentum; rates projected to >= 0."""
+    """One shuffled pass of SGD with momentum; rates projected to >= 0.
+
+    ``encoded`` holds the :func:`encode_dataset` state vectors of ``dataset``.
+    """
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
     if noise_true is None:
@@ -501,7 +529,8 @@ def evaluate(
     encoded: np.ndarray | None = None,
     chunk: int = 256,
 ) -> EvalResult:
-    """Deterministic argmax accuracy of the mitigated readout."""
+    """Deterministic argmax accuracy of the mitigated readout; ``encoded``
+    holds the :func:`encode_dataset` state vectors of ``dataset``."""
     if isinstance(state_or_params, TrainState):
         theta = state_or_params.theta
         rates = np.maximum(state_or_params.rates, 0.0)
@@ -521,7 +550,8 @@ def evaluate(
     cascaded_rates = rates if config.mode == "cascaded" else None
     for lo in range(0, len(dataset), chunk):
         sel = slice(lo, lo + chunk)
-        chain = layer_chain(encoded[sel], units, noise_true, cascaded_rates, generators)
+        rho0 = pure_states(encoded[sel])
+        chain = layer_chain(rho0, units, noise_true, cascaded_rates, generators)
         rho_hat = chain[-1]
         if config.mode == "loss_only":
             rho_hat = apply_pauli_fidelities(rho_hat, generators, rates[-1], inverse=True)
@@ -549,6 +579,7 @@ def recover_rates(
     Angles stay frozen; the task term is switched off.  Because the inverse
     channel is the exact inverse of the forward channel, the loss has its
     global minimum at the true rates, making this an identifiability probe.
+    ``rho0_batch`` takes either input form of :func:`_run_batch`.
     """
     fb_cfg = replace(config, alpha_fb=1.0, alpha_task=0.0)
     generators = default_generators(config.n_qubits)
@@ -572,7 +603,7 @@ def recover_rates_report(
     rng = np.random.default_rng(seed)
     theta = [rng.uniform(-math.pi, math.pi, size=config.theta_shape) for _ in range(config.layers)]
     noise_true = noise_models_from_config(config)
-    rho0 = encode_batch(rng.uniform(0.0, 1.0, (states, 64)), EncoderSpec(config.n_qubits))
+    rho0 = encode_vectors(rng.uniform(0.0, 1.0, (states, 64)), EncoderSpec(config.n_qubits))
     fitted = recover_rates(config, theta, noise_true, rho0, steps=steps, lr=lr)
     truth = np.stack([m.rates for m in noise_true])
     rel_err = np.abs(fitted - truth) / truth

@@ -141,11 +141,20 @@ class TestTrainCommand:
         assert outputs[0] == outputs[1]
 
     def test_baseline_role_label(self, tmp_path):
-        path = write_config(tmp_path, synthetic_train_payload(alpha_fb=0.0, repeats=1))
-        out = tmp_path / "base"
-        assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["role"] == "baseline"
+        """Only a run whose rates cannot train is the baseline: with
+        ``alpha_fb: 0`` the task gradient still trains them."""
+        cases = {
+            "frozen": ({"alpha_fb": 0.0, "rate_lr_scale": 0.0}, "baseline"),
+            "no_steps": ({"learning_rate": 0.0}, "baseline"),
+            "task_trained_rates": ({"alpha_fb": 0.0}, "mitigated"),
+        }
+        for name, (overrides, role) in cases.items():
+            payload = synthetic_train_payload(repeats=1, epochs=1, **overrides)
+            path = write_config(tmp_path, payload, name=f"{name}.json")
+            out = tmp_path / name
+            assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["role"] == role, name
 
 
 def write_gzipped_idx_corpus(out_dir, seed=0, train_count=300, test_count=100):

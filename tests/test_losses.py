@@ -509,3 +509,61 @@ class TestFbPairBackward:
         none, gb_only = losses._fb_pair_backward(cache, np.ones(1), with_target=False)
         assert none is None
         assert np.array_equal(gb, gb_only)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_absorbed_unit_and_closed_form_target(self, n):
+        """``_fb_pair_forward(a, b, u)`` compares ``a`` with ``u^dagger b u``
+        without forming it, and returns the pullback's gradient w.r.t. ``b``;
+        a pure target may come as the closed-form spectrum of its vector.
+        Both agree with the matrix-form head on the explicit conjugation.
+        The near-degenerate pair is left out: with eigenvalue gaps near
+        1e-7 its divided differences carry the rounding of ``eigh`` up by
+        1e-9 relative, and ``b`` and ``u^dagger b u`` round differently."""
+        rng = np.random.default_rng(90 + n)
+        dim = 1 << n
+        u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        pairs = _fb_pairs(rng, n)
+        del pairs["near_degenerate"]
+        a = np.stack([a for a, _ in pairs.values()])
+        b = np.stack([b for _, b in pairs.values()])
+        psi = rng.standard_normal((len(pairs), dim)) + 1j * rng.standard_normal((len(pairs), dim))
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        pure = losses._pure_spectrum(psi, losses.FB_SPECTRAL_SHARPNESS, losses.FB_STATE_FLOOR)
+        g_loss = np.linspace(0.3, 1.2, len(pairs))
+        for target, dense_target in ((a, a), (pure, pqc.pure_states(psi))):
+            loss, cache = losses._fb_pair_forward(target, b, u)
+            ga, gb = losses._fb_pair_backward(cache, g_loss)
+            ref_loss, ref_cache = dense_reference.fb_pair_forward(dense_target, u.conj().T @ b @ u)
+            ref_ga, ref_gb = dense_reference.fb_pair_backward(ref_cache, g_loss)
+            for got, ref in ((loss, ref_loss), (ga, ref_ga), (gb, u @ ref_gb @ u.conj().T)):
+                scale = max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+class TestPureSpectrum:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_eigh(self, n):
+        """The closed-form spectrum of ``psi psi^dagger``: orthonormal
+        eigenpairs in ascending order, the conditioned spectrum of ``eigh``,
+        and ``U V`` as a rank-one update; also for ``psi`` orthogonal to
+        and equal to the last basis vector, and of norm other than 1."""
+        rng = np.random.default_rng(80 + n)
+        dim = 1 << n
+        psi = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        psi[2], psi[3] = np.eye(dim)[0], 1j * np.eye(dim)[-1]
+        psi[4] *= 1.0 + 1e-9
+        rho = pqc.pure_states(psi)
+        sharpness, floor = losses.FB_SPECTRAL_SHARPNESS, losses.FB_STATE_FLOOR
+        closed = losses._pure_spectrum(psi, sharpness, floor)
+        dense = losses._condition_spectrum(rho, sharpness, floor)
+        vecs = losses._rotated_vecs(closed)
+        np.testing.assert_allclose(vecs @ np.conj(np.swapaxes(vecs, -1, -2)),
+                                   np.broadcast_to(np.eye(dim), vecs.shape), rtol=0, atol=1e-14)
+        eigs = closed["eigs"]
+        np.testing.assert_allclose(rho @ vecs, vecs * eigs[:, None, :], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(closed["eigs"], dense["eigs"], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(closed["cond"], dense["cond"], rtol=0, atol=1e-14)
+        assert closed["neg_mass"] == 0.0
+        u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        np.testing.assert_allclose(losses._rotated_vecs(closed, u), u @ vecs, rtol=0, atol=1e-14)

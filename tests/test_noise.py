@@ -270,12 +270,6 @@ class TestMitigationModel:
         assert mit.rates.shape == (4, 9)
         np.testing.assert_allclose(mit.rates, 0.0)
 
-    def test_projection(self):
-        mit = noise.MitigationModel.zeros(2, 2)
-        mit.rates[0, 0] = -0.5
-        mit.project_nonnegative()
-        assert mit.rates[0, 0] == 0.0
-
     def test_json_roundtrip(self):
         rng = np.random.default_rng(24)
         mit = noise.MitigationModel(2, noise.default_generators(2), rng.uniform(0, 0.1, (3, 6)))

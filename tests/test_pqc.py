@@ -202,8 +202,9 @@ class TestEncoder:
         for n in range(1, 9):
             spec = pqc.EncoderSpec(n)
             features = rng.uniform(0, 1, (3, 64))
-            states = pqc.encode_batch(features, spec)
-            assert states.shape == (3, 1 << n, 1 << n)
+            vectors = pqc.encode_vectors(features, spec)
+            assert vectors.shape == (3, 1 << n)
+            states = pqc.pure_states(vectors)
             for x, rho in zip(features, states):
                 psi = dense_reference.encoder_unitary(x, spec)[:, 0]
                 np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), rtol=0, atol=1e-13)
@@ -212,23 +213,25 @@ class TestEncoder:
         rng = np.random.default_rng(7)
         dataset = data.Dataset(rng.uniform(0, 1, (5, 64)), np.zeros(5, dtype=np.int64))
         for n in (3, 4):
-            states = train.encode_dataset(dataset, n)
-            for x, rho in zip(dataset.features, states):
-                assert np.array_equal(pqc.encode(x, pqc.EncoderSpec(n)).data, rho)
+            vectors = train.encode_dataset(dataset, n)
+            assert vectors.shape == (5, 1 << n)
+            for x, psi in zip(dataset.features, vectors):
+                rho = pqc.encode(x, pqc.EncoderSpec(n)).data
+                assert np.array_equal(rho, pqc.pure_states(psi))
 
     def test_batch_rejects_bad_features(self):
         spec = pqc.EncoderSpec(4)
         features = np.zeros((3, 64))
         features[2, 10] = -0.01
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            pqc.encode_batch(features, spec)
+            pqc.encode_vectors(features, spec)
         features[2, 10] = np.nan
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            pqc.encode_batch(features, spec)
+            pqc.encode_vectors(features, spec)
         with pytest.raises(ValidationError, match="features"):
-            pqc.encode_batch(np.zeros((3, 63)), spec)
+            pqc.encode_vectors(np.zeros((3, 63)), spec)
         with pytest.raises(ValidationError, match="features"):
-            pqc.encode_batch(np.zeros(64), spec)
+            pqc.encode_vectors(np.zeros(64), spec)
 
     def test_sublayer_count(self):
         assert pqc.EncoderSpec(4).sublayers == 16

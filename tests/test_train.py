@@ -31,33 +31,90 @@ def small_config(**overrides):
     return train.TrainConfig(**base)
 
 
-def dense_reference_loss(features, label, circuit, mit, noise_true, config):
-    """Total loss of one sample from dense channels, unitaries and readout."""
+def dense_reference_pass(rho0, label, circuit, mit, noise_true, config):
+    """Total loss of one input state and its gradients by dense reverse mode:
+    channels and their adjoints as ``P rho P`` products, conjugations and
+    every ``dU`` as d x d matrices, the readout as ``tr(Z rho)``, and the
+    fidelity from the dense pair loss.  Returns ``(loss, grad_theta,
+    grad_rates)``."""
     letters = [g.letters for g in mit.generators]
-    units = [pqc.build_layer_unitary(layer).data for layer in circuit.layers]
+    paulis = [noise._pauli_matrix(word) for word in letters]
+    layers = [dense_reference.layer_unitary_and_gradients(layer) for layer in circuit.layers]
+    units = [u for u, _ in layers]
     cascaded = config.mode == "cascaded"
-    chain = [pqc.encode(features, circuit.encoder).data]
-    for u, model, rates in zip(units, noise_true, mit.rates):
-        cur = u @ chain[-1] @ u.conj().T
-        cur = dense_reference.channel(cur, [g.letters for g in model.generators], model.rates)
-        if cascaded:
-            cur = dense_reference.channel(cur, letters, rates, inverse=True)
-        chain.append(cur)
-    fb = []
-    for start in range(0, config.layers, config.step_size):
-        back = chain[start + config.step_size]
-        for j in range(start + config.step_size - 1, start - 1, -1):
-            if not cascaded:
-                back = dense_reference.channel(back, letters, mit.rates[j], inverse=True)
-            back = units[j].conj().T @ back @ units[j]
-        loss, _ = dense_reference.fb_pair_forward(chain[start][None], back[None])
-        fb.append(loss[0])
-    final = chain[-1] if cascaded else dense_reference.channel(
-        chain[-1], letters, mit.rates[-1], inverse=True
-    )
-    z = [np.trace(obs.data @ final).real for obs in circuit.observables]
+    depth, step = config.layers, config.step_size
+    grad_theta = [np.zeros(layer.theta.shape) for layer in circuit.layers]
+    grad_rates = np.zeros_like(mit.rates)
+
+    def inverse(x, j):
+        return dense_reference.channel(x, letters, mit.rates[j], inverse=True)
+
+    def inverse_adjoint(g, y, j):
+        """Adjoint of ``y = inverse(x, j)``; ``dy/d rate_k = y - P_k y P_k``."""
+        grad_rates[j] += [np.trace(g @ (y - p @ y @ p.conj().T)).real for p in paulis]
+        return dense_reference.adjoint(g, letters, mit.rates[j], inverse=True)
+
+    def angle_grads(j, m):
+        """``2 Re tr(dU m)`` for every angle of layer ``j``."""
+        grad_theta[j] += [[2.0 * np.trace(du @ m).real for du in row] for row in layers[j][1]]
+
+    def true_noise(i):
+        return [g.letters for g in noise_true[i].generators], noise_true[i].rates
+
+    chain = [rho0]
+    for i, u in enumerate(units):
+        cur = dense_reference.channel(u @ chain[-1] @ u.conj().T, *true_noise(i))
+        chain.append(inverse(cur, i) if cascaded else cur)
+    g_chain = [np.zeros_like(rho0) for _ in chain]
+
+    final = chain[-1] if cascaded else inverse(chain[-1], depth - 1)
+    z = np.array([np.trace(obs.data @ final).real for obs in circuit.observables])
     task = losses.task_loss(z, int(label), config.num_classes)
-    return losses.total_loss(np.mean(fb), task, config.weights)
+    g_z = losses.softmax_head(z, config.num_classes) - np.eye(config.num_classes)[label]
+    g_final = config.alpha_task * sum(gz * obs.data for gz, obs in zip(g_z, circuit.observables))
+    g_chain[-1] += g_final if cascaded else inverse_adjoint(g_final, final, depth - 1)
+
+    fb = []
+    for start in range(0, depth, step):
+        end = start + step
+        back, trail = chain[end], []
+        for j in range(end - 1, start - 1, -1):
+            y = back if cascaded else inverse(back, j)
+            trail.append((j, y))
+            back = units[j].conj().T @ y @ units[j]
+        loss, cache = dense_reference.fb_pair_forward(chain[start][None], back[None])
+        fb.append(loss[0])
+        g_loss = np.array([config.alpha_fb * step / depth])
+        g_a, g_b = dense_reference.fb_pair_backward(cache, g_loss)
+        g_chain[start] += g_a[0]
+        g = g_b[0]
+        for j, y in reversed(trail):
+            angle_grads(j, g @ units[j].conj().T @ y)  # pullback U^dagger y U
+            g = units[j] @ g @ units[j].conj().T
+            if not cascaded:
+                g = inverse_adjoint(g, y, j)
+        g_chain[end] += g
+
+    for i in range(depth - 1, -1, -1):
+        g = g_chain[i + 1]
+        if cascaded:
+            g = inverse_adjoint(g, chain[i + 1], i)
+        g = dense_reference.adjoint(g, *true_noise(i))
+        angle_grads(i, chain[i] @ units[i].conj().T @ g)  # forward U x U^dagger
+        g_chain[i] += units[i].conj().T @ g @ units[i]
+    return losses.total_loss(np.mean(fb), task, config.weights), grad_theta, grad_rates
+
+
+def mixed_states(rng, count, n):
+    """Random density matrices: full rank, and mixtures of two encoded states."""
+    dim = 1 << n
+    w = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    full = w @ np.conj(np.swapaxes(w, -1, -2))
+    full /= np.trace(full, axis1=-2, axis2=-1).real[:, None, None]
+    features = rng.uniform(0, 1, (2 * count, 64))
+    pure = pqc.pure_states(pqc.encode_vectors(features, pqc.EncoderSpec(n)))
+    pairs = 0.7 * pure[:count] + 0.3 * pure[count:]
+    return np.concatenate([full, pairs])
 
 
 class TestGradients:
@@ -134,7 +191,8 @@ class TestGradients:
             labels = np.array([0, 1, 0])
             engine_loss = train.batch_loss((features, labels), circuit, mit, noise_true, config)
             reference = np.mean([
-                dense_reference_loss(x, y, circuit, mit, noise_true, config)
+                dense_reference_pass(pqc.encode(x, circuit.encoder).data, y, circuit, mit,
+                                     noise_true, config)[0]
                 for x, y in zip(features, labels)
             ])
             assert engine_loss == pytest.approx(reference, abs=1e-12)
@@ -150,10 +208,93 @@ class TestGradients:
                 total += losses.total_loss(fb, task, config.weights)
             assert total / 3 == pytest.approx(reference, abs=1e-12)
 
+    @pytest.mark.parametrize("mode,step", [
+        ("loss_only", 1), ("cascaded", 1), ("loss_only", 2), ("cascaded", 2),
+    ])
+    def test_engine_gradients_match_dense_reference(self, mode, step):
+        """Loss and every gradient of one batch pass against dense reverse
+        mode, for mixed input matrices (every target is decomposed) and for
+        encoded state vectors (block 0's target spectrum is closed form)."""
+        rng = np.random.default_rng(16)
+        config = small_config(mode=mode, layers=4, step_size=step, alpha_fb=0.7, alpha_task=1.3)
+        circuit = pqc.random_circuit(3, 4, "U2", rng, theta_scale=1.0)
+        noise_true = noise.draw_noise_models(3, 4, seed=12)
+        mit = noise.MitigationModel(3, noise.default_generators(3), rng.uniform(0, 0.02, (4, 9)))
+        theta = [layer.theta for layer in circuit.layers]
+        labels = np.array([0, 1, 1, 0])
+        vectors = pqc.encode_vectors(rng.uniform(0, 1, (4, 64)), circuit.encoder)
+        mixed = mixed_states(rng, 2, 3)
+        for inputs, states in ((mixed, mixed), (vectors, pqc.pure_states(vectors))):
+            got = train._run_batch(
+                inputs, labels, theta, mit.rates, config, noise_true, mit.generators, True
+            )
+            refs = [
+                dense_reference_pass(rho, y, circuit, mit, noise_true, config)
+                for rho, y in zip(states, labels)
+            ]
+            assert got.total == pytest.approx(np.mean([r[0] for r in refs]), abs=1e-12)
+            for i in range(config.layers):
+                want = np.mean([r[1][i] for r in refs], axis=0)
+                np.testing.assert_allclose(got.grad_theta[i], want, rtol=0, atol=1e-12)
+            want = np.mean([r[2] for r in refs], axis=0)
+            np.testing.assert_allclose(got.grad_rates, want, rtol=0, atol=1e-12)
+
+    def test_recover_rates_on_mixed_inputs_matches_dense_reference(self):
+        """The identifiability probe on mixed inputs takes the momentum steps
+        of the dense reference's forward-backward rate gradients."""
+        rng = np.random.default_rng(17)
+        config = small_config(layers=2)
+        theta = [rng.uniform(-math.pi, math.pi, config.theta_shape) for _ in range(2)]
+        noise_true = train.noise_models_from_config(config)
+        rho0 = mixed_states(rng, 2, 3)
+        got = train.recover_rates(config, theta, noise_true, rho0, steps=3, lr=2.0)
+        fb_config = small_config(layers=2, alpha_fb=1.0, alpha_task=0.0)
+        circuit = train.circuit_from_theta(theta, config)
+        generators = noise.default_generators(3)
+        rates = np.zeros((2, len(generators)))
+        vel = np.zeros_like(rates)
+        for _ in range(3):
+            mit = noise.MitigationModel(3, generators, rates)
+            grad = np.mean([
+                dense_reference_pass(rho, 0, circuit, mit, noise_true, fb_config)[2]
+                for rho in rho0
+            ], axis=0)
+            vel = 0.9 * vel - 2.0 * grad
+            rates = np.maximum(rates + vel, 0.0)
+        assert np.any(rates > 0.0)
+        np.testing.assert_allclose(got, rates, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode,from_vectors,from_matrices", [
+        ("loss_only", 11, 12), ("cascaded", 8, 9),
+    ])
+    def test_eigh_count(self, monkeypatch, mode, from_vectors, from_matrices):
+        """One step with gradients at L=4, step 1 decomposes the four root
+        overlaps, the four pullback inputs and the targets of blocks 1-3,
+        which in cascaded mode are the pullback inputs of blocks 0-2.  Block
+        0's target needs no ``eigh`` when the engine gets state vectors."""
+        calls = []
+        eigh = losses._eigh
+        monkeypatch.setattr(losses, "_eigh", lambda x: calls.append(x.shape) or eigh(x))
+        rng = np.random.default_rng(18)
+        config = small_config(mode=mode, layers=4)
+        state = train.init_state(config)
+        rates = rng.uniform(0.001, 0.02, state.rates.shape)
+        noise_true = train.noise_models_from_config(config)
+        vectors = pqc.encode_vectors(rng.uniform(0, 1, (4, 64)), pqc.EncoderSpec(3))
+        labels = np.array([0, 1, 1, 0])
+        for inputs, want in ((vectors, from_vectors), (pqc.pure_states(vectors), from_matrices)):
+            calls.clear()
+            train._run_batch(
+                inputs, labels, state.theta, rates, config, noise_true, state.generators, True
+            )
+            assert len(calls) == want
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_theta_grad_contractions_match_dense_reference(self, n):
         """The engine's two conjugation contractions against the dense ``dU``:
-        ``2 Re tr(dU sum_b x_b U^dagger g_b)`` and ``2 Re <dU, sum_b x_b U g_b>``."""
+        ``2 Re tr(dU sum_b x_b U^dagger g_b)`` and ``2 Re <dU, sum_b x_b U g_b>``.
+        The pullback's contraction takes the gradient w.r.t. its input,
+        ``U g_b U^dagger``; the forward one returns ``U^dagger g``."""
         rng = np.random.default_rng(70 + n)
         dim = 1 << n
         for design in ("RX", "U2", "U3"):
@@ -167,8 +308,9 @@ class TestGradients:
             a = (x @ u @ g).sum(axis=0)
             fwd = np.zeros((n, p))
             bwd = np.zeros((n, p))
-            train._theta_grad_forward_conj(g, x, factors, layer.axes, fwd)
-            train._theta_grad_backward_conj(g, x, factors, layer.axes, bwd)
+            h = train._theta_grad_forward_conj(g, x, factors, layer.axes, fwd)
+            train._theta_grad_backward_conj(u @ g @ u.conj().T, x, factors, layer.axes, bwd)
+            np.testing.assert_allclose(h, u.conj().T @ g, rtol=0, atol=1e-12)
             ref_fwd = [[2.0 * np.einsum("ij,ji->", du, k).real for du in row] for row in dense]
             ref_bwd = [[2.0 * np.vdot(du, a).real for du in row] for row in dense]
             np.testing.assert_allclose(fwd, ref_fwd, rtol=0, atol=1e-12)
