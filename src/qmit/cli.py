@@ -17,7 +17,9 @@ Exit codes: 0 success, 1 self-test failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -52,13 +54,15 @@ _TRAIN_KEYS = {
 }
 
 _ABLATION_KEYS = dict(_TRAIN_KEYS, grid=dict)
-_GRID_KEYS = {
-    "designs": list,
-    "step_sizes": list,
-    "alpha_fb": list,
-    "layer_counts": list,
-    "modes": list,
+# Grid axis -> the TrainConfig field it varies and the JSON type of its entries.
+_GRID_AXES = {
+    "layer_counts": ("layers", int),
+    "designs": ("design", str),
+    "step_sizes": ("step_size", int),
+    "alpha_fb": ("alpha_fb", (int, float)),
+    "modes": ("mode", str),
 }
+_GRID_KEYS = {axis: list for axis in _GRID_AXES}
 
 _TRACE_KEYS = {
     "channel": str,
@@ -85,22 +89,27 @@ def _load_json(path) -> dict:
     return payload
 
 
+def _check_value(value, expected, what: str) -> None:
+    """Raise unless ``value`` has the JSON type ``expected``; booleans and
+    non-finite numbers (``json`` reads ``NaN`` and ``Infinity``) never pass."""
+    if not isinstance(value, expected):
+        names = (
+            expected.__name__
+            if isinstance(expected, type)
+            else "/".join(t.__name__ for t in expected)
+        )
+        raise ConfigError(f"{what} must be {names}, got {type(value).__name__}")
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must not be a boolean")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value}")
+
+
 def _check_keys(payload: dict, allowed: dict, where: str) -> None:
     for key, value in payload.items():
         if key not in allowed:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        expected = allowed[key]
-        if not isinstance(value, expected):
-            names = (
-                expected.__name__
-                if isinstance(expected, type)
-                else "/".join(t.__name__ for t in expected)
-            )
-            raise ConfigError(
-                f"{where}: key {key!r} must be {names}, got {type(value).__name__}"
-            )
-        if isinstance(value, bool):
-            raise ConfigError(f"{where}: key {key!r} must not be a boolean")
+        _check_value(value, allowed[key], f"{where}: key {key!r}")
 
 
 def _benchmark_classes(name: str) -> int:
@@ -258,46 +267,32 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
     base_payload = {k: v for k, v in payload.items() if k != "grid"}
     base_config = build_train_config(base_payload)
     repeats = int(payload.get("repeats", 1))
+
+    # A layer sweep varies layers; any other grid varies design and step.
+    sweep = ["layer_counts"] if grid.get("layer_counts") else ["designs", "step_sizes"]
+    axes = sweep + ["alpha_fb", "modes"]
+    values = []
+    for axis in axes:
+        name, json_type = _GRID_AXES[axis]
+        entries = grid.get(axis, [getattr(base_config, name)])
+        for entry in entries:
+            _check_value(entry, json_type, f"grid: {axis} entry")
+        # alpha_fb is written as a float whatever its JSON type: 0 -> 0.0.
+        values.append([float(e) for e in entries] if axis == "alpha_fb" else entries)
+    configs = []
+    for combo in itertools.product(*values):
+        cell = {_GRID_AXES[axis][0]: value for axis, value in zip(axes, combo)}
+        try:
+            configs.append(replace(base_config, **cell))
+        except ValidationError as exc:
+            raise ConfigError(f"grid cell {cell}: {exc}") from exc
+    if not configs:
+        raise ConfigError("ablation grid axes must be non-empty")
     train_set, test_set = resolve_datasets(base_payload)
     os.makedirs(out_dir, exist_ok=True)
 
-    alpha_fbs = grid.get("alpha_fb", [base_config.alpha_fb])
-    modes = grid.get("modes", [base_config.mode])
-    layer_counts = grid.get("layer_counts")
-    cells = []
-    if layer_counts:
-        for layers in layer_counts:
-            for alpha_fb in alpha_fbs:
-                for mode in modes:
-                    cells.append(
-                        {"layers": int(layers), "alpha_fb": float(alpha_fb), "mode": str(mode)}
-                    )
-    else:
-        designs = grid.get("designs", [base_config.design])
-        step_sizes = grid.get("step_sizes", [base_config.step_size])
-        if not designs or not step_sizes or not alpha_fbs or not modes:
-            raise ConfigError("ablation grid axes must be non-empty")
-        for design in designs:
-            for step in step_sizes:
-                for alpha_fb in alpha_fbs:
-                    for mode in modes:
-                        cells.append(
-                            {
-                                "design": str(design),
-                                "step_size": int(step),
-                                "alpha_fb": float(alpha_fb),
-                                "mode": str(mode),
-                            }
-                        )
-    if not cells:
-        raise ConfigError("ablation grid is empty")
-
     rows = []
-    for cell in cells:
-        try:
-            cfg = replace(base_config, **cell)
-        except ValidationError as exc:
-            raise ConfigError(f"grid cell {cell}: {exc}") from exc
+    for cfg in configs:
         result = run_experiment(cfg, train_set, test_set, repeats=repeats)
         rows.append(
             {

@@ -2,7 +2,7 @@
 
 Provides Uhlmann fidelity, the log-trace diagnostic form, the Petz-Renyi
 divergence, the per-pair forward-backward loss ``-log F``, its multi-layer
-block version, the softmax cross-entropy task loss, and the weighted total.
+block version and the softmax cross-entropy task loss.
 
 The public :func:`fidelity` clamps negative eigenvalues of quasi-states to
 zero and renormalizes, as a hard projection.  Inside the training objective
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ValidationError
 from .noise import MitigationModel, apply_pauli_fidelities
 from .pqc import CircuitSpec, build_layer_unitary
-from .qsim import DensityMatrix, hermitian_power, hermitize
+from .qsim import DensityMatrix, _hermiticity_defect, hermitian_power, hermitize
 
 logger = logging.getLogger(__name__)
 
@@ -77,8 +77,8 @@ def _state_data(state) -> np.ndarray:
     data = np.asarray(state, dtype=complex)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValidationError(f"state must be a square matrix, got shape {data.shape}")
-    defect = float(np.max(np.abs(data - data.conj().T)))
-    if defect > 1e-8:
+    defect = _hermiticity_defect(data)
+    if not defect <= 1e-8:
         raise ValidationError(f"state is not Hermitian (defect {defect:.3e})")
     return data
 
@@ -200,13 +200,6 @@ def softmax_head(z, num_classes: int) -> np.ndarray:
     return expd / expd.sum(axis=-1, keepdims=True)
 
 
-def total_loss(fb: float, task: float, weights: LossWeights) -> float:
-    """``alpha_fb * L_fb + alpha_task * L_task``."""
-    if not (np.isfinite(fb) and np.isfinite(task)):
-        raise ValidationError("loss terms must be finite")
-    return weights.alpha_fb * float(fb) + weights.alpha_task * float(task)
-
-
 # ---------------------------------------------------------------------------
 # Differentiable conditioned fidelity (used by total_fb_loss and the trainer)
 # ---------------------------------------------------------------------------
@@ -228,36 +221,35 @@ def _dagger(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-def _spectrum_cache(eigs: np.ndarray, basis: dict, sharpness: float, floor: float) -> dict:
+def _spectrum_cache(eigs: np.ndarray, basis: dict) -> dict:
     """The conditioned spectrum ``cond`` of eigenvalues ``eigs``: each passes
-    through the softplus floor ``fe``, the result is scaled to trace
-    ``1 - floor`` and ``floor / d`` is added, which bounds ``cond`` below by
-    ``floor / d``.  ``basis`` holds the eigenvectors (see :func:`_rotated_vecs`)."""
-    fe = _softplus(sharpness * eigs) / sharpness
+    through the softplus floor ``fe`` of sharpness ``FB_SPECTRAL_SHARPNESS``,
+    the result is scaled to trace ``1 - FB_STATE_FLOOR`` and ``FB_STATE_FLOOR
+    / d`` is added, which bounds ``cond`` below by ``FB_STATE_FLOOR / d``.
+    ``basis`` holds the eigenvectors (see :func:`_rotated_vecs`)."""
+    fe = _softplus(FB_SPECTRAL_SHARPNESS * eigs) / FB_SPECTRAL_SHARPNESS
     trace = np.sum(fe, axis=-1)
     return {
         "eigs": eigs,
         **basis,
         "fe": fe,
         "trace": trace,
-        "cond": (1.0 - floor) * fe / trace[..., None] + floor / eigs.shape[-1],
-        "sharpness": sharpness,
-        "floor": floor,
+        "cond": (1.0 - FB_STATE_FLOOR) * fe / trace[..., None] + FB_STATE_FLOOR / eigs.shape[-1],
         "neg_mass": float(np.sum(np.clip(-eigs, 0.0, None))),
     }
 
 
-def _condition_spectrum(x: np.ndarray, sharpness: float, floor: float) -> dict:
+def _condition_spectrum(x: np.ndarray) -> dict:
     """Eigenpairs of ``x`` and the spectrum ``cond`` of its conditioned form.
 
     Conditioning is a spectral map, so the conditioned state is
     ``vecs diag(cond) vecs^dagger``.
     """
     eigs, vecs = _eigh(x)
-    return _spectrum_cache(eigs, {"vecs": vecs}, sharpness, floor)
+    return _spectrum_cache(eigs, {"vecs": vecs})
 
 
-def _pure_spectrum(psi: np.ndarray, sharpness: float, floor: float) -> dict:
+def _pure_spectrum(psi: np.ndarray) -> dict:
     """:func:`_condition_spectrum` of the pure states ``psi psi^dagger``, in
     closed form from the vectors ``psi`` (shape ``(..., d)``), with no ``eigh``.
 
@@ -280,7 +272,7 @@ def _pure_spectrum(psi: np.ndarray, sharpness: float, floor: float) -> dict:
     w /= np.sqrt(2.0 + 2.0 * size)[..., None]
     eigs = np.zeros(psi.shape)
     eigs[..., -1] = norm2
-    return _spectrum_cache(eigs, {"householder": w}, sharpness, floor)
+    return _spectrum_cache(eigs, {"householder": w})
 
 
 def _rotated_vecs(cache: dict, unit: np.ndarray | None = None) -> np.ndarray:
@@ -311,12 +303,12 @@ def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
     eigs = cache["eigs"]
     fe = cache["fe"]
     trace = cache["trace"]
-    floor = cache["floor"]
+    keep = 1.0 - FB_STATE_FLOOR
 
     inner = np.einsum("...ii,...i->...", g, fe).real
-    g = ((1.0 - floor) / trace)[..., None, None] * g
+    g = (keep / trace)[..., None, None] * g
     idx = np.arange(g.shape[-1])
-    g[..., idx, idx] -= ((1.0 - floor) * inner / trace**2)[..., None]
+    g[..., idx, idx] -= (keep * inner / trace**2)[..., None]
 
     de = eigs[..., :, None] - eigs[..., None, :]
     df = fe[..., :, None] - fe[..., None, :]
@@ -324,36 +316,10 @@ def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
     kernel = np.where(near, 0.0, df) / np.where(near, 1.0, de)
     *batch, row, col = np.nonzero(near)
     mid = 0.5 * (eigs[(*batch, row)] + eigs[(*batch, col)])
-    kernel[near] = _sigmoid(cache["sharpness"] * mid)
+    kernel[near] = _sigmoid(FB_SPECTRAL_SHARPNESS * mid)
 
     vecs = _rotated_vecs(cache)
     return vecs @ (g * kernel) @ _dagger(vecs)
-
-
-def condition_state(
-    x: np.ndarray,
-    sharpness: float | None = None,
-    floor: float | None = None,
-) -> tuple[np.ndarray, dict, float]:
-    """Smooth spectral floor plus maximally mixed admixture.
-
-    Returns the conditioned state, a cache for the adjoint pass, and the
-    negative eigenvalue mass that the floor absorbed.  Exactly reproducible:
-    identical inputs yield identical outputs, so equality of states (hence a
-    zero forward-backward loss) is preserved.
-    """
-    sharpness = FB_SPECTRAL_SHARPNESS if sharpness is None else sharpness
-    floor = FB_STATE_FLOOR if floor is None else floor
-    cache = _condition_spectrum(np.asarray(x, dtype=complex), sharpness, floor)
-    vecs = cache["vecs"]
-    cond = (vecs * cache["cond"][..., None, :]) @ _dagger(vecs)
-    return cond, cache, cache["neg_mass"]
-
-
-def condition_state_adjoint(grad: np.ndarray, cache: dict) -> np.ndarray:
-    """Adjoint of :func:`condition_state` (Daleckii-Krein divided differences)."""
-    vecs = cache["vecs"]
-    return _condition_adjoint_eigenbasis(_dagger(vecs) @ grad @ vecs, cache)
 
 
 def _fb_pair_forward(a, b, unit: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
@@ -375,12 +341,8 @@ def _fb_pair_forward(a, b, unit: np.ndarray | None = None) -> tuple[np.ndarray, 
     matrix products besides the ``eigh`` calls, two when ``unit V_A`` is a
     rank-one update (a pure target, or ``unit`` absent).
     """
-    cache_a = a if isinstance(a, dict) else _condition_spectrum(
-        a, FB_SPECTRAL_SHARPNESS, FB_STATE_FLOOR
-    )
-    cache_b = b if isinstance(b, dict) else _condition_spectrum(
-        b, FB_SPECTRAL_SHARPNESS, FB_STATE_FLOOR
-    )
+    cache_a = a if isinstance(a, dict) else _condition_spectrum(a)
+    cache_b = b if isinstance(b, dict) else _condition_spectrum(b)
 
     overlap = _dagger(_rotated_vecs(cache_a, unit)) @ _rotated_vecs(cache_b)
     p = np.sqrt(cache_a["cond"])[..., :, None] * overlap
@@ -475,9 +437,7 @@ def fb_blocks(chain, units, step: int, rates=None, generators=None, psi0=None) -
     with respect to the last ``x`` (``j = start``).
     """
     blocks = []
-    shared = None
-    if psi0 is not None:
-        shared = _pure_spectrum(psi0, FB_SPECTRAL_SHARPNESS, FB_STATE_FLOOR)
+    shared = None if psi0 is None else _pure_spectrum(psi0)
     for start in range(0, len(units), step):
         end = start + step
         x = chain[end]

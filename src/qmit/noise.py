@@ -236,9 +236,6 @@ class MitigationModel:
                 raise ValidationError("per-layer models must share one generator set")
         return cls(first.n, first.generators, np.stack([m.rates for m in models]))
 
-    def layer_model(self, layer: int) -> NoiseModel:
-        return NoiseModel(self.n, self.generators, np.maximum(self.rates[layer], 0.0))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

@@ -12,7 +12,7 @@ layer consumes the previous mitigated state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,9 +22,7 @@ from .noise import MitigationModel, NoiseModel, apply_pauli_fidelities
 from .qsim import (
     PAULIS,
     DensityMatrix,
-    Observable,
     Unitary,
-    embed_one_qubit,
     evolve,
     hermitize,
     rotation_matrix_2x2,
@@ -70,31 +68,27 @@ class LayerSpec:
 
 @dataclass
 class EncoderSpec:
-    """Phase encoder: 64 features consumed over ``ceil(64/n)`` rotation sub-layers.
+    """Phase encoder: ``ENCODER_FEATURES`` (64) features consumed over
+    ``ceil(64/n)`` rotation sub-layers.
 
     Sub-layer ``t`` rotates qubit ``j`` by ``pi * x[t*n + j]`` about the axis
-    cycling X, Y, Z with ``t``.
+    cycling X, Y, Z (``ENCODER_AXIS_CYCLE``) with ``t``.
     """
 
     n: int
-    features: int = ENCODER_FEATURES
-    axes: str = ENCODER_AXIS_CYCLE
 
     def __post_init__(self):
         _check_qubit_count(self.n)
-        if self.features != ENCODER_FEATURES:
-            raise ValidationError(f"encoder consumes exactly {ENCODER_FEATURES} features")
-        if self.axes != ENCODER_AXIS_CYCLE:
-            raise ValidationError(f"encoder axis cycle must be {ENCODER_AXIS_CYCLE!r}")
 
     @property
     def sublayers(self) -> int:
-        return -(-self.features // self.n)
+        return -(-ENCODER_FEATURES // self.n)
 
 
 @dataclass
 class CircuitSpec:
-    """Encoder, parameterized layers, and the fixed Z readout observables."""
+    """Encoder and parameterized layers; the readout is per-qubit Z
+    (:func:`z_expectations`)."""
 
     n: int
     encoder: EncoderSpec
@@ -109,17 +103,10 @@ class CircuitSpec:
         for i, layer in enumerate(self.layers):
             if layer.n != self.n:
                 raise ValidationError(f"layer {i} acts on {layer.n} qubits, circuit has {self.n}")
-        self._observables = tuple(
-            Observable(self.n, embed_one_qubit(PAULIS["Z"], i, self.n)) for i in range(self.n)
-        )
 
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    @property
-    def observables(self) -> tuple[Observable, ...]:
-        return self._observables
 
 
 @lru_cache(maxsize=None)
@@ -209,22 +196,22 @@ def encode_vectors(features, spec: EncoderSpec) -> np.ndarray:
     by construction.
     """
     feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2 or feats.shape[1] != spec.features:
+    if feats.ndim != 2 or feats.shape[1] != ENCODER_FEATURES:
         raise ValidationError(
-            f"expected {spec.features} features per sample, got shape {feats.shape}"
+            f"expected {ENCODER_FEATURES} features per sample, got shape {feats.shape}"
         )
     if not np.all((feats >= 0.0) & (feats <= 1.0)):
         raise ValidationError("encoder features must lie in [0, 1]")
     count, n = feats.shape[0], spec.n
     # Features beyond the 64th leave the last sub-layer's qubits unrotated.
     angles = np.zeros((count, spec.sublayers * n))
-    angles[:, : spec.features] = math.pi * feats
+    angles[:, :ENCODER_FEATURES] = math.pi * feats
     half = (0.5 * angles).reshape(count, spec.sublayers, n, 1, 1)
     cos, sin = np.cos(half), np.sin(half)
     qubits = np.zeros((count, n, 2), dtype=np.complex128)
     qubits[..., 0] = 1.0
     for t in range(spec.sublayers):
-        sigma = PAULIS[spec.axes[t % len(spec.axes)]]
+        sigma = PAULIS[ENCODER_AXIS_CYCLE[t % len(ENCODER_AXIS_CYCLE)]]
         rot = cos[:, t] * PAULIS["I"] - 1j * sin[:, t] * sigma  # (count, n, 2, 2)
         qubits = (rot * qubits[:, :, None, :]).sum(axis=-1)
     psi = qubits[:, 0]
@@ -382,25 +369,3 @@ def random_circuit(
     ]
     return CircuitSpec(n, EncoderSpec(n), layers)
 
-
-def circuit_to_json(circuit: CircuitSpec) -> dict:
-    return {
-        "n": circuit.n,
-        "layers": [
-            {"design": layer.design, "theta": layer.theta.tolist()} for layer in circuit.layers
-        ],
-        "encoder": {"axes": circuit.encoder.axes},
-    }
-
-
-def circuit_from_json(payload: dict) -> CircuitSpec:
-    try:
-        n = int(payload["n"])
-        layers = [
-            LayerSpec(str(item["design"]), n, np.asarray(item["theta"], dtype=float))
-            for item in payload["layers"]
-        ]
-        axes = str(payload.get("encoder", {}).get("axes", ENCODER_AXIS_CYCLE))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed circuit JSON: {exc}") from exc
-    return CircuitSpec(n, EncoderSpec(n, axes=axes), layers)

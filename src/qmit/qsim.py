@@ -68,7 +68,12 @@ def _as_complex_matrix(data, dim: int, what: str) -> np.ndarray:
 
 
 def _hermiticity_defect(data: np.ndarray) -> float:
-    return float(np.max(np.abs(data - np.conj(np.swapaxes(data, -1, -2))))) if data.size else 0.0
+    """Largest ``|x - x^dagger|`` entry; NaN when ``data`` holds a NaN or an
+    infinity (``inf - inf``), which every ``not defect <= atol`` check rejects."""
+    if not data.size:
+        return 0.0
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(data - np.conj(np.swapaxes(data, -1, -2)))))
 
 
 def hermitize(data: np.ndarray) -> np.ndarray:
@@ -79,7 +84,7 @@ def hermitize(data: np.ndarray) -> np.ndarray:
 def _check_traces(data: np.ndarray) -> None:
     traces = np.trace(data, axis1=-2, axis2=-1)
     errors = np.abs(traces - 1.0)
-    if errors.max() > TRACE_ATOL:
+    if not errors.max() <= TRACE_ATOL:
         tr = complex(np.ravel(traces)[np.argmax(errors)])
         raise ValidationError(f"density matrix trace is {tr:.12g}, expected 1")
 
@@ -91,12 +96,12 @@ def check_density_matrices(data: np.ndarray, quasi: bool = False) -> None:
     if data.size == 0:
         return
     defect = _hermiticity_defect(data)
-    if defect > HERMITIAN_ATOL:
+    if not defect <= HERMITIAN_ATOL:
         raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
     _check_traces(data)
     floor = QUASI_EIGENVALUE_FLOOR if quasi else -PSD_ATOL
     min_eig = float(np.linalg.eigvalsh(data)[..., 0].min())
-    if min_eig < floor:
+    if not min_eig >= floor:
         raise ValidationError(
             f"density matrix has eigenvalue {min_eig:.3e} below the "
             f"{'quasi-state' if quasi else 'PSD'} floor {floor:.3e}"
@@ -173,8 +178,9 @@ class Unitary:
         dim = 1 << self.n
         arr = _as_complex_matrix(self.data, dim, "unitary")
         object.__setattr__(self, "data", arr)
-        defect = float(np.max(np.abs(arr @ arr.conj().T - np.eye(dim))))
-        if defect > UNITARY_ATOL:
+        with np.errstate(invalid="ignore"):
+            defect = float(np.max(np.abs(arr @ arr.conj().T - np.eye(dim))))
+        if not defect <= UNITARY_ATOL:
             raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
 
     @property
@@ -198,7 +204,7 @@ class Observable:
         arr = _as_complex_matrix(self.data, dim, "observable")
         object.__setattr__(self, "data", arr)
         defect = _hermiticity_defect(arr)
-        if defect > HERMITIAN_ATOL:
+        if not defect <= HERMITIAN_ATOL:
             raise ValidationError(f"observable is not Hermitian (defect {defect:.3e})")
 
     @property
@@ -213,7 +219,7 @@ def pure_state(amplitudes) -> DensityMatrix:
     if length < 2 or length & (length - 1):
         raise ValidationError(f"amplitude vector length {length} is not a power of two >= 2")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ValidationError(f"amplitude vector norm is {norm:.12g}, expected 1")
     n = length.bit_length() - 1
     return DensityMatrix(n, np.outer(vec, vec.conj()))

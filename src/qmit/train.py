@@ -364,16 +364,6 @@ def _run_batch(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LossAndGrads:
-    total: float
-    fb: float
-    task: float
-    grad_theta: list[np.ndarray]
-    grad_rates: np.ndarray
-    clamped_mass: float
-
-
 def _batch_pass(
     batch, circuit: CircuitSpec, mitigation: MitigationModel, noise_true, config: TrainConfig,
     want_grads: bool,
@@ -408,7 +398,7 @@ def loss_and_gradients(
     mitigation: MitigationModel,
     noise_true: list[NoiseModel],
     config: TrainConfig,
-) -> LossAndGrads:
+) -> BatchResult:
     """Mean loss of ``batch = (features, labels)`` and exact gradients for
     every angle and rate."""
     result = _batch_pass(batch, circuit, mitigation, noise_true, config, True)
@@ -416,14 +406,7 @@ def loss_and_gradients(
         raise TrainingError(
             f"non-finite loss: total={result.total} fb={result.fb} task={result.task}"
         )
-    return LossAndGrads(
-        result.total,
-        result.fb,
-        result.task,
-        result.grad_theta,
-        result.grad_rates,
-        result.clamped_mass,
-    )
+    return result
 
 
 def batch_loss(
@@ -522,7 +505,7 @@ class EvalResult:
 
 
 def evaluate(
-    state_or_params,
+    state: TrainState,
     dataset: Dataset,
     config: TrainConfig,
     noise_true: list[NoiseModel] | None = None,
@@ -531,19 +514,15 @@ def evaluate(
 ) -> EvalResult:
     """Deterministic argmax accuracy of the mitigated readout; ``encoded``
     holds the :func:`encode_dataset` state vectors of ``dataset``."""
-    if isinstance(state_or_params, TrainState):
-        theta = state_or_params.theta
-        rates = np.maximum(state_or_params.rates, 0.0)
-        generators = state_or_params.generators
-    else:
-        theta, rates = state_or_params
-        rates = np.maximum(np.asarray(rates, dtype=float), 0.0)
-        generators = default_generators(config.n_qubits)
+    rates = np.maximum(state.rates, 0.0)
+    generators = state.generators
     if noise_true is None:
         noise_true = noise_models_from_config(config)
     if encoded is None:
         encoded = encode_dataset(dataset, config.n_qubits)
-    units = [build_layer_unitary(LayerSpec(config.design, config.n_qubits, t)).data for t in theta]
+    units = [
+        build_layer_unitary(LayerSpec(config.design, config.n_qubits, t)).data for t in state.theta
+    ]
     c = config.num_classes
     correct = np.zeros(c, dtype=np.int64)
     total = np.zeros(c, dtype=np.int64)

@@ -90,11 +90,11 @@ def encoder_unitary(x, spec):
     n = spec.n
     u = np.eye(1 << n, dtype=np.complex128)
     for t in range(spec.sublayers):
-        axis = spec.axes[t % len(spec.axes)]
+        axis = "XYZ"[t % 3]
         sub = np.eye(1, dtype=np.complex128)
         for j in range(n):
             idx = t * n + j
-            angle = np.pi * x[idx] if idx < spec.features else 0.0
+            angle = np.pi * x[idx] if idx < len(x) else 0.0
             sub = np.kron(sub, qsim.rotation_matrix_2x2(axis, angle))
         u = sub @ u
     return u
@@ -163,18 +163,17 @@ def condition(x):
     smooth = _from_eigh(fe, vecs)
     cond = (1.0 - floor) * smooth / trace[..., None, None] + (floor / dim) * np.eye(dim)
     cache = {"eigs": eigs, "vecs": vecs, "fe": fe, "trace": trace,
-             "cond": (1.0 - floor) * fe / trace[..., None] + floor / dim,
-             "sharpness": sharpness, "floor": floor}
+             "cond": (1.0 - floor) * fe / trace[..., None] + floor / dim}
     return cond, cache
 
 
 def condition_adjoint(grad, cache):
-    """Adjoint of the conditioning from ``eigs``, ``vecs``, ``fe``, ``trace``,
-    ``sharpness`` and ``floor``: the trace term against the rebuilt
-    ``f(x)``, then the gradient rotated into the eigenbasis, multiplied by
-    the divided differences of ``f`` and rotated back."""
+    """Adjoint of the conditioning from ``eigs``, ``vecs``, ``fe`` and
+    ``trace``: the trace term against the rebuilt ``f(x)``, then the
+    gradient rotated into the eigenbasis, multiplied by the divided
+    differences of ``f`` and rotated back."""
+    sharpness, floor = losses.FB_SPECTRAL_SHARPNESS, losses.FB_STATE_FLOOR
     eigs, vecs, fe, trace = cache["eigs"], cache["vecs"], cache["fe"], cache["trace"]
-    floor = cache["floor"]
     smooth = _from_eigh(fe, vecs)
     inner = np.einsum("...ij,...ji->...", grad, smooth).real
     g_smooth = (1.0 - floor) * (
@@ -185,7 +184,7 @@ def condition_adjoint(grad, cache):
     df = fe[..., :, None] - fe[..., None, :]
     near = np.abs(de) < losses._EIG_DEGENERACY_TOL
     mid = 0.5 * (eigs[..., :, None] + eigs[..., None, :])
-    derivative = 0.5 * (1.0 + np.tanh(0.5 * cache["sharpness"] * mid))
+    derivative = 0.5 * (1.0 + np.tanh(0.5 * sharpness * mid))
     kernel = np.where(near, derivative, np.where(near, 0.0, df) / np.where(near, 1.0, de))
     return vecs @ ((_dagger(vecs) @ g_smooth @ vecs) * kernel) @ _dagger(vecs)
 

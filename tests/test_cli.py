@@ -88,6 +88,27 @@ class TestConfigValidation:
             path = write_config(tmp_path, synthetic_train_payload(**{f.name: [1]}))
             assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("key", ["learning_rate", "alpha_fb"])
+    def test_train_rejects_non_finite_numbers(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, synthetic_train_payload(**{key: math.nan}))
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"{key!r} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_ablation_rejects_non_finite_numbers(self, tmp_path, capsys):
+        payload = synthetic_train_payload(alpha_task=math.inf)
+        payload["grid"] = {"alpha_fb": [0.0, 1.0]}
+        path = write_config(tmp_path, payload)
+        assert cli.main(["ablation", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "'alpha_task' must be finite" in capsys.readouterr().err
+
+    def test_trace_rejects_non_finite_numbers(self, tmp_path, capsys):
+        payload = {"channel": "pauli", "operations": 10, "rate": math.inf}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main(["trace-divergence", "--config", path, "--out", str(out)]) == 2
+        assert "'rate' must be finite" in capsys.readouterr().err
+
     def test_mnist_requires_data_dir(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_train_payload(benchmark="MNIST-4"))
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
@@ -221,6 +242,58 @@ class TestAblationCommand:
         layers_seen = {int(r.split(",")[2]) for r in rows}
         assert layers_seen == {2, 4}
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("grid", [
+        {"layer_counts": [2, 4], "alpha_fb": [0, 1.0], "modes": ["cascaded", "loss_only"]},
+        {"designs": ["RX", "U2"], "step_sizes": [1, 2], "alpha_fb": [0, 0.5],
+         "modes": ["loss_only", "cascaded"]},
+    ])
+    def test_row_order(self, tmp_path, monkeypatch, grid):
+        """Rows run over the product of the axes, the first slowest: layers
+        (or design, then step), alpha_fb, mode; alpha_fb is written as a
+        float whatever its JSON type."""
+
+        def fake_experiment(cfg, train_set, test_set, repeats):
+            return train.ExperimentResult([0.5], 0.5, 0.0, [], [])
+
+        monkeypatch.setattr(cli, "run_experiment", fake_experiment)
+        payload = synthetic_train_payload(repeats=1, epochs=1)
+        payload["grid"] = grid
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "abl"
+        assert cli.main(["ablation", "--config", path, "--out", str(out)]) == 0
+        rows = [line.split(",")[:5] for line in (out / "ablation.csv").read_text().splitlines()[3:]]
+        if "layer_counts" in grid:
+            sweep = [("U2", "1", str(layers)) for layers in grid["layer_counts"]]
+        else:
+            sweep = [(design, str(step), "2") for design in grid["designs"]
+                     for step in grid["step_sizes"]]
+        expected = [
+            [*cell, repr(float(alpha)), mode]
+            for cell in sweep for alpha in grid["alpha_fb"] for mode in grid["modes"]
+        ]
+        assert rows == expected
+
+    @pytest.mark.parametrize("grid", [
+        {"step_sizes": ["a"]},
+        {"alpha_fb": ["x"]},
+        {"layer_counts": [None]},
+        {"layer_counts": [2.5]},
+        {"layer_counts": [True]},
+        {"step_sizes": [False]},
+        {"alpha_fb": [True]},
+        {"alpha_fb": [math.nan]},
+        {"designs": [1]},
+        {"modes": [None]},
+    ])
+    def test_bad_grid_entry_exits_2(self, tmp_path, capsys, grid):
+        payload = synthetic_train_payload(repeats=1, epochs=1)
+        payload["grid"] = grid
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "x"
+        assert cli.main(["ablation", "--config", path, "--out", str(out)]) == 2
+        assert "grid: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         payload = synthetic_train_payload()

@@ -63,6 +63,14 @@ class TestFidelity:
         assert np.linalg.eigvalsh(clamped)[0] >= 0.0
         assert np.trace(clamped).real == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_arrays(self, bad, entry):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[entry] = rho[entry[::-1]] = bad
+        with pytest.raises(ValidationError, match="Hermitian"):
+            losses.fidelity(rho, np.eye(2) / 2)
+
 
 class TestLogFidelityForm:
     def test_identical_states_give_zero(self):
@@ -243,13 +251,7 @@ class TestTaskLoss:
 
 
 class TestTotalLoss:
-    def test_weighted_sum(self):
-        w = losses.LossWeights(1.0, 1.0)
-        assert losses.total_loss(0.5, 1.0, w) == pytest.approx(1.5)
-
-    def test_fb_disabled(self):
-        w = losses.LossWeights(0.0, 2.0)
-        assert losses.total_loss(123.0, 1.0, w) == pytest.approx(2.0)
+    """The weights of the engine's total ``alpha_fb * fb + alpha_task * task``."""
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValidationError):
@@ -331,27 +333,46 @@ class TestTotalFbLoss:
         assert result.clamped_mass > 0.0
 
 
+def conditioned_adjoint(grad, cache):
+    """The engine's conditioning adjoint for a standard-basis gradient."""
+    vecs = cache["vecs"]
+    return losses._condition_adjoint_eigenbasis(losses._dagger(vecs) @ grad @ vecs, cache)
+
+
 class TestConditioning:
+    """The engine's conditioning (``_condition_spectrum``) and its adjoint,
+    with the matrix-form ``dense_reference.condition`` as the forward map of
+    the finite differences."""
+
     def test_preserves_equality(self):
         rng = np.random.default_rng(20)
         rho = qsim.random_density_matrix(3, rng).data
-        a, _, _ = losses.condition_state(rho)
-        b, _, _ = losses.condition_state(rho.copy())
-        np.testing.assert_allclose(a, b, atol=0)
+        a = losses._condition_spectrum(rho)
+        b = losses._condition_spectrum(rho.copy())
+        for key in ("cond", "vecs"):
+            np.testing.assert_array_equal(a[key], b[key])
 
     def test_output_is_positive_unit_trace(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             rho = qsim.random_density_matrix(3, rng).data
-            cond, _, _ = losses.condition_state(rho)
-            assert abs(np.trace(cond).real - 1.0) <= 1e-12
-            assert np.linalg.eigvalsh(cond)[0] > 0.0
+            cond = losses._condition_spectrum(rho)["cond"]
+            assert abs(cond.sum() - 1.0) <= 1e-12
+            assert cond.min() > 0.0
 
     def test_handles_negative_eigenvalues(self):
         quasi = np.diag([1.04, -0.04]).astype(complex)
-        cond, _, neg = losses.condition_state(quasi)
-        assert neg == pytest.approx(0.04, abs=1e-12)
-        assert np.linalg.eigvalsh(cond)[0] > 0.0
+        cache = losses._condition_spectrum(quasi)
+        assert cache["neg_mass"] == pytest.approx(0.04, abs=1e-12)
+        assert cache["cond"].min() > 0.0
+
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(25)
+        rho = np.stack([qsim.random_density_matrix(2, rng).data, np.diag([1.04, -0.04, 0, 0])])
+        cache = losses._condition_spectrum(rho)
+        vecs = cache["vecs"]
+        rebuilt = (vecs * cache["cond"][..., None, :]) @ losses._dagger(vecs)
+        np.testing.assert_allclose(rebuilt, dense_reference.condition(rho)[0], rtol=0, atol=1e-14)
 
     def test_adjoint_matches_finite_differences(self):
         """The conditioning adjoint is the exact derivative of the forward map."""
@@ -359,15 +380,14 @@ class TestConditioning:
         rho = qsim.random_density_matrix(2, rng).data
         grad_out = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         grad_out = 0.5 * (grad_out + grad_out.conj().T)
-        _, cache, _ = losses.condition_state(rho)
-        grad_in = losses.condition_state_adjoint(grad_out, cache)
+        grad_in = conditioned_adjoint(grad_out, losses._condition_spectrum(rho))
         h = 1e-6
         for idx in ((0, 0), (1, 2), (3, 3)):
             direction = np.zeros((4, 4), dtype=complex)
             direction[idx] = 1.0
             direction = 0.5 * (direction + direction.conj().T)
-            up, _, _ = losses.condition_state(rho + h * direction)
-            dn, _, _ = losses.condition_state(rho - h * direction)
+            up, _ = dense_reference.condition(rho + h * direction)
+            dn, _ = dense_reference.condition(rho - h * direction)
             fd = np.einsum("ij,ji->", grad_out, (up - dn) / (2 * h)).real
             got = np.einsum("ij,ji->", grad_in, direction).real
             assert got == pytest.approx(fd, abs=1e-6)
@@ -389,13 +409,12 @@ class TestConditioning:
             return 0.5 * (x + np.conj(np.swapaxes(x, -1, -2)))
 
         grad_out = hermitian()
-        _, cache, _ = losses.condition_state(rho)
-        grad_in = losses.condition_state_adjoint(grad_out, cache)
+        grad_in = conditioned_adjoint(grad_out, losses._condition_spectrum(rho))
         h = 1e-6
         for _ in range(3):
             direction = hermitian()
-            up, _, _ = losses.condition_state(rho + h * direction)
-            dn, _, _ = losses.condition_state(rho - h * direction)
+            up, _ = dense_reference.condition(rho + h * direction)
+            dn, _ = dense_reference.condition(rho - h * direction)
             fd = dense_reference.pairing(grad_out, (up - dn) / (2 * h)).real
             got = dense_reference.pairing(grad_in, direction).real
             assert got == pytest.approx(fd, abs=1e-6)
@@ -528,7 +547,7 @@ class TestFbPairBackward:
         b = np.stack([b for _, b in pairs.values()])
         psi = rng.standard_normal((len(pairs), dim)) + 1j * rng.standard_normal((len(pairs), dim))
         psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-        pure = losses._pure_spectrum(psi, losses.FB_SPECTRAL_SHARPNESS, losses.FB_STATE_FLOOR)
+        pure = losses._pure_spectrum(psi)
         g_loss = np.linspace(0.3, 1.2, len(pairs))
         for target, dense_target in ((a, a), (pure, pqc.pure_states(psi))):
             loss, cache = losses._fb_pair_forward(target, b, u)
@@ -554,9 +573,8 @@ class TestPureSpectrum:
         psi[2], psi[3] = np.eye(dim)[0], 1j * np.eye(dim)[-1]
         psi[4] *= 1.0 + 1e-9
         rho = pqc.pure_states(psi)
-        sharpness, floor = losses.FB_SPECTRAL_SHARPNESS, losses.FB_STATE_FLOOR
-        closed = losses._pure_spectrum(psi, sharpness, floor)
-        dense = losses._condition_spectrum(rho, sharpness, floor)
+        closed = losses._pure_spectrum(psi)
+        dense = losses._condition_spectrum(rho)
         vecs = losses._rotated_vecs(closed)
         np.testing.assert_allclose(vecs @ np.conj(np.swapaxes(vecs, -1, -2)),
                                    np.broadcast_to(np.eye(dim), vecs.shape), rtol=0, atol=1e-14)

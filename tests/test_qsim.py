@@ -87,6 +87,47 @@ class TestDensityMatrix:
             qsim.maximally_mixed(11)
 
 
+NON_FINITE = {
+    "nan_diagonal": [[np.nan, 0], [0, 1]],
+    "nan_off_diagonal": [[0.5, np.nan], [np.nan, 0.5]],
+    "inf_diagonal": [[np.inf, 0], [0, 1]],
+    "inf_off_diagonal": [[0.5, np.inf], [np.inf, 0.5]],
+}
+
+
+class TestNonFiniteData:
+    """A NaN or an infinity fails every check, since each one compares as
+    ``not value <= atol``; no constructor makes an extra pass for it."""
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_density_matrix(self, case):
+        for quasi in (False, True):
+            with pytest.raises(ValidationError, match="Hermitian"):
+                qsim.DensityMatrix(1, NON_FINITE[case], quasi=quasi)
+
+    @pytest.mark.parametrize("case", ["nan_diagonal", "inf_diagonal"])
+    def test_derived_state(self, case):
+        """The trace-only check sees a non-finite diagonal entry."""
+        data = np.array(NON_FINITE[case], dtype=complex)
+        with pytest.raises(ValidationError, match="trace"):
+            qsim.DensityMatrix._derived(1, data, False)
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_unitary(self, case):
+        with pytest.raises(ValidationError, match="unitary"):
+            qsim.Unitary(1, NON_FINITE[case])
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_observable(self, case):
+        with pytest.raises(ValidationError, match="Hermitian"):
+            qsim.Observable(1, NON_FINITE[case])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pure_state(self, bad):
+        with pytest.raises(ValidationError, match="norm"):
+            qsim.pure_state([bad, 0])
+
+
 class TestGates:
     def test_rotation_zero_angle_is_identity(self):
         for axis in "XYZ":
