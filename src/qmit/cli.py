@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Commands: ``train`` (one benchmark run with repeats), ``ablation`` (grids of
-designs, step sizes, loss settings or layer counts), ``trace-divergence``
-(divergence of a noisy state to the maximally mixed state per operation),
-and ``selftest`` (release criteria 01-08 and 12 at reduced sizes).
+Commands: ``train`` (one benchmark run with repeats), ``ablation`` (every
+combination of the listed layer counts, designs, step sizes and loss
+settings), ``trace-divergence`` (divergence of a noisy state to the
+maximally mixed state per operation), and ``selftest`` (release criteria
+01-08 and 12 at reduced sizes).
 
 Configuration is a single JSON document; unknown keys are rejected so that
 typos in hyperparameter names cannot silently change an experiment.  Every
@@ -30,9 +31,13 @@ from . import __version__
 from .data import BENCHMARKS, Dataset, dataset_from_idx, make_benchmark, synthetic_blobs
 from .errors import ConfigError, DataFormatError, TrainingError, ValidationError
 from .losses import petz_renyi_divergence
-from .noise import amplitude_damping, apply_channel, apply_qubit_superoperators, single_qubit_model
+from .noise import (
+    amplitude_damping_superoperator,
+    apply_qubit_superoperators,
+    pauli_mix_superoperators,
+)
 from .pqc import EncoderSpec, encode
-from .qsim import DensityMatrix, hermitize, maximally_mixed, rotation_matrix_2x2
+from .qsim import DensityMatrix, cnot_permutation, hermitize, maximally_mixed, rotation_matrix_2x2
 from .train import TrainConfig, config_to_json, run_experiment, save_checkpoint
 
 SYNTHETIC_BENCHMARKS = ("synthetic-2", "synthetic-4")
@@ -268,12 +273,10 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
     base_config = build_train_config(base_payload)
     repeats = int(payload.get("repeats", 1))
 
-    # A layer sweep varies layers; any other grid varies design and step.
-    sweep = ["layer_counts"] if grid.get("layer_counts") else ["designs", "step_sizes"]
-    axes = sweep + ["alpha_fb", "modes"]
+    # Cells are the product over every axis, in table order; an axis the
+    # grid leaves out takes the base config's value.
     values = []
-    for axis in axes:
-        name, json_type = _GRID_AXES[axis]
+    for axis, (name, json_type) in _GRID_AXES.items():
         entries = grid.get(axis, [getattr(base_config, name)])
         for entry in entries:
             _check_value(entry, json_type, f"grid: {axis} entry")
@@ -281,7 +284,7 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
         values.append([float(e) for e in entries] if axis == "alpha_fb" else entries)
     configs = []
     for combo in itertools.product(*values):
-        cell = {_GRID_AXES[axis][0]: value for axis, value in zip(axes, combo)}
+        cell = {name: value for (name, _), value in zip(_GRID_AXES.values(), combo)}
         try:
             configs.append(replace(base_config, **cell))
         except ValidationError as exc:
@@ -328,12 +331,15 @@ def divergence_trace(
 
     The stream cycles through fresh random single-qubit rotations (one per
     qubit) followed by the ring of CNOTs; after every operation the chosen
-    noise acts on the qubit(s) the operation touched.  A rotation ``R`` on
-    qubit ``q`` is the 4x4 superoperator ``R (x) conj(R)`` on that qubit, and
-    a CNOT permutes the basis, so ``rho -> rho[p][:, p]`` with ``p`` its
-    index permutation (exactly Hermitian, no products).  Like
-    :func:`qsim.evolve`, both keep the spectrum, so their outputs are only
-    trace checked.
+    noise acts on the qubit(s) the operation touched.  Each operation is one
+    :func:`apply_qubit_superoperators` call: a rotation ``R`` on qubit ``q``
+    is the op ``(q, R (x) conj(R))``, which the kernel composes with that
+    qubit's noise ops; a CNOT first permutes the basis (``rho[p][:, p]``,
+    ``p`` from :func:`cnot_permutation`).  Pauli and depolarizing noise are
+    the mixes of :func:`pauli_mix_superoperators`.  Rotations and CNOTs keep
+    the spectrum and Pauli noise cannot lower the smallest eigenvalue, so
+    those states are only trace checked; amplitude damping can, so a step
+    with it gets the full check.
     """
     if channel not in _TRACE_CHANNELS:
         raise ConfigError(f"channel must be one of {_TRACE_CHANNELS}, got {channel!r}")
@@ -345,41 +351,37 @@ def divergence_trace(
     state = encode(rng.uniform(0.0, 1.0, 64), EncoderSpec(n))
     mixed = maximally_mixed(n)
 
-    def apply_noise(rho: DensityMatrix, qubits) -> DensityMatrix:
-        for q in qubits:
-            if channel == "depolarizing":
-                rho = apply_channel(rho, single_qubit_model(n, q, [rate] * 3))
-            elif channel == "pauli":
-                rho = apply_channel(rho, single_qubit_model(n, q, rng.uniform(0.0, rate, 3)))
-            else:
-                rho = amplitude_damping(rho, rate, q)
-        return rho
+    damping = amplitude_damping_superoperator(rate) if channel == "amplitude_damping" else None
 
-    index = np.arange(1 << n)
+    def step(data: np.ndarray, ops: list, qubits: list) -> DensityMatrix:
+        """One kernel pass: ``ops``, then the noise on ``qubits``."""
+        if damping is not None:
+            ops += [(q, damping) for q in qubits]
+        else:
+            letters = tuple("I" * q + ch + "I" * (n - q - 1) for q in qubits for ch in "XYZ")
+            if channel == "pauli":
+                ops += pauli_mix_superoperators(letters, rng.uniform(0.0, rate, len(letters)))
+            else:
+                ops += pauli_mix_superoperators(letters, np.full(len(letters), rate))
+        data = hermitize(apply_qubit_superoperators(data, ops))
+        return DensityMatrix._derived(n, data, False) if damping is None else DensityMatrix(n, data)
+
+    ring = [(q, (q + 1) % n) for q in range(n)] if n >= 2 else []
+    perms = [cnot_permutation(control, target, n) for control, target in ring]
     values = [petz_renyi_divergence(state, mixed, alpha)]
-    done = 0
-    while done < operations:
+    while len(values) <= operations:
         for q in range(n):
-            if done >= operations:
+            if len(values) > operations:
                 break
             axis = "XYZ"[int(rng.integers(3))]
-            theta = float(rng.uniform(-np.pi, np.pi))
-            r = rotation_matrix_2x2(axis, theta)
-            data = hermitize(apply_qubit_superoperators(state.data, [(q, np.kron(r, r.conj()))]))
-            state = apply_noise(DensityMatrix._derived(n, data, state.quasi), [q])
+            r = rotation_matrix_2x2(axis, float(rng.uniform(-np.pi, np.pi)))
+            state = step(state.data, [(q, np.kron(r, r.conj()))], [q])
             values.append(petz_renyi_divergence(state, mixed, alpha))
-            done += 1
-        for q in range(n):
-            if done >= operations or n < 2:
+        for (control, target), perm in zip(ring, perms):
+            if len(values) > operations:
                 break
-            target = (q + 1) % n
-            # CNOT(q, target) flips the target bit of every basis index whose
-            # control bit is set (qubit 0 is the most significant bit).
-            perm = index ^ (((index >> (n - 1 - q)) & 1) << (n - 1 - target))
-            data = state.data[np.ix_(perm, perm)]
-            state = apply_noise(DensityMatrix._derived(n, data, state.quasi), [q, target])
+            state = step(state.data[np.ix_(perm, perm)], [], [control, target])
             values.append(petz_renyi_divergence(state, mixed, alpha))
-            done += 1
     return np.asarray(values)
 
 

@@ -65,8 +65,8 @@ class LossWeights:
     alpha_task: float
 
     def __post_init__(self):
-        if self.alpha_fb < 0.0 or self.alpha_task < 0.0:
-            raise ValidationError("loss weights must be nonnegative")
+        if not (0.0 <= self.alpha_fb < math.inf and 0.0 <= self.alpha_task < math.inf):
+            raise ValidationError("loss weights must be finite and nonnegative")
         if self.alpha_fb == 0.0 and self.alpha_task == 0.0:
             raise ValidationError("loss weights must not both be zero")
 

@@ -159,16 +159,6 @@ def depolarizing_model(n: int, rate: float) -> NoiseModel:
     return NoiseModel(n, gens, np.full(len(gens), float(rate)))
 
 
-def single_qubit_model(n: int, qubit: int, rates_xyz) -> NoiseModel:
-    """X, Y, Z generators on one qubit only."""
-    if not 0 <= qubit < n:
-        raise ValidationError(f"qubit {qubit} out of range for {n} qubits")
-    gens = tuple(
-        PauliString(n, "I" * qubit + letter + "I" * (n - qubit - 1)) for letter in "XYZ"
-    )
-    return NoiseModel(n, gens, np.asarray(rates_xyz, dtype=float))
-
-
 def draw_noise_models(
     n: int,
     layers: int,
@@ -401,30 +391,44 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = Fal
     under ``tr(g x)``.
 
     When every generator has weight 1 the fidelities factor over qubits and
-    each qubit whose fidelities are not all 1 gets one 4x4 mix matrix
-    (:func:`_mix_matrix`).  Otherwise ``x`` is taken to the Pauli basis by
-    one 4x4 transform per qubit, multiplied by the fidelity table and taken
-    back.  Both run through :func:`apply_qubit_superoperators`, so ``x`` is
-    never written.  May return ``x`` itself when every rate is zero.
+    the channel is the mixes of :func:`pauli_mix_superoperators`.
+    Otherwise ``x`` is taken to the Pauli basis by one 4x4 transform per
+    qubit, multiplied by the fidelity table and taken back.  Both run
+    through :func:`apply_qubit_superoperators`, so ``x`` is never written.
+    May return ``x`` itself when every rate is zero.
     """
     rates = np.asarray(rates, dtype=float)
     if not np.any(rates):
         return x
     letters = _letters(generators)
-    sign = 2.0 if inverse else -2.0
-    incidence = _separable_incidence(letters)
-    if incidence is not None:
-        k, n, _ = incidence.shape
-        log_f = sign * (rates @ incidence.reshape(k, 3 * n)).reshape(n, 3)  # over X, Y, Z
-        fid = np.exp(log_f)
-        active = np.flatnonzero(np.any(log_f != 0.0, axis=1))
-        return apply_qubit_superoperators(x, [(q, _mix_matrix(*fid[q])) for q in active])
+    mixes = pauli_mix_superoperators(letters, rates, inverse)
+    if mixes is not None:
+        return apply_qubit_superoperators(x, mixes)
     exponent = np.zeros((x.shape[-1],) * 2)
     for word, rate in zip(letters, rates):
         exponent[_anticommutation_mask(word)] += rate
     out = _pauli_transform(x)
-    out *= np.exp(sign * exponent) / x.shape[-1]
+    out *= np.exp((2.0 if inverse else -2.0) * exponent) / x.shape[-1]
     return _pauli_transform(out)
+
+
+def pauli_mix_superoperators(letters: tuple[str, ...], rates, inverse: bool = False):
+    """The separable case of :func:`apply_pauli_fidelities` as kernel ops.
+
+    For generators ``letters`` (``n``-letter strings) of weight at most 1,
+    returns ``[(q, S), ...]`` for :func:`apply_qubit_superoperators`: one
+    :func:`_mix_matrix` per qubit whose fidelities are not all 1.  Returns
+    ``None`` when some generator has weight 2 or more.
+    """
+    incidence = _separable_incidence(letters)
+    if incidence is None:
+        return None
+    k, n, _ = incidence.shape
+    sign = 2.0 if inverse else -2.0
+    log_f = sign * (np.asarray(rates, dtype=float) @ incidence.reshape(k, 3 * n)).reshape(n, 3)
+    fid = np.exp(log_f)  # over X, Y, Z
+    active = np.flatnonzero(np.any(log_f != 0.0, axis=1))
+    return [(q, _mix_matrix(*fid[q])) for q in active]
 
 
 def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
@@ -497,14 +501,16 @@ def sampling_overhead(model: NoiseModel, method: str = "exp") -> float:
     raise ValidationError(f"unknown sampling overhead method {method!r}")
 
 
-def amplitude_damping(rho: DensityMatrix, gamma_ad: float, target: int) -> DensityMatrix:
-    """Single-qubit amplitude damping (Kraus pair) on ``target``."""
-    if not 0.0 <= gamma_ad <= 1.0:
-        raise ValidationError(f"damping probability must be in [0, 1], got {gamma_ad}")
-    if not 0 <= target < rho.n:
-        raise ValidationError(f"target qubit {target} out of range for {rho.n} qubits")
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma_ad)]], dtype=np.complex128)
-    k1 = np.array([[0.0, np.sqrt(gamma_ad)], [0.0, 0.0]], dtype=np.complex128)
-    superop = np.kron(k0, k0.conj()) + np.kron(k1, k1.conj())
-    data = apply_qubit_superoperators(rho.data, [(target, superop)])
-    return DensityMatrix(rho.n, hermitize(data), quasi=rho.quasi)
+def amplitude_damping_superoperator(gamma: float) -> np.ndarray:
+    """4x4 superoperator of single-qubit amplitude damping with probability
+    ``gamma``, the Kraus pair ``K0 = diag(1, sqrt(1 - gamma))`` and
+    ``K1 = sqrt(gamma) |0><1|``, for :func:`apply_qubit_superoperators`.
+
+    The map is completely positive, but unlike a Pauli channel it can lower
+    the smallest eigenvalue, so its outputs need the full state check.
+    """
+    if not 0.0 <= gamma <= 1.0:
+        raise ValidationError(f"damping probability must be in [0, 1], got {gamma}")
+    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]])
+    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
+    return np.kron(k0, k0) + np.kron(k1, k1)

@@ -27,7 +27,7 @@ from .qsim import (
     hermitize,
     rotation_matrix_2x2,
     _check_qubit_count,
-    _cnot_matrix,
+    cnot_permutation,
 )
 
 DESIGN_AXES = {"RX": "X", "U2": "XY", "U3": "XYZ"}
@@ -113,12 +113,14 @@ class CircuitSpec:
 def _cnot_ring(n: int) -> np.ndarray:
     """Ring CNOT(j, j+1 mod n) for ascending j; identity for n = 1.
 
-    Built once per ``n`` and returned read-only."""
-    dim = 1 << n
-    ring = np.eye(dim, dtype=np.complex128)
+    The product ``C_{n-1} ... C_0`` of the permutation matrices
+    ``C_j = eye[p_j]`` is ``eye[p_0[p_1[... p_{n-1}]]]``.  Built once per
+    ``n`` and returned read-only."""
+    perm = np.arange(1 << n)
     if n >= 2:
         for j in range(n):
-            ring = _cnot_matrix(j, (j + 1) % n, n) @ ring
+            perm = perm[cnot_permutation(j, (j + 1) % n, n)]
+    ring = np.eye(1 << n, dtype=np.complex128)[perm]
     ring.setflags(write=False)
     return ring
 

@@ -14,21 +14,21 @@ Validation:
     ``maximally_mixed``, the encoder, user arrays) gets the full check:
     Hermiticity, unit trace and the ``eigvalsh`` eigenvalue floor.  States
     derived from a validated one by :func:`evolve`,
-    :func:`qmit.noise.apply_channel` or :func:`qmit.pqc.forward_noisy`
-    check the trace only.  Unitary conjugation keeps the spectrum, and a
-    Pauli channel with nonnegative rates is a convex mixture of Pauli
+    :func:`qmit.noise.apply_channel`, :func:`qmit.pqc.forward_noisy` or a
+    rotation or CNOT step of :func:`qmit.cli.divergence_trace` with Pauli
+    noise check the trace only.  Unitary conjugation keeps the spectrum,
+    and a Pauli channel with nonnegative rates is a convex mixture of Pauli
     conjugations, which cannot lower the (concave) smallest eigenvalue, so
     neither step can cross the floor; their data comes from
     :func:`hermitize`, Hermitian bit for bit.  Steps that can cross the
-    floor (the inverse channel, amplitude damping, the mitigated forward
-    pass) keep the full check.
+    floor (the inverse channel, a trace step with amplitude damping, the
+    mitigated forward pass) keep the full check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -256,29 +256,18 @@ def rotation_gate(axis: str, theta: float, target: int, n: int) -> Unitary:
     return Unitary(n, embed_one_qubit(rotation_matrix_2x2(axis, theta), target, n))
 
 
-def _cnot_matrix(control: int, target: int, n: int) -> np.ndarray:
-    """The controlled-NOT matrix, built afresh on every call."""
+def cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
+    """Basis-index map of the controlled-NOT: ``perm[i]`` is ``i`` with bit
+    ``target`` flipped when bit ``control`` is set.  The gate is the
+    involution ``np.eye(2**n)[perm]``, so ``U rho U^dagger`` is
+    ``rho[perm][:, perm]``."""
     _check_qubit_count(n)
     if not 0 <= control < n or not 0 <= target < n:
         raise ValidationError(f"cnot qubits ({control}, {target}) out of range for {n} qubits")
     if control == target:
         raise ValidationError("cnot control and target must differ")
-    p0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-    p1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
-    return embed_one_qubit(p0, control, n) + embed_one_qubit(p1, control, n) @ embed_one_qubit(
-        PAULI_X, target, n
-    )
-
-
-@lru_cache(maxsize=None)
-def cnot_gate(control: int, target: int, n: int) -> Unitary:
-    """Controlled-NOT embedded in an ``n``-qubit register.
-
-    Built once per ``(control, target, n)``; the same read-only gate is
-    returned on every later call.  The cache keeps each gate (16 MiB at
-    ten qubits) for the life of the process, so the training engine's
-    CNOT ring multiplies :func:`_cnot_matrix` results instead."""
-    return Unitary(n, _cnot_matrix(control, target, n))
+    index = np.arange(1 << n)
+    return index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target))
 
 
 def evolve(rho: DensityMatrix, u: Unitary) -> DensityMatrix:
@@ -306,13 +295,11 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(positive * np.log(positive)))
 
 
-def hermitian_power(
-    data: np.ndarray, power: float, *, floor: float = 0.0, rel_floor: float = 0.0
-) -> np.ndarray:
+def hermitian_power(data: np.ndarray, power: float, *, rel_floor: float = 0.0) -> np.ndarray:
     """Fractional matrix power of a Hermitian matrix via eigendecomposition.
 
-    Eigenvalues are clamped at ``max(e, floor)`` before the power so that
-    numerical negatives of order -1e-12 cannot produce complex roots.
+    Eigenvalues are clamped at 0 before the power so that numerical
+    negatives of order -1e-12 cannot produce complex roots.
     ``rel_floor`` additionally zeroes eigenvalues below that fraction of the
     largest one: for rank-deficient inputs the eigensolver leaves residues
     of order 1e-16 whose fractional powers (e.g. sqrt -> 1e-8) would
@@ -320,7 +307,7 @@ def hermitian_power(
     positive spectrum.
     """
     eigs, vecs = np.linalg.eigh(hermitize(np.asarray(data, dtype=np.complex128)))
-    eigs = np.clip(eigs, max(floor, 0.0), None)
+    eigs = np.clip(eigs, 0.0, None)
     if rel_floor > 0.0 and eigs.size:
         eigs[eigs < rel_floor * eigs.max()] = 0.0
     if power < 0 and np.any(eigs <= 0.0):

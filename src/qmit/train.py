@@ -97,10 +97,9 @@ class TrainConfig:
             raise ConfigError(
                 f"class count {self.num_classes} must be in [2, n_qubits={self.n_qubits}]"
             )
-        if self.learning_rate < 0.0:
-            raise ConfigError("learning rate must be nonnegative")
-        if self.rate_lr_scale < 0.0:
-            raise ConfigError("rate learning-rate scale must be nonnegative")
+        for name in ("learning_rate", "rate_lr_scale"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
         if self.batch_size < 1:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
-from qmit import cli, data, losses, pqc, qsim, selftest, train
+from qmit import cli, data, losses, noise, pqc, qsim, selftest, train
 from qmit.errors import ConfigError
 
 
@@ -285,6 +285,7 @@ class TestAblationCommand:
         {"alpha_fb": [math.nan]},
         {"designs": [1]},
         {"modes": [None]},
+        {"layer_counts": [2], "designs": ["RX", 1]},
     ])
     def test_bad_grid_entry_exits_2(self, tmp_path, capsys, grid):
         payload = synthetic_train_payload(repeats=1, epochs=1)
@@ -293,6 +294,31 @@ class TestAblationCommand:
         out = tmp_path / "x"
         assert cli.main(["ablation", "--config", path, "--out", str(out)]) == 2
         assert "grid: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_layer_counts_combine_with_designs_and_steps(self, tmp_path, monkeypatch):
+        """Every axis joins the product: one layer count, two designs and one
+        step size are two cells, the other axes taken from the base config."""
+
+        def fake_experiment(cfg, train_set, test_set, repeats):
+            return train.ExperimentResult([0.5], 0.5, 0.0, [], [])
+
+        monkeypatch.setattr(cli, "run_experiment", fake_experiment)
+        payload = synthetic_train_payload(repeats=1, epochs=1, layers=4)
+        payload["grid"] = {"layer_counts": [2], "designs": ["RX", "U3"], "step_sizes": [2]}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "abl"
+        assert cli.main(["ablation", "--config", path, "--out", str(out)]) == 0
+        rows = [line.split(",")[:5] for line in (out / "ablation.csv").read_text().splitlines()[3:]]
+        assert rows == [["RX", "2", "2", "1.0", "loss_only"], ["U3", "2", "2", "1.0", "loss_only"]]
+
+    def test_empty_grid_axis_rejected(self, tmp_path, capsys):
+        payload = synthetic_train_payload()
+        payload["grid"] = {"layer_counts": [], "designs": ["RX"]}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "x"
+        assert cli.main(["ablation", "--config", path, "--out", str(out)]) == 2
+        assert "non-empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
@@ -405,7 +431,8 @@ class TestTraceCommand:
         assert counts == {"eigh": 1, "eigvalsh": 2}
 
     def test_rerun_in_process_is_byte_identical(self, tmp_path):
-        """A second run in the same process, with the gate cache warm,
+        """A second run in the same process, after the first has filled the
+        module-level caches (generator incidence tables, the CNOT ring),
         writes the same ``trace.csv`` bytes."""
         payload = {"channel": "pauli", "operations": 50, "rate": 0.01, "n_qubits": 4, "seed": 9}
         path = write_config(tmp_path, payload)
@@ -415,6 +442,43 @@ class TestTraceCommand:
             assert cli.main(["trace-divergence", "--config", path, "--out", str(out)]) == 0
             outputs.append((out / "trace.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("channel", ["pauli", "depolarizing", "amplitude_damping"])
+    def test_one_kernel_pass_per_operation(self, monkeypatch, channel):
+        """Each operation is one superoperator-kernel call and one
+        ``hermitize``, and no ``NoiseModel`` is built.  Only steps with
+        amplitude damping run the full state check, beyond the encoded
+        state and the reference."""
+        counts = {"kernel": 0, "hermitize": 0, "models": 0, "checks": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            cli, "apply_qubit_superoperators", counting("kernel", cli.apply_qubit_superoperators)
+        )
+        monkeypatch.setattr(cli, "hermitize", counting("hermitize", cli.hermitize))
+        monkeypatch.setattr(
+            noise.NoiseModel, "__post_init__", counting("models", noise.NoiseModel.__post_init__)
+        )
+        monkeypatch.setattr(
+            qsim, "check_density_matrices", counting("checks", qsim.check_density_matrices)
+        )
+        values = cli.divergence_trace(3, 30, channel, 0.02, seed=6)
+        assert len(values) == 31
+        full = 30 if channel == "amplitude_damping" else 0
+        assert counts == {"kernel": 30, "hermitize": 30, "models": 0, "checks": 2 + full}
+
+    def test_damping_probability_above_one_rejected(self, tmp_path, capsys):
+        payload = {"channel": "amplitude_damping", "operations": 10, "rate": 1.5}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "x"
+        assert cli.main(["trace-divergence", "--config", path, "--out", str(out)]) == 2
+        assert "damping probability" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_channel_rejected(self, tmp_path):
         payload = {"channel": "cosmic", "operations": 10, "rate": 0.1}

@@ -183,25 +183,32 @@ class TestSamplingOverhead:
             assert abs(a - b) / a <= 1e-12
 
 
+def _damp(rho, gamma, target):
+    """Amplitude damping of a state through the one-qubit superoperator kernel."""
+    superop = noise.amplitude_damping_superoperator(gamma)
+    return noise.apply_qubit_superoperators(rho.data, [(target, superop)])
+
+
 class TestAmplitudeDamping:
     def test_zero_damping(self):
         rng = np.random.default_rng(18)
         rho = qsim.random_density_matrix(2, rng)
-        np.testing.assert_allclose(noise.amplitude_damping(rho, 0.0, 0).data, rho.data)
+        np.testing.assert_allclose(noise.amplitude_damping_superoperator(0.0), np.eye(4))
+        np.testing.assert_allclose(_damp(rho, 0.0, 0), rho.data)
 
     def test_full_damping_gives_ground_state(self):
         rng = np.random.default_rng(19)
         rho = qsim.random_density_matrix(1, rng)
-        out = noise.amplitude_damping(rho, 1.0, 0)
-        np.testing.assert_allclose(out.data, [[1, 0], [0, 0]], atol=1e-12)
+        np.testing.assert_allclose(_damp(rho, 1.0, 0), [[1, 0], [0, 0]], atol=1e-12)
 
     def test_half_damping_on_excited(self):
-        out = noise.amplitude_damping(qsim.pure_state([0, 1]), 0.5, 0)
-        np.testing.assert_allclose(out.data, np.diag([0.5, 0.5]), atol=1e-12)
+        out = _damp(qsim.pure_state([0, 1]), 0.5, 0)
+        np.testing.assert_allclose(out, np.diag([0.5, 0.5]), atol=1e-12)
 
     def test_validates_probability(self):
-        with pytest.raises(ValidationError):
-            noise.amplitude_damping(qsim.maximally_mixed(1), 1.5, 0)
+        for gamma in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValidationError):
+                noise.amplitude_damping_superoperator(gamma)
 
     @pytest.mark.parametrize("target", [0, 1, 2])
     def test_matches_embedded_kraus_pair(self, target):
@@ -211,8 +218,7 @@ class TestAmplitudeDamping:
         want = sum(
             a @ rho.data @ a.conj().T for a in (qsim.embed_one_qubit(k, target, 3) for k in kraus)
         )
-        got = noise.amplitude_damping(rho, gamma, target).data
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_damp(rho, gamma, target), want, rtol=0, atol=1e-14)
 
 
 class TestDepolarizing:
@@ -251,7 +257,7 @@ class TestDivergenceContraction:
         mixed = qsim.maximally_mixed(2)
         for _ in range(100):
             rho = qsim.random_density_matrix(2, rng)
-            model = noise.single_qubit_model(2, 0, [0.05, 0.0, 0.0])
+            model = noise.NoiseModel(2, (noise.PauliString(2, "XI"),), [0.05])
             before = losses.petz_renyi_divergence(rho, mixed)
             after = losses.petz_renyi_divergence(noise.apply_channel(rho, model), mixed)
             assert after < before - 1e-12
@@ -259,7 +265,7 @@ class TestDivergenceContraction:
     def test_commuting_state_is_fixed(self):
         """A state diagonal in the generator eigenbasis is untouched."""
         rho = qsim.DensityMatrix(1, np.diag([0.8, 0.2]).astype(complex))
-        model = noise.single_qubit_model(1, 0, [0.0, 0.0, 0.3])
+        model = noise.NoiseModel(1, (noise.PauliString(1, "Z"),), [0.3])
         np.testing.assert_allclose(noise.apply_channel(rho, model).data, rho.data, atol=1e-15)
 
 
@@ -300,7 +306,7 @@ GENERATOR_SETS = {
     "default-1": [g.letters for g in noise.default_generators(1)],
     "default-2": [g.letters for g in noise.default_generators(2)],
     "default-3": [g.letters for g in noise.default_generators(3)],
-    "one-qubit-model": [g.letters for g in noise.single_qubit_model(3, 1, [0.1] * 3).generators],
+    "one-qubit-model": ["IXI", "IYI", "IZI"],
     "general-2": ["XX", "ZY", "YI", "IZ", "ZZ"],
     "general-3": ["XXI", "IZY", "XYZ", "ZIZ", "YII", "IXX"],
 }
@@ -327,6 +333,18 @@ class TestPauliFidelityKernel:
         letters, gens, rates, x, _ = _kernel_case(name, 31)
         got = noise.apply_pauli_fidelities(x, gens, rates, inverse=inverse)
         np.testing.assert_allclose(got, dense.channel(x, letters, rates, inverse), atol=1e-13)
+
+    def test_mix_superoperators(self, name):
+        """Weight-1 sets give one mix per qubit, applied by the superoperator
+        kernel; sets with a longer string give ``None``."""
+        letters, _, rates, x, _ = _kernel_case(name, 34)
+        mixes = noise.pauli_mix_superoperators(tuple(letters), rates)
+        if name.startswith("general"):
+            assert mixes is None
+            return
+        assert sorted(q for q, _ in mixes) == sorted({w.index(w.strip("I")) for w in letters})
+        got = noise.apply_qubit_superoperators(x, mixes)
+        np.testing.assert_allclose(got, dense.channel(x, letters, rates, False), atol=1e-13)
 
     @pytest.mark.parametrize("inverse", [False, True])
     def test_is_its_own_adjoint(self, name, inverse):

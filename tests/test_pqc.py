@@ -47,13 +47,14 @@ def brute_force_layer(design, n, theta):
 
 
 class TestLayerUnitary:
-    def test_ring_leaves_cnot_cache_empty(self):
-        """The engine's CNOT ring does not keep its factors in
-        ``qsim.cnot_gate``'s process-wide cache."""
-        qsim.cnot_gate.cache_clear()
-        pqc._cnot_ring.cache_clear()
-        pqc._cnot_ring(5)
-        assert qsim.cnot_gate.cache_info().currsize == 0
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ring_is_product_of_reference_cnots(self, n):
+        """The ring equals CNOT(n-1, 0) ... CNOT(0, 1) as dense matrices, bit for bit."""
+        ring = np.eye(1 << n, dtype=complex)
+        if n >= 2:
+            for j in range(n):
+                ring = dense_reference.cnot(j, (j + 1) % n, n) @ ring
+        np.testing.assert_array_equal(pqc._cnot_ring(n), ring)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)

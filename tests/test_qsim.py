@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_reference
 from qmit import qsim
 from qmit.errors import ValidationError
 
@@ -163,35 +164,37 @@ class TestGates:
 
     def test_cnot_flips_target_when_control_set(self):
         """CNOT(0,1)|10> = |11> with qubit 0 as the most significant bit."""
-        u = qsim.cnot_gate(0, 1, 2)
+        perm = qsim.cnot_permutation(0, 1, 2)
         vec = np.zeros(4)
         vec[0b10] = 1.0
-        out = u.data @ vec
-        assert abs(out[0b11] - 1.0) < 1e-12
+        out = np.eye(4)[perm] @ vec
+        assert out[0b11] == 1.0
 
     def test_cnot_keeps_zero_control(self):
-        u = qsim.cnot_gate(0, 1, 2)
-        vec = np.zeros(4)
-        vec[0b00] = 1.0
-        out = u.data @ vec
-        assert abs(out[0b00] - 1.0) < 1e-12
+        perm = qsim.cnot_permutation(0, 1, 2)
+        assert perm[0b00] == 0b00 and perm[0b01] == 0b01
 
     def test_cnot_is_involution(self):
-        u = qsim.cnot_gate(0, 1, 2).data
-        np.testing.assert_allclose(u @ u, np.eye(4), atol=1e-14)
+        perm = qsim.cnot_permutation(0, 1, 2)
+        np.testing.assert_array_equal(perm[perm], np.arange(4))
 
-    def test_cnot_is_cached_read_only(self):
-        """Repeated calls return the one gate built for those arguments."""
-        u = qsim.cnot_gate(2, 0, 3)
-        assert qsim.cnot_gate(2, 0, 3) is u
-        with pytest.raises(ValueError):
-            u.data[0, 0] = 0.0
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cnot_matches_dense_reference(self, n):
+        """``eye[perm]`` is the reference CNOT matrix for every ordered pair."""
+        for control in range(n):
+            for target in range(n):
+                if control != target:
+                    perm = qsim.cnot_permutation(control, target, n)
+                    want = dense_reference.cnot(control, target, n)
+                    np.testing.assert_array_equal(np.eye(1 << n)[perm], want)
 
     def test_cnot_validates_indices(self):
         with pytest.raises(ValidationError):
-            qsim.cnot_gate(1, 1, 2)
+            qsim.cnot_permutation(1, 1, 2)
         with pytest.raises(ValidationError):
-            qsim.cnot_gate(0, 2, 2)
+            qsim.cnot_permutation(0, 2, 2)
+        with pytest.raises(ValidationError):
+            qsim.cnot_permutation(-1, 0, 2)
 
 
 class TestEvolve:

@@ -544,6 +544,16 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             small_config(alpha_fb=0.0, alpha_task=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("field", ["learning_rate", "rate_lr_scale", "alpha_fb", "alpha_task"])
+    def test_non_finite_or_negative_rates_and_weights_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            small_config(**{field: value})
+        payload = train.config_to_json(small_config())
+        payload[field] = value
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            train.config_from_json(payload)
+
     def test_class_count_bounded_by_qubits(self):
         with pytest.raises(ConfigError):
             small_config(num_classes=4, n_qubits=3)
