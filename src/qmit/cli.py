@@ -38,7 +38,7 @@ from .noise import (
 )
 from .pqc import EncoderSpec, encode
 from .qsim import DensityMatrix, cnot_permutation, hermitize, maximally_mixed, rotation_matrix_2x2
-from .train import TrainConfig, config_to_json, run_experiment, save_checkpoint
+from .train import TrainConfig, config_to_json, replace_on_success, run_experiment, save_checkpoint
 
 SYNTHETIC_BENCHMARKS = ("synthetic-2", "synthetic-4")
 
@@ -201,16 +201,15 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path, config_echo: dict, columns: list[str], rows: list[dict]) -> None:
-    lines = _header_lines(config_echo)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with replace_on_success(path) as fh:
+        for line in _header_lines(config_echo) + [",".join(columns)]:
+            fh.write(line + "\n")
+        for row in rows:
+            fh.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

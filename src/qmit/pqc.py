@@ -110,8 +110,9 @@ class CircuitSpec:
 
 
 @lru_cache(maxsize=None)
-def _cnot_ring(n: int) -> np.ndarray:
-    """Ring CNOT(j, j+1 mod n) for ascending j; identity for n = 1.
+def _cnot_ring_permutation(n: int) -> np.ndarray:
+    """Basis-index map of the ring CNOT(j, j+1 mod n) for ascending j:
+    ``ring @ x == x[perm]``; the identity for n = 1.
 
     The product ``C_{n-1} ... C_0`` of the permutation matrices
     ``C_j = eye[p_j]`` is ``eye[p_0[p_1[... p_{n-1}]]]``.  Built once per
@@ -120,7 +121,14 @@ def _cnot_ring(n: int) -> np.ndarray:
     if n >= 2:
         for j in range(n):
             perm = perm[cnot_permutation(j, (j + 1) % n, n)]
-    ring = np.eye(1 << n, dtype=np.complex128)[perm]
+    perm.setflags(write=False)
+    return perm
+
+
+@lru_cache(maxsize=None)
+def _cnot_ring(n: int) -> np.ndarray:
+    """The ring as a matrix, ``eye[perm]``; built once per ``n``, read-only."""
+    ring = np.eye(1 << n, dtype=np.complex128)[_cnot_ring_permutation(n)]
     ring.setflags(write=False)
     return ring
 
@@ -142,16 +150,16 @@ def layer_factors(layer: LayerSpec) -> tuple[np.ndarray, list[np.ndarray], list[
     ``U = after[a] @ upto[a]`` for every ``a``.
     """
     subs = [_rotation_sublayer(axis, layer.theta[:, a]) for a, axis in enumerate(layer.axes)]
-    ring = _cnot_ring(layer.n)
-    upto = []
-    cur = np.eye(1 << layer.n, dtype=np.complex128)
-    for s in subs:
-        cur = s @ cur
-        upto.append(cur)
-    after = [ring] * len(subs)
-    for a in range(len(subs) - 2, -1, -1):
+    perm = _cnot_ring_permutation(layer.n)
+    upto = [subs[0]]
+    for s in subs[1:]:
+        upto.append(s @ upto[-1])
+    after = [_cnot_ring(layer.n)] * len(subs)
+    if len(subs) > 1:
+        after[-2] = subs[-1][perm]  # ring @ subs[-1], as a row gather
+    for a in range(len(subs) - 3, -1, -1):
         after[a] = after[a + 1] @ subs[a + 1]
-    return ring @ cur, upto, after
+    return upto[-1][perm], upto, after
 
 
 def build_layer_unitary(layer: LayerSpec) -> Unitary:
@@ -345,6 +353,37 @@ def z_expectations(x: np.ndarray) -> np.ndarray:
     """Per-qubit ``Tr(Z_i x)`` of a stack ``(..., d, d)`` of states, shape ``(..., n)``."""
     diag = np.real(np.diagonal(x, axis1=-2, axis2=-1))
     return diag @ z_sign_table(x.shape[-1].bit_length() - 1).T
+
+
+def mitigated_z_readout(psi, units, noise, rates, generators, mode, count) -> np.ndarray:
+    """``Tr(Z_k rho_hat_b)`` for qubits ``k < count``, shape ``(N, count)``:
+    the Z readouts of the mitigated final states ``rho_hat_b`` of a stack
+    ``(N, d)`` of pure state vectors, the ``mitigated[-1]`` of
+    :func:`forward_mitigated` in execution mode ``mode``.
+
+    Computed in the Heisenberg picture.  The ``count`` observables are
+    pushed back through the chain once, each map replaced by its adjoint:
+    the Pauli maps are self-adjoint, and ``x -> U x U^dagger`` has the
+    adjoint ``o -> U^dagger o U``.  Each sample is then the quadratic form
+    ``Re psi_b^dagger O_k psi_b``, one ``k`` at a time, so no per-sample
+    matrix is formed: ``L`` layers on ``count`` matrices plus ``N count d^2``.
+    """
+    idx = np.arange(psi.shape[-1])
+    obs = np.zeros((count, idx.size, idx.size), dtype=np.complex128)
+    obs[:, idx, idx] = z_sign_table(idx.size.bit_length() - 1)[:count]
+    cascaded = mode == "cascaded"
+    if not cascaded:
+        obs = apply_pauli_fidelities(obs, generators, rates[-1], inverse=True)
+    for i in range(len(units) - 1, -1, -1):
+        if cascaded:
+            obs = apply_pauli_fidelities(obs, generators, rates[i], inverse=True)
+        obs = apply_pauli_fidelities(obs, noise[i].generators, noise[i].rates)
+        obs = units[i].conj().T @ obs @ units[i]
+    bra = psi.conj()
+    z = np.empty((psi.shape[0], count))
+    for k in range(count):
+        z[:, k] = np.einsum("bi,bi->b", bra @ obs[k], psi).real
+    return z
 
 
 def readout(rho: DensityMatrix, circuit: CircuitSpec) -> np.ndarray:

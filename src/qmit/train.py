@@ -21,6 +21,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -42,10 +43,10 @@ from .pqc import (
     EncoderSpec,
     LayerSpec,
     angle_gradients,
-    build_layer_unitary,
     encode_vectors,
     layer_chain,
     layer_factors,
+    mitigated_z_readout,
     pure_states,
     z_expectations,
     z_sign_table,
@@ -509,37 +510,28 @@ def evaluate(
     config: TrainConfig,
     noise_true: list[NoiseModel] | None = None,
     encoded: np.ndarray | None = None,
-    chunk: int = 256,
 ) -> EvalResult:
-    """Deterministic argmax accuracy of the mitigated readout; ``encoded``
+    """Deterministic argmax accuracy of the mitigated readout, computed in
+    the Heisenberg picture by :func:`pqc.mitigated_z_readout`; ``encoded``
     holds the :func:`encode_dataset` state vectors of ``dataset``."""
-    rates = np.maximum(state.rates, 0.0)
-    generators = state.generators
     if noise_true is None:
         noise_true = noise_models_from_config(config)
     if encoded is None:
         encoded = encode_dataset(dataset, config.n_qubits)
-    units = [
-        build_layer_unitary(LayerSpec(config.design, config.n_qubits, t)).data for t in state.theta
-    ]
     c = config.num_classes
+    units = [layer_factors(LayerSpec(config.design, config.n_qubits, t))[0] for t in state.theta]
+    rates = np.maximum(state.rates, 0.0)
+    logits = mitigated_z_readout(
+        encoded, units, noise_true, rates, state.generators, config.mode, c
+    )
+    predictions = np.argmax(softmax_head(logits, c), axis=1)
+    labels = dataset.labels
     correct = np.zeros(c, dtype=np.int64)
     total = np.zeros(c, dtype=np.int64)
-    cascaded_rates = rates if config.mode == "cascaded" else None
-    for lo in range(0, len(dataset), chunk):
-        sel = slice(lo, lo + chunk)
-        rho0 = pure_states(encoded[sel])
-        chain = layer_chain(rho0, units, noise_true, cascaded_rates, generators)
-        rho_hat = chain[-1]
-        if config.mode == "loss_only":
-            rho_hat = apply_pauli_fidelities(rho_hat, generators, rates[-1], inverse=True)
-        probs = softmax_head(z_expectations(rho_hat), c)
-        predictions = np.argmax(probs, axis=1)
-        labels = dataset.labels[sel]
-        for k in range(c):
-            mask = labels == k
-            total[k] += int(mask.sum())
-            correct[k] += int(np.sum(predictions[mask] == k))
+    for k in range(c):
+        mask = labels == k
+        total[k] = int(mask.sum())
+        correct[k] = int(np.sum(predictions[mask] == k))
     return EvalResult(float(correct.sum() / max(total.sum(), 1)), correct, total)
 
 
@@ -658,9 +650,11 @@ def run_experiment(
         workers = int(workers_env)
     except ValueError as exc:
         raise ConfigError(f"QMIT_THREADS must be an integer, got {workers_env!r}") from exc
+    if workers < 0:
+        raise ConfigError(f"QMIT_THREADS must be >= 0, got {workers}")
     if workers == 0:
         workers = min(repeats, os.cpu_count() or 1)
-    workers = max(1, min(workers, repeats))
+    workers = min(workers, repeats)
 
     def job(r: int):
         return _run_single_repeat(
@@ -702,8 +696,24 @@ def checkpoint_payload(snapshot: dict, config: TrainConfig, generators) -> dict:
     }
 
 
+@contextmanager
+def replace_on_success(path):
+    """Open a temporary file next to ``path`` for writing text.  It replaces
+    ``path`` when the block exits cleanly and is removed when the block
+    raises, so a failed write never leaves a truncated ``path``."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 

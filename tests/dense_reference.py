@@ -11,6 +11,9 @@ matrix on the row-major ``vec``, multiplied in order.  Meant for n <= 4.
 Encoder: the full encoding unitary as a product of dense Kronecker
 sub-layers.
 
+Layer factors: the unitary and the partial products its derivatives need,
+as plain matrix products starting from the identity, with dense CNOTs.
+
 Layer derivatives: every ``dU/dtheta[q, a]`` as a dense matrix, with the
 generator embedded on its qubit by Kronecker products and inserted at its
 sub-layer's position in the product.
@@ -118,9 +121,10 @@ def _sublayer(axis, angles):
     return sub
 
 
-def layer_unitary_and_gradients(layer):
-    """Layer unitary plus dense ``dU/dtheta[q, a]`` (``grads[q][a]``) for
-    every angle: ``suffix[a] (-i/2 sigma_a on qubit q) sub[a] prefix[a]``."""
+def layer_factors(layer):
+    """``(U, upto, after)`` of ``pqc.layer_factors`` as plain matrix products:
+    ``upto[a] = sub[a] ... sub[0] @ I`` and ``after[a] = ring @ sub[last]
+    ... sub[a + 1]``, with the ring a product of dense CNOT matrices."""
     n = layer.n
     dim = 1 << n
     subs = [_sublayer(axis, layer.theta[:, a]) for a, axis in enumerate(layer.axes)]
@@ -128,20 +132,29 @@ def layer_unitary_and_gradients(layer):
     if n >= 2:
         for j in range(n):
             ring = cnot(j, (j + 1) % n, n) @ ring
-    prefix = [np.eye(dim, dtype=np.complex128)]
+    upto = []
+    cur = np.eye(dim, dtype=np.complex128)
     for s in subs:
-        prefix.append(s @ prefix[-1])
-    suffix = [ring] * len(subs)
+        cur = s @ cur
+        upto.append(cur)
+    after = [ring] * len(subs)
     for a in range(len(subs) - 2, -1, -1):
-        suffix[a] = suffix[a + 1] @ subs[a + 1]
+        after[a] = after[a + 1] @ subs[a + 1]
+    return ring @ cur, upto, after
+
+
+def layer_unitary_and_gradients(layer):
+    """Layer unitary plus dense ``dU/dtheta[q, a]`` (``grads[q][a]``) for
+    every angle: ``after[a] (-i/2 sigma_a on qubit q) upto[a]``."""
+    u, upto, after = layer_factors(layer)
     grads = [
         [
-            suffix[a] @ qsim.embed_one_qubit(-0.5j * qsim.PAULIS[axis], q, n) @ subs[a] @ prefix[a]
+            after[a] @ qsim.embed_one_qubit(-0.5j * qsim.PAULIS[axis], q, layer.n) @ upto[a]
             for a, axis in enumerate(layer.axes)
         ]
-        for q in range(n)
+        for q in range(layer.n)
     ]
-    return ring @ prefix[-1], grads
+    return u, grads
 
 
 def _dagger(x):

@@ -109,6 +109,12 @@ class TestConfigValidation:
         assert cli.main(["trace-divergence", "--config", path, "--out", str(out)]) == 2
         assert "'rate' must be finite" in capsys.readouterr().err
 
+    def test_negative_thread_count_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QMIT_THREADS", "-3")
+        path = write_config(tmp_path, synthetic_train_payload())
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "QMIT_THREADS" in capsys.readouterr().err
+
     def test_mnist_requires_data_dir(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_train_payload(benchmark="MNIST-4"))
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
@@ -197,6 +203,25 @@ def write_gzipped_idx_corpus(out_dir, seed=0, train_count=300, test_count=100):
             with open(raw, "rb") as src, gzip.open(f"{raw}.gz", "wb") as dst:
                 dst.write(src.read())
             raw.unlink()
+
+
+class TestCrashSafeWriters:
+    @pytest.mark.parametrize("write,good,bad", [
+        (lambda path, rows: cli.write_csv(path, {}, ["a"], rows), [{"a": 1}], [{"a": 1}, {}]),
+        (cli.write_json, {"a": 1}, {"a": 2, "b": object()}),
+        (train.save_checkpoint, {"a": 1}, {"a": 2, "b": object()}),
+    ])
+    def test_failed_write_leaves_previous_file(self, tmp_path, write, good, bad):
+        """A writer that raises part-way (a row without its column, a value
+        JSON cannot encode) leaves the previous file intact and no temporary
+        file behind."""
+        path = tmp_path / "out"
+        write(str(path), good)
+        before = path.read_bytes()
+        with pytest.raises((KeyError, TypeError)):
+            write(str(path), bad)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out"]
 
 
 class TestIdxPipeline:

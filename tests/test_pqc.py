@@ -134,6 +134,21 @@ class TestLayerUnitary:
                 for a in range(p):
                     np.testing.assert_allclose(after[a] @ upto[a], u, atol=1e-13)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_layer_factors_equal_matrix_products(self, n):
+        """Row gathers for the ring and the first sub-layer taken as is give
+        exactly the plain matrix products of ``dense_reference.layer_factors``."""
+        rng = np.random.default_rng(40 + n)
+        for design in ("RX", "U2", "U3"):
+            p = len(pqc.DESIGN_AXES[design])
+            layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
+            u, upto, after = pqc.layer_factors(layer)
+            ref_u, ref_upto, ref_after = dense_reference.layer_factors(layer)
+            assert np.array_equal(u, ref_u)
+            assert len(upto) == len(after) == p
+            assert all(np.array_equal(x, y) for x, y in zip(upto, ref_upto))
+            assert all(np.array_equal(x, y) for x, y in zip(after, ref_after))
+
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("design", ["RX", "U2", "U3"])
     def test_angle_gradients_match_dense_reference(self, n, design):
@@ -162,6 +177,13 @@ class TestLayerUnitary:
         assert not ring.flags.writeable
         with pytest.raises(ValueError):
             ring[0, 0] = 0.0
+
+    def test_cnot_ring_permutation_is_cached_read_only_row_gather(self):
+        perm = pqc._cnot_ring_permutation(4)
+        assert pqc._cnot_ring_permutation(4) is perm
+        assert not perm.flags.writeable
+        x = np.random.default_rng(5).standard_normal((16, 16))
+        assert np.array_equal(x[perm], pqc._cnot_ring(4) @ x)
 
 
 class TestEncoder:

@@ -13,6 +13,20 @@ from qmit.errors import ConfigError, TrainingError, ValidationError
 from qmit.selftest import fd_vs_analytic, grad_mismatch
 
 
+class _ProductLog(np.ndarray):
+    """An array that logs the operand shapes of every matrix product it
+    takes part in; results of its operations are logged arrays too."""
+
+    log = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _ProductLog.log.append(tuple(np.shape(x) for x in inputs))
+        inputs = [x.view(np.ndarray) if isinstance(x, _ProductLog) else x for x in inputs]
+        out = getattr(ufunc, method)(*inputs, **kwargs)
+        return out.view(_ProductLog) if isinstance(out, np.ndarray) else out
+
+
 def small_config(**overrides):
     base = dict(
         n_qubits=3,
@@ -431,7 +445,7 @@ class TestEvaluate:
         assert sorted(accs) == [0.0, 1.0]
 
     def test_predictions_match_run_batch(self):
-        """The forward-only path predicts bitwise what the full batch pass does."""
+        """The forward-only path makes the same predictions as the full batch pass."""
         dataset = data.synthetic_blobs(2, 30, 1.0, seed=14)
         for mode in ("loss_only", "cascaded"):
             config = small_config(mode=mode, layers=4, step_size=2)
@@ -450,8 +464,93 @@ class TestEvaluate:
             # classified correctly only if evaluate predicts the same class.
             relabelled = data.Dataset(dataset.features, result.predictions)
             assert len(set(result.predictions.tolist())) == 2
-            got = train.evaluate(state, relabelled, config, noise_true, encoded, chunk=7)
+            got = train.evaluate(state, relabelled, config, noise_true, encoded)
             assert got.accuracy == 1.0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_readout_matches_per_state_chain(self, n):
+        """The Heisenberg-picture logits equal ``z_expectations`` of each
+        state's ``forward_mitigated`` readout state to 1e-12 times the
+        learned overhead of the inverse stacks it passes through, for true
+        rates up to 0.2.  The readout does not depend on the block step; the
+        configs with step 1 and 2 check that ``evaluate`` agrees too."""
+        rng = np.random.default_rng(60 + n)
+        vectors = pqc.encode_vectors(rng.uniform(0, 1, (3, 64)), pqc.EncoderSpec(n))
+        inputs = [qsim.DensityMatrix(n, x) for x in pqc.pure_states(vectors)]
+        generators = noise.default_generators(n)
+        noise_true = noise.draw_noise_models(n, 2, seed=n, low=0.0, high=0.2)
+        for design in ("RX", "U2", "U3"):
+            circuit = pqc.random_circuit(n, 2, design, rng)
+            units = [pqc.layer_factors(layer)[0] for layer in circuit.layers]
+            # Below the true rates, so that every mitigated state is a state.
+            rates = np.stack([m.rates for m in noise_true]) * rng.uniform(0.5, 1.0, (2, 1))
+            mitigation = noise.MitigationModel(n, generators, rates)
+            for mode in ("loss_only", "cascaded"):
+                got = pqc.mitigated_z_readout(vectors, units, noise_true, rates, generators, mode, n)
+                want = [
+                    pqc.z_expectations(
+                        pqc.forward_mitigated(rho, circuit, noise_true, mitigation, mode)[1][-1].data
+                    )
+                    for rho in inputs
+                ]
+                gamma = np.exp(2.0 * (rates.sum() if mode == "cascaded" else rates[-1].sum()))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * gamma)
+                if n < 2:
+                    continue
+                labels = np.argmax(losses.softmax_head(np.array(want), 2), axis=1)
+                dataset = data.Dataset(np.zeros((3, 64)), labels)
+                for step in (1, 2):
+                    config = small_config(n_qubits=n, design=design, mode=mode, step_size=step)
+                    state = train.init_state(config)
+                    state.theta = [layer.theta for layer in circuit.layers]
+                    state.rates = rates
+                    result = train.evaluate(state, dataset, config, noise_true, vectors)
+                    assert result.accuracy == 1.0
+
+    @pytest.mark.parametrize("mode", ["loss_only", "cascaded"])
+    def test_cost_does_not_grow_with_samples(self, monkeypatch, mode):
+        """``evaluate`` forms no density matrix and runs no state chain, and
+        its kernel passes and d x d products are the same for 10 and 1000
+        test samples: one pass per Pauli map on the ``(c, d, d)`` observable
+        stack and two products per layer."""
+        config = small_config(mode=mode, layers=4)
+        n, c, dim = config.n_qubits, config.num_classes, 1 << config.n_qubits
+        state = train.init_state(config)
+        state.rates = np.random.default_rng(19).uniform(0.001, 0.02, state.rates.shape)
+        noise_true = train.noise_models_from_config(config)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evaluate built a per-sample state")
+
+        for module in (pqc, train):
+            monkeypatch.setattr(module, "pure_states", forbidden)
+            monkeypatch.setattr(module, "layer_chain", forbidden)
+        kernel_shapes = []
+        kernel = noise.apply_qubit_superoperators
+        monkeypatch.setattr(
+            noise, "apply_qubit_superoperators",
+            lambda x, ops: kernel_shapes.append(x.shape) or kernel(x, ops),
+        )
+        factors = train.layer_factors
+
+        def logged_factors(layer):
+            u, upto, after = factors(layer)
+            return u.view(_ProductLog), upto, after
+
+        monkeypatch.setattr(train, "layer_factors", logged_factors)
+        runs = []
+        for size in (10, 1000):
+            kernel_shapes.clear()
+            _ProductLog.log.clear()
+            dataset = data.synthetic_blobs(2, size // 2, 3.0, seed=16)
+            encoded = train.encode_dataset(dataset, n)
+            train.evaluate(state, dataset, config, noise_true, encoded)
+            square = [s for s in _ProductLog.log if all(x[-2:] == (dim, dim) for x in s)]
+            runs.append((list(kernel_shapes), square))
+        assert runs[0] == runs[1]
+        passes = config.layers * (2 if mode == "cascaded" else 1) + (mode == "loss_only")
+        assert runs[0][0] == [(c, dim, dim)] * passes
+        assert len(runs[0][1]) == 2 * config.layers
 
     def test_repeated_evaluation_identical(self):
         dataset = data.synthetic_blobs(2, 10, 3.0, seed=9)
