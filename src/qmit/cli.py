@@ -38,7 +38,14 @@ from .noise import (
 )
 from .pqc import EncoderSpec, encode
 from .qsim import DensityMatrix, cnot_permutation, hermitize, maximally_mixed, rotation_matrix_2x2
-from .train import TrainConfig, config_to_json, replace_on_success, run_experiment, save_checkpoint
+from .train import (
+    TrainConfig,
+    config_to_json,
+    replace_on_success,
+    run_experiment,
+    save_checkpoint,
+    worker_count,
+)
 
 SYNTHETIC_BENCHMARKS = ("synthetic-2", "synthetic-4")
 
@@ -144,6 +151,16 @@ def build_train_config(payload: dict, where: str = "config") -> TrainConfig:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _repeats(payload: dict) -> int:
+    """The config's repeat count, checked with ``QMIT_THREADS`` before any
+    data is loaded or output written."""
+    repeats = int(payload.get("repeats", 1))
+    if repeats < 1:
+        raise ConfigError("repeats must be >= 1")
+    worker_count(repeats)
+    return repeats
+
+
 _IDX_NAMES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
     "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
@@ -232,9 +249,7 @@ def cmd_train(config_path: str, out_dir: str) -> int:
     payload = _load_json(config_path)
     _check_keys(payload, _TRAIN_KEYS, "train config")
     config = build_train_config(payload)
-    repeats = int(payload.get("repeats", 1))
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
+    repeats = _repeats(payload)
     train_set, test_set = resolve_datasets(payload)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -270,7 +285,7 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
     _check_keys(grid, _GRID_KEYS, "grid")
     base_payload = {k: v for k, v in payload.items() if k != "grid"}
     base_config = build_train_config(base_payload)
-    repeats = int(payload.get("repeats", 1))
+    repeats = _repeats(payload)
 
     # Cells are the product over every axis, in table order; an axis the
     # grid leaves out takes the base config's value.
@@ -363,7 +378,7 @@ def divergence_trace(
             else:
                 ops += pauli_mix_superoperators(letters, np.full(len(letters), rate))
         data = hermitize(apply_qubit_superoperators(data, ops))
-        return DensityMatrix._derived(n, data, False) if damping is None else DensityMatrix(n, data)
+        return DensityMatrix._derived(n, data) if damping is None else DensityMatrix(n, data)
 
     ring = [(q, (q + 1) % n) for q in range(n)] if n >= 2 else []
     perms = [cnot_permutation(control, target, n) for control, target in ring]

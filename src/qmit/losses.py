@@ -1,14 +1,14 @@
 """Quantum similarity measures and the training losses.
 
-Provides Uhlmann fidelity, the log-trace diagnostic form, the Petz-Renyi
-divergence, the per-pair forward-backward loss ``-log F``, its multi-layer
-block version and the softmax cross-entropy task loss.
+Provides Uhlmann fidelity, the Petz-Renyi divergence, the conditioned
+forward-backward loss ``-log F`` over blocks of layers (:func:`fb_blocks`)
+and the softmax head of the task loss.
 
 The public :func:`fidelity` clamps negative eigenvalues of quasi-states to
 zero and renormalizes, as a hard projection.  Inside the training objective
-(:func:`total_fb_loss` and the gradient engine) both fidelity arguments are
-instead *conditioned*: eigenvalues pass through a sharp softplus floor, a
-small maximally mixed admixture is added, and the trace is renormalized.
+both fidelity arguments are instead *conditioned*: eigenvalues pass through
+a sharp softplus floor, a small maximally mixed admixture is added, and the
+trace is renormalized.
 Conditioning is smooth, keeps the loss exactly zero for identical inputs,
 and bounds the fidelity gradients, which hard clamping does not.
 
@@ -34,13 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .noise import MitigationModel, apply_pauli_fidelities
-from .pqc import CircuitSpec, build_layer_unitary
+from .noise import apply_pauli_fidelities
 from .qsim import DensityMatrix, _hermiticity_defect, hermitian_power, hermitize
 
 logger = logging.getLogger(__name__)
 
-FB_LOSS_CAP = 50.0
 # Conditioning constants for the differentiable fidelity path.  Sharper
 # softplus and a smaller admixture track the hard clamp more closely but
 # raise the loss curvature; central differences at h = 1e-4 (the
@@ -124,16 +122,6 @@ def _root_overlap_trace(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.sqrt(eigs)))
 
 
-def log_fidelity_paper_form(rho, sigma) -> float:
-    """Diagnostic ``2 log Tr sqrt(sqrt(sigma) rho sqrt(sigma))``, i.e. log of fidelity."""
-    a, _ = psd_clamp(_state_data(rho))
-    b, _ = psd_clamp(_state_data(sigma))
-    trace_sqrt = _root_overlap_trace(a, b)
-    if trace_sqrt <= 0.0:
-        raise ArithmeticError("log fidelity undefined: trace of the root overlap is zero")
-    return 2.0 * math.log(trace_sqrt)
-
-
 def petz_renyi_divergence(rho, sigma, alpha: float = 2.0) -> float:
     """``(alpha - 1)^{-1} log Tr[rho^alpha sigma^{1-alpha}]``.
 
@@ -170,28 +158,6 @@ def petz_renyi_divergence(rho, sigma, alpha: float = 2.0) -> float:
     return math.log(value) / (alpha - 1.0)
 
 
-def forward_backward_loss(rho_prev, rho_hat_prev) -> float:
-    """Per-pair loss ``-log F``; capped at 50 when the fidelity vanishes."""
-    value = fidelity(rho_prev, rho_hat_prev)
-    if value <= math.exp(-FB_LOSS_CAP):
-        logger.warning("fidelity %.3e underflowed the loss cap; returning %.0f", value, FB_LOSS_CAP)
-        return FB_LOSS_CAP
-    return max(-math.log(value), 0.0)
-
-
-def task_loss(z, label: int, num_classes: int) -> float:
-    """Cross entropy of the softmax over the first ``num_classes`` readouts."""
-    z = np.asarray(z, dtype=float).ravel()
-    if num_classes < 2 or num_classes > z.size:
-        raise ValidationError(
-            f"class count {num_classes} must be in [2, {z.size}] for this readout"
-        )
-    if not 0 <= label < num_classes:
-        raise ValidationError(f"label {label} out of range for {num_classes} classes")
-    probs = softmax_head(z, num_classes)
-    return float(-np.log(probs[label]))
-
-
 def softmax_head(z, num_classes: int) -> np.ndarray:
     """Softmax over the first ``num_classes`` readouts on the last axis of ``z``."""
     logits = np.asarray(z, dtype=float)[..., :num_classes]
@@ -201,7 +167,7 @@ def softmax_head(z, num_classes: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Differentiable conditioned fidelity (used by total_fb_loss and the trainer)
+# Differentiable conditioned fidelity (used by the trainer)
 # ---------------------------------------------------------------------------
 
 
@@ -455,46 +421,3 @@ def fb_blocks(chain, units, step: int, rates=None, generators=None, psi0=None) -
         shared = cache["cache_b"] if x is chain[end] else None
         blocks.append((start, end, layer_caches, loss, cache))
     return blocks
-
-
-@dataclass(frozen=True)
-class TotalFbLoss:
-    """Mean conditioned block loss, per-block values, and clamped mass."""
-
-    value: float
-    per_block: tuple[float, ...]
-    clamped_mass: float
-
-
-def total_fb_loss(
-    states,
-    circuit: CircuitSpec,
-    mitigation: MitigationModel,
-    step: int,
-    mode: str = "loss_only",
-) -> TotalFbLoss:
-    """Mean forward-backward loss over ``L / step`` layer blocks.
-
-    ``states`` is the full propagated chain ``[t_0, ..., t_L]`` (noisy for
-    ``loss_only``, mitigated for ``cascaded``).  Each block forwards ``step``
-    layers, pulls the endpoint back through the block's mitigation and
-    inverse unitaries, and compares against the block's start state (see
-    :func:`fb_blocks`).  With ``step=1`` every layer forms its own block.
-    """
-    depth = len(states) - 1
-    if depth != circuit.depth:
-        raise ValidationError(f"chain has {depth} layers, circuit has {circuit.depth}")
-    if step < 1 or depth % step != 0:
-        raise ValidationError(f"step size {step} does not divide the layer count {depth}")
-    if mitigation.layers != depth:
-        raise ValidationError("mitigation model layer count does not match the chain")
-    if mode not in ("loss_only", "cascaded"):
-        raise ValidationError(f"unknown execution mode {mode!r}")
-
-    unitaries = [build_layer_unitary(layer).data for layer in circuit.layers]
-    chain = [_state_data(s)[None] for s in states]
-    rates = np.maximum(mitigation.rates, 0.0) if mode == "loss_only" else None
-    blocks = fb_blocks(chain, unitaries, step, rates, mitigation.generators)
-    per_block = tuple(float(loss[0]) for *_, loss, _cache in blocks)
-    clamped = sum(cache["neg_mass"] for *_, cache in blocks)
-    return TotalFbLoss(float(np.mean(per_block)), per_block, clamped)

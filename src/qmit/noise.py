@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .qsim import PAULIS, DensityMatrix, hermitize, _check_qubit_count
+from .qsim import PAULIS, _check_qubit_count
 
 PAULI_LETTERS = "IXYZ"
 
@@ -151,14 +151,6 @@ def default_generators(n: int) -> tuple[PauliString, ...]:
     return tuple(gens)
 
 
-def depolarizing_model(n: int, rate: float) -> NoiseModel:
-    """Uniform rate on every single-qubit X, Y and Z generator."""
-    if rate < 0.0:
-        raise ValidationError(f"depolarizing rate must be nonnegative, got {rate}")
-    gens = default_generators(n)
-    return NoiseModel(n, gens, np.full(len(gens), float(rate)))
-
-
 def draw_noise_models(
     n: int,
     layers: int,
@@ -208,13 +200,6 @@ class MitigationModel:
     @property
     def layers(self) -> int:
         return self.rates.shape[0]
-
-    @classmethod
-    def zeros(
-        cls, n: int, layers: int, generators: tuple[PauliString, ...] | None = None
-    ) -> "MitigationModel":
-        gens = default_generators(n) if generators is None else tuple(generators)
-        return cls(n, gens, np.zeros((layers, len(gens))))
 
     @classmethod
     def from_noise_models(cls, models: list[NoiseModel]) -> "MitigationModel":
@@ -457,34 +442,6 @@ def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
     products = summed.reshape((2,) * 2 * n).transpose(np.argsort(bits)).reshape(d, d)
     scale = 2.0 / d
     return np.array([scale * products[_anticommutation_mask(w)].sum() for w in letters])
-
-
-# ---------------------------------------------------------------------------
-# Channel application (validated DensityMatrix wrappers)
-# ---------------------------------------------------------------------------
-
-
-def _require_dims(rho: DensityMatrix, model: NoiseModel) -> None:
-    if rho.n != model.n:
-        raise ValidationError(
-            f"dimension mismatch: state on {rho.n} qubits, noise model on {model.n}"
-        )
-
-
-def apply_channel(rho: DensityMatrix, model: NoiseModel) -> DensityMatrix:
-    """Product channel: each factor mixes ``rho`` with ``P rho P`` at weight w."""
-    _require_dims(rho, model)
-    data = hermitize(apply_pauli_fidelities(rho.data, model.generators, model.rates))
-    return DensityMatrix._derived(rho.n, data, rho.quasi)
-
-
-def apply_inverse_channel(rho: DensityMatrix, model: NoiseModel) -> DensityMatrix:
-    """Exact linear inverse of :func:`apply_channel`; output may be a quasi-state."""
-    _require_dims(rho, model)
-    data = hermitize(
-        apply_pauli_fidelities(rho.data, model.generators, model.rates, inverse=True)
-    )
-    return DensityMatrix(rho.n, data, quasi=True)
 
 
 def sampling_overhead(model: NoiseModel, method: str = "exp") -> float:

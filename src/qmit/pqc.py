@@ -2,11 +2,14 @@
 
 A circuit is an encoder plus ``L`` parameterized layers.  Each layer applies
 per-qubit rotations (one axis per design letter, X then Y then Z) followed by
-a ring of CNOTs, matching the usual hardware-efficient ansatz.  Three forward
-passes are provided: noise free, noisy (unitary then channel per layer), and
-mitigated, where a learnable inverse channel is applied either per layer for
-loss computation only (the noisy chain keeps propagating) or inline so each
-layer consumes the previous mitigated state.
+a ring of CNOTs, matching the usual hardware-efficient ansatz.  One batched
+chain, :func:`layer_chain`, runs the layers: noise free (zero rates), noisy
+(unitary then channel per layer), or mitigated.  A learnable inverse channel
+is applied either per layer for loss computation only (``loss_only``: the
+noisy chain keeps propagating) or inline so each layer consumes the previous
+mitigated state (``cascaded``).  :func:`z_expectations` reads a chain state
+out, and :func:`mitigated_z_readout` reads the mitigated final state of
+encoded state vectors in the Heisenberg picture.
 """
 
 from __future__ import annotations
@@ -18,13 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .noise import MitigationModel, NoiseModel, apply_pauli_fidelities
+from .noise import apply_pauli_fidelities
 from .qsim import (
     PAULIS,
     DensityMatrix,
-    Unitary,
-    evolve,
-    hermitize,
     rotation_matrix_2x2,
     _check_qubit_count,
     cnot_permutation,
@@ -162,11 +162,6 @@ def layer_factors(layer: LayerSpec) -> tuple[np.ndarray, list[np.ndarray], list[
     return upto[-1][perm], upto, after
 
 
-def build_layer_unitary(layer: LayerSpec) -> Unitary:
-    """Per-qubit rotations in design order, then the CNOT ring."""
-    return Unitary(layer.n, layer_factors(layer)[0])
-
-
 def _one_qubit_marginals(w: np.ndarray) -> np.ndarray:
     """Partial traces ``Tr_{!=q} w`` onto each qubit ``q``, shape ``(n, 2, 2)``."""
     dim = w.shape[-1]
@@ -241,26 +236,13 @@ def encode(x, spec: EncoderSpec) -> DensityMatrix:
     return DensityMatrix(spec.n, pure_states(encode_vectors(feats, spec))[0])
 
 
-def forward_noise_free(rho0: DensityMatrix, circuit: CircuitSpec) -> list[DensityMatrix]:
-    """Exact unitary chain ``rho_i = V_i rho_{i-1} V_i^dagger``."""
-    if rho0.n != circuit.n:
-        raise ValidationError("input state does not match circuit width")
-    states = []
-    cur = rho0
-    for layer in circuit.layers:
-        cur = evolve(cur, build_layer_unitary(layer))
-        states.append(cur)
-    return states
-
-
 def layer_chain(rho0, units, noise, rates=None, generators=None) -> list[np.ndarray]:
     """Propagated states ``[t_0, ..., t_L]`` of a stack ``(..., d, d)`` of inputs.
 
     Layer ``i`` conjugates by ``units[i]`` and applies the true noise
     ``noise[i]``; with ``rates`` (cascaded mode) it then applies the learned
     inverse stack ``rates[i]`` over ``generators``.  Nothing is hermitized
-    or validated: the training engine runs this on batches, and the
-    validated wrappers below on a batch of one.
+    or validated.
     """
     chain = [rho0]
     cur = rho0
@@ -271,72 +253,6 @@ def layer_chain(rho0, units, noise, rates=None, generators=None) -> list[np.ndar
             cur = apply_pauli_fidelities(cur, generators, rates[i], inverse=True)
         chain.append(cur)
     return chain
-
-
-def _check_chain_inputs(rho0: DensityMatrix, circuit: CircuitSpec, noise) -> list[np.ndarray]:
-    """Validate a per-state chain's inputs; return the layer unitaries."""
-    if rho0.n != circuit.n:
-        raise ValidationError("input state does not match circuit width")
-    if len(noise) != circuit.depth:
-        raise ValidationError(f"{len(noise)} noise models for {circuit.depth} layers")
-    for model in noise:
-        if model.n != circuit.n:
-            raise ValidationError(
-                f"dimension mismatch: circuit on {circuit.n} qubits, noise model on {model.n}"
-            )
-    return [build_layer_unitary(layer).data for layer in circuit.layers]
-
-
-def forward_noisy(
-    rho0: DensityMatrix, circuit: CircuitSpec, noise: list[NoiseModel]
-) -> list[DensityMatrix]:
-    """Noisy chain: unitary, then the layer's Pauli channel.
-
-    Neither step can lower the smallest eigenvalue of the validated
-    ``rho0``, so the states are built by ``DensityMatrix._derived``."""
-    units = _check_chain_inputs(rho0, circuit, noise)
-    chain = layer_chain(rho0.data, units, noise)
-    return [DensityMatrix._derived(rho0.n, hermitize(x), rho0.quasi) for x in chain[1:]]
-
-
-def forward_mitigated(
-    rho0: DensityMatrix,
-    circuit: CircuitSpec,
-    noise: list[NoiseModel],
-    mitigation: MitigationModel,
-    mode: str = "loss_only",
-) -> tuple[list[DensityMatrix], list[DensityMatrix]]:
-    """Noisy chain plus per-layer mitigated states.
-
-    ``loss_only``: the noisy chain propagates unmitigated and
-    ``mitigated[i]`` is the inverse channel applied to ``states[i]``;
-    readout uses ``mitigated[-1]``.  ``cascaded``: each layer consumes the
-    previous mitigated state, so ``states[i]`` is the pre-mitigation state
-    of layer ``i`` and ``mitigated[i]`` the post-mitigation one.
-    """
-    if mode not in EXECUTION_MODES:
-        raise ValidationError(f"unknown execution mode {mode!r}")
-    units = _check_chain_inputs(rho0, circuit, noise)
-    if mitigation.layers != circuit.depth or mitigation.n != circuit.n:
-        raise ValidationError(
-            f"mitigation model ({mitigation.layers} layers on {mitigation.n} qubits) does "
-            f"not match the circuit ({circuit.depth} layers on {circuit.n} qubits)"
-        )
-    cascaded = mode == "cascaded"
-    gens = mitigation.generators
-    rates = np.maximum(mitigation.rates, 0.0)
-    outs = layer_chain(rho0.data, units, noise, rates if cascaded else None, gens)[1:]
-    # The chain holds one side of each layer's mitigation: the inverse stack
-    # gives the other in loss_only mode, its inverse (the channel) in cascaded.
-    other = [apply_pauli_fidelities(x, gens, r, inverse=not cascaded) for x, r in zip(outs, rates)]
-    pre, hat = (other, outs) if cascaded else (outs, other)
-    # A cascaded layer consumes the previous quasi-state.
-    states = [
-        DensityMatrix(rho0.n, hermitize(x), quasi=rho0.quasi or (cascaded and i > 0))
-        for i, x in enumerate(pre)
-    ]
-    mitigated = [DensityMatrix(rho0.n, hermitize(x), quasi=True) for x in hat]
-    return states, mitigated
 
 
 @lru_cache(maxsize=None)
@@ -358,8 +274,10 @@ def z_expectations(x: np.ndarray) -> np.ndarray:
 def mitigated_z_readout(psi, units, noise, rates, generators, mode, count) -> np.ndarray:
     """``Tr(Z_k rho_hat_b)`` for qubits ``k < count``, shape ``(N, count)``:
     the Z readouts of the mitigated final states ``rho_hat_b`` of a stack
-    ``(N, d)`` of pure state vectors, the ``mitigated[-1]`` of
-    :func:`forward_mitigated` in execution mode ``mode``.
+    ``(N, d)`` of pure state vectors in execution mode ``mode``.  In
+    ``cascaded`` mode ``rho_hat_b`` is the last state of :func:`layer_chain`
+    with ``rates``; in ``loss_only`` mode it is the last inverse stack
+    applied to the last state of the noisy chain.
 
     Computed in the Heisenberg picture.  The ``count`` observables are
     pushed back through the chain once, each map replaced by its adjoint:
@@ -384,13 +302,6 @@ def mitigated_z_readout(psi, units, noise, rates, generators, mode, count) -> np
     for k in range(count):
         z[:, k] = np.einsum("bi,bi->b", bra @ obs[k], psi).real
     return z
-
-
-def readout(rho: DensityMatrix, circuit: CircuitSpec) -> np.ndarray:
-    """Vector of per-qubit Z expectations ``z_i = Tr(H_i rho)``."""
-    if rho.n != circuit.n:
-        raise ValidationError("state does not match circuit width")
-    return z_expectations(rho.data)
 
 
 def random_circuit(

@@ -1,7 +1,7 @@
 """Exact density-matrix simulation primitives.
 
-States, gates, unitary evolution, observables and entropy for registers of
-up to ten qubits, all as dense complex128 matrices.
+States, gates and unitary evolution for registers of up to ten qubits, all
+as dense complex128 matrices.
 
 Conventions:
     * Qubit 0 is the most significant bit of a computational-basis index,
@@ -13,16 +13,14 @@ Validation:
     A :class:`DensityMatrix` built from outside data (``pure_state``,
     ``maximally_mixed``, the encoder, user arrays) gets the full check:
     Hermiticity, unit trace and the ``eigvalsh`` eigenvalue floor.  States
-    derived from a validated one by :func:`evolve`,
-    :func:`qmit.noise.apply_channel`, :func:`qmit.pqc.forward_noisy` or a
-    rotation or CNOT step of :func:`qmit.cli.divergence_trace` with Pauli
-    noise check the trace only.  Unitary conjugation keeps the spectrum,
-    and a Pauli channel with nonnegative rates is a convex mixture of Pauli
-    conjugations, which cannot lower the (concave) smallest eigenvalue, so
-    neither step can cross the floor; their data comes from
-    :func:`hermitize`, Hermitian bit for bit.  Steps that can cross the
-    floor (the inverse channel, a trace step with amplitude damping, the
-    mitigated forward pass) keep the full check.
+    derived from a validated one by :func:`evolve` or a rotation or CNOT
+    step of :func:`qmit.cli.divergence_trace` with Pauli noise check the
+    trace only.  Unitary conjugation keeps the spectrum, and a Pauli channel
+    with nonnegative rates is a convex mixture of Pauli conjugations, which
+    cannot lower the (concave) smallest eigenvalue, so neither step can
+    cross the floor; their data comes from :func:`hermitize`, Hermitian bit
+    for bit.  A trace step with amplitude damping can cross the floor and
+    keeps the full check.
 """
 
 from __future__ import annotations
@@ -40,10 +38,6 @@ HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
-# Mitigated states coming out of a quasi-probability inverse channel may be
-# slightly indefinite; the relaxed validation mode tolerates eigenvalues
-# down to this floor.
-QUASI_EIGENVALUE_FLOOR = -0.05
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -89,49 +83,45 @@ def _check_traces(data: np.ndarray) -> None:
         raise ValidationError(f"density matrix trace is {tr:.12g}, expected 1")
 
 
-def check_density_matrices(data: np.ndarray, quasi: bool = False) -> None:
+def check_density_matrices(data: np.ndarray) -> None:
     """Raise unless every matrix on the last two axes of ``data`` (one state
     or a stack) is Hermitian, has trace 1 and no eigenvalue below the PSD
-    floor (the quasi-state floor if ``quasi``)."""
+    floor."""
     if data.size == 0:
         return
     defect = _hermiticity_defect(data)
     if not defect <= HERMITIAN_ATOL:
         raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
     _check_traces(data)
-    floor = QUASI_EIGENVALUE_FLOOR if quasi else -PSD_ATOL
     min_eig = float(np.linalg.eigvalsh(data)[..., 0].min())
-    if not min_eig >= floor:
+    if not min_eig >= -PSD_ATOL:
         raise ValidationError(
-            f"density matrix has eigenvalue {min_eig:.3e} below the "
-            f"{'quasi-state' if quasi else 'PSD'} floor {floor:.3e}"
+            f"density matrix has eigenvalue {min_eig:.3e} below the PSD floor {-PSD_ATOL:.3e}"
         )
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian trace-1 matrix of dimension ``2**n``, stored read-only.
+    """Hermitian trace-1 positive semidefinite matrix of dimension ``2**n``,
+    stored read-only.
 
-    ``quasi=True`` relaxes the positivity check for mitigated states, which
-    may carry small negative eigenvalues.  Constructing one runs the full
-    check; :meth:`_derived` is the trace-only construction for the output
-    of a step that cannot lower the input's smallest eigenvalue (see the
-    module docstring).
+    Constructing one runs the full check; :meth:`_derived` is the
+    trace-only construction for the output of a step that cannot lower the
+    input's smallest eigenvalue (see the module docstring).
     """
 
     n: int
     data: np.ndarray
-    quasi: bool = False
 
     def __post_init__(self):
         _check_qubit_count(self.n)
         dim = 1 << self.n
         arr = _as_complex_matrix(self.data, dim, "density matrix")
         object.__setattr__(self, "data", arr)
-        check_density_matrices(arr, self.quasi)
+        check_density_matrices(arr)
 
     @classmethod
-    def _derived(cls, n: int, data: np.ndarray, quasi: bool) -> "DensityMatrix":
+    def _derived(cls, n: int, data: np.ndarray) -> "DensityMatrix":
         """Trace-checked state for the output of a step that cannot lower
         the smallest eigenvalue of a validated input (module docstring).
 
@@ -142,7 +132,7 @@ class DensityMatrix:
         _check_traces(data)
         data.setflags(write=False)
         state = object.__new__(cls)
-        for name, value in (("n", n), ("data", data), ("quasi", quasi)):
+        for name, value in (("n", n), ("data", data)):
             object.__setattr__(state, name, value)
         return state
 
@@ -187,30 +177,6 @@ class Unitary:
     def dim(self) -> int:
         return 1 << self.n
 
-    def dagger(self) -> "Unitary":
-        return Unitary(self.n, self.data.conj().T)
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Hermitian matrix of dimension ``2**n``."""
-
-    n: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        _check_qubit_count(self.n)
-        dim = 1 << self.n
-        arr = _as_complex_matrix(self.data, dim, "observable")
-        object.__setattr__(self, "data", arr)
-        defect = _hermiticity_defect(arr)
-        if not defect <= HERMITIAN_ATOL:
-            raise ValidationError(f"observable is not Hermitian (defect {defect:.3e})")
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
 
 def pure_state(amplitudes) -> DensityMatrix:
     """Outer product ``|psi><psi|`` of a unit-norm amplitude vector."""
@@ -232,16 +198,6 @@ def maximally_mixed(n: int) -> DensityMatrix:
     return DensityMatrix(n, np.eye(dim, dtype=np.complex128) / dim)
 
 
-def embed_one_qubit(op: np.ndarray, target: int, n: int) -> np.ndarray:
-    """Tensor a 2x2 operator with identities on the other ``n - 1`` qubits."""
-    _check_qubit_count(n)
-    if not 0 <= target < n:
-        raise ValidationError(f"target qubit {target} out of range for {n} qubits")
-    left = np.eye(1 << target, dtype=np.complex128)
-    right = np.eye(1 << (n - target - 1), dtype=np.complex128)
-    return np.kron(np.kron(left, np.asarray(op, dtype=np.complex128)), right)
-
-
 def rotation_matrix_2x2(axis: str, theta: float) -> np.ndarray:
     """``exp(-i theta sigma / 2)`` in closed form."""
     axis = axis.upper()
@@ -249,11 +205,6 @@ def rotation_matrix_2x2(axis: str, theta: float) -> np.ndarray:
         raise ValidationError(f"rotation axis must be X, Y or Z, got {axis!r}")
     half = 0.5 * float(theta)
     return math.cos(half) * PAULI_I - 1j * math.sin(half) * PAULIS[axis]
-
-
-def rotation_gate(axis: str, theta: float, target: int, n: int) -> Unitary:
-    """Single-qubit rotation about ``axis`` embedded in an ``n``-qubit register."""
-    return Unitary(n, embed_one_qubit(rotation_matrix_2x2(axis, theta), target, n))
 
 
 def cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
@@ -275,24 +226,7 @@ def evolve(rho: DensityMatrix, u: Unitary) -> DensityMatrix:
     if rho.n != u.n:
         raise ValidationError(f"dimension mismatch: state on {rho.n} qubits, unitary on {u.n}")
     data = hermitize(u.data @ rho.data @ u.data.conj().T)
-    return DensityMatrix._derived(rho.n, data, rho.quasi)
-
-
-def expectation(rho: DensityMatrix, obs: Observable) -> float:
-    """``Tr(H rho)`` with the (tiny) imaginary residue discarded."""
-    if rho.n != obs.n:
-        raise ValidationError(
-            f"dimension mismatch: state on {rho.n} qubits, observable on {obs.n}"
-        )
-    return float(np.trace(obs.data @ rho.data).real)
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Spectral entropy ``-sum e_i log e_i`` in nats, with ``0 log 0 := 0``."""
-    eigs = np.linalg.eigvalsh(rho.data)
-    eigs = np.clip(eigs.real, 0.0, None)
-    positive = eigs[eigs > 0.0]
-    return float(-np.sum(positive * np.log(positive)))
+    return DensityMatrix._derived(rho.n, data)
 
 
 def hermitian_power(data: np.ndarray, power: float, *, rel_floor: float = 0.0) -> np.ndarray:

@@ -39,6 +39,7 @@ from .noise import (
 )
 from .pqc import (
     DESIGN_AXES,
+    EXECUTION_MODES,
     CircuitSpec,
     EncoderSpec,
     LayerSpec,
@@ -82,7 +83,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.design not in DESIGN_AXES:
             raise ConfigError(f"unknown design {self.design!r}")
-        if self.mode not in ("loss_only", "cascaded"):
+        if self.mode not in EXECUTION_MODES:
             raise ConfigError(f"unknown execution mode {self.mode!r}")
         if self.layers < 1:
             raise ConfigError("layer count must be >= 1")
@@ -380,9 +381,12 @@ def _batch_pass(
     if not (isinstance(batch, tuple) and len(batch) == 2):
         raise ValidationError("batch must be a (features, labels) tuple")
     features, labels = batch
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and not (0 <= labels.min() and labels.max() < config.num_classes):
+        raise ValidationError(f"labels must lie in [0, {config.num_classes})")
     return _run_batch(
         encode_vectors(features, circuit.encoder),
-        np.asarray(labels, dtype=np.int64),
+        labels,
         [layer.theta for layer in circuit.layers],
         mitigation.rates,
         config,
@@ -627,6 +631,20 @@ def _run_single_repeat(config: TrainConfig, repeat: int, train_set, test_set, no
     return rows, checkpoint, best_acc
 
 
+def worker_count(repeats: int) -> int:
+    """Threads for ``repeats`` repeats: ``QMIT_THREADS`` (default 1, 0 for
+    one per CPU), at most ``repeats``.  Raises ``ConfigError`` unless the
+    variable is a nonnegative integer."""
+    workers_env = os.environ.get("QMIT_THREADS", "1")
+    try:
+        workers = int(workers_env)
+    except ValueError as exc:
+        raise ConfigError(f"QMIT_THREADS must be an integer, got {workers_env!r}") from exc
+    if workers < 0:
+        raise ConfigError(f"QMIT_THREADS must be >= 0, got {workers}")
+    return min(workers or os.cpu_count() or 1, repeats)
+
+
 def run_experiment(
     config: TrainConfig,
     train_set: Dataset,
@@ -641,20 +659,10 @@ def run_experiment(
     """
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
+    workers = worker_count(repeats)
     noise_true = noise_models_from_config(config)
     encoded_train = encode_dataset(train_set, config.n_qubits)
     encoded_test = encode_dataset(test_set, config.n_qubits)
-
-    workers_env = os.environ.get("QMIT_THREADS", "1")
-    try:
-        workers = int(workers_env)
-    except ValueError as exc:
-        raise ConfigError(f"QMIT_THREADS must be an integer, got {workers_env!r}") from exc
-    if workers < 0:
-        raise ConfigError(f"QMIT_THREADS must be >= 0, got {workers}")
-    if workers == 0:
-        workers = min(repeats, os.cpu_count() or 1)
-    workers = min(workers, repeats)
 
     def job(r: int):
         return _run_single_repeat(

@@ -5,6 +5,9 @@ product ``P rho P^dagger`` with ``P`` from ``noise._pauli_matrix``, one
 generator at a time; the adjoint comes from the transposed superoperator
 matrix.  Meant for n <= 3.
 
+One-qubit operators: a 2x2 matrix Kronecker-embedded in ``n`` qubits
+(:func:`embed_one_qubit`).
+
 One-qubit superoperators: each 4x4 op Kronecker-embedded as a d^2 x d^2
 matrix on the row-major ``vec``, multiplied in order.  Meant for n <= 4.
 
@@ -19,6 +22,10 @@ generator embedded on its qubit by Kronecker products and inserted at its
 sub-layer's position in the product.
 
 CNOT: the permutation of basis states it is.
+
+Layer chain: per-sample dense conjugations and channels, with each layer's
+learned inverse inline (cascaded) or only before the readout (loss_only);
+the readout as ``tr(Z_i rho)`` with embedded ``Z_i``.
 
 Fidelity: the conditioned pair loss and both its gradients in matrix form
 (every conditioned state, square root and adjoint rebuilt as a d x d
@@ -43,6 +50,13 @@ def channel(x, letters, rates, inverse=False):
         else:
             x = w * x + (1.0 - w) * flipped
     return x
+
+
+def embed_one_qubit(op, target, n):
+    """Tensor a 2x2 operator with identities on the other ``n - 1`` qubits."""
+    left = np.eye(1 << target, dtype=np.complex128)
+    right = np.eye(1 << (n - target - 1), dtype=np.complex128)
+    return np.kron(np.kron(left, np.asarray(op, dtype=np.complex128)), right)
 
 
 def superoperator(letters, rates, dim, inverse=False):
@@ -75,8 +89,8 @@ def qubit_superoperator(ops, n):
     for q, s in ops:
         full = np.zeros_like(out)
         for a, b, c, e in np.ndindex(2, 2, 2, 2):
-            e_ac = qsim.embed_one_qubit(np.outer(np.eye(2)[a], np.eye(2)[c]), q, n)
-            e_be = qsim.embed_one_qubit(np.outer(np.eye(2)[b], np.eye(2)[e]), q, n)
+            e_ac = embed_one_qubit(np.outer(np.eye(2)[a], np.eye(2)[c]), q, n)
+            e_be = embed_one_qubit(np.outer(np.eye(2)[b], np.eye(2)[e]), q, n)
             full += s[2 * a + b, 2 * c + e] * np.kron(e_ac, e_be)
         out = full @ out
     return out
@@ -149,12 +163,36 @@ def layer_unitary_and_gradients(layer):
     u, upto, after = layer_factors(layer)
     grads = [
         [
-            after[a] @ qsim.embed_one_qubit(-0.5j * qsim.PAULIS[axis], q, layer.n) @ upto[a]
+            after[a] @ embed_one_qubit(-0.5j * qsim.PAULIS[axis], q, layer.n) @ upto[a]
             for a, axis in enumerate(layer.axes)
         ]
         for q in range(layer.n)
     ]
     return u, grads
+
+
+def z_readout(rho):
+    """Per-qubit ``tr(Z_i rho)`` with each ``Z_i`` an embedded 2x2 ``Z``."""
+    n = rho.shape[-1].bit_length() - 1
+    return np.array(
+        [np.trace(embed_one_qubit(qsim.PAULI_Z, i, n) @ rho).real for i in range(n)]
+    )
+
+
+def layer_chain(rho0, units, noise_true, letters, rates, cascaded):
+    """The chain ``[t_0, ..., t_L]`` of one state ``rho0`` and its mitigated
+    final state.  Layer ``i`` conjugates by ``units[i]`` and applies the true
+    noise ``noise_true[i]``; when ``cascaded`` it then applies the learned
+    inverse ``rates[i]`` over the Pauli words ``letters``.  The mitigated
+    final state is ``t_L`` when ``cascaded``, and otherwise ``t_L`` through
+    the last learned inverse."""
+    chain = [rho0]
+    for u, model, row in zip(units, noise_true, rates):
+        true_letters = [g.letters for g in model.generators]
+        cur = channel(u @ chain[-1] @ u.conj().T, true_letters, model.rates)
+        chain.append(channel(cur, letters, row, inverse=True) if cascaded else cur)
+    final = chain[-1] if cascaded else channel(chain[-1], letters, rates[-1], inverse=True)
+    return chain, final
 
 
 def _dagger(x):

@@ -115,6 +115,28 @@ class TestConfigValidation:
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "QMIT_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "ablation"])
+    def test_bad_thread_count_writes_nothing(self, tmp_path, monkeypatch, capsys, command):
+        """``QMIT_THREADS`` is checked before any data is loaded or output written."""
+        monkeypatch.setenv("QMIT_THREADS", "-3")
+        payload = synthetic_train_payload()
+        if command == "ablation":
+            payload["grid"] = {"alpha_fb": [0.0, 1.0]}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert "QMIT_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ablation_zero_repeats_writes_nothing(self, tmp_path, capsys):
+        payload = synthetic_train_payload(repeats=0)
+        payload["grid"] = {"alpha_fb": [0.0, 1.0]}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main(["ablation", "--config", path, "--out", str(out)]) == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mnist_requires_data_dir(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_train_payload(benchmark="MNIST-4"))
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
@@ -412,7 +434,7 @@ class TestTraceCommand:
             for q in range(n):
                 axis = "XYZ"[int(rng.integers(3))]
                 angle = rng.uniform(-np.pi, np.pi)
-                gate = qsim.embed_one_qubit(qsim.rotation_matrix_2x2(axis, angle), q, n)
+                gate = dense.embed_one_qubit(qsim.rotation_matrix_2x2(axis, angle), q, n)
                 rho = step(rho, gate, [q])
                 want.append(d2(rho))
             for q in range(n):
@@ -543,9 +565,12 @@ class TestSelftest:
     def test_corrupted_inverse_channel_is_caught(self, monkeypatch):
         """Substituting the forward channel for the inverse breaks the
         round-trip invariant by name."""
-        from qmit import noise
+        kernel = noise.apply_pauli_fidelities
 
-        monkeypatch.setattr(noise, "apply_inverse_channel", noise.apply_channel)
+        def forward_only(x, generators, rates, inverse=False):
+            return kernel(x, generators, rates)
+
+        monkeypatch.setattr(noise, "apply_pauli_fidelities", forward_only)
         with pytest.raises(AssertionError, match="roundtrip"):
             selftest.channel_inversion(seed=101, pairs=20)
 

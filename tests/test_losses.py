@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from qmit import losses, noise, pqc, qsim
+from qmit import losses, noise, pqc, qsim, train
 from qmit.errors import ValidationError
 
 
@@ -72,29 +72,41 @@ class TestFidelity:
             losses.fidelity(rho, np.eye(2) / 2)
 
 
+def conditioned(x):
+    """The conditioned state of ``x`` as a matrix (``dense_reference.condition``)."""
+    return dense_reference.condition(x)[0]
+
+
 class TestLogFidelityForm:
+    """The engine's pair loss is ``-log`` of the paper's fidelity
+    (:func:`losses.fidelity`) of the two conditioned states."""
+
     def test_identical_states_give_zero(self):
         rng = np.random.default_rng(4)
-        rho = qsim.random_density_matrix(2, rng)
-        assert losses.log_fidelity_paper_form(rho, rho) == pytest.approx(0.0, abs=1e-10)
+        for rho in (qsim.random_density_matrix(2, rng).data, qsim.random_pure_state(2, rng).data):
+            cond = conditioned(rho)
+            assert losses.fidelity(cond, cond) == pytest.approx(1.0, abs=1e-10)
+            loss, _ = losses._fb_pair_forward(rho[None], rho[None])
+            assert loss[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_equals_log_of_fidelity(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            rho = qsim.random_density_matrix(2, rng)
-            sigma = qsim.random_density_matrix(2, rng)
-            assert losses.log_fidelity_paper_form(rho, sigma) == pytest.approx(
-                math.log(losses.fidelity(rho, sigma)), abs=1e-10
-            )
+            rho = qsim.random_density_matrix(2, rng).data
+            sigma = qsim.random_density_matrix(2, rng).data
+            loss, _ = losses._fb_pair_forward(rho[None], sigma[None])
+            want = -math.log(losses.fidelity(conditioned(rho), conditioned(sigma)))
+            assert loss[0] == pytest.approx(want, abs=1e-10)
 
     def test_zero_vs_plus_value(self):
+        """The pair whose raw fidelity is 1/2 has the conditioned loss 0.2776,
+        below ``log 2``: conditioning mixes both states toward ``I / d``."""
         s = 1 / math.sqrt(2)
-        got = losses.log_fidelity_paper_form(qsim.pure_state([1, 0]), qsim.pure_state([s, s]))
-        assert got == pytest.approx(math.log(0.5), abs=1e-10)
-
-    def test_orthogonal_states_raise(self):
-        with pytest.raises(ArithmeticError):
-            losses.log_fidelity_paper_form(qsim.pure_state([1, 0]), qsim.pure_state([0, 1]))
+        a, b = qsim.pure_state([1, 0]).data, qsim.pure_state([s, s]).data
+        loss, _ = losses._fb_pair_forward(a[None], b[None])
+        assert loss[0] == pytest.approx(-math.log(losses.fidelity(conditioned(a), conditioned(b))),
+                                        abs=1e-10)
+        assert loss[0] == pytest.approx(0.2776, abs=1e-4)
 
 
 class TestPetzRenyi:
@@ -189,48 +201,79 @@ class TestPetzRenyi:
         gens = noise.default_generators(3)
         for _ in range(200):
             rho = qsim.random_density_matrix(3, rng)
-            model = noise.NoiseModel(3, gens, rng.uniform(0, 0.2, len(gens)))
+            rates = rng.uniform(0, 0.2, len(gens))
             before = losses.petz_renyi_divergence(rho, mixed)
-            after = losses.petz_renyi_divergence(noise.apply_channel(rho, model), mixed)
+            after = losses.petz_renyi_divergence(
+                noise.apply_pauli_fidelities(rho.data, gens, rates), mixed
+            )
             assert after <= before + 1e-12
 
 
+def pair_loss(a, b):
+    """The engine's conditioned ``-log F`` of one pair."""
+    return float(losses._fb_pair_forward(a.data[None], b.data[None])[0][0])
+
+
 class TestForwardBackwardLoss:
+    """The conditioned pair loss of the training head."""
+
     def test_identical_states(self):
         rng = np.random.default_rng(11)
         rho = qsim.random_density_matrix(2, rng)
-        assert losses.forward_backward_loss(rho, rho) == pytest.approx(0.0, abs=1e-9)
+        assert pair_loss(rho, rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_half_fidelity_pair(self):
+        """Positive, and below the raw ``-log F = log 2``."""
         s = 1 / math.sqrt(2)
-        got = losses.forward_backward_loss(qsim.pure_state([1, 0]), qsim.pure_state([s, s]))
-        assert got == pytest.approx(math.log(2), abs=1e-9)
+        got = pair_loss(qsim.pure_state([1, 0]), qsim.pure_state([s, s]))
+        assert 0.0 < got < math.log(2)
 
     def test_orthogonal_states_capped(self):
-        got = losses.forward_backward_loss(qsim.pure_state([1, 0]), qsim.pure_state([0, 1]))
-        assert got == losses.FB_LOSS_CAP
+        """Conditioning bounds the loss without a cap: each conditioned
+        state is ``(1 - f) X + f I / d``, and the root fidelity is jointly
+        concave, so ``sqrt F >= f`` and the loss is at most ``-2 log f``."""
+        got = pair_loss(qsim.pure_state([1, 0]), qsim.pure_state([0, 1]))
+        assert 0.0 < got <= -2.0 * math.log(losses.FB_STATE_FLOOR)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             a = qsim.random_density_matrix(2, rng)
             b = qsim.random_density_matrix(2, rng)
-            assert losses.forward_backward_loss(a, b) >= 0.0
+            assert pair_loss(a, b) >= 0.0
 
 
 class TestTaskLoss:
+    """Cross entropy ``-log softmax_head(z, c)[label]``, as the engine takes it."""
+
+    @staticmethod
+    def cross_entropy(z, label, num_classes):
+        return float(-np.log(losses.softmax_head(z, num_classes)[label]))
+
     def test_saturated_logit(self):
         z = np.array([30.0, -30.0, 0.0, 0.0])
-        assert losses.task_loss(z, 0, 2) == pytest.approx(0.0, abs=1e-12)
+        assert self.cross_entropy(z, 0, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_logits(self):
-        assert losses.task_loss(np.zeros(4), 1, 4) == pytest.approx(math.log(4), abs=1e-12)
+        assert self.cross_entropy(np.zeros(4), 1, 4) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_two_class_example(self):
-        got = losses.task_loss(np.array([1.0, -1.0, 0.3, 0.4]), 0, 2)
+        got = self.cross_entropy(np.array([1.0, -1.0, 0.3, 0.4]), 0, 2)
         expected = -math.log(math.exp(1) / (math.exp(1) + math.exp(-1)))
         assert got == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.1269, abs=1e-4)
+
+    def test_label_out_of_range(self):
+        """The engine's entry point checks the labels against the class count."""
+        rng = np.random.default_rng(23)
+        config = train.TrainConfig(n_qubits=2, layers=1, num_classes=2)
+        circuit = pqc.random_circuit(2, 1, "U2", rng)
+        noise_true = train.noise_models_from_config(config)
+        mit = noise.MitigationModel(2, noise.default_generators(2), np.zeros((1, 6)))
+        for label in (2, -1):
+            batch = (rng.uniform(0, 1, (2, 64)), np.array([0, label]))
+            with pytest.raises(ValidationError, match="labels"):
+                train.loss_and_gradients(batch, circuit, mit, noise_true, config)
 
     def test_batched_softmax_head_matches_row_by_row(self):
         rng = np.random.default_rng(22)
@@ -240,14 +283,6 @@ class TestTaskLoss:
         for idx in np.ndindex(2, 3):
             np.testing.assert_allclose(got[idx], losses.softmax_head(z[idx], 3), rtol=0, atol=1e-15)
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValidationError):
-            losses.task_loss(np.zeros(4), 2, 2)
-
-    def test_class_count_bounded_by_readout(self):
-        with pytest.raises(ValidationError):
-            losses.task_loss(np.zeros(4), 0, 5)
 
 
 class TestTotalLoss:
@@ -263,49 +298,51 @@ class TestTotalLoss:
 
 
 class TestTotalFbLoss:
-    def _chain(self, rng, depth=4, rates=None, design="U2"):
+    """The engine's forward-backward term: the mean over the blocks of
+    :func:`losses.fb_blocks` on a :func:`pqc.layer_chain`."""
+
+    GENERATORS = noise.default_generators(4)
+
+    def _chain(self, rng, depth=4, noisy=False, design="U2"):
         circuit = pqc.random_circuit(4, depth, design, rng)
         rho0 = qsim.random_pure_state(4, rng)
-        if rates is None:
-            models = [noise.depolarizing_model(4, 0.0)] * depth
-        else:
+        if noisy:
             models = noise.draw_noise_models(4, depth, seed=int(rng.integers(2**31)))
-        states = [rho0] + pqc.forward_noisy(rho0, circuit, models)
-        return circuit, states, models
+        else:
+            models = [noise.NoiseModel(4, self.GENERATORS, np.zeros(12))] * depth
+        units = [pqc.layer_factors(layer)[0] for layer in circuit.layers]
+        return units, pqc.layer_chain(rho0.data[None], units, models), models
+
+    def _total(self, chain, units, step, rates=None):
+        """Mean block loss and the blocks; ``rates`` for loss_only mode."""
+        blocks = losses.fb_blocks(chain, units, step, rates, self.GENERATORS)
+        return float(np.mean([loss[0] for *_, loss, _cache in blocks])), blocks
 
     def test_zero_noise_zero_mitigation_is_zero(self):
         rng = np.random.default_rng(13)
         for step in (1, 2, 4):
-            circuit, states, _ = self._chain(rng)
-            result = losses.total_fb_loss(states, circuit, noise.MitigationModel.zeros(4, 4), step)
-            assert abs(result.value) <= 1e-10
-            assert len(result.per_block) == 4 // step
+            units, chain, _ = self._chain(rng)
+            value, blocks = self._total(chain, units, step, np.zeros((4, 12)))
+            assert abs(value) <= 1e-10
+            assert len(blocks) == 4 // step
 
     def test_single_block_at_full_step(self):
         rng = np.random.default_rng(14)
-        circuit, states, _ = self._chain(rng, rates="draw")
-        result = losses.total_fb_loss(states, circuit, noise.MitigationModel.zeros(4, 4), 4)
-        assert len(result.per_block) == 1
+        units, chain, _ = self._chain(rng, noisy=True)
+        _, blocks = self._total(chain, units, 4, np.zeros((4, 12)))
+        assert len(blocks) == 1
 
     def test_perfect_mitigation_any_step(self):
         rng = np.random.default_rng(15)
-        circuit, states, models = self._chain(rng, rates="draw")
-        mit = noise.MitigationModel.from_noise_models(models)
+        units, chain, models = self._chain(rng, noisy=True)
+        rates = np.stack([m.rates for m in models])
         for step in (1, 2, 4):
-            result = losses.total_fb_loss(states, circuit, mit, step)
-            assert result.value <= 1e-8
-
-    def test_step_must_divide_depth(self):
-        rng = np.random.default_rng(16)
-        circuit, states, _ = self._chain(rng)
-        with pytest.raises(ValidationError):
-            losses.total_fb_loss(states, circuit, noise.MitigationModel.zeros(4, 4), 3)
+            assert self._total(chain, units, step, rates)[0] <= 1e-8
 
     def test_positive_loss_under_unmitigated_noise(self):
         rng = np.random.default_rng(17)
-        circuit, states, _ = self._chain(rng, rates="draw")
-        result = losses.total_fb_loss(states, circuit, noise.MitigationModel.zeros(4, 4), 1)
-        assert result.value > 1e-6
+        units, chain, _ = self._chain(rng, noisy=True)
+        assert self._total(chain, units, 1, np.zeros((4, 12)))[0] > 1e-6
 
     def test_cascaded_mode_chain(self):
         """Cascaded chain with exact rates has zero loss at every step size."""
@@ -313,24 +350,24 @@ class TestTotalFbLoss:
         circuit = pqc.random_circuit(4, 4, "U2", rng)
         rho0 = qsim.random_pure_state(4, rng)
         models = noise.draw_noise_models(4, 4, seed=7)
-        mit = noise.MitigationModel.from_noise_models(models)
-        _, mitigated = pqc.forward_mitigated(rho0, circuit, models, mit, "cascaded")
-        states = [rho0] + mitigated
+        rates = np.stack([m.rates for m in models])
+        units = [pqc.layer_factors(layer)[0] for layer in circuit.layers]
+        chain = pqc.layer_chain(rho0.data[None], units, models, rates, self.GENERATORS)
         for step in (1, 2, 4):
-            result = losses.total_fb_loss(states, circuit, mit, step, mode="cascaded")
-            assert result.value <= 1e-8
+            assert self._total(chain, units, step)[0] <= 1e-8
 
     def test_reports_clamped_mass_for_quasi_states(self):
+        """Rates four times the true ones over-mitigate: the pullbacks have
+        negative eigenvalues, whose mass the blocks report."""
         rng = np.random.default_rng(19)
         circuit = pqc.random_circuit(2, 2, "U2", rng)
         rho0 = qsim.random_pure_state(2, rng)
         models = noise.draw_noise_models(2, 2, seed=3, low=0.001, high=0.004)
-        over = noise.MitigationModel(
-            2, models[0].generators, np.stack([m.rates for m in models]) * 4.0
-        )
-        states = [rho0] + pqc.forward_noisy(rho0, circuit, models)
-        result = losses.total_fb_loss(states, circuit, over, 1)
-        assert result.clamped_mass > 0.0
+        units = [pqc.layer_factors(layer)[0] for layer in circuit.layers]
+        chain = pqc.layer_chain(rho0.data[None], units, models)
+        over = np.stack([m.rates for m in models]) * 4.0
+        blocks = losses.fb_blocks(chain, units, 1, over, models[0].generators)
+        assert sum(cache["neg_mass"] for *_, cache in blocks) > 0.0
 
 
 def conditioned_adjoint(grad, cache):

@@ -69,35 +69,38 @@ class TestNoiseModel:
         assert [g.letters for g in gens] == ["XI", "YI", "ZI", "IX", "IY", "IZ"]
 
 
+def apply(x, model, inverse=False):
+    """The model's channel (or its inverse) on the matrix ``x``."""
+    return noise.apply_pauli_fidelities(x, model.generators, model.rates, inverse)
+
+
 class TestProductChannel:
     def test_zero_rates_identity(self):
         rng = np.random.default_rng(8)
         rho = qsim.random_density_matrix(2, rng)
         model = noise.NoiseModel(2, noise.default_generators(2), np.zeros(6))
-        np.testing.assert_allclose(noise.apply_channel(rho, model).data, rho.data)
+        np.testing.assert_allclose(apply(rho.data, model), rho.data)
 
     def test_single_x_weight(self):
         """lambda=0.5 on X mixes with weight w = (1 + e^{-1}) / 2."""
         model = noise.NoiseModel(1, (noise.PauliString(1, "X"),), [0.5])
-        out = noise.apply_channel(qsim.pure_state([1, 0]), model)
+        out = apply(qsim.pure_state([1, 0]).data, model)
         w = 0.5 * (1 + math.exp(-1.0))
-        np.testing.assert_allclose(out.data, np.diag([w, 1 - w]), atol=1e-14)
+        np.testing.assert_allclose(out, np.diag([w, 1 - w]), atol=1e-14)
 
     def test_maximally_mixed_fixed(self):
         """Every Pauli channel is unital: it fixes the maximally mixed state."""
         rng = np.random.default_rng(6)
         mixed = qsim.maximally_mixed(3)
         for _ in range(20):
-            out = noise.apply_channel(mixed, random_model(3, rng, high=0.5))
-            np.testing.assert_allclose(out.data, mixed.data, atol=1e-14)
+            out = apply(mixed.data, random_model(3, rng, high=0.5))
+            np.testing.assert_allclose(out, mixed.data, atol=1e-14)
 
     def test_output_psd(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
-            out = noise.apply_channel(
-                qsim.random_density_matrix(3, rng), random_model(3, rng, high=0.5)
-            )
-            assert np.linalg.eigvalsh(out.data)[0] >= -1e-12
+            out = apply(qsim.random_density_matrix(3, rng).data, random_model(3, rng, high=0.5))
+            assert np.linalg.eigvalsh(out)[0] >= -1e-12
 
     def test_factor_order_is_immaterial(self):
         """Pauli conjugation superoperators commute, so any order agrees."""
@@ -105,16 +108,9 @@ class TestProductChannel:
         rho = qsim.random_density_matrix(2, rng)
         gens = noise.default_generators(2)
         rates = rng.uniform(0.0, 0.3, len(gens))
-        fwd = noise.apply_channel(rho, noise.NoiseModel(2, gens, rates))
-        rev = noise.apply_channel(
-            rho, noise.NoiseModel(2, tuple(reversed(gens)), rates[::-1])
-        )
-        np.testing.assert_allclose(fwd.data, rev.data, atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(12)
-        with pytest.raises(ValidationError):
-            noise.apply_channel(qsim.maximally_mixed(1), random_model(2, rng))
+        fwd = apply(rho.data, noise.NoiseModel(2, gens, rates))
+        rev = apply(rho.data, noise.NoiseModel(2, tuple(reversed(gens)), rates[::-1]))
+        np.testing.assert_allclose(fwd, rev, atol=1e-13)
 
 
 class TestInverseChannel:
@@ -122,7 +118,7 @@ class TestInverseChannel:
         rng = np.random.default_rng(13)
         rho = qsim.random_density_matrix(2, rng)
         model = noise.NoiseModel(2, noise.default_generators(2), np.zeros(6))
-        np.testing.assert_allclose(noise.apply_inverse_channel(rho, model).data, rho.data)
+        np.testing.assert_allclose(apply(rho.data, model, inverse=True), rho.data)
 
     def test_roundtrip_exact(self):
         """Inverse-of-forward recovers the input to 1e-10 Frobenius."""
@@ -131,33 +127,25 @@ class TestInverseChannel:
             n = int(rng.integers(1, 5))
             rho = qsim.random_density_matrix(n, rng)
             model = random_model(n, rng, high=0.1)
-            back = noise.apply_inverse_channel(noise.apply_channel(rho, model), model)
-            assert np.linalg.norm(back.data - rho.data) <= 1e-10
+            back = apply(apply(rho.data, model), model, inverse=True)
+            assert np.linalg.norm(back - rho.data) <= 1e-10
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
-            out = noise.apply_inverse_channel(
-                qsim.random_density_matrix(3, rng), random_model(3, rng, high=0.02)
-            )
-            assert abs(np.trace(out.data).real - 1.0) <= 1e-12
+            rho = qsim.random_density_matrix(3, rng).data
+            out = apply(rho, random_model(3, rng, high=0.02), inverse=True)
+            assert abs(np.trace(out).real - 1.0) <= 1e-12
 
     def test_output_marked_quasi(self):
-        """Over-mitigating a noisy state leaves small negative eigenvalues."""
+        """Over-mitigating a noisy state leaves small negative eigenvalues:
+        the output is a quasi-state."""
         rng = np.random.default_rng(16)
         rho = qsim.random_pure_state(2, rng)
         forward = random_model(2, rng, high=0.005)
         overshoot = noise.NoiseModel(2, forward.generators, forward.rates * 3.0)
-        out = noise.apply_inverse_channel(noise.apply_channel(rho, forward), overshoot)
-        assert out.quasi
-        assert np.linalg.eigvalsh(out.data)[0] < -1e-12
-
-    def test_output_below_quasi_floor_rejected(self):
-        """|0><0| = (I + Z) / 2 and the inverse of an X channel at rate 0.5
-        scales Z by e, leaving eigenvalue (1 - e) / 2 < -0.05."""
-        model = noise.NoiseModel(1, (noise.PauliString(1, "X"),), [0.5])
-        with pytest.raises(ValidationError, match="quasi-state floor"):
-            noise.apply_inverse_channel(qsim.pure_state([1, 0]), model)
+        out = apply(apply(rho.data, forward), overshoot, inverse=True)
+        assert np.linalg.eigvalsh(out)[0] < -1e-12
 
 
 class TestSamplingOverhead:
@@ -216,39 +204,44 @@ class TestAmplitudeDamping:
         gamma = 0.3
         kraus = ([[1, 0], [0, math.sqrt(1 - gamma)]], [[0, math.sqrt(gamma)], [0, 0]])
         want = sum(
-            a @ rho.data @ a.conj().T for a in (qsim.embed_one_qubit(k, target, 3) for k in kraus)
+            a @ rho.data @ a.conj().T for a in (dense.embed_one_qubit(k, target, 3) for k in kraus)
         )
         np.testing.assert_allclose(_damp(rho, gamma, target), want, rtol=0, atol=1e-14)
+
+
+def depolarizing(n, rate):
+    """Uniform rate on every single-qubit X, Y and Z generator."""
+    gens = noise.default_generators(n)
+    return noise.NoiseModel(n, gens, np.full(len(gens), rate))
 
 
 class TestDepolarizing:
     def test_zero_rate_identity(self):
         rng = np.random.default_rng(20)
         rho = qsim.random_density_matrix(2, rng)
-        out = noise.apply_channel(rho, noise.depolarizing_model(2, 0.0))
-        np.testing.assert_allclose(out.data, rho.data)
+        np.testing.assert_allclose(apply(rho.data, depolarizing(2, 0.0)), rho.data)
 
     def test_generator_count(self):
-        assert len(noise.depolarizing_model(4, 0.1).generators) == 12
+        assert len(depolarizing(4, 0.1).generators) == 12
 
     def test_contracts_off_diagonals(self):
         rng = np.random.default_rng(21)
-        rho = qsim.random_density_matrix(1, rng)
-        model = noise.depolarizing_model(1, 0.05)
-        prev = abs(rho.data[0, 1])
+        rho = qsim.random_density_matrix(1, rng).data
+        model = depolarizing(1, 0.05)
+        prev = abs(rho[0, 1])
         for _ in range(10):
-            rho = noise.apply_channel(rho, model)
-            cur = abs(rho.data[0, 1])
+            rho = apply(rho, model)
+            cur = abs(rho[0, 1])
             assert cur < prev + 1e-15
             prev = cur
 
     def test_drives_toward_maximally_mixed(self):
         rng = np.random.default_rng(22)
-        rho = qsim.random_pure_state(1, rng)
-        model = noise.depolarizing_model(1, 0.05)
+        rho = qsim.random_pure_state(1, rng).data
+        model = depolarizing(1, 0.05)
         for _ in range(300):
-            rho = noise.apply_channel(rho, model)
-        np.testing.assert_allclose(rho.data, np.eye(2) / 2, atol=1e-8)
+            rho = apply(rho, model)
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-8)
 
 
 class TestDivergenceContraction:
@@ -259,23 +252,17 @@ class TestDivergenceContraction:
             rho = qsim.random_density_matrix(2, rng)
             model = noise.NoiseModel(2, (noise.PauliString(2, "XI"),), [0.05])
             before = losses.petz_renyi_divergence(rho, mixed)
-            after = losses.petz_renyi_divergence(noise.apply_channel(rho, model), mixed)
+            after = losses.petz_renyi_divergence(apply(rho.data, model), mixed)
             assert after < before - 1e-12
 
     def test_commuting_state_is_fixed(self):
         """A state diagonal in the generator eigenbasis is untouched."""
         rho = qsim.DensityMatrix(1, np.diag([0.8, 0.2]).astype(complex))
         model = noise.NoiseModel(1, (noise.PauliString(1, "Z"),), [0.3])
-        np.testing.assert_allclose(noise.apply_channel(rho, model).data, rho.data, atol=1e-15)
+        np.testing.assert_allclose(apply(rho.data, model), rho.data, atol=1e-15)
 
 
 class TestMitigationModel:
-    def test_zeros_constructor(self):
-        mit = noise.MitigationModel.zeros(3, 4)
-        assert mit.layers == 4
-        assert mit.rates.shape == (4, 9)
-        np.testing.assert_allclose(mit.rates, 0.0)
-
     def test_json_roundtrip(self):
         rng = np.random.default_rng(24)
         mit = noise.MitigationModel(2, noise.default_generators(2), rng.uniform(0, 0.1, (3, 6)))
@@ -454,8 +441,8 @@ class TestKernelProperties:
     @given(noise_models(), st.integers(0, 2**32 - 1))
     def test_inverse_undoes_channel(self, model, seed):
         rho = qsim.random_density_matrix(model.n, np.random.default_rng(seed))
-        back = noise.apply_inverse_channel(noise.apply_channel(rho, model), model)
-        assert np.linalg.norm(back.data - rho.data) <= 1e-10
+        back = apply(apply(rho.data, model), model, inverse=True)
+        assert np.linalg.norm(back - rho.data) <= 1e-10
 
     @given(noise_models(), st.integers(0, 2**32 - 1))
     def test_trace_preserved(self, model, seed):
@@ -495,14 +482,15 @@ def _quasi_state(n, rng, shift):
     """Random eigenbasis, smallest eigenvalue exactly ``-shift``, trace 1."""
     eigs = np.concatenate([[-shift], rng.dirichlet(np.ones((1 << n) - 1)) * (1.0 + shift)])
     vecs = qsim.haar_random_unitary(n, rng).data
-    return qsim.DensityMatrix(n, (vecs * eigs) @ vecs.conj().T, quasi=True)
+    return qsim.hermitize((vecs * eigs) @ vecs.conj().T)
 
 
 @st.composite
-def derived_cases(draw):
-    """A validated input state (pure, mixed, or quasi with smallest
-    eigenvalue down to -0.0499), a noise model over the default, a weight-1
-    or a weight-2 generator set, and a Haar unitary, on 1-3 qubits."""
+def derived_cases(draw, kinds=("pure", "mixed", "quasi")):
+    """Input data (a pure or mixed state, or a quasi-state with smallest
+    eigenvalue down to -0.0499), a noise model over the default, a
+    weight-1 or a weight-2 generator set, and a Haar unitary, on 1-3
+    qubits."""
     generator_set = draw(st.sampled_from(["default", "weight-1", "weight-2"]))
     n = draw(st.integers(2 if generator_set == "weight-2" else 1, 3))
     if generator_set == "default":
@@ -513,40 +501,42 @@ def derived_cases(draw):
         gens = tuple(noise.PauliString(n, w) for w in words)
     rates = draw(st.lists(st.floats(0.0, 0.5), min_size=len(gens), max_size=len(gens)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["pure", "mixed", "quasi"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "pure":
-        rho = qsim.random_pure_state(n, rng)
+        rho = qsim.random_pure_state(n, rng).data
     elif kind == "mixed":
-        rho = qsim.random_density_matrix(n, rng)
+        rho = qsim.random_density_matrix(n, rng).data
     else:
         rho = _quasi_state(n, rng, draw(st.floats(0.0, 0.0499)))
     return rho, noise.NoiseModel(n, gens, rates), qsim.haar_random_unitary(n, rng)
 
 
 class TestDerivedStates:
-    """``evolve`` and ``apply_channel`` build their outputs without the
-    eigenvalue-floor check; these properties are why that is safe."""
+    """``evolve`` and the divergence trace's Pauli steps build their outputs
+    without the eigenvalue-floor check; these properties are why that is
+    safe."""
 
     @given(derived_cases())
     def test_channel_cannot_lower_smallest_eigenvalue(self, case):
+        """Also on indefinite inputs: the smallest eigenvalue is concave."""
         rho, model, _ = case
-        out = noise.apply_channel(rho, model)
-        assert np.linalg.eigvalsh(out.data)[0] >= np.linalg.eigvalsh(rho.data)[0] - 1e-12
+        out = apply(rho, model)
+        assert np.linalg.eigvalsh(out)[0] >= np.linalg.eigvalsh(rho)[0] - 1e-12
 
-    @given(derived_cases())
+    @given(derived_cases(kinds=("pure", "mixed")))
     def test_evolve_keeps_spectrum(self, case):
         rho, _, u = case
-        out = qsim.evolve(rho, u)
+        out = qsim.evolve(qsim.DensityMatrix(u.n, rho), u)
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(out.data), np.linalg.eigvalsh(rho.data), rtol=0, atol=1e-12
+            np.linalg.eigvalsh(out.data), np.linalg.eigvalsh(rho), rtol=0, atol=1e-12
         )
 
-    @given(derived_cases())
+    @given(derived_cases(kinds=("pure", "mixed")))
     def test_outputs_are_owned_valid_states(self, case):
-        rho, model, u = case
-        for out in (noise.apply_channel(rho, model), qsim.evolve(rho, u)):
-            assert not out.data.flags.writeable
-            assert not np.shares_memory(out.data, rho.data)
-            assert out.quasi == rho.quasi
-            assert np.array_equal(out.data, out.data.conj().T)
-            assert abs(np.trace(out.data) - 1.0) <= qsim.TRACE_ATOL
+        rho, _, u = case
+        state = qsim.DensityMatrix(u.n, rho)
+        out = qsim.evolve(state, u)
+        assert not out.data.flags.writeable
+        assert not np.shares_memory(out.data, state.data)
+        assert np.array_equal(out.data, out.data.conj().T)
+        assert abs(np.trace(out.data) - 1.0) <= qsim.TRACE_ATOL

@@ -1,4 +1,4 @@
-"""Simulation primitives: constructors, gates, evolution, observables, entropy."""
+"""Simulation primitives: constructors, gates, evolution, the Z readout."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from qmit import qsim
+from qmit import pqc, qsim
 from qmit.errors import ValidationError
 
 
@@ -58,17 +58,6 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             qsim.DensityMatrix(1, np.eye(2, dtype=complex))
 
-    def test_quasi_mode_accepts_small_negatives(self):
-        data = np.diag([1.02, -0.02]).astype(complex)
-        with pytest.raises(ValidationError):
-            qsim.DensityMatrix(1, data)
-        qsim.DensityMatrix(1, data, quasi=True)
-
-    def test_quasi_floor_is_bounded(self):
-        data = np.diag([1.1, -0.1]).astype(complex)
-        with pytest.raises(ValidationError):
-            qsim.DensityMatrix(1, data, quasi=True)
-
     def test_batch_check_names_the_failing_rule(self):
         """One bad member fails a stack; each rule is checked on every member."""
         good = np.stack([qsim.maximally_mixed(1).data, qsim.pure_state([1, 0]).data])
@@ -81,7 +70,6 @@ class TestDensityMatrix:
         for bad, message in cases:
             with pytest.raises(ValidationError, match=message):
                 qsim.check_density_matrices(np.concatenate([good, bad[None]]))
-        qsim.check_density_matrices(np.diag([1.01, -0.01])[None], quasi=True)
 
     def test_max_qubits_enforced(self):
         with pytest.raises(ValidationError):
@@ -102,26 +90,20 @@ class TestNonFiniteData:
 
     @pytest.mark.parametrize("case", sorted(NON_FINITE))
     def test_density_matrix(self, case):
-        for quasi in (False, True):
-            with pytest.raises(ValidationError, match="Hermitian"):
-                qsim.DensityMatrix(1, NON_FINITE[case], quasi=quasi)
+        with pytest.raises(ValidationError, match="Hermitian"):
+            qsim.DensityMatrix(1, NON_FINITE[case])
 
     @pytest.mark.parametrize("case", ["nan_diagonal", "inf_diagonal"])
     def test_derived_state(self, case):
         """The trace-only check sees a non-finite diagonal entry."""
         data = np.array(NON_FINITE[case], dtype=complex)
         with pytest.raises(ValidationError, match="trace"):
-            qsim.DensityMatrix._derived(1, data, False)
+            qsim.DensityMatrix._derived(1, data)
 
     @pytest.mark.parametrize("case", sorted(NON_FINITE))
     def test_unitary(self, case):
         with pytest.raises(ValidationError, match="unitary"):
             qsim.Unitary(1, NON_FINITE[case])
-
-    @pytest.mark.parametrize("case", sorted(NON_FINITE))
-    def test_observable(self, case):
-        with pytest.raises(ValidationError, match="Hermitian"):
-            qsim.Observable(1, NON_FINITE[case])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_pure_state(self, bad):
@@ -129,22 +111,26 @@ class TestNonFiniteData:
             qsim.pure_state([bad, 0])
 
 
+def rotation(axis, theta):
+    """One-qubit rotation as a validated unitary."""
+    return qsim.Unitary(1, qsim.rotation_matrix_2x2(axis, theta))
+
+
 class TestGates:
     def test_rotation_zero_angle_is_identity(self):
         for axis in "XYZ":
-            u = qsim.rotation_gate(axis, 0.0, 0, 2)
-            np.testing.assert_allclose(u.data, np.eye(4), atol=1e-14)
+            np.testing.assert_allclose(rotation(axis, 0.0).data, np.eye(2), atol=1e-14)
 
     def test_rx_pi_flips_zero(self):
         """RX(pi)|0> = -i|1>, so the density matrix is |1><1|."""
-        rho = qsim.evolve(qsim.pure_state([1, 0]), qsim.rotation_gate("X", math.pi, 0, 1))
+        rho = qsim.evolve(qsim.pure_state([1, 0]), rotation("X", math.pi))
         np.testing.assert_allclose(rho.data, [[0, 0], [0, 1]], atol=1e-12)
 
     def test_rz_leaves_zero_invariant(self):
         rng = np.random.default_rng(7)
         zero = qsim.pure_state([1, 0])
         for theta in rng.uniform(-2 * math.pi, 2 * math.pi, 20):
-            rho = qsim.evolve(zero, qsim.rotation_gate("Z", theta, 0, 1))
+            rho = qsim.evolve(zero, rotation("Z", theta))
             np.testing.assert_allclose(rho.data, zero.data, atol=1e-12)
 
     def test_rotation_inverse_pairs(self):
@@ -152,15 +138,8 @@ class TestGates:
         for _ in range(100):
             axis = "XYZ"[int(rng.integers(3))]
             theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-            prod = (
-                qsim.rotation_gate(axis, theta, 0, 2).data
-                @ qsim.rotation_gate(axis, -theta, 0, 2).data
-            )
-            np.testing.assert_allclose(prod, np.eye(4), atol=1e-10)
-
-    def test_rotation_target_out_of_range(self):
-        with pytest.raises(ValidationError):
-            qsim.rotation_gate("X", 0.3, 2, 2)
+            prod = rotation(axis, theta).data @ rotation(axis, -theta).data
+            np.testing.assert_allclose(prod, np.eye(2), atol=1e-10)
 
     def test_cnot_flips_target_when_control_set(self):
         """CNOT(0,1)|10> = |11> with qubit 0 as the most significant bit."""
@@ -212,12 +191,12 @@ class TestEvolve:
             np.testing.assert_allclose(out.data, mixed.data, atol=1e-12)
 
     def test_rx_half_pi_balances_diagonal(self):
-        rho = qsim.evolve(qsim.pure_state([1, 0]), qsim.rotation_gate("X", math.pi / 2, 0, 1))
+        rho = qsim.evolve(qsim.pure_state([1, 0]), rotation("X", math.pi / 2))
         np.testing.assert_allclose(np.diag(rho.data).real, [0.5, 0.5], atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            qsim.evolve(qsim.maximally_mixed(2), qsim.rotation_gate("X", 0.3, 0, 1))
+            qsim.evolve(qsim.maximally_mixed(2), rotation("X", 0.3))
 
     def test_spectrum_and_trace_preserved(self):
         """Conjugation keeps trace to 1e-10 and the spectrum to 1e-9."""
@@ -237,69 +216,31 @@ class TestEvolve:
         for _ in range(100):
             rho = qsim.random_density_matrix(3, rng)
             u = qsim.haar_random_unitary(3, rng)
-            back = qsim.evolve(qsim.evolve(rho, u), u.dagger())
+            back = qsim.evolve(qsim.evolve(rho, u), qsim.Unitary(3, u.data.conj().T))
             assert np.linalg.norm(back.data - rho.data) <= 1e-9
 
 
 class TestExpectation:
+    """The Z readout, ``pqc.z_expectations``, on small known states."""
+
     def test_sigma_z_on_zero(self):
-        obs = qsim.Observable(1, qsim.PAULI_Z)
-        assert qsim.expectation(qsim.pure_state([1, 0]), obs) == pytest.approx(1.0)
+        assert pqc.z_expectations(qsim.pure_state([1, 0]).data)[0] == pytest.approx(1.0)
 
     def test_sigma_z_on_mixed(self):
-        obs = qsim.Observable(1, qsim.PAULI_Z)
-        assert qsim.expectation(qsim.maximally_mixed(1), obs) == pytest.approx(0.0, abs=1e-12)
+        z = pqc.z_expectations(qsim.maximally_mixed(1).data)
+        assert z[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_z_tensor_identity_on_plus_zero(self):
-        """<Z x I> vanishes on |+0>."""
+        """<Z x I> vanishes on |+0>, and <I x Z> is 1."""
         s = 1 / math.sqrt(2)
-        rho = qsim.pure_state([s, 0, s, 0])
-        obs = qsim.Observable(2, np.kron(qsim.PAULI_Z, np.eye(2)))
-        assert qsim.expectation(rho, obs) == pytest.approx(0.0, abs=1e-12)
+        z = pqc.z_expectations(qsim.pure_state([s, 0, s, 0]).data)
+        np.testing.assert_allclose(z, [0.0, 1.0], atol=1e-12)
 
     def test_bounded_by_spectrum(self):
         rng = np.random.default_rng(29)
-        herm = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        herm = 0.5 * (herm + herm.conj().T)
-        obs = qsim.Observable(2, herm)
-        lo, hi = np.linalg.eigvalsh(herm)[[0, -1]]
         for _ in range(50):
-            val = qsim.expectation(qsim.random_density_matrix(2, rng), obs)
-            assert lo - 1e-10 <= val <= hi + 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            qsim.expectation(qsim.maximally_mixed(1), qsim.Observable(2, np.eye(4)))
-
-
-class TestEntropy:
-    def test_pure_state_has_zero_entropy(self):
-        rng = np.random.default_rng(31)
-        assert qsim.von_neumann_entropy(qsim.random_pure_state(3, rng)) == pytest.approx(
-            0.0, abs=1e-10
-        )
-
-    def test_maximally_mixed_entropy(self):
-        for n in (1, 2, 4):
-            assert qsim.von_neumann_entropy(qsim.maximally_mixed(n)) == pytest.approx(
-                n * math.log(2), abs=1e-12
-            )
-
-    def test_two_level_example(self):
-        rho = qsim.DensityMatrix(1, np.diag([0.75, 0.25]).astype(complex))
-        expected = -0.75 * math.log(0.75) - 0.25 * math.log(0.25)
-        assert qsim.von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.5623, abs=1e-4)
-
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(37)
-        for _ in range(100):
-            rho = qsim.random_density_matrix(3, rng)
-            u = qsim.haar_random_unitary(3, rng)
-            drift = abs(
-                qsim.von_neumann_entropy(qsim.evolve(rho, u)) - qsim.von_neumann_entropy(rho)
-            )
-            assert drift <= 1e-9
+            z = pqc.z_expectations(qsim.random_density_matrix(2, rng).data)
+            assert np.all(np.abs(z) <= 1.0 + 1e-10)
 
 
 class TestHelpers:
@@ -320,7 +261,7 @@ class TestHelpers:
             qsim.hermitian_power(np.diag([1.0, 0.0]).astype(complex), -1.0)
 
     def test_embed_one_qubit_positions(self):
-        full = qsim.embed_one_qubit(qsim.PAULI_Z, 0, 2)
+        full = dense_reference.embed_one_qubit(qsim.PAULI_Z, 0, 2)
         np.testing.assert_allclose(full, np.kron(qsim.PAULI_Z, np.eye(2)))
-        full = qsim.embed_one_qubit(qsim.PAULI_Z, 1, 2)
+        full = dense_reference.embed_one_qubit(qsim.PAULI_Z, 1, 2)
         np.testing.assert_allclose(full, np.kron(np.eye(2), qsim.PAULI_Z))

@@ -75,17 +75,16 @@ def dense_reference_pass(rho0, label, circuit, mit, noise_true, config):
     def true_noise(i):
         return [g.letters for g in noise_true[i].generators], noise_true[i].rates
 
-    chain = [rho0]
-    for i, u in enumerate(units):
-        cur = dense_reference.channel(u @ chain[-1] @ u.conj().T, *true_noise(i))
-        chain.append(inverse(cur, i) if cascaded else cur)
+    chain, final = dense_reference.layer_chain(
+        rho0, units, noise_true, letters, mit.rates, cascaded
+    )
     g_chain = [np.zeros_like(rho0) for _ in chain]
 
-    final = chain[-1] if cascaded else inverse(chain[-1], depth - 1)
-    zs = [qsim.embed_one_qubit(qsim.PAULI_Z, i, circuit.n) for i in range(circuit.n)]
-    z = np.array([np.trace(obs @ final).real for obs in zs])
-    task = losses.task_loss(z, int(label), config.num_classes)
-    g_z = losses.softmax_head(z, config.num_classes) - np.eye(config.num_classes)[label]
+    z = dense_reference.z_readout(final)
+    probs = losses.softmax_head(z, config.num_classes)
+    task = -math.log(probs[label])
+    g_z = probs - np.eye(config.num_classes)[label]
+    zs = [dense_reference.embed_one_qubit(qsim.PAULI_Z, i, circuit.n) for i in range(circuit.n)]
     g_final = config.alpha_task * sum(gz * obs for gz, obs in zip(g_z, zs))
     g_chain[-1] += g_final if cascaded else inverse_adjoint(g_final, final, depth - 1)
 
@@ -159,7 +158,7 @@ class TestGradients:
         config = small_config(alpha_fb=0.0, noise_low=0.0, noise_high=0.0)
         circuit = pqc.random_circuit(3, 2, "U2", rng, theta_scale=1.0)
         noise_true = train.noise_models_from_config(config)
-        mit = noise.MitigationModel.zeros(3, 2)
+        mit = noise.MitigationModel(3, noise.default_generators(3), np.zeros((2, 9)))
         batch = (rng.uniform(0, 1, (2, 64)), np.array([0, 1]))
         got = train.loss_and_gradients(batch, circuit, mit, noise_true, config)
         h = 1e-4
@@ -194,8 +193,7 @@ class TestGradients:
         assert abs(got.grad_theta[0][1, 0]) > 1e-6
 
     def test_engine_agrees_with_dense_reference(self):
-        """The batched engine and the composition of the public per-sample
-        operations both compute the loss of dense per-sample channels
+        """The batched engine computes the loss of dense per-sample channels
         (``P rho P`` products), layer by layer."""
         rng = np.random.default_rng(4)
         for mode in ("loss_only", "cascaded"):
@@ -212,17 +210,6 @@ class TestGradients:
                 for x, y in zip(features, labels)
             ])
             assert engine_loss == pytest.approx(reference, abs=1e-12)
-
-            total = 0.0
-            for x, y in zip(features, labels):
-                rho0 = pqc.encode(x, circuit.encoder)
-                states, mitigated = pqc.forward_mitigated(rho0, circuit, noise_true, mit, mode)
-                chain = [rho0] + (mitigated if mode == "cascaded" else states)
-                fb = losses.total_fb_loss(chain, circuit, mit, config.step_size, mode).value
-                z = pqc.readout(mitigated[-1], circuit)
-                task = losses.task_loss(z, int(y), config.num_classes)
-                total += config.alpha_fb * fb + config.alpha_task * task
-            assert total / 3 == pytest.approx(reference, abs=1e-12)
 
     @pytest.mark.parametrize("mode,step", [
         ("loss_only", 1), ("cascaded", 1), ("loss_only", 2), ("cascaded", 2),
@@ -350,7 +337,7 @@ class TestGradients:
         config = small_config()
         circuit = pqc.random_circuit(3, 3, "U2", rng)  # depth 3 vs config 2
         noise_true = noise.draw_noise_models(3, 2, seed=1)
-        mit = noise.MitigationModel.zeros(3, 2)
+        mit = noise.MitigationModel(3, noise.default_generators(3), np.zeros((2, 9)))
         with pytest.raises(ValidationError):
             train.loss_and_gradients(
                 (rng.uniform(0, 1, (1, 64)), np.array([0])), circuit, mit, noise_true, config
@@ -469,29 +456,30 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_readout_matches_per_state_chain(self, n):
-        """The Heisenberg-picture logits equal ``z_expectations`` of each
-        state's ``forward_mitigated`` readout state to 1e-12 times the
-        learned overhead of the inverse stacks it passes through, for true
-        rates up to 0.2.  The readout does not depend on the block step; the
-        configs with step 1 and 2 check that ``evaluate`` agrees too."""
+        """The Heisenberg-picture logits equal the Z readouts of each
+        state's mitigated final state from ``dense_reference.layer_chain`` to
+        1e-12 times the learned overhead of the inverse stacks it passes
+        through, for true rates up to 0.2.  The readout does not depend on
+        the block step; the configs with step 1 and 2 check that
+        ``evaluate`` agrees too."""
         rng = np.random.default_rng(60 + n)
         vectors = pqc.encode_vectors(rng.uniform(0, 1, (3, 64)), pqc.EncoderSpec(n))
-        inputs = [qsim.DensityMatrix(n, x) for x in pqc.pure_states(vectors)]
         generators = noise.default_generators(n)
+        letters = [g.letters for g in generators]
         noise_true = noise.draw_noise_models(n, 2, seed=n, low=0.0, high=0.2)
         for design in ("RX", "U2", "U3"):
             circuit = pqc.random_circuit(n, 2, design, rng)
             units = [pqc.layer_factors(layer)[0] for layer in circuit.layers]
+            dense_units = [dense_reference.layer_factors(layer)[0] for layer in circuit.layers]
             # Below the true rates, so that every mitigated state is a state.
             rates = np.stack([m.rates for m in noise_true]) * rng.uniform(0.5, 1.0, (2, 1))
-            mitigation = noise.MitigationModel(n, generators, rates)
             for mode in ("loss_only", "cascaded"):
                 got = pqc.mitigated_z_readout(vectors, units, noise_true, rates, generators, mode, n)
                 want = [
-                    pqc.z_expectations(
-                        pqc.forward_mitigated(rho, circuit, noise_true, mitigation, mode)[1][-1].data
-                    )
-                    for rho in inputs
+                    dense_reference.z_readout(dense_reference.layer_chain(
+                        rho, dense_units, noise_true, letters, rates, mode == "cascaded"
+                    )[1])
+                    for rho in pqc.pure_states(vectors)
                 ]
                 gamma = np.exp(2.0 * (rates.sum() if mode == "cascaded" else rates[-1].sum()))
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * gamma)
