@@ -160,7 +160,10 @@ def petz_renyi_divergence(rho, sigma, alpha: float = 2.0) -> float:
 
 def softmax_head(z, num_classes: int) -> np.ndarray:
     """Softmax over the first ``num_classes`` readouts on the last axis of ``z``."""
-    logits = np.asarray(z, dtype=float)[..., :num_classes]
+    z = np.asarray(z, dtype=float)
+    if not 1 <= num_classes <= z.shape[-1]:
+        raise ValidationError(f"class count {num_classes} is not in [1, {z.shape[-1]}] readouts")
+    logits = z[..., :num_classes]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=-1, keepdims=True)
@@ -400,8 +403,11 @@ def fb_blocks(chain, units, step: int, rates=None, generators=None, psi0=None) -
     ``layer_caches`` lists ``(j, x)`` with ``x`` the input of layer ``j``'s
     inverse conjugation, ``loss`` has the batch shape and ``cache`` is the
     fidelity cache of :func:`_fb_pair_backward`, whose pullback gradient is
-    with respect to the last ``x`` (``j = start``).
+    with respect to the last ``x`` (``j = start``).  ``step`` must divide
+    the layer count.
     """
+    if step < 1 or len(units) % step:
+        raise ValidationError(f"block step {step} does not divide {len(units)} layers")
     blocks = []
     shared = None if psi0 is None else _pure_spectrum(psi0)
     for start in range(0, len(units), step):

@@ -282,11 +282,13 @@ def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, list[int
     axes first, then ``n`` row bits and ``n`` column bits) that axis ``k``
     of the result holds.  ``ops`` must not be empty.
     """
+    lead, n = x.ndim - 2, _num_qubits(x)
     per_qubit = {}
     for q, s in ops:
+        if not 0 <= q < n:
+            raise ValidationError(f"qubit {q} out of range for {n} qubits")
         per_qubit[q] = s @ per_qubit[q] if q in per_qubit else np.asarray(s)
     dtype = np.result_type(x, np.float64, *per_qubit.values())
-    lead, n = x.ndim - 2, _num_qubits(x)
     rows = [lead + q for q in range(n) if q not in per_qubit]
     order = [ax for q in per_qubit for ax in (lead + q, lead + n + q)]
     order += list(range(lead)) + rows + [ax + n for ax in rows]
@@ -380,12 +382,17 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = Fal
     Otherwise ``x`` is taken to the Pauli basis by one 4x4 transform per
     qubit, multiplied by the fidelity table and taken back.  Both run
     through :func:`apply_qubit_superoperators`, so ``x`` is never written.
-    May return ``x`` itself when every rate is zero.
+    May return ``x`` itself when every rate is zero; otherwise the
+    generators must act on the qubits of ``x``.
     """
     rates = np.asarray(rates, dtype=float)
     if not np.any(rates):
         return x
     letters = _letters(generators)
+    if len(letters[0]) != _num_qubits(x):
+        raise ValidationError(
+            f"dimension mismatch: states on {_num_qubits(x)} qubits, generators on {len(letters[0])}"
+        )
     mixes = pauli_mix_superoperators(letters, rates, inverse)
     if mixes is not None:
         return apply_qubit_superoperators(x, mixes)

@@ -241,7 +241,7 @@ def layer_chain(rho0, units, noise, rates=None, generators=None) -> list[np.ndar
 
     Layer ``i`` conjugates by ``units[i]`` and applies the true noise
     ``noise[i]``; with ``rates`` (cascaded mode) it then applies the learned
-    inverse stack ``rates[i]`` over ``generators``.  Nothing is hermitized
+    inverse stack ``rates[i]`` over ``generators``.  No state is hermitized
     or validated.
     """
     chain = [rho0]
@@ -286,6 +286,11 @@ def mitigated_z_readout(psi, units, noise, rates, generators, mode, count) -> np
     ``Re psi_b^dagger O_k psi_b``, one ``k`` at a time, so no per-sample
     matrix is formed: ``L`` layers on ``count`` matrices plus ``N count d^2``.
     """
+    if psi.shape[-1] != units[0].shape[-1]:
+        raise ValidationError(
+            f"dimension mismatch: state vectors of length {psi.shape[-1]}, "
+            f"layers of dimension {units[0].shape[-1]}"
+        )
     idx = np.arange(psi.shape[-1])
     obs = np.zeros((count, idx.size, idx.size), dtype=np.complex128)
     obs[:, idx, idx] = z_sign_table(idx.size.bit_length() - 1)[:count]

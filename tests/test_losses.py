@@ -275,6 +275,11 @@ class TestTaskLoss:
             with pytest.raises(ValidationError, match="labels"):
                 train.loss_and_gradients(batch, circuit, mit, noise_true, config)
 
+    def test_class_count_bounded_by_readout(self):
+        for count in (0, 5):
+            with pytest.raises(ValidationError, match="class count"):
+                losses.softmax_head(np.zeros(4), count)
+
     def test_batched_softmax_head_matches_row_by_row(self):
         rng = np.random.default_rng(22)
         z = rng.uniform(-1, 1, (2, 3, 4))
@@ -338,6 +343,19 @@ class TestTotalFbLoss:
         rates = np.stack([m.rates for m in models])
         for step in (1, 2, 4):
             assert self._total(chain, units, step, rates)[0] <= 1e-8
+
+    def test_step_must_divide_depth(self):
+        rng = np.random.default_rng(16)
+        units, chain, _ = self._chain(rng)
+        with pytest.raises(ValidationError, match="divide"):
+            self._total(chain, units, 3, np.zeros((4, 12)))
+
+    def test_step_must_be_positive(self):
+        rng = np.random.default_rng(20)
+        units, chain, _ = self._chain(rng)
+        for step in (0, -2):
+            with pytest.raises(ValidationError, match="divide"):
+                self._total(chain, units, step, np.zeros((4, 12)))
 
     def test_positive_loss_under_unmitigated_noise(self):
         rng = np.random.default_rng(17)

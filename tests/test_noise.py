@@ -113,6 +113,19 @@ class TestProductChannel:
         np.testing.assert_allclose(fwd, rev, atol=1e-13)
 
 
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(12)
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            apply(qsim.maximally_mixed(1).data, random_model(2, rng))
+
+    def test_smaller_model_on_larger_state_rejected(self):
+        """Without the check, a one-qubit model on a two-qubit state would
+        act on qubit 0 alone."""
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            apply(qsim.maximally_mixed(2).data, random_model(1, rng))
+
+
 class TestInverseChannel:
     def test_zero_rates_identity(self):
         rng = np.random.default_rng(13)
@@ -263,6 +276,16 @@ class TestDivergenceContraction:
 
 
 class TestMitigationModel:
+    def test_zeros_constructor(self):
+        """A zero-rate table builds the same model as zero-rate noise layers."""
+        gens = noise.default_generators(3)
+        mit = noise.MitigationModel(3, gens, np.zeros((4, 9)))
+        assert mit.layers == 4
+        assert mit.rates.shape == (4, 9)
+        np.testing.assert_allclose(mit.rates, 0.0)
+        layers = [noise.NoiseModel(3, gens, np.zeros(9))] * 4
+        np.testing.assert_array_equal(noise.MitigationModel.from_noise_models(layers).rates, mit.rates)
+
     def test_json_roundtrip(self):
         rng = np.random.default_rng(24)
         mit = noise.MitigationModel(2, noise.default_generators(2), rng.uniform(0, 0.1, (3, 6)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from qmit import pqc, qsim
+from qmit import losses, noise, pqc, qsim
 from qmit.errors import ValidationError
 
 
@@ -141,6 +141,15 @@ class TestGates:
             prod = rotation(axis, theta).data @ rotation(axis, -theta).data
             np.testing.assert_allclose(prod, np.eye(2), atol=1e-10)
 
+    def test_rotation_target_out_of_range(self):
+        """The kernel that applies a rotation's superoperator to its target
+        qubit rejects a target outside the register."""
+        r = qsim.rotation_matrix_2x2("X", 0.3)
+        superop = np.kron(r, r.conj())
+        for target in (2, -1):
+            with pytest.raises(ValidationError, match="out of range"):
+                noise.apply_qubit_superoperators(qsim.maximally_mixed(2).data, [(target, superop)])
+
     def test_cnot_flips_target_when_control_set(self):
         """CNOT(0,1)|10> = |11> with qubit 0 as the most significant bit."""
         perm = qsim.cnot_permutation(0, 1, 2)
@@ -221,7 +230,8 @@ class TestEvolve:
 
 
 class TestExpectation:
-    """The Z readout, ``pqc.z_expectations``, on small known states."""
+    """The Z readout, ``pqc.z_expectations``, on small known states, and the
+    size check of the mitigated readout."""
 
     def test_sigma_z_on_zero(self):
         assert pqc.z_expectations(qsim.pure_state([1, 0]).data)[0] == pytest.approx(1.0)
@@ -241,6 +251,94 @@ class TestExpectation:
         for _ in range(50):
             z = pqc.z_expectations(qsim.random_density_matrix(2, rng).data)
             assert np.all(np.abs(z) <= 1.0 + 1e-10)
+
+
+    def test_dimension_mismatch(self):
+        """One-qubit state vectors cannot be read out through two-qubit layers."""
+        gens = noise.default_generators(2)
+        models = [noise.NoiseModel(2, gens, np.zeros(6))]
+        psi = np.array([[1.0, 0.0]], dtype=complex)
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            pqc.mitigated_z_readout(
+                psi, [np.eye(4, dtype=complex)], models, np.zeros((1, 6)), gens, "cascaded", 1
+            )
+
+
+ALPHAS = (0.5, 2.0, 3.0)
+
+
+def renyi_entropy(rho, alpha):
+    """``log tr(rho^alpha) / (1 - alpha)`` from :meth:`qsim.DensityMatrix.power`;
+    eigenvalues below 1e-13 of the largest count as zero, as in
+    ``losses.petz_renyi_divergence``."""
+    return math.log(np.trace(rho.power(alpha, rel_floor=1e-13)).real) / (1.0 - alpha)
+
+
+class TestEntropy:
+    """Renyi entropies of orders 0.5, 2 and 3 from the state's matrix powers."""
+
+    def test_pure_state_has_zero_entropy(self):
+        rng = np.random.default_rng(31)
+        rho = qsim.random_pure_state(3, rng)
+        for alpha in ALPHAS:
+            assert renyi_entropy(rho, alpha) == pytest.approx(0.0, abs=1e-10)
+
+    def test_maximally_mixed_entropy(self):
+        for n in (1, 2, 4):
+            for alpha in ALPHAS:
+                assert renyi_entropy(qsim.maximally_mixed(n), alpha) == pytest.approx(
+                    n * math.log(2), abs=1e-12
+                )
+
+    def test_two_level_example(self):
+        rho = qsim.DensityMatrix(1, np.diag([0.75, 0.25]).astype(complex))
+        expected = -math.log(0.75**2 + 0.25**2)
+        assert renyi_entropy(rho, 2.0) == pytest.approx(expected, abs=1e-12)
+        assert expected == pytest.approx(0.4700, abs=1e-4)
+
+    def test_unitary_invariance(self):
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            rho = qsim.random_density_matrix(3, rng)
+            out = qsim.evolve(rho, qsim.haar_random_unitary(3, rng))
+            for alpha in ALPHAS:
+                assert renyi_entropy(out, alpha) == pytest.approx(
+                    renyi_entropy(rho, alpha), abs=1e-9
+                )
+
+    def test_additive_on_product_states(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            a = qsim.random_density_matrix(1, rng)
+            b = qsim.random_density_matrix(2, rng)
+            ab = qsim.DensityMatrix(3, np.kron(a.data, b.data))
+            for alpha in ALPHAS:
+                assert renyi_entropy(ab, alpha) == pytest.approx(
+                    renyi_entropy(a, alpha) + renyi_entropy(b, alpha), abs=1e-9
+                )
+
+    def test_gap_to_maximum_is_divergence_from_maximally_mixed(self):
+        """``n log 2 - H_alpha(rho) = D_alpha(rho || I / d)``."""
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3):
+            mixed = qsim.maximally_mixed(n)
+            for _ in range(10):
+                rho = qsim.random_density_matrix(n, rng)
+                for alpha in ALPHAS:
+                    got = losses.petz_renyi_divergence(rho, mixed, alpha)
+                    assert got == pytest.approx(n * math.log(2) - renyi_entropy(rho, alpha), abs=1e-9)
+
+    def test_unital_noise_does_not_lower_entropy(self):
+        """Pauli channels fix the maximally mixed state, so they can only
+        make a spectrum more even."""
+        rng = np.random.default_rng(53)
+        gens = noise.default_generators(2)
+        for _ in range(20):
+            rho = qsim.random_density_matrix(2, rng)
+            out = noise.apply_pauli_fidelities(rho.data, gens, rng.uniform(0.0, 0.5, len(gens)))
+            noisy = qsim.DensityMatrix(2, qsim.hermitize(out))
+            for alpha in ALPHAS:
+                assert renyi_entropy(noisy, alpha) >= renyi_entropy(rho, alpha) - 1e-12
 
 
 class TestHelpers:
