@@ -36,7 +36,7 @@ from .noise import (
     apply_qubit_superoperators,
     pauli_mix_superoperators,
 )
-from .pqc import EncoderSpec, encode
+from .pqc import encode
 from .qsim import DensityMatrix, cnot_permutation, hermitize, maximally_mixed, rotation_matrix_2x2
 from .train import (
     TrainConfig,
@@ -151,6 +151,19 @@ def build_train_config(payload: dict, where: str = "config") -> TrainConfig:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# Sample caps and their defaults; each split keeps ``cap // num_classes`` per class.
+_CAPS = {"train_cap": 1000, "test_cap": 500}
+
+
+def _check_caps(payload: dict, num_classes: int) -> None:
+    """Raise unless each split keeps at least one sample per class; checked
+    before any data is loaded or output written."""
+    for key, default in _CAPS.items():
+        cap = int(payload.get(key, default))
+        if cap < num_classes:
+            raise ConfigError(f"{key} must be at least the class count {num_classes}, got {cap}")
+
+
 def _repeats(payload: dict) -> int:
     """The config's repeat count, checked with ``QMIT_THREADS`` before any
     data is loaded or output written."""
@@ -179,8 +192,7 @@ def resolve_datasets(payload: dict) -> tuple[Dataset, Dataset]:
     """Load and subsample the benchmark named in the config."""
     benchmark = payload["benchmark"]
     seed = int(payload.get("seed", 0))
-    train_cap = int(payload.get("train_cap", 1000))
-    test_cap = int(payload.get("test_cap", 500))
+    train_cap, test_cap = (int(payload.get(key, default)) for key, default in _CAPS.items())
     if benchmark in SYNTHETIC_BENCHMARKS:
         c = int(benchmark[-1])
         separation = float(payload.get("separation", 3.0))
@@ -249,6 +261,7 @@ def cmd_train(config_path: str, out_dir: str) -> int:
     payload = _load_json(config_path)
     _check_keys(payload, _TRAIN_KEYS, "train config")
     config = build_train_config(payload)
+    _check_caps(payload, config.num_classes)
     repeats = _repeats(payload)
     train_set, test_set = resolve_datasets(payload)
     os.makedirs(out_dir, exist_ok=True)
@@ -285,6 +298,7 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
     _check_keys(grid, _GRID_KEYS, "grid")
     base_payload = {k: v for k, v in payload.items() if k != "grid"}
     base_config = build_train_config(base_payload)
+    _check_caps(payload, base_config.num_classes)
     repeats = _repeats(payload)
 
     # Cells are the product over every axis, in table order; an axis the
@@ -362,7 +376,7 @@ def divergence_trace(
     if rate < 0.0:
         raise ConfigError("noise rate must be nonnegative")
     rng = np.random.default_rng(seed)
-    state = encode(rng.uniform(0.0, 1.0, 64), EncoderSpec(n))
+    state = encode(rng.uniform(0.0, 1.0, 64), n)
     mixed = maximally_mixed(n)
 
     damping = amplitude_damping_superoperator(rate) if channel == "amplitude_damping" else None

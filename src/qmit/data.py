@@ -55,10 +55,6 @@ class Dataset:
     def __getitem__(self, idx: int) -> Sample:
         return Sample(self.features[idx], int(self.labels[idx]))
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if len(self) else 0
-
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
@@ -203,14 +199,6 @@ def preprocess_all(images: np.ndarray) -> np.ndarray:
         out[lo : lo + chunk.shape[0]] = bilinear_resize(chunk).reshape(-1, FEATURES)
     out /= 255.0
     return out
-
-
-def preprocess(image: np.ndarray) -> np.ndarray:
-    """28x28 uint8 image to 64 features in [0, 1], row-major flattened."""
-    img = np.asarray(image)
-    if img.shape != (28, 28):
-        raise ValidationError(f"expected a 28x28 image, got shape {img.shape}")
-    return preprocess_all(img[None])[0]
 
 
 def dataset_from_idx(images_path, labels_path) -> Dataset:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,20 +52,6 @@ _INV_SQRT_FLOOR = 1e-13
 # before fractional powers; rank-deficiency residues of order 1e-16 would
 # otherwise contribute ~1e-8 per spurious eigenvalue through a square root.
 _SPECTRAL_REL_FLOOR = 1e-13
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the forward-backward and task terms; not both zero."""
-
-    alpha_fb: float
-    alpha_task: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha_fb < math.inf and 0.0 <= self.alpha_task < math.inf):
-            raise ValidationError("loss weights must be finite and nonnegative")
-        if self.alpha_fb == 0.0 and self.alpha_task == 0.0:
-            raise ValidationError("loss weights must not both be zero")
 
 
 def _state_data(state) -> np.ndarray:

@@ -38,18 +38,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .qsim import PAULIS, _check_qubit_count
+from .qsim import _check_qubit_count
 
 PAULI_LETTERS = "IXYZ"
-
-
-@lru_cache(maxsize=4096)
-def _pauli_matrix(letters: str) -> np.ndarray:
-    mat = np.array([[1.0]], dtype=np.complex128)
-    for ch in letters:
-        mat = np.kron(mat, PAULIS[ch])
-    mat.setflags(write=False)
-    return mat
 
 
 @dataclass(frozen=True)
@@ -72,9 +63,6 @@ class PauliString:
     @property
     def is_identity(self) -> bool:
         return set(self.letters) == {"I"}
-
-    def matrix(self) -> np.ndarray:
-        return _pauli_matrix(self.letters)
 
 
 def rate_to_weight(rate):
@@ -172,67 +160,16 @@ def draw_noise_models(
     return [NoiseModel(n, gens, table[i]) for i in range(layers)]
 
 
-@dataclass
-class MitigationModel:
-    """Per-layer learnable rate vectors over a shared generator set.
-
-    Rates are projected back to ``>= 0`` after every optimizer step; the
-    array may transiently hold arbitrary finite values inside gradient
-    computations.
-    """
-
-    n: int
-    generators: tuple[PauliString, ...]
-    rates: np.ndarray  # shape (layers, len(generators))
-
-    def __post_init__(self):
-        _check_qubit_count(self.n)
-        self.generators = tuple(self.generators)
-        self.rates = np.array(self.rates, dtype=float, copy=True)
-        if self.rates.ndim != 2 or self.rates.shape[1] != len(self.generators):
-            raise ValidationError(
-                f"rate table shape {self.rates.shape} does not match "
-                f"{len(self.generators)} generators"
-            )
-        if not np.all(np.isfinite(self.rates)):
-            raise ValidationError("mitigation rates must be finite")
-
-    @property
-    def layers(self) -> int:
-        return self.rates.shape[0]
-
-    @classmethod
-    def from_noise_models(cls, models: list[NoiseModel]) -> "MitigationModel":
-        if not models:
-            raise ValidationError("need at least one per-layer noise model")
-        first = models[0]
-        for m in models:
-            if m.generators != first.generators or m.n != first.n:
-                raise ValidationError("per-layer models must share one generator set")
-        return cls(first.n, first.generators, np.stack([m.rates for m in models]))
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "layers": [
-                NoiseModel(self.n, self.generators, np.maximum(row, 0.0)).to_json()
-                for row in self.rates
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "MitigationModel":
-        try:
-            models = [NoiseModel.from_json(item) for item in payload["layers"]]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed mitigation model JSON: {exc}") from exc
-        return cls.from_noise_models(models)
+def noise_layers_json(models: list[NoiseModel]) -> dict:
+    """``{"n", "layers"}`` of per-layer models, the format of a noise file
+    and of a checkpoint's learned rates; each layer reads back through
+    :meth:`NoiseModel.from_json`."""
+    return {"n": models[0].n, "layers": [m.to_json() for m in models]}
 
 
 def save_noise_layers(models: list[NoiseModel], path) -> None:
-    payload = {"n": models[0].n, "layers": [m.to_json() for m in models]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(noise_layers_json(models), fh, indent=2, sort_keys=True)
 
 
 def load_noise_layers(path) -> list[NoiseModel]:

@@ -66,49 +66,6 @@ class LayerSpec:
         return DESIGN_AXES[self.design]
 
 
-@dataclass
-class EncoderSpec:
-    """Phase encoder: ``ENCODER_FEATURES`` (64) features consumed over
-    ``ceil(64/n)`` rotation sub-layers.
-
-    Sub-layer ``t`` rotates qubit ``j`` by ``pi * x[t*n + j]`` about the axis
-    cycling X, Y, Z (``ENCODER_AXIS_CYCLE``) with ``t``.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        _check_qubit_count(self.n)
-
-    @property
-    def sublayers(self) -> int:
-        return -(-ENCODER_FEATURES // self.n)
-
-
-@dataclass
-class CircuitSpec:
-    """Encoder and parameterized layers; the readout is per-qubit Z
-    (:func:`z_expectations`)."""
-
-    n: int
-    encoder: EncoderSpec
-    layers: list[LayerSpec]
-
-    def __post_init__(self):
-        _check_qubit_count(self.n)
-        if self.encoder.n != self.n:
-            raise ValidationError("encoder qubit count does not match circuit")
-        if not self.layers:
-            raise ValidationError("a circuit needs at least one layer")
-        for i, layer in enumerate(self.layers):
-            if layer.n != self.n:
-                raise ValidationError(f"layer {i} acts on {layer.n} qubits, circuit has {self.n}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-
 @lru_cache(maxsize=None)
 def _cnot_ring_permutation(n: int) -> np.ndarray:
     """Basis-index map of the ring CNOT(j, j+1 mod n) for ascending j:
@@ -192,14 +149,19 @@ def angle_gradients(
     return np.stack(grads, axis=1)
 
 
-def encode_vectors(features, spec: EncoderSpec) -> np.ndarray:
-    """Phase-encode a ``(N, 64)`` feature array into ``(N, d)`` state vectors.
+def encode_vectors(features, n: int) -> np.ndarray:
+    """Phase-encode a ``(N, 64)`` feature array into ``(N, d)`` state
+    vectors on ``n`` qubits.
 
-    The encoder has no entanglers, so each qubit's state is its own
-    sub-layer rotations (2x2 matrices) applied to ``|0>``, and the register
-    state is the Kronecker product of the ``n`` qubit states: a unit vector
-    by construction.
+    The ``ENCODER_FEATURES`` (64) features are consumed over ``ceil(64/n)``
+    rotation sub-layers: sub-layer ``t`` rotates qubit ``j`` by
+    ``pi * x[t*n + j]`` about the axis cycling X, Y, Z
+    (``ENCODER_AXIS_CYCLE``) with ``t``.  The encoder has no entanglers, so
+    each qubit's state is its own sub-layer rotations (2x2 matrices) applied
+    to ``|0>``, and the register state is the Kronecker product of the ``n``
+    qubit states: a unit vector by construction.
     """
+    _check_qubit_count(n)
     feats = np.asarray(features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] != ENCODER_FEATURES:
         raise ValidationError(
@@ -207,21 +169,21 @@ def encode_vectors(features, spec: EncoderSpec) -> np.ndarray:
         )
     if not np.all((feats >= 0.0) & (feats <= 1.0)):
         raise ValidationError("encoder features must lie in [0, 1]")
-    count, n = feats.shape[0], spec.n
+    count, sublayers = feats.shape[0], -(-ENCODER_FEATURES // n)
     # Features beyond the 64th leave the last sub-layer's qubits unrotated.
-    angles = np.zeros((count, spec.sublayers * n))
+    angles = np.zeros((count, sublayers * n))
     angles[:, :ENCODER_FEATURES] = math.pi * feats
-    half = (0.5 * angles).reshape(count, spec.sublayers, n, 1, 1)
+    half = (0.5 * angles).reshape(count, sublayers, n, 1, 1)
     cos, sin = np.cos(half), np.sin(half)
     qubits = np.zeros((count, n, 2), dtype=np.complex128)
     qubits[..., 0] = 1.0
-    for t in range(spec.sublayers):
+    for t in range(sublayers):
         sigma = PAULIS[ENCODER_AXIS_CYCLE[t % len(ENCODER_AXIS_CYCLE)]]
         rot = cos[:, t] * PAULIS["I"] - 1j * sin[:, t] * sigma  # (count, n, 2, 2)
         qubits = (rot * qubits[:, :, None, :]).sum(axis=-1)
     psi = qubits[:, 0]
     for q in range(1, n):
-        psi = (psi[:, :, None] * qubits[:, q, None, :]).reshape(count, -1)
+        psi = (psi[:, :, None] * qubits[:, q, None, :]).reshape(count, 2 << q)
     return psi
 
 
@@ -230,10 +192,10 @@ def pure_states(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def encode(x, spec: EncoderSpec) -> DensityMatrix:
+def encode(x, n: int) -> DensityMatrix:
     """Phase-encode a feature vector into a pure state on ``n`` qubits."""
     feats = np.asarray(x, dtype=float).reshape(1, -1)
-    return DensityMatrix(spec.n, pure_states(encode_vectors(feats, spec))[0])
+    return DensityMatrix(n, pure_states(encode_vectors(feats, n))[0])
 
 
 def layer_chain(rho0, units, noise, rates=None, generators=None) -> list[np.ndarray]:
@@ -307,22 +269,3 @@ def mitigated_z_readout(psi, units, noise, rates, generators, mode, count) -> np
     for k in range(count):
         z[:, k] = np.einsum("bi,bi->b", bra @ obs[k], psi).real
     return z
-
-
-def random_circuit(
-    n: int,
-    depth: int,
-    design: str,
-    rng: np.random.Generator,
-    theta_scale: float = math.pi,
-) -> CircuitSpec:
-    """Circuit with angles drawn uniformly from ``[-theta_scale, theta_scale)``."""
-    if design not in DESIGN_AXES:
-        raise ValidationError(f"unknown design {design!r}")
-    p = len(DESIGN_AXES[design])
-    layers = [
-        LayerSpec(design, n, rng.uniform(-theta_scale, theta_scale, size=(n, p)))
-        for _ in range(depth)
-    ]
-    return CircuitSpec(n, EncoderSpec(n), layers)
-

@@ -136,10 +136,6 @@ class DensityMatrix:
             object.__setattr__(state, name, value)
         return state
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
     def power(self, exponent: float, rel_floor: float = 0.0) -> np.ndarray:
         """:func:`hermitian_power` of the data, computed once per instance
         and returned read-only.
@@ -172,10 +168,6 @@ class Unitary:
             defect = float(np.max(np.abs(arr @ arr.conj().T - np.eye(dim))))
         if not defect <= UNITARY_ATOL:
             raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
 
 
 def pure_state(amplitudes) -> DensityMatrix:
@@ -271,10 +263,6 @@ def random_state_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     dim = 1 << n
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return vec / np.linalg.norm(vec)
-
-
-def random_pure_state(n: int, rng: np.random.Generator) -> DensityMatrix:
-    return pure_state(random_state_vector(n, rng))
 
 
 def random_density_matrix(n: int, rng: np.random.Generator) -> DensityMatrix:

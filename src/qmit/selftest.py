@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -67,8 +68,15 @@ def _zero_noise(n: int, layers: int) -> list[noise.NoiseModel]:
     return [noise.NoiseModel(n, gens, np.zeros(len(gens)))] * layers
 
 
-def _units(circuit: pqc.CircuitSpec) -> list[np.ndarray]:
-    return [pqc.layer_factors(layer)[0] for layer in circuit.layers]
+def _random_theta(n: int, depth: int, design: str, rng, scale: float = math.pi) -> list:
+    """Layer angles drawn uniformly from ``[-scale, scale)``, one ``(n, p)``
+    array per layer."""
+    p = len(pqc.DESIGN_AXES[design])
+    return [rng.uniform(-scale, scale, size=(n, p)) for _ in range(depth)]
+
+
+def _units(theta: list, design: str) -> list[np.ndarray]:
+    return [pqc.layer_factors(pqc.LayerSpec(design, t.shape[0], t))[0] for t in theta]
 
 
 def noise_free_invariance(seed: int, circuits: int) -> str:
@@ -79,10 +87,10 @@ def noise_free_invariance(seed: int, circuits: int) -> str:
     mixed = qsim.maximally_mixed(4)
     worst = 0.0
     for _ in range(circuits):
-        circuit = pqc.random_circuit(4, 8, "U2", rng)
-        rho0 = pqc.encode(rng.uniform(0, 1, 64), circuit.encoder)
+        theta = _random_theta(4, 8, "U2", rng)
+        rho0 = pqc.encode(rng.uniform(0, 1, 64), 4)
         base = losses.petz_renyi_divergence(rho0, mixed)
-        for state in pqc.layer_chain(rho0.data, _units(circuit), _zero_noise(4, 8))[1:]:
+        for state in pqc.layer_chain(rho0.data, _units(theta, "U2"), _zero_noise(4, 8))[1:]:
             worst = max(worst, abs(losses.petz_renyi_divergence(state, mixed) - base))
     assert worst <= 1e-9, f"divergence drift {worst:.3e}"
     return f"max drift {worst:.2e}"
@@ -121,12 +129,12 @@ def perfect_mitigation(seed: int, circuits: int) -> str:
     rng = np.random.default_rng(seed)
     worst_train = worst_eval = 0.0
     for _ in range(circuits):
-        circuit = pqc.random_circuit(4, 4, "U2", rng)
-        psi = pqc.encode_vectors(rng.uniform(0, 1, (1, 64)), circuit.encoder)
+        theta = _random_theta(4, 4, "U2", rng)
+        psi = pqc.encode_vectors(rng.uniform(0, 1, (1, 64)), 4)
         models = noise.draw_noise_models(4, 4, seed=int(rng.integers(2**31)))
         gens = models[0].generators
         rates = np.stack([m.rates for m in models])
-        units = _units(circuit)
+        units = _units(theta, "U2")
         rho0 = pqc.pure_states(psi)
         z_free = pqc.z_expectations(pqc.layer_chain(rho0, units, _zero_noise(4, 4))[-1])
         z_train = pqc.z_expectations(pqc.layer_chain(rho0, units, models, rates, gens)[-1])
@@ -178,34 +186,34 @@ def grad_mismatch(analytic: float, fd: float) -> float:
     return abs(analytic - fd) / abs(fd)
 
 
-def fd_vs_analytic(config, circuit, mit, noise_true, batch, h: float = 1e-4) -> float:
+def fd_vs_analytic(config, theta, rates, generators, noise_true, batch, h: float = 1e-4) -> float:
     """Worst :func:`grad_mismatch` between the analytic gradient of every angle
-    and rate and its central difference with step ``h``."""
-    got = train.loss_and_gradients(batch, circuit, mit, noise_true, config)
+    and rate and its central difference with step ``h``, for the engine
+    :func:`train._run_batch` on ``batch = (features, labels)``."""
+    features, labels = batch
+    psi = pqc.encode_vectors(features, config.n_qubits)
 
-    def loss(circ, rates):
-        model = noise.MitigationModel(config.n_qubits, mit.generators, rates)
-        return train.batch_loss(batch, circ, model, noise_true, config)
+    def run(theta, rates, want_grads):
+        return train._run_batch(
+            psi, labels, theta, rates, config, noise_true, generators, want_grads
+        )
 
+    got = run(theta, rates, True)
     worst = 0.0
-    base_theta = [layer.theta for layer in circuit.layers]
-    for i, (theta, rates) in enumerate(zip(base_theta, mit.rates)):
-        for q, a in np.ndindex(theta.shape):
-            tp = [t.copy() for t in base_theta]
-            tm = [t.copy() for t in base_theta]
+    for i in range(len(theta)):
+        for q, a in np.ndindex(theta[i].shape):
+            tp = [t.copy() for t in theta]
+            tm = [t.copy() for t in theta]
             tp[i][q, a] += h
             tm[i][q, a] -= h
-            fd = (
-                loss(train.circuit_from_theta(tp, config), mit.rates)
-                - loss(train.circuit_from_theta(tm, config), mit.rates)
-            ) / (2 * h)
+            fd = (run(tp, rates, False).total - run(tm, rates, False).total) / (2 * h)
             worst = max(worst, grad_mismatch(got.grad_theta[i][q, a], fd))
-        for g in range(rates.size):
-            rp = mit.rates.copy()
-            rm = mit.rates.copy()
+        for g in range(rates.shape[1]):
+            rp = rates.copy()
+            rm = rates.copy()
             rp[i, g] += h
             rm[i, g] -= h
-            fd = (loss(circuit, rp) - loss(circuit, rm)) / (2 * h)
+            fd = (run(theta, rp, False).total - run(theta, rm, False).total) / (2 * h)
             worst = max(worst, grad_mismatch(got.grad_rates[i, g], fd))
     return worst
 
@@ -224,13 +232,13 @@ def gradient_contract(seed: int, configs: int) -> str:
             mode=("loss_only", "cascaded")[trial % 2], num_classes=4, batch_size=2,
             seed=seed + trial,
         )
-        circuit = pqc.random_circuit(4, 4, design, rng, theta_scale=1.0)
+        theta = _random_theta(4, 4, design, rng, scale=1.0)
         noise_true = noise.draw_noise_models(4, 4, seed=seed + trial + 1)
-        mit = noise.MitigationModel(
-            4, noise.default_generators(4), rng.uniform(0.0, 0.03, (4, 12))
-        )
+        rates = rng.uniform(0.0, 0.03, (4, 12))
         batch = (rng.uniform(0, 1, (2, 64)), rng.integers(0, 4, 2))
-        worst = max(worst, fd_vs_analytic(config, circuit, mit, noise_true, batch, h=1e-4))
+        worst = max(worst, fd_vs_analytic(
+            config, theta, rates, noise.default_generators(4), noise_true, batch, h=1e-4
+        ))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-3, f"gradient mismatch {worst:.3e}"
     assert elapsed < 300.0, f"{configs} configs took {elapsed:.0f}s"

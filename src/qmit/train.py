@@ -28,20 +28,18 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, TrainingError, ValidationError
-from .losses import LossWeights, _fb_pair_backward, fb_blocks, softmax_head
+from .losses import _fb_pair_backward, fb_blocks, softmax_head
 from .noise import (
-    MitigationModel,
     NoiseModel,
     apply_pauli_fidelities,
     default_generators,
     load_noise_layers,
+    noise_layers_json,
     pauli_rate_gradient,
 )
 from .pqc import (
     DESIGN_AXES,
     EXECUTION_MODES,
-    CircuitSpec,
-    EncoderSpec,
     LayerSpec,
     angle_gradients,
     encode_vectors,
@@ -52,6 +50,7 @@ from .pqc import (
     z_expectations,
     z_sign_table,
 )
+from .qsim import MAX_QUBITS
 
 NOISE_SEED_STREAM = 0xA11CE  # noise rates come from (seed, this tag), fixed across repeats
 DIVERGENCE_ABORT = 1e4
@@ -93,15 +92,17 @@ class TrainConfig:
             raise ConfigError(
                 f"step size {self.step_size} does not divide layer count {self.layers}"
             )
-        if not 1 <= self.n_qubits <= 10:
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ConfigError(f"qubit count {self.n_qubits} out of range")
         if not 2 <= self.num_classes <= self.n_qubits:
             raise ConfigError(
                 f"class count {self.num_classes} must be in [2, n_qubits={self.n_qubits}]"
             )
-        for name in ("learning_rate", "rate_lr_scale"):
+        for name in ("learning_rate", "rate_lr_scale", "alpha_fb", "alpha_task"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
+        if self.alpha_fb == 0.0 and self.alpha_task == 0.0:
+            raise ConfigError("alpha_fb and alpha_task must not both be zero")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
         if self.batch_size < 1:
@@ -114,11 +115,6 @@ class TrainConfig:
             raise ConfigError("noise source 'file' requires noise_path")
         if not 0.0 <= self.noise_low <= self.noise_high:
             raise ConfigError(f"invalid noise range [{self.noise_low}, {self.noise_high}]")
-        self.weights  # validates the pair
-
-    @property
-    def weights(self) -> LossWeights:
-        return LossWeights(self.alpha_fb, self.alpha_task)
 
     @property
     def theta_shape(self) -> tuple[int, int]:
@@ -183,14 +179,9 @@ def init_state(config: TrainConfig) -> TrainState:
     )
 
 
-def circuit_from_theta(theta: list[np.ndarray], config: TrainConfig) -> CircuitSpec:
-    layers = [LayerSpec(config.design, config.n_qubits, t) for t in theta]
-    return CircuitSpec(config.n_qubits, EncoderSpec(config.n_qubits), layers)
-
-
 def encode_dataset(dataset: Dataset, n: int) -> np.ndarray:
     """Precompute the encoded pure state vectors of every sample, shape (N, d)."""
-    return encode_vectors(dataset.features, EncoderSpec(n))
+    return encode_vectors(dataset.features, n)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +251,9 @@ def _run_batch(
 
     ``rho0`` holds the input states: density matrices ``(batch, d, d)``, or
     pure state vectors ``(batch, d)`` such as :func:`encode_dataset`
-    returns, whose block-0 target spectrum is then closed form.
+    returns, whose block-0 target spectrum is then closed form.  ``theta``,
+    ``noise_true`` and ``rates`` hold one entry per layer, and ``labels``
+    lie in ``[0, num_classes)``.
     """
     depth = config.layers
     step = config.step_size
@@ -268,6 +261,13 @@ def _run_batch(
     batch = rho0.shape[0]
     n = config.n_qubits
     c = config.num_classes
+    if not len(theta) == len(noise_true) == len(rates) == depth:
+        raise ValidationError(
+            f"need one angle array, true-noise model and rate row per layer ({depth}), "
+            f"got {len(theta)}, {len(noise_true)} and {len(rates)}"
+        )
+    if labels.size and not (0 <= labels.min() and labels.max() < c):
+        raise ValidationError(f"labels must lie in [0, {c})")
     cascaded = config.mode == "cascaded"
     psi0 = rho0 if rho0.ndim == 2 else None
     if psi0 is not None:
@@ -361,68 +361,8 @@ def _run_batch(
 
 
 # ---------------------------------------------------------------------------
-# Public training API
+# Training and evaluation
 # ---------------------------------------------------------------------------
-
-
-def _batch_pass(
-    batch, circuit: CircuitSpec, mitigation: MitigationModel, noise_true, config: TrainConfig,
-    want_grads: bool,
-) -> BatchResult:
-    """Validate, encode ``batch = (features, labels)`` and run the engine on it."""
-    if circuit.depth != config.layers or circuit.n != config.n_qubits:
-        raise ValidationError("circuit shape does not match the config")
-    if any(layer.design != config.design for layer in circuit.layers):
-        raise ValidationError("circuit layer design does not match the config")
-    if len(noise_true) != config.layers:
-        raise ValidationError("need one true-noise model per layer")
-    if mitigation.layers != config.layers:
-        raise ValidationError("mitigation model layer count does not match the config")
-    if not (isinstance(batch, tuple) and len(batch) == 2):
-        raise ValidationError("batch must be a (features, labels) tuple")
-    features, labels = batch
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and not (0 <= labels.min() and labels.max() < config.num_classes):
-        raise ValidationError(f"labels must lie in [0, {config.num_classes})")
-    return _run_batch(
-        encode_vectors(features, circuit.encoder),
-        labels,
-        [layer.theta for layer in circuit.layers],
-        mitigation.rates,
-        config,
-        noise_true,
-        mitigation.generators,
-        want_grads,
-    )
-
-
-def loss_and_gradients(
-    batch,
-    circuit: CircuitSpec,
-    mitigation: MitigationModel,
-    noise_true: list[NoiseModel],
-    config: TrainConfig,
-) -> BatchResult:
-    """Mean loss of ``batch = (features, labels)`` and exact gradients for
-    every angle and rate."""
-    result = _batch_pass(batch, circuit, mitigation, noise_true, config, True)
-    if not np.isfinite(result.total):
-        raise TrainingError(
-            f"non-finite loss: total={result.total} fb={result.fb} task={result.task}"
-        )
-    return result
-
-
-def batch_loss(
-    batch,
-    circuit: CircuitSpec,
-    mitigation: MitigationModel,
-    noise_true: list[NoiseModel],
-    config: TrainConfig,
-) -> float:
-    """Loss only of ``batch = (features, labels)``; the evaluation path used
-    by finite-difference oracles."""
-    return _batch_pass(batch, circuit, mitigation, noise_true, config, False).total
 
 
 @dataclass
@@ -577,7 +517,7 @@ def recover_rates_report(
     rng = np.random.default_rng(seed)
     theta = [rng.uniform(-math.pi, math.pi, size=config.theta_shape) for _ in range(config.layers)]
     noise_true = noise_models_from_config(config)
-    rho0 = encode_vectors(rng.uniform(0.0, 1.0, (states, 64)), EncoderSpec(config.n_qubits))
+    rho0 = encode_vectors(rng.uniform(0.0, 1.0, (states, 64)), config.n_qubits)
     fitted = recover_rates(config, theta, noise_true, rho0, steps=steps, lr=lr)
     truth = np.stack([m.rates for m in noise_true])
     rel_err = np.abs(fitted - truth) / truth
@@ -691,15 +631,15 @@ def run_experiment(
 def checkpoint_payload(snapshot: dict, config: TrainConfig, generators) -> dict:
     from . import __version__
 
-    mitigation = MitigationModel(
-        config.n_qubits, generators, np.maximum(snapshot["rates"], 0.0)
-    )
+    learned = [
+        NoiseModel(config.n_qubits, generators, row) for row in np.maximum(snapshot["rates"], 0.0)
+    ]
     return {
         "version": __version__,
         "config": config_to_json(config),
         "epoch": snapshot["epoch"],
         "theta": [t.tolist() for t in snapshot["theta"]],
-        "mitigation": mitigation.to_json(),
+        "mitigation": noise_layers_json(learned),
         "seed": config.seed,
     }
 

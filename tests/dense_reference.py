@@ -1,7 +1,10 @@
 """Dense references, independent of the kernels they check.
 
+Pauli strings: Kronecker products of 2x2 Pauli matrices
+(:func:`pauli_matrix`).
+
 Pauli-Lindblad channels: each factor is applied as an explicit matrix
-product ``P rho P^dagger`` with ``P`` from ``noise._pauli_matrix``, one
+product ``P rho P^dagger`` with ``P`` from :func:`pauli_matrix`, one
 generator at a time; the adjoint comes from the transposed superoperator
 matrix.  Meant for n <= 3.
 
@@ -13,6 +16,9 @@ matrix on the row-major ``vec``, multiplied in order.  Meant for n <= 4.
 
 Encoder: the full encoding unitary as a product of dense Kronecker
 sub-layers.
+
+Random layers: ``pqc.LayerSpec`` angles drawn uniformly, one ``(n, p)``
+array per layer (:func:`random_layers`), for tests that need circuits.
 
 Layer factors: the unitary and the partial products its derivatives need,
 as plain matrix products starting from the identity, with dense CNOTs.
@@ -33,16 +39,39 @@ matrix and rotated in the standard basis), and the target-side gradient
 with its own ``eigh`` of ``B^{1/2} A B^{1/2}``.
 """
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
-from qmit import losses, noise, qsim
+from qmit import losses, pqc, qsim
+
+
+@lru_cache(maxsize=4096)
+def pauli_matrix(letters):
+    """The Pauli string ``letters`` (e.g. ``"XIZ"``) as a dense matrix, read-only."""
+    mat = np.array([[1.0]], dtype=np.complex128)
+    for ch in letters:
+        mat = np.kron(mat, qsim.PAULIS[ch])
+    mat.setflags(write=False)
+    return mat
+
+
+def random_layers(n, depth, design, rng, theta_scale=math.pi):
+    """``depth`` layers of ``design`` on ``n`` qubits with angles drawn
+    uniformly from ``[-theta_scale, theta_scale)``, one layer after another."""
+    p = len(pqc.DESIGN_AXES[design])
+    return [
+        pqc.LayerSpec(design, n, rng.uniform(-theta_scale, theta_scale, size=(n, p)))
+        for _ in range(depth)
+    ]
 
 
 def channel(x, letters, rates, inverse=False):
     """Product of the factors ``w x + (1 - w) P x P^dagger``, or of their
     inverses ``(2w - 1)^{-1} (w x - (1 - w) P x P^dagger)``."""
     for word, rate in zip(letters, rates):
-        p = noise._pauli_matrix(word)
+        p = pauli_matrix(word)
         flipped = p @ x @ p.conj().T
         w = 0.5 * (1.0 + np.exp(-2.0 * rate))
         if inverse:
@@ -101,12 +130,12 @@ def pairing(g, x):
     return np.einsum("...ij,...ji->...", g, x).sum()
 
 
-def encoder_unitary(x, spec):
-    """Full encoding unitary: the sub-layers as dense Kronecker products of
-    one rotation per qubit, multiplied in order."""
-    n = spec.n
+def encoder_unitary(x, n):
+    """Full encoding unitary on ``n`` qubits: the ``ceil(64/n)`` sub-layers
+    as dense Kronecker products of one rotation per qubit, multiplied in
+    order."""
     u = np.eye(1 << n, dtype=np.complex128)
-    for t in range(spec.sublayers):
+    for t in range(-(-64 // n)):
         axis = "XYZ"[t % 3]
         sub = np.eye(1, dtype=np.complex128)
         for j in range(n):

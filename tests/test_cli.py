@@ -137,6 +137,29 @@ class TestConfigValidation:
         assert "repeats" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablation"])
+    @pytest.mark.parametrize("key,cap", [
+        ("test_cap", -4), ("test_cap", 0), ("test_cap", 2), ("train_cap", 3),
+    ])
+    def test_cap_below_class_count_writes_nothing(self, tmp_path, capsys, command, key, cap):
+        """A cap that leaves a class of MNIST-4 without samples exits 2
+        before any data is loaded or output written."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_gzipped_idx_corpus(corpus)
+        payload = synthetic_train_payload(
+            benchmark="MNIST-4", data_dir=str(corpus), train_cap=40, test_cap=20, repeats=1
+        )
+        payload[key] = cap
+        del payload["separation"]
+        if command == "ablation":
+            payload["grid"] = {"alpha_fb": [0.0, 1.0]}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert f"{key} must be at least the class count 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mnist_requires_data_dir(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_train_payload(benchmark="MNIST-4"))
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
@@ -416,7 +439,7 @@ class TestTraceCommand:
         channel and ``D_2(rho || I/d) = log(d tr rho^2)``."""
         n, rate = 3, 0.02
         rng = np.random.default_rng(seed)
-        u = dense.encoder_unitary(rng.uniform(0.0, 1.0, 64), pqc.EncoderSpec(n))
+        u = dense.encoder_unitary(rng.uniform(0.0, 1.0, 64), n)
         rho = np.outer(u[:, 0], u[:, 0].conj())
 
         def step(rho, gate, qubits):

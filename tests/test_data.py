@@ -65,24 +65,24 @@ class TestLoadIdx:
 
 class TestPreprocess:
     def test_all_zero_image(self):
-        np.testing.assert_allclose(data.preprocess(np.zeros((28, 28), dtype=np.uint8)), 0.0)
+        np.testing.assert_allclose(data.preprocess_all(np.zeros((1, 28, 28), dtype=np.uint8)), 0.0)
 
     def test_all_max_image(self):
         np.testing.assert_allclose(
-            data.preprocess(np.full((28, 28), 255, dtype=np.uint8)), 1.0, atol=1e-12
+            data.preprocess_all(np.full((1, 28, 28), 255, dtype=np.uint8)), 1.0, atol=1e-12
         )
 
     def test_constant_preserved(self):
         """Bilinear interpolation reproduces constants exactly."""
-        got = data.preprocess(np.full((28, 28), 113, dtype=np.uint8))
+        got = data.preprocess_all(np.full((1, 28, 28), 113, dtype=np.uint8))
         np.testing.assert_allclose(got, 113 / 255.0, atol=1e-12)
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             img = rng.integers(0, 256, size=(28, 28), dtype=np.uint8)
-            feats = data.preprocess(img)
-            assert feats.shape == (64,)
+            feats = data.preprocess_all(img[None])
+            assert feats.shape == (1, 64)
             assert feats.min() >= 0.0 and feats.max() <= 1.0
 
     def test_flatten_order_row_major(self):
@@ -109,7 +109,7 @@ class TestPreprocess:
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValidationError):
-            data.preprocess(np.zeros((27, 28), dtype=np.uint8))
+            data.preprocess_all(np.zeros((1, 27, 28), dtype=np.uint8))
 
     def test_batched_resize_matches_per_image(self):
         """Chunked batch resize is bitwise the per-image resize, including a
@@ -118,7 +118,7 @@ class TestPreprocess:
         images = rng.integers(0, 256, size=(2 * data.RESIZE_CHUNK + 37, 28, 28), dtype=np.uint8)
         per_image = np.stack([data.bilinear_resize(img) for img in images])
         assert np.array_equal(data.bilinear_resize(images), per_image)
-        expected = np.stack([data.preprocess(img) for img in images])
+        expected = np.concatenate([data.preprocess_all(img[None]) for img in images])
         assert np.array_equal(data.preprocess_all(images), expected)
         assert np.array_equal(expected, per_image.reshape(-1, 64) / 255.0)
 

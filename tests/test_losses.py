@@ -83,7 +83,9 @@ class TestLogFidelityForm:
 
     def test_identical_states_give_zero(self):
         rng = np.random.default_rng(4)
-        for rho in (qsim.random_density_matrix(2, rng).data, qsim.random_pure_state(2, rng).data):
+        mixed = qsim.random_density_matrix(2, rng).data
+        pure = qsim.pure_state(qsim.random_state_vector(2, rng)).data
+        for rho in (mixed, pure):
             cond = conditioned(rho)
             assert losses.fidelity(cond, cond) == pytest.approx(1.0, abs=1e-10)
             loss, _ = losses._fb_pair_forward(rho[None], rho[None])
@@ -118,7 +120,7 @@ class TestPetzRenyi:
         rng = np.random.default_rng(6)
         for n in (1, 2, 4):
             mixed = qsim.maximally_mixed(n)
-            pure = qsim.random_pure_state(n, rng)
+            pure = qsim.pure_state(qsim.random_state_vector(n, rng))
             for alpha in (0.5, 2.0, 3.0):
                 got = losses.petz_renyi_divergence(pure, mixed, alpha)
                 assert got == pytest.approx(n * math.log(2), abs=1e-9)
@@ -155,7 +157,8 @@ class TestPetzRenyi:
 
         rng = np.random.default_rng(40 + n)
         for alpha in (2.0, 3.0):
-            for rho in (qsim.random_pure_state(n, rng), qsim.random_density_matrix(n, rng)):
+            pure = qsim.pure_state(qsim.random_state_vector(n, rng))
+            for rho in (pure, qsim.random_density_matrix(n, rng)):
                 for sigma in (qsim.maximally_mixed(n), qsim.random_density_matrix(n, rng)):
                     want = spectral(rho, sigma, alpha)
                     got = losses.petz_renyi_divergence(rho, sigma, alpha)
@@ -170,7 +173,7 @@ class TestPetzRenyi:
 
     def test_singular_sigma_rejected_for_large_alpha(self):
         rng = np.random.default_rng(7)
-        pure = qsim.random_pure_state(2, rng)
+        pure = qsim.pure_state(qsim.random_state_vector(2, rng))
         with pytest.raises(ValidationError):
             losses.petz_renyi_divergence(qsim.maximally_mixed(2), pure, 2.0)
 
@@ -264,16 +267,19 @@ class TestTaskLoss:
         assert expected == pytest.approx(0.1269, abs=1e-4)
 
     def test_label_out_of_range(self):
-        """The engine's entry point checks the labels against the class count."""
+        """The engine checks the labels against the class count."""
         rng = np.random.default_rng(23)
         config = train.TrainConfig(n_qubits=2, layers=1, num_classes=2)
-        circuit = pqc.random_circuit(2, 1, "U2", rng)
+        theta = [layer.theta for layer in dense_reference.random_layers(2, 1, "U2", rng)]
         noise_true = train.noise_models_from_config(config)
-        mit = noise.MitigationModel(2, noise.default_generators(2), np.zeros((1, 6)))
+        gens = noise.default_generators(2)
         for label in (2, -1):
-            batch = (rng.uniform(0, 1, (2, 64)), np.array([0, label]))
+            psi = pqc.encode_vectors(rng.uniform(0, 1, (2, 64)), 2)
             with pytest.raises(ValidationError, match="labels"):
-                train.loss_and_gradients(batch, circuit, mit, noise_true, config)
+                train._run_batch(
+                    psi, np.array([0, label]), theta, np.zeros((1, 6)), config, noise_true,
+                    gens, True,
+                )
 
     def test_class_count_bounded_by_readout(self):
         for count in (0, 5):
@@ -290,18 +296,6 @@ class TestTaskLoss:
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
 
 
-class TestTotalLoss:
-    """The weights of the engine's total ``alpha_fb * fb + alpha_task * task``."""
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            losses.LossWeights(0.0, 0.0)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            losses.LossWeights(-1.0, 1.0)
-
-
 class TestTotalFbLoss:
     """The engine's forward-backward term: the mean over the blocks of
     :func:`losses.fb_blocks` on a :func:`pqc.layer_chain`."""
@@ -309,13 +303,13 @@ class TestTotalFbLoss:
     GENERATORS = noise.default_generators(4)
 
     def _chain(self, rng, depth=4, noisy=False, design="U2"):
-        circuit = pqc.random_circuit(4, depth, design, rng)
-        rho0 = qsim.random_pure_state(4, rng)
+        layers = dense_reference.random_layers(4, depth, design, rng)
+        rho0 = qsim.pure_state(qsim.random_state_vector(4, rng))
         if noisy:
             models = noise.draw_noise_models(4, depth, seed=int(rng.integers(2**31)))
         else:
             models = [noise.NoiseModel(4, self.GENERATORS, np.zeros(12))] * depth
-        units = [pqc.layer_factors(layer)[0] for layer in circuit.layers]
+        units = [pqc.layer_factors(layer)[0] for layer in layers]
         return units, pqc.layer_chain(rho0.data[None], units, models), models
 
     def _total(self, chain, units, step, rates=None):
@@ -365,11 +359,11 @@ class TestTotalFbLoss:
     def test_cascaded_mode_chain(self):
         """Cascaded chain with exact rates has zero loss at every step size."""
         rng = np.random.default_rng(18)
-        circuit = pqc.random_circuit(4, 4, "U2", rng)
-        rho0 = qsim.random_pure_state(4, rng)
+        layers = dense_reference.random_layers(4, 4, "U2", rng)
+        rho0 = qsim.pure_state(qsim.random_state_vector(4, rng))
         models = noise.draw_noise_models(4, 4, seed=7)
         rates = np.stack([m.rates for m in models])
-        units = [pqc.layer_factors(layer)[0] for layer in circuit.layers]
+        units = [pqc.layer_factors(layer)[0] for layer in layers]
         chain = pqc.layer_chain(rho0.data[None], units, models, rates, self.GENERATORS)
         for step in (1, 2, 4):
             assert self._total(chain, units, step)[0] <= 1e-8
@@ -378,10 +372,10 @@ class TestTotalFbLoss:
         """Rates four times the true ones over-mitigate: the pullbacks have
         negative eigenvalues, whose mass the blocks report."""
         rng = np.random.default_rng(19)
-        circuit = pqc.random_circuit(2, 2, "U2", rng)
-        rho0 = qsim.random_pure_state(2, rng)
+        layers = dense_reference.random_layers(2, 2, "U2", rng)
+        rho0 = qsim.pure_state(qsim.random_state_vector(2, rng))
         models = noise.draw_noise_models(2, 2, seed=3, low=0.001, high=0.004)
-        units = [pqc.layer_factors(layer)[0] for layer in circuit.layers]
+        units = [pqc.layer_factors(layer)[0] for layer in layers]
         chain = pqc.layer_chain(rho0.data[None], units, models)
         over = np.stack([m.rates for m in models]) * 4.0
         blocks = losses.fb_blocks(chain, units, 1, over, models[0].generators)
@@ -451,7 +445,7 @@ class TestConditioning:
     def test_adjoint_matches_finite_differences_on_degenerate_spectra(self, case):
         """Equal eigenvalues take the divided differences' derivative branch."""
         rng = np.random.default_rng(24)
-        pure = qsim.random_pure_state(2, rng).data
+        pure = qsim.pure_state(qsim.random_state_vector(2, rng)).data
         mixed = np.eye(4, dtype=complex) / 4
         rho = {
             "pure": pure,
@@ -505,7 +499,7 @@ def _fb_pairs(rng, n):
     over-mitigated pullback can be)."""
     dim = 1 << n
     mixed = qsim.random_density_matrix(n, rng).data
-    pure = qsim.random_pure_state(n, rng).data
+    pure = qsim.pure_state(qsim.random_state_vector(n, rng)).data
     near = np.eye(dim, dtype=complex) / dim + 1e-9 * qsim.random_density_matrix(n, rng).data
     near /= np.trace(near).real
     near_b = near + 1e-6 * (qsim.random_density_matrix(n, rng).data - np.eye(dim) / dim)

@@ -50,8 +50,8 @@ def layer_unitary(layer):
     return pqc.layer_factors(layer)[0]
 
 
-def units_of(circuit):
-    return [layer_unitary(layer) for layer in circuit.layers]
+def units_of(layers):
+    return [layer_unitary(layer) for layer in layers]
 
 
 def uniform_noise(n, depth, rate):
@@ -60,10 +60,10 @@ def uniform_noise(n, depth, rate):
     return [noise.NoiseModel(n, gens, np.full(len(gens), rate))] * depth
 
 
-def noise_free_chain(rho0, circuit):
+def noise_free_chain(rho0, layers):
     """The states after each layer of the zero-rate :func:`pqc.layer_chain`."""
-    models = uniform_noise(circuit.n, circuit.depth, 0.0)
-    return pqc.layer_chain(rho0, units_of(circuit), models)[1:]
+    models = uniform_noise(layers[0].n, len(layers), 0.0)
+    return pqc.layer_chain(rho0, units_of(layers), models)[1:]
 
 
 def entropy(rho):
@@ -109,8 +109,8 @@ class TestLayerUnitary:
         rng = np.random.default_rng(2)
         for design in ("RX", "U2", "U3"):
             for _ in range(100):
-                circuit = pqc.random_circuit(4, 1, design, rng)
-                u = layer_unitary(circuit.layers[0])
+                layers = dense_reference.random_layers(4, 1, design, rng)
+                u = layer_unitary(layers[0])
                 assert np.max(np.abs(u @ u.conj().T - np.eye(16))) <= 1e-10
 
     def test_u2_example_against_chain(self):
@@ -214,7 +214,7 @@ class TestLayerUnitary:
 
 class TestEncoder:
     def test_zero_features_give_ground_state(self):
-        rho = pqc.encode(np.zeros(64), pqc.EncoderSpec(4))
+        rho = pqc.encode(np.zeros(64), 4)
         expected = np.zeros((16, 16))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho.data, expected, atol=1e-14)
@@ -222,39 +222,37 @@ class TestEncoder:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 1, 64)
-        a = pqc.encode(x, pqc.EncoderSpec(4))
-        b = pqc.encode(x, pqc.EncoderSpec(4))
+        a = pqc.encode(x, 4)
+        b = pqc.encode(x, 4)
         assert np.array_equal(a.data, b.data)
 
     def test_output_is_pure(self):
         rng = np.random.default_rng(5)
-        spec = pqc.EncoderSpec(4)
         for _ in range(100):
-            rho = pqc.encode(rng.uniform(0, 1, 64), spec)
+            rho = pqc.encode(rng.uniform(0, 1, 64), 4)
             assert abs(np.trace(rho.data @ rho.data).real - 1.0) <= 1e-10
 
     def test_rejects_out_of_range_features(self):
         x = np.zeros(64)
         x[3] = 1.5
         with pytest.raises(ValidationError):
-            pqc.encode(x, pqc.EncoderSpec(4))
+            pqc.encode(x, 4)
 
     def test_rejects_wrong_count(self):
         with pytest.raises(ValidationError):
-            pqc.encode(np.zeros(32), pqc.EncoderSpec(4))
+            pqc.encode(np.zeros(32), 4)
 
     def test_batch_matches_dense_reference(self):
         """Closed-form product states against the dense Kronecker encoder,
         including widths whose last sub-layer is partly filled (n = 3, 5, 6, 7)."""
         rng = np.random.default_rng(6)
         for n in range(1, 9):
-            spec = pqc.EncoderSpec(n)
             features = rng.uniform(0, 1, (3, 64))
-            vectors = pqc.encode_vectors(features, spec)
+            vectors = pqc.encode_vectors(features, n)
             assert vectors.shape == (3, 1 << n)
             states = pqc.pure_states(vectors)
             for x, rho in zip(features, states):
-                psi = dense_reference.encoder_unitary(x, spec)[:, 0]
+                psi = dense_reference.encoder_unitary(x, n)[:, 0]
                 np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), rtol=0, atol=1e-13)
 
     def test_encode_is_one_row_of_encode_dataset(self):
@@ -264,32 +262,45 @@ class TestEncoder:
             vectors = train.encode_dataset(dataset, n)
             assert vectors.shape == (5, 1 << n)
             for x, psi in zip(dataset.features, vectors):
-                rho = pqc.encode(x, pqc.EncoderSpec(n)).data
+                rho = pqc.encode(x, n).data
                 assert np.array_equal(rho, pqc.pure_states(psi))
 
     def test_batch_rejects_bad_features(self):
-        spec = pqc.EncoderSpec(4)
         features = np.zeros((3, 64))
         features[2, 10] = -0.01
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            pqc.encode_vectors(features, spec)
+            pqc.encode_vectors(features, 4)
         features[2, 10] = np.nan
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            pqc.encode_vectors(features, spec)
+            pqc.encode_vectors(features, 4)
         with pytest.raises(ValidationError, match="features"):
-            pqc.encode_vectors(np.zeros((3, 63)), spec)
+            pqc.encode_vectors(np.zeros((3, 63)), 4)
         with pytest.raises(ValidationError, match="features"):
-            pqc.encode_vectors(np.zeros(64), spec)
+            pqc.encode_vectors(np.zeros(64), 4)
+
+    def test_zero_samples_give_empty_stack(self):
+        for n in (1, 3, 4):
+            vectors = pqc.encode_vectors(np.zeros((0, 64)), n)
+            assert vectors.shape == (0, 1 << n)
+            assert vectors.dtype == np.complex128
 
     def test_sublayer_count(self):
-        assert pqc.EncoderSpec(4).sublayers == 16
-        assert pqc.EncoderSpec(3).sublayers == 22
+        """64 features fill ``ceil(64/n)`` sub-layers: 16 at n=4, 22 at n=3,
+        where the 22nd holds only feature 63, on qubit 0.  Both last
+        sub-layers rotate about X, so feature 63 alone flips one qubit."""
+        x = np.zeros(64)
+        x[63] = 1.0
+        for n, flipped in ((4, 0b0001), (3, 0b100)):
+            psi = pqc.encode_vectors(x[None], n)[0]
+            want = np.zeros(1 << n)
+            want[flipped] = 1.0
+            np.testing.assert_allclose(np.abs(psi), want, atol=1e-15)
 
     def test_first_sublayer_is_x_rotation(self):
         """Feature 0 drives an X rotation on qubit 0 by pi * x."""
         x = np.zeros(64)
         x[0] = 1.0
-        rho = pqc.encode(x, pqc.EncoderSpec(4))
+        rho = pqc.encode(x, 4)
         gate = dense_reference.embed_one_qubit(qsim.rotation_matrix_2x2("X", math.pi), 0, 4)
         expected = qsim.evolve(qsim.pure_state([1] + [0] * 15), qsim.Unitary(4, gate))
         np.testing.assert_allclose(rho.data, expected.data, atol=1e-12)
@@ -301,40 +312,40 @@ class TestForwardPasses:
     def test_noise_free_entropy_constant(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            circuit = pqc.random_circuit(4, 8, "U2", rng)
-            rho0 = qsim.random_pure_state(4, rng).data
+            layers = dense_reference.random_layers(4, 8, "U2", rng)
+            rho0 = qsim.pure_state(qsim.random_state_vector(4, rng)).data
             base = entropy(rho0)
-            for state in noise_free_chain(rho0, circuit):
+            for state in noise_free_chain(rho0, layers):
                 assert abs(entropy(state) - base) <= 1e-9
 
     def test_noise_free_divergence_invariant(self):
         rng = np.random.default_rng(7)
         mixed = qsim.maximally_mixed(4)
         for _ in range(20):
-            circuit = pqc.random_circuit(4, 8, "U2", rng)
-            rho0 = qsim.random_pure_state(4, rng)
+            layers = dense_reference.random_layers(4, 8, "U2", rng)
+            rho0 = qsim.pure_state(qsim.random_state_vector(4, rng))
             base = losses.petz_renyi_divergence(rho0, mixed)
             drift = max(
                 abs(losses.petz_renyi_divergence(s, mixed) - base)
-                for s in noise_free_chain(rho0.data, circuit)
+                for s in noise_free_chain(rho0.data, layers)
             )
             assert drift <= 1e-9
 
     def test_noise_free_reversal(self):
         rng = np.random.default_rng(8)
-        circuit = pqc.random_circuit(4, 4, "U3", rng)
-        rho0 = qsim.random_pure_state(4, rng).data
-        state = noise_free_chain(rho0, circuit)[-1]
-        for u in reversed(units_of(circuit)):
+        layers = dense_reference.random_layers(4, 4, "U3", rng)
+        rho0 = qsim.pure_state(qsim.random_state_vector(4, rng)).data
+        state = noise_free_chain(rho0, layers)[-1]
+        for u in reversed(units_of(layers)):
             state = u.conj().T @ state @ u
         assert np.linalg.norm(state - rho0) <= 1e-9
 
     def test_noisy_equals_noise_free_at_zero_rates(self):
         """Zero rates leave the dense unitary chain ``V rho V^dagger``."""
         rng = np.random.default_rng(9)
-        circuit = pqc.random_circuit(4, 3, "U2", rng)
-        state = qsim.random_pure_state(4, rng).data
-        for layer, got in zip(circuit.layers, noise_free_chain(state, circuit)):
+        layers = dense_reference.random_layers(4, 3, "U2", rng)
+        state = qsim.pure_state(qsim.random_state_vector(4, rng)).data
+        for layer, got in zip(layers, noise_free_chain(state, layers)):
             u = brute_force_layer(layer.design, 4, layer.theta)
             state = u @ state @ u.conj().T
             np.testing.assert_allclose(got, state, atol=1e-12)
@@ -344,30 +355,32 @@ class TestForwardPasses:
         mixed = qsim.maximally_mixed(4)
         for lam in (0.01, 0.05):
             for _ in range(20):
-                circuit = pqc.random_circuit(4, 8, "U2", rng)
-                rho0 = qsim.random_pure_state(4, rng)
-                chain = pqc.layer_chain(rho0.data, units_of(circuit), uniform_noise(4, 8, lam))
+                layers = dense_reference.random_layers(4, 8, "U2", rng)
+                rho0 = qsim.pure_state(qsim.random_state_vector(4, rng))
+                chain = pqc.layer_chain(rho0.data, units_of(layers), uniform_noise(4, 8, lam))
                 values = [losses.petz_renyi_divergence(rho0, mixed)]
                 values += [losses.petz_renyi_divergence(s, mixed) for s in chain[1:]]
                 assert np.all(np.diff(values) < -1e-12)
 
     def test_noisy_trace_one(self):
         rng = np.random.default_rng(11)
-        circuit = pqc.random_circuit(4, 4, "RX", rng)
+        layers = dense_reference.random_layers(4, 4, "RX", rng)
         models = noise.draw_noise_models(4, 4, seed=3)
-        rho0 = qsim.random_pure_state(4, rng).data
-        for state in pqc.layer_chain(rho0, units_of(circuit), models)[1:]:
+        rho0 = qsim.pure_state(qsim.random_state_vector(4, rng)).data
+        for state in pqc.layer_chain(rho0, units_of(layers), models)[1:]:
             assert abs(np.trace(state).real - 1.0) <= 1e-12
 
     def test_layer_count_mismatch(self):
         """The engine takes one true-noise model per layer."""
         rng = np.random.default_rng(12)
         config = train.TrainConfig(n_qubits=4, layers=3, design="RX", num_classes=2)
-        circuit = pqc.random_circuit(4, 3, "RX", rng)
-        mit = noise.MitigationModel(4, noise.default_generators(4), np.zeros((3, 12)))
-        batch = (rng.uniform(0, 1, (1, 64)), np.array([0]))
-        with pytest.raises(ValidationError, match="one true-noise model per layer"):
-            train.loss_and_gradients(batch, circuit, mit, uniform_noise(4, 2, 0.01), config)
+        theta = [layer.theta for layer in dense_reference.random_layers(4, 3, "RX", rng)]
+        psi = pqc.encode_vectors(rng.uniform(0, 1, (1, 64)), 4)
+        with pytest.raises(ValidationError, match="true-noise model .*per layer"):
+            train._run_batch(
+                psi, np.array([0]), theta, np.zeros((3, 12)), config, uniform_noise(4, 2, 0.01),
+                noise.default_generators(4), True,
+            )
 
 
 class TestForwardMitigated:
@@ -378,12 +391,12 @@ class TestForwardMitigated:
         """Zero rates: the cascaded chain and the loss_only readout state
         are the noisy chain's."""
         rng = np.random.default_rng(13)
-        circuit = pqc.random_circuit(4, 3, "U2", rng)
-        rho0 = qsim.random_pure_state(4, rng).data
+        layers = dense_reference.random_layers(4, 3, "U2", rng)
+        rho0 = qsim.pure_state(qsim.random_state_vector(4, rng)).data
         models = noise.draw_noise_models(4, 3, seed=1)
         gens, zero = noise.default_generators(4), np.zeros((3, 12))
-        noisy = pqc.layer_chain(rho0, units_of(circuit), models)
-        cascaded = pqc.layer_chain(rho0, units_of(circuit), models, zero, gens)
+        noisy = pqc.layer_chain(rho0, units_of(layers), models)
+        cascaded = pqc.layer_chain(rho0, units_of(layers), models, zero, gens)
         for a, b in zip(cascaded, noisy):
             np.testing.assert_allclose(a, b, atol=1e-12)
         hat = noise.apply_pauli_fidelities(noisy[-1], gens, zero[-1], inverse=True)
@@ -392,43 +405,43 @@ class TestForwardMitigated:
     def test_cascaded_perfect_mitigation_recovers_noise_free(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
-            circuit = pqc.random_circuit(4, 4, "U2", rng)
-            rho0 = qsim.random_pure_state(4, rng).data
+            layers = dense_reference.random_layers(4, 4, "U2", rng)
+            rho0 = qsim.pure_state(qsim.random_state_vector(4, rng)).data
             models = noise.draw_noise_models(4, 4, seed=int(rng.integers(2**31)))
             rates = np.stack([m.rates for m in models])
             gens = models[0].generators
-            mitigated = pqc.layer_chain(rho0, units_of(circuit), models, rates, gens)
-            for a, b in zip(mitigated[1:], noise_free_chain(rho0, circuit)):
+            mitigated = pqc.layer_chain(rho0, units_of(layers), models, rates, gens)
+            for a, b in zip(mitigated[1:], noise_free_chain(rho0, layers)):
                 assert np.linalg.norm(a - b) <= 1e-8
 
     def test_loss_only_removes_final_layer_noise_only(self):
         """With two noisy layers, inverting only layer 2 cannot reach rho_2;
         ``mitigated_z_readout`` reads that loss_only state."""
         rng = np.random.default_rng(15)
-        circuit = pqc.random_circuit(2, 2, "U2", rng)
+        layers = dense_reference.random_layers(2, 2, "U2", rng)
         psi = qsim.random_state_vector(2, rng)[None]
         models = noise.draw_noise_models(2, 2, seed=4, low=0.02, high=0.05)
         gens, rates = models[0].generators, np.stack([m.rates for m in models])
-        states = pqc.layer_chain(pqc.pure_states(psi), units_of(circuit), models)
+        states = pqc.layer_chain(pqc.pure_states(psi), units_of(layers), models)
         hat = noise.apply_pauli_fidelities(states[-1], gens, rates[-1], inverse=True)
-        free = noise_free_chain(pqc.pure_states(psi), circuit)
+        free = noise_free_chain(pqc.pure_states(psi), layers)
         assert np.linalg.norm(hat - free[-1]) > 1e-4
-        z = pqc.mitigated_z_readout(psi, units_of(circuit), models, rates, gens, "loss_only", 2)
+        z = pqc.mitigated_z_readout(psi, units_of(layers), models, rates, gens, "loss_only", 2)
         np.testing.assert_allclose(z, pqc.z_expectations(hat), rtol=0, atol=1e-12)
 
     def test_cascaded_states_follow_the_mitigated_chain(self):
         """With nonzero rates each cascaded state is the dense noisy layer
         applied to the previous mitigated state, then the dense inverse."""
         rng = np.random.default_rng(21)
-        circuit = pqc.random_circuit(3, 3, "U2", rng)
-        rho0 = qsim.random_pure_state(3, rng).data
+        layers = dense_reference.random_layers(3, 3, "U2", rng)
+        rho0 = qsim.pure_state(qsim.random_state_vector(3, rng)).data
         models = noise.draw_noise_models(3, 3, seed=5)
         gens = noise.default_generators(3)
         rates = rng.uniform(0, 0.03, (3, 9))
-        chain = pqc.layer_chain(rho0, units_of(circuit), models, rates, gens)
+        chain = pqc.layer_chain(rho0, units_of(layers), models, rates, gens)
         letters = [g.letters for g in gens]
         want, _ = dense_reference.layer_chain(
-            rho0, units_of(circuit), models, letters, rates, cascaded=True
+            rho0, units_of(layers), models, letters, rates, cascaded=True
         )
         for got, ref in zip(chain, want):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)

@@ -279,7 +279,7 @@ class TestEntropy:
 
     def test_pure_state_has_zero_entropy(self):
         rng = np.random.default_rng(31)
-        rho = qsim.random_pure_state(3, rng)
+        rho = qsim.pure_state(qsim.random_state_vector(3, rng))
         for alpha in ALPHAS:
             assert renyi_entropy(rho, alpha) == pytest.approx(0.0, abs=1e-10)
 

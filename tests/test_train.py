@@ -45,46 +45,46 @@ def small_config(**overrides):
     return train.TrainConfig(**base)
 
 
-def dense_reference_pass(rho0, label, circuit, mit, noise_true, config):
+def dense_reference_pass(rho0, label, layers, generators, rates, noise_true, config):
     """Total loss of one input state and its gradients by dense reverse mode:
     channels and their adjoints as ``P rho P`` products, conjugations and
     every ``dU`` as d x d matrices, the readout as ``tr(Z rho)``, and the
-    fidelity from the dense pair loss.  Returns ``(loss, grad_theta,
-    grad_rates)``."""
-    letters = [g.letters for g in mit.generators]
-    paulis = [noise._pauli_matrix(word) for word in letters]
-    layers = [dense_reference.layer_unitary_and_gradients(layer) for layer in circuit.layers]
-    units = [u for u, _ in layers]
+    fidelity from the dense pair loss.  ``layers`` are ``pqc.LayerSpec``s
+    and ``rates`` the learned rates over ``generators``, one row per layer.
+    Returns ``(loss, grad_theta, grad_rates)``."""
+    letters = [g.letters for g in generators]
+    paulis = [dense_reference.pauli_matrix(word) for word in letters]
+    dense = [dense_reference.layer_unitary_and_gradients(layer) for layer in layers]
+    units = [u for u, _ in dense]
     cascaded = config.mode == "cascaded"
     depth, step = config.layers, config.step_size
-    grad_theta = [np.zeros(layer.theta.shape) for layer in circuit.layers]
-    grad_rates = np.zeros_like(mit.rates)
+    grad_theta = [np.zeros(layer.theta.shape) for layer in layers]
+    grad_rates = np.zeros_like(rates)
 
     def inverse(x, j):
-        return dense_reference.channel(x, letters, mit.rates[j], inverse=True)
+        return dense_reference.channel(x, letters, rates[j], inverse=True)
 
     def inverse_adjoint(g, y, j):
         """Adjoint of ``y = inverse(x, j)``; ``dy/d rate_k = y - P_k y P_k``."""
         grad_rates[j] += [np.trace(g @ (y - p @ y @ p.conj().T)).real for p in paulis]
-        return dense_reference.adjoint(g, letters, mit.rates[j], inverse=True)
+        return dense_reference.adjoint(g, letters, rates[j], inverse=True)
 
     def angle_grads(j, m):
         """``2 Re tr(dU m)`` for every angle of layer ``j``."""
-        grad_theta[j] += [[2.0 * np.trace(du @ m).real for du in row] for row in layers[j][1]]
+        grad_theta[j] += [[2.0 * np.trace(du @ m).real for du in row] for row in dense[j][1]]
 
     def true_noise(i):
         return [g.letters for g in noise_true[i].generators], noise_true[i].rates
 
-    chain, final = dense_reference.layer_chain(
-        rho0, units, noise_true, letters, mit.rates, cascaded
-    )
+    chain, final = dense_reference.layer_chain(rho0, units, noise_true, letters, rates, cascaded)
     g_chain = [np.zeros_like(rho0) for _ in chain]
 
     z = dense_reference.z_readout(final)
     probs = losses.softmax_head(z, config.num_classes)
     task = -math.log(probs[label])
     g_z = probs - np.eye(config.num_classes)[label]
-    zs = [dense_reference.embed_one_qubit(qsim.PAULI_Z, i, circuit.n) for i in range(circuit.n)]
+    n = config.n_qubits
+    zs = [dense_reference.embed_one_qubit(qsim.PAULI_Z, i, n) for i in range(n)]
     g_final = config.alpha_task * sum(gz * obs for gz, obs in zip(g_z, zs))
     g_chain[-1] += g_final if cascaded else inverse_adjoint(g_final, final, depth - 1)
 
@@ -127,49 +127,64 @@ def mixed_states(rng, count, n):
     full = w @ np.conj(np.swapaxes(w, -1, -2))
     full /= np.trace(full, axis1=-2, axis2=-1).real[:, None, None]
     features = rng.uniform(0, 1, (2 * count, 64))
-    pure = pqc.pure_states(pqc.encode_vectors(features, pqc.EncoderSpec(n)))
+    pure = pqc.pure_states(pqc.encode_vectors(features, n))
     pairs = 0.7 * pure[:count] + 0.3 * pure[count:]
     return np.concatenate([full, pairs])
+
+
+def random_theta(n, depth, design, rng, theta_scale=math.pi):
+    """Angle arrays of :func:`dense_reference.random_layers`, one per layer."""
+    layers = dense_reference.random_layers(n, depth, design, rng, theta_scale)
+    return [layer.theta for layer in layers]
+
+
+def run_batch(features, labels, theta, rates, noise_true, config, want_grads=True):
+    """The engine on encoded ``features``, with the default generators."""
+    psi = pqc.encode_vectors(features, config.n_qubits)
+    gens = noise.default_generators(config.n_qubits)
+    return train._run_batch(psi, labels, theta, rates, config, noise_true, gens, want_grads)
 
 
 class TestGradients:
     def test_matches_finite_differences_loss_only(self):
         rng = np.random.default_rng(1)
         config = small_config()
-        circuit = pqc.random_circuit(3, 2, "U2", rng, theta_scale=1.0)
+        theta = random_theta(3, 2, "U2", rng, theta_scale=1.0)
         noise_true = noise.draw_noise_models(3, 2, seed=2)
-        mit = noise.MitigationModel(3, noise.default_generators(3), rng.uniform(0, 0.03, (2, 9)))
+        rates = rng.uniform(0, 0.03, (2, 9))
         batch = (rng.uniform(0, 1, (2, 64)), np.array([0, 1]))
-        assert fd_vs_analytic(config, circuit, mit, noise_true, batch) <= 1e-3
+        gens = noise.default_generators(3)
+        assert fd_vs_analytic(config, theta, rates, gens, noise_true, batch) <= 1e-3
 
     def test_matches_finite_differences_cascaded(self):
         rng = np.random.default_rng(2)
         config = small_config(mode="cascaded", step_size=2, design="U3")
-        circuit = pqc.random_circuit(3, 2, "U3", rng, theta_scale=1.0)
+        theta = random_theta(3, 2, "U3", rng, theta_scale=1.0)
         noise_true = noise.draw_noise_models(3, 2, seed=3)
-        mit = noise.MitigationModel(3, noise.default_generators(3), rng.uniform(0, 0.03, (2, 9)))
+        rates = rng.uniform(0, 0.03, (2, 9))
         batch = (rng.uniform(0, 1, (2, 64)), np.array([1, 0]))
-        assert fd_vs_analytic(config, circuit, mit, noise_true, batch) <= 1e-3
+        gens = noise.default_generators(3)
+        assert fd_vs_analytic(config, theta, rates, gens, noise_true, batch) <= 1e-3
 
     def test_task_rate_gradient_at_zero_mitigation(self):
         """With alpha_fb=0 and zero noise, the final-layer rate gradient of the
         task loss matches finite differences."""
         rng = np.random.default_rng(3)
         config = small_config(alpha_fb=0.0, noise_low=0.0, noise_high=0.0)
-        circuit = pqc.random_circuit(3, 2, "U2", rng, theta_scale=1.0)
+        theta = random_theta(3, 2, "U2", rng, theta_scale=1.0)
         noise_true = train.noise_models_from_config(config)
-        mit = noise.MitigationModel(3, noise.default_generators(3), np.zeros((2, 9)))
-        batch = (rng.uniform(0, 1, (2, 64)), np.array([0, 1]))
-        got = train.loss_and_gradients(batch, circuit, mit, noise_true, config)
+        rates = np.zeros((2, 9))
+        features, labels = rng.uniform(0, 1, (2, 64)), np.array([0, 1])
+        got = run_batch(features, labels, theta, rates, noise_true, config)
         h = 1e-4
         for g in range(9):
-            rp = mit.rates.copy()
-            rm = mit.rates.copy()
+            rp = rates.copy()
+            rm = rates.copy()
             rp[1, g] += h
             rm[1, g] -= h
             fd = (
-                train.batch_loss(batch, circuit, noise.MitigationModel(3, mit.generators, rp), noise_true, config)
-                - train.batch_loss(batch, circuit, noise.MitigationModel(3, mit.generators, rm), noise_true, config)
+                run_batch(features, labels, theta, rp, noise_true, config, False).total
+                - run_batch(features, labels, theta, rm, noise_true, config, False).total
             ) / (2 * h)
             assert grad_mismatch(got.grad_rates[1, g], fd) <= 1e-3
         np.testing.assert_allclose(got.grad_rates[0], 0.0, atol=1e-12)
@@ -184,11 +199,9 @@ class TestGradients:
         theta = [np.zeros((4, 3)), np.zeros((4, 3))]
         theta[0][0, 2] = 0.7  # Z on qubit 0, which still holds |0>
         theta[0][1, 0] = 0.8  # X on qubit 1 for a nontrivial state
-        circuit = train.circuit_from_theta(theta, config)
         noise_true = train.noise_models_from_config(config)
-        mit = noise.MitigationModel(4, noise.default_generators(4), np.full((2, 12), 0.01))
-        batch = (np.zeros((1, 64)), np.array([0]))
-        got = train.loss_and_gradients(batch, circuit, mit, noise_true, config)
+        rates = np.full((2, 12), 0.01)
+        got = run_batch(np.zeros((1, 64)), np.array([0]), theta, rates, noise_true, config)
         assert abs(got.grad_theta[0][0, 2]) <= 1e-8
         assert abs(got.grad_theta[0][1, 0]) > 1e-6
 
@@ -198,15 +211,16 @@ class TestGradients:
         rng = np.random.default_rng(4)
         for mode in ("loss_only", "cascaded"):
             config = small_config(mode=mode, alpha_fb=0.7, alpha_task=1.3)
-            circuit = pqc.random_circuit(3, 2, "U2", rng, theta_scale=1.0)
+            layers = dense_reference.random_layers(3, 2, "U2", rng, theta_scale=1.0)
             noise_true = noise.draw_noise_models(3, 2, seed=11)
-            mit = noise.MitigationModel(3, noise.default_generators(3), rng.uniform(0, 0.02, (2, 9)))
+            gens, rates = noise.default_generators(3), rng.uniform(0, 0.02, (2, 9))
             features = rng.uniform(0, 1, (3, 64))
             labels = np.array([0, 1, 0])
-            engine_loss = train.batch_loss((features, labels), circuit, mit, noise_true, config)
+            theta = [layer.theta for layer in layers]
+            engine_loss = run_batch(features, labels, theta, rates, noise_true, config, False).total
             reference = np.mean([
-                dense_reference_pass(pqc.encode(x, circuit.encoder).data, y, circuit, mit,
-                                     noise_true, config)[0]
+                dense_reference_pass(pqc.encode(x, 3).data, y, layers, gens, rates, noise_true,
+                                     config)[0]
                 for x, y in zip(features, labels)
             ])
             assert engine_loss == pytest.approx(reference, abs=1e-12)
@@ -220,19 +234,17 @@ class TestGradients:
         encoded state vectors (block 0's target spectrum is closed form)."""
         rng = np.random.default_rng(16)
         config = small_config(mode=mode, layers=4, step_size=step, alpha_fb=0.7, alpha_task=1.3)
-        circuit = pqc.random_circuit(3, 4, "U2", rng, theta_scale=1.0)
+        layers = dense_reference.random_layers(3, 4, "U2", rng, theta_scale=1.0)
         noise_true = noise.draw_noise_models(3, 4, seed=12)
-        mit = noise.MitigationModel(3, noise.default_generators(3), rng.uniform(0, 0.02, (4, 9)))
-        theta = [layer.theta for layer in circuit.layers]
+        gens, rates = noise.default_generators(3), rng.uniform(0, 0.02, (4, 9))
+        theta = [layer.theta for layer in layers]
         labels = np.array([0, 1, 1, 0])
-        vectors = pqc.encode_vectors(rng.uniform(0, 1, (4, 64)), circuit.encoder)
+        vectors = pqc.encode_vectors(rng.uniform(0, 1, (4, 64)), 3)
         mixed = mixed_states(rng, 2, 3)
         for inputs, states in ((mixed, mixed), (vectors, pqc.pure_states(vectors))):
-            got = train._run_batch(
-                inputs, labels, theta, mit.rates, config, noise_true, mit.generators, True
-            )
+            got = train._run_batch(inputs, labels, theta, rates, config, noise_true, gens, True)
             refs = [
-                dense_reference_pass(rho, y, circuit, mit, noise_true, config)
+                dense_reference_pass(rho, y, layers, gens, rates, noise_true, config)
                 for rho, y in zip(states, labels)
             ]
             assert got.total == pytest.approx(np.mean([r[0] for r in refs]), abs=1e-12)
@@ -252,14 +264,13 @@ class TestGradients:
         rho0 = mixed_states(rng, 2, 3)
         got = train.recover_rates(config, theta, noise_true, rho0, steps=3, lr=2.0)
         fb_config = small_config(layers=2, alpha_fb=1.0, alpha_task=0.0)
-        circuit = train.circuit_from_theta(theta, config)
+        layers = [pqc.LayerSpec("U2", 3, t) for t in theta]
         generators = noise.default_generators(3)
         rates = np.zeros((2, len(generators)))
         vel = np.zeros_like(rates)
         for _ in range(3):
-            mit = noise.MitigationModel(3, generators, rates)
             grad = np.mean([
-                dense_reference_pass(rho, 0, circuit, mit, noise_true, fb_config)[2]
+                dense_reference_pass(rho, 0, layers, generators, rates, noise_true, fb_config)[2]
                 for rho in rho0
             ], axis=0)
             vel = 0.9 * vel - 2.0 * grad
@@ -283,7 +294,7 @@ class TestGradients:
         state = train.init_state(config)
         rates = rng.uniform(0.001, 0.02, state.rates.shape)
         noise_true = train.noise_models_from_config(config)
-        vectors = pqc.encode_vectors(rng.uniform(0, 1, (4, 64)), pqc.EncoderSpec(3))
+        vectors = pqc.encode_vectors(rng.uniform(0, 1, (4, 64)), 3)
         labels = np.array([0, 1, 1, 0])
         for inputs, want in ((vectors, from_vectors), (pqc.pure_states(vectors), from_matrices)):
             calls.clear()
@@ -324,24 +335,25 @@ class TestGradients:
         """Two- and three-qubit generators take the kernel's general path."""
         rng = np.random.default_rng(6)
         config = small_config(mode=mode)
-        circuit = pqc.random_circuit(3, 2, "U2", rng, theta_scale=1.0)
+        theta = random_theta(3, 2, "U2", rng, theta_scale=1.0)
         true_gens = tuple(noise.PauliString(3, w) for w in ("ZZI", "IXX", "YIY", "XII"))
         noise_true = noise.draw_noise_models(3, 2, seed=7, generators=true_gens)
         mit_gens = tuple(noise.PauliString(3, w) for w in ("XXI", "IZY", "XYZ", "ZIZ", "YII"))
-        mit = noise.MitigationModel(3, mit_gens, rng.uniform(0, 0.03, (2, 5)))
+        rates = rng.uniform(0, 0.03, (2, 5))
         batch = (rng.uniform(0, 1, (2, 64)), np.array([0, 1]))
-        assert fd_vs_analytic(config, circuit, mit, noise_true, batch) <= 1e-3
+        assert fd_vs_analytic(config, theta, rates, mit_gens, noise_true, batch) <= 1e-3
 
     def test_loss_and_gradients_rejects_shape_mismatch(self):
+        """The engine takes one angle array and one rate row per layer."""
         rng = np.random.default_rng(5)
         config = small_config()
-        circuit = pqc.random_circuit(3, 3, "U2", rng)  # depth 3 vs config 2
+        theta = random_theta(3, 3, "U2", rng)  # depth 3 vs config 2
         noise_true = noise.draw_noise_models(3, 2, seed=1)
-        mit = noise.MitigationModel(3, noise.default_generators(3), np.zeros((2, 9)))
-        with pytest.raises(ValidationError):
-            train.loss_and_gradients(
-                (rng.uniform(0, 1, (1, 64)), np.array([0])), circuit, mit, noise_true, config
-            )
+        features, labels = rng.uniform(0, 1, (1, 64)), np.array([0])
+        with pytest.raises(ValidationError, match="per layer"):
+            run_batch(features, labels, theta, np.zeros((2, 9)), noise_true, config)
+        with pytest.raises(ValidationError, match="per layer"):
+            run_batch(features, labels, theta[:2], np.zeros((3, 9)), noise_true, config)
 
 
 class TestTrainEpoch:
@@ -463,14 +475,14 @@ class TestEvaluate:
         the block step; the configs with step 1 and 2 check that
         ``evaluate`` agrees too."""
         rng = np.random.default_rng(60 + n)
-        vectors = pqc.encode_vectors(rng.uniform(0, 1, (3, 64)), pqc.EncoderSpec(n))
+        vectors = pqc.encode_vectors(rng.uniform(0, 1, (3, 64)), n)
         generators = noise.default_generators(n)
         letters = [g.letters for g in generators]
         noise_true = noise.draw_noise_models(n, 2, seed=n, low=0.0, high=0.2)
         for design in ("RX", "U2", "U3"):
-            circuit = pqc.random_circuit(n, 2, design, rng)
-            units = [pqc.layer_factors(layer)[0] for layer in circuit.layers]
-            dense_units = [dense_reference.layer_factors(layer)[0] for layer in circuit.layers]
+            layers = dense_reference.random_layers(n, 2, design, rng)
+            units = [pqc.layer_factors(layer)[0] for layer in layers]
+            dense_units = [dense_reference.layer_factors(layer)[0] for layer in layers]
             # Below the true rates, so that every mitigated state is a state.
             rates = np.stack([m.rates for m in noise_true]) * rng.uniform(0.5, 1.0, (2, 1))
             for mode in ("loss_only", "cascaded"):
@@ -490,7 +502,7 @@ class TestEvaluate:
                 for step in (1, 2):
                     config = small_config(n_qubits=n, design=design, mode=mode, step_size=step)
                     state = train.init_state(config)
-                    state.theta = [layer.theta for layer in circuit.layers]
+                    state.theta = [layer.theta for layer in layers]
                     state.rates = rates
                     result = train.evaluate(state, dataset, config, noise_true, vectors)
                     assert result.accuracy == 1.0
@@ -608,8 +620,25 @@ class TestCheckpoint:
         np.testing.assert_allclose(np.asarray(loaded["theta"]), np.stack(state.theta))
         cfg = train.config_from_json(loaded["config"])
         assert cfg == config
-        mit = noise.MitigationModel.from_json(loaded["mitigation"])
-        assert mit.layers == config.layers
+        assert len(loaded["mitigation"]["layers"]) == config.layers
+
+    def test_mitigation_block_reads_back_to_trained_rates(self, tmp_path):
+        """Each layer of a checkpoint's ``"mitigation"`` block reads back
+        through ``NoiseModel.from_json`` to the trained rates, bit for bit,
+        and the block is the noise-file format of those models."""
+        dataset = data.synthetic_blobs(2, 8, 3.0, seed=24)
+        config = small_config(learning_rate=0.3, epochs=1)
+        state = train.init_state(config)
+        train.train_epoch(state, dataset, config)
+        assert np.any(state.rates > 0.0)
+        path = tmp_path / "ckpt.json"
+        train.save_checkpoint(path, train.checkpoint_payload(state.snapshot(), config, state.generators))
+        block = train.load_checkpoint(path)["mitigation"]
+        models = [noise.NoiseModel.from_json(item) for item in block["layers"]]
+        assert block["n"] == config.n_qubits
+        assert all(m.generators == state.generators for m in models)
+        assert np.array_equal(np.stack([m.rates for m in models]), state.rates)
+        assert block == noise.noise_layers_json(models)
 
     def test_config_json_rejects_unknown_field(self):
         payload = train.config_to_json(small_config())
@@ -640,6 +669,12 @@ class TestConfigValidation:
         payload[field] = value
         with pytest.raises(ValidationError, match="finite and nonnegative"):
             train.config_from_json(payload)
+
+    def test_qubit_limit_is_the_simulators(self):
+        assert small_config(n_qubits=qsim.MAX_QUBITS).n_qubits == qsim.MAX_QUBITS
+        for n in (0, qsim.MAX_QUBITS + 1):
+            with pytest.raises(ConfigError, match="qubit count"):
+                small_config(n_qubits=n)
 
     def test_class_count_bounded_by_qubits(self):
         with pytest.raises(ConfigError):

@@ -1,10 +1,15 @@
 """Guard against regrowth: every top-level function and class in
-``src/qmit`` is used somewhere in ``src/qmit`` besides its own definition.
+``src/qmit``, and every method and property of those classes, is used
+somewhere in ``src/qmit`` besides its own definition.
 
-A name counts as used where it appears as a bare name or as an attribute
-(``module.name``) outside its own ``def`` or ``class`` statement; imports
-do not count.  Names the package offers to its users and no module of the
-package calls sit in :data:`ALLOWED`, each with the reason it stays.
+A top-level name counts as used where it appears as a bare name or as an
+attribute (``module.name``) outside its own ``def`` or ``class``
+statement; imports do not count.  A method or property counts as used
+where its name appears as an attribute (``obj.name``) outside its own
+``def``; the guard does not know types, so any attribute of that name
+counts.  Dunder methods are called by Python itself and are not checked.
+Names the package offers to its users and no module of the package calls
+sit in :data:`ALLOWED`, each with the reason it stays.
 """
 
 import ast
@@ -13,33 +18,68 @@ import pathlib
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qmit"
 
 ALLOWED = {
-    "data.preprocess": "the one-image form of preprocess_all, the reference of its batch test",
     "data.save_idx_images": "IDX writer: builds corpora in the format dataset_from_idx reads",
     "data.save_idx_labels": "IDX writer: builds corpora in the format dataset_from_idx reads",
     "noise.save_noise_layers": "writes the noise file that noise_source 'file' loads",
-    "qsim.random_pure_state": "random state constructor beside random_density_matrix",
     "train.config_from_json": "reads back the config that a checkpoint stores",
     "train.load_checkpoint": "reads the checkpoint files that qmit train writes",
 }
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
 
 def _definitions_and_uses():
-    """``{module.name: line}`` of top-level definitions, and the set of
-    ``(name, user)`` pairs, ``user`` the ``module.name`` of the enclosing
-    top-level definition (``None`` at module level)."""
-    defined, used = {}, set()
+    """``{qualified: line}`` of the top-level definitions (``module.name``)
+    and of the non-dunder methods of top-level classes
+    (``module.Class.name``), and the sets of ``(name, user)`` pairs for bare
+    names and for attributes, ``user`` the qualified name of the innermost
+    such definition enclosing the use (``None`` at module level)."""
+    defined, names, attrs = {}, set(), set()
+
+    def collect(node, user):
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name):
+                names.add((child.id, user))
+            elif isinstance(child, ast.Attribute):
+                attrs.add((child.attr, user))
+
     for path in sorted(SOURCE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            user = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                user = f"{path.stem}.{stmt.name}"
-                defined[user] = stmt.lineno
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    used.add((node.id, user))
-                elif isinstance(node, ast.Attribute):
-                    used.add((node.attr, user))
-    return defined, used
+            if not isinstance(stmt, _DEFINITIONS):
+                collect(stmt, None)
+                continue
+            owner = f"{path.stem}.{stmt.name}"
+            defined[owner] = stmt.lineno
+            if not isinstance(stmt, ast.ClassDef):
+                collect(stmt, owner)
+                continue
+            for item in stmt.decorator_list + stmt.bases + stmt.keywords:
+                collect(item, owner)
+            for item in stmt.body:
+                if isinstance(item, _DEFINITIONS) and not _is_dunder(item.name):
+                    method = f"{owner}.{item.name}"
+                    defined[method] = item.lineno
+                    collect(item, method)
+                else:
+                    collect(item, owner)
+    return defined, (names, attrs)
+
+
+def _users(qualified, used):
+    """Users of ``qualified``'s name outside its own definition and, for a
+    class, outside its methods; a method is used only as an attribute."""
+    names, attrs = used
+    name = qualified.rsplit(".", 1)[1]
+    uses = attrs if qualified.count(".") == 2 else names | attrs
+    return sorted(
+        str(user)
+        for n, user in uses
+        if n == name and user != qualified and not str(user).startswith(qualified + ".")
+    )
 
 
 def test_every_definition_is_used_in_the_package():
@@ -47,8 +87,7 @@ def test_every_definition_is_used_in_the_package():
     unused = [
         f"{qualified} (line {line})"
         for qualified, line in sorted(defined.items())
-        if qualified not in ALLOWED
-        and not any(name == qualified.split(".")[1] and user != qualified for name, user in used)
+        if qualified not in ALLOWED and not _users(qualified, used)
     ]
     assert not unused, f"defined in src/qmit but used nowhere there: {unused}"
 
@@ -58,6 +97,14 @@ def test_allowed_names_are_defined_and_unused():
     defined, used = _definitions_and_uses()
     for qualified in ALLOWED:
         assert qualified in defined, f"{qualified} is allowed but not defined"
-        name = qualified.split(".")[1]
-        users = sorted(str(user) for n, user in used if n == name and user != qualified)
+        users = _users(qualified, used)
         assert not users, f"{qualified} is allowed but used by {users}"
+
+
+def test_methods_are_checked():
+    """The guard sees the methods and properties of classes, not only
+    top-level names."""
+    defined, _ = _definitions_and_uses()
+    assert "qsim.DensityMatrix.power" in defined
+    assert "noise.NoiseModel.weights" in defined
+    assert not any(_is_dunder(q.rsplit(".", 1)[1]) for q in defined)
