@@ -22,12 +22,6 @@ FEATURES = 64
 TARGET_SIDE = 8
 
 
-@dataclass(frozen=True)
-class Sample:
-    features: np.ndarray  # 64 reals in [0, 1]
-    label: int
-
-
 @dataclass
 class Dataset:
     """Preprocessed feature vectors with integer labels."""
@@ -51,9 +45,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, idx: int) -> Sample:
-        return Sample(self.features[idx], int(self.labels[idx]))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,13 @@ noisy chain keeps propagating) or inline so each layer consumes the previous
 mitigated state (``cascaded``).  :func:`z_expectations` reads a chain state
 out, and :func:`mitigated_z_readout` reads the mitigated final state of
 encoded state vectors in the Heisenberg picture.
+
+A layer has two forms.  Training conjugates by its ``d x d`` unitary
+(:func:`layer_factors`, with the factors its angle derivatives need); the
+readout never forms it and applies the layer as its factors: the per-qubit
+rotations of :func:`layer_rotations` as one
+:func:`~qmit.noise.apply_qubit_superoperators` pass, and the CNOT ring as
+one gather of entries.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .noise import apply_pauli_fidelities
+from .noise import apply_pauli_fidelities, apply_qubit_superoperators, pauli_mix_superoperators
 from .qsim import (
     PAULIS,
     DensityMatrix,
@@ -117,6 +124,25 @@ def layer_factors(layer: LayerSpec) -> tuple[np.ndarray, list[np.ndarray], list[
     for a in range(len(subs) - 3, -1, -1):
         after[a] = after[a + 1] @ subs[a + 1]
     return upto[-1][perm], upto, after
+
+
+def layer_rotations(design: str, theta) -> np.ndarray:
+    """Each qubit's rotations of one layer composed into one 2x2 matrix,
+    ``V_q = R_last ... R_first``, shape ``(n, 2, 2)``.
+
+    The layer unitary is ``ring @ kron(V_0, ..., V_{n-1})``, the rows of the
+    Kronecker product gathered by the ring permutation; the readout applies
+    it in that factored form, as one kernel op per qubit and one gather.
+    """
+    layer = LayerSpec(design, len(theta), theta)
+    half = 0.5 * layer.theta[:, :, None, None]
+    subs = np.cos(half) * PAULIS["I"] - 1j * np.sin(half) * np.stack(
+        [PAULIS[axis] for axis in layer.axes]
+    )  # (n, axes, 2, 2): exp(-i theta sigma / 2) per qubit and sub-layer
+    rotations = subs[:, 0]
+    for a in range(1, len(layer.axes)):
+        rotations = subs[:, a] @ rotations
+    return rotations
 
 
 def _one_qubit_marginals(w: np.ndarray) -> np.ndarray:
@@ -233,37 +259,65 @@ def z_expectations(x: np.ndarray) -> np.ndarray:
     return diag @ z_sign_table(x.shape[-1].bit_length() - 1).T
 
 
-def mitigated_z_readout(psi, units, noise, rates, generators, mode, count) -> np.ndarray:
+def mitigated_z_readout(psi, rotations, noise, rates, generators, mode, count) -> np.ndarray:
     """``Tr(Z_k rho_hat_b)`` for qubits ``k < count``, shape ``(N, count)``:
     the Z readouts of the mitigated final states ``rho_hat_b`` of a stack
-    ``(N, d)`` of pure state vectors in execution mode ``mode``.  In
-    ``cascaded`` mode ``rho_hat_b`` is the last state of :func:`layer_chain`
-    with ``rates``; in ``loss_only`` mode it is the last inverse stack
-    applied to the last state of the noisy chain.
+    ``(N, d)`` of pure state vectors in execution mode ``mode``, through the
+    layers whose :func:`layer_rotations` are ``rotations``.  In ``cascaded``
+    mode ``rho_hat_b`` is the last state of :func:`layer_chain` with
+    ``rates``; in ``loss_only`` mode it is the last inverse stack applied to
+    the last state of the noisy chain.
 
     Computed in the Heisenberg picture.  The ``count`` observables are
     pushed back through the chain once, each map replaced by its adjoint:
     the Pauli maps are self-adjoint, and ``x -> U x U^dagger`` has the
-    adjoint ``o -> U^dagger o U``.  Each sample is then the quadratic form
-    ``Re psi_b^dagger O_k psi_b``, one ``k`` at a time, so no per-sample
-    matrix is formed: ``L`` layers on ``count`` matrices plus ``N count d^2``.
+    adjoint ``o -> U^dagger o U``.  With ``U = ring V``, that is the ring
+    as one gather of entries, ``o[inv][:, inv]``, then ``V_q^dagger o V_q``
+    on each qubit, the kernel op ``kron(V_q^dagger, V_q^T)``.  One
+    :func:`apply_qubit_superoperators` pass takes a layer's rotations
+    together with the next-lower layer's weight-1 Pauli maps, because ops on
+    one qubit compose inside the kernel; a Pauli map with a weight-2
+    generator gets its own :func:`apply_pauli_fidelities` call.  Each
+    sample is then the quadratic form ``Re psi_b^dagger O_k psi_b``, one
+    ``k`` at a time, so no per-sample matrix and no ``d x d`` unitary is
+    formed: ``L + 1`` passes and ``L`` gathers on ``count`` matrices, plus
+    ``N count d^2``.
     """
-    if psi.shape[-1] != units[0].shape[-1]:
+    n, dim = rotations[0].shape[0], psi.shape[-1]
+    if dim != 1 << n:
         raise ValidationError(
-            f"dimension mismatch: state vectors of length {psi.shape[-1]}, "
-            f"layers of dimension {units[0].shape[-1]}"
+            f"dimension mismatch: state vectors of length {dim}, layers on {n} qubits"
         )
-    idx = np.arange(psi.shape[-1])
-    obs = np.zeros((count, idx.size, idx.size), dtype=np.complex128)
-    obs[:, idx, idx] = z_sign_table(idx.size.bit_length() - 1)[:count]
-    cascaded = mode == "cascaded"
-    if not cascaded:
-        obs = apply_pauli_fidelities(obs, generators, rates[-1], inverse=True)
-    for i in range(len(units) - 1, -1, -1):
-        if cascaded:
-            obs = apply_pauli_fidelities(obs, generators, rates[i], inverse=True)
-        obs = apply_pauli_fidelities(obs, noise[i].generators, noise[i].rates)
-        obs = units[i].conj().T @ obs @ units[i]
+    inv = np.argsort(_cnot_ring_permutation(n))
+    gather = (inv[:, None] * dim + inv[None, :]).ravel()
+    idx = np.arange(dim)
+    obs = np.zeros((count, dim, dim), dtype=np.complex128)
+    obs[:, idx, idx] = z_sign_table(n)[:count]
+    ops = []
+    for i in range(len(rotations) - 1, -1, -1):
+        maps = [(noise[i].generators, noise[i].rates, False)]
+        if mode == "cascaded" or i == len(rotations) - 1:
+            maps.insert(0, (generators, rates[i], True))
+        for gens, row, inverse in maps:
+            letters = tuple(g.letters for g in gens)
+            if len(letters[0]) != n:
+                raise ValidationError(
+                    f"dimension mismatch: layers on {n} qubits, generators on {len(letters[0])}"
+                )
+            mixes = pauli_mix_superoperators(letters, row, inverse)
+            if mixes is None:
+                obs = apply_qubit_superoperators(obs, ops)
+                obs, ops = apply_pauli_fidelities(obs, gens, row, inverse), []
+            else:
+                ops += mixes
+        obs = apply_qubit_superoperators(obs, ops).reshape(count, -1)[:, gather]
+        obs = obs.reshape(count, dim, dim)
+        vt = np.swapaxes(rotations[i], -1, -2)
+        # kron(V^dagger, V^T) of every qubit at once: entry (2a + b, 2c + e)
+        # is V^dagger[a, c] V^T[b, e].
+        sup = vt.conj()[:, :, None, :, None] * vt[:, None, :, None, :]
+        ops = list(enumerate(sup.reshape(n, 4, 4)))
+    obs = apply_qubit_superoperators(obs, ops)
     bra = psi.conj()
     z = np.empty((psi.shape[0], count))
     for k in range(count):

@@ -125,7 +125,11 @@ def perfect_mitigation(seed: int, circuits: int) -> str:
     """05: the cascaded inverse with the true rates restores the noise-free
     readout to 1e-8 on 4-qubit, 4-layer U2 circuits, both in training
     (:func:`pqc.z_expectations` of the last :func:`pqc.layer_chain` state)
-    and in evaluation (:func:`pqc.mitigated_z_readout`)."""
+    and in evaluation (:func:`pqc.mitigated_z_readout`).  The two readouts
+    run two independent layer implementations: training conjugates by the
+    dense unitaries of :func:`pqc.layer_factors`, evaluation applies the
+    per-qubit :func:`pqc.layer_rotations` as kernel ops and the ring as a
+    gather."""
     rng = np.random.default_rng(seed)
     worst_train = worst_eval = 0.0
     for _ in range(circuits):
@@ -138,7 +142,8 @@ def perfect_mitigation(seed: int, circuits: int) -> str:
         rho0 = pqc.pure_states(psi)
         z_free = pqc.z_expectations(pqc.layer_chain(rho0, units, _zero_noise(4, 4))[-1])
         z_train = pqc.z_expectations(pqc.layer_chain(rho0, units, models, rates, gens)[-1])
-        z_eval = pqc.mitigated_z_readout(psi, units, models, rates, gens, "cascaded", 4)
+        rotations = [pqc.layer_rotations("U2", t) for t in theta]
+        z_eval = pqc.mitigated_z_readout(psi, rotations, models, rates, gens, "cascaded", 4)
         worst_train = max(worst_train, float(np.max(np.abs(z_train - z_free))))
         worst_eval = max(worst_eval, float(np.max(np.abs(z_eval - z_free))))
     assert worst_train <= 1e-8, f"training readout residual {worst_train:.3e}"

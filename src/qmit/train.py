@@ -45,6 +45,7 @@ from .pqc import (
     encode_vectors,
     layer_chain,
     layer_factors,
+    layer_rotations,
     mitigated_z_readout,
     pure_states,
     z_expectations,
@@ -463,10 +464,10 @@ def evaluate(
     if encoded is None:
         encoded = encode_dataset(dataset, config.n_qubits)
     c = config.num_classes
-    units = [layer_factors(LayerSpec(config.design, config.n_qubits, t))[0] for t in state.theta]
+    rotations = [layer_rotations(config.design, t) for t in state.theta]
     rates = np.maximum(state.rates, 0.0)
     logits = mitigated_z_readout(
-        encoded, units, noise_true, rates, state.generators, config.mode, c
+        encoded, rotations, noise_true, rates, state.generators, config.mode, c
     )
     predictions = np.argmax(softmax_head(logits, c), axis=1)
     labels = dataset.labels

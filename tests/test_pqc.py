@@ -1,5 +1,6 @@
 """Circuit construction, encoding, the layer chain in its execution regimes, and the readout."""
 
+import functools
 import math
 
 import numpy as np
@@ -174,6 +175,27 @@ class TestLayerUnitary:
             assert len(upto) == len(after) == p
             assert all(np.array_equal(x, y) for x, y in zip(upto, ref_upto))
             assert all(np.array_equal(x, y) for x, y in zip(after, ref_after))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_layer_rotations_compose_to_the_layer_unitary(self, n):
+        """The layer has one definition: the Kronecker product of the
+        per-qubit rotations, rows gathered by the ring, is ``layer_factors``'s
+        unitary."""
+        rng = np.random.default_rng(80 + n)
+        perm = pqc._cnot_ring_permutation(n)
+        for design in ("RX", "U2", "U3"):
+            p = len(pqc.DESIGN_AXES[design])
+            layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
+            rotations = pqc.layer_rotations(design, layer.theta)
+            assert rotations.shape == (n, 2, 2)
+            product = functools.reduce(np.kron, rotations)[perm]
+            np.testing.assert_allclose(product, pqc.layer_factors(layer)[0], rtol=0, atol=1e-14)
+
+    def test_layer_rotations_validate_their_input(self):
+        with pytest.raises(ValidationError, match="unknown layer design"):
+            pqc.layer_rotations("U4", np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match="theta shape"):
+            pqc.layer_rotations("U2", np.zeros((2, 3)))
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("design", ["RX", "U2", "U3"])
@@ -426,7 +448,8 @@ class TestForwardMitigated:
         hat = noise.apply_pauli_fidelities(states[-1], gens, rates[-1], inverse=True)
         free = noise_free_chain(pqc.pure_states(psi), layers)
         assert np.linalg.norm(hat - free[-1]) > 1e-4
-        z = pqc.mitigated_z_readout(psi, units_of(layers), models, rates, gens, "loss_only", 2)
+        rotations = [pqc.layer_rotations("U2", layer.theta) for layer in layers]
+        z = pqc.mitigated_z_readout(psi, rotations, models, rates, gens, "loss_only", 2)
         np.testing.assert_allclose(z, pqc.z_expectations(hat), rtol=0, atol=1e-12)
 
     def test_cascaded_states_follow_the_mitigated_chain(self):

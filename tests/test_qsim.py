@@ -254,13 +254,19 @@ class TestExpectation:
 
 
     def test_dimension_mismatch(self):
-        """One-qubit state vectors cannot be read out through two-qubit layers."""
+        """One-qubit state vectors cannot be read out through two-qubit
+        layers, nor two-qubit ones under one-qubit noise."""
         gens = noise.default_generators(2)
         models = [noise.NoiseModel(2, gens, np.zeros(6))]
+        rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))]
         psi = np.array([[1.0, 0.0]], dtype=complex)
         with pytest.raises(ValidationError, match="dimension mismatch"):
+            pqc.mitigated_z_readout(psi, rotations, models, np.zeros((1, 6)), gens, "cascaded", 1)
+        one = noise.default_generators(1)
+        with pytest.raises(ValidationError, match="generators on 1"):
             pqc.mitigated_z_readout(
-                psi, [np.eye(4, dtype=complex)], models, np.zeros((1, 6)), gens, "cascaded", 1
+                np.eye(4, dtype=complex)[:1], rotations, [noise.NoiseModel(1, one, np.zeros(3))],
+                np.zeros((1, 6)), gens, "cascaded", 1,
             )
 
 

@@ -1,8 +1,12 @@
 """Training engine: gradients, optimizer mechanics, experiments."""
 
 import copy
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -466,27 +470,41 @@ class TestEvaluate:
             got = train.evaluate(state, relabelled, config, noise_true, encoded)
             assert got.accuracy == 1.0
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_readout_matches_per_state_chain(self, n):
         """The Heisenberg-picture logits equal the Z readouts of each
         state's mitigated final state from ``dense_reference.layer_chain`` to
         1e-12 times the learned overhead of the inverse stacks it passes
-        through, for true rates up to 0.2.  The readout does not depend on
-        the block step; the configs with step 1 and 2 check that
-        ``evaluate`` agrees too."""
+        through, for true rates up to 0.2, both under weight-1 true noise and
+        (from n = 2) under true noise with weight-2 ``ZZ`` generators, which
+        takes the kernel's non-separable branch.  The reference chain
+        conjugates by the dense layer unitaries, the readout by the factored
+        rotations and ring.  The readout does not depend on the block step;
+        the configs with step 1 and 2 check that ``evaluate`` agrees too.
+        From n = 7 on one design is checked, to bound the dense chain's
+        cost."""
         rng = np.random.default_rng(60 + n)
         vectors = pqc.encode_vectors(rng.uniform(0, 1, (3, 64)), n)
         generators = noise.default_generators(n)
         letters = [g.letters for g in generators]
-        noise_true = noise.draw_noise_models(n, 2, seed=n, low=0.0, high=0.2)
-        for design in ("RX", "U2", "U3"):
+        separable = noise.draw_noise_models(n, 2, seed=n, low=0.0, high=0.2)
+        noises = [separable]
+        if n >= 2:
+            words = ["I" * q + "ZZ" + "I" * (n - q - 2) for q in range(n - 1)]
+            words += ["I" * q + "X" + "I" * (n - q - 1) for q in range(n)]
+            weight_two = tuple(noise.PauliString(n, w) for w in words)
+            noises.append(noise.draw_noise_models(n, 2, seed=n, high=0.2, generators=weight_two))
+        for design in ("RX", "U2", "U3") if n < 7 else ("U2",):
             layers = dense_reference.random_layers(n, 2, design, rng)
-            units = [pqc.layer_factors(layer)[0] for layer in layers]
+            rotations = [pqc.layer_rotations(design, layer.theta) for layer in layers]
             dense_units = [dense_reference.layer_factors(layer)[0] for layer in layers]
-            # Below the true rates, so that every mitigated state is a state.
-            rates = np.stack([m.rates for m in noise_true]) * rng.uniform(0.5, 1.0, (2, 1))
-            for mode in ("loss_only", "cascaded"):
-                got = pqc.mitigated_z_readout(vectors, units, noise_true, rates, generators, mode, n)
+            # Below the weight-1 true rates, so that every mitigated state
+            # of that model is a state.
+            rates = np.stack([m.rates for m in separable]) * rng.uniform(0.5, 1.0, (2, 1))
+            for noise_true, mode in itertools.product(noises, ("loss_only", "cascaded")):
+                got = pqc.mitigated_z_readout(
+                    vectors, rotations, noise_true, rates, generators, mode, n
+                )
                 want = [
                     dense_reference.z_readout(dense_reference.layer_chain(
                         rho, dense_units, noise_true, letters, rates, mode == "cascaded"
@@ -509,10 +527,13 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("mode", ["loss_only", "cascaded"])
     def test_cost_does_not_grow_with_samples(self, monkeypatch, mode):
-        """``evaluate`` forms no density matrix and runs no state chain, and
-        its kernel passes and d x d products are the same for 10 and 1000
-        test samples: one pass per Pauli map on the ``(c, d, d)`` observable
-        stack and two products per layer."""
+        """``evaluate`` forms no density matrix, runs no state chain and
+        builds no layer unitary, and its kernel passes are the same for 10
+        and 1000 test samples: ``L + 1`` passes on the ``(c, d, d)``
+        observable stack, each layer's ``n`` rotation ops sharing one with the
+        Pauli maps of the layer below, and no ``d x d`` product.  Every array
+        derived from the rotations logs the products it takes part in, so a
+        layer unitary built from them would show."""
         config = small_config(mode=mode, layers=4)
         n, c, dim = config.n_qubits, config.num_classes, 1 << config.n_qubits
         state = train.init_state(config)
@@ -520,24 +541,25 @@ class TestEvaluate:
         noise_true = train.noise_models_from_config(config)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("evaluate built a per-sample state")
+            raise AssertionError("evaluate built a per-sample state or a layer unitary")
 
         for module in (pqc, train):
             monkeypatch.setattr(module, "pure_states", forbidden)
             monkeypatch.setattr(module, "layer_chain", forbidden)
+            monkeypatch.setattr(module, "layer_factors", forbidden)
         kernel_shapes = []
         kernel = noise.apply_qubit_superoperators
+
+        def logged_kernel(x, ops):
+            kernel_shapes.append((x.shape, sum(isinstance(s, _ProductLog) for _, s in ops)))
+            return kernel(x, ops)
+
+        for module in (noise, pqc):
+            monkeypatch.setattr(module, "apply_qubit_superoperators", logged_kernel)
+        rotations = train.layer_rotations
         monkeypatch.setattr(
-            noise, "apply_qubit_superoperators",
-            lambda x, ops: kernel_shapes.append(x.shape) or kernel(x, ops),
+            train, "layer_rotations", lambda *args: rotations(*args).view(_ProductLog)
         )
-        factors = train.layer_factors
-
-        def logged_factors(layer):
-            u, upto, after = factors(layer)
-            return u.view(_ProductLog), upto, after
-
-        monkeypatch.setattr(train, "layer_factors", logged_factors)
         runs = []
         for size in (10, 1000):
             kernel_shapes.clear()
@@ -548,9 +570,38 @@ class TestEvaluate:
             square = [s for s in _ProductLog.log if all(x[-2:] == (dim, dim) for x in s)]
             runs.append((list(kernel_shapes), square))
         assert runs[0] == runs[1]
-        passes = config.layers * (2 if mode == "cascaded" else 1) + (mode == "loss_only")
-        assert runs[0][0] == [(c, dim, dim)] * passes
-        assert len(runs[0][1]) == 2 * config.layers
+        assert runs[0][0] == [((c, dim, dim), 0)] + [((c, dim, dim), n)] * config.layers
+        assert runs[0][1] == []
+
+    def test_logits_do_not_depend_on_blas_threads(self, tmp_path):
+        """At n=8 the readout runs kernel GEMMs and gathers only, no ``eigh``,
+        so ``evaluate``'s logits have the same bits under 1 and 2 BLAS
+        threads."""
+        script = tmp_path / "logits.py"
+        script.write_text(
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from qmit import data, train\n"
+            "readout, logits = train.mitigated_z_readout, []\n"
+            "train.mitigated_z_readout = lambda *args: logits.append(readout(*args)) or logits[-1]\n"
+            "for mode in ('loss_only', 'cascaded'):\n"
+            "    config = train.TrainConfig(n_qubits=8, layers=4, num_classes=4, mode=mode, seed=3)\n"
+            "    state = train.init_state(config)\n"
+            "    state.rates = np.random.default_rng(4).uniform(0.0, 0.02, state.rates.shape)\n"
+            "    train.evaluate(state, data.synthetic_blobs(4, 2, 3.0, seed=5), config)\n"
+            "print(hashlib.sha256(np.concatenate(logits).tobytes()).hexdigest())\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert len(digests[0]) == 65
+        assert digests[0] == digests[1]
 
     def test_repeated_evaluation_identical(self):
         dataset = data.synthetic_blobs(2, 10, 3.0, seed=9)
