@@ -41,6 +41,7 @@ from .qsim import DensityMatrix, cnot_permutation, hermitize, maximally_mixed, r
 from .train import (
     TrainConfig,
     config_to_json,
+    noise_models_from_config,
     replace_on_success,
     run_experiment,
     save_checkpoint,
@@ -263,6 +264,9 @@ def cmd_train(config_path: str, out_dir: str) -> int:
     config = build_train_config(payload)
     _check_caps(payload, config.num_classes)
     repeats = _repeats(payload)
+    # Seeded noise follows from the checked config; a noise file may not.
+    if config.noise_source == "file":
+        noise_models_from_config(config)
     train_set, test_set = resolve_datasets(payload)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -319,6 +323,9 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
             raise ConfigError(f"grid cell {cell}: {exc}") from exc
     if not configs:
         raise ConfigError("ablation grid axes must be non-empty")
+    if base_config.noise_source == "file":
+        for cfg in configs:
+            noise_models_from_config(cfg)
     train_set, test_set = resolve_datasets(base_payload)
     os.makedirs(out_dir, exist_ok=True)
 

@@ -11,19 +11,20 @@ mitigated state (``cascaded``).  :func:`z_expectations` reads a chain state
 out, and :func:`mitigated_z_readout` reads the mitigated final state of
 encoded state vectors in the Heisenberg picture.
 
-A layer has two forms.  Training conjugates by its ``d x d`` unitary
-(:func:`layer_factors`, with the factors its angle derivatives need); the
-readout never forms it and applies the layer as its factors: the per-qubit
-rotations of :func:`layer_rotations` as one
-:func:`~qmit.noise.apply_qubit_superoperators` pass, and the CNOT ring as
-one gather of entries.
+A layer has one definition, :func:`layer_rotations`: each qubit's prefix
+products of its rotations.  Training conjugates by the ``d x d`` unitary
+that :func:`layer_unitary` builds from them and takes every angle gradient
+from their ``2 x 2`` matrices (:func:`angle_gradients`); the readout never
+forms the unitary and applies the layer as its factors: the per-qubit
+rotations as one :func:`~qmit.noise.apply_qubit_superoperators` pass, and
+the CNOT ring as one gather of entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .noise import apply_pauli_fidelities, apply_qubit_superoperators, pauli_mix
 from .qsim import (
     PAULIS,
     DensityMatrix,
-    rotation_matrix_2x2,
     _check_qubit_count,
     cnot_permutation,
 )
@@ -89,60 +89,36 @@ def _cnot_ring_permutation(n: int) -> np.ndarray:
     return perm
 
 
-@lru_cache(maxsize=None)
-def _cnot_ring(n: int) -> np.ndarray:
-    """The ring as a matrix, ``eye[perm]``; built once per ``n``, read-only."""
-    ring = np.eye(1 << n, dtype=np.complex128)[_cnot_ring_permutation(n)]
-    ring.setflags(write=False)
-    return ring
-
-
-def _rotation_sublayer(axis: str, angles: np.ndarray) -> np.ndarray:
-    """Kron product of one rotation per qubit about a common axis."""
-    mat = np.array([[1.0]], dtype=np.complex128)
-    for angle in angles:
-        mat = np.kron(mat, rotation_matrix_2x2(axis, float(angle)))
-    return mat
-
-
-def layer_factors(layer: LayerSpec) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Layer unitary ``U`` and the factors its angle derivatives need.
-
-    Returns ``(U, upto, after)``: ``upto[a]`` is the product of rotation
-    sub-layers ``0..a`` and ``after[a]`` everything applied after sub-layer
-    ``a`` (the later sub-layers, then the CNOT ring), so
-    ``U = after[a] @ upto[a]`` for every ``a``.
-    """
-    subs = [_rotation_sublayer(axis, layer.theta[:, a]) for a, axis in enumerate(layer.axes)]
-    perm = _cnot_ring_permutation(layer.n)
-    upto = [subs[0]]
-    for s in subs[1:]:
-        upto.append(s @ upto[-1])
-    after = [_cnot_ring(layer.n)] * len(subs)
-    if len(subs) > 1:
-        after[-2] = subs[-1][perm]  # ring @ subs[-1], as a row gather
-    for a in range(len(subs) - 3, -1, -1):
-        after[a] = after[a + 1] @ subs[a + 1]
-    return upto[-1][perm], upto, after
+def _rotations(angles: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``exp(-i angle sigma / 2) = cos(angle/2) I - i sin(angle/2) sigma``
+    for every entry of ``angles``, shape ``angles.shape + (2, 2)``; ``sigma``
+    broadcasts against it, so it may hold one Pauli matrix per axis."""
+    half = 0.5 * angles[..., None, None]
+    return np.cos(half) * PAULIS["I"] - 1j * np.sin(half) * sigma
 
 
 def layer_rotations(design: str, theta) -> np.ndarray:
-    """Each qubit's rotations of one layer composed into one 2x2 matrix,
-    ``V_q = R_last ... R_first``, shape ``(n, 2, 2)``.
+    """The one definition of a layer: each qubit's prefix products of its
+    rotations, ``R_{q,<=a} = R_{q,a} ... R_{q,0}``, shape ``(n, axes, 2, 2)``.
 
-    The layer unitary is ``ring @ kron(V_0, ..., V_{n-1})``, the rows of the
-    Kronecker product gathered by the ring permutation; the readout applies
-    it in that factored form, as one kernel op per qubit and one gather.
+    ``R_{q,a}`` rotates qubit ``q`` by ``theta[q, a]`` about the design's
+    axis ``a``.  The last prefix ``V_q = R_{q,<=last}`` is the qubit's whole
+    rotation, and the layer unitary is ``ring @ kron(V_0, ..., V_{n-1})``
+    (:func:`layer_unitary`).
     """
     layer = LayerSpec(design, len(theta), theta)
-    half = 0.5 * layer.theta[:, :, None, None]
-    subs = np.cos(half) * PAULIS["I"] - 1j * np.sin(half) * np.stack(
-        [PAULIS[axis] for axis in layer.axes]
-    )  # (n, axes, 2, 2): exp(-i theta sigma / 2) per qubit and sub-layer
-    rotations = subs[:, 0]
+    sigmas = np.stack([PAULIS[axis] for axis in layer.axes])
+    prefix = _rotations(layer.theta, sigmas)
     for a in range(1, len(layer.axes)):
-        rotations = subs[:, a] @ rotations
-    return rotations
+        prefix[:, a] = prefix[:, a] @ prefix[:, a - 1]
+    return prefix
+
+
+def layer_unitary(rotations: np.ndarray) -> np.ndarray:
+    """The ``d x d`` unitary of the layer whose :func:`layer_rotations` are
+    ``rotations``: ``kron(V_0, ..., V_{n-1})`` with its rows gathered by the
+    ring permutation.  The only place a layer unitary is built."""
+    return reduce(np.kron, rotations[:, -1])[_cnot_ring_permutation(len(rotations))]
 
 
 def _one_qubit_marginals(w: np.ndarray) -> np.ndarray:
@@ -156,23 +132,23 @@ def _one_qubit_marginals(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def angle_gradients(
-    k: np.ndarray, upto: list[np.ndarray], after: list[np.ndarray], axes: str
-) -> np.ndarray:
-    """``2 Re tr(dU/dtheta[q, a] K)`` for every angle, shape ``(n, len(axes))``.
+def angle_gradients(j: np.ndarray, rotations: np.ndarray, axes: str) -> np.ndarray:
+    """``2 Re tr(dU/dtheta[q, a] K)`` for every angle, shape ``(n, len(axes))``,
+    from ``j = K U`` and the layer's :func:`layer_rotations`.
 
-    The derivative of sub-layer ``a``'s rotation on qubit ``q`` inserts the
-    generator ``-i/2 sigma_a`` on that qubit: ``dU = after[a] G upto[a]``
-    (Jones & Gacon, arXiv:2009.02823).  With ``W_a = upto[a] K after[a]``,
-    ``2 Re tr(dU K) = Re(-i tr(sigma_a Tr_{!=q} W_a)) = Im tr(sigma_a
-    Tr_{!=q} W_a)``: two matmuls per sub-layer and one partial trace per
-    qubit, with no ``dU`` formed.
+    The derivative of rotation ``a`` on qubit ``q`` inserts the generator
+    ``G_a = -i sigma_a / 2`` after its prefix (Jones & Gacon,
+    arXiv:2009.02823); moved to the right of ``U`` it is conjugated by the
+    prefix alone, since every other factor commutes or cancels:
+    ``dU = U embed_q(R_{q,<=a}^dagger G_a R_{q,<=a})``.  With the marginals
+    ``m_q = Tr_{!=q}(K U)``, ``2 Re tr(dU K) = Im tr(sigma_a R_{q,<=a} m_q
+    R_{q,<=a}^dagger)``: one partial trace per qubit, shared by every axis,
+    and no ``d x d`` product or ``dU`` formed here.
     """
-    grads = []
-    for a, axis in enumerate(axes):
-        marg = _one_qubit_marginals(upto[a] @ k @ after[a])
-        grads.append(np.einsum("ij,qji->q", PAULIS[axis], marg).imag)
-    return np.stack(grads, axis=1)
+    marg = _one_qubit_marginals(j)[:, None]
+    turned = rotations @ marg @ np.conj(np.swapaxes(rotations, -1, -2))
+    sigmas = np.stack([PAULIS[axis] for axis in axes])
+    return np.einsum("aij,qaji->qa", sigmas, turned).imag
 
 
 def encode_vectors(features, n: int) -> np.ndarray:
@@ -199,13 +175,11 @@ def encode_vectors(features, n: int) -> np.ndarray:
     # Features beyond the 64th leave the last sub-layer's qubits unrotated.
     angles = np.zeros((count, sublayers * n))
     angles[:, :ENCODER_FEATURES] = math.pi * feats
-    half = (0.5 * angles).reshape(count, sublayers, n, 1, 1)
-    cos, sin = np.cos(half), np.sin(half)
+    angles = angles.reshape(count, sublayers, n)
     qubits = np.zeros((count, n, 2), dtype=np.complex128)
     qubits[..., 0] = 1.0
     for t in range(sublayers):
-        sigma = PAULIS[ENCODER_AXIS_CYCLE[t % len(ENCODER_AXIS_CYCLE)]]
-        rot = cos[:, t] * PAULIS["I"] - 1j * sin[:, t] * sigma  # (count, n, 2, 2)
+        rot = _rotations(angles[:, t], PAULIS[ENCODER_AXIS_CYCLE[t % len(ENCODER_AXIS_CYCLE)]])
         qubits = (rot * qubits[:, :, None, :]).sum(axis=-1)
     psi = qubits[:, 0]
     for q in range(1, n):
@@ -312,7 +286,7 @@ def mitigated_z_readout(psi, rotations, noise, rates, generators, mode, count) -
                 ops += mixes
         obs = apply_qubit_superoperators(obs, ops).reshape(count, -1)[:, gather]
         obs = obs.reshape(count, dim, dim)
-        vt = np.swapaxes(rotations[i], -1, -2)
+        vt = np.swapaxes(rotations[i][:, -1], -1, -2)
         # kron(V^dagger, V^T) of every qubit at once: entry (2a + b, 2c + e)
         # is V^dagger[a, c] V^T[b, e].
         sup = vt.conj()[:, :, None, :, None] * vt[:, None, :, None, :]

@@ -76,7 +76,7 @@ def _random_theta(n: int, depth: int, design: str, rng, scale: float = math.pi) 
 
 
 def _units(theta: list, design: str) -> list[np.ndarray]:
-    return [pqc.layer_factors(pqc.LayerSpec(design, t.shape[0], t))[0] for t in theta]
+    return [pqc.layer_unitary(pqc.layer_rotations(design, t)) for t in theta]
 
 
 def noise_free_invariance(seed: int, circuits: int) -> str:
@@ -125,11 +125,11 @@ def perfect_mitigation(seed: int, circuits: int) -> str:
     """05: the cascaded inverse with the true rates restores the noise-free
     readout to 1e-8 on 4-qubit, 4-layer U2 circuits, both in training
     (:func:`pqc.z_expectations` of the last :func:`pqc.layer_chain` state)
-    and in evaluation (:func:`pqc.mitigated_z_readout`).  The two readouts
-    run two independent layer implementations: training conjugates by the
-    dense unitaries of :func:`pqc.layer_factors`, evaluation applies the
-    per-qubit :func:`pqc.layer_rotations` as kernel ops and the ring as a
-    gather."""
+    and in evaluation (:func:`pqc.mitigated_z_readout`).  Both readouts
+    take the layers from the same :func:`pqc.layer_rotations`: training
+    conjugates by their :func:`pqc.layer_unitary`, evaluation applies them
+    as kernel ops and the ring as a gather.  The layer itself is checked
+    against independent dense matrix products in ``tests/dense_reference.py``."""
     rng = np.random.default_rng(seed)
     worst_train = worst_eval = 0.0
     for _ in range(circuits):

@@ -40,12 +40,11 @@ from .noise import (
 from .pqc import (
     DESIGN_AXES,
     EXECUTION_MODES,
-    LayerSpec,
     angle_gradients,
     encode_vectors,
     layer_chain,
-    layer_factors,
     layer_rotations,
+    layer_unitary,
     mitigated_z_readout,
     pure_states,
     z_expectations,
@@ -143,13 +142,24 @@ class TrainState:
 
 
 def noise_models_from_config(config: TrainConfig) -> list[NoiseModel]:
-    """Per-layer true noise: seeded synthetic calibration or a JSON file."""
+    """Per-layer true noise: seeded synthetic calibration or a JSON file.
+
+    Raises ``ConfigError`` for a noise file that cannot be read or parsed,
+    or whose layer count or qubit count differs from the config's."""
     if config.noise_source == "file":
-        models = load_noise_layers(config.noise_path)
+        try:
+            models = load_noise_layers(config.noise_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load noise file {config.noise_path}: {exc}") from exc
         if len(models) != config.layers:
             raise ConfigError(
                 f"noise file has {len(models)} layers, config wants {config.layers}"
             )
+        for i, model in enumerate(models):
+            if model.n != config.n_qubits:
+                raise ConfigError(
+                    f"noise file layer {i} acts on {model.n} qubits, config has {config.n_qubits}"
+                )
         return models
     from .noise import draw_noise_models
 
@@ -204,25 +214,24 @@ def _stacked_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(x, 0, 1)).reshape(d, -1) @ y.reshape(-1, d)
 
 
-def _theta_grad_forward_conj(g_out, x_in, factors, axes, out):
-    """Contribution of ``y = U x U^dagger`` to every angle of the layer:
+def _theta_grad_forward_conj(g_out, x_in, u, rotations, axes, out):
+    """Contribution of ``y = U x U^dagger`` to every angle of the layer with
+    unitary ``u`` and :func:`pqc.layer_rotations` ``rotations``:
     ``2 Re tr(dU K)`` with ``K = sum_b x_b h_b``, ``h = U^dagger g_out``.
 
     Returns ``h``: the gradient w.r.t. ``x`` is ``h U``."""
-    u, upto, after = factors
     h = u.conj().T @ g_out
-    out += angle_gradients(_stacked_product(x_in, h), upto, after, axes)
+    out += angle_gradients(_stacked_product(x_in, h) @ u, rotations, axes)
     return h
 
 
-def _theta_grad_backward_conj(g_in, x_in, factors, axes, out):
+def _theta_grad_backward_conj(g_in, x_in, u, rotations, axes, out):
     """Contribution of the pullback ``y = U^dagger x U`` from ``g_in``, the
     gradient w.r.t. its input ``x`` (``U g_y U^dagger``): the same
     contraction with ``K = A^dagger``, ``A = sum_b x_b U g_y,b = (sum_b
     x_b g_in,b) U``."""
-    u, upto, after = factors
     a = _stacked_product(x_in, g_in) @ u
-    out += angle_gradients(a.conj().T, upto, after, axes)
+    out += angle_gradients(a.conj().T @ u, rotations, axes)
 
 
 @dataclass
@@ -275,8 +284,8 @@ def _run_batch(
         rho0 = pure_states(psi0)
 
     axes = DESIGN_AXES[config.design]
-    factors = [layer_factors(LayerSpec(config.design, n, theta[i])) for i in range(depth)]
-    units = [f[0] for f in factors]
+    rotations = [layer_rotations(config.design, t) for t in theta]
+    units = [layer_unitary(r) for r in rotations]
 
     chain = layer_chain(rho0, units, noise_true, rates if cascaded else None, generators)
     blocks = fb_blocks(chain, units, step, None if cascaded else rates, generators, psi0)
@@ -334,7 +343,9 @@ def _run_batch(
             for j, conj_input in reversed(layer_caches):
                 if j > start:
                     g = units[j] @ g @ units[j].conj().T
-                _theta_grad_backward_conj(g, conj_input, factors[j], axes, grad_theta[j])
+                _theta_grad_backward_conj(
+                    g, conj_input, units[j], rotations[j], axes, grad_theta[j]
+                )
                 if not cascaded:
                     if j == depth - 1 and g_readout is not None:
                         g, g_readout = g + g_readout, None
@@ -354,7 +365,7 @@ def _run_batch(
             g = _inverse_stack_backward(g, chain[i + 1], rates[i], generators, grad_rates[i])
         # Real fidelities in the Pauli basis: the channel is its own adjoint.
         g = apply_pauli_fidelities(g, noise_true[i].generators, noise_true[i].rates)
-        h = _theta_grad_forward_conj(g, chain[i], factors[i], axes, grad_theta[i])
+        h = _theta_grad_forward_conj(g, chain[i], units[i], rotations[i], axes, grad_theta[i])
         if i > 0:
             g_chain[i] += h @ units[i]
 

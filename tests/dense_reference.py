@@ -165,9 +165,11 @@ def _sublayer(axis, angles):
 
 
 def layer_factors(layer):
-    """``(U, upto, after)`` of ``pqc.layer_factors`` as plain matrix products:
-    ``upto[a] = sub[a] ... sub[0] @ I`` and ``after[a] = ring @ sub[last]
-    ... sub[a + 1]``, with the ring a product of dense CNOT matrices."""
+    """``(U, upto, after)`` of a ``pqc.LayerSpec`` as plain matrix products
+    of dense Kronecker sub-layers, independent of ``pqc.layer_rotations``:
+    ``upto[a] = sub[a] ... sub[0] @ I``, ``after[a] = ring @ sub[last] ...
+    sub[a + 1]`` and ``U = after[a] @ upto[a]``, with the ring a product of
+    dense CNOT matrices."""
     n = layer.n
     dim = 1 << n
     subs = [_sublayer(axis, layer.theta[:, a]) for a, axis in enumerate(layer.axes)]

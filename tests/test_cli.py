@@ -160,6 +160,32 @@ class TestConfigValidation:
         assert f"{key} must be at least the class count 4" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablation"])
+    @pytest.mark.parametrize("case", ["missing", "not_json", "layer_count", "qubit_count"])
+    def test_bad_noise_file_writes_nothing(self, tmp_path, capsys, command, case):
+        """A noise file that is missing, not JSON, or written for another
+        layer or qubit count exits 2 before any data is loaded or output
+        written.  The ablation grid runs 2 and 4 layers, so there a 2-layer
+        file fits the base config and fails on the second cell only; the
+        3-qubit file has zero rates, so only its qubit count is wrong."""
+        noise_path = tmp_path / "noise.json"
+        layers = 2 if command == "ablation" else 3
+        if case == "not_json":
+            noise_path.write_text("{not json")
+        elif case == "layer_count":
+            noise.save_noise_layers(noise.draw_noise_models(4, layers, seed=0), noise_path)
+        elif case == "qubit_count":
+            zero_rates = noise.draw_noise_models(3, 2, seed=0, low=0.0, high=0.0)
+            noise.save_noise_layers(zero_rates, noise_path)
+        payload = synthetic_train_payload(noise_source="file", noise_path=str(noise_path))
+        if command == "ablation":
+            payload["grid"] = {"layer_counts": [2, 4]}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert "noise file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mnist_requires_data_dir(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_train_payload(benchmark="MNIST-4"))
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2

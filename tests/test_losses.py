@@ -296,6 +296,11 @@ class TestTaskLoss:
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
 
 
+def layer_units(layers):
+    """The engine's unitary of each ``pqc.LayerSpec``."""
+    return [pqc.layer_unitary(pqc.layer_rotations(layer.design, layer.theta)) for layer in layers]
+
+
 class TestTotalFbLoss:
     """The engine's forward-backward term: the mean over the blocks of
     :func:`losses.fb_blocks` on a :func:`pqc.layer_chain`."""
@@ -309,7 +314,7 @@ class TestTotalFbLoss:
             models = noise.draw_noise_models(4, depth, seed=int(rng.integers(2**31)))
         else:
             models = [noise.NoiseModel(4, self.GENERATORS, np.zeros(12))] * depth
-        units = [pqc.layer_factors(layer)[0] for layer in layers]
+        units = layer_units(layers)
         return units, pqc.layer_chain(rho0.data[None], units, models), models
 
     def _total(self, chain, units, step, rates=None):
@@ -363,7 +368,7 @@ class TestTotalFbLoss:
         rho0 = qsim.pure_state(qsim.random_state_vector(4, rng))
         models = noise.draw_noise_models(4, 4, seed=7)
         rates = np.stack([m.rates for m in models])
-        units = [pqc.layer_factors(layer)[0] for layer in layers]
+        units = layer_units(layers)
         chain = pqc.layer_chain(rho0.data[None], units, models, rates, self.GENERATORS)
         for step in (1, 2, 4):
             assert self._total(chain, units, step)[0] <= 1e-8
@@ -375,7 +380,7 @@ class TestTotalFbLoss:
         layers = dense_reference.random_layers(2, 2, "U2", rng)
         rho0 = qsim.pure_state(qsim.random_state_vector(2, rng))
         models = noise.draw_noise_models(2, 2, seed=3, low=0.001, high=0.004)
-        units = [pqc.layer_factors(layer)[0] for layer in layers]
+        units = layer_units(layers)
         chain = pqc.layer_chain(rho0.data[None], units, models)
         over = np.stack([m.rates for m in models]) * 4.0
         blocks = losses.fb_blocks(chain, units, 1, over, models[0].generators)

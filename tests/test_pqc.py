@@ -48,7 +48,7 @@ def brute_force_layer(design, n, theta):
 
 
 def layer_unitary(layer):
-    return pqc.layer_factors(layer)[0]
+    return pqc.layer_unitary(pqc.layer_rotations(layer.design, layer.theta))
 
 
 def units_of(layers):
@@ -74,15 +74,22 @@ def entropy(rho):
     return float(-np.sum(positive * np.log(positive)))
 
 
+def reference_ring(n):
+    """CNOT(n-1, 0) ... CNOT(0, 1) as a product of dense matrices."""
+    ring = np.eye(1 << n, dtype=complex)
+    if n >= 2:
+        for j in range(n):
+            ring = dense_reference.cnot(j, (j + 1) % n, n) @ ring
+    return ring
+
+
 class TestLayerUnitary:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_ring_is_product_of_reference_cnots(self, n):
-        """The ring equals CNOT(n-1, 0) ... CNOT(0, 1) as dense matrices, bit for bit."""
-        ring = np.eye(1 << n, dtype=complex)
-        if n >= 2:
-            for j in range(n):
-                ring = dense_reference.cnot(j, (j + 1) % n, n) @ ring
-        np.testing.assert_array_equal(pqc._cnot_ring(n), ring)
+        """The ring's row gather equals CNOT(n-1, 0) ... CNOT(0, 1) as dense
+        matrices, bit for bit."""
+        eye = np.eye(1 << n, dtype=complex)
+        np.testing.assert_array_equal(eye[pqc._cnot_ring_permutation(n)], reference_ring(n))
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
@@ -150,46 +157,62 @@ class TestLayerUnitary:
                     np.testing.assert_allclose(grads[q][a], fd, atol=1e-8)
 
     def test_layer_factors_compose_to_the_layer_unitary(self):
+        """The unitary matches the dense reference, and each angle's dense
+        derivative is the unitary times the generator turned by its qubit's
+        prefix rotation, ``U embed_q(R_{<=a}^dagger (-i sigma_a / 2)
+        R_{<=a})``: the identity :func:`pqc.angle_gradients` relies on."""
         rng = np.random.default_rng(31)
         for n in range(1, 6):
             for design in ("RX", "U2", "U3"):
                 p = len(pqc.DESIGN_AXES[design])
                 layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
-                u, upto, after = pqc.layer_factors(layer)
-                ref, _ = dense_reference.layer_unitary_and_gradients(layer)
+                rotations = pqc.layer_rotations(design, layer.theta)
+                u = pqc.layer_unitary(rotations)
+                ref, grads = dense_reference.layer_unitary_and_gradients(layer)
                 np.testing.assert_allclose(u, ref, atol=1e-13)
-                for a in range(p):
-                    np.testing.assert_allclose(after[a] @ upto[a], u, atol=1e-13)
+                for q in range(n):
+                    for a, axis in enumerate(layer.axes):
+                        r = rotations[q, a]
+                        turned = r.conj().T @ (-0.5j * qsim.PAULIS[axis]) @ r
+                        du = u @ dense_reference.embed_one_qubit(turned, q, n)
+                        np.testing.assert_allclose(du, grads[q][a], atol=1e-13)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_layer_factors_equal_matrix_products(self, n):
-        """Row gathers for the ring and the first sub-layer taken as is give
-        exactly the plain matrix products of ``dense_reference.layer_factors``."""
+        """The unitary built from the rotations, and the Kronecker products
+        of each sub-layer's prefix rotations, equal the plain matrix products
+        of ``dense_reference.layer_factors``."""
         rng = np.random.default_rng(40 + n)
         for design in ("RX", "U2", "U3"):
             p = len(pqc.DESIGN_AXES[design])
             layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
-            u, upto, after = pqc.layer_factors(layer)
-            ref_u, ref_upto, ref_after = dense_reference.layer_factors(layer)
-            assert np.array_equal(u, ref_u)
-            assert len(upto) == len(after) == p
-            assert all(np.array_equal(x, y) for x, y in zip(upto, ref_upto))
-            assert all(np.array_equal(x, y) for x, y in zip(after, ref_after))
+            rotations = pqc.layer_rotations(design, layer.theta)
+            ref_u, ref_upto, _ = dense_reference.layer_factors(layer)
+            np.testing.assert_allclose(pqc.layer_unitary(rotations), ref_u, rtol=0, atol=1e-14)
+            for a in range(p):
+                prefix = functools.reduce(np.kron, rotations[:, a])
+                np.testing.assert_allclose(prefix, ref_upto[a], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_layer_rotations_compose_to_the_layer_unitary(self, n):
-        """The layer has one definition: the Kronecker product of the
-        per-qubit rotations, rows gathered by the ring, is ``layer_factors``'s
-        unitary."""
+        """The layer has one definition: each qubit's prefix rotations are
+        products of ``qsim.rotation_matrix_2x2``, and the layer unitary is
+        the dense CNOT ring times the Kronecker product of the last
+        prefixes, bit for bit."""
         rng = np.random.default_rng(80 + n)
-        perm = pqc._cnot_ring_permutation(n)
+        ring = reference_ring(n)
         for design in ("RX", "U2", "U3"):
             p = len(pqc.DESIGN_AXES[design])
-            layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
-            rotations = pqc.layer_rotations(design, layer.theta)
-            assert rotations.shape == (n, 2, 2)
-            product = functools.reduce(np.kron, rotations)[perm]
-            np.testing.assert_allclose(product, pqc.layer_factors(layer)[0], rtol=0, atol=1e-14)
+            theta = rng.uniform(-math.pi, math.pi, (n, p))
+            rotations = pqc.layer_rotations(design, theta)
+            assert rotations.shape == (n, p, 2, 2)
+            for q in range(n):
+                prefix = np.eye(2)
+                for a, axis in enumerate(pqc.DESIGN_AXES[design]):
+                    prefix = qsim.rotation_matrix_2x2(axis, theta[q, a]) @ prefix
+                    np.testing.assert_allclose(rotations[q, a], prefix, rtol=0, atol=1e-15)
+            product = ring @ functools.reduce(np.kron, rotations[:, -1])
+            assert np.array_equal(pqc.layer_unitary(rotations), product)
 
     def test_layer_rotations_validate_their_input(self):
         with pytest.raises(ValidationError, match="unknown layer design"):
@@ -197,41 +220,34 @@ class TestLayerUnitary:
         with pytest.raises(ValidationError, match="theta shape"):
             pqc.layer_rotations("U2", np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("design", ["RX", "U2", "U3"])
     def test_angle_gradients_match_dense_reference(self, n, design):
         """Generator insertion equals ``2 Re tr(dU K)`` over the dense ``dU``,
         in the forward form (``K``) and the backward form (``K = A^dagger``,
-        i.e. ``2 Re <dU, A>``)."""
+        i.e. ``2 Re <dU, A>``); both take ``K U``."""
         rng = np.random.default_rng(100 * n + len(design))
         p = len(pqc.DESIGN_AXES[design])
         dim = 1 << n
         layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
-        _, upto, after = pqc.layer_factors(layer)
-        _, dense = dense_reference.layer_unitary_and_gradients(layer)
+        rotations = pqc.layer_rotations(design, layer.theta)
+        u, dense = dense_reference.layer_unitary_and_gradients(layer)
         k = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        fwd = pqc.angle_gradients(k, upto, after, layer.axes)
-        bwd = pqc.angle_gradients(a.conj().T, upto, after, layer.axes)
+        fwd = pqc.angle_gradients(k @ u, rotations, layer.axes)
+        bwd = pqc.angle_gradients(a.conj().T @ u, rotations, layer.axes)
         ref_fwd = np.array([[2.0 * np.einsum("ij,ji->", du, k).real for du in row] for row in dense])
         ref_bwd = np.array([[2.0 * np.vdot(du, a).real for du in row] for row in dense])
         assert fwd.shape == bwd.shape == (n, p)
         np.testing.assert_allclose(fwd, ref_fwd, rtol=0, atol=1e-12)
         np.testing.assert_allclose(bwd, ref_bwd, rtol=0, atol=1e-12)
 
-    def test_cnot_ring_is_cached_and_read_only(self):
-        ring = pqc._cnot_ring(4)
-        assert pqc._cnot_ring(4) is ring
-        assert not ring.flags.writeable
-        with pytest.raises(ValueError):
-            ring[0, 0] = 0.0
-
     def test_cnot_ring_permutation_is_cached_read_only_row_gather(self):
         perm = pqc._cnot_ring_permutation(4)
         assert pqc._cnot_ring_permutation(4) is perm
         assert not perm.flags.writeable
         x = np.random.default_rng(5).standard_normal((16, 16))
-        assert np.array_equal(x[perm], pqc._cnot_ring(4) @ x)
+        assert np.array_equal(x[perm], reference_ring(4) @ x)
 
 
 class TestEncoder:

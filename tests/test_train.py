@@ -318,7 +318,7 @@ class TestGradients:
         for design in ("RX", "U2", "U3"):
             p = len(pqc.DESIGN_AXES[design])
             layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
-            factors = pqc.layer_factors(layer)
+            rotations = pqc.layer_rotations(design, layer.theta)
             u, dense = dense_reference.layer_unitary_and_gradients(layer)
             g = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
             x = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
@@ -326,8 +326,8 @@ class TestGradients:
             a = (x @ u @ g).sum(axis=0)
             fwd = np.zeros((n, p))
             bwd = np.zeros((n, p))
-            h = train._theta_grad_forward_conj(g, x, factors, layer.axes, fwd)
-            train._theta_grad_backward_conj(u @ g @ u.conj().T, x, factors, layer.axes, bwd)
+            h = train._theta_grad_forward_conj(g, x, u, rotations, layer.axes, fwd)
+            train._theta_grad_backward_conj(u @ g @ u.conj().T, x, u, rotations, layer.axes, bwd)
             np.testing.assert_allclose(h, u.conj().T @ g, rtol=0, atol=1e-12)
             ref_fwd = [[2.0 * np.einsum("ij,ji->", du, k).real for du in row] for row in dense]
             ref_bwd = [[2.0 * np.vdot(du, a).real for du in row] for row in dense]
@@ -546,7 +546,7 @@ class TestEvaluate:
         for module in (pqc, train):
             monkeypatch.setattr(module, "pure_states", forbidden)
             monkeypatch.setattr(module, "layer_chain", forbidden)
-            monkeypatch.setattr(module, "layer_factors", forbidden)
+            monkeypatch.setattr(module, "layer_unitary", forbidden)
         kernel_shapes = []
         kernel = noise.apply_qubit_superoperators
 
