@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .noise import apply_pauli_fidelities
+from .noise import apply_pauli_fidelities, default_generators
 from .qsim import DensityMatrix, _hermiticity_defect, hermitian_power, hermitize
 
 logger = logging.getLogger(__name__)
@@ -362,27 +362,27 @@ def _fb_pair_backward(
     return g_a_raw, g_b_raw
 
 
-def fb_blocks(chain, units, step: int, rates=None, generators=None, psi0=None) -> list[tuple]:
+def fb_blocks(chain, psi0, units, step: int, rates=None) -> list[tuple]:
     """Forward-backward blocks of a propagated chain ``[t_0, ..., t_L]``.
 
-    Entries of ``chain`` are stacks ``(..., d, d)``.  Block ``b`` covers
-    layers ``start = b * step`` to ``end = start + step``: ``t_end`` is
-    pulled back through the block's layers, last first, and compared with
-    ``t_start`` by the conditioned ``-log F``.  With ``rates`` (``loss_only``
-    mode) each layer's pullback first undoes the learned residual noise
-    ``rates[j]`` over ``generators``; without them (``cascaded`` mode) the
+    Entries of ``chain`` are stacks ``(batch, d, d)``; ``chain[0] = psi0
+    psi0^dagger`` for the state vectors ``psi0``.  Block ``b`` covers layers
+    ``start = b * step`` to ``end = start + step``: ``t_end`` is pulled back
+    through the block's layers, last first, and compared with ``t_start`` by
+    the conditioned ``-log F``.  With ``rates`` (``loss_only`` mode) each
+    layer's pullback first undoes the learned residual noise, the inverse
+    with the rate row ``rates[j]``; without them (``cascaded`` mode) the
     chain is mitigated inline, so only the unitary pullback remains (the
     mitigation layer and its exact inverse cancel algebraically).
 
     The conjugation by the block's first layer ``units[start]`` is left to
     the fidelity head (:func:`_fb_pair_forward`), which decomposes its input
     instead.  When that input is ``chain[end]`` itself (``cascaded`` mode at
-    ``step`` 1), its spectrum is the next block's target's.  ``psi0`` are
-    state vectors with ``chain[0] = psi0 psi0^dagger``: block 0's target
-    then takes its closed-form spectrum (:func:`_pure_spectrum`).  A
-    block's forward costs two batched d x d products per layer after its
-    first (the explicit conjugations) and the head's three (two with a
-    pure target).
+    ``step`` 1), its spectrum is the next block's target's.  Block 0's
+    target takes the closed-form spectrum of ``psi0``
+    (:func:`_pure_spectrum`).  A block's forward costs two batched d x d
+    products per layer after its first (the explicit conjugations) and the
+    head's three (two for block 0).
 
     Returns ``(start, end, layer_caches, loss, cache)`` per block:
     ``layer_caches`` lists ``(j, x)`` with ``x`` the input of layer ``j``'s
@@ -394,14 +394,14 @@ def fb_blocks(chain, units, step: int, rates=None, generators=None, psi0=None) -
     if step < 1 or len(units) % step:
         raise ValidationError(f"block step {step} does not divide {len(units)} layers")
     blocks = []
-    shared = None if psi0 is None else _pure_spectrum(psi0)
+    learned, shared = default_generators(psi0.shape[-1].bit_length() - 1), _pure_spectrum(psi0)
     for start in range(0, len(units), step):
         end = start + step
         x = chain[end]
         layer_caches = []
         for j in range(end - 1, start - 1, -1):
             if rates is not None:
-                x = apply_pauli_fidelities(x, generators, rates[j], inverse=True)
+                x = apply_pauli_fidelities(x, learned, rates[j], inverse=True)
             # In loss_only mode the conjugation's input is also the inverse
             # stack's output, which that stack's adjoint needs.
             layer_caches.append((j, x))

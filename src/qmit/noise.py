@@ -27,6 +27,10 @@ table built from the symplectic anticommutation form, and taken back.
 Both cases, and any other map that acts on each qubit's (row bit, column
 bit) pair alone, run through :func:`apply_qubit_superoperators`: one 4x4
 GEMM per qubit in a layout that puts the qubit's pair first.
+
+The learned inverse is defined here alone: its generators are
+:func:`default_generators`, and on a Z readout it is the per-qubit gain
+:func:`learned_z_gains`.
 """
 
 from __future__ import annotations
@@ -128,8 +132,10 @@ class NoiseModel:
         return cls(n, gens, rates)
 
 
+@lru_cache(maxsize=None)
 def default_generators(n: int) -> tuple[PauliString, ...]:
-    """Single-qubit X, Y, Z on every qubit, ordered by qubit then X<Y<Z."""
+    """Single-qubit X, Y, Z on every qubit, ordered by qubit then X<Y<Z: the
+    generators of the learned inverse, whose rate rows have ``3n`` entries."""
     _check_qubit_count(n)
     gens = []
     for q in range(n):
@@ -137,6 +143,15 @@ def default_generators(n: int) -> tuple[PauliString, ...]:
             letters = "I" * q + letter + "I" * (n - q - 1)
             gens.append(PauliString(n, letters))
     return tuple(gens)
+
+
+def learned_z_gains(rate_row) -> np.ndarray:
+    """``Tr(Z_q y) / Tr(Z_q x)`` per qubit for ``y`` the learned inverse of
+    any ``x`` with the rate row ``rate_row``: ``exp(2 (lambda_qX +
+    lambda_qY))``, shape ``(n,)``.  The inverse divides each Pauli component
+    by its fidelity, and only ``X_q`` and ``Y_q`` anticommute with ``Z_q``."""
+    row = np.asarray(rate_row, dtype=float).reshape(-1, 3)
+    return np.exp(2.0 * (row[:, 0] + row[:, 1]))
 
 
 def draw_noise_models(

@@ -8,8 +8,8 @@ chain, :func:`layer_chain`, runs the layers: noise free (zero rates), noisy
 is applied either per layer for loss computation only (``loss_only``: the
 noisy chain keeps propagating) or inline so each layer consumes the previous
 mitigated state (``cascaded``).  :func:`z_expectations` reads a chain state
-out, and :func:`mitigated_z_readout` reads the mitigated final state of
-encoded state vectors in the Heisenberg picture.
+out, and :func:`mitigated_z_readout` reads the last chain state of encoded
+state vectors in the Heisenberg picture.
 
 A layer has one definition, :func:`layer_rotations`: each qubit's prefix
 products of its rotations.  Training conjugates by the ``d x d`` unitary
@@ -29,7 +29,12 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import ValidationError
-from .noise import apply_pauli_fidelities, apply_qubit_superoperators, pauli_mix_superoperators
+from .noise import (
+    apply_pauli_fidelities,
+    apply_qubit_superoperators,
+    default_generators,
+    pauli_mix_superoperators,
+)
 from .qsim import (
     PAULIS,
     DensityMatrix,
@@ -198,21 +203,21 @@ def encode(x, n: int) -> DensityMatrix:
     return DensityMatrix(n, pure_states(encode_vectors(feats, n))[0])
 
 
-def layer_chain(rho0, units, noise, rates=None, generators=None) -> list[np.ndarray]:
+def layer_chain(rho0, units, noise, rates=None) -> list[np.ndarray]:
     """Propagated states ``[t_0, ..., t_L]`` of a stack ``(..., d, d)`` of inputs.
 
     Layer ``i`` conjugates by ``units[i]`` and applies the true noise
     ``noise[i]``; with ``rates`` (cascaded mode) it then applies the learned
-    inverse stack ``rates[i]`` over ``generators``.  No state is hermitized
-    or validated.
+    inverse with the rate row ``rates[i]``.  No state is hermitized or validated.
     """
     chain = [rho0]
     cur = rho0
+    learned = default_generators(rho0.shape[-1].bit_length() - 1)
     for i, (u, model) in enumerate(zip(units, noise)):
         cur = u @ cur @ u.conj().T
         cur = apply_pauli_fidelities(cur, model.generators, model.rates)
         if rates is not None:
-            cur = apply_pauli_fidelities(cur, generators, rates[i], inverse=True)
+            cur = apply_pauli_fidelities(cur, learned, rates[i], inverse=True)
         chain.append(cur)
     return chain
 
@@ -233,14 +238,14 @@ def z_expectations(x: np.ndarray) -> np.ndarray:
     return diag @ z_sign_table(x.shape[-1].bit_length() - 1).T
 
 
-def mitigated_z_readout(psi, rotations, noise, rates, generators, mode, count) -> np.ndarray:
-    """``Tr(Z_k rho_hat_b)`` for qubits ``k < count``, shape ``(N, count)``:
-    the Z readouts of the mitigated final states ``rho_hat_b`` of a stack
-    ``(N, d)`` of pure state vectors in execution mode ``mode``, through the
-    layers whose :func:`layer_rotations` are ``rotations``.  In ``cascaded``
-    mode ``rho_hat_b`` is the last state of :func:`layer_chain` with
-    ``rates``; in ``loss_only`` mode it is the last inverse stack applied to
-    the last state of the noisy chain.
+def mitigated_z_readout(psi, rotations, noise, rates, count) -> np.ndarray:
+    """``Tr(Z_k rho_b)`` for qubits ``k < count``, shape ``(N, count)``: the
+    Z readouts of the last states ``rho_b`` of :func:`layer_chain` with
+    ``rates`` (or ``None``) for a stack ``(N, d)`` of pure state vectors,
+    through the layers whose :func:`layer_rotations` are ``rotations``.
+    With ``rates`` that is the mitigated readout of ``cascaded`` mode;
+    ``loss_only`` mode reads the noisy chain (``rates=None``) and multiplies
+    by :func:`~qmit.noise.learned_z_gains` of its last rate row.
 
     Computed in the Heisenberg picture.  The ``count`` observables are
     pushed back through the chain once, each map replaced by its adjoint:
@@ -270,8 +275,8 @@ def mitigated_z_readout(psi, rotations, noise, rates, generators, mode, count) -
     ops = []
     for i in range(len(rotations) - 1, -1, -1):
         maps = [(noise[i].generators, noise[i].rates, False)]
-        if mode == "cascaded" or i == len(rotations) - 1:
-            maps.insert(0, (generators, rates[i], True))
+        if rates is not None:
+            maps.insert(0, (default_generators(n), rates[i], True))
         for gens, row, inverse in maps:
             letters = tuple(g.letters for g in gens)
             if len(letters[0]) != n:

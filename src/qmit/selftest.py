@@ -125,25 +125,27 @@ def perfect_mitigation(seed: int, circuits: int) -> str:
     """05: the cascaded inverse with the true rates restores the noise-free
     readout to 1e-8 on 4-qubit, 4-layer U2 circuits, both in training
     (:func:`pqc.z_expectations` of the last :func:`pqc.layer_chain` state)
-    and in evaluation (:func:`pqc.mitigated_z_readout`).  Both readouts
-    take the layers from the same :func:`pqc.layer_rotations`: training
-    conjugates by their :func:`pqc.layer_unitary`, evaluation applies them
-    as kernel ops and the ring as a gather.  The layer itself is checked
-    against independent dense matrix products in ``tests/dense_reference.py``."""
+    and in evaluation (:func:`pqc.mitigated_z_readout` with the rates).
+    Both readouts take the layers from the same :func:`pqc.layer_rotations`:
+    training conjugates by their :func:`pqc.layer_unitary`, evaluation
+    applies them as kernel ops and the ring as a gather.  The layer itself
+    is checked against independent dense matrix products in
+    ``tests/dense_reference.py``.  (``loss_only`` mode cannot restore the
+    readout: its inverse reaches it only as
+    :func:`noise.learned_z_gains`.)"""
     rng = np.random.default_rng(seed)
     worst_train = worst_eval = 0.0
     for _ in range(circuits):
         theta = _random_theta(4, 4, "U2", rng)
         psi = pqc.encode_vectors(rng.uniform(0, 1, (1, 64)), 4)
         models = noise.draw_noise_models(4, 4, seed=int(rng.integers(2**31)))
-        gens = models[0].generators
         rates = np.stack([m.rates for m in models])
         units = _units(theta, "U2")
         rho0 = pqc.pure_states(psi)
         z_free = pqc.z_expectations(pqc.layer_chain(rho0, units, _zero_noise(4, 4))[-1])
-        z_train = pqc.z_expectations(pqc.layer_chain(rho0, units, models, rates, gens)[-1])
+        z_train = pqc.z_expectations(pqc.layer_chain(rho0, units, models, rates)[-1])
         rotations = [pqc.layer_rotations("U2", t) for t in theta]
-        z_eval = pqc.mitigated_z_readout(psi, rotations, models, rates, gens, "cascaded", 4)
+        z_eval = pqc.mitigated_z_readout(psi, rotations, models, rates, 4)
         worst_train = max(worst_train, float(np.max(np.abs(z_train - z_free))))
         worst_eval = max(worst_eval, float(np.max(np.abs(z_eval - z_free))))
     assert worst_train <= 1e-8, f"training readout residual {worst_train:.3e}"
@@ -191,7 +193,7 @@ def grad_mismatch(analytic: float, fd: float) -> float:
     return abs(analytic - fd) / abs(fd)
 
 
-def fd_vs_analytic(config, theta, rates, generators, noise_true, batch, h: float = 1e-4) -> float:
+def fd_vs_analytic(config, theta, rates, noise_true, batch, h: float = 1e-4) -> float:
     """Worst :func:`grad_mismatch` between the analytic gradient of every angle
     and rate and its central difference with step ``h``, for the engine
     :func:`train._run_batch` on ``batch = (features, labels)``."""
@@ -199,9 +201,7 @@ def fd_vs_analytic(config, theta, rates, generators, noise_true, batch, h: float
     psi = pqc.encode_vectors(features, config.n_qubits)
 
     def run(theta, rates, want_grads):
-        return train._run_batch(
-            psi, labels, theta, rates, config, noise_true, generators, want_grads
-        )
+        return train._run_batch(psi, labels, theta, rates, config, noise_true, want_grads)
 
     got = run(theta, rates, True)
     worst = 0.0
@@ -241,9 +241,7 @@ def gradient_contract(seed: int, configs: int) -> str:
         noise_true = noise.draw_noise_models(4, 4, seed=seed + trial + 1)
         rates = rng.uniform(0.0, 0.03, (4, 12))
         batch = (rng.uniform(0, 1, (2, 64)), rng.integers(0, 4, 2))
-        worst = max(worst, fd_vs_analytic(
-            config, theta, rates, noise.default_generators(4), noise_true, batch, h=1e-4
-        ))
+        worst = max(worst, fd_vs_analytic(config, theta, rates, noise_true, batch, h=1e-4))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-3, f"gradient mismatch {worst:.3e}"
     assert elapsed < 300.0, f"{configs} configs took {elapsed:.0f}s"

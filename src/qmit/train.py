@@ -33,6 +33,7 @@ from .noise import (
     NoiseModel,
     apply_pauli_fidelities,
     default_generators,
+    learned_z_gains,
     load_noise_layers,
     noise_layers_json,
     pauli_rate_gradient,
@@ -131,7 +132,6 @@ class TrainState:
     vel_rates: np.ndarray
     epoch: int
     rng: np.random.Generator
-    generators: tuple
 
     def snapshot(self) -> dict:
         return {
@@ -177,8 +177,7 @@ def init_state(config: TrainConfig) -> TrainState:
     rng = np.random.default_rng(config.seed)
     n, p = config.theta_shape
     theta = [rng.uniform(-0.1, 0.1, size=(n, p)) for _ in range(config.layers)]
-    gens = default_generators(config.n_qubits)
-    rates = np.zeros((config.layers, len(gens)))
+    rates = np.zeros((config.layers, 3 * n))
     return TrainState(
         theta=theta,
         rates=rates,
@@ -186,7 +185,6 @@ def init_state(config: TrainConfig) -> TrainState:
         vel_rates=np.zeros_like(rates),
         epoch=0,
         rng=rng,
-        generators=gens,
     )
 
 
@@ -200,9 +198,10 @@ def encode_dataset(dataset: Dataset, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _inverse_stack_backward(g, y, rate_row, generators, grad_row):
-    """Adjoint of the inverse stack whose output was ``y``; accumulates the
-    closed-form rate derivatives ``Re tr(g (y - P_k y P_k))`` into ``grad_row``."""
+def _inverse_stack_backward(g, y, rate_row, grad_row):
+    """Adjoint of the learned inverse with rates ``rate_row`` whose output was
+    ``y``; accumulates the rate derivatives ``Re tr(g (y - P_k y P_k))`` into ``grad_row``."""
+    generators = default_generators(len(rate_row) // 3)
     grad_row += pauli_rate_gradient(g, y, generators)
     return apply_pauli_fidelities(g, generators, rate_row, inverse=True)
 
@@ -248,57 +247,58 @@ class BatchResult:
 
 
 def _run_batch(
-    rho0: np.ndarray,
+    psi: np.ndarray,
     labels: np.ndarray,
     theta: list[np.ndarray],
     rates: np.ndarray,
     config: TrainConfig,
     noise_true: list[NoiseModel],
-    generators,
     want_grads: bool,
 ) -> BatchResult:
     """One forward (and with ``want_grads`` backward) pass over a batch.
 
-    ``rho0`` holds the input states: density matrices ``(batch, d, d)``, or
-    pure state vectors ``(batch, d)`` such as :func:`encode_dataset`
-    returns, whose block-0 target spectrum is then closed form.  ``theta``,
-    ``noise_true`` and ``rates`` hold one entry per layer, and ``labels``
-    lie in ``[0, num_classes)``.
+    ``psi`` holds the ``(batch, d)`` encoded state vectors of the inputs
+    (:func:`encode_dataset`), ``theta`` and ``noise_true`` one entry per
+    layer, ``rates`` the ``(layers, 3n)`` learned rates, and ``labels`` lie
+    in ``[0, num_classes)``.  The readout is ``Tr(Z_q .)`` of the last chain
+    state; in ``loss_only`` mode, whose chain is not mitigated, times the
+    last rate row's :func:`noise.learned_z_gains`.
     """
     depth = config.layers
     step = config.step_size
     num_blocks = depth // step
-    batch = rho0.shape[0]
     n = config.n_qubits
     c = config.num_classes
+    if psi.ndim != 2 or psi.shape[1] != 1 << n:
+        raise ValidationError(f"inputs must be (batch, {1 << n}) state vectors, got {psi.shape}")
     if not len(theta) == len(noise_true) == len(rates) == depth:
         raise ValidationError(
             f"need one angle array, true-noise model and rate row per layer ({depth}), "
             f"got {len(theta)}, {len(noise_true)} and {len(rates)}"
         )
+    if np.shape(rates) != (depth, 3 * n):
+        raise ValidationError(f"rate table must have shape {(depth, 3 * n)}, got {np.shape(rates)}")
     if labels.size and not (0 <= labels.min() and labels.max() < c):
         raise ValidationError(f"labels must lie in [0, {c})")
+    batch = psi.shape[0]
     cascaded = config.mode == "cascaded"
-    psi0 = rho0 if rho0.ndim == 2 else None
-    if psi0 is not None:
-        rho0 = pure_states(psi0)
+    rho0 = pure_states(psi)
 
     axes = DESIGN_AXES[config.design]
     rotations = [layer_rotations(config.design, t) for t in theta]
     units = [layer_unitary(r) for r in rotations]
 
-    chain = layer_chain(rho0, units, noise_true, rates if cascaded else None, generators)
-    blocks = fb_blocks(chain, units, step, None if cascaded else rates, generators, psi0)
+    chain = layer_chain(rho0, units, noise_true, rates if cascaded else None)
+    blocks = fb_blocks(chain, psi, units, step, None if cascaded else rates)
     fb_per_sample = np.zeros(batch)
     clamped = 0.0
     for *_, loss_vec, fid_cache in blocks:
         fb_per_sample += loss_vec / num_blocks
         clamped += fid_cache["neg_mass"]
 
-    # The readout state: in loss_only mode the last block's first pullback
-    # step has already applied the last inverse stack to chain[depth].
-    rho_hat_final = chain[depth] if cascaded else blocks[-1][2][0][1]
-    probs = softmax_head(z_expectations(rho_hat_final), c)
+    z = z_expectations(chain[depth])[:, :c]
+    gain = np.ones(c) if cascaded else learned_z_gains(rates[-1])[:c]
+    probs = softmax_head(z * gain, c)
     ce_per_sample = -np.log(probs[np.arange(batch), labels])
     predictions = np.argmax(probs, axis=1)
 
@@ -311,7 +311,6 @@ def _run_batch(
 
     grad_theta = [np.zeros((n, len(axes))) for _ in range(depth)]
     grad_rates = np.zeros_like(rates)
-    g_readout = None
     # g_chain[0], the gradient w.r.t. the encoded input, is never formed.
     g_chain = [None] + [np.zeros_like(rho0) for _ in range(depth)]
 
@@ -320,16 +319,14 @@ def _run_batch(
         g_logits = probs.copy()
         g_logits[np.arange(batch), labels] -= 1.0
         g_logits *= config.alpha_task / batch
-        diag_vals = g_logits @ z_sign_table(n)[:c]  # (batch, dim)
-        g_task = np.zeros_like(rho0)
+        if not cascaded:
+            # gain_q = exp(2 (lambda_qX + lambda_qY)): d gain_q = 2 gain_q.
+            g_gain = 2.0 * gain * np.einsum("bq,bq->q", g_logits, z)
+            grad_rates[-1, 0 : 3 * c : 3] += g_gain
+            grad_rates[-1, 1 : 3 * c : 3] += g_gain
+        diag_vals = (g_logits * gain) @ z_sign_table(n)[:c]  # (batch, dim)
         idx = np.arange(rho0.shape[-1])
-        g_task[:, idx, idx] = diag_vals.astype(complex)
-        if cascaded:
-            g_chain[depth] += g_task
-        else:
-            # Pending: it shares the last inverse stack's adjoint with the
-            # last block, which adds it before the one backward call.
-            g_readout = g_task
+        g_chain[depth][:, idx, idx] += diag_vals
 
     # Block adjoints.
     if config.alpha_fb != 0.0:
@@ -347,22 +344,14 @@ def _run_batch(
                     g, conj_input, units[j], rotations[j], axes, grad_theta[j]
                 )
                 if not cascaded:
-                    if j == depth - 1 and g_readout is not None:
-                        g, g_readout = g + g_readout, None
-                    g = _inverse_stack_backward(
-                        g, conj_input, rates[j], generators, grad_rates[j]
-                    )
+                    g = _inverse_stack_backward(g, conj_input, rates[j], grad_rates[j])
             g_chain[end] += g
-    if g_readout is not None:
-        g_chain[depth] += _inverse_stack_backward(
-            g_readout, rho_hat_final, rates[-1], generators, grad_rates[-1]
-        )
 
     # Chain adjoint.
     for i in range(depth - 1, -1, -1):
         g = g_chain[i + 1]
         if cascaded:
-            g = _inverse_stack_backward(g, chain[i + 1], rates[i], generators, grad_rates[i])
+            g = _inverse_stack_backward(g, chain[i + 1], rates[i], grad_rates[i])
         # Real fidelities in the Pauli basis: the channel is its own adjoint.
         g = apply_pauli_fidelities(g, noise_true[i].generators, noise_true[i].rates)
         h = _theta_grad_forward_conj(g, chain[i], units[i], rotations[i], axes, grad_theta[i])
@@ -390,19 +379,16 @@ def train_epoch(
     state: TrainState,
     dataset: Dataset,
     config: TrainConfig,
-    noise_true: list[NoiseModel] | None = None,
-    encoded: np.ndarray | None = None,
+    noise_true: list[NoiseModel],
+    encoded: np.ndarray,
 ) -> EpochMetrics:
     """One shuffled pass of SGD with momentum; rates projected to >= 0.
 
-    ``encoded`` holds the :func:`encode_dataset` state vectors of ``dataset``.
+    ``noise_true`` is the per-layer true noise and ``encoded`` holds the
+    :func:`encode_dataset` state vectors of ``dataset``.
     """
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
-    if noise_true is None:
-        noise_true = noise_models_from_config(config)
-    if encoded is None:
-        encoded = encode_dataset(dataset, config.n_qubits)
     order = state.rng.permutation(len(dataset))
     lr = config.learning_rate
     mom = config.momentum
@@ -418,7 +404,6 @@ def train_epoch(
             state.rates,
             config,
             noise_true,
-            state.generators,
             True,
         )
         if not np.isfinite(result.total) or result.total > DIVERGENCE_ABORT:
@@ -464,22 +449,21 @@ def evaluate(
     state: TrainState,
     dataset: Dataset,
     config: TrainConfig,
-    noise_true: list[NoiseModel] | None = None,
-    encoded: np.ndarray | None = None,
+    noise_true: list[NoiseModel],
+    encoded: np.ndarray,
 ) -> EvalResult:
-    """Deterministic argmax accuracy of the mitigated readout, computed in
-    the Heisenberg picture by :func:`pqc.mitigated_z_readout`; ``encoded``
-    holds the :func:`encode_dataset` state vectors of ``dataset``."""
-    if noise_true is None:
-        noise_true = noise_models_from_config(config)
-    if encoded is None:
-        encoded = encode_dataset(dataset, config.n_qubits)
+    """Deterministic argmax accuracy of the readout :func:`_run_batch`
+    trains, computed in the Heisenberg picture by
+    :func:`pqc.mitigated_z_readout`; ``noise_true`` is the per-layer true
+    noise and ``encoded`` holds the :func:`encode_dataset` state vectors of
+    ``dataset``."""
     c = config.num_classes
+    cascaded = config.mode == "cascaded"
     rotations = [layer_rotations(config.design, t) for t in state.theta]
     rates = np.maximum(state.rates, 0.0)
-    logits = mitigated_z_readout(
-        encoded, rotations, noise_true, rates, state.generators, config.mode, c
-    )
+    logits = mitigated_z_readout(encoded, rotations, noise_true, rates if cascaded else None, c)
+    if not cascaded:
+        logits *= learned_z_gains(rates[-1])[:c]
     predictions = np.argmax(softmax_head(logits, c), axis=1)
     labels = dataset.labels
     correct = np.zeros(c, dtype=np.int64)
@@ -495,7 +479,7 @@ def recover_rates(
     config: TrainConfig,
     theta: list[np.ndarray],
     noise_true: list[NoiseModel],
-    rho0_batch: np.ndarray,
+    psi: np.ndarray,
     steps: int = 200,
     lr: float = 2.0,
     momentum: float = 0.9,
@@ -505,17 +489,14 @@ def recover_rates(
     Angles stay frozen; the task term is switched off.  Because the inverse
     channel is the exact inverse of the forward channel, the loss has its
     global minimum at the true rates, making this an identifiability probe.
-    ``rho0_batch`` takes either input form of :func:`_run_batch`.
+    ``psi`` holds the ``(batch, d)`` encoded state vectors of the inputs.
     """
     fb_cfg = replace(config, alpha_fb=1.0, alpha_task=0.0)
-    generators = default_generators(config.n_qubits)
-    rates = np.zeros((config.layers, len(generators)))
+    rates = np.zeros((config.layers, 3 * config.n_qubits))
     vel = np.zeros_like(rates)
-    labels = np.zeros(rho0_batch.shape[0], dtype=np.int64)
+    labels = np.zeros(psi.shape[0], dtype=np.int64)
     for _ in range(steps):
-        result = _run_batch(
-            rho0_batch, labels, theta, rates, fb_cfg, noise_true, generators, True
-        )
+        result = _run_batch(psi, labels, theta, rates, fb_cfg, noise_true, True)
         vel = momentum * vel - lr * result.grad_rates
         rates = np.maximum(rates + vel, 0.0)
     return rates
@@ -529,8 +510,8 @@ def recover_rates_report(
     rng = np.random.default_rng(seed)
     theta = [rng.uniform(-math.pi, math.pi, size=config.theta_shape) for _ in range(config.layers)]
     noise_true = noise_models_from_config(config)
-    rho0 = encode_vectors(rng.uniform(0.0, 1.0, (states, 64)), config.n_qubits)
-    fitted = recover_rates(config, theta, noise_true, rho0, steps=steps, lr=lr)
+    psi = encode_vectors(rng.uniform(0.0, 1.0, (states, 64)), config.n_qubits)
+    fitted = recover_rates(config, theta, noise_true, psi, steps=steps, lr=lr)
     truth = np.stack([m.rates for m in noise_true])
     rel_err = np.abs(fitted - truth) / truth
     return {
@@ -579,7 +560,7 @@ def _run_single_repeat(config: TrainConfig, repeat: int, train_set, test_set, no
         if val > best_acc:
             best_acc = val
             best_snapshot = state.snapshot()
-    checkpoint = checkpoint_payload(best_snapshot, cfg_r, state.generators)
+    checkpoint = checkpoint_payload(best_snapshot, cfg_r)
     return rows, checkpoint, best_acc
 
 
@@ -640,12 +621,11 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_payload(snapshot: dict, config: TrainConfig, generators) -> dict:
+def checkpoint_payload(snapshot: dict, config: TrainConfig) -> dict:
     from . import __version__
 
-    learned = [
-        NoiseModel(config.n_qubits, generators, row) for row in np.maximum(snapshot["rates"], 0.0)
-    ]
+    gens = default_generators(config.n_qubits)
+    learned = [NoiseModel(config.n_qubits, gens, row) for row in np.maximum(snapshot["rates"], 0.0)]
     return {
         "version": __version__,
         "config": config_to_json(config),

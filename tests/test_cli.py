@@ -15,6 +15,8 @@ import dense_reference as dense
 from qmit import cli, data, losses, noise, pqc, qsim, selftest, train
 from qmit.errors import ConfigError
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -225,11 +227,10 @@ class TestTrainCommand:
         that the Pauli kernel's GEMMs and every ``eigh`` run under.  (From
         d=128 up, ``eigh`` itself returns different bits under 1 and 2.)"""
         path = write_config(tmp_path, synthetic_train_payload(n_qubits=3, epochs=1, repeats=1))
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
             proc = subprocess.run(
                 [sys.executable, "-m", "qmit.cli", "train", "--config", path, "--out", str(out)],
                 capture_output=True, text=True, env=env, timeout=60,
@@ -632,7 +633,8 @@ class TestSelftest:
 class TestEntryPoint:
     def test_console_script_version(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "qmit.cli", "--version"], capture_output=True, text=True
+            [sys.executable, "-m", "qmit.cli", "--version"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
         )
         assert proc.returncode == 0
         assert "qmit" in proc.stdout

@@ -272,13 +272,11 @@ class TestTaskLoss:
         config = train.TrainConfig(n_qubits=2, layers=1, num_classes=2)
         theta = [layer.theta for layer in dense_reference.random_layers(2, 1, "U2", rng)]
         noise_true = train.noise_models_from_config(config)
-        gens = noise.default_generators(2)
         for label in (2, -1):
             psi = pqc.encode_vectors(rng.uniform(0, 1, (2, 64)), 2)
             with pytest.raises(ValidationError, match="labels"):
                 train._run_batch(
-                    psi, np.array([0, label]), theta, np.zeros((1, 6)), config, noise_true,
-                    gens, True,
+                    psi, np.array([0, label]), theta, np.zeros((1, 6)), config, noise_true, True
                 )
 
     def test_class_count_bounded_by_readout(self):
@@ -308,82 +306,83 @@ class TestTotalFbLoss:
     GENERATORS = noise.default_generators(4)
 
     def _chain(self, rng, depth=4, noisy=False, design="U2"):
+        """Units, chain, true noise and input vector of a random circuit."""
         layers = dense_reference.random_layers(4, depth, design, rng)
-        rho0 = qsim.pure_state(qsim.random_state_vector(4, rng))
+        psi = qsim.random_state_vector(4, rng)[None]
         if noisy:
             models = noise.draw_noise_models(4, depth, seed=int(rng.integers(2**31)))
         else:
             models = [noise.NoiseModel(4, self.GENERATORS, np.zeros(12))] * depth
         units = layer_units(layers)
-        return units, pqc.layer_chain(rho0.data[None], units, models), models
+        return units, pqc.layer_chain(pqc.pure_states(psi), units, models), models, psi
 
-    def _total(self, chain, units, step, rates=None):
+    def _total(self, chain, psi, units, step, rates=None):
         """Mean block loss and the blocks; ``rates`` for loss_only mode."""
-        blocks = losses.fb_blocks(chain, units, step, rates, self.GENERATORS)
+        blocks = losses.fb_blocks(chain, psi, units, step, rates)
         return float(np.mean([loss[0] for *_, loss, _cache in blocks])), blocks
 
     def test_zero_noise_zero_mitigation_is_zero(self):
         rng = np.random.default_rng(13)
         for step in (1, 2, 4):
-            units, chain, _ = self._chain(rng)
-            value, blocks = self._total(chain, units, step, np.zeros((4, 12)))
+            units, chain, _, psi = self._chain(rng)
+            value, blocks = self._total(chain, psi, units, step, np.zeros((4, 12)))
             assert abs(value) <= 1e-10
             assert len(blocks) == 4 // step
 
     def test_single_block_at_full_step(self):
         rng = np.random.default_rng(14)
-        units, chain, _ = self._chain(rng, noisy=True)
-        _, blocks = self._total(chain, units, 4, np.zeros((4, 12)))
+        units, chain, _, psi = self._chain(rng, noisy=True)
+        _, blocks = self._total(chain, psi, units, 4, np.zeros((4, 12)))
         assert len(blocks) == 1
 
     def test_perfect_mitigation_any_step(self):
         rng = np.random.default_rng(15)
-        units, chain, models = self._chain(rng, noisy=True)
+        units, chain, models, psi = self._chain(rng, noisy=True)
         rates = np.stack([m.rates for m in models])
         for step in (1, 2, 4):
-            assert self._total(chain, units, step, rates)[0] <= 1e-8
+            assert self._total(chain, psi, units, step, rates)[0] <= 1e-8
 
     def test_step_must_divide_depth(self):
         rng = np.random.default_rng(16)
-        units, chain, _ = self._chain(rng)
+        units, chain, _, psi = self._chain(rng)
         with pytest.raises(ValidationError, match="divide"):
-            self._total(chain, units, 3, np.zeros((4, 12)))
+            self._total(chain, psi, units, 3, np.zeros((4, 12)))
 
     def test_step_must_be_positive(self):
         rng = np.random.default_rng(20)
-        units, chain, _ = self._chain(rng)
+        units, chain, _, psi = self._chain(rng)
         for step in (0, -2):
             with pytest.raises(ValidationError, match="divide"):
-                self._total(chain, units, step, np.zeros((4, 12)))
+                self._total(chain, psi, units, step, np.zeros((4, 12)))
 
     def test_positive_loss_under_unmitigated_noise(self):
         rng = np.random.default_rng(17)
-        units, chain, _ = self._chain(rng, noisy=True)
-        assert self._total(chain, units, 1, np.zeros((4, 12)))[0] > 1e-6
+        units, chain, _, psi = self._chain(rng, noisy=True)
+        assert self._total(chain, psi, units, 1, np.zeros((4, 12)))[0] > 1e-6
 
     def test_cascaded_mode_chain(self):
         """Cascaded chain with exact rates has zero loss at every step size."""
         rng = np.random.default_rng(18)
         layers = dense_reference.random_layers(4, 4, "U2", rng)
-        rho0 = qsim.pure_state(qsim.random_state_vector(4, rng))
+        psi = qsim.random_state_vector(4, rng)[None]
         models = noise.draw_noise_models(4, 4, seed=7)
         rates = np.stack([m.rates for m in models])
         units = layer_units(layers)
-        chain = pqc.layer_chain(rho0.data[None], units, models, rates, self.GENERATORS)
+        chain = pqc.layer_chain(pqc.pure_states(psi), units, models, rates)
         for step in (1, 2, 4):
-            assert self._total(chain, units, step)[0] <= 1e-8
+            assert self._total(chain, psi, units, step)[0] <= 1e-8
 
     def test_reports_clamped_mass_for_quasi_states(self):
         """Rates four times the true ones over-mitigate: the pullbacks have
         negative eigenvalues, whose mass the blocks report."""
         rng = np.random.default_rng(19)
         layers = dense_reference.random_layers(2, 2, "U2", rng)
-        rho0 = qsim.pure_state(qsim.random_state_vector(2, rng))
+        psi = qsim.random_state_vector(2, rng)[None]
         models = noise.draw_noise_models(2, 2, seed=3, low=0.001, high=0.004)
         units = layer_units(layers)
-        chain = pqc.layer_chain(rho0.data[None], units, models)
+        chain = pqc.layer_chain(pqc.pure_states(psi), units, models)
         over = np.stack([m.rates for m in models]) * 4.0
-        blocks = losses.fb_blocks(chain, units, 1, over, models[0].generators)
+        blocks = losses.fb_blocks(chain, psi, units, 1, over)
         assert sum(cache["neg_mass"] for *_, cache in blocks) > 0.0
 
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from qmit import losses, noise, qsim
+from qmit import losses, noise, pqc, qsim
 from qmit.errors import ValidationError
 
 
@@ -390,6 +390,30 @@ def superoperator_cases(draw):
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     x.setflags(write=False)
     return n, ops, x
+
+
+class TestLearnedInverse:
+    """The learned inverse: the default generators and its Z-readout gain."""
+
+    def test_default_generators_are_cached(self):
+        gens = noise.default_generators(3)
+        assert noise.default_generators(3) is gens
+        assert [g.letters for g in gens[:3]] == ["XII", "YII", "ZII"]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_z_gain_is_the_inverse_on_z_readouts(self, n):
+        """``learned_z_gains(row) * Tr(Z_q x)`` is ``Tr(Z_q y)`` of the
+        inverse ``y`` of a random mixed ``x``, to 1e-12 of the gain (the
+        largest readout a gained state can give)."""
+        rng = np.random.default_rng(80 + n)
+        for _ in range(5):
+            x = qsim.random_density_matrix(n, rng).data
+            row = rng.uniform(0.0, 0.3, 3 * n)
+            gain = noise.learned_z_gains(row)
+            y = noise.apply_pauli_fidelities(x, noise.default_generators(n), row, inverse=True)
+            assert gain.shape == (n,)
+            error = np.abs(gain * pqc.z_expectations(x) - pqc.z_expectations(y)) / gain
+            assert np.max(error) <= 1e-12
 
 
 class TestQubitSuperoperators:

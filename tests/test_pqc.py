@@ -416,8 +416,7 @@ class TestForwardPasses:
         psi = pqc.encode_vectors(rng.uniform(0, 1, (1, 64)), 4)
         with pytest.raises(ValidationError, match="true-noise model .*per layer"):
             train._run_batch(
-                psi, np.array([0]), theta, np.zeros((3, 12)), config, uniform_noise(4, 2, 0.01),
-                noise.default_generators(4), True,
+                psi, np.array([0]), theta, np.zeros((3, 12)), config, uniform_noise(4, 2, 0.01), True
             )
 
 
@@ -434,7 +433,7 @@ class TestForwardMitigated:
         models = noise.draw_noise_models(4, 3, seed=1)
         gens, zero = noise.default_generators(4), np.zeros((3, 12))
         noisy = pqc.layer_chain(rho0, units_of(layers), models)
-        cascaded = pqc.layer_chain(rho0, units_of(layers), models, zero, gens)
+        cascaded = pqc.layer_chain(rho0, units_of(layers), models, zero)
         for a, b in zip(cascaded, noisy):
             np.testing.assert_allclose(a, b, atol=1e-12)
         hat = noise.apply_pauli_fidelities(noisy[-1], gens, zero[-1], inverse=True)
@@ -447,14 +446,14 @@ class TestForwardMitigated:
             rho0 = qsim.pure_state(qsim.random_state_vector(4, rng)).data
             models = noise.draw_noise_models(4, 4, seed=int(rng.integers(2**31)))
             rates = np.stack([m.rates for m in models])
-            gens = models[0].generators
-            mitigated = pqc.layer_chain(rho0, units_of(layers), models, rates, gens)
+            mitigated = pqc.layer_chain(rho0, units_of(layers), models, rates)
             for a, b in zip(mitigated[1:], noise_free_chain(rho0, layers)):
                 assert np.linalg.norm(a - b) <= 1e-8
 
     def test_loss_only_removes_final_layer_noise_only(self):
         """With two noisy layers, inverting only layer 2 cannot reach rho_2;
-        ``mitigated_z_readout`` reads that loss_only state."""
+        the readout of the noisy chain by ``mitigated_z_readout`` times the
+        last rate row's gain is that loss_only state's readout."""
         rng = np.random.default_rng(15)
         layers = dense_reference.random_layers(2, 2, "U2", rng)
         psi = qsim.random_state_vector(2, rng)[None]
@@ -465,7 +464,8 @@ class TestForwardMitigated:
         free = noise_free_chain(pqc.pure_states(psi), layers)
         assert np.linalg.norm(hat - free[-1]) > 1e-4
         rotations = [pqc.layer_rotations("U2", layer.theta) for layer in layers]
-        z = pqc.mitigated_z_readout(psi, rotations, models, rates, gens, "loss_only", 2)
+        z = pqc.mitigated_z_readout(psi, rotations, models, None, 2)
+        z *= noise.learned_z_gains(rates[-1])
         np.testing.assert_allclose(z, pqc.z_expectations(hat), rtol=0, atol=1e-12)
 
     def test_cascaded_states_follow_the_mitigated_chain(self):
@@ -477,7 +477,7 @@ class TestForwardMitigated:
         models = noise.draw_noise_models(3, 3, seed=5)
         gens = noise.default_generators(3)
         rates = rng.uniform(0, 0.03, (3, 9))
-        chain = pqc.layer_chain(rho0, units_of(layers), models, rates, gens)
+        chain = pqc.layer_chain(rho0, units_of(layers), models, rates)
         letters = [g.letters for g in gens]
         want, _ = dense_reference.layer_chain(
             rho0, units_of(layers), models, letters, rates, cascaded=True

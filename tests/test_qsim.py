@@ -261,12 +261,12 @@ class TestExpectation:
         rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))]
         psi = np.array([[1.0, 0.0]], dtype=complex)
         with pytest.raises(ValidationError, match="dimension mismatch"):
-            pqc.mitigated_z_readout(psi, rotations, models, np.zeros((1, 6)), gens, "cascaded", 1)
+            pqc.mitigated_z_readout(psi, rotations, models, np.zeros((1, 6)), 1)
         one = noise.default_generators(1)
         with pytest.raises(ValidationError, match="generators on 1"):
             pqc.mitigated_z_readout(
                 np.eye(4, dtype=complex)[:1], rotations, [noise.NoiseModel(1, one, np.zeros(3))],
-                np.zeros((1, 6)), gens, "cascaded", 1,
+                None, 1,
             )
 
 

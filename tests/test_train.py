@@ -49,14 +49,16 @@ def small_config(**overrides):
     return train.TrainConfig(**base)
 
 
-def dense_reference_pass(rho0, label, layers, generators, rates, noise_true, config):
+def dense_reference_pass(rho0, label, layers, rates, noise_true, config):
     """Total loss of one input state and its gradients by dense reverse mode:
     channels and their adjoints as ``P rho P`` products, conjugations and
-    every ``dU`` as d x d matrices, the readout as ``tr(Z rho)``, and the
-    fidelity from the dense pair loss.  ``layers`` are ``pqc.LayerSpec``s
-    and ``rates`` the learned rates over ``generators``, one row per layer.
-    Returns ``(loss, grad_theta, grad_rates)``."""
-    letters = [g.letters for g in generators]
+    every ``dU`` as d x d matrices, the readout as ``tr(Z rho)`` of the
+    mitigated final state (in loss_only mode the dense last inverse of the
+    noisy one), and the fidelity from the dense pair loss.  ``layers`` are
+    ``pqc.LayerSpec``s and ``rates`` the learned rates over the default
+    generators, one row per layer.  Returns ``(loss, grad_theta,
+    grad_rates)``."""
+    letters = [g.letters for g in noise.default_generators(config.n_qubits)]
     paulis = [dense_reference.pauli_matrix(word) for word in letters]
     dense = [dense_reference.layer_unitary_and_gradients(layer) for layer in layers]
     units = [u for u, _ in dense]
@@ -124,18 +126,6 @@ def dense_reference_pass(rho0, label, layers, generators, rates, noise_true, con
     return loss, grad_theta, grad_rates
 
 
-def mixed_states(rng, count, n):
-    """Random density matrices: full rank, and mixtures of two encoded states."""
-    dim = 1 << n
-    w = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    full = w @ np.conj(np.swapaxes(w, -1, -2))
-    full /= np.trace(full, axis1=-2, axis2=-1).real[:, None, None]
-    features = rng.uniform(0, 1, (2 * count, 64))
-    pure = pqc.pure_states(pqc.encode_vectors(features, n))
-    pairs = 0.7 * pure[:count] + 0.3 * pure[count:]
-    return np.concatenate([full, pairs])
-
-
 def random_theta(n, depth, design, rng, theta_scale=math.pi):
     """Angle arrays of :func:`dense_reference.random_layers`, one per layer."""
     layers = dense_reference.random_layers(n, depth, design, rng, theta_scale)
@@ -143,10 +133,23 @@ def random_theta(n, depth, design, rng, theta_scale=math.pi):
 
 
 def run_batch(features, labels, theta, rates, noise_true, config, want_grads=True):
-    """The engine on encoded ``features``, with the default generators."""
+    """The engine on encoded ``features``."""
     psi = pqc.encode_vectors(features, config.n_qubits)
-    gens = noise.default_generators(config.n_qubits)
-    return train._run_batch(psi, labels, theta, rates, config, noise_true, gens, want_grads)
+    return train._run_batch(psi, labels, theta, rates, config, noise_true, want_grads)
+
+
+def epoch(state, dataset, config):
+    """One :func:`train.train_epoch` under the config's true noise."""
+    noise_true = train.noise_models_from_config(config)
+    encoded = train.encode_dataset(dataset, config.n_qubits)
+    return train.train_epoch(state, dataset, config, noise_true, encoded)
+
+
+def evaluate(state, dataset, config):
+    """:func:`train.evaluate` under the config's true noise."""
+    noise_true = train.noise_models_from_config(config)
+    encoded = train.encode_dataset(dataset, config.n_qubits)
+    return train.evaluate(state, dataset, config, noise_true, encoded)
 
 
 class TestGradients:
@@ -157,8 +160,7 @@ class TestGradients:
         noise_true = noise.draw_noise_models(3, 2, seed=2)
         rates = rng.uniform(0, 0.03, (2, 9))
         batch = (rng.uniform(0, 1, (2, 64)), np.array([0, 1]))
-        gens = noise.default_generators(3)
-        assert fd_vs_analytic(config, theta, rates, gens, noise_true, batch) <= 1e-3
+        assert fd_vs_analytic(config, theta, rates, noise_true, batch) <= 1e-3
 
     def test_matches_finite_differences_cascaded(self):
         rng = np.random.default_rng(2)
@@ -167,8 +169,7 @@ class TestGradients:
         noise_true = noise.draw_noise_models(3, 2, seed=3)
         rates = rng.uniform(0, 0.03, (2, 9))
         batch = (rng.uniform(0, 1, (2, 64)), np.array([1, 0]))
-        gens = noise.default_generators(3)
-        assert fd_vs_analytic(config, theta, rates, gens, noise_true, batch) <= 1e-3
+        assert fd_vs_analytic(config, theta, rates, noise_true, batch) <= 1e-3
 
     def test_task_rate_gradient_at_zero_mitigation(self):
         """With alpha_fb=0 and zero noise, the final-layer rate gradient of the
@@ -217,14 +218,13 @@ class TestGradients:
             config = small_config(mode=mode, alpha_fb=0.7, alpha_task=1.3)
             layers = dense_reference.random_layers(3, 2, "U2", rng, theta_scale=1.0)
             noise_true = noise.draw_noise_models(3, 2, seed=11)
-            gens, rates = noise.default_generators(3), rng.uniform(0, 0.02, (2, 9))
+            rates = rng.uniform(0, 0.02, (2, 9))
             features = rng.uniform(0, 1, (3, 64))
             labels = np.array([0, 1, 0])
             theta = [layer.theta for layer in layers]
             engine_loss = run_batch(features, labels, theta, rates, noise_true, config, False).total
             reference = np.mean([
-                dense_reference_pass(pqc.encode(x, 3).data, y, layers, gens, rates, noise_true,
-                                     config)[0]
+                dense_reference_pass(pqc.encode(x, 3).data, y, layers, rates, noise_true, config)[0]
                 for x, y in zip(features, labels)
             ])
             assert engine_loss == pytest.approx(reference, abs=1e-12)
@@ -233,63 +233,60 @@ class TestGradients:
         ("loss_only", 1), ("cascaded", 1), ("loss_only", 2), ("cascaded", 2),
     ])
     def test_engine_gradients_match_dense_reference(self, mode, step):
-        """Loss and every gradient of one batch pass against dense reverse
-        mode, for mixed input matrices (every target is decomposed) and for
-        encoded state vectors (block 0's target spectrum is closed form)."""
+        """Loss and every gradient of one batch pass on encoded state vectors
+        against dense reverse mode.  The dense readout in loss_only mode
+        applies the last inverse to the final state, where the engine
+        multiplies by its per-qubit gain."""
         rng = np.random.default_rng(16)
         config = small_config(mode=mode, layers=4, step_size=step, alpha_fb=0.7, alpha_task=1.3)
         layers = dense_reference.random_layers(3, 4, "U2", rng, theta_scale=1.0)
         noise_true = noise.draw_noise_models(3, 4, seed=12)
-        gens, rates = noise.default_generators(3), rng.uniform(0, 0.02, (4, 9))
+        rates = rng.uniform(0, 0.02, (4, 9))
         theta = [layer.theta for layer in layers]
         labels = np.array([0, 1, 1, 0])
         vectors = pqc.encode_vectors(rng.uniform(0, 1, (4, 64)), 3)
-        mixed = mixed_states(rng, 2, 3)
-        for inputs, states in ((mixed, mixed), (vectors, pqc.pure_states(vectors))):
-            got = train._run_batch(inputs, labels, theta, rates, config, noise_true, gens, True)
-            refs = [
-                dense_reference_pass(rho, y, layers, gens, rates, noise_true, config)
-                for rho, y in zip(states, labels)
-            ]
-            assert got.total == pytest.approx(np.mean([r[0] for r in refs]), abs=1e-12)
-            for i in range(config.layers):
-                want = np.mean([r[1][i] for r in refs], axis=0)
-                np.testing.assert_allclose(got.grad_theta[i], want, rtol=0, atol=1e-12)
-            want = np.mean([r[2] for r in refs], axis=0)
-            np.testing.assert_allclose(got.grad_rates, want, rtol=0, atol=1e-12)
+        got = train._run_batch(vectors, labels, theta, rates, config, noise_true, True)
+        refs = [
+            dense_reference_pass(rho, y, layers, rates, noise_true, config)
+            for rho, y in zip(pqc.pure_states(vectors), labels)
+        ]
+        assert got.total == pytest.approx(np.mean([r[0] for r in refs]), abs=1e-12)
+        for i in range(config.layers):
+            want = np.mean([r[1][i] for r in refs], axis=0)
+            np.testing.assert_allclose(got.grad_theta[i], want, rtol=0, atol=1e-12)
+        want = np.mean([r[2] for r in refs], axis=0)
+        np.testing.assert_allclose(got.grad_rates, want, rtol=0, atol=1e-12)
 
-    def test_recover_rates_on_mixed_inputs_matches_dense_reference(self):
-        """The identifiability probe on mixed inputs takes the momentum steps
-        of the dense reference's forward-backward rate gradients."""
+    def test_recover_rates_matches_dense_reference(self):
+        """The identifiability probe on encoded state vectors takes the
+        momentum steps of the dense reference's forward-backward rate
+        gradients."""
         rng = np.random.default_rng(17)
         config = small_config(layers=2)
         theta = [rng.uniform(-math.pi, math.pi, config.theta_shape) for _ in range(2)]
         noise_true = train.noise_models_from_config(config)
-        rho0 = mixed_states(rng, 2, 3)
-        got = train.recover_rates(config, theta, noise_true, rho0, steps=3, lr=2.0)
+        psi = pqc.encode_vectors(rng.uniform(0, 1, (4, 64)), 3)
+        got = train.recover_rates(config, theta, noise_true, psi, steps=3, lr=2.0)
         fb_config = small_config(layers=2, alpha_fb=1.0, alpha_task=0.0)
         layers = [pqc.LayerSpec("U2", 3, t) for t in theta]
-        generators = noise.default_generators(3)
-        rates = np.zeros((2, len(generators)))
+        rates = np.zeros((2, 9))
         vel = np.zeros_like(rates)
         for _ in range(3):
             grad = np.mean([
-                dense_reference_pass(rho, 0, layers, generators, rates, noise_true, fb_config)[2]
-                for rho in rho0
+                dense_reference_pass(rho, 0, layers, rates, noise_true, fb_config)[2]
+                for rho in pqc.pure_states(psi)
             ], axis=0)
             vel = 0.9 * vel - 2.0 * grad
             rates = np.maximum(rates + vel, 0.0)
         assert np.any(rates > 0.0)
         np.testing.assert_allclose(got, rates, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("mode,from_vectors,from_matrices", [
-        ("loss_only", 11, 12), ("cascaded", 8, 9),
-    ])
-    def test_eigh_count(self, monkeypatch, mode, from_vectors, from_matrices):
+    @pytest.mark.parametrize("mode,want", [("loss_only", 11), ("cascaded", 8)])
+    def test_eigh_count(self, monkeypatch, mode, want):
         """One step with gradients at L=4, step 1 decomposes the four root
         overlaps, the four pullback inputs and the targets of blocks 1-3,
         which in cascaded mode are the pullback inputs of blocks 0-2.  Block
-        0's target needs no ``eigh`` when the engine gets state vectors."""
+        0's target, the encoded input, needs no ``eigh``."""
         calls = []
         eigh = losses._eigh
         monkeypatch.setattr(losses, "_eigh", lambda x: calls.append(x.shape) or eigh(x))
@@ -300,12 +297,8 @@ class TestGradients:
         noise_true = train.noise_models_from_config(config)
         vectors = pqc.encode_vectors(rng.uniform(0, 1, (4, 64)), 3)
         labels = np.array([0, 1, 1, 0])
-        for inputs, want in ((vectors, from_vectors), (pqc.pure_states(vectors), from_matrices)):
-            calls.clear()
-            train._run_batch(
-                inputs, labels, state.theta, rates, config, noise_true, state.generators, True
-            )
-            assert len(calls) == want
+        train._run_batch(vectors, labels, state.theta, rates, config, noise_true, True)
+        assert len(calls) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_theta_grad_contractions_match_dense_reference(self, n):
@@ -336,19 +329,20 @@ class TestGradients:
 
     @pytest.mark.parametrize("mode", ["loss_only", "cascaded"])
     def test_general_generators_match_finite_differences(self, mode):
-        """Two- and three-qubit generators take the kernel's general path."""
+        """True noise with two- and three-qubit generators takes the kernel's
+        general path; the learned inverse has the default generators."""
         rng = np.random.default_rng(6)
         config = small_config(mode=mode)
         theta = random_theta(3, 2, "U2", rng, theta_scale=1.0)
         true_gens = tuple(noise.PauliString(3, w) for w in ("ZZI", "IXX", "YIY", "XII"))
         noise_true = noise.draw_noise_models(3, 2, seed=7, generators=true_gens)
-        mit_gens = tuple(noise.PauliString(3, w) for w in ("XXI", "IZY", "XYZ", "ZIZ", "YII"))
-        rates = rng.uniform(0, 0.03, (2, 5))
+        rates = rng.uniform(0, 0.03, (2, 9))
         batch = (rng.uniform(0, 1, (2, 64)), np.array([0, 1]))
-        assert fd_vs_analytic(config, theta, rates, mit_gens, noise_true, batch) <= 1e-3
+        assert fd_vs_analytic(config, theta, rates, noise_true, batch) <= 1e-3
 
     def test_loss_and_gradients_rejects_shape_mismatch(self):
-        """The engine takes one angle array and one rate row per layer."""
+        """The engine takes one angle array and one rate row of ``3n``
+        rates per layer, and a ``(batch, 2**n)`` stack of state vectors."""
         rng = np.random.default_rng(5)
         config = small_config()
         theta = random_theta(3, 3, "U2", rng)  # depth 3 vs config 2
@@ -358,6 +352,13 @@ class TestGradients:
             run_batch(features, labels, theta, np.zeros((2, 9)), noise_true, config)
         with pytest.raises(ValidationError, match="per layer"):
             run_batch(features, labels, theta[:2], np.zeros((3, 9)), noise_true, config)
+        with pytest.raises(ValidationError, match=r"rate table must have shape \(2, 9\)"):
+            run_batch(features, labels, theta[:2], np.zeros((2, 8)), noise_true, config)
+        psi = pqc.encode_vectors(features, 3)
+        for inputs in (pqc.pure_states(psi), psi[:, :4], psi[0]):
+            with pytest.raises(ValidationError, match=r"\(batch, 8\) state vectors"):
+                train._run_batch(inputs, labels, theta[:2], np.zeros((2, 9)), config, noise_true,
+                                 False)
 
 
 class TestTrainEpoch:
@@ -367,7 +368,7 @@ class TestTrainEpoch:
         state = train.init_state(config)
         theta_before = [t.copy() for t in state.theta]
         rates_before = state.rates.copy()
-        train.train_epoch(state, dataset, config)
+        epoch(state, dataset, config)
         for a, b in zip(state.theta, theta_before):
             assert np.array_equal(a, b)
         assert np.array_equal(state.rates, rates_before)
@@ -377,7 +378,7 @@ class TestTrainEpoch:
         config = small_config(learning_rate=0.3, epochs=1)
         state = train.init_state(config)
         for _ in range(3):
-            train.train_epoch(state, dataset, config)
+            epoch(state, dataset, config)
             assert np.all(state.rates >= 0.0)
 
     def test_divergence_aborts_with_report(self):
@@ -385,14 +386,14 @@ class TestTrainEpoch:
         config = small_config(alpha_task=2e4)  # inflates the loss beyond the abort bound
         state = train.init_state(config)
         with pytest.raises(TrainingError, match="diverged"):
-            train.train_epoch(state, dataset, config)
+            epoch(state, dataset, config)
 
     def test_empty_dataset_rejected(self):
         config = small_config()
         state = train.init_state(config)
         empty = data.Dataset(np.zeros((0, 64)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValidationError):
-            train.train_epoch(state, empty, config)
+            epoch(state, empty, config)
 
     def test_theta_init_range_and_zero_rates(self):
         config = small_config(seed=7)
@@ -434,7 +435,7 @@ class TestEvaluate:
             n_qubits=4, layers=4, num_classes=4, seed=8, epochs=1, noise_low=0.0, noise_high=0.0
         )
         state = train.init_state(config)
-        result = train.evaluate(state, dataset, config)
+        result = evaluate(state, dataset, config)
         assert 0.1 <= result.accuracy <= 0.5
 
     def test_single_sample_accuracy_is_zero_or_one(self):
@@ -444,7 +445,7 @@ class TestEvaluate:
         accs = []
         for label in (0, 1):
             dataset = data.Dataset(features, np.array([label], dtype=np.int64))
-            accs.append(train.evaluate(state, dataset, config).accuracy)
+            accs.append(evaluate(state, dataset, config).accuracy)
         assert sorted(accs) == [0.0, 1.0]
 
     def test_predictions_match_run_batch(self):
@@ -461,7 +462,7 @@ class TestEvaluate:
             encoded = train.encode_dataset(dataset, config.n_qubits)
             result = train._run_batch(
                 encoded, dataset.labels, state.theta, state.rates, config, noise_true,
-                state.generators, want_grads=False,
+                want_grads=False,
             )
             # Labelled with the batch pass's predictions, every sample is
             # classified correctly only if evaluate predicts the same class.
@@ -472,8 +473,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_readout_matches_per_state_chain(self, n):
-        """The Heisenberg-picture logits equal the Z readouts of each
-        state's mitigated final state from ``dense_reference.layer_chain`` to
+        """The Heisenberg-picture logits (in loss_only mode those of the
+        noisy chain times the last rate row's gain) equal the Z readouts of
+        each state's mitigated final state from ``dense_reference.layer_chain`` to
         1e-12 times the learned overhead of the inverse stacks it passes
         through, for true rates up to 0.2, both under weight-1 true noise and
         (from n = 2) under true noise with weight-2 ``ZZ`` generators, which
@@ -485,8 +487,7 @@ class TestEvaluate:
         cost."""
         rng = np.random.default_rng(60 + n)
         vectors = pqc.encode_vectors(rng.uniform(0, 1, (3, 64)), n)
-        generators = noise.default_generators(n)
-        letters = [g.letters for g in generators]
+        letters = [g.letters for g in noise.default_generators(n)]
         separable = noise.draw_noise_models(n, 2, seed=n, low=0.0, high=0.2)
         noises = [separable]
         if n >= 2:
@@ -502,9 +503,11 @@ class TestEvaluate:
             # of that model is a state.
             rates = np.stack([m.rates for m in separable]) * rng.uniform(0.5, 1.0, (2, 1))
             for noise_true, mode in itertools.product(noises, ("loss_only", "cascaded")):
-                got = pqc.mitigated_z_readout(
-                    vectors, rotations, noise_true, rates, generators, mode, n
-                )
+                if mode == "cascaded":
+                    got = pqc.mitigated_z_readout(vectors, rotations, noise_true, rates, n)
+                else:
+                    got = pqc.mitigated_z_readout(vectors, rotations, noise_true, None, n)
+                    got *= noise.learned_z_gains(rates[-1])
                 want = [
                     dense_reference.z_readout(dense_reference.layer_chain(
                         rho, dense_units, noise_true, letters, rates, mode == "cascaded"
@@ -588,7 +591,10 @@ class TestEvaluate:
             "    config = train.TrainConfig(n_qubits=8, layers=4, num_classes=4, mode=mode, seed=3)\n"
             "    state = train.init_state(config)\n"
             "    state.rates = np.random.default_rng(4).uniform(0.0, 0.02, state.rates.shape)\n"
-            "    train.evaluate(state, data.synthetic_blobs(4, 2, 3.0, seed=5), config)\n"
+            "    dataset = data.synthetic_blobs(4, 2, 3.0, seed=5)\n"
+            "    encoded = train.encode_dataset(dataset, 8)\n"
+            "    noise_true = train.noise_models_from_config(config)\n"
+            "    train.evaluate(state, dataset, config, noise_true, encoded)\n"
             "print(hashlib.sha256(np.concatenate(logits).tobytes()).hexdigest())\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -607,8 +613,8 @@ class TestEvaluate:
         dataset = data.synthetic_blobs(2, 10, 3.0, seed=9)
         config = small_config()
         state = train.init_state(config)
-        a = train.evaluate(state, dataset, config)
-        b = train.evaluate(state, dataset, config)
+        a = evaluate(state, dataset, config)
+        b = evaluate(state, dataset, config)
         assert a.accuracy == b.accuracy
         assert np.array_equal(a.per_class_correct, b.per_class_correct)
 
@@ -663,7 +669,7 @@ class TestCheckpoint:
     def test_payload_roundtrip(self, tmp_path):
         config = small_config()
         state = train.init_state(config)
-        payload = train.checkpoint_payload(state.snapshot(), config, state.generators)
+        payload = train.checkpoint_payload(state.snapshot(), config)
         path = tmp_path / "ckpt.json"
         train.save_checkpoint(path, payload)
         loaded = train.load_checkpoint(path)
@@ -680,14 +686,14 @@ class TestCheckpoint:
         dataset = data.synthetic_blobs(2, 8, 3.0, seed=24)
         config = small_config(learning_rate=0.3, epochs=1)
         state = train.init_state(config)
-        train.train_epoch(state, dataset, config)
+        epoch(state, dataset, config)
         assert np.any(state.rates > 0.0)
         path = tmp_path / "ckpt.json"
-        train.save_checkpoint(path, train.checkpoint_payload(state.snapshot(), config, state.generators))
+        train.save_checkpoint(path, train.checkpoint_payload(state.snapshot(), config))
         block = train.load_checkpoint(path)["mitigation"]
         models = [noise.NoiseModel.from_json(item) for item in block["layers"]]
         assert block["n"] == config.n_qubits
-        assert all(m.generators == state.generators for m in models)
+        assert all(m.generators == noise.default_generators(config.n_qubits) for m in models)
         assert np.array_equal(np.stack([m.rates for m in models]), state.rates)
         assert block == noise.noise_layers_json(models)
 
