@@ -171,7 +171,7 @@ def _repeats(payload: dict) -> int:
     repeats = int(payload.get("repeats", 1))
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
-    worker_count(repeats)
+    worker_count()
     return repeats
 
 

@@ -238,6 +238,10 @@ def _rotated_vecs(cache: dict, unit: np.ndarray | None = None) -> np.ndarray:
         return cache["vecs"] if unit is None else unit @ cache["vecs"]
     if unit is None:
         unit, uw = np.eye(w.shape[-1]), w
+    elif w.shape[:-1] == (1,):
+        # numpy hands a single row to BLAS gemv, which rounds differently
+        # from gemm; two rows keep each sample's bits independent of its batch.
+        uw = (np.concatenate([w, w]) @ unit.T)[:1]
     else:
         uw = w @ unit.T
     return unit - 2.0 * uw[..., :, None] * w.conj()[..., None, :]

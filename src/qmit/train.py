@@ -7,7 +7,9 @@ matrices through the same graph: conjugations, the Pauli channels and
 their inverses (one kernel in :mod:`qmit.noise`, with closed-form rate
 derivatives), and the conditioned fidelity head.  Gradients are exact
 derivatives of the implemented loss; the test suite holds every component
-to a central finite-difference oracle.
+to a central finite-difference oracle.  A batch runs in chunks whose size
+depends only on the qubit count (:func:`chunk_size`), so memory follows the
+chunk, not the batch; the chunks may run on threads and are merged in order.
 
 Optimizer: SGD with momentum; mitigation rates are projected to ``>= 0``
 after every step.  A single seeded RNG stream per training run is consumed
@@ -55,6 +57,10 @@ from .qsim import MAX_QUBITS
 
 NOISE_SEED_STREAM = 0xA11CE  # noise rates come from (seed, this tag), fixed across repeats
 DIVERGENCE_ABORT = 1e4
+# Samples times d**2 per chunk of a batch (see :func:`chunk_size`).  The
+# engine holds about 40 (chunk, d, d) complex stacks, so this caps a chunk
+# near 80 MB; the sweep behind it is in CHANGES.md.
+CHUNK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -246,6 +252,12 @@ class BatchResult:
     clamped_mass: float
 
 
+def chunk_size(n: int) -> int:
+    """Samples :func:`_run_batch` streams through the engine at once at
+    ``n`` qubits: ``CHUNK_ENTRIES / d**2``, at least one."""
+    return max(1, CHUNK_ENTRIES >> (2 * n))
+
+
 def _run_batch(
     psi: np.ndarray,
     labels: np.ndarray,
@@ -254,6 +266,7 @@ def _run_batch(
     config: TrainConfig,
     noise_true: list[NoiseModel],
     want_grads: bool,
+    chunk_map=map,
 ) -> BatchResult:
     """One forward (and with ``want_grads`` backward) pass over a batch.
 
@@ -263,10 +276,14 @@ def _run_batch(
     in ``[0, num_classes)``.  The readout is ``Tr(Z_q .)`` of the last chain
     state; in ``loss_only`` mode, whose chain is not mitigated, times the
     last rate row's :func:`noise.learned_z_gains`.
+
+    The batch runs as consecutive chunks of :func:`chunk_size` samples
+    through :func:`_run_chunk`, so peak memory follows the chunk, not the
+    batch.  ``chunk_map`` is ``map`` or a thread pool's ordered ``map``;
+    chunk results are summed in chunk order either way, so the bits do not
+    depend on it.
     """
     depth = config.layers
-    step = config.step_size
-    num_blocks = depth // step
     n = config.n_qubits
     c = config.num_classes
     if psi.ndim != 2 or psi.shape[1] != 1 << n:
@@ -281,16 +298,59 @@ def _run_batch(
     if labels.size and not (0 <= labels.min() and labels.max() < c):
         raise ValidationError(f"labels must lie in [0, {c})")
     batch = psi.shape[0]
-    cascaded = config.mode == "cascaded"
-    rho0 = pure_states(psi)
-
-    axes = DESIGN_AXES[config.design]
     rotations = [layer_rotations(config.design, t) for t in theta]
     units = [layer_unitary(r) for r in rotations]
+    size = chunk_size(n)
+
+    def run(lo: int):
+        return _run_chunk(psi[lo : lo + size], labels[lo : lo + size], batch, rotations, units,
+                          rates, config, noise_true, want_grads)
+
+    fb_parts, ce_parts, predictions = [], [], []
+    clamped = 0.0
+    grad_theta = grad_rates = None
+    for fb, ce, pred, mass, g_theta, g_rates in chunk_map(run, range(0, batch, size)):
+        fb_parts.append(fb)
+        ce_parts.append(ce)
+        predictions.append(pred)
+        clamped += mass
+        if grad_theta is None:
+            grad_theta, grad_rates = g_theta, g_rates
+        else:
+            for acc, g in zip(grad_theta, g_theta):
+                acc += g
+            grad_rates += g_rates
+
+    fb_mean = float(np.concatenate(fb_parts).mean())
+    task_mean = float(np.concatenate(ce_parts).mean())
+    total = config.alpha_fb * fb_mean + config.alpha_task * task_mean
+    return BatchResult(total, fb_mean, task_mean, grad_theta, grad_rates,
+                       np.concatenate(predictions), clamped)
+
+
+def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, want_grads):
+    """:func:`_run_batch` on the samples ``psi``, ``labels`` of a batch of
+    ``batch`` samples, with the batch's layer ``rotations`` and ``units``.
+
+    Returns the per-sample forward-backward and cross-entropy losses, the
+    predictions, the clamped mass, and (with ``want_grads``, else ``None``)
+    the angle and rate gradients of the batch loss restricted to these
+    samples: the adjoints are normalised by ``batch``, so the gradients of
+    a batch's chunks add up to the batch gradient.
+    """
+    depth = config.layers
+    step = config.step_size
+    num_blocks = depth // step
+    n = config.n_qubits
+    c = config.num_classes
+    size = psi.shape[0]
+    cascaded = config.mode == "cascaded"
+    rho0 = pure_states(psi)
+    axes = DESIGN_AXES[config.design]
 
     chain = layer_chain(rho0, units, noise_true, rates if cascaded else None)
     blocks = fb_blocks(chain, psi, units, step, None if cascaded else rates)
-    fb_per_sample = np.zeros(batch)
+    fb_per_sample = np.zeros(size)
     clamped = 0.0
     for *_, loss_vec, fid_cache in blocks:
         fb_per_sample += loss_vec / num_blocks
@@ -299,15 +359,11 @@ def _run_batch(
     z = z_expectations(chain[depth])[:, :c]
     gain = np.ones(c) if cascaded else learned_z_gains(rates[-1])[:c]
     probs = softmax_head(z * gain, c)
-    ce_per_sample = -np.log(probs[np.arange(batch), labels])
+    ce_per_sample = -np.log(probs[np.arange(size), labels])
     predictions = np.argmax(probs, axis=1)
 
-    fb_mean = float(fb_per_sample.mean())
-    task_mean = float(ce_per_sample.mean())
-    total = config.alpha_fb * fb_mean + config.alpha_task * task_mean
-
     if not want_grads:
-        return BatchResult(total, fb_mean, task_mean, None, None, predictions, clamped)
+        return fb_per_sample, ce_per_sample, predictions, clamped, None, None
 
     grad_theta = [np.zeros((n, len(axes))) for _ in range(depth)]
     grad_rates = np.zeros_like(rates)
@@ -317,20 +373,20 @@ def _run_batch(
     # Task head adjoint.
     if config.alpha_task != 0.0:
         g_logits = probs.copy()
-        g_logits[np.arange(batch), labels] -= 1.0
+        g_logits[np.arange(size), labels] -= 1.0
         g_logits *= config.alpha_task / batch
         if not cascaded:
             # gain_q = exp(2 (lambda_qX + lambda_qY)): d gain_q = 2 gain_q.
             g_gain = 2.0 * gain * np.einsum("bq,bq->q", g_logits, z)
             grad_rates[-1, 0 : 3 * c : 3] += g_gain
             grad_rates[-1, 1 : 3 * c : 3] += g_gain
-        diag_vals = (g_logits * gain) @ z_sign_table(n)[:c]  # (batch, dim)
+        diag_vals = (g_logits * gain) @ z_sign_table(n)[:c]  # (size, dim)
         idx = np.arange(rho0.shape[-1])
         g_chain[depth][:, idx, idx] += diag_vals
 
     # Block adjoints.
     if config.alpha_fb != 0.0:
-        g_loss = np.full(batch, config.alpha_fb / (num_blocks * batch))
+        g_loss = np.full(size, config.alpha_fb / (num_blocks * batch))
         for start, end, layer_caches, _loss_vec, fid_cache in blocks:
             # g is the gradient w.r.t. the input of layer start's conjugation,
             # which the fidelity head absorbed.
@@ -358,7 +414,7 @@ def _run_batch(
         if i > 0:
             g_chain[i] += h @ units[i]
 
-    return BatchResult(total, fb_mean, task_mean, grad_theta, grad_rates, predictions, clamped)
+    return fb_per_sample, ce_per_sample, predictions, clamped, grad_theta, grad_rates
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +437,13 @@ def train_epoch(
     config: TrainConfig,
     noise_true: list[NoiseModel],
     encoded: np.ndarray,
+    chunk_map=map,
 ) -> EpochMetrics:
     """One shuffled pass of SGD with momentum; rates projected to >= 0.
 
-    ``noise_true`` is the per-layer true noise and ``encoded`` holds the
-    :func:`encode_dataset` state vectors of ``dataset``.
+    ``noise_true`` is the per-layer true noise, ``encoded`` holds the
+    :func:`encode_dataset` state vectors of ``dataset`` and ``chunk_map``
+    runs each batch's chunks (see :func:`_run_batch`).
     """
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
@@ -405,6 +463,7 @@ def train_epoch(
             config,
             noise_true,
             True,
+            chunk_map,
         )
         if not np.isfinite(result.total) or result.total > DIVERGENCE_ABORT:
             raise TrainingError(
@@ -537,14 +596,14 @@ class ExperimentResult:
 
 
 def _run_single_repeat(config: TrainConfig, repeat: int, train_set, test_set, noise_true,
-                       encoded_train, encoded_test) -> tuple[list[dict], dict, float]:
+                       encoded_train, encoded_test, chunk_map) -> tuple[list[dict], dict, float]:
     cfg_r = replace(config, seed=config.seed + repeat)
     state = init_state(cfg_r)
     rows = []
     best_acc = -1.0
     best_snapshot = state.snapshot()
     for _ in range(config.epochs):
-        metrics = train_epoch(state, train_set, cfg_r, noise_true, encoded_train)
+        metrics = train_epoch(state, train_set, cfg_r, noise_true, encoded_train, chunk_map)
         val = evaluate(state, test_set, cfg_r, noise_true, encoded_test).accuracy
         rows.append(
             {
@@ -564,10 +623,10 @@ def _run_single_repeat(config: TrainConfig, repeat: int, train_set, test_set, no
     return rows, checkpoint, best_acc
 
 
-def worker_count(repeats: int) -> int:
-    """Threads for ``repeats`` repeats: ``QMIT_THREADS`` (default 1, 0 for
-    one per CPU), at most ``repeats``.  Raises ``ConfigError`` unless the
-    variable is a nonnegative integer."""
+def worker_count() -> int:
+    """Threads ``QMIT_THREADS`` asks for: default 1, and 0 for one per CPU
+    this process may run on.  Raises ``ConfigError`` unless the variable is
+    a nonnegative integer."""
     workers_env = os.environ.get("QMIT_THREADS", "1")
     try:
         workers = int(workers_env)
@@ -575,7 +634,19 @@ def worker_count(repeats: int) -> int:
         raise ConfigError(f"QMIT_THREADS must be an integer, got {workers_env!r}") from exc
     if workers < 0:
         raise ConfigError(f"QMIT_THREADS must be >= 0, got {workers}")
-    return min(workers or os.cpu_count() or 1, repeats)
+    if workers == 0 and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return workers or os.cpu_count() or 1
+
+
+@contextmanager
+def _thread_map(workers: int):
+    """An ordered ``map`` over ``workers`` threads; the builtin for one."""
+    if workers == 1:
+        yield map
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
 
 
 def run_experiment(
@@ -589,24 +660,29 @@ def run_experiment(
     The true noise is drawn once from the base seed (a fixed simulated
     device); repeats vary initialization and shuffling only.  The reported
     accuracy per repeat is the best-epoch validation accuracy.
+
+    The :func:`worker_count` threads ``W`` split by a fixed rule:
+    ``min(W, repeats)`` repeats run at once, each running its batches'
+    chunks on ``W // min(W, repeats)`` threads.  Results are merged
+    in repeat and chunk order, so they do not depend on ``W``.
     """
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
-    workers = worker_count(repeats)
+    workers = worker_count()
+    repeat_workers = min(workers, repeats)
+    chunk_workers = workers // repeat_workers
     noise_true = noise_models_from_config(config)
     encoded_train = encode_dataset(train_set, config.n_qubits)
     encoded_test = encode_dataset(test_set, config.n_qubits)
 
     def job(r: int):
-        return _run_single_repeat(
-            config, r, train_set, test_set, noise_true, encoded_train, encoded_test
-        )
+        with _thread_map(chunk_workers) as chunk_map:
+            return _run_single_repeat(
+                config, r, train_set, test_set, noise_true, encoded_train, encoded_test, chunk_map
+            )
 
-    if workers == 1:
-        outcomes = [job(r) for r in range(repeats)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, range(repeats)))
+    with _thread_map(repeat_workers) as repeat_map:
+        outcomes = list(repeat_map(job, range(repeats)))
 
     rows = [row for out in outcomes for row in out[0]]
     checkpoints = [out[1] for out in outcomes]

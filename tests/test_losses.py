@@ -638,3 +638,16 @@ class TestPureSpectrum:
         assert closed["neg_mass"] == 0.0
         u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
         np.testing.assert_allclose(losses._rotated_vecs(closed, u), u @ vecs, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_rotated_vecs_of_one_state_match_its_row_of_a_stack(self, n):
+        """``U V`` of one state equals its row of a stack bit for bit, so a
+        sample's forward-backward loss does not depend on its batch."""
+        rng = np.random.default_rng(90 + n)
+        dim = 1 << n
+        psi = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+        u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        stack = losses._rotated_vecs(losses._pure_spectrum(psi), u)
+        for b in range(3):
+            one = losses._rotated_vecs(losses._pure_spectrum(psi[b : b + 1]), u)
+            assert np.array_equal(one[0], stack[b])

@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +138,12 @@ def run_batch(features, labels, theta, rates, noise_true, config, want_grads=Tru
     """The engine on encoded ``features``."""
     psi = pqc.encode_vectors(features, config.n_qubits)
     return train._run_batch(psi, labels, theta, rates, config, noise_true, want_grads)
+
+
+def chunked_to(monkeypatch, n, size):
+    """Make :func:`train.chunk_size` return ``size`` at ``n`` qubits."""
+    monkeypatch.setattr(train, "CHUNK_ENTRIES", size << (2 * n))
+    assert train.chunk_size(n) == size
 
 
 def epoch(state, dataset, config):
@@ -359,6 +367,74 @@ class TestGradients:
             with pytest.raises(ValidationError, match=r"\(batch, 8\) state vectors"):
                 train._run_batch(inputs, labels, theta[:2], np.zeros((2, 9)), config, noise_true,
                                  False)
+
+
+class TestChunks:
+    def test_chunk_size_rule(self):
+        """The paper's n=4 batch of 32 runs as one chunk; n=8 streams chunks
+        of at most 2 samples; chunks never grow with n."""
+        sizes = [train.chunk_size(n) for n in range(1, qsim.MAX_QUBITS + 1)]
+        assert sizes[3] >= 32
+        assert 1 <= sizes[7] <= 2
+        assert sizes == sorted(sizes, reverse=True)
+        assert min(sizes) >= 1
+
+    @pytest.mark.parametrize("mode,step", [
+        ("loss_only", 1), ("cascaded", 1), ("loss_only", 2), ("cascaded", 2),
+    ])
+    def test_chunks_add_up_to_the_batch(self, monkeypatch, mode, step):
+        """A batch of 7 in chunks of 1, 2 and 3 gives the one-chunk pass:
+        the same predictions, the loss terms to rounding of their means and
+        the gradients and clamped mass to rounding of their sums."""
+        rng = np.random.default_rng(40 + step)
+        config = small_config(mode=mode, layers=4, step_size=step, alpha_fb=0.7, alpha_task=1.3)
+        theta = random_theta(3, 4, "U2", rng, theta_scale=1.0)
+        noise_true = noise.draw_noise_models(3, 4, seed=13)
+        rates = rng.uniform(0, 0.02, (4, 9))
+        labels = np.array([0, 1, 1, 0, 1, 0, 0])
+        psi = pqc.encode_vectors(rng.uniform(0, 1, (7, 64)), 3)
+        results = {}
+        for size in (7, 1, 2, 3):
+            chunked_to(monkeypatch, 3, size)
+            results[size] = train._run_batch(psi, labels, theta, rates, config, noise_true, True)
+        whole = results.pop(7)
+        theta_scale = np.abs(np.stack(whole.grad_theta)).max()
+        rate_scale = np.abs(whole.grad_rates).max()
+        for got in results.values():
+            assert np.array_equal(got.predictions, whole.predictions)
+            for field in ("total", "fb", "task"):
+                assert getattr(got, field) == pytest.approx(getattr(whole, field), rel=1e-15, abs=0)
+            assert got.clamped_mass == pytest.approx(whole.clamped_mass, rel=1e-12, abs=1e-30)
+            for i in range(config.layers):
+                np.testing.assert_allclose(got.grad_theta[i], whole.grad_theta[i], rtol=0,
+                                           atol=1e-13 * theta_scale)
+            np.testing.assert_allclose(got.grad_rates, whole.grad_rates, rtol=0,
+                                       atol=1e-13 * rate_scale)
+
+    def test_peak_memory_follows_the_chunk(self, monkeypatch):
+        """At n=6 a batch of 16 in chunks of 4 peaks below 1.5 times one
+        chunk of 4 alone; run whole, it needs more than twice that."""
+        rng = np.random.default_rng(44)
+        config = small_config(n_qubits=6)
+        theta = random_theta(6, 2, "U2", rng, theta_scale=1.0)
+        noise_true = train.noise_models_from_config(config)
+        rates = rng.uniform(0, 0.02, (2, 18))
+        psi = pqc.encode_vectors(rng.uniform(0, 1, (16, 64)), 6)
+        labels = np.arange(16) % 2
+
+        def peak(batch, size):
+            chunked_to(monkeypatch, 6, size)
+            tracemalloc.start()
+            try:
+                train._run_batch(psi[:batch], labels[:batch], theta, rates, config, noise_true,
+                                 True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = peak(4, 4)
+        assert peak(16, 4) < 1.5 * one_chunk
+        assert peak(16, 16) > 2.0 * one_chunk
 
 
 class TestTrainEpoch:
@@ -653,6 +729,33 @@ class TestRunExperiment:
         monkeypatch.setenv("QMIT_THREADS", "2")
         threaded = train.run_experiment(config, dataset, dataset, repeats=2)
         assert serial.metrics_rows == threaded.metrics_rows
+
+        # One repeat on two threads runs its batches' chunks on the pool.
+        chunked_to(monkeypatch, config.n_qubits, 1)
+        ran_on = set()
+        run_chunk = train._run_chunk
+        monkeypatch.setattr(
+            train, "_run_chunk", lambda *args: ran_on.add(threading.get_ident()) or run_chunk(*args)
+        )
+        rows, threads = {}, {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("QMIT_THREADS", workers)
+            ran_on.clear()
+            rows[workers] = train.run_experiment(config, dataset, dataset, repeats=1).metrics_rows
+            threads[workers] = set(ran_on)
+        assert rows["1"] == rows["2"]
+        assert threads["1"] == {threading.get_ident()}
+        assert threading.get_ident() not in threads["2"]
+
+    def test_auto_thread_count_follows_affinity(self, monkeypatch):
+        """``QMIT_THREADS=0`` counts the CPUs this process may run on, not
+        every CPU of the machine, where the platform tells them apart."""
+        monkeypatch.setenv("QMIT_THREADS", "0")
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert train.worker_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert train.worker_count() == 64
 
     def test_noise_fixed_across_repeats(self):
         """Repeats share the base-seed noise draw (one simulated device)."""
