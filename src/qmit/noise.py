@@ -28,6 +28,12 @@ Both cases, and any other map that acts on each qubit's (row bit, column
 bit) pair alone, run through :func:`apply_qubit_superoperators`: one 4x4
 GEMM per qubit in a layout that puts the qubit's pair first.
 
+On real Pauli coefficients (one base-4 digit per qubit, as
+:func:`qmit.pqc.mitigated_z_readout` carries its observables) every such
+channel is an elementwise product with :func:`pauli_fidelity_table`, or,
+when every generator has weight 1, ``diag(1, f_X, f_Y, f_Z)`` on each qubit
+from :func:`qubit_fidelities`.
+
 The learned inverse is defined here alone: its generators are
 :func:`default_generators`, and on a Z readout it is the per-qubit gain
 :func:`learned_z_gains`.
@@ -356,23 +362,72 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = Fal
     return _pauli_transform(out)
 
 
-def pauli_mix_superoperators(letters: tuple[str, ...], rates, inverse: bool = False):
-    """The separable case of :func:`apply_pauli_fidelities` as kernel ops.
-
-    For generators ``letters`` (``n``-letter strings) of weight at most 1,
-    returns ``[(q, S), ...]`` for :func:`apply_qubit_superoperators`: one
-    :func:`_mix_matrix` per qubit whose fidelities are not all 1.  Returns
-    ``None`` when some generator has weight 2 or more.
-    """
+def qubit_fidelities(letters: tuple[str, ...], rates, inverse: bool = False):
+    """Each qubit's Pauli fidelities ``f_X, f_Y, f_Z``, shape ``(n, 3)``, of
+    the channel of generators ``letters`` (``n``-letter strings) of weight
+    at most 1, or of its inverse; ``None`` when some generator has weight 2
+    or more.  Then the channel multiplies each Pauli string by the product
+    of its letters' fidelities (``f_I = 1``)."""
     incidence = _separable_incidence(letters)
     if incidence is None:
         return None
     k, n, _ = incidence.shape
     sign = 2.0 if inverse else -2.0
-    log_f = sign * (np.asarray(rates, dtype=float) @ incidence.reshape(k, 3 * n)).reshape(n, 3)
-    fid = np.exp(log_f)  # over X, Y, Z
-    active = np.flatnonzero(np.any(log_f != 0.0, axis=1))
+    return np.exp(sign * (np.asarray(rates, dtype=float) @ incidence.reshape(k, 3 * n)).reshape(n, 3))
+
+
+def pauli_mix_superoperators(letters: tuple[str, ...], rates, inverse: bool = False):
+    """The separable case of :func:`apply_pauli_fidelities` as kernel ops.
+
+    For generators ``letters`` (``n``-letter strings) of weight at most 1,
+    returns ``[(q, S), ...]`` for :func:`apply_qubit_superoperators`: one
+    :func:`_mix_matrix` of its :func:`qubit_fidelities` per qubit whose
+    fidelities are not all 1.  Returns ``None`` when some generator has
+    weight 2 or more.
+    """
+    fid = qubit_fidelities(letters, rates, inverse)
+    if fid is None:
+        return None
+    active = np.flatnonzero(np.any(fid != 1.0, axis=1))
     return [(q, _mix_matrix(*fid[q])) for q in active]
+
+
+# _ANTICOMMUTES[ch][a]: whether the letter ch anticommutes with IXYZ[a].
+_ANTICOMMUTES = {
+    ch: np.array([ch != "I" and other not in ("I", ch) for other in PAULI_LETTERS])
+    for ch in PAULI_LETTERS
+}
+
+
+@lru_cache(maxsize=1024)
+def _anticommuting_strings(word: str) -> np.ndarray:
+    """Whether each Pauli string anticommutes with ``word``, read-only: the
+    parity of its letters that anticommute with ``word``'s, as a bool array
+    over the digits of the qubits from ``word``'s first non-identity letter
+    to the last, which broadcasts over the qubits before it."""
+    n, parity = len(word), np.zeros((), dtype=bool)
+    for q, ch in enumerate(word):
+        if ch != "I":
+            parity = parity ^ _ANTICOMMUTES[ch].reshape((4,) + (1,) * (n - 1 - q))
+    parity.setflags(write=False)
+    return parity
+
+
+def pauli_fidelity_table(letters: tuple[str, ...], rates, inverse: bool = False) -> np.ndarray:
+    """Fidelity ``f_b`` of every Pauli string ``b`` under the channel of
+    generators ``letters`` (any weight) and ``rates``, or ``1/f_b`` for its
+    inverse, shape ``(4^n,)``: one base-4 digit per qubit (I, X, Y, Z),
+    qubit 0 the most significant.
+
+    Each generator's term of the exponent is its
+    :func:`_anticommuting_strings` table; terms on the same qubits are
+    summed before they are broadcast over all ``4^n`` strings."""
+    terms = {}
+    for word, rate in zip(letters, rates):
+        parity = _anticommuting_strings(word)
+        terms[parity.shape] = terms.get(parity.shape, 0.0) + rate * parity
+    exponent = np.broadcast_to(sum(terms.values(), 0.0), (4,) * len(letters[0]))
+    return np.exp((2.0 if inverse else -2.0) * exponent).ravel()
 
 
 def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:

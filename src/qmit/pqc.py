@@ -14,10 +14,12 @@ state vectors in the Heisenberg picture.
 A layer has one definition, :func:`layer_rotations`: each qubit's prefix
 products of its rotations.  Training conjugates by the ``d x d`` unitary
 that :func:`layer_unitary` builds from them and takes every angle gradient
-from their ``2 x 2`` matrices (:func:`angle_gradients`); the readout never
-forms the unitary and applies the layer as its factors: the per-qubit
-rotations as one :func:`~qmit.noise.apply_qubit_superoperators` pass, and
-the CNOT ring as one gather of entries.
+from their ``2 x 2`` matrices (:func:`angle_gradients`).  The readout never
+forms the unitary: it works on real Pauli coefficients, where each qubit's
+rotation is its real 4x4 Pauli transfer matrix
+(:func:`pauli_transfer_matrices`), the CNOT ring maps each Pauli string to a
+signed Pauli string (:func:`_ring_pauli_gather`) and every Pauli channel
+multiplies each string by its fidelity.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ import numpy as np
 from .errors import ValidationError
 from .noise import (
     apply_pauli_fidelities,
-    apply_qubit_superoperators,
     default_generators,
-    pauli_mix_superoperators,
+    pauli_fidelity_table,
+    qubit_fidelities,
 )
 from .qsim import (
     PAULIS,
@@ -46,6 +48,10 @@ DESIGN_AXES = {"RX": "X", "U2": "XY", "U3": "XYZ"}
 ENCODER_FEATURES = 64
 ENCODER_AXIS_CYCLE = "XYZ"
 EXECUTION_MODES = ("loss_only", "cascaded")
+# I, X, Y, Z as one (4, 2, 2) stack; ``_PAULI_MATRICES.reshape(4, 4).T`` maps
+# a qubit's Pauli coefficients to its entries, index 2 row + column.
+_PAULI_MATRICES = np.stack([PAULIS[ch] for ch in "IXYZ"])
+_PAULI_MATRICES.setflags(write=False)
 
 
 @dataclass
@@ -94,6 +100,39 @@ def _cnot_ring_permutation(n: int) -> np.ndarray:
     return perm
 
 
+@lru_cache(maxsize=None)
+def _ring_pauli_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ring as a signed map of Pauli strings, ``(gather, signs)``:
+    ``ring P_s ring^dagger = signs[s] P_gather[s]`` for every string index
+    ``s`` (one base-4 digit per qubit, I X Y Z = 0 1 2 3, qubit 0 the most
+    significant).  So the ring's adjoint ``O -> ring^dagger O ring`` takes
+    Pauli coefficients ``o`` to ``signs * o[..., gather]``.
+
+    The ring is a Clifford (Gottesman, arXiv:quant-ph/9807006).  With each
+    string as its X and Z bits per qubit (Y has both), CNOT(a, b) maps them
+    by ``x_b ^= x_a`` and ``z_a ^= z_b`` and flips the sign where
+    ``x_a z_b (x_b ^ z_a ^ 1)`` (Aaronson & Gottesman,
+    arXiv:quant-ph/0406196); the CNOTs act for ascending ``a``, as in
+    :func:`_cnot_ring_permutation`.  Vectorised over all ``4^n`` strings,
+    built once per ``n`` and returned read-only."""
+    digits = np.indices((4,) * n, dtype=np.uint8).reshape(n, -1)
+    x = (digits == 1) | (digits == 2)
+    z = digits >= 2
+    flip = np.zeros(digits.shape[1], dtype=bool)
+    for a in range(n if n >= 2 else 0):
+        b = (a + 1) % n
+        flip ^= x[a] & z[b] & ~(x[b] ^ z[a])
+        x[b] ^= x[a]
+        z[a] ^= z[b]
+    gather = np.zeros(digits.shape[1], dtype=np.intp)
+    for q in range(n):
+        gather = (gather << 2) | ((3 * z[q]) ^ x[q])
+    signs = np.where(flip, -1.0, 1.0)
+    gather.setflags(write=False)
+    signs.setflags(write=False)
+    return gather, signs
+
+
 def _rotations(angles: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """``exp(-i angle sigma / 2) = cos(angle/2) I - i sin(angle/2) sigma``
     for every entry of ``angles``, shape ``angles.shape + (2, 2)``; ``sigma``
@@ -124,6 +163,17 @@ def layer_unitary(rotations: np.ndarray) -> np.ndarray:
     ``rotations``: ``kron(V_0, ..., V_{n-1})`` with its rows gathered by the
     ring permutation.  The only place a layer unitary is built."""
     return reduce(np.kron, rotations[:, -1])[_cnot_ring_permutation(len(rotations))]
+
+
+def pauli_transfer_matrices(v: np.ndarray) -> np.ndarray:
+    """The real Pauli transfer matrix ``R_q[b, a] = tr(P_b V_q P_a V_q^dagger) / 2``
+    over I, X, Y, Z of each one-qubit unitary ``V_q`` in ``v``, shape
+    ``(n, 4, 4)`` from ``(n, 2, 2)`` (Chow et al., PRL 109, 060501 (2012)):
+    ``V P_a V^dagger = sum_b R[b, a] P_b``, and its transpose is the
+    adjoint, ``V^dagger P_a V = sum_b R[a, b] P_b``."""
+    turned = v[:, None] @ _PAULI_MATRICES @ np.conj(np.swapaxes(v, -1, -2))[:, None]
+    columns = np.swapaxes(turned.reshape(len(v), 4, 4), -1, -2)
+    return 0.5 * (np.conj(_PAULI_MATRICES.reshape(4, 4)) @ columns).real
 
 
 def _one_qubit_marginals(w: np.ndarray) -> np.ndarray:
@@ -238,65 +288,105 @@ def z_expectations(x: np.ndarray) -> np.ndarray:
     return diag @ z_sign_table(x.shape[-1].bit_length() - 1).T
 
 
+def _digit_passes(obs: np.ndarray, ops) -> np.ndarray:
+    """``ops[q]`` (4x4) applied to qubit ``q``'s base-4 digit of every row of
+    ``obs``, shape ``(rows, 4^n)``, qubit 0 the most significant digit.
+
+    Each op is one batched GEMM ``(rows, 4^(n-1), 4) @ op^T`` that takes the
+    leading digit and leaves it last, as in
+    :func:`~qmit.noise.apply_qubit_superoperators`; after the ``n`` passes
+    the digits are back in order, so no transpose is needed."""
+    rows = obs.shape[0]
+    for op in ops:
+        obs = obs.reshape(rows, 4, -1).transpose(0, 2, 1) @ op.T
+    return obs.reshape(rows, -1)
+
+
 def mitigated_z_readout(psi, rotations, noise, rates, count) -> np.ndarray:
     """``Tr(Z_k rho_b)`` for qubits ``k < count``, shape ``(N, count)``: the
     Z readouts of the last states ``rho_b`` of :func:`layer_chain` with
-    ``rates`` (or ``None``) for a stack ``(N, d)`` of pure state vectors,
-    through the layers whose :func:`layer_rotations` are ``rotations``.
-    With ``rates`` that is the mitigated readout of ``cascaded`` mode;
-    ``loss_only`` mode reads the noisy chain (``rates=None``) and multiplies
-    by :func:`~qmit.noise.learned_z_gains` of its last rate row.
+    ``rates`` (or ``None``) for a stack ``(N, d)`` of state vectors, through
+    the layers whose :func:`layer_rotations` are ``rotations`` and the true
+    noise ``noise``.  With ``rates`` that is the mitigated readout of
+    ``cascaded`` mode; ``loss_only`` mode reads the noisy chain
+    (``rates=None``) and multiplies by :func:`~qmit.noise.learned_z_gains`
+    of its last rate row.  Raises ``ValidationError`` unless there is one
+    noise model (and rate row) per layer, rate rows have ``3n`` entries,
+    ``1 <= count <= n`` and the vectors and generators act on the layers'
+    ``n`` qubits.
 
-    Computed in the Heisenberg picture.  The ``count`` observables are
-    pushed back through the chain once, each map replaced by its adjoint:
-    the Pauli maps are self-adjoint, and ``x -> U x U^dagger`` has the
-    adjoint ``o -> U^dagger o U``.  With ``U = ring V``, that is the ring
-    as one gather of entries, ``o[inv][:, inv]``, then ``V_q^dagger o V_q``
-    on each qubit, the kernel op ``kron(V_q^dagger, V_q^T)``.  One
-    :func:`apply_qubit_superoperators` pass takes a layer's rotations
-    together with the next-lower layer's weight-1 Pauli maps, because ops on
-    one qubit compose inside the kernel; a Pauli map with a weight-2
-    generator gets its own :func:`apply_pauli_fidelities` call.  Each
-    sample is then the quadratic form ``Re psi_b^dagger O_k psi_b``, one
-    ``k`` at a time, so no per-sample matrix and no ``d x d`` unitary is
-    formed: ``L + 1`` passes and ``L`` gathers on ``count`` matrices, plus
-    ``N count d^2``.
+    Computed in the Heisenberg picture on real Pauli coefficients: the
+    ``count`` observables, shape ``(count, 4^n)`` with one base-4 digit per
+    qubit (I, X, Y, Z), are pushed back through the layers once, each map
+    replaced by its adjoint.  A Pauli map multiplies each string by its
+    fidelity: a weight-1 map as ``diag(1, f_X, f_Y, f_Z)`` per qubit
+    (:func:`~qmit.noise.qubit_fidelities`) folded into the rotation pass of
+    the layer above, any other map, and every map of the last layer, as one
+    product with its :func:`~qmit.noise.pauli_fidelity_table`.  The ring's
+    adjoint is a signed gather (:func:`_ring_pauli_gather`), and each
+    rotation the transpose of its :func:`pauli_transfer_matrices` entry,
+    ``n`` real GEMMs per layer (:func:`_digit_passes`).  Layer 0's pass also
+    maps Pauli coefficients to matrix entries, the one complex pass, and
+    each sample is then the quadratic form ``Re psi_b^dagger O_k psi_b``.
+    So a call costs ``L`` passes and ``L`` gathers on ``count x 4^n`` reals,
+    plus ``N count d^2``, and forms no per-sample matrix and no ``d x d``
+    unitary.
     """
+    layers = len(rotations)
+    if not layers or len(noise) != layers or (rates is not None and len(rates) != layers):
+        raise ValidationError(
+            f"layer count mismatch: {layers} rotation layers, {len(noise)} noise models, "
+            f"{'no' if rates is None else len(rates)} rate rows"
+        )
     n, dim = rotations[0].shape[0], psi.shape[-1]
     if dim != 1 << n:
         raise ValidationError(
             f"dimension mismatch: state vectors of length {dim}, layers on {n} qubits"
         )
-    inv = np.argsort(_cnot_ring_permutation(n))
-    gather = (inv[:, None] * dim + inv[None, :]).ravel()
-    idx = np.arange(dim)
-    obs = np.zeros((count, dim, dim), dtype=np.complex128)
-    obs[:, idx, idx] = z_sign_table(n)[:count]
-    ops = []
-    for i in range(len(rotations) - 1, -1, -1):
+    if rates is not None and np.shape(rates)[1:] != (3 * n,):
+        raise ValidationError(f"rate rows must have 3n = {3 * n} entries, got {np.shape(rates)}")
+    if not 1 <= count <= n:
+        raise ValidationError(f"readout count must lie in [1, {n}], got {count}")
+
+    def pauli_maps(i):
+        """Layer ``i``'s Pauli maps with a nonzero rate, as ``(letters, rate
+        row, inverse)``: the true noise and, with ``rates``, the inverse."""
+        if noise[i].n != n:
+            raise ValidationError(
+                f"dimension mismatch: layers on {n} qubits, generators on {noise[i].n}"
+            )
         maps = [(noise[i].generators, noise[i].rates, False)]
         if rates is not None:
-            maps.insert(0, (default_generators(n), rates[i], True))
-        for gens, row, inverse in maps:
-            letters = tuple(g.letters for g in gens)
-            if len(letters[0]) != n:
-                raise ValidationError(
-                    f"dimension mismatch: layers on {n} qubits, generators on {len(letters[0])}"
-                )
-            mixes = pauli_mix_superoperators(letters, row, inverse)
-            if mixes is None:
-                obs = apply_qubit_superoperators(obs, ops)
-                obs, ops = apply_pauli_fidelities(obs, gens, row, inverse), []
+            maps.append((default_generators(n), rates[i], True))
+        return [
+            (tuple(g.letters for g in gens), row, inverse)
+            for gens, row, inverse in maps
+            if np.any(row)
+        ]
+
+    gather, signs = _ring_pauli_gather(n)
+    obs = np.zeros((count, 4**n))
+    obs[np.arange(count), 3 << 2 * (n - 1 - np.arange(count))] = 1.0  # Z on qubit k
+    ops = None  # the transposed transfer matrices of the layer above, not yet applied
+    for i in range(layers - 1, -1, -1):
+        tables = []
+        for letters, row, inverse in pauli_maps(i):
+            fid = None if ops is None else qubit_fidelities(letters, row, inverse)
+            if fid is None:
+                tables.append(pauli_fidelity_table(letters, row, inverse))
             else:
-                ops += mixes
-        obs = apply_qubit_superoperators(obs, ops).reshape(count, -1)[:, gather]
-        obs = obs.reshape(count, dim, dim)
-        vt = np.swapaxes(rotations[i][:, -1], -1, -2)
-        # kron(V^dagger, V^T) of every qubit at once: entry (2a + b, 2c + e)
-        # is V^dagger[a, c] V^T[b, e].
-        sup = vt.conj()[:, :, None, :, None] * vt[:, None, :, None, :]
-        ops = list(enumerate(sup.reshape(n, 4, 4)))
-    obs = apply_qubit_superoperators(obs, ops)
+                ops = np.hstack([np.ones((n, 1)), fid])[:, :, None] * ops
+        if ops is not None:
+            obs = _digit_passes(obs, ops)
+        for table in tables:
+            obs *= table
+        obs = np.take(obs, gather, axis=1)
+        obs *= signs
+        ops = np.swapaxes(pauli_transfer_matrices(rotations[i][:, -1]), -1, -2)
+    # Digit q becomes the (row bit, column bit) pair 2 r + c of qubit q.
+    entries = _digit_passes(obs, _PAULI_MATRICES.reshape(4, 4).T @ ops)
+    bits = [1 + 2 * q for q in range(n)] + [2 + 2 * q for q in range(n)]
+    obs = entries.reshape((count,) + (2,) * (2 * n)).transpose([0] + bits).reshape(count, dim, dim)
     bra = psi.conj()
     z = np.empty((psi.shape[0], count))
     for k in range(count):

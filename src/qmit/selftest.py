@@ -128,7 +128,9 @@ def perfect_mitigation(seed: int, circuits: int) -> str:
     and in evaluation (:func:`pqc.mitigated_z_readout` with the rates).
     Both readouts take the layers from the same :func:`pqc.layer_rotations`:
     training conjugates by their :func:`pqc.layer_unitary`, evaluation
-    applies them as kernel ops and the ring as a gather.  The layer itself
+    pushes the observables back on real Pauli coefficients, through their
+    Pauli transfer matrices and the ring as a signed gather of Pauli
+    strings.  The layer itself
     is checked against independent dense matrix products in
     ``tests/dense_reference.py``.  (``loss_only`` mode cannot restore the
     readout: its inverse reaches it only as

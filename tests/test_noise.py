@@ -1,5 +1,6 @@
 """Pauli-Lindblad channels: product form, inverse, overhead."""
 
+import itertools
 import json
 import math
 
@@ -340,6 +341,31 @@ class TestPauliFidelityKernel:
         assert sorted(q for q, _ in mixes) == sorted({w.index(w.strip("I")) for w in letters})
         got = noise.apply_qubit_superoperators(x, mixes)
         np.testing.assert_allclose(got, dense.channel(x, letters, rates, False), atol=1e-13)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_fidelity_table_scales_each_pauli_string(self, name, inverse):
+        """``pauli_fidelity_table`` holds the factor by which the dense
+        channel, and the kernel, multiply each Pauli string, indexed by one
+        base-4 digit per qubit (I, X, Y, Z), qubit 0 the most significant;
+        for weight-1 sets it is the product of the letters'
+        ``qubit_fidelities``, which are ``None`` for the general sets."""
+        letters, gens, rates, _, _ = _kernel_case(name, 35)
+        n = len(letters[0])
+        table = noise.pauli_fidelity_table(tuple(letters), rates, inverse)
+        fid = noise.qubit_fidelities(tuple(letters), rates, inverse)
+        assert table.shape == (4**n,)
+        assert (fid is None) == name.startswith("general")
+        for index, word in enumerate(itertools.product("IXYZ", repeat=n)):
+            p = dense.pauli_matrix("".join(word))
+            want = table[index] * p
+            bound = 1e-13 * table[index]
+            np.testing.assert_allclose(dense.channel(p, letters, rates, inverse), want, atol=bound)
+            np.testing.assert_allclose(
+                noise.apply_pauli_fidelities(p, gens, rates, inverse), want, atol=bound
+            )
+            if fid is not None:
+                factors = [fid[q, "XYZ".index(ch)] for q, ch in enumerate(word) if ch != "I"]
+                assert table[index] == pytest.approx(math.prod(factors), rel=1e-14)
 
     @pytest.mark.parametrize("inverse", [False, True])
     def test_is_its_own_adjoint(self, name, inverse):

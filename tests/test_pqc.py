@@ -250,6 +250,56 @@ class TestLayerUnitary:
         assert np.array_equal(x[perm], reference_ring(4) @ x)
 
 
+def pauli_word(index, n):
+    """The Pauli string at ``index``: one base-4 digit per qubit, I X Y Z =
+    0 1 2 3, qubit 0 the most significant."""
+    return "".join("IXYZ"[(index >> 2 * (n - 1 - q)) & 3] for q in range(n))
+
+
+class TestPauliCoordinates:
+    """The readout's real Pauli-coordinate pieces against dense matrices."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_ring_gather_is_the_dense_ring_adjoint(self, n):
+        """``ring^dagger P_gather[s] ring = signs[s] P_s`` with the dense ring
+        of reference CNOTs, bit for bit, for every string up to n = 5 and for
+        40 sampled strings at n = 8; ``gather`` is a permutation, so
+        ``signs * o[gather]`` is the ring's adjoint on Pauli coefficients."""
+        gather, signs = pqc._ring_pauli_gather(n)
+        assert np.array_equal(np.sort(gather), np.arange(4**n))
+        assert set(signs.tolist()) <= {-1.0, 1.0}
+        ring = reference_ring(n)
+        strings = range(4**n) if n <= 5 else np.random.default_rng(8).choice(4**n, 40, replace=False)
+        for s in strings:
+            p = dense_reference.pauli_matrix(pauli_word(gather[s], n))
+            want = signs[s] * dense_reference.pauli_matrix(pauli_word(s, n))
+            np.testing.assert_array_equal(ring.conj().T @ p @ ring, want)
+
+    def test_ring_gather_is_cached_read_only(self):
+        table = pqc._ring_pauli_gather(4)
+        assert pqc._ring_pauli_gather(4) is table
+        assert not any(part.flags.writeable for part in table)
+
+    @pytest.mark.parametrize("design", ["RX", "U2", "U3"])
+    def test_transfer_matrices_match_dense_conjugation(self, design):
+        """For each qubit's whole rotation ``V_q`` (from ``layer_rotations``),
+        ``V_q P_a V_q^dagger = sum_b R[b, a] P_b`` and ``V_q^dagger P_a V_q =
+        sum_b R[a, b] P_b``, with ``V_q`` the dense one-qubit layer of
+        ``dense_reference.layer_factors``."""
+        rng = np.random.default_rng(9)
+        layer = dense_reference.random_layers(3, 1, design, rng)[0]
+        ptm = pqc.pauli_transfer_matrices(pqc.layer_rotations(design, layer.theta)[:, -1])
+        assert ptm.shape == (3, 4, 4) and ptm.dtype == np.float64
+        paulis = [qsim.PAULIS[ch] for ch in "IXYZ"]
+        for q in range(3):
+            v = dense_reference.layer_factors(pqc.LayerSpec(design, 1, layer.theta[q:q + 1]))[0]
+            for a, p in enumerate(paulis):
+                forward = sum(ptm[q, b, a] * pb for b, pb in enumerate(paulis))
+                adjoint = sum(ptm[q, a, b] * pb for b, pb in enumerate(paulis))
+                np.testing.assert_allclose(v @ p @ v.conj().T, forward, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(v.conj().T @ p @ v, adjoint, rtol=0, atol=1e-14)
+
+
 class TestEncoder:
     def test_zero_features_give_ground_state(self):
         rho = pqc.encode(np.zeros(64), 4)

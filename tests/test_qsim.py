@@ -269,6 +269,37 @@ class TestExpectation:
                 None, 1,
             )
 
+    @pytest.mark.parametrize(
+        "layers, models, rows, width, count",
+        [
+            (1, 2, 2, 6, 1),  # fewer rotations than noise models and rate rows
+            (2, 1, 2, 6, 1),  # a short noise list
+            (2, 1, None, 6, 1),
+            (2, 2, 1, 6, 1),  # a short rate table
+            (0, 0, None, 6, 1),
+            (2, 2, 2, 3, 1),  # rate rows narrower than 3n
+            (2, 2, 2, 9, 1),
+            (2, 2, None, 6, 0),  # count outside [1, n]
+            (2, 2, 2, 6, 3),
+        ],
+    )
+    def test_layer_and_count_mismatch(self, layers, models, rows, width, count):
+        """The readout needs one noise model (and rate row) per layer, rate
+        rows ``3n`` wide and ``1 <= count <= n``; each mismatch raises
+        ``ValidationError`` instead of reading out fewer layers or failing
+        on an index."""
+        gens = noise.default_generators(2)
+        psi = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=complex)
+        rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))] * layers
+        noise_models = [noise.NoiseModel(2, gens, np.zeros(6))] * models
+        rates = None if rows is None else np.zeros((rows, width))
+        with pytest.raises(ValidationError):
+            pqc.mitigated_z_readout(psi, rotations, noise_models, rates, count)
+        rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))] * 2
+        noise_models = [noise.NoiseModel(2, gens, np.zeros(6))] * 2
+        z = pqc.mitigated_z_readout(psi, rotations, noise_models, np.zeros((2, 6)), 2)
+        np.testing.assert_allclose(z, [[1.0, 1.0]], rtol=0, atol=1e-15)
+
 
 ALPHAS = (0.5, 2.0, 3.0)
 

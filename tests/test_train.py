@@ -28,8 +28,12 @@ class _ProductLog(np.ndarray):
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
             _ProductLog.log.append(tuple(np.shape(x) for x in inputs))
-        inputs = [x.view(np.ndarray) if isinstance(x, _ProductLog) else x for x in inputs]
-        out = getattr(ufunc, method)(*inputs, **kwargs)
+        plain = [x.view(np.ndarray) if isinstance(x, _ProductLog) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(
+                x.view(np.ndarray) if isinstance(x, _ProductLog) else x for x in kwargs["out"]
+            )
+        out = getattr(ufunc, method)(*plain, **kwargs)
         return out.view(_ProductLog) if isinstance(out, np.ndarray) else out
 
 
@@ -606,13 +610,14 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("mode", ["loss_only", "cascaded"])
     def test_cost_does_not_grow_with_samples(self, monkeypatch, mode):
-        """``evaluate`` forms no density matrix, runs no state chain and
-        builds no layer unitary, and its kernel passes are the same for 10
-        and 1000 test samples: ``L + 1`` passes on the ``(c, d, d)``
-        observable stack, each layer's ``n`` rotation ops sharing one with the
-        Pauli maps of the layer below, and no ``d x d`` product.  Every array
-        derived from the rotations logs the products it takes part in, so a
-        layer unitary built from them would show."""
+        """``evaluate`` forms no density matrix, runs no state chain, builds
+        no layer unitary and runs no kernel pass, and the products it takes
+        are the same for 10 and 1000 test samples but for the quadratic form:
+        ``n`` GEMMs ``(c, 4^(n-1), 4) @ (4, 4)`` per layer on the ``(c, 4^n)``
+        Pauli coefficients (the last pass complex), one ``(N, d) @ (d, d)``
+        per class, and no ``d x d`` product.  Every array derived from the
+        rotations logs the products it takes part in, so a layer unitary
+        built from them would show."""
         config = small_config(mode=mode, layers=4)
         n, c, dim = config.n_qubits, config.num_classes, 1 << config.n_qubits
         state = train.init_state(config)
@@ -630,27 +635,29 @@ class TestEvaluate:
         kernel = noise.apply_qubit_superoperators
 
         def logged_kernel(x, ops):
-            kernel_shapes.append((x.shape, sum(isinstance(s, _ProductLog) for _, s in ops)))
+            kernel_shapes.append(x.shape)
             return kernel(x, ops)
 
-        for module in (noise, pqc):
-            monkeypatch.setattr(module, "apply_qubit_superoperators", logged_kernel)
+        monkeypatch.setattr(noise, "apply_qubit_superoperators", logged_kernel)
         rotations = train.layer_rotations
         monkeypatch.setattr(
             train, "layer_rotations", lambda *args: rotations(*args).view(_ProductLog)
         )
         runs = []
         for size in (10, 1000):
-            kernel_shapes.clear()
             _ProductLog.log.clear()
             dataset = data.synthetic_blobs(2, size // 2, 3.0, seed=16)
             encoded = train.encode_dataset(dataset, n)
             train.evaluate(state, dataset, config, noise_true, encoded)
-            square = [s for s in _ProductLog.log if all(x[-2:] == (dim, dim) for x in s)]
-            runs.append((list(kernel_shapes), square))
+            per_sample = [s for s in _ProductLog.log if s[0][0] == size]
+            shared = [s for s in _ProductLog.log if s[0][0] != size]
+            assert per_sample == [((size, dim), (dim, dim))] * c
+            runs.append(shared)
+        assert kernel_shapes == []
         assert runs[0] == runs[1]
-        assert runs[0][0] == [((c, dim, dim), 0)] + [((c, dim, dim), n)] * config.layers
-        assert runs[0][1] == []
+        passes = [s for s in runs[0] if s == ((c, 4 ** (n - 1), 4), (4, 4))]
+        assert len(passes) == n * config.layers
+        assert not [s for s in runs[0] if all(x[-2:] == (dim, dim) for x in s)]
 
     def test_logits_do_not_depend_on_blas_threads(self, tmp_path):
         """At n=8 the readout runs kernel GEMMs and gathers only, no ``eigh``,
