@@ -9,7 +9,12 @@ is applied either per layer for loss computation only (``loss_only``: the
 noisy chain keeps propagating) or inline so each layer consumes the previous
 mitigated state (``cascaded``).  :func:`z_expectations` reads a chain state
 out, and :func:`mitigated_z_readout` reads the last chain state of encoded
-state vectors in the Heisenberg picture.
+product states in the Heisenberg picture.
+
+The encoder has one definition, :func:`encode_qubits`: each qubit's state
+from its own rotations.  Training takes their Kronecker product
+(:func:`encode_vectors`); the readout takes each qubit's Bloch vector
+(:func:`bloch_vectors`).
 
 A layer has one definition, :func:`layer_rotations`: each qubit's prefix
 products of its rotations.  Training conjugates by the ``d x d`` unitary
@@ -19,7 +24,8 @@ forms the unitary: it works on real Pauli coefficients, where each qubit's
 rotation is its real 4x4 Pauli transfer matrix
 (:func:`pauli_transfer_matrices`), the CNOT ring maps each Pauli string to a
 signed Pauli string (:func:`_ring_pauli_gather`) and every Pauli channel
-multiplies each string by its fidelity.
+multiplies each string by its fidelity.  Layer 0's rotations act on the
+samples' Bloch vectors instead, and one real GEMM reads them out.
 """
 
 from __future__ import annotations
@@ -48,8 +54,7 @@ DESIGN_AXES = {"RX": "X", "U2": "XY", "U3": "XYZ"}
 ENCODER_FEATURES = 64
 ENCODER_AXIS_CYCLE = "XYZ"
 EXECUTION_MODES = ("loss_only", "cascaded")
-# I, X, Y, Z as one (4, 2, 2) stack; ``_PAULI_MATRICES.reshape(4, 4).T`` maps
-# a qubit's Pauli coefficients to its entries, index 2 row + column.
+# I, X, Y, Z as one (4, 2, 2) stack.
 _PAULI_MATRICES = np.stack([PAULIS[ch] for ch in "IXYZ"])
 _PAULI_MATRICES.setflags(write=False)
 
@@ -206,17 +211,17 @@ def angle_gradients(j: np.ndarray, rotations: np.ndarray, axes: str) -> np.ndarr
     return np.einsum("aij,qaji->qa", sigmas, turned).imag
 
 
-def encode_vectors(features, n: int) -> np.ndarray:
-    """Phase-encode a ``(N, 64)`` feature array into ``(N, d)`` state
-    vectors on ``n`` qubits.
+def encode_qubits(features, n: int) -> np.ndarray:
+    """Phase-encode a ``(N, 64)`` feature array into each qubit's state,
+    shape ``(N, n, 2)``.
 
     The ``ENCODER_FEATURES`` (64) features are consumed over ``ceil(64/n)``
     rotation sub-layers: sub-layer ``t`` rotates qubit ``j`` by
     ``pi * x[t*n + j]`` about the axis cycling X, Y, Z
     (``ENCODER_AXIS_CYCLE``) with ``t``.  The encoder has no entanglers, so
     each qubit's state is its own sub-layer rotations (2x2 matrices) applied
-    to ``|0>``, and the register state is the Kronecker product of the ``n``
-    qubit states: a unit vector by construction.
+    to ``|0>``, and the register state is their Kronecker product
+    (:func:`encode_vectors`).
     """
     _check_qubit_count(n)
     feats = np.asarray(features, dtype=float)
@@ -236,10 +241,45 @@ def encode_vectors(features, n: int) -> np.ndarray:
     for t in range(sublayers):
         rot = _rotations(angles[:, t], PAULIS[ENCODER_AXIS_CYCLE[t % len(ENCODER_AXIS_CYCLE)]])
         qubits = (rot * qubits[:, :, None, :]).sum(axis=-1)
+    return qubits
+
+
+def encode_vectors(features, n: int) -> np.ndarray:
+    """Phase-encode a ``(N, 64)`` feature array into ``(N, d)`` state
+    vectors on ``n`` qubits: the Kronecker product of the
+    :func:`encode_qubits` states, a unit vector by construction."""
+    qubits = encode_qubits(features, n)
+    count = qubits.shape[0]
     psi = qubits[:, 0]
     for q in range(1, n):
         psi = (psi[:, :, None] * qubits[:, q, None, :]).reshape(count, 2 << q)
     return psi
+
+
+def bloch_vectors(qubits: np.ndarray) -> np.ndarray:
+    """``Tr(P phi phi^dagger)`` over I, X, Y, Z of every one-qubit state
+    ``phi = (a, b)`` in ``qubits``, shape ``qubits.shape[:-1] + (4,)``: the
+    closed form ``(|a|^2 + |b|^2, 2 Re(conj(a) b), 2 Im(conj(a) b), |a|^2 -
+    |b|^2)``, whose first entry is 1 for a unit ``phi``."""
+    a, b = qubits[..., 0], qubits[..., 1]
+    cross = 2.0 * a.conj() * b
+    out = np.empty(qubits.shape[:-1] + (4,))
+    weight_a, weight_b = a.real**2 + a.imag**2, b.real**2 + b.imag**2
+    out[..., 0] = weight_a + weight_b
+    out[..., 1] = cross.real
+    out[..., 2] = cross.imag
+    out[..., 3] = weight_a - weight_b
+    return out
+
+
+def _kron_rows(vectors: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of a stack ``(m, N, 4)``, shape
+    ``(N, 4^m)``, ``vectors[0]`` the most significant digit; ones for
+    ``m = 0``."""
+    rows = np.ones((vectors.shape[1], 1))
+    for v in vectors:
+        rows = (rows[:, :, None] * v[:, None, :]).reshape(len(rows), rows.shape[1] * v.shape[1])
+    return rows
 
 
 def pure_states(psi: np.ndarray) -> np.ndarray:
@@ -302,35 +342,42 @@ def _digit_passes(obs: np.ndarray, ops) -> np.ndarray:
     return obs.reshape(rows, -1)
 
 
-def mitigated_z_readout(psi, rotations, noise, rates, count) -> np.ndarray:
+def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
     """``Tr(Z_k rho_b)`` for qubits ``k < count``, shape ``(N, count)``: the
     Z readouts of the last states ``rho_b`` of :func:`layer_chain` with
-    ``rates`` (or ``None``) for a stack ``(N, d)`` of state vectors, through
-    the layers whose :func:`layer_rotations` are ``rotations`` and the true
+    ``rates`` (or ``None``) for the product states whose qubits' states are
+    ``qubits``, shape ``(N, n, 2)`` (:func:`encode_qubits`), through the
+    layers whose :func:`layer_rotations` are ``rotations`` and the true
     noise ``noise``.  With ``rates`` that is the mitigated readout of
     ``cascaded`` mode; ``loss_only`` mode reads the noisy chain
     (``rates=None``) and multiplies by :func:`~qmit.noise.learned_z_gains`
     of its last rate row.  Raises ``ValidationError`` unless there is one
     noise model (and rate row) per layer, rate rows have ``3n`` entries,
-    ``1 <= count <= n`` and the vectors and generators act on the layers'
-    ``n`` qubits.
+    ``1 <= count <= n`` and the qubit states and generators act on the
+    layers' ``n`` qubits.
 
     Computed in the Heisenberg picture on real Pauli coefficients: the
     ``count`` observables, shape ``(count, 4^n)`` with one base-4 digit per
     qubit (I, X, Y, Z), are pushed back through the layers once, each map
     replaced by its adjoint.  A Pauli map multiplies each string by its
     fidelity: a weight-1 map as ``diag(1, f_X, f_Y, f_Z)`` per qubit
-    (:func:`~qmit.noise.qubit_fidelities`) folded into the rotation pass of
-    the layer above, any other map, and every map of the last layer, as one
-    product with its :func:`~qmit.noise.pauli_fidelity_table`.  The ring's
-    adjoint is a signed gather (:func:`_ring_pauli_gather`), and each
-    rotation the transpose of its :func:`pauli_transfer_matrices` entry,
-    ``n`` real GEMMs per layer (:func:`_digit_passes`).  Layer 0's pass also
-    maps Pauli coefficients to matrix entries, the one complex pass, and
-    each sample is then the quadratic form ``Re psi_b^dagger O_k psi_b``.
-    So a call costs ``L`` passes and ``L`` gathers on ``count x 4^n`` reals,
-    plus ``N count d^2``, and forms no per-sample matrix and no ``d x d``
-    unitary.
+    (:func:`~qmit.noise.qubit_fidelities`), folded into the rotation pass of
+    the layer above or, in the last layer, scaling the ``Z_k`` entries; any
+    other map as one product with its
+    :func:`~qmit.noise.pauli_fidelity_table`.  The ring's adjoint is a
+    signed gather (:func:`_ring_pauli_gather`), and each rotation the
+    transpose of its :func:`pauli_transfer_matrices` entry, ``n`` real GEMMs
+    per layer (:func:`_digit_passes`).
+
+    Layer 0's rotations act on the samples instead: each is a product
+    state, so its Pauli coefficients are the Kronecker product of its
+    qubits' :func:`bloch_vectors`, each mapped by its qubit's transfer
+    matrix.  With the digits split at ``h = n // 2`` into the products
+    ``A_b`` of qubits ``< h`` and ``B_b`` of the rest, ``z_bk = A_b .
+    O_k B_b`` is one real GEMM ``(count 4^h, 4^(n-h)) @ (4^(n-h), N)`` and
+    a row-wise dot.  So a call costs ``L`` gathers and ``L - 1`` passes on
+    ``count x 4^n`` reals plus that GEMM, holds ``O(count 4^n + N (count
+    4^h + 4^(n-h)))`` reals and forms no matrix of any state or unitary.
     """
     layers = len(rotations)
     if not layers or len(noise) != layers or (rates is not None and len(rates) != layers):
@@ -338,10 +385,11 @@ def mitigated_z_readout(psi, rotations, noise, rates, count) -> np.ndarray:
             f"layer count mismatch: {layers} rotation layers, {len(noise)} noise models, "
             f"{'no' if rates is None else len(rates)} rate rows"
         )
-    n, dim = rotations[0].shape[0], psi.shape[-1]
-    if dim != 1 << n:
+    n = rotations[0].shape[0]
+    if np.ndim(qubits) != 3 or np.shape(qubits)[1:] != (n, 2):
         raise ValidationError(
-            f"dimension mismatch: state vectors of length {dim}, layers on {n} qubits"
+            f"dimension mismatch: qubit states of shape {np.shape(qubits)}, "
+            f"expected (N, {n}, 2) for layers on {n} qubits"
         )
     if rates is not None and np.shape(rates)[1:] != (3 * n,):
         raise ValidationError(f"rate rows must have 3n = {3 * n} entries, got {np.shape(rates)}")
@@ -365,15 +413,18 @@ def mitigated_z_readout(psi, rotations, noise, rates, count) -> np.ndarray:
         ]
 
     gather, signs = _ring_pauli_gather(n)
+    z_entries = (np.arange(count), 3 << 2 * (n - 1 - np.arange(count)))  # Z on qubit k
     obs = np.zeros((count, 4**n))
-    obs[np.arange(count), 3 << 2 * (n - 1 - np.arange(count))] = 1.0  # Z on qubit k
+    obs[z_entries] = 1.0
     ops = None  # the transposed transfer matrices of the layer above, not yet applied
     for i in range(layers - 1, -1, -1):
         tables = []
         for letters, row, inverse in pauli_maps(i):
-            fid = None if ops is None else qubit_fidelities(letters, row, inverse)
+            fid = qubit_fidelities(letters, row, inverse)
             if fid is None:
                 tables.append(pauli_fidelity_table(letters, row, inverse))
+            elif ops is None:  # the last layer: only the Z_k entries are nonzero
+                obs[z_entries] *= fid[:count, 2]
             else:
                 ops = np.hstack([np.ones((n, 1)), fid])[:, :, None] * ops
         if ops is not None:
@@ -383,12 +434,9 @@ def mitigated_z_readout(psi, rotations, noise, rates, count) -> np.ndarray:
         obs = np.take(obs, gather, axis=1)
         obs *= signs
         ops = np.swapaxes(pauli_transfer_matrices(rotations[i][:, -1]), -1, -2)
-    # Digit q becomes the (row bit, column bit) pair 2 r + c of qubit q.
-    entries = _digit_passes(obs, _PAULI_MATRICES.reshape(4, 4).T @ ops)
-    bits = [1 + 2 * q for q in range(n)] + [2 + 2 * q for q in range(n)]
-    obs = entries.reshape((count,) + (2,) * (2 * n)).transpose([0] + bits).reshape(count, dim, dim)
-    bra = psi.conj()
-    z = np.empty((psi.shape[0], count))
-    for k in range(count):
-        z[:, k] = np.einsum("bi,bi->b", bra @ obs[k], psi).real
-    return z
+    # r[q, b] = R_q beta_bq, each sample's qubits after layer 0's rotations.
+    r = bloch_vectors(np.swapaxes(qubits, 0, 1)) @ ops
+    half = n // 2
+    right = obs.reshape(count << 2 * half, -1) @ _kron_rows(r[half:]).T
+    right = right.reshape(count, 1 << 2 * half, r.shape[1])
+    return np.einsum("bi,kib->bk", _kron_rows(r[:half]), right)

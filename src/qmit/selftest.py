@@ -124,22 +124,24 @@ def noisy_divergence_trace(seed: int, operations: int) -> str:
 def perfect_mitigation(seed: int, circuits: int) -> str:
     """05: the cascaded inverse with the true rates restores the noise-free
     readout to 1e-8 on 4-qubit, 4-layer U2 circuits, both in training
-    (:func:`pqc.z_expectations` of the last :func:`pqc.layer_chain` state)
-    and in evaluation (:func:`pqc.mitigated_z_readout` with the rates).
-    Both readouts take the layers from the same :func:`pqc.layer_rotations`:
-    training conjugates by their :func:`pqc.layer_unitary`, evaluation
-    pushes the observables back on real Pauli coefficients, through their
-    Pauli transfer matrices and the ring as a signed gather of Pauli
-    strings.  The layer itself
-    is checked against independent dense matrix products in
-    ``tests/dense_reference.py``.  (``loss_only`` mode cannot restore the
-    readout: its inverse reaches it only as
+    (:func:`pqc.z_expectations` of the last :func:`pqc.layer_chain` state
+    of the :func:`pqc.encode_vectors` input) and in evaluation
+    (:func:`pqc.mitigated_z_readout` with the rates, of the same input's
+    :func:`pqc.encode_qubits` states).  Both readouts take the layers from
+    the same :func:`pqc.layer_rotations`: training conjugates by their
+    :func:`pqc.layer_unitary`, evaluation pushes the observables back on
+    real Pauli coefficients, through their Pauli transfer matrices and the
+    ring as a signed gather of Pauli strings, and reads them against each
+    qubit's Bloch vector.  The layer itself is checked against independent
+    dense matrix products in ``tests/dense_reference.py``.  (``loss_only``
+    mode cannot restore the readout: its inverse reaches it only as
     :func:`noise.learned_z_gains`.)"""
     rng = np.random.default_rng(seed)
     worst_train = worst_eval = 0.0
     for _ in range(circuits):
         theta = _random_theta(4, 4, "U2", rng)
-        psi = pqc.encode_vectors(rng.uniform(0, 1, (1, 64)), 4)
+        features = rng.uniform(0, 1, (1, 64))
+        psi = pqc.encode_vectors(features, 4)
         models = noise.draw_noise_models(4, 4, seed=int(rng.integers(2**31)))
         rates = np.stack([m.rates for m in models])
         units = _units(theta, "U2")
@@ -147,7 +149,8 @@ def perfect_mitigation(seed: int, circuits: int) -> str:
         z_free = pqc.z_expectations(pqc.layer_chain(rho0, units, _zero_noise(4, 4))[-1])
         z_train = pqc.z_expectations(pqc.layer_chain(rho0, units, models, rates)[-1])
         rotations = [pqc.layer_rotations("U2", t) for t in theta]
-        z_eval = pqc.mitigated_z_readout(psi, rotations, models, rates, 4)
+        qubits = pqc.encode_qubits(features, 4)
+        z_eval = pqc.mitigated_z_readout(qubits, rotations, models, rates, 4)
         worst_train = max(worst_train, float(np.max(np.abs(z_train - z_free))))
         worst_eval = max(worst_eval, float(np.max(np.abs(z_eval - z_free))))
     assert worst_train <= 1e-8, f"training readout residual {worst_train:.3e}"

@@ -44,6 +44,7 @@ from .pqc import (
     DESIGN_AXES,
     EXECUTION_MODES,
     angle_gradients,
+    encode_qubits,
     encode_vectors,
     layer_chain,
     layer_rotations,
@@ -514,9 +515,16 @@ def evaluate(
     """Deterministic argmax accuracy of the readout :func:`_run_batch`
     trains, computed in the Heisenberg picture by
     :func:`pqc.mitigated_z_readout`; ``noise_true`` is the per-layer true
-    noise and ``encoded`` holds the :func:`encode_dataset` state vectors of
-    ``dataset``."""
+    noise and ``encoded`` holds the :func:`pqc.encode_qubits` states of
+    ``dataset``, shape ``(N, n, 2)``.  Raises ``ValidationError`` unless
+    ``encoded`` has one row per sample and the labels lie in
+    ``[0, num_classes)``."""
     c = config.num_classes
+    labels = dataset.labels
+    if len(encoded) != len(labels):
+        raise ValidationError(f"encoded holds {len(encoded)} samples, the dataset {len(labels)}")
+    if labels.size and not (0 <= labels.min() and labels.max() < c):
+        raise ValidationError(f"labels must lie in [0, {c})")
     cascaded = config.mode == "cascaded"
     rotations = [layer_rotations(config.design, t) for t in state.theta]
     rates = np.maximum(state.rates, 0.0)
@@ -524,13 +532,8 @@ def evaluate(
     if not cascaded:
         logits *= learned_z_gains(rates[-1])[:c]
     predictions = np.argmax(softmax_head(logits, c), axis=1)
-    labels = dataset.labels
-    correct = np.zeros(c, dtype=np.int64)
-    total = np.zeros(c, dtype=np.int64)
-    for k in range(c):
-        mask = labels == k
-        total[k] = int(mask.sum())
-        correct[k] = int(np.sum(predictions[mask] == k))
+    total = np.bincount(labels, minlength=c)
+    correct = np.bincount(labels[predictions == labels], minlength=c)
     return EvalResult(float(correct.sum() / max(total.sum(), 1)), correct, total)
 
 
@@ -673,7 +676,7 @@ def run_experiment(
     chunk_workers = workers // repeat_workers
     noise_true = noise_models_from_config(config)
     encoded_train = encode_dataset(train_set, config.n_qubits)
-    encoded_test = encode_dataset(test_set, config.n_qubits)
+    encoded_test = encode_qubits(test_set.features, config.n_qubits)
 
     def job(r: int):
         with _thread_map(chunk_workers) as chunk_map:

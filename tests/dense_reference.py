@@ -9,7 +9,8 @@ generator at a time; the adjoint comes from the transposed superoperator
 matrix.  Meant for n <= 3.
 
 One-qubit operators: a 2x2 matrix Kronecker-embedded in ``n`` qubits
-(:func:`embed_one_qubit`).
+(:func:`embed_one_qubit`); a one-qubit marginal entry by entry as the
+trace against an embedded matrix unit (:func:`one_qubit_marginal`).
 
 One-qubit superoperators: each 4x4 op Kronecker-embedded as a d^2 x d^2
 matrix on the row-major ``vec``, multiplied in order.  Meant for n <= 4.
@@ -86,6 +87,17 @@ def embed_one_qubit(op, target, n):
     left = np.eye(1 << target, dtype=np.complex128)
     right = np.eye(1 << (n - target - 1), dtype=np.complex128)
     return np.kron(np.kron(left, np.asarray(op, dtype=np.complex128)), right)
+
+
+def one_qubit_marginal(rho, target):
+    """The partial trace of ``rho`` onto qubit ``target``: entry ``(i, j)``
+    is ``tr(rho embed(|j><i|))``."""
+    n = rho.shape[-1].bit_length() - 1
+    units = np.eye(4).reshape(2, 2, 2, 2)  # units[i, j] = |i><j|
+    return np.array(
+        [[np.trace(rho @ embed_one_qubit(units[j, i], target, n)) for j in range(2)]
+         for i in range(2)]
+    )
 
 
 def superoperator(letters, rates, dim, inverse=False):

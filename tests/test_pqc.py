@@ -353,6 +353,39 @@ class TestEncoder:
                 rho = pqc.encode(x, n).data
                 assert np.array_equal(rho, pqc.pure_states(psi))
 
+    def test_vectors_are_the_kronecker_product_of_the_qubit_states(self):
+        """``encode_vectors`` is the Kronecker product of ``encode_qubits``
+        bit for bit, also for an empty feature array."""
+        rng = np.random.default_rng(8)
+        for n in range(1, 11):
+            for features in (rng.uniform(0, 1, (3, 64)), np.zeros((0, 64))):
+                qubits = pqc.encode_qubits(features, n)
+                assert qubits.shape == (len(features), n, 2)
+                want = np.empty((len(features), 1 << n), dtype=np.complex128)
+                for row, qubit_states in zip(want, qubits):
+                    row[:] = functools.reduce(np.kron, qubit_states)
+                got = pqc.encode_vectors(features, n)
+                assert got.dtype == np.complex128
+                assert np.array_equal(got, want)
+
+    def test_bloch_vectors_match_dense_marginals(self):
+        """The closed-form Bloch vectors of the encoded qubits give
+        ``Tr(P_a rho_q)`` of the dense one-qubit marginals of the encoded
+        state: each qubit's own vector times the other qubits' traces, which
+        are 1 up to rounding."""
+        rng = np.random.default_rng(9)
+        paulis = [qsim.PAULIS[ch] for ch in "IXYZ"]
+        for n in range(1, 6):
+            features = rng.uniform(0, 1, (3, 64))
+            bloch = pqc.bloch_vectors(pqc.encode_qubits(features, n))
+            assert bloch.shape == (3, n, 4)
+            for rho, got in zip(pqc.pure_states(pqc.encode_vectors(features, n)), bloch):
+                for q in range(n):
+                    marginal = dense_reference.one_qubit_marginal(rho, q)
+                    want = [np.trace(p @ marginal).real for p in paulis]
+                    others = np.prod(np.delete(got[:, 0], q))
+                    np.testing.assert_allclose(got[q] * others, want, rtol=0, atol=1e-15)
+
     def test_batch_rejects_bad_features(self):
         features = np.zeros((3, 64))
         features[2, 10] = -0.01
@@ -506,7 +539,8 @@ class TestForwardMitigated:
         last rate row's gain is that loss_only state's readout."""
         rng = np.random.default_rng(15)
         layers = dense_reference.random_layers(2, 2, "U2", rng)
-        psi = qsim.random_state_vector(2, rng)[None]
+        features = rng.uniform(0, 1, (1, 64))
+        psi = pqc.encode_vectors(features, 2)
         models = noise.draw_noise_models(2, 2, seed=4, low=0.02, high=0.05)
         gens, rates = models[0].generators, np.stack([m.rates for m in models])
         states = pqc.layer_chain(pqc.pure_states(psi), units_of(layers), models)
@@ -514,7 +548,7 @@ class TestForwardMitigated:
         free = noise_free_chain(pqc.pure_states(psi), layers)
         assert np.linalg.norm(hat - free[-1]) > 1e-4
         rotations = [pqc.layer_rotations("U2", layer.theta) for layer in layers]
-        z = pqc.mitigated_z_readout(psi, rotations, models, None, 2)
+        z = pqc.mitigated_z_readout(pqc.encode_qubits(features, 2), rotations, models, None, 2)
         z *= noise.learned_z_gains(rates[-1])
         np.testing.assert_allclose(z, pqc.z_expectations(hat), rtol=0, atol=1e-12)
 

@@ -254,20 +254,51 @@ class TestExpectation:
 
 
     def test_dimension_mismatch(self):
-        """One-qubit state vectors cannot be read out through two-qubit
-        layers, nor two-qubit ones under one-qubit noise."""
+        """One-qubit states cannot be read out through two-qubit layers, nor
+        two-qubit ones under one-qubit noise."""
         gens = noise.default_generators(2)
         models = [noise.NoiseModel(2, gens, np.zeros(6))]
         rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))]
-        psi = np.array([[1.0, 0.0]], dtype=complex)
+        qubits = np.array([[[1.0, 0.0]]], dtype=complex)
         with pytest.raises(ValidationError, match="dimension mismatch"):
-            pqc.mitigated_z_readout(psi, rotations, models, np.zeros((1, 6)), 1)
+            pqc.mitigated_z_readout(qubits, rotations, models, np.zeros((1, 6)), 1)
         one = noise.default_generators(1)
         with pytest.raises(ValidationError, match="generators on 1"):
             pqc.mitigated_z_readout(
-                np.eye(4, dtype=complex)[:1], rotations, [noise.NoiseModel(1, one, np.zeros(3))],
-                None, 1,
+                np.array([[[1.0, 0.0]] * 2], dtype=complex), rotations,
+                [noise.NoiseModel(1, one, np.zeros(3))], None, 1,
             )
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1, 4),  # a state vector of the right length
+            (2,),
+            (1, 2, 2, 1),
+            (1, 3, 2),  # three qubits for two-qubit layers
+            (1, 1, 2),
+            (1, 2, 4),  # four amplitudes per qubit
+        ],
+    )
+    def test_input_must_be_qubit_states(self, shape):
+        """The readout takes one ``(n, 2)`` block of qubit states per sample
+        for the layers' ``n``; any other shape raises ``ValidationError``."""
+        gens = noise.default_generators(2)
+        rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))] * 2
+        noise_models = [noise.NoiseModel(2, gens, np.zeros(6))] * 2
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            pqc.mitigated_z_readout(np.ones(shape, dtype=complex), rotations, noise_models, None, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_samples_read_out_empty(self, n):
+        """Zero samples give a ``(0, count)`` readout, also where one half
+        of the digits is empty (n = 1)."""
+        gens = noise.default_generators(n)
+        rotations = [pqc.layer_rotations("U2", np.ones((n, 2)))] * 2
+        noise_models = [noise.NoiseModel(n, gens, np.full(3 * n, 0.01))] * 2
+        qubits = np.zeros((0, n, 2), dtype=complex)
+        z = pqc.mitigated_z_readout(qubits, rotations, noise_models, np.zeros((2, 3 * n)), n)
+        assert z.shape == (0, n)
 
     @pytest.mark.parametrize(
         "layers, models, rows, width, count",
@@ -289,15 +320,15 @@ class TestExpectation:
         ``ValidationError`` instead of reading out fewer layers or failing
         on an index."""
         gens = noise.default_generators(2)
-        psi = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=complex)
+        qubits = np.array([[[1.0, 0.0], [1.0, 0.0]]], dtype=complex)  # |00>
         rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))] * layers
         noise_models = [noise.NoiseModel(2, gens, np.zeros(6))] * models
         rates = None if rows is None else np.zeros((rows, width))
         with pytest.raises(ValidationError):
-            pqc.mitigated_z_readout(psi, rotations, noise_models, rates, count)
+            pqc.mitigated_z_readout(qubits, rotations, noise_models, rates, count)
         rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))] * 2
         noise_models = [noise.NoiseModel(2, gens, np.zeros(6))] * 2
-        z = pqc.mitigated_z_readout(psi, rotations, noise_models, np.zeros((2, 6)), 2)
+        z = pqc.mitigated_z_readout(qubits, rotations, noise_models, np.zeros((2, 6)), 2)
         np.testing.assert_allclose(z, [[1.0, 1.0]], rtol=0, atol=1e-15)
 
 

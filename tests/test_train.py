@@ -21,13 +21,15 @@ from qmit.selftest import fd_vs_analytic, grad_mismatch
 
 class _ProductLog(np.ndarray):
     """An array that logs the operand shapes of every matrix product it
-    takes part in; results of its operations are logged arrays too."""
+    takes part in, and whether the product is complex; results of its
+    operations are logged arrays too."""
 
     log = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
-            _ProductLog.log.append(tuple(np.shape(x) for x in inputs))
+            shapes = tuple(np.shape(x) for x in inputs)
+            _ProductLog.log.append((shapes, any(np.iscomplexobj(x) for x in inputs)))
         plain = [x.view(np.ndarray) if isinstance(x, _ProductLog) else x for x in inputs]
         if "out" in kwargs:
             kwargs["out"] = tuple(
@@ -160,7 +162,7 @@ def epoch(state, dataset, config):
 def evaluate(state, dataset, config):
     """:func:`train.evaluate` under the config's true noise."""
     noise_true = train.noise_models_from_config(config)
-    encoded = train.encode_dataset(dataset, config.n_qubits)
+    encoded = pqc.encode_qubits(dataset.features, config.n_qubits)
     return train.evaluate(state, dataset, config, noise_true, encoded)
 
 
@@ -548,7 +550,8 @@ class TestEvaluate:
             # classified correctly only if evaluate predicts the same class.
             relabelled = data.Dataset(dataset.features, result.predictions)
             assert len(set(result.predictions.tolist())) == 2
-            got = train.evaluate(state, relabelled, config, noise_true, encoded)
+            qubits = pqc.encode_qubits(dataset.features, config.n_qubits)
+            got = train.evaluate(state, relabelled, config, noise_true, qubits)
             assert got.accuracy == 1.0
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -566,7 +569,8 @@ class TestEvaluate:
         From n = 7 on one design is checked, to bound the dense chain's
         cost."""
         rng = np.random.default_rng(60 + n)
-        vectors = pqc.encode_vectors(rng.uniform(0, 1, (3, 64)), n)
+        features = rng.uniform(0, 1, (3, 64))
+        vectors, qubits = pqc.encode_vectors(features, n), pqc.encode_qubits(features, n)
         letters = [g.letters for g in noise.default_generators(n)]
         separable = noise.draw_noise_models(n, 2, seed=n, low=0.0, high=0.2)
         noises = [separable]
@@ -584,9 +588,9 @@ class TestEvaluate:
             rates = np.stack([m.rates for m in separable]) * rng.uniform(0.5, 1.0, (2, 1))
             for noise_true, mode in itertools.product(noises, ("loss_only", "cascaded")):
                 if mode == "cascaded":
-                    got = pqc.mitigated_z_readout(vectors, rotations, noise_true, rates, n)
+                    got = pqc.mitigated_z_readout(qubits, rotations, noise_true, rates, n)
                 else:
-                    got = pqc.mitigated_z_readout(vectors, rotations, noise_true, None, n)
+                    got = pqc.mitigated_z_readout(qubits, rotations, noise_true, None, n)
                     got *= noise.learned_z_gains(rates[-1])
                 want = [
                     dense_reference.z_readout(dense_reference.layer_chain(
@@ -605,32 +609,39 @@ class TestEvaluate:
                     state = train.init_state(config)
                     state.theta = [layer.theta for layer in layers]
                     state.rates = rates
-                    result = train.evaluate(state, dataset, config, noise_true, vectors)
+                    result = train.evaluate(state, dataset, config, noise_true, qubits)
                     assert result.accuracy == 1.0
 
     @pytest.mark.parametrize("mode", ["loss_only", "cascaded"])
     def test_cost_does_not_grow_with_samples(self, monkeypatch, mode):
         """``evaluate`` forms no density matrix, runs no state chain, builds
-        no layer unitary and runs no kernel pass, and the products it takes
-        are the same for 10 and 1000 test samples but for the quadratic form:
-        ``n`` GEMMs ``(c, 4^(n-1), 4) @ (4, 4)`` per layer on the ``(c, 4^n)``
-        Pauli coefficients (the last pass complex), one ``(N, d) @ (d, d)``
-        per class, and no ``d x d`` product.  Every array derived from the
-        rotations logs the products it takes part in, so a layer unitary
-        built from them would show."""
+        no layer unitary, runs no kernel pass and builds no fidelity table
+        under weight-1 noise.  Its only complex products are the ``2 x 2``
+        and ``4 x 4`` ones that build each qubit's transfer matrix, so no
+        product touches a complex observable or a ``d x d`` block per class.
+        The products are the same for 10 and 1000 test samples but for two:
+        the per-qubit map ``(n, N, 4) @ (n, 4, 4)`` of the samples' Bloch
+        vectors and the one real GEMM ``(c 4^h, 4^(n-h)) @ (4^(n-h), N)``,
+        ``h = n // 2``; the rest are ``n`` GEMMs ``(c, 4^(n-1), 4) @ (4, 4)``
+        per layer above layer 0 on the ``(c, 4^n)`` Pauli coefficients.
+        Every array derived from the rotations or the encoded input logs
+        the products it takes part in, so a layer unitary or a per-sample
+        matrix built from them would show."""
         config = small_config(mode=mode, layers=4)
         n, c, dim = config.n_qubits, config.num_classes, 1 << config.n_qubits
+        h = n // 2
         state = train.init_state(config)
         state.rates = np.random.default_rng(19).uniform(0.001, 0.02, state.rates.shape)
         noise_true = train.noise_models_from_config(config)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("evaluate built a per-sample state or a layer unitary")
+            raise AssertionError("evaluate built a per-sample state, a layer unitary or a table")
 
         for module in (pqc, train):
             monkeypatch.setattr(module, "pure_states", forbidden)
             monkeypatch.setattr(module, "layer_chain", forbidden)
             monkeypatch.setattr(module, "layer_unitary", forbidden)
+        monkeypatch.setattr(pqc, "pauli_fidelity_table", forbidden)
         kernel_shapes = []
         kernel = noise.apply_qubit_superoperators
 
@@ -647,17 +658,23 @@ class TestEvaluate:
         for size in (10, 1000):
             _ProductLog.log.clear()
             dataset = data.synthetic_blobs(2, size // 2, 3.0, seed=16)
-            encoded = train.encode_dataset(dataset, n)
+            encoded = pqc.encode_qubits(dataset.features, n).view(_ProductLog)
             train.evaluate(state, dataset, config, noise_true, encoded)
-            per_sample = [s for s in _ProductLog.log if s[0][0] == size]
-            shared = [s for s in _ProductLog.log if s[0][0] != size]
-            assert per_sample == [((size, dim), (dim, dim))] * c
-            runs.append(shared)
+            complex_shapes = [shapes for shapes, is_complex in _ProductLog.log if is_complex]
+            assert complex_shapes
+            assert all(max(x[-2:]) <= 4 for shapes in complex_shapes for x in shapes)
+            shapes = [shapes for shapes, _ in _ProductLog.log]
+            per_sample = [s for s in shapes if size in itertools.chain(*s)]
+            assert per_sample == [
+                ((n, size, 4), (n, 4, 4)),
+                ((c << 2 * h, 4 ** (n - h)), (4 ** (n - h), size)),
+            ]
+            runs.append([s for s in shapes if s not in per_sample])
         assert kernel_shapes == []
         assert runs[0] == runs[1]
         passes = [s for s in runs[0] if s == ((c, 4 ** (n - 1), 4), (4, 4))]
-        assert len(passes) == n * config.layers
-        assert not [s for s in runs[0] if all(x[-2:] == (dim, dim) for x in s)]
+        assert len(passes) == n * (config.layers - 1)
+        assert not [s for s in runs[0] if any(x[-2:] == (dim, dim) for x in s)]
 
     def test_logits_do_not_depend_on_blas_threads(self, tmp_path):
         """At n=8 the readout runs kernel GEMMs and gathers only, no ``eigh``,
@@ -667,7 +684,7 @@ class TestEvaluate:
         script.write_text(
             "import hashlib\n"
             "import numpy as np\n"
-            "from qmit import data, train\n"
+            "from qmit import data, pqc, train\n"
             "readout, logits = train.mitigated_z_readout, []\n"
             "train.mitigated_z_readout = lambda *args: logits.append(readout(*args)) or logits[-1]\n"
             "for mode in ('loss_only', 'cascaded'):\n"
@@ -675,7 +692,7 @@ class TestEvaluate:
             "    state = train.init_state(config)\n"
             "    state.rates = np.random.default_rng(4).uniform(0.0, 0.02, state.rates.shape)\n"
             "    dataset = data.synthetic_blobs(4, 2, 3.0, seed=5)\n"
-            "    encoded = train.encode_dataset(dataset, 8)\n"
+            "    encoded = pqc.encode_qubits(dataset.features, 8)\n"
             "    noise_true = train.noise_models_from_config(config)\n"
             "    train.evaluate(state, dataset, config, noise_true, encoded)\n"
             "print(hashlib.sha256(np.concatenate(logits).tobytes()).hexdigest())\n"
@@ -691,6 +708,27 @@ class TestEvaluate:
             digests.append(proc.stdout)
         assert len(digests[0]) == 65
         assert digests[0] == digests[1]
+
+    def test_labels_outside_the_classes_raise(self):
+        """A label at or above ``num_classes`` raises instead of being left
+        out of the accuracy."""
+        config = small_config(num_classes=4, n_qubits=4)
+        state = train.init_state(config)
+        dataset = data.Dataset(np.full((6, 64), 0.3), np.array([0, 1, 2, 3, 7, 9]))
+        with pytest.raises(ValidationError, match=r"labels must lie in \[0, 4\)"):
+            evaluate(state, dataset, config)
+
+    def test_encoded_row_count_must_match_the_dataset(self):
+        """``encoded`` with more or fewer rows than the dataset has samples
+        raises ``ValidationError``, not an ``IndexError``."""
+        config = small_config()
+        state = train.init_state(config)
+        dataset = data.synthetic_blobs(2, 3, 3.0, seed=12)
+        noise_true = train.noise_models_from_config(config)
+        qubits = pqc.encode_qubits(dataset.features, config.n_qubits)
+        for encoded in (qubits[:-1], np.concatenate([qubits, qubits[:1]])):
+            with pytest.raises(ValidationError, match="encoded holds"):
+                train.evaluate(state, dataset, config, noise_true, encoded)
 
     def test_repeated_evaluation_identical(self):
         dataset = data.synthetic_blobs(2, 10, 3.0, seed=9)
