@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import fields, replace
 
 import numpy as np
@@ -230,7 +231,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, config_echo: dict, columns: list[str], rows: list[dict]) -> None:
+def write_csv(path, config_echo: dict, columns: list[str], rows: Iterable[dict]) -> None:
     with replace_on_success(path) as fh:
         for line in _header_lines(config_echo) + [",".join(columns)]:
             fh.write(line + "\n")
@@ -367,14 +368,19 @@ def divergence_trace(
     The stream cycles through fresh random single-qubit rotations (one per
     qubit) followed by the ring of CNOTs; after every operation the chosen
     noise acts on the qubit(s) the operation touched.  Each operation is one
-    :func:`apply_qubit_superoperators` call: a rotation ``R`` on qubit ``q``
-    is the op ``(q, R (x) conj(R))``, which the kernel composes with that
-    qubit's noise ops; a CNOT first permutes the basis (``rho[p][:, p]``,
+    :func:`apply_qubit_superoperators` call and one :func:`hermitize`: a
+    rotation ``R`` on qubit ``q`` is the op ``(q, R (x) conj(R))``, built as
+    a broadcast outer product, which the kernel composes with that qubit's
+    noise ops; a CNOT first permutes the basis (two ``take`` gathers by
     ``p`` from :func:`cnot_permutation`).  Pauli and depolarizing noise are
-    the mixes of :func:`pauli_mix_superoperators`.  Rotations and CNOTs keep
-    the spectrum and Pauli noise cannot lower the smallest eigenvalue, so
-    those states are only trace checked; amplitude damping can, so a step
-    with it gets the full check.
+    the mixes of :func:`pauli_mix_superoperators`; their generator letters,
+    and the fixed noise ops of the depolarizing and damping channels, are
+    built once per qubit and ring pair.  Rotations and CNOTs keep the
+    spectrum and Pauli noise cannot lower the smallest eigenvalue, so those
+    states are only trace checked; amplitude damping can, so a step with it
+    gets the full check.  Each value is one :func:`petz_renyi_divergence`
+    call, which takes its closed form against the diagonal ``I/d`` at
+    integer ``alpha``.
     """
     if channel not in _TRACE_CHANNELS:
         raise ConfigError(f"channel must be one of {_TRACE_CHANNELS}, got {channel!r}")
@@ -386,37 +392,37 @@ def divergence_trace(
     state = encode(rng.uniform(0.0, 1.0, 64), n)
     mixed = maximally_mixed(n)
 
-    damping = amplitude_damping_superoperator(rate) if channel == "amplitude_damping" else None
-
-    def step(data: np.ndarray, ops: list, qubits: list) -> DensityMatrix:
-        """One kernel pass: ``ops``, then the noise on ``qubits``."""
-        if damping is not None:
-            ops += [(q, damping) for q in qubits]
-        else:
-            letters = tuple("I" * q + ch + "I" * (n - q - 1) for q in qubits for ch in "XYZ")
-            if channel == "pauli":
-                ops += pauli_mix_superoperators(letters, rng.uniform(0.0, rate, len(letters)))
-            else:
-                ops += pauli_mix_superoperators(letters, np.full(len(letters), rate))
-        data = hermitize(apply_qubit_superoperators(data, ops))
-        return DensityMatrix._derived(n, data) if damping is None else DensityMatrix(n, data)
-
+    # Operation k < n rotates qubit k; operation n + j is the CNOT of ring
+    # pair j.  Its noise acts on supports[k].
     ring = [(q, (q + 1) % n) for q in range(n)] if n >= 2 else []
     perms = [cnot_permutation(control, target, n) for control, target in ring]
+    supports = [(q,) for q in range(n)] + ring
+    letters = [tuple("I" * q + ch + "I" * (n - q - 1) for q in qubits for ch in "XYZ")
+               for qubits in supports]
+    damping = amplitude_damping_superoperator(rate) if channel == "amplitude_damping" else None
+    if damping is not None:
+        fixed = [[(q, damping) for q in qubits] for qubits in supports]
+    elif channel == "depolarizing":
+        fixed = [pauli_mix_superoperators(word, np.full(len(word), rate)) for word in letters]
+
     values = [petz_renyi_divergence(state, mixed, alpha)]
-    while len(values) <= operations:
-        for q in range(n):
-            if len(values) > operations:
-                break
+    for k in itertools.islice(itertools.cycle(range(len(supports))), operations):
+        if k < n:
             axis = "XYZ"[int(rng.integers(3))]
             r = rotation_matrix_2x2(axis, float(rng.uniform(-np.pi, np.pi)))
-            state = step(state.data, [(q, np.kron(r, r.conj()))], [q])
-            values.append(petz_renyi_divergence(state, mixed, alpha))
-        for (control, target), perm in zip(ring, perms):
-            if len(values) > operations:
-                break
-            state = step(state.data[np.ix_(perm, perm)], [], [control, target])
-            values.append(petz_renyi_divergence(state, mixed, alpha))
+            # R (x) conj(R): entry (2a + b, 2c + e) is R_ac conj(R_be).
+            superop = (r[:, None, :, None] * r.conj()[None, :, None, :]).reshape(4, 4)
+            data, ops = state.data, [(k, superop)]
+        else:
+            perm = perms[k - n]
+            data, ops = state.data.take(perm, 0).take(perm, 1), []
+        if channel == "pauli":
+            ops += pauli_mix_superoperators(letters[k], rng.uniform(0.0, rate, len(letters[k])))
+        else:
+            ops += fixed[k]
+        data = hermitize(apply_qubit_superoperators(data, ops))
+        state = DensityMatrix._derived(n, data) if damping is None else DensityMatrix(n, data)
+        values.append(petz_renyi_divergence(state, mixed, alpha))
     return np.asarray(values)
 
 
@@ -436,7 +442,8 @@ def cmd_trace_divergence(config_path: str, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     echo = dict(payload)
     echo["version"] = __version__
-    rows = [{"operation": i, "divergence": float(v)} for i, v in enumerate(values)]
+    # One row at a time: a list of dicts would hold ~1500 of them at once.
+    rows = ({"operation": i, "divergence": float(v)} for i, v in enumerate(values))
     write_csv(os.path.join(out_dir, "trace.csv"), echo, ["operation", "divergence"], rows)
     print(
         f"{payload['channel']}: divergence {values[0]:.4f} -> {values[-1]:.6g} "

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .noise import apply_pauli_fidelities, default_generators
-from .qsim import DensityMatrix, _hermiticity_defect, hermitian_power, hermitize
+from .qsim import DensityMatrix, _hermiticity_defect, diagonal_power, hermitian_power, hermitize
 
 logger = logging.getLogger(__name__)
 
@@ -113,12 +113,18 @@ def petz_renyi_divergence(rho, sigma, alpha: float = 2.0) -> float:
     Requires ``alpha > 0`` and ``alpha != 1``; ``sigma`` must be full rank
     when ``alpha > 1``.
 
-    At integer ``alpha``, ``rho^alpha`` is the plain matrix power (products
-    only, no ``eigh``), and ``rho``'s eigenvalues are not clamped: on a
-    state that passes the PSD check it equals the clamped spectral power to
-    rounding, but a quasi-state's negative eigenvalues count with their
-    sign.  Other orders take the clamped spectral power of
-    :func:`hermitian_power`.
+    At integer ``alpha`` and a diagonal ``sigma`` (such as ``I/d``) the
+    trace is ``sum_i sigma_ii^{1-alpha} (rho^alpha)_ii``, and for Hermitian
+    ``rho`` the diagonal ``(rho^alpha)_ii`` is the real part of
+    ``sum_j (rho^{alpha-1})_ij conj(rho_ij)``: no product at ``alpha = 2``,
+    one at ``alpha = 3``, and no ``eigh``.  At integer ``alpha`` and any
+    other ``sigma`` the trace is taken with ``rho``'s plain matrix power.
+    Neither clamps ``rho``'s eigenvalues: on a state that passes the PSD
+    check they equal the clamped spectral power to rounding, but a
+    quasi-state's negative eigenvalues count with their sign.  Other orders
+    take the clamped spectral power of :func:`hermitian_power`.
+    ``sigma``'s diagonal test and power are memoized on a
+    :class:`DensityMatrix`.
     """
     if not (alpha > 0.0) or alpha == 1.0:
         raise ValidationError(f"divergence order must be positive and != 1, got {alpha}")
@@ -126,21 +132,40 @@ def petz_renyi_divergence(rho, sigma, alpha: float = 2.0) -> float:
     b = _state_data(sigma)
     if a.shape != b.shape:
         raise ValidationError(f"state shapes differ: {a.shape} vs {b.shape}")
-    if float(alpha).is_integer():
-        rho_a = np.linalg.matrix_power(a, int(alpha))
+    integer = float(alpha).is_integer()
+    weights = None
+    if integer and isinstance(sigma, DensityMatrix):
+        weights = sigma.diagonal_power(1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
+    elif integer:
+        weights = diagonal_power(b, 1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
+    if weights is not None:
+        head = a if alpha == 2.0 else np.linalg.matrix_power(a, int(alpha) - 1)
+        # Re(h_ij conj(a_ij)) = Re h Re a + Im h Im a: a row dot of the
+        # float views.
+        rows = np.einsum("ij,ij->i", _float_view(head), _float_view(a))
+        value = float(weights @ rows)
     else:
-        rho_a = hermitian_power(a, alpha, rel_floor=_SPECTRAL_REL_FLOOR)
-    # The reference is usually one state compared against many (a whole
-    # trace against the maximally mixed state), so its power is memoized.
-    if isinstance(sigma, DensityMatrix):
-        sigma_b = sigma.power(1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
-    else:
-        sigma_b = hermitian_power(b, 1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
-    # Tr[A S] = sum_ij A_ij S_ji = vdot(S, A) for Hermitian S: no product.
-    value = float(np.vdot(sigma_b, rho_a).real)
+        if integer:
+            rho_a = np.linalg.matrix_power(a, int(alpha))
+        else:
+            rho_a = hermitian_power(a, alpha, rel_floor=_SPECTRAL_REL_FLOOR)
+        # The reference is usually one state compared against many, so its
+        # power is memoized.
+        if isinstance(sigma, DensityMatrix):
+            sigma_b = sigma.power(1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
+        else:
+            sigma_b = hermitian_power(b, 1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
+        # Tr[A S] = sum_ij A_ij S_ji = vdot(S, A) for Hermitian S: no product.
+        value = float(np.vdot(sigma_b, rho_a).real)
     if value <= 0.0:
         return math.inf
     return math.log(value) / (alpha - 1.0)
+
+
+def _float_view(x: np.ndarray) -> np.ndarray:
+    """A complex ``(d, d)`` matrix as ``(d, 2d)`` floats: real and imaginary
+    parts interleaved along each row."""
+    return np.ascontiguousarray(x).view(np.float64)
 
 
 def softmax_head(z, num_classes: int) -> np.ndarray:

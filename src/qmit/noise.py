@@ -221,16 +221,33 @@ def apply_qubit_superoperators(x: np.ndarray, ops) -> np.ndarray:
     commute.  One transpose puts each active qubit's pair first and the
     leading axes and inactive bits last.  Each active qubit is then one GEMM
     ``(4, m)^T @ S^T``, which leaves that pair last, so after the last GEMM
-    one transpose takes the result back.  ``x`` is never written; with no
-    ops ``x`` itself is returned.
+    one transpose takes the result back.  The axis orders depend only on the
+    number of leading axes, ``n`` and the active qubits, and are built once
+    per such layout (:func:`_pair_layout`), so a call on a small state costs
+    little beyond its two copies and its GEMMs.  ``x`` is never written;
+    with no ops ``x`` itself is returned.
     """
     if not ops:
         return x
-    y, order = _superoperators_pairs_last(x, ops)
-    return y.transpose(np.argsort(order)).reshape(x.shape)
+    y, _, undo = _superoperators_pairs_last(x, ops)
+    return y.transpose(undo).reshape(x.shape)
 
 
-def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, list[int]]:
+@lru_cache(maxsize=1024)
+def _pair_layout(lead: int, n: int, active: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The kernel's axis orders for ``lead`` leading axes and ``n`` qubits
+    whose ``active`` ones get a GEMM, in that order: the transpose that puts
+    the active pairs first, the order of the axes after the last GEMM (each
+    GEMM moves one pair last), and the transpose that takes that back."""
+    rows = [lead + q for q in range(n) if q not in active]
+    order = [ax for q in active for ax in (lead + q, lead + n + q)]
+    order += list(range(lead)) + rows + [ax + n for ax in rows]
+    done = order[2 * len(active):] + order[: 2 * len(active)]
+    undo = sorted(range(len(done)), key=done.__getitem__)
+    return tuple(order), tuple(done), tuple(undo)
+
+
+def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, tuple, tuple]:
     """:func:`apply_qubit_superoperators` without its last transpose.
 
     Returns the result in the layout the GEMMs leave it in: the leading
@@ -238,7 +255,8 @@ def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, list[int
     qubit's (row bit, column bit) pair in order of first appearance in
     ``ops``.  ``order[k]`` is the axis of ``x`` split into bits (leading
     axes first, then ``n`` row bits and ``n`` column bits) that axis ``k``
-    of the result holds.  ``ops`` must not be empty.
+    of the result holds, and ``undo`` is its inverse, the transpose back.
+    ``ops`` must not be empty.
     """
     lead, n = x.ndim - 2, _num_qubits(x)
     per_qubit = {}
@@ -247,15 +265,12 @@ def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, list[int
             raise ValidationError(f"qubit {q} out of range for {n} qubits")
         per_qubit[q] = s @ per_qubit[q] if q in per_qubit else np.asarray(s)
     dtype = np.result_type(x, np.float64, *per_qubit.values())
-    rows = [lead + q for q in range(n) if q not in per_qubit]
-    order = [ax for q in per_qubit for ax in (lead + q, lead + n + q)]
-    order += list(range(lead)) + rows + [ax + n for ax in rows]
-    split = x.reshape(x.shape[:lead] + (2,) * (2 * n))
-    y = np.ascontiguousarray(split.transpose(order), dtype=dtype)
+    first, order, undo = _pair_layout(lead, n, tuple(per_qubit))
+    split = x.shape[:lead] + (2,) * (2 * n)
+    y = np.ascontiguousarray(x.reshape(split).transpose(first), dtype=dtype)
     for s in per_qubit.values():
         y = y.reshape(4, -1).T @ s.T.astype(dtype)
-    order = order[2 * len(per_qubit):] + order[: 2 * len(per_qubit)]
-    return y.reshape([split.shape[ax] for ax in order]), order
+    return y.reshape(split), order, undo
 
 
 # Unnormalized one-qubit Pauli transform: the 00, 11, 01 and 10 entries
@@ -449,8 +464,8 @@ def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
     # sum over the leading axes is permuted back.
     d, n = g.shape[-1], _num_qubits(g)
     butterflies = [(q, _BUTTERFLY) for q in range(n)]
-    tg, order = _superoperators_pairs_last(g, butterflies)
-    ty, _ = _superoperators_pairs_last(np.swapaxes(y, -1, -2), butterflies)
+    tg, order, _ = _superoperators_pairs_last(g, butterflies)
+    ty, _, _ = _superoperators_pairs_last(np.swapaxes(y, -1, -2), butterflies)
     summed = np.einsum("bk,bk->k", tg.reshape(-1, d * d), ty.reshape(-1, d * d)).real
     bits = order[g.ndim - 2:]  # the 2n bit axes, each qubit's pair together
     products = summed.reshape((2,) * 2 * n).transpose(np.argsort(bits)).reshape(d, d)

@@ -138,16 +138,26 @@ class DensityMatrix:
 
     def power(self, exponent: float, rel_floor: float = 0.0) -> np.ndarray:
         """:func:`hermitian_power` of the data, computed once per instance
-        and returned read-only.
+        and returned read-only."""
+        return self._memo(hermitian_power, exponent, rel_floor)
+
+    def diagonal_power(self, exponent: float, rel_floor: float = 0.0) -> np.ndarray | None:
+        """:func:`diagonal_power` of the data, computed once per instance
+        (so the data is scanned once) and returned read-only."""
+        return self._memo(diagonal_power, exponent, rel_floor)
+
+    def _memo(self, fn, exponent: float, rel_floor: float):
+        """``fn(data, exponent, rel_floor=rel_floor)``, memoized.
 
         The data is read-only, so the memo cannot go stale.  It lives in the
         instance dict, which the frozen dataclass leaves writable.
         """
         memo = self.__dict__.setdefault("_powers", {})
-        key = (exponent, rel_floor)
+        key = (fn.__name__, exponent, rel_floor)
         if key not in memo:
-            out = hermitian_power(self.data, exponent, rel_floor=rel_floor)
-            out.setflags(write=False)
+            out = fn(self.data, exponent, rel_floor=rel_floor)
+            if out is not None:
+                out.setflags(write=False)
             memo[key] = out
         return memo[key]
 
@@ -233,13 +243,27 @@ def hermitian_power(data: np.ndarray, power: float, *, rel_floor: float = 0.0) -
     positive spectrum.
     """
     eigs, vecs = np.linalg.eigh(hermitize(np.asarray(data, dtype=np.complex128)))
+    return (vecs * _spectral_power(eigs, power, rel_floor)) @ vecs.conj().T
+
+
+def diagonal_power(data: np.ndarray, power: float, *, rel_floor: float = 0.0) -> np.ndarray | None:
+    """The diagonal of :func:`hermitian_power` when ``data`` is diagonal,
+    which is then the whole power, from the diagonal alone (no ``eigh``);
+    ``None`` when some off-diagonal entry is nonzero."""
+    diag = np.diagonal(data)
+    if np.count_nonzero(data) != np.count_nonzero(diag):
+        return None
+    return _spectral_power(diag.real, power, rel_floor)
+
+
+def _spectral_power(eigs: np.ndarray, power: float, rel_floor: float) -> np.ndarray:
+    """``eigs ** power`` after the clamps of :func:`hermitian_power`."""
     eigs = np.clip(eigs, 0.0, None)
     if rel_floor > 0.0 and eigs.size:
         eigs[eigs < rel_floor * eigs.max()] = 0.0
     if power < 0 and np.any(eigs <= 0.0):
         raise ValidationError("negative matrix power of a singular Hermitian matrix")
-    powered = np.power(eigs, power)
-    return (vecs * powered) @ vecs.conj().T
+    return np.power(eigs, power)
 
 
 def haar_random_unitary(n: int, rng: np.random.Generator) -> Unitary:

@@ -460,20 +460,32 @@ class TestTraceCommand:
         values = cli.divergence_trace(3, 30, "pauli", 0.02, seed=6)
         assert values[-1] < values[0]
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_pauli_matches_dense_loop(self, seed):
+    @pytest.mark.parametrize(
+        "channel, n, seed",
+        [("pauli", 3, seed) for seed in (0, 1, 2)]
+        + [(channel, n, 0) for channel in ("depolarizing", "amplitude_damping") for n in (2, 4)],
+    )
+    def test_matches_dense_loop(self, channel, n, seed):
         """The same random stream through dense gates, the per-factor
-        channel and ``D_2(rho || I/d) = log(d tr rho^2)``."""
-        n, rate = 3, 0.02
+        channel or the embedded damping Kraus pair, and
+        ``D_2(rho || I/d) = log(d tr rho^2)``."""
+        rate = 0.02
         rng = np.random.default_rng(seed)
         u = dense.encoder_unitary(rng.uniform(0.0, 1.0, 64), n)
         rho = np.outer(u[:, 0], u[:, 0].conj())
+        kraus = [np.diag([1.0, math.sqrt(1.0 - rate)]), np.array([[0.0, math.sqrt(rate)], [0, 0]])]
 
         def step(rho, gate, qubits):
             out = gate @ rho @ gate.conj().T
             for q in qubits:
                 letters = ["I" * q + ch + "I" * (n - q - 1) for ch in "XYZ"]
-                out = dense.channel(out, letters, rng.uniform(0.0, rate, 3))
+                if channel == "pauli":
+                    out = dense.channel(out, letters, rng.uniform(0.0, rate, 3))
+                elif channel == "depolarizing":
+                    out = dense.channel(out, letters, [rate] * 3)
+                else:
+                    embedded = [dense.embed_one_qubit(k, q, n) for k in kraus]
+                    out = sum(k @ out @ k.conj().T for k in embedded)
             return out
 
         def d2(rho):
@@ -490,13 +502,14 @@ class TestTraceCommand:
             for q in range(n):
                 rho = step(rho, dense.cnot(q, (q + 1) % n, n), [q, (q + 1) % n])
                 want.append(d2(rho))
-        got = cli.divergence_trace(n, 60, "pauli", rate, seed=seed)
+        got = cli.divergence_trace(n, 60, channel, rate, seed=seed)
         np.testing.assert_allclose(got, want[:61], rtol=0, atol=1e-12)
 
     def test_each_state_checked_once(self, monkeypatch):
         """Only the encoded state and the reference run the full check, and
-        the only matrix power of the trace is the reference's, computed once."""
-        counts = {"checks": 0, "powers": 0}
+        the trace takes no matrix power: the reference ``I/d`` is diagonal,
+        so its weights come from one diagonal power, computed once."""
+        counts = {"checks": 0, "powers": 0, "diagonal": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -510,13 +523,16 @@ class TestTraceCommand:
         power = counting("powers", qsim.hermitian_power)
         monkeypatch.setattr(qsim, "hermitian_power", power)
         monkeypatch.setattr(losses, "hermitian_power", power)
+        diagonal = counting("diagonal", qsim.diagonal_power)
+        monkeypatch.setattr(qsim, "diagonal_power", diagonal)
+        monkeypatch.setattr(losses, "diagonal_power", diagonal)
         values = cli.divergence_trace(3, 30, "pauli", 0.02, seed=6)
         assert len(values) == 31
-        assert counts == {"checks": 2, "powers": 1}
+        assert counts == {"checks": 2, "powers": 0, "diagonal": 1}
 
     def test_no_eigendecomposition_per_state(self, monkeypatch):
         """Beyond the two full state checks (``eigvalsh``), the trace makes
-        one ``eigh``: the reference's inverse, for all 31 divergences."""
+        no ``eigh``: the reference is diagonal."""
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
             def wrapper(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -525,7 +541,40 @@ class TestTraceCommand:
             monkeypatch.setattr(np.linalg, name, wrapper)
         values = cli.divergence_trace(3, 30, "pauli", 0.02, seed=6)
         assert len(values) == 31
-        assert counts == {"eigh": 1, "eigvalsh": 2}
+        assert counts == {"eigh": 0, "eigvalsh": 2}
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_matrix_powers_per_value(self, monkeypatch, alpha):
+        """At alpha = 2 no value takes a matrix power; at alpha = 3 each
+        takes ``rho^2``, one product."""
+        exponents = []
+
+        def matrix_power(a, k, _fn=np.linalg.matrix_power):
+            exponents.append(k)
+            return _fn(a, k)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", matrix_power)
+        values = cli.divergence_trace(3, 30, "pauli", 0.02, alpha=alpha, seed=6)
+        assert len(values) == 31
+        assert exponents == ([] if alpha == 2.0 else [2] * 31)
+
+    def test_blas_thread_count_keeps_bytes(self, tmp_path):
+        """At n=6, ``trace.csv`` does not depend on the BLAS thread count
+        that the superoperator kernel's GEMMs run under."""
+        payload = {"channel": "pauli", "operations": 200, "rate": 0.002, "n_qubits": 6, "seed": 0}
+        path = write_config(tmp_path, payload)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qmit.cli", "trace-divergence", "--config", path,
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "trace.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_rerun_in_process_is_byte_identical(self, tmp_path):
         """A second run in the same process, after the first has filled the

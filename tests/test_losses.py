@@ -164,6 +164,76 @@ class TestPetzRenyi:
                     got = losses.petz_renyi_divergence(rho, sigma, alpha)
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_diagonal_reference_matches_general_path(self, n):
+        """At integer order against a diagonal reference, ``I/d`` or a random
+        full-rank diagonal state, the closed form equals the general path
+        ``vdot(sigma^(1-a), rho^a)``, with the reference's power from
+        ``eigh``, to 1e-12, for states and plain arrays alike."""
+
+        def general(rho, sigma, alpha):
+            sigma_b = qsim.hermitian_power(sigma, 1.0 - alpha, rel_floor=1e-13)
+            rho_a = np.linalg.matrix_power(rho, int(alpha))
+            return math.log(np.vdot(sigma_b, rho_a).real) / (alpha - 1.0)
+
+        rng = np.random.default_rng(60 + n)
+        weights = rng.uniform(0.5, 1.5, 1 << n)
+        references = (
+            qsim.maximally_mixed(n),
+            qsim.DensityMatrix(n, np.diag(weights / weights.sum())),
+        )
+        for alpha in (2.0, 3.0):
+            pure = qsim.pure_state(qsim.random_state_vector(n, rng))
+            for rho in (pure, qsim.random_density_matrix(n, rng)):
+                for sigma in references:
+                    want = general(rho.data, sigma.data, alpha)
+                    for args in ((rho, sigma), (rho.data, sigma.data), (rho.data, sigma)):
+                        got = losses.petz_renyi_divergence(*args, alpha)
+                        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_only_integer_order_and_diagonal_reference_skip_spectral_powers(self, monkeypatch):
+        """``alpha = 0.5`` and a non-diagonal reference still take the
+        spectral powers of the general path; integer orders against a
+        diagonal reference take none."""
+        rng = np.random.default_rng(13)
+        rho = qsim.random_density_matrix(2, rng)
+        full = qsim.random_density_matrix(2, rng)
+        exponents = []
+
+        def power(x, p, _fn=qsim.hermitian_power, **kwargs):
+            exponents.append(p)
+            return _fn(x, p, **kwargs)
+
+        monkeypatch.setattr(qsim, "hermitian_power", power)
+        monkeypatch.setattr(losses, "hermitian_power", power)
+        cases = [
+            (qsim.maximally_mixed(2), 2.0, []),
+            (qsim.maximally_mixed(2).data, 3.0, []),
+            (qsim.maximally_mixed(2), 0.5, [0.5, 0.5]),
+            (full, 2.0, [-1.0]),
+            (full.data, 3.0, [-2.0]),
+        ]
+        for sigma, alpha, want in cases:
+            exponents.clear()
+            losses.petz_renyi_divergence(rho, sigma, alpha)
+            assert exponents == want, (alpha, want)
+
+    def test_singular_diagonal_reference_rejected(self):
+        sigma = qsim.DensityMatrix(2, np.diag([0.5, 0.5, 0.0, 0.0]))
+        for reference in (sigma, sigma.data):
+            with pytest.raises(ValidationError):
+                losses.petz_renyi_divergence(qsim.maximally_mixed(2), reference, 2.0)
+
+    def test_non_hermitian_arrays_rejected(self):
+        """A plain array is validated before the closed form reads it, even
+        when it is diagonal."""
+        mixed = qsim.maximally_mixed(1)
+        skew = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+        complex_diagonal = np.diag([0.5 + 0.1j, 0.5 - 0.1j])
+        for rho, sigma in ((skew, mixed), (mixed, skew), (mixed, complex_diagonal)):
+            with pytest.raises(ValidationError):
+                losses.petz_renyi_divergence(rho, sigma, 2.0)
+
     def test_alpha_one_rejected(self):
         mixed = qsim.maximally_mixed(1)
         with pytest.raises(ValidationError):

@@ -426,6 +426,25 @@ class TestHelpers:
         with pytest.raises(ValidationError):
             qsim.hermitian_power(np.diag([1.0, 0.0]).astype(complex), -1.0)
 
+    def test_diagonal_power_is_the_diagonal_of_hermitian_power(self):
+        """Same clamps as ``hermitian_power`` (negatives and the relative
+        floor to zero, singular negative powers rejected), read from the
+        diagonal; ``None`` for a matrix with an off-diagonal entry."""
+        diag = np.diag([0.5, 0.3, 1e-15, -1e-12]).astype(complex)
+        for power, floor in ((0.5, 0.0), (0.5, 1e-13), (2.0, 1e-13)):
+            want = np.diagonal(qsim.hermitian_power(diag, power, rel_floor=floor)).real
+            got = qsim.diagonal_power(diag, power, rel_floor=floor)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        with pytest.raises(ValidationError):
+            qsim.diagonal_power(diag, -1.0)
+        full = diag.copy()
+        full[0, 1] = full[1, 0] = 0.1
+        assert qsim.diagonal_power(full, -1.0) is None
+        mixed = qsim.maximally_mixed(2)
+        weights = mixed.diagonal_power(-1.0)
+        assert mixed.diagonal_power(-1.0) is weights and not weights.flags.writeable
+        assert qsim.random_density_matrix(2, np.random.default_rng(5)).diagonal_power(-1.0) is None
+
     def test_embed_one_qubit_positions(self):
         full = dense_reference.embed_one_qubit(qsim.PAULI_Z, 0, 2)
         np.testing.assert_allclose(full, np.kron(qsim.PAULI_Z, np.eye(2)))
