@@ -23,6 +23,9 @@ pullback's gradient leaves that eigenbasis already conjugated back to
 and 7 without it, besides up to three ``eigh``; a pure target's spectrum
 is closed form (no ``eigh``, one product less), and a chain state that is
 one block's pullback input and the next block's target is decomposed once.
+The blocks are streamed (:func:`fb_blocks` yields one at a time), so the
+trainer runs each block's backward right after its forward and holds one
+block's caches at a time.
 """
 
 from __future__ import annotations
@@ -254,6 +257,12 @@ def _pure_spectrum(psi: np.ndarray) -> dict:
     return _spectrum_cache(eigs, {"householder": w})
 
 
+def _weighted_gram(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``y diag(w) y^dagger`` for a stack ``y`` and real weights ``w`` on its
+    last axis: one product."""
+    return (y * w[..., None, :]) @ _dagger(y)
+
+
 def _rotated_vecs(cache: dict, unit: np.ndarray | None = None) -> np.ndarray:
     """``unit @ V`` for the eigenvectors ``V`` of a spectrum cache (``V``
     itself without ``unit``): one product, or for a Householder ``V = I - 2
@@ -276,6 +285,9 @@ def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
     """Adjoint of the conditioning for a gradient ``g`` written in the
     state's eigenbasis; returns the raw-input gradient in the standard basis.
 
+    ``g`` is consumed: it is scaled and masked in place and then holds the
+    result, so callers pass a complex stack they own.
+
     The trace normalization contributes ``-(sum_i fe_i g_ii) / trace^2`` on
     the diagonal.  The softplus floor is a spectral function, whose adjoint
     multiplies by its divided differences (Daleckii-Krein; Higham,
@@ -289,20 +301,28 @@ def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
     keep = 1.0 - FB_STATE_FLOOR
 
     inner = np.einsum("...ii,...i->...", g, fe).real
-    g = (keep / trace)[..., None, None] * g
+    g *= (keep / trace)[..., None, None]
     idx = np.arange(g.shape[-1])
     g[..., idx, idx] -= (keep * inner / trace**2)[..., None]
 
+    g *= _softplus_divided_differences(eigs, fe)
+    vecs = _rotated_vecs(cache)
+    return np.matmul(vecs @ g, _dagger(vecs), out=g)
+
+
+def _softplus_divided_differences(eigs: np.ndarray, fe: np.ndarray) -> np.ndarray:
+    """Divided differences ``(fe_i - fe_j) / (eigs_i - eigs_j)`` of the
+    softplus floor over pairs of eigenvalues; a (numerically) equal pair
+    takes the floor's derivative ``sigmoid`` at its midpoint instead."""
     de = eigs[..., :, None] - eigs[..., None, :]
-    df = fe[..., :, None] - fe[..., None, :]
     near = np.abs(de) < _EIG_DEGENERACY_TOL
-    kernel = np.where(near, 0.0, df) / np.where(near, 1.0, de)
+    de[near] = 1.0  # equal pairs divide by 1 and are overwritten below
+    kernel = fe[..., :, None] - fe[..., None, :]
+    kernel /= de
     *batch, row, col = np.nonzero(near)
     mid = 0.5 * (eigs[(*batch, row)] + eigs[(*batch, col)])
     kernel[near] = _sigmoid(FB_SPECTRAL_SHARPNESS * mid)
-
-    vecs = _rotated_vecs(cache)
-    return vecs @ (g * kernel) @ _dagger(vecs)
+    return kernel
 
 
 def _fb_pair_forward(a, b, unit: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
@@ -327,9 +347,9 @@ def _fb_pair_forward(a, b, unit: np.ndarray | None = None) -> tuple[np.ndarray, 
     cache_a = a if isinstance(a, dict) else _condition_spectrum(a)
     cache_b = b if isinstance(b, dict) else _condition_spectrum(b)
 
-    overlap = _dagger(_rotated_vecs(cache_a, unit)) @ _rotated_vecs(cache_b)
-    p = np.sqrt(cache_a["cond"])[..., :, None] * overlap
-    em, vm = _eigh((p * cache_b["cond"][..., None, :]) @ _dagger(p))
+    p = _dagger(_rotated_vecs(cache_a, unit)) @ _rotated_vecs(cache_b)
+    p *= np.sqrt(cache_a["cond"])[..., :, None]
+    em, vm = _eigh(_weighted_gram(p, cache_b["cond"]))
     trace_sqrt = np.sum(np.sqrt(np.clip(em, 0.0, None)), axis=-1)
     fid = trace_sqrt**2
     loss = np.maximum(-np.log(fid), 0.0)
@@ -375,24 +395,26 @@ def _fb_pair_backward(
     vm = cache["vm"]
     g_scale = np.asarray(g_loss) * (-1.0 / cache["fid"]) * cache["trace_sqrt"]
 
-    y = _dagger(cache["p"]) @ vm
     inv_root_m = g_scale[..., None] / np.sqrt(np.clip(em, _INV_SQRT_FLOOR, None))
-    g_b = (y * inv_root_m[..., None, :]) @ _dagger(y)
+    g_b = _weighted_gram(_dagger(cache["p"]) @ vm, inv_root_m)
     g_b_raw = hermitize(_condition_adjoint_eigenbasis(g_b, cache["cache_b"]))
+    del g_b
     if not with_target:
         return None, g_b_raw
 
     cache_a = cache["cache_a"]
     root_m = g_scale[..., None] * np.sqrt(np.clip(em, 0.0, None))
     inv_root_a = 1.0 / np.sqrt(cache_a["cond"])
-    g_a = (vm * root_m[..., None, :]) @ _dagger(vm)
-    g_a = inv_root_a[..., :, None] * g_a * inv_root_a[..., None, :]
+    g_a = _weighted_gram(vm, root_m)
+    g_a *= inv_root_a[..., :, None]
+    g_a *= inv_root_a[..., None, :]
     g_a_raw = hermitize(_condition_adjoint_eigenbasis(g_a, cache_a))
     return g_a_raw, g_b_raw
 
 
-def fb_blocks(chain, psi0, units, step: int, rates=None) -> list[tuple]:
-    """Forward-backward blocks of a propagated chain ``[t_0, ..., t_L]``.
+def fb_blocks(chain, psi0, units, step: int, rates=None):
+    """Forward-backward blocks of a propagated chain ``[t_0, ..., t_L]``,
+    streamed: an iterator that runs one block's forward per step.
 
     Entries of ``chain`` are stacks ``(batch, d, d)``; ``chain[0] = psi0
     psi0^dagger`` for the state vectors ``psi0``.  Block ``b`` covers layers
@@ -413,17 +435,27 @@ def fb_blocks(chain, psi0, units, step: int, rates=None) -> list[tuple]:
     products per layer after its first (the explicit conjugations) and the
     head's three (two for block 0).
 
-    Returns ``(start, end, layer_caches, loss, cache)`` per block:
-    ``layer_caches`` lists ``(j, x)`` with ``x`` the input of layer ``j``'s
-    inverse conjugation, ``loss`` has the batch shape and ``cache`` is the
-    fidelity cache of :func:`_fb_pair_backward`, whose pullback gradient is
-    with respect to the last ``x`` (``j = start``).  ``step`` must divide
-    the layer count.
+    Yields ``(start, end, layer_caches, loss, cache)`` per block, in block
+    order: ``layer_caches`` lists ``(j, x)`` with ``x`` the input of layer
+    ``j``'s inverse conjugation, ``loss`` has the batch shape and ``cache``
+    is the fidelity cache of :func:`_fb_pair_backward`, whose pullback
+    gradient is with respect to the last ``x`` (``j = start``).  The
+    iterator reads no block after yielding it and holds none but the last
+    one yielded (and the spectrum the next block's target shares): a caller
+    that runs each block's backward before asking for the next, then drops
+    the block or clears its ``cache``, keeps one block's caches alive at a
+    time.  ``step`` must divide the layer count; that is checked here,
+    before any block runs.
     """
     if step < 1 or len(units) % step:
         raise ValidationError(f"block step {step} does not divide {len(units)} layers")
-    blocks = []
-    learned, shared = default_generators(psi0.shape[-1].bit_length() - 1), _pure_spectrum(psi0)
+    return _stream_blocks(chain, psi0, units, step, rates)
+
+
+def _stream_blocks(chain, psi0, units, step, rates):
+    """The generator behind :func:`fb_blocks`."""
+    learned = default_generators(psi0.shape[-1].bit_length() - 1)
+    target = _pure_spectrum(psi0)
     for start in range(0, len(units), step):
         end = start + step
         x = chain[end]
@@ -436,8 +468,9 @@ def fb_blocks(chain, psi0, units, step: int, rates=None) -> list[tuple]:
             layer_caches.append((j, x))
             if j > start:
                 x = units[j].conj().T @ x @ units[j]
-        target = chain[start] if shared is None else shared
         loss, cache = _fb_pair_forward(target, x, units[start])
-        shared = cache["cache_b"] if x is chain[end] else None
-        blocks.append((start, end, layer_caches, loss, cache))
-    return blocks
+        target = cache["cache_b"] if x is chain[end] else chain[end]
+        yield start, end, layer_caches, loss, cache
+        # Free the fidelity cache before the next block allocates (x and
+        # layer_caches are rebound first).
+        del cache

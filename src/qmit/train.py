@@ -59,8 +59,9 @@ from .qsim import MAX_QUBITS
 NOISE_SEED_STREAM = 0xA11CE  # noise rates come from (seed, this tag), fixed across repeats
 DIVERGENCE_ABORT = 1e4
 # Samples times d**2 per chunk of a batch (see :func:`chunk_size`).  The
-# engine holds about 40 (chunk, d, d) complex stacks, so this caps a chunk
-# near 80 MB; the sweep behind it is in CHANGES.md.
+# engine peaks at about 18-22 (chunk, d, d) complex stacks (the chain, its
+# adjoint and one forward-backward block), so this caps a chunk near 44 MB;
+# the sweep behind it is in CHANGES.md.
 CHUNK_ENTRIES = 1 << 17
 
 
@@ -350,29 +351,23 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
     axes = DESIGN_AXES[config.design]
 
     chain = layer_chain(rho0, units, noise_true, rates if cascaded else None)
-    blocks = fb_blocks(chain, psi, units, step, None if cascaded else rates)
-    fb_per_sample = np.zeros(size)
-    clamped = 0.0
-    for *_, loss_vec, fid_cache in blocks:
-        fb_per_sample += loss_vec / num_blocks
-        clamped += fid_cache["neg_mass"]
-
     z = z_expectations(chain[depth])[:, :c]
     gain = np.ones(c) if cascaded else learned_z_gains(rates[-1])[:c]
     probs = softmax_head(z * gain, c)
     ce_per_sample = -np.log(probs[np.arange(size), labels])
     predictions = np.argmax(probs, axis=1)
 
-    if not want_grads:
-        return fb_per_sample, ce_per_sample, predictions, clamped, None, None
+    g_loss = None
+    if want_grads:
+        grad_theta = [np.zeros((n, len(axes))) for _ in range(depth)]
+        grad_rates = np.zeros_like(rates)
+        # g_chain[0], the gradient w.r.t. the encoded input, is never formed.
+        g_chain = [None] + [np.zeros_like(rho0) for _ in range(depth)]
+        if config.alpha_fb != 0.0:
+            g_loss = np.full(size, config.alpha_fb / (num_blocks * batch))
 
-    grad_theta = [np.zeros((n, len(axes))) for _ in range(depth)]
-    grad_rates = np.zeros_like(rates)
-    # g_chain[0], the gradient w.r.t. the encoded input, is never formed.
-    g_chain = [None] + [np.zeros_like(rho0) for _ in range(depth)]
-
-    # Task head adjoint.
-    if config.alpha_task != 0.0:
+    # Task head adjoint, before any block's.
+    if want_grads and config.alpha_task != 0.0:
         g_logits = probs.copy()
         g_logits[np.arange(size), labels] -= 1.0
         g_logits *= config.alpha_task / batch
@@ -385,30 +380,44 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
         idx = np.arange(rho0.shape[-1])
         g_chain[depth][:, idx, idx] += diag_vals
 
-    # Block adjoints.
-    if config.alpha_fb != 0.0:
-        g_loss = np.full(size, config.alpha_fb / (num_blocks * batch))
-        for start, end, layer_caches, _loss_vec, fid_cache in blocks:
-            # g is the gradient w.r.t. the input of layer start's conjugation,
-            # which the fidelity head absorbed.
-            g_target, g = _fb_pair_backward(fid_cache, g_loss, with_target=start > 0)
-            if start > 0:
-                g_chain[start] += g_target
-            for j, conj_input in reversed(layer_caches):
-                if j > start:
-                    g = units[j] @ g @ units[j].conj().T
-                _theta_grad_backward_conj(
-                    g, conj_input, units[j], rotations[j], axes, grad_theta[j]
-                )
-                if not cascaded:
-                    g = _inverse_stack_backward(g, conj_input, rates[j], grad_rates[j])
-            g_chain[end] += g
+    def block_backward(start, end, layer_caches, fid_cache):
+        # g is the gradient w.r.t. the input of layer start's conjugation,
+        # which the fidelity head absorbed.
+        g_target, g = _fb_pair_backward(fid_cache, g_loss, with_target=start > 0)
+        # The fidelity cache is spent: free it before the pullback's adjoint.
+        fid_cache.clear()
+        if start > 0:
+            g_chain[start] += g_target
+        for j, conj_input in reversed(layer_caches):
+            if j > start:
+                g = units[j] @ g @ units[j].conj().T
+            _theta_grad_backward_conj(g, conj_input, units[j], rotations[j], axes, grad_theta[j])
+            if not cascaded:
+                g = _inverse_stack_backward(g, conj_input, rates[j], grad_rates[j])
+        g_chain[end] += g
 
-    # Chain adjoint.
+    # Blocks: each block's adjoint runs right after its forward, and the
+    # block is freed before the next one's forward.
+    blocks = fb_blocks(chain, psi, units, step, None if cascaded else rates)
+    fb_per_sample = np.zeros(size)
+    clamped = 0.0
+    for start, end, layer_caches, loss_vec, fid_cache in blocks:
+        fb_per_sample += loss_vec / num_blocks
+        clamped += fid_cache["neg_mass"]
+        if g_loss is not None:
+            block_backward(start, end, layer_caches, fid_cache)
+        del layer_caches, fid_cache
+
+    if not want_grads:
+        return fb_per_sample, ce_per_sample, predictions, clamped, None, None
+
+    # Chain adjoint.  Layer i is the last reader of chain[i + 1] and
+    # g_chain[i + 1], which are freed as it goes.
     for i in range(depth - 1, -1, -1):
-        g = g_chain[i + 1]
+        g, g_chain[i + 1] = g_chain[i + 1], None
         if cascaded:
             g = _inverse_stack_backward(g, chain[i + 1], rates[i], grad_rates[i])
+        chain[i + 1] = None
         # Real fidelities in the Pauli basis: the channel is its own adjoint.
         g = apply_pauli_fidelities(g, noise_true[i].generators, noise_true[i].rates)
         h = _theta_grad_forward_conj(g, chain[i], units[i], rotations[i], axes, grad_theta[i])

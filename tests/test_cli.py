@@ -239,6 +239,31 @@ class TestTrainCommand:
             outputs.append((out / "metrics.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="from d=128 up, eigh in the forward-backward loss returns different bits "
+        "under one and two BLAS threads, so fb_loss differs in its last digits",
+    )
+    def test_blas_thread_count_keeps_bytes_at_seven_qubits(self, tmp_path):
+        """At n=7, ``metrics.csv`` does not depend on the BLAS thread count."""
+        payload = {
+            "benchmark": "synthetic-4", "train_cap": 8, "test_cap": 4, "repeats": 1,
+            "n_qubits": 7, "layers": 2, "design": "U2", "mode": "loss_only", "step_size": 1,
+            "epochs": 1, "batch_size": 8, "seed": 0,
+        }
+        path = write_config(tmp_path, payload)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, QMIT_THREADS="1", PYTHONPATH=SRC)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qmit.cli", "train", "--config", path, "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "metrics.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_baseline_role_label(self, tmp_path):
         """Only a run whose rates cannot train is the baseline: with
         ``alpha_fb: 0`` the task gradient still trains them."""

@@ -387,8 +387,9 @@ class TestTotalFbLoss:
         return units, pqc.layer_chain(pqc.pure_states(psi), units, models), models, psi
 
     def _total(self, chain, psi, units, step, rates=None):
-        """Mean block loss and the blocks; ``rates`` for loss_only mode."""
-        blocks = losses.fb_blocks(chain, psi, units, step, rates)
+        """Mean block loss and the list of streamed blocks; ``rates`` for
+        loss_only mode."""
+        blocks = list(losses.fb_blocks(chain, psi, units, step, rates))
         return float(np.mean([loss[0] for *_, loss, _cache in blocks])), blocks
 
     def test_zero_noise_zero_mitigation_is_zero(self):
@@ -397,13 +398,15 @@ class TestTotalFbLoss:
             units, chain, _, psi = self._chain(rng)
             value, blocks = self._total(chain, psi, units, step, np.zeros((4, 12)))
             assert abs(value) <= 1e-10
-            assert len(blocks) == 4 // step
+            assert [(start, end) for start, end, *_ in blocks] == [
+                (b, b + step) for b in range(0, 4, step)
+            ]
 
     def test_single_block_at_full_step(self):
         rng = np.random.default_rng(14)
         units, chain, _, psi = self._chain(rng, noisy=True)
         _, blocks = self._total(chain, psi, units, 4, np.zeros((4, 12)))
-        assert len(blocks) == 1
+        assert [(start, end) for start, end, *_ in blocks] == [(0, 4)]
 
     def test_perfect_mitigation_any_step(self):
         rng = np.random.default_rng(15)
@@ -413,17 +416,19 @@ class TestTotalFbLoss:
             assert self._total(chain, psi, units, step, rates)[0] <= 1e-8
 
     def test_step_must_divide_depth(self):
+        """The step is checked when the blocks are asked for, before any
+        block is iterated."""
         rng = np.random.default_rng(16)
         units, chain, _, psi = self._chain(rng)
         with pytest.raises(ValidationError, match="divide"):
-            self._total(chain, psi, units, 3, np.zeros((4, 12)))
+            losses.fb_blocks(chain, psi, units, 3, np.zeros((4, 12)))
 
     def test_step_must_be_positive(self):
         rng = np.random.default_rng(20)
         units, chain, _, psi = self._chain(rng)
         for step in (0, -2):
             with pytest.raises(ValidationError, match="divide"):
-                self._total(chain, psi, units, step, np.zeros((4, 12)))
+                losses.fb_blocks(chain, psi, units, step, np.zeros((4, 12)))
 
     def test_positive_loss_under_unmitigated_noise(self):
         rng = np.random.default_rng(17)
