@@ -29,7 +29,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import __version__
-from .data import BENCHMARKS, Dataset, dataset_from_idx, make_benchmark, synthetic_blobs
+from .data import BENCHMARKS, Dataset, dataset_from_idx, synthetic_blobs
 from .errors import ConfigError, DataFormatError, TrainingError, ValidationError
 from .losses import petz_renyi_divergence
 from .noise import (
@@ -205,12 +205,15 @@ def resolve_datasets(payload: dict) -> tuple[Dataset, Dataset]:
     data_dir = payload.get("data_dir")
     if not data_dir:
         raise ConfigError(f"benchmark {benchmark!r} requires 'data_dir' with IDX files")
-    raw = {}
-    for split, (img_base, lab_base) in _IDX_NAMES.items():
-        raw[split] = dataset_from_idx(
-            _find_idx(data_dir, img_base), _find_idx(data_dir, lab_base)
+    # One generator draws the train split, then the test split.
+    rng = np.random.default_rng(seed)
+    train_set, test_set = (
+        dataset_from_idx(
+            _find_idx(data_dir, img_base), _find_idx(data_dir, lab_base), spec, cap, rng
         )
-    return make_benchmark(raw["train"], raw["test"], spec, train_cap, test_cap, seed)
+        for (img_base, lab_base), cap in zip(_IDX_NAMES.values(), (train_cap, test_cap))
+    )
+    return train_set, test_set
 
 
 # ---------------------------------------------------------------------------

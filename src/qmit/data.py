@@ -1,15 +1,19 @@
-"""Dataset ingestion: IDX files, 8x8 preprocessing, benchmark filtering,
+"""Dataset ingestion: IDX files, 8x8 preprocessing, benchmark subsampling,
 and a synthetic generator for hermetic tests.
 
 IDX is the big-endian, magic-numbered binary format of the common
 handwritten-digit distributions; gzip-compressed files are read
-transparently.
+transparently, and each file is read to its end, so gzip checks its CRC32
+and length trailer.  A benchmark split draws its class-balanced subsample
+from the labels alone and decodes (resizes to 8x8) only the chosen images.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,33 +94,44 @@ def _read_u32(fh, offset: int, what: str, path) -> int:
     return struct.unpack(">I", _read_exact(fh, 4, offset, what, path))[0]
 
 
+def _read_idx(path, expected_magic: int, kind: str, axes: tuple[str, ...], section: str):
+    """The axis sizes and payload of an IDX file that must end with its
+    payload; a damaged gzip stream is a :class:`DataFormatError`."""
+    try:
+        with _open_maybe_gzip(path) as fh:
+            magic = _read_u32(fh, 0, "magic number", path)
+            if magic != expected_magic:
+                raise DataFormatError(
+                    f"{path}: bad {kind} magic 0x{magic:08x} at byte offset 0, "
+                    f"expected 0x{expected_magic:08x}"
+                )
+            shape = tuple(
+                _read_u32(fh, 4 * (i + 1), f"{axis} count", path) for i, axis in enumerate(axes)
+            )
+            offset = 4 * (len(axes) + 1)
+            size = math.prod(shape)
+            payload = _read_exact(fh, size, offset, section, path)
+            # Reading on to the end makes gzip check its CRC32 and length trailer.
+            if fh.read(1):
+                raise DataFormatError(
+                    f"{path}: unexpected data after the {section} at byte offset {offset + size}"
+                )
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise DataFormatError(f"{path}: damaged gzip stream: {exc}") from exc
+    return shape, payload
+
+
 def load_idx_images(path) -> np.ndarray:
     """Images from an IDX3 file as a ``(N, rows, cols)`` uint8 array."""
-    with _open_maybe_gzip(path) as fh:
-        magic = _read_u32(fh, 0, "magic number", path)
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataFormatError(
-                f"{path}: bad image magic 0x{magic:08x} at byte offset 0, "
-                f"expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        count = _read_u32(fh, 4, "item count", path)
-        rows = _read_u32(fh, 8, "row count", path)
-        cols = _read_u32(fh, 12, "column count", path)
-        payload = _read_exact(fh, count * rows * cols, 16, "pixel section", path)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+    shape, payload = _read_idx(
+        path, IDX_IMAGE_MAGIC, "image", ("item", "row", "column"), "pixel section"
+    )
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Labels from an IDX1 file as a ``(N,)`` uint8 array."""
-    with _open_maybe_gzip(path) as fh:
-        magic = _read_u32(fh, 0, "magic number", path)
-        if magic != IDX_LABEL_MAGIC:
-            raise DataFormatError(
-                f"{path}: bad label magic 0x{magic:08x} at byte offset 0, "
-                f"expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        count = _read_u32(fh, 4, "item count", path)
-        payload = _read_exact(fh, count, 8, "label section", path)
+    _, payload = _read_idx(path, IDX_LABEL_MAGIC, "label", ("item",), "label section")
     return np.frombuffer(payload, dtype=np.uint8).copy()
 
 
@@ -192,48 +207,45 @@ def preprocess_all(images: np.ndarray) -> np.ndarray:
     return out
 
 
-def dataset_from_idx(images_path, labels_path) -> Dataset:
-    images, labels = load_idx(images_path, labels_path)
-    return Dataset(preprocess_all(images), labels.astype(np.int64))
+def _balanced_picks(
+    labels: np.ndarray, spec: BenchmarkSpec, cap: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of a class-balanced subsample, ``cap // c`` per class in a
+    shuffled order, and their labels remapped to 0..c-1 in listed order.
 
-
-def make_benchmark(
-    train_raw: Dataset,
-    test_raw: Dataset,
-    spec: BenchmarkSpec,
-    train_cap: int,
-    test_cap: int,
-    seed: int,
-) -> tuple[Dataset, Dataset]:
-    """Filter to the benchmark classes, remap labels, and subsample.
-
-    Subsampling is class balanced (``cap // c`` per class) and deterministic
-    under the seed.
+    The draws are one permutation per class in listed order, then one of the
+    whole subsample.
     """
-    rng = np.random.default_rng(seed)
-    out = []
-    for raw, cap in ((train_raw, train_cap), (test_raw, test_cap)):
-        per_class = cap // spec.num_classes
-        feats, labs = [], []
-        for new_label, source_class in enumerate(spec.classes):
-            idx = np.flatnonzero(raw.labels == source_class)
-            if idx.size == 0:
-                raise ValidationError(
-                    f"benchmark {spec.name}: no samples of source class {source_class}"
-                )
-            if idx.size < per_class:
-                raise ValidationError(
-                    f"benchmark {spec.name}: class {source_class} has {idx.size} "
-                    f"samples, need {per_class}"
-                )
-            chosen = idx[rng.permutation(idx.size)[:per_class]]
-            feats.append(raw.features[chosen])
-            labs.append(np.full(per_class, new_label, dtype=np.int64))
-        features = np.concatenate(feats)
-        labels = np.concatenate(labs)
-        order = rng.permutation(labels.size)
-        out.append(Dataset(features[order], labels[order]))
-    return out[0], out[1]
+    per_class = cap // spec.num_classes
+    picks = []
+    for source_class in spec.classes:
+        idx = np.flatnonzero(labels == source_class)
+        if idx.size == 0:
+            raise ValidationError(
+                f"benchmark {spec.name}: no samples of source class {source_class}"
+            )
+        if idx.size < per_class:
+            raise ValidationError(
+                f"benchmark {spec.name}: class {source_class} has {idx.size} "
+                f"samples, need {per_class}"
+            )
+        picks.append(idx[rng.permutation(idx.size)[:per_class]])
+    new_labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), per_class)
+    order = rng.permutation(new_labels.size)
+    return np.concatenate(picks)[order], new_labels[order]
+
+
+def dataset_from_idx(
+    images_path, labels_path, spec: BenchmarkSpec, cap: int, rng: np.random.Generator
+) -> Dataset:
+    """One benchmark split from paired IDX files: a class-balanced subsample
+    drawn from the labels alone (see :func:`_balanced_picks`), of which only
+    the chosen images are resized.  Drawing the train split and then the
+    test split from one generator makes both deterministic under its seed.
+    """
+    images, labels = load_idx(images_path, labels_path)
+    picks, new_labels = _balanced_picks(labels, spec, cap, rng)
+    return Dataset(preprocess_all(images[picks]), new_labels)
 
 
 _BLOB_NOISE_STD = 0.04

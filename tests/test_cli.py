@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -341,6 +342,96 @@ class TestIdxPipeline:
         assert len(metrics.decode().splitlines()) == 3 + payload["epochs"]
         resolved = json.loads((outs[0] / "summary.json").read_text())["config"]["resolved"]
         assert resolved["num_classes"] == 4
+
+    @pytest.mark.parametrize("spec_name", ["MNIST-4", "Fashion-2"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_decoding_everything(self, tmp_path, spec_name, seed):
+        """Drawing the subsample from the labels and resizing only it gives
+        the bytes of resizing every image and then drawing it."""
+        write_gzipped_idx_corpus(tmp_path, seed=seed)
+        payload = {"benchmark": spec_name, "data_dir": str(tmp_path), "seed": seed,
+                   "train_cap": 40, "test_cap": 20}
+        got = cli.resolve_datasets(payload)
+        want = decode_everything_then_subsample(tmp_path, data.BENCHMARKS[spec_name], 40, 20, seed)
+        for g, w in zip(got, want):
+            assert g.features.dtype == w.features.dtype and g.labels.dtype == w.labels.dtype
+            assert g.features.tobytes() == w.features.tobytes()
+            assert g.labels.tobytes() == w.labels.tobytes()
+
+    def test_only_the_subsample_is_resized(self, tmp_path, monkeypatch):
+        write_gzipped_idx_corpus(tmp_path)
+        resized = []
+        preprocess_all = data.preprocess_all
+
+        def counting(images):
+            resized.append(len(images))
+            return preprocess_all(images)
+
+        monkeypatch.setattr(data, "preprocess_all", counting)
+        cli.resolve_datasets({"benchmark": "MNIST-4", "data_dir": str(tmp_path),
+                              "train_cap": 40, "test_cap": 20})
+        assert resized == [40, 20]
+
+    def test_setup_peak_stays_near_the_payload(self, tmp_path):
+        """Set-up holds one split's decompressed pixels plus the chosen
+        images and their resize temporaries (about 3.5 MB at 1000 images),
+        never float features of the whole corpus.  Measured peaks: 19.1 MB
+        here, 28.1 MB for the loader that decoded everything first, and
+        29.2 MB for the reference below."""
+        write_gzipped_idx_corpus(tmp_path, train_count=20000, test_count=4000)
+        payload = {"benchmark": "MNIST-4", "data_dir": str(tmp_path), "seed": 0,
+                   "train_cap": 1000, "test_cap": 500}
+        bound = 20000 * 28 * 28 + 6_000_000
+        tracemalloc.start()
+        try:
+            cli.resolve_datasets(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            decode_everything_then_subsample(tmp_path, data.BENCHMARKS["MNIST-4"], 1000, 500, 0)
+            reference_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound < reference_peak, (peak, reference_peak)
+
+    def test_truncated_gzip_exits_2_without_output(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_gzipped_idx_corpus(corpus)
+        images = corpus / "train-images-idx3-ubyte.gz"
+        blob = images.read_bytes()
+        images.write_bytes(blob[: len(blob) // 2])
+        payload = synthetic_train_payload(
+            benchmark="MNIST-4", data_dir=str(corpus), train_cap=40, test_cap=20, repeats=1
+        )
+        del payload["separation"]
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 2
+        assert str(images) in capsys.readouterr().err
+        assert not out.exists()
+
+
+def decode_everything_then_subsample(data_dir, spec, train_cap, test_cap, seed):
+    """Reference loader: resize every image of both splits, then draw
+    ``cap // c`` per class and shuffle, train split first, on one generator."""
+    raw = []
+    for prefix in ("train", "t10k"):
+        images, labels = data.load_idx(
+            data_dir / f"{prefix}-images-idx3-ubyte.gz", data_dir / f"{prefix}-labels-idx1-ubyte.gz"
+        )
+        raw.append((data.preprocess_all(images), labels))
+    rng = np.random.default_rng(seed)
+    out = []
+    for (features, labels), cap in zip(raw, (train_cap, test_cap)):
+        per_class = cap // spec.num_classes
+        feats, labs = [], []
+        for new_label, source_class in enumerate(spec.classes):
+            idx = np.flatnonzero(labels == source_class)
+            feats.append(features[idx[rng.permutation(idx.size)[:per_class]]])
+            labs.append(np.full(per_class, new_label, dtype=np.int64))
+        order = rng.permutation(per_class * spec.num_classes)
+        out.append(data.Dataset(np.concatenate(feats)[order], np.concatenate(labs)[order]))
+    return out
 
 
 class TestAblationCommand:

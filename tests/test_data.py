@@ -1,4 +1,4 @@
-"""IDX parsing, preprocessing, benchmark filtering, synthetic blobs."""
+"""IDX parsing, preprocessing, benchmark subsampling, synthetic blobs."""
 
 import gzip
 import struct
@@ -61,6 +61,69 @@ class TestLoadIdx:
         data.save_idx_labels(short, labels[:-5])
         with pytest.raises(DataFormatError, match="labels"):
             data.load_idx(img_path, short)
+
+
+def _both_loaders(idx_pair):
+    """``(loader, raw file bytes)`` for images and for labels."""
+    img_path, lab_path, *_ = idx_pair
+    return [
+        (data.load_idx_images, img_path.read_bytes()),
+        (data.load_idx_labels, lab_path.read_bytes()),
+    ]
+
+
+class TestDamagedIdx:
+    """Every damaged file is a DataFormatError naming the file, never a
+    gzip or zlib exception and never a silently wrong array."""
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_truncated_gzip(self, tmp_path, idx_pair, which):
+        load, raw = _both_loaders(idx_pair)[which]
+        blob = gzip.compress(raw)
+        bad = tmp_path / "cut.gz"
+        bad.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(DataFormatError, match="cut.gz"):
+            load(bad)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("offset,value", [
+        (2, 7),  # compression method 7: the gzip header is bad
+        (10, 0xFF),  # reserved deflate block type: the zlib stream is bad
+    ])
+    def test_damaged_gzip(self, tmp_path, idx_pair, which, offset, value):
+        load, raw = _both_loaders(idx_pair)[which]
+        blob = bytearray(gzip.compress(raw))
+        blob[offset] = value
+        bad = tmp_path / "damaged.gz"
+        bad.write_bytes(blob)
+        with pytest.raises(DataFormatError, match="damaged.gz"):
+            load(bad)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_gzip_trailer_is_checked(self, tmp_path, idx_pair, which):
+        """A stored (uncompressed) gzip block with its last payload byte
+        flipped inflates cleanly; only the CRC32 trailer tells."""
+        load, raw = _both_loaders(idx_pair)[which]
+        blob = bytearray(gzip.compress(raw, compresslevel=0))
+        last = blob.index(raw) + len(raw) - 1
+        blob[last] ^= 0x01
+        bad = tmp_path / "flipped.gz"
+        bad.write_bytes(blob)
+        with pytest.raises(DataFormatError, match="flipped.gz.*CRC"):
+            load(bad)
+        good = tmp_path / "stored.gz"
+        good.write_bytes(gzip.compress(raw, compresslevel=0))
+        load(good)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_bytes_after_payload(self, tmp_path, idx_pair, which, compress):
+        load, raw = _both_loaders(idx_pair)[which]
+        longer = raw + b"\x00"
+        bad = tmp_path / "longer"
+        bad.write_bytes(gzip.compress(longer) if compress else longer)
+        with pytest.raises(DataFormatError, match=f"longer: .*offset {len(raw)}$"):
+            load(bad)
 
 
 class TestPreprocess:
@@ -133,58 +196,79 @@ class TestPreprocess:
             data.preprocess_all(np.zeros((3, 27, 28), dtype=np.uint8))
 
 
-def _raw_dataset(rng, per_class=40, classes=10):
-    feats = rng.uniform(0, 1, (per_class * classes, 64))
-    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
-    order = rng.permutation(labels.size)
-    return data.Dataset(feats[order], labels[order])
+def _write_split(tmp_path, images, labels):
+    """Paired IDX files of uint8 images and their labels."""
+    img_path = tmp_path / "split-images-idx3-ubyte"
+    lab_path = tmp_path / "split-labels-idx1-ubyte"
+    data.save_idx_images(img_path, images)
+    data.save_idx_labels(lab_path, labels)
+    return img_path, lab_path
 
 
-class TestMakeBenchmark:
-    def test_mnist2_filters_and_remaps(self):
+def _raw_split(tmp_path, rng, per_class=40, classes=10):
+    labels = np.repeat(np.arange(classes, dtype=np.uint8), per_class)[
+        rng.permutation(per_class * classes)
+    ]
+    images = rng.integers(0, 256, size=(labels.size, 28, 28), dtype=np.uint8)
+    return _write_split(tmp_path, images, labels)
+
+
+def _splits(paths, spec_name, train_cap, test_cap, seed):
+    """Train then test split from the same files and one generator."""
+    rng = np.random.default_rng(seed)
+    spec = data.BENCHMARKS[spec_name]
+    return tuple(data.dataset_from_idx(*paths, spec, cap, rng) for cap in (train_cap, test_cap))
+
+
+class TestDatasetFromIdx:
+    def test_mnist2_filters_and_remaps(self, tmp_path):
         rng = np.random.default_rng(4)
-        raw = _raw_dataset(rng)
-        train_set, test_set = data.make_benchmark(
-            raw, raw, data.BENCHMARKS["MNIST-2"], 20, 10, seed=0
-        )
+        paths = _raw_split(tmp_path, rng)
+        train_set, test_set = _splits(paths, "MNIST-2", 20, 10, seed=0)
         assert set(train_set.labels) == {0, 1}
         assert set(test_set.labels) == {0, 1}
         assert len(train_set) == 20 and len(test_set) == 10
 
-    def test_class_balance(self):
+    def test_class_balance(self, tmp_path):
         rng = np.random.default_rng(5)
-        raw = _raw_dataset(rng, per_class=300)
-        train_set, test_set = data.make_benchmark(
-            raw, raw, data.BENCHMARKS["MNIST-4"], 1000, 500, seed=0
-        )
+        paths = _raw_split(tmp_path, rng, per_class=300)
+        train_set, test_set = _splits(paths, "MNIST-4", 1000, 500, seed=0)
         for k in range(4):
             assert np.sum(train_set.labels == k) == 250
             assert np.sum(test_set.labels == k) == 125
 
-    def test_remap_follows_listing_order(self):
+    def test_remap_follows_listing_order(self, tmp_path):
         """Fashion-2 maps source 3 (dress) to 0 and source 6 (shirt) to 1."""
-        rng = np.random.default_rng(6)
-        feats = np.vstack([np.full((5, 64), 0.25), np.full((5, 64), 0.75)])
-        labels = np.array([3] * 5 + [6] * 5, dtype=np.int64)
-        raw = data.Dataset(feats, labels)
-        train_set, _ = data.make_benchmark(raw, raw, data.BENCHMARKS["Fashion-2"], 4, 2, seed=1)
+        images = np.concatenate([
+            np.zeros((5, 28, 28), dtype=np.uint8), np.full((5, 28, 28), 255, dtype=np.uint8)
+        ])
+        labels = np.array([3] * 5 + [6] * 5, dtype=np.uint8)
+        paths = _write_split(tmp_path, images, labels)
+        train_set, _ = _splits(paths, "Fashion-2", 4, 2, seed=1)
         for feat, label in zip(train_set.features, train_set.labels):
-            assert label == (0 if feat[0] == 0.25 else 1)
+            assert label == (0 if feat[0] == 0.0 else 1)
 
-    def test_deterministic_under_seed(self):
+    def test_deterministic_under_seed(self, tmp_path):
         rng = np.random.default_rng(7)
-        raw = _raw_dataset(rng)
-        a, _ = data.make_benchmark(raw, raw, data.BENCHMARKS["MNIST-4"], 40, 20, seed=9)
-        b, _ = data.make_benchmark(raw, raw, data.BENCHMARKS["MNIST-4"], 40, 20, seed=9)
+        paths = _raw_split(tmp_path, rng)
+        a, _ = _splits(paths, "MNIST-4", 40, 20, seed=9)
+        b, _ = _splits(paths, "MNIST-4", 40, 20, seed=9)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_missing_class_raises(self):
-        feats = np.zeros((10, 64))
-        labels = np.zeros(10, dtype=np.int64)  # only class 0 present
-        raw = data.Dataset(feats, labels)
+    def test_missing_class_raises(self, tmp_path):
+        images = np.zeros((10, 28, 28), dtype=np.uint8)
+        labels = np.zeros(10, dtype=np.uint8)  # only class 0 present
+        paths = _write_split(tmp_path, images, labels)
         with pytest.raises(ValidationError, match="source class"):
-            data.make_benchmark(raw, raw, data.BENCHMARKS["MNIST-2"], 4, 2, seed=0)
+            _splits(paths, "MNIST-2", 4, 2, seed=0)
+
+    def test_too_few_samples_raises(self, tmp_path):
+        images = np.zeros((4, 28, 28), dtype=np.uint8)
+        labels = np.array([3, 3, 3, 6], dtype=np.uint8)  # one shirt, two wanted
+        paths = _write_split(tmp_path, images, labels)
+        with pytest.raises(ValidationError, match="class 6 has 1 samples, need 2"):
+            _splits(paths, "Fashion-2", 4, 2, seed=0)
 
 
 class TestSyntheticBlobs:

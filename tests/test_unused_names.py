@@ -18,8 +18,8 @@ import pathlib
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qmit"
 
 ALLOWED = {
-    "data.save_idx_images": "IDX writer: builds corpora in the format dataset_from_idx reads",
-    "data.save_idx_labels": "IDX writer: builds corpora in the format dataset_from_idx reads",
+    "data.save_idx_images": "IDX writer: builds corpora of the IDX files dataset_from_idx subsamples",
+    "data.save_idx_labels": "IDX writer: builds corpora of the IDX files dataset_from_idx subsamples",
     "noise.save_noise_layers": "writes the noise file that noise_source 'file' loads",
     "train.config_from_json": "reads back the config that a checkpoint stores",
     "train.load_checkpoint": "reads the checkpoint files that qmit train writes",
