@@ -38,7 +38,7 @@ from .noise import (
     pauli_mix_superoperators,
 )
 from .pqc import encode
-from .qsim import DensityMatrix, cnot_permutation, hermitize, maximally_mixed, rotation_matrix_2x2
+from .qsim import DensityMatrix, cnot_permutation, hermitize, rotation_matrix_2x2
 from .train import (
     TrainConfig,
     config_to_json,
@@ -381,8 +381,10 @@ def divergence_trace(
     built once per qubit and ring pair.  Rotations and CNOTs keep the
     spectrum and Pauli noise cannot lower the smallest eigenvalue, so those
     states are only trace checked; amplitude damping can, so a step with it
-    gets the full check.  Each value is one :func:`petz_renyi_divergence`
-    call, which takes its closed form against the diagonal ``I/d`` at
+    gets the full check, as the encoded state does; nothing else is
+    checked.  Each value is one :func:`petz_renyi_divergence` call, whose
+    reference ``I/d`` is implicit: ``log d`` plus a trace of ``rho``'s own
+    power, with no matrix product at ``alpha = 2`` and no ``eigh`` at
     integer ``alpha``.
     """
     if channel not in _TRACE_CHANNELS:
@@ -393,7 +395,6 @@ def divergence_trace(
         raise ConfigError("noise rate must be nonnegative")
     rng = np.random.default_rng(seed)
     state = encode(rng.uniform(0.0, 1.0, 64), n)
-    mixed = maximally_mixed(n)
 
     # Operation k < n rotates qubit k; operation n + j is the CNOT of ring
     # pair j.  Its noise acts on supports[k].
@@ -408,7 +409,7 @@ def divergence_trace(
     elif channel == "depolarizing":
         fixed = [pauli_mix_superoperators(word, np.full(len(word), rate)) for word in letters]
 
-    values = [petz_renyi_divergence(state, mixed, alpha)]
+    values = [petz_renyi_divergence(state, alpha)]
     for k in itertools.islice(itertools.cycle(range(len(supports))), operations):
         if k < n:
             axis = "XYZ"[int(rng.integers(3))]
@@ -425,7 +426,7 @@ def divergence_trace(
             ops += fixed[k]
         data = hermitize(apply_qubit_superoperators(data, ops))
         state = DensityMatrix._derived(n, data) if damping is None else DensityMatrix(n, data)
-        values.append(petz_renyi_divergence(state, mixed, alpha))
+        values.append(petz_renyi_divergence(state, alpha))
     return np.asarray(values)
 
 

@@ -24,6 +24,9 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 FEATURES = 64
 TARGET_SIDE = 8
+# Largest single read of an IDX payload: above every corpus file's payload
+# (47 MB for 60000 images of 28x28), so those are read in one piece.
+_READ_PIECE = 1 << 26
 
 
 @dataclass
@@ -81,7 +84,17 @@ def _open_maybe_gzip(path):
 
 
 def _read_exact(fh, count: int, offset: int, what: str, path) -> bytes:
-    data = fh.read(count)
+    """``count`` bytes, read in pieces of at most :data:`_READ_PIECE`, so a
+    header that claims more than the file holds is a truncation and not one
+    allocation of the claimed size."""
+    pieces, got = [], 0
+    while got < count:
+        piece = fh.read(min(count - got, _READ_PIECE))
+        if not piece:
+            break
+        pieces.append(piece)
+        got += len(piece)
+    data = b"".join(pieces)  # one piece is returned as it is, not copied
     if len(data) != count:
         raise DataFormatError(
             f"{path}: truncated {what} at byte offset {offset}: "

@@ -1,8 +1,11 @@
 """Quantum similarity measures and the training losses.
 
-Provides Uhlmann fidelity, the Petz-Renyi divergence, the conditioned
+Provides Uhlmann fidelity, the Petz-Renyi divergence to the maximally
+mixed state (in closed form, with no reference argument), the conditioned
 forward-backward loss ``-log F`` over blocks of layers (:func:`fb_blocks`)
-and the softmax head of the task loss.
+and the softmax head of the task loss.  Both measures read a validated
+:class:`qmit.qsim.DensityMatrix` as it is and check a plain array's
+Hermiticity on every call.
 
 The public :func:`fidelity` clamps negative eigenvalues of quasi-states to
 zero and renormalizes, as a hard projection.  Inside the training objective
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .noise import apply_pauli_fidelities, default_generators
-from .qsim import DensityMatrix, _hermiticity_defect, diagonal_power, hermitian_power, hermitize
+from .qsim import DensityMatrix, _hermiticity_defect, _spectral_power, hermitian_power, hermitize
 
 logger = logging.getLogger(__name__)
 
@@ -110,65 +113,32 @@ def _root_overlap_trace(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.sqrt(eigs)))
 
 
-def petz_renyi_divergence(rho, sigma, alpha: float = 2.0) -> float:
-    """``(alpha - 1)^{-1} log Tr[rho^alpha sigma^{1-alpha}]``.
+def petz_renyi_divergence(rho, alpha: float = 2.0) -> float:
+    """``D_alpha(rho || I/d) = log d + log Tr[rho^alpha] / (alpha - 1)``,
+    the divergence to the maximally mixed state.
 
-    Requires ``alpha > 0`` and ``alpha != 1``; ``sigma`` must be full rank
-    when ``alpha > 1``.
-
-    At integer ``alpha`` and a diagonal ``sigma`` (such as ``I/d``) the
-    trace is ``sum_i sigma_ii^{1-alpha} (rho^alpha)_ii``, and for Hermitian
-    ``rho`` the diagonal ``(rho^alpha)_ii`` is the real part of
-    ``sum_j (rho^{alpha-1})_ij conj(rho_ij)``: no product at ``alpha = 2``,
-    one at ``alpha = 3``, and no ``eigh``.  At integer ``alpha`` and any
-    other ``sigma`` the trace is taken with ``rho``'s plain matrix power.
-    Neither clamps ``rho``'s eigenvalues: on a state that passes the PSD
-    check they equal the clamped spectral power to rounding, but a
+    Requires ``alpha > 0`` and ``alpha != 1``.  At integer ``alpha`` and
+    Hermitian ``rho``, ``Tr[rho^alpha]`` is ``vdot(rho, rho^(alpha-1))``:
+    no product at ``alpha = 2``, one at ``alpha = 3``, and no ``eigh``.
+    That form does not clamp ``rho``'s eigenvalues: on a state that passes
+    the PSD check they equal the clamped spectral power to rounding, but a
     quasi-state's negative eigenvalues count with their sign.  Other orders
-    take the clamped spectral power of :func:`hermitian_power`.
-    ``sigma``'s diagonal test and power are memoized on a
-    :class:`DensityMatrix`.
+    sum the clamped spectral power of :func:`hermitian_power` over the
+    eigenvalues of one ``eigvalsh``.  A :class:`DensityMatrix` is read as
+    it is; a plain array is checked for Hermiticity first.
     """
     if not (alpha > 0.0) or alpha == 1.0:
         raise ValidationError(f"divergence order must be positive and != 1, got {alpha}")
     a = _state_data(rho)
-    b = _state_data(sigma)
-    if a.shape != b.shape:
-        raise ValidationError(f"state shapes differ: {a.shape} vs {b.shape}")
-    integer = float(alpha).is_integer()
-    weights = None
-    if integer and isinstance(sigma, DensityMatrix):
-        weights = sigma.diagonal_power(1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
-    elif integer:
-        weights = diagonal_power(b, 1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
-    if weights is not None:
-        head = a if alpha == 2.0 else np.linalg.matrix_power(a, int(alpha) - 1)
-        # Re(h_ij conj(a_ij)) = Re h Re a + Im h Im a: a row dot of the
-        # float views.
-        rows = np.einsum("ij,ij->i", _float_view(head), _float_view(a))
-        value = float(weights @ rows)
+    if alpha == 2.0:
+        value = np.vdot(a, a).real
+    elif float(alpha).is_integer():
+        value = np.vdot(a, np.linalg.matrix_power(a, int(alpha) - 1)).real
     else:
-        if integer:
-            rho_a = np.linalg.matrix_power(a, int(alpha))
-        else:
-            rho_a = hermitian_power(a, alpha, rel_floor=_SPECTRAL_REL_FLOOR)
-        # The reference is usually one state compared against many, so its
-        # power is memoized.
-        if isinstance(sigma, DensityMatrix):
-            sigma_b = sigma.power(1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
-        else:
-            sigma_b = hermitian_power(b, 1.0 - alpha, rel_floor=_SPECTRAL_REL_FLOOR)
-        # Tr[A S] = sum_ij A_ij S_ji = vdot(S, A) for Hermitian S: no product.
-        value = float(np.vdot(sigma_b, rho_a).real)
+        value = _spectral_power(np.linalg.eigvalsh(a), alpha, _SPECTRAL_REL_FLOOR).sum()
     if value <= 0.0:
         return math.inf
-    return math.log(value) / (alpha - 1.0)
-
-
-def _float_view(x: np.ndarray) -> np.ndarray:
-    """A complex ``(d, d)`` matrix as ``(d, 2d)`` floats: real and imaginary
-    parts interleaved along each row."""
-    return np.ascontiguousarray(x).view(np.float64)
+    return math.log(a.shape[0]) + math.log(value) / (alpha - 1.0)
 
 
 def softmax_head(z, num_classes: int) -> np.ndarray:

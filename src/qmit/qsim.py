@@ -1,7 +1,7 @@
 """Exact density-matrix simulation primitives.
 
-States, gates and unitary evolution for registers of up to ten qubits, all
-as dense complex128 matrices.
+States, gates and random draws for registers of up to ten qubits, all as
+dense complex128 matrices.
 
 Conventions:
     * Qubit 0 is the most significant bit of a computational-basis index,
@@ -10,13 +10,15 @@ Conventions:
       arrays never alias the inputs.
 
 Validation:
-    A :class:`DensityMatrix` built from outside data (``pure_state``,
-    ``maximally_mixed``, the encoder, user arrays) gets the full check:
-    Hermiticity, unit trace and the ``eigvalsh`` eigenvalue floor.  States
-    derived from a validated one by :func:`evolve` or a rotation or CNOT
-    step of :func:`qmit.cli.divergence_trace` with Pauli noise check the
-    trace only.  Unitary conjugation keeps the spectrum, and a Pauli channel
-    with nonnegative rates is a convex mixture of Pauli conjugations, which
+    :class:`DensityMatrix` is the one validated state type.  One built from
+    outside data (``pure_state``, the encoder, user arrays) gets the full
+    check: Hermiticity, unit trace and the ``eigvalsh`` eigenvalue floor.
+    The measures of :mod:`qmit.losses` read a state's data as it is and
+    check a plain array's Hermiticity on every call.  States derived from a
+    validated one by a rotation or CNOT step of
+    :func:`qmit.cli.divergence_trace` with Pauli noise check the trace
+    only.  Unitary conjugation keeps the spectrum, and a Pauli channel with
+    nonnegative rates is a convex mixture of Pauli conjugations, which
     cannot lower the (concave) smallest eigenvalue, so neither step can
     cross the floor; their data comes from :func:`hermitize`, Hermitian bit
     for bit.  A trace step with amplitude damping can cross the floor and
@@ -37,7 +39,6 @@ MAX_QUBITS = 10
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
-UNITARY_ATOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -51,14 +52,6 @@ def _check_qubit_count(n: int) -> None:
         raise ValidationError(f"qubit count must be a positive integer, got {n!r}")
     if n > MAX_QUBITS:
         raise ValidationError(f"qubit count {n} exceeds the supported maximum {MAX_QUBITS}")
-
-
-def _as_complex_matrix(data, dim: int, what: str) -> np.ndarray:
-    arr = np.array(data, dtype=np.complex128, copy=True)
-    if arr.shape != (dim, dim):
-        raise ValidationError(f"{what} must have shape ({dim}, {dim}), got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 def _hermiticity_defect(data: np.ndarray) -> float:
@@ -116,7 +109,10 @@ class DensityMatrix:
     def __post_init__(self):
         _check_qubit_count(self.n)
         dim = 1 << self.n
-        arr = _as_complex_matrix(self.data, dim, "density matrix")
+        arr = np.array(self.data, dtype=np.complex128, copy=True)
+        if arr.shape != (dim, dim):
+            raise ValidationError(f"density matrix must have shape ({dim}, {dim}), got {arr.shape}")
+        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         check_density_matrices(arr)
 
@@ -136,49 +132,6 @@ class DensityMatrix:
             object.__setattr__(state, name, value)
         return state
 
-    def power(self, exponent: float, rel_floor: float = 0.0) -> np.ndarray:
-        """:func:`hermitian_power` of the data, computed once per instance
-        and returned read-only."""
-        return self._memo(hermitian_power, exponent, rel_floor)
-
-    def diagonal_power(self, exponent: float, rel_floor: float = 0.0) -> np.ndarray | None:
-        """:func:`diagonal_power` of the data, computed once per instance
-        (so the data is scanned once) and returned read-only."""
-        return self._memo(diagonal_power, exponent, rel_floor)
-
-    def _memo(self, fn, exponent: float, rel_floor: float):
-        """``fn(data, exponent, rel_floor=rel_floor)``, memoized.
-
-        The data is read-only, so the memo cannot go stale.  It lives in the
-        instance dict, which the frozen dataclass leaves writable.
-        """
-        memo = self.__dict__.setdefault("_powers", {})
-        key = (fn.__name__, exponent, rel_floor)
-        if key not in memo:
-            out = fn(self.data, exponent, rel_floor=rel_floor)
-            if out is not None:
-                out.setflags(write=False)
-            memo[key] = out
-        return memo[key]
-
-
-@dataclass(frozen=True)
-class Unitary:
-    """Unitary matrix of dimension ``2**n``."""
-
-    n: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        _check_qubit_count(self.n)
-        dim = 1 << self.n
-        arr = _as_complex_matrix(self.data, dim, "unitary")
-        object.__setattr__(self, "data", arr)
-        with np.errstate(invalid="ignore"):
-            defect = float(np.max(np.abs(arr @ arr.conj().T - np.eye(dim))))
-        if not defect <= UNITARY_ATOL:
-            raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
-
 
 def pure_state(amplitudes) -> DensityMatrix:
     """Outer product ``|psi><psi|`` of a unit-norm amplitude vector."""
@@ -191,13 +144,6 @@ def pure_state(amplitudes) -> DensityMatrix:
         raise ValidationError(f"amplitude vector norm is {norm:.12g}, expected 1")
     n = length.bit_length() - 1
     return DensityMatrix(n, np.outer(vec, vec.conj()))
-
-
-def maximally_mixed(n: int) -> DensityMatrix:
-    """The state ``I / 2**n`` with a flat spectrum."""
-    _check_qubit_count(n)
-    dim = 1 << n
-    return DensityMatrix(n, np.eye(dim, dtype=np.complex128) / dim)
 
 
 def rotation_matrix_2x2(axis: str, theta: float) -> np.ndarray:
@@ -223,14 +169,6 @@ def cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
     return index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target))
 
 
-def evolve(rho: DensityMatrix, u: Unitary) -> DensityMatrix:
-    """Conjugation ``U rho U†``; preserves trace and spectrum."""
-    if rho.n != u.n:
-        raise ValidationError(f"dimension mismatch: state on {rho.n} qubits, unitary on {u.n}")
-    data = hermitize(u.data @ rho.data @ u.data.conj().T)
-    return DensityMatrix._derived(rho.n, data)
-
-
 def hermitian_power(data: np.ndarray, power: float, *, rel_floor: float = 0.0) -> np.ndarray:
     """Fractional matrix power of a Hermitian matrix via eigendecomposition.
 
@@ -246,16 +184,6 @@ def hermitian_power(data: np.ndarray, power: float, *, rel_floor: float = 0.0) -
     return (vecs * _spectral_power(eigs, power, rel_floor)) @ vecs.conj().T
 
 
-def diagonal_power(data: np.ndarray, power: float, *, rel_floor: float = 0.0) -> np.ndarray | None:
-    """The diagonal of :func:`hermitian_power` when ``data`` is diagonal,
-    which is then the whole power, from the diagonal alone (no ``eigh``);
-    ``None`` when some off-diagonal entry is nonzero."""
-    diag = np.diagonal(data)
-    if np.count_nonzero(data) != np.count_nonzero(diag):
-        return None
-    return _spectral_power(diag.real, power, rel_floor)
-
-
 def _spectral_power(eigs: np.ndarray, power: float, rel_floor: float) -> np.ndarray:
     """``eigs ** power`` after the clamps of :func:`hermitian_power`."""
     eigs = np.clip(eigs, 0.0, None)
@@ -266,7 +194,7 @@ def _spectral_power(eigs: np.ndarray, power: float, rel_floor: float) -> np.ndar
     return np.power(eigs, power)
 
 
-def haar_random_unitary(n: int, rng: np.random.Generator) -> Unitary:
+def haar_random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix.
 
     The diagonal of R is phase-normalized so the distribution is exactly
@@ -277,8 +205,7 @@ def haar_random_unitary(n: int, rng: np.random.Generator) -> Unitary:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return Unitary(n, q)
+    return q * (diag / np.abs(diag))
 
 
 def random_state_vector(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,6 +30,10 @@ sub-layer's position in the product.
 
 CNOT: the permutation of basis states it is.
 
+States: the maximally mixed state ``I/d`` (:func:`maximally_mixed`) and
+the conjugation ``u rho u^dagger`` of a state (:func:`conjugate`), each a
+fully checked ``qsim.DensityMatrix``.
+
 Layer chain: per-sample dense conjugations and channels, with each layer's
 learned inverse inline (cascaded) or only before the readout (loss_only);
 the readout as ``tr(Z_i rho)`` with embedded ``Z_i``.
@@ -167,6 +171,16 @@ def cnot(control, target, n):
     for i in range(dim):
         out[i ^ flip if i & ctrl else i, i] = 1.0
     return out
+
+
+def maximally_mixed(n):
+    """The state ``I / 2**n``."""
+    return qsim.DensityMatrix(n, np.eye(1 << n) / (1 << n))
+
+
+def conjugate(rho, u):
+    """The state ``u rho u^dagger`` for a state ``rho`` and a unitary array ``u``."""
+    return qsim.DensityMatrix(rho.n, qsim.hermitize(u @ rho.data @ u.conj().T))
 
 
 def _sublayer(axis, angles):

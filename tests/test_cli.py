@@ -410,6 +410,26 @@ class TestIdxPipeline:
         assert str(images) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_count_exits_2_without_output(self, tmp_path, capsys):
+        """A gzipped images file whose header claims 2**32 - 1 images is a
+        truncated pixel section: exit code 2, no output directory."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_gzipped_idx_corpus(corpus)
+        images = corpus / "train-images-idx3-ubyte.gz"
+        raw = bytearray(gzip.decompress(images.read_bytes()))
+        raw[4:8] = (2**32 - 1).to_bytes(4, "big")
+        images.write_bytes(gzip.compress(bytes(raw)))
+        payload = synthetic_train_payload(
+            benchmark="MNIST-4", data_dir=str(corpus), train_cap=40, test_cap=20, repeats=1
+        )
+        del payload["separation"]
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 2
+        assert "truncated pixel section" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def decode_everything_then_subsample(data_dir, spec, train_cap, test_cap, seed):
     """Reference loader: resize every image of both splits, then draw
@@ -622,10 +642,9 @@ class TestTraceCommand:
         np.testing.assert_allclose(got, want[:61], rtol=0, atol=1e-12)
 
     def test_each_state_checked_once(self, monkeypatch):
-        """Only the encoded state and the reference run the full check, and
-        the trace takes no matrix power: the reference ``I/d`` is diagonal,
-        so its weights come from one diagonal power, computed once."""
-        counts = {"checks": 0, "powers": 0, "diagonal": 0}
+        """Only the encoded state runs the full check, and the trace takes
+        no matrix power: the reference ``I/d`` is implicit."""
+        counts = {"checks": 0, "powers": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -639,16 +658,13 @@ class TestTraceCommand:
         power = counting("powers", qsim.hermitian_power)
         monkeypatch.setattr(qsim, "hermitian_power", power)
         monkeypatch.setattr(losses, "hermitian_power", power)
-        diagonal = counting("diagonal", qsim.diagonal_power)
-        monkeypatch.setattr(qsim, "diagonal_power", diagonal)
-        monkeypatch.setattr(losses, "diagonal_power", diagonal)
         values = cli.divergence_trace(3, 30, "pauli", 0.02, seed=6)
         assert len(values) == 31
-        assert counts == {"checks": 2, "powers": 0, "diagonal": 1}
+        assert counts == {"checks": 1, "powers": 0}
 
     def test_no_eigendecomposition_per_state(self, monkeypatch):
-        """Beyond the two full state checks (``eigvalsh``), the trace makes
-        no ``eigh``: the reference is diagonal."""
+        """Beyond the encoded state's full check (``eigvalsh``), the trace
+        makes no eigendecomposition at integer order."""
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
             def wrapper(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -657,7 +673,34 @@ class TestTraceCommand:
             monkeypatch.setattr(np.linalg, name, wrapper)
         values = cli.divergence_trace(3, 30, "pauli", 0.02, seed=6)
         assert len(values) == 31
-        assert counts == {"eigh": 0, "eigvalsh": 2}
+        assert counts == {"eigh": 0, "eigvalsh": 1}
+
+    @pytest.mark.parametrize("channel", ["pauli", "depolarizing", "amplitude_damping"])
+    def test_one_probed_divergence_per_value(self, monkeypatch, channel):
+        """perfbench's trace_n6 workload times the calls of
+        ``losses.petz_renyi_divergence``, wrapped in every module that holds
+        it: ``divergence_trace(n, k, ...)`` makes exactly k + 1 of them,
+        one per value."""
+        assert cli.petz_renyi_divergence is losses.petz_renyi_divergence
+        calls = []
+
+        def counting(*args, _fn=losses.petz_renyi_divergence, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        for module in (losses, cli):
+            monkeypatch.setattr(module, "petz_renyi_divergence", counting)
+        for n, k in ((3, 30), (2, 7)):
+            calls.clear()
+            values = cli.divergence_trace(n, k, channel, 0.02, seed=6)
+            assert len(calls) == len(values) == k + 1
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_first_value_is_n_log2(self, n):
+        """The encoded state is pure, so the first value is ``D_2(rho || I/d)
+        = log d``, to rounding."""
+        values = cli.divergence_trace(n, 1, "pauli", 0.02, seed=0)
+        assert abs(values[0] - n * math.log(2.0)) <= 4e-15
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0])
     def test_matrix_powers_per_value(self, monkeypatch, alpha):
@@ -710,7 +753,7 @@ class TestTraceCommand:
         """Each operation is one superoperator-kernel call and one
         ``hermitize``, and no ``NoiseModel`` is built.  Only steps with
         amplitude damping run the full state check, beyond the encoded
-        state and the reference."""
+        state."""
         counts = {"kernel": 0, "hermitize": 0, "models": 0, "checks": 0}
 
         def counting(name, fn):
@@ -732,7 +775,7 @@ class TestTraceCommand:
         values = cli.divergence_trace(3, 30, channel, 0.02, seed=6)
         assert len(values) == 31
         full = 30 if channel == "amplitude_damping" else 0
-        assert counts == {"kernel": 30, "hermitize": 30, "models": 0, "checks": 2 + full}
+        assert counts == {"kernel": 30, "hermitize": 30, "models": 0, "checks": 1 + full}
 
     def test_damping_probability_above_one_rejected(self, tmp_path, capsys):
         payload = {"channel": "amplitude_damping", "operations": 10, "rate": 1.5}

@@ -55,6 +55,24 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError, match="expected"):
             data.load_idx_images(bad)
 
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("kind", ["images", "labels"])
+    def test_oversized_count_is_truncation(self, tmp_path, idx_pair, kind, compress):
+        """A header that claims 2**32 - 1 items (3.4 TB of 28x28 images)
+        over a 30-item payload is a truncated section, read in bounded
+        pieces rather than allocated at the claimed size."""
+        img_path, lab_path, *_ = idx_pair
+        path, load, section = {
+            "images": (img_path, data.load_idx_images, "pixel section"),
+            "labels": (lab_path, data.load_idx_labels, "label section"),
+        }[kind]
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack(">I", 2**32 - 1)
+        bad = tmp_path / "oversized"
+        bad.write_bytes(gzip.compress(bytes(raw)) if compress else bytes(raw))
+        with pytest.raises(DataFormatError, match=f"truncated {section}"):
+            load(bad)
+
     def test_count_mismatch(self, tmp_path, idx_pair):
         img_path, _, _, labels = idx_pair
         short = tmp_path / "short-labels"

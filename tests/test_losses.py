@@ -38,7 +38,8 @@ class TestFidelity:
             assert -1e-9 <= f <= 1.0 + 1e-9
             assert abs(f - losses.fidelity(sigma, rho)) <= 1e-9
             u = qsim.haar_random_unitary(2, rng)
-            assert abs(losses.fidelity(qsim.evolve(rho, u), qsim.evolve(sigma, u)) - f) <= 1e-9
+            turned = [dense_reference.conjugate(state, u) for state in (rho, sigma)]
+            assert abs(losses.fidelity(*turned) - f) <= 1e-9
 
     def test_pure_state_overlap_reduction(self):
         rng = np.random.default_rng(3)
@@ -112,147 +113,113 @@ class TestLogFidelityForm:
 
 
 class TestPetzRenyi:
-    def test_mixed_vs_itself_zero(self):
-        mixed = qsim.maximally_mixed(3)
-        assert losses.petz_renyi_divergence(mixed, mixed) == pytest.approx(0.0, abs=1e-12)
+    """``D_alpha(rho || I/d)``, the divergence to the maximally mixed state."""
 
-    def test_pure_vs_mixed_is_n_log2(self):
+    def test_maximally_mixed_is_zero(self):
+        mixed = dense_reference.maximally_mixed(3)
+        for alpha in (0.5, 2.0, 3.0):
+            assert losses.petz_renyi_divergence(mixed, alpha) == pytest.approx(0.0, abs=1e-12)
+
+    def test_pure_is_n_log2(self):
         rng = np.random.default_rng(6)
         for n in (1, 2, 4):
-            mixed = qsim.maximally_mixed(n)
             pure = qsim.pure_state(qsim.random_state_vector(n, rng))
             for alpha in (0.5, 2.0, 3.0):
-                got = losses.petz_renyi_divergence(pure, mixed, alpha)
+                got = losses.petz_renyi_divergence(pure, alpha)
                 assert got == pytest.approx(n * math.log(2), abs=1e-9)
 
     def test_two_level_example(self):
         rho = qsim.DensityMatrix(1, np.diag([0.75, 0.25]).astype(complex))
-        got = losses.petz_renyi_divergence(rho, qsim.maximally_mixed(1), 2.0)
+        got = losses.petz_renyi_divergence(rho, 2.0)
         assert got == pytest.approx(math.log(1.25), abs=1e-12)
         assert got == pytest.approx(0.2231, abs=1e-4)
 
-    def test_reference_power_memo_is_bitwise(self):
-        """Calls that reuse one reference state return exactly what a fresh
-        reference state or its raw array gives."""
+    @pytest.mark.parametrize("alpha", [0.5, 1.7, 2.0, 3.0])
+    def test_state_and_its_array_give_identical_bits(self, alpha):
+        """A checked state is read as it is; its array, checked for
+        Hermiticity on the call, gives the same value bit for bit."""
         rng = np.random.default_rng(12)
-        sigma = qsim.random_density_matrix(3, rng)
-        for alpha in (0.5, 2.0, 3.0):
-            for _ in range(2):
-                rho = qsim.random_density_matrix(3, rng)
-                got = losses.petz_renyi_divergence(rho, sigma, alpha)
-                fresh = qsim.DensityMatrix(3, sigma.data)
-                assert got == losses.petz_renyi_divergence(rho, fresh, alpha)
-                assert got == losses.petz_renyi_divergence(rho, sigma.data, alpha)
-        assert not sigma.power(-1.0).flags.writeable
+        for n in (1, 3, 5):
+            for rho in (
+                qsim.pure_state(qsim.random_state_vector(n, rng)),
+                qsim.random_density_matrix(n, rng),
+            ):
+                got = losses.petz_renyi_divergence(rho, alpha)
+                assert got == losses.petz_renyi_divergence(np.array(rho.data), alpha)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.7, 2.0, 3.0])
+    def test_quasi_state_sign_conventions(self, alpha):
+        """On the quasi-state with spectrum (-2, 1.5, 1.5, 0) integer orders
+        count the negative eigenvalue with its sign (``Tr rho^2 = 8.5``;
+        ``Tr rho^3 = -1.25``, so the divergence is infinite), and other
+        orders clamp it to zero (``Tr rho^alpha = 2 * 1.5^alpha``)."""
+        vecs = qsim.haar_random_unitary(2, np.random.default_rng(14))
+        rho = qsim.hermitize((vecs * [-2.0, 1.5, 1.5, 0.0]) @ vecs.conj().T)
+        traces = {2.0: 8.5, 3.0: -1.25}
+        trace = traces.get(alpha, 2.0 * 1.5**alpha)
+        want = math.inf if trace <= 0.0 else math.log(4) + math.log(trace) / (alpha - 1.0)
+        assert losses.petz_renyi_divergence(rho, alpha) == pytest.approx(want, rel=1e-12)
+
+    def test_non_square_arrays_rejected(self):
+        for shape in ((2,), (2, 3), (1, 2, 2)):
+            with pytest.raises(ValidationError, match="square"):
+                losses.petz_renyi_divergence(np.full(shape, 0.5))
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_integer_order_matches_eigendecomposition(self, n):
-        """At integer order the matrix-product form agrees with the spectral
-        form ``Tr[rho^a sigma^(1-a)]`` built from ``eigh`` to 1e-12."""
+    def test_matches_spectral_form(self, n):
+        """Every order agrees with ``log d + log Tr[rho^alpha] / (alpha - 1)``
+        with ``rho^alpha`` from :func:`qsim.hermitian_power` (``eigh``) to
+        1e-12."""
 
-        def spectral(rho, sigma, alpha):
+        def spectral(rho, alpha):
             rho_a = qsim.hermitian_power(rho.data, alpha, rel_floor=1e-13)
-            sigma_b = qsim.hermitian_power(sigma.data, 1.0 - alpha, rel_floor=1e-13)
-            return math.log(np.trace(rho_a @ sigma_b).real) / (alpha - 1.0)
+            return n * math.log(2) + math.log(np.trace(rho_a).real) / (alpha - 1.0)
 
         rng = np.random.default_rng(40 + n)
-        for alpha in (2.0, 3.0):
+        for alpha in (0.5, 1.7, 2.0, 3.0):
             pure = qsim.pure_state(qsim.random_state_vector(n, rng))
             for rho in (pure, qsim.random_density_matrix(n, rng)):
-                for sigma in (qsim.maximally_mixed(n), qsim.random_density_matrix(n, rng)):
-                    want = spectral(rho, sigma, alpha)
-                    got = losses.petz_renyi_divergence(rho, sigma, alpha)
-                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                got = losses.petz_renyi_divergence(rho, alpha)
+                assert got == pytest.approx(spectral(rho, alpha), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_diagonal_reference_matches_general_path(self, n):
-        """At integer order against a diagonal reference, ``I/d`` or a random
-        full-rank diagonal state, the closed form equals the general path
-        ``vdot(sigma^(1-a), rho^a)``, with the reference's power from
-        ``eigh``, to 1e-12, for states and plain arrays alike."""
-
-        def general(rho, sigma, alpha):
-            sigma_b = qsim.hermitian_power(sigma, 1.0 - alpha, rel_floor=1e-13)
-            rho_a = np.linalg.matrix_power(rho, int(alpha))
-            return math.log(np.vdot(sigma_b, rho_a).real) / (alpha - 1.0)
-
-        rng = np.random.default_rng(60 + n)
-        weights = rng.uniform(0.5, 1.5, 1 << n)
-        references = (
-            qsim.maximally_mixed(n),
-            qsim.DensityMatrix(n, np.diag(weights / weights.sum())),
-        )
-        for alpha in (2.0, 3.0):
-            pure = qsim.pure_state(qsim.random_state_vector(n, rng))
-            for rho in (pure, qsim.random_density_matrix(n, rng)):
-                for sigma in references:
-                    want = general(rho.data, sigma.data, alpha)
-                    for args in ((rho, sigma), (rho.data, sigma.data), (rho.data, sigma)):
-                        got = losses.petz_renyi_divergence(*args, alpha)
-                        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    def test_only_integer_order_and_diagonal_reference_skip_spectral_powers(self, monkeypatch):
-        """``alpha = 0.5`` and a non-diagonal reference still take the
-        spectral powers of the general path; integer orders against a
-        diagonal reference take none."""
-        rng = np.random.default_rng(13)
-        rho = qsim.random_density_matrix(2, rng)
-        full = qsim.random_density_matrix(2, rng)
-        exponents = []
-
-        def power(x, p, _fn=qsim.hermitian_power, **kwargs):
-            exponents.append(p)
-            return _fn(x, p, **kwargs)
-
-        monkeypatch.setattr(qsim, "hermitian_power", power)
-        monkeypatch.setattr(losses, "hermitian_power", power)
-        cases = [
-            (qsim.maximally_mixed(2), 2.0, []),
-            (qsim.maximally_mixed(2).data, 3.0, []),
-            (qsim.maximally_mixed(2), 0.5, [0.5, 0.5]),
-            (full, 2.0, [-1.0]),
-            (full.data, 3.0, [-2.0]),
-        ]
-        for sigma, alpha, want in cases:
-            exponents.clear()
-            losses.petz_renyi_divergence(rho, sigma, alpha)
-            assert exponents == want, (alpha, want)
-
-    def test_singular_diagonal_reference_rejected(self):
-        sigma = qsim.DensityMatrix(2, np.diag([0.5, 0.5, 0.0, 0.0]))
-        for reference in (sigma, sigma.data):
-            with pytest.raises(ValidationError):
-                losses.petz_renyi_divergence(qsim.maximally_mixed(2), reference, 2.0)
+    def test_only_fractional_order_decomposes(self, monkeypatch):
+        """Integer orders take no eigendecomposition and at most one
+        product; ``alpha = 0.5`` takes one ``eigvalsh`` and no product."""
+        rho = qsim.random_density_matrix(2, np.random.default_rng(13))
+        calls = []
+        for name in ("eigh", "eigvalsh", "matrix_power"):
+            def wrapper(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, wrapper)
+        for alpha, want in ((2.0, []), (3.0, ["matrix_power"]), (0.5, ["eigvalsh"])):
+            calls.clear()
+            losses.petz_renyi_divergence(rho, alpha)
+            assert calls == want, alpha
 
     def test_non_hermitian_arrays_rejected(self):
         """A plain array is validated before the closed form reads it, even
         when it is diagonal."""
-        mixed = qsim.maximally_mixed(1)
         skew = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         complex_diagonal = np.diag([0.5 + 0.1j, 0.5 - 0.1j])
-        for rho, sigma in ((skew, mixed), (mixed, skew), (mixed, complex_diagonal)):
-            with pytest.raises(ValidationError):
-                losses.petz_renyi_divergence(rho, sigma, 2.0)
+        for rho in (skew, complex_diagonal):
+            for alpha in (0.5, 2.0, 3.0):
+                with pytest.raises(ValidationError, match="Hermitian"):
+                    losses.petz_renyi_divergence(rho, alpha)
 
     def test_alpha_one_rejected(self):
-        mixed = qsim.maximally_mixed(1)
+        mixed = dense_reference.maximally_mixed(1)
         with pytest.raises(ValidationError):
-            losses.petz_renyi_divergence(mixed, mixed, 1.0)
+            losses.petz_renyi_divergence(mixed, 1.0)
         with pytest.raises(ValidationError):
-            losses.petz_renyi_divergence(mixed, mixed, -0.5)
+            losses.petz_renyi_divergence(mixed, -0.5)
 
-    def test_singular_sigma_rejected_for_large_alpha(self):
-        rng = np.random.default_rng(7)
-        pure = qsim.pure_state(qsim.random_state_vector(2, rng))
-        with pytest.raises(ValidationError):
-            losses.petz_renyi_divergence(qsim.maximally_mixed(2), pure, 2.0)
-
-    def test_nonnegative_and_zero_iff_equal(self):
+    def test_nonnegative_and_zero_iff_mixed(self):
         rng = np.random.default_rng(8)
-        mixed = qsim.maximally_mixed(2)
+        mixed = dense_reference.maximally_mixed(2)
         for _ in range(100):
             rho = qsim.random_density_matrix(2, rng)
-            d = losses.petz_renyi_divergence(rho, mixed)
+            d = losses.petz_renyi_divergence(rho)
             assert d >= -1e-12
             if np.linalg.norm(rho.data - mixed.data) > 1e-8:
                 assert d > 0.0
@@ -261,24 +228,21 @@ class TestPetzRenyi:
         rng = np.random.default_rng(9)
         for _ in range(100):
             rho = qsim.random_density_matrix(2, rng)
-            sigma = qsim.random_density_matrix(2, rng)
             u = qsim.haar_random_unitary(2, rng)
-            a = losses.petz_renyi_divergence(rho, sigma)
-            b = losses.petz_renyi_divergence(qsim.evolve(rho, u), qsim.evolve(sigma, u))
-            assert abs(a - b) <= 1e-9
+            for alpha in (0.5, 2.0):
+                a = losses.petz_renyi_divergence(rho, alpha)
+                b = losses.petz_renyi_divergence(u @ rho.data @ u.conj().T, alpha)
+                assert abs(a - b) <= 1e-9
 
     def test_data_processing_inequality(self):
         """Pauli channels fix the mixed state, so divergence cannot grow."""
         rng = np.random.default_rng(10)
-        mixed = qsim.maximally_mixed(3)
         gens = noise.default_generators(3)
         for _ in range(200):
             rho = qsim.random_density_matrix(3, rng)
             rates = rng.uniform(0, 0.2, len(gens))
-            before = losses.petz_renyi_divergence(rho, mixed)
-            after = losses.petz_renyi_divergence(
-                noise.apply_pauli_fidelities(rho.data, gens, rates), mixed
-            )
+            before = losses.petz_renyi_divergence(rho)
+            after = losses.petz_renyi_divergence(noise.apply_pauli_fidelities(rho.data, gens, rates))
             assert after <= before + 1e-12
 
 

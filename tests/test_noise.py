@@ -92,10 +92,10 @@ class TestProductChannel:
     def test_maximally_mixed_fixed(self):
         """Every Pauli channel is unital: it fixes the maximally mixed state."""
         rng = np.random.default_rng(6)
-        mixed = qsim.maximally_mixed(3)
+        mixed = np.eye(8) / 8
         for _ in range(20):
-            out = apply(mixed.data, random_model(3, rng, high=0.5))
-            np.testing.assert_allclose(out, mixed.data, atol=1e-14)
+            out = apply(mixed, random_model(3, rng, high=0.5))
+            np.testing.assert_allclose(out, mixed, atol=1e-14)
 
     def test_output_psd(self):
         rng = np.random.default_rng(10)
@@ -117,14 +117,14 @@ class TestProductChannel:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(12)
         with pytest.raises(ValidationError, match="dimension mismatch"):
-            apply(qsim.maximally_mixed(1).data, random_model(2, rng))
+            apply(np.eye(2) / 2, random_model(2, rng))
 
     def test_smaller_model_on_larger_state_rejected(self):
         """Without the check, a one-qubit model on a two-qubit state would
         act on qubit 0 alone."""
         rng = np.random.default_rng(9)
         with pytest.raises(ValidationError, match="dimension mismatch"):
-            apply(qsim.maximally_mixed(2).data, random_model(1, rng))
+            apply(np.eye(4) / 4, random_model(1, rng))
 
 
 class TestInverseChannel:
@@ -261,12 +261,11 @@ class TestDepolarizing:
 class TestDivergenceContraction:
     def test_strict_decrease_for_noncommuting_generator(self):
         rng = np.random.default_rng(23)
-        mixed = qsim.maximally_mixed(2)
         for _ in range(100):
             rho = qsim.random_density_matrix(2, rng)
             model = noise.NoiseModel(2, (noise.PauliString(2, "XI"),), [0.05])
-            before = losses.petz_renyi_divergence(rho, mixed)
-            after = losses.petz_renyi_divergence(apply(rho.data, model), mixed)
+            before = losses.petz_renyi_divergence(rho)
+            after = losses.petz_renyi_divergence(apply(rho.data, model))
             assert after < before - 1e-12
 
     def test_commuting_state_is_fixed(self):
@@ -539,7 +538,7 @@ def _word_of_weight(draw, n, weight):
 def _quasi_state(n, rng, shift):
     """Random eigenbasis, smallest eigenvalue exactly ``-shift``, trace 1."""
     eigs = np.concatenate([[-shift], rng.dirichlet(np.ones((1 << n) - 1)) * (1.0 + shift)])
-    vecs = qsim.haar_random_unitary(n, rng).data
+    vecs = qsim.haar_random_unitary(n, rng)
     return qsim.hermitize((vecs * eigs) @ vecs.conj().T)
 
 
@@ -570,9 +569,9 @@ def derived_cases(draw, kinds=("pure", "mixed", "quasi")):
 
 
 class TestDerivedStates:
-    """``evolve`` and the divergence trace's Pauli steps build their outputs
-    without the eigenvalue-floor check; these properties are why that is
-    safe."""
+    """The divergence trace's rotation, CNOT and Pauli steps build their
+    outputs without the eigenvalue-floor check; these properties are why
+    that is safe."""
 
     @given(derived_cases())
     def test_channel_cannot_lower_smallest_eigenvalue(self, case):
@@ -582,18 +581,20 @@ class TestDerivedStates:
         assert np.linalg.eigvalsh(out)[0] >= np.linalg.eigvalsh(rho)[0] - 1e-12
 
     @given(derived_cases(kinds=("pure", "mixed")))
-    def test_evolve_keeps_spectrum(self, case):
+    def test_conjugation_keeps_spectrum(self, case):
         rho, _, u = case
-        out = qsim.evolve(qsim.DensityMatrix(u.n, rho), u)
+        out = qsim.hermitize(u @ rho @ u.conj().T)
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(out.data), np.linalg.eigvalsh(rho), rtol=0, atol=1e-12
+            np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), rtol=0, atol=1e-12
         )
 
     @given(derived_cases(kinds=("pure", "mixed")))
     def test_outputs_are_owned_valid_states(self, case):
-        rho, _, u = case
-        state = qsim.DensityMatrix(u.n, rho)
-        out = qsim.evolve(state, u)
+        """A trace-checked state made from a conjugation's
+        :func:`qsim.hermitize` output."""
+        rho, model, u = case
+        state = qsim.DensityMatrix(model.n, rho)
+        out = qsim.DensityMatrix._derived(model.n, qsim.hermitize(u @ state.data @ u.conj().T))
         assert not out.data.flags.writeable
         assert not np.shares_memory(out.data, state.data)
         assert np.array_equal(out.data, out.data.conj().T)

@@ -41,14 +41,13 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             qsim.pure_state([1.0, 0.0, 0.0])
 
-    def test_maximally_mixed(self):
-        np.testing.assert_allclose(qsim.maximally_mixed(1).data, np.eye(2) / 2)
-        np.testing.assert_allclose(qsim.maximally_mixed(2).data, np.eye(4) / 4)
-        np.testing.assert_allclose(qsim.maximally_mixed(4).data, np.eye(16) / 16)
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValidationError, match=r"shape \(4, 4\)"):
+            qsim.DensityMatrix(2, np.eye(2) / 2)
 
-    def test_maximally_mixed_rejects_nonpositive(self):
+    def test_rejects_nonpositive_qubit_count(self):
         with pytest.raises(ValidationError):
-            qsim.maximally_mixed(0)
+            qsim.DensityMatrix(0, np.eye(1))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
@@ -60,7 +59,7 @@ class TestDensityMatrix:
 
     def test_batch_check_names_the_failing_rule(self):
         """One bad member fails a stack; each rule is checked on every member."""
-        good = np.stack([qsim.maximally_mixed(1).data, qsim.pure_state([1, 0]).data])
+        good = np.stack([np.eye(2) / 2, qsim.pure_state([1, 0]).data])
         qsim.check_density_matrices(good)
         cases = [
             (np.array([[1.0, 0.5], [0.0, 0.0]]), "Hermitian"),
@@ -72,8 +71,8 @@ class TestDensityMatrix:
                 qsim.check_density_matrices(np.concatenate([good, bad[None]]))
 
     def test_max_qubits_enforced(self):
-        with pytest.raises(ValidationError):
-            qsim.maximally_mixed(11)
+        with pytest.raises(ValidationError, match="maximum"):
+            qsim.DensityMatrix(11, np.eye(2))
 
 
 NON_FINITE = {
@@ -100,37 +99,32 @@ class TestNonFiniteData:
         with pytest.raises(ValidationError, match="trace"):
             qsim.DensityMatrix._derived(1, data)
 
-    @pytest.mark.parametrize("case", sorted(NON_FINITE))
-    def test_unitary(self, case):
-        with pytest.raises(ValidationError, match="unitary"):
-            qsim.Unitary(1, NON_FINITE[case])
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_pure_state(self, bad):
         with pytest.raises(ValidationError, match="norm"):
             qsim.pure_state([bad, 0])
 
 
-def rotation(axis, theta):
-    """One-qubit rotation as a validated unitary."""
-    return qsim.Unitary(1, qsim.rotation_matrix_2x2(axis, theta))
+def rotated(rho, axis, theta):
+    """The one-qubit state ``rho`` after the rotation ``axis`` by ``theta``."""
+    return dense_reference.conjugate(rho, qsim.rotation_matrix_2x2(axis, theta))
 
 
 class TestGates:
     def test_rotation_zero_angle_is_identity(self):
         for axis in "XYZ":
-            np.testing.assert_allclose(rotation(axis, 0.0).data, np.eye(2), atol=1e-14)
+            np.testing.assert_allclose(qsim.rotation_matrix_2x2(axis, 0.0), np.eye(2), atol=1e-14)
 
     def test_rx_pi_flips_zero(self):
         """RX(pi)|0> = -i|1>, so the density matrix is |1><1|."""
-        rho = qsim.evolve(qsim.pure_state([1, 0]), rotation("X", math.pi))
+        rho = rotated(qsim.pure_state([1, 0]), "X", math.pi)
         np.testing.assert_allclose(rho.data, [[0, 0], [0, 1]], atol=1e-12)
 
     def test_rz_leaves_zero_invariant(self):
         rng = np.random.default_rng(7)
         zero = qsim.pure_state([1, 0])
         for theta in rng.uniform(-2 * math.pi, 2 * math.pi, 20):
-            rho = qsim.evolve(zero, rotation("Z", theta))
+            rho = rotated(zero, "Z", theta)
             np.testing.assert_allclose(rho.data, zero.data, atol=1e-12)
 
     def test_rotation_inverse_pairs(self):
@@ -138,7 +132,7 @@ class TestGates:
         for _ in range(100):
             axis = "XYZ"[int(rng.integers(3))]
             theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-            prod = rotation(axis, theta).data @ rotation(axis, -theta).data
+            prod = qsim.rotation_matrix_2x2(axis, theta) @ qsim.rotation_matrix_2x2(axis, -theta)
             np.testing.assert_allclose(prod, np.eye(2), atol=1e-10)
 
     def test_rotation_target_out_of_range(self):
@@ -148,7 +142,7 @@ class TestGates:
         superop = np.kron(r, r.conj())
         for target in (2, -1):
             with pytest.raises(ValidationError, match="out of range"):
-                noise.apply_qubit_superoperators(qsim.maximally_mixed(2).data, [(target, superop)])
+                noise.apply_qubit_superoperators(np.eye(4) / 4, [(target, superop)])
 
     def test_cnot_flips_target_when_control_set(self):
         """CNOT(0,1)|10> = |11> with qubit 0 as the most significant bit."""
@@ -185,48 +179,16 @@ class TestGates:
             qsim.cnot_permutation(-1, 0, 2)
 
 
-class TestEvolve:
-    def test_identity_evolution(self):
-        rng = np.random.default_rng(13)
-        rho = qsim.random_density_matrix(2, rng)
-        out = qsim.evolve(rho, qsim.Unitary(2, np.eye(4, dtype=complex)))
-        np.testing.assert_allclose(out.data, rho.data, atol=1e-14)
-
-    def test_maximally_mixed_is_fixed(self):
-        rng = np.random.default_rng(17)
-        mixed = qsim.maximally_mixed(3)
-        for _ in range(10):
-            out = qsim.evolve(mixed, qsim.haar_random_unitary(3, rng))
-            np.testing.assert_allclose(out.data, mixed.data, atol=1e-12)
-
+class TestRotations:
     def test_rx_half_pi_balances_diagonal(self):
-        rho = qsim.evolve(qsim.pure_state([1, 0]), rotation("X", math.pi / 2))
+        rho = rotated(qsim.pure_state([1, 0]), "X", math.pi / 2)
         np.testing.assert_allclose(np.diag(rho.data).real, [0.5, 0.5], atol=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            qsim.evolve(qsim.maximally_mixed(2), rotation("X", 0.3))
-
-    def test_spectrum_and_trace_preserved(self):
-        """Conjugation keeps trace to 1e-10 and the spectrum to 1e-9."""
+    def test_rotations_are_unitary(self):
         rng = np.random.default_rng(19)
-        for _ in range(1000):
-            n = int(rng.integers(1, 5))
-            rho = qsim.random_density_matrix(n, rng)
-            u = qsim.haar_random_unitary(n, rng)
-            out = qsim.evolve(rho, u)
-            assert abs(np.trace(out.data).real - 1.0) <= 1e-10
-            before = np.linalg.eigvalsh(rho.data)
-            after = np.linalg.eigvalsh(out.data)
-            assert abs(before[0] - after[0]) <= 1e-9
-
-    def test_composition_roundtrip(self):
-        rng = np.random.default_rng(23)
         for _ in range(100):
-            rho = qsim.random_density_matrix(3, rng)
-            u = qsim.haar_random_unitary(3, rng)
-            back = qsim.evolve(qsim.evolve(rho, u), qsim.Unitary(3, u.data.conj().T))
-            assert np.linalg.norm(back.data - rho.data) <= 1e-9
+            r = qsim.rotation_matrix_2x2("XYZ"[int(rng.integers(3))], rng.uniform(-10, 10))
+            np.testing.assert_allclose(r @ r.conj().T, np.eye(2), rtol=0, atol=1e-15)
 
 
 class TestExpectation:
@@ -237,7 +199,7 @@ class TestExpectation:
         assert pqc.z_expectations(qsim.pure_state([1, 0]).data)[0] == pytest.approx(1.0)
 
     def test_sigma_z_on_mixed(self):
-        z = pqc.z_expectations(qsim.maximally_mixed(1).data)
+        z = pqc.z_expectations(np.eye(2) / 2)
         assert z[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_z_tensor_identity_on_plus_zero(self):
@@ -336,10 +298,11 @@ ALPHAS = (0.5, 2.0, 3.0)
 
 
 def renyi_entropy(rho, alpha):
-    """``log tr(rho^alpha) / (1 - alpha)`` from :meth:`qsim.DensityMatrix.power`;
+    """``log tr(rho^alpha) / (1 - alpha)`` from :func:`qsim.hermitian_power`;
     eigenvalues below 1e-13 of the largest count as zero, as in
     ``losses.petz_renyi_divergence``."""
-    return math.log(np.trace(rho.power(alpha, rel_floor=1e-13)).real) / (1.0 - alpha)
+    power = qsim.hermitian_power(rho.data, alpha, rel_floor=1e-13)
+    return math.log(np.trace(power).real) / (1.0 - alpha)
 
 
 class TestEntropy:
@@ -354,7 +317,7 @@ class TestEntropy:
     def test_maximally_mixed_entropy(self):
         for n in (1, 2, 4):
             for alpha in ALPHAS:
-                assert renyi_entropy(qsim.maximally_mixed(n), alpha) == pytest.approx(
+                assert renyi_entropy(dense_reference.maximally_mixed(n), alpha) == pytest.approx(
                     n * math.log(2), abs=1e-12
                 )
 
@@ -368,7 +331,7 @@ class TestEntropy:
         rng = np.random.default_rng(37)
         for _ in range(100):
             rho = qsim.random_density_matrix(3, rng)
-            out = qsim.evolve(rho, qsim.haar_random_unitary(3, rng))
+            out = dense_reference.conjugate(rho, qsim.haar_random_unitary(3, rng))
             for alpha in ALPHAS:
                 assert renyi_entropy(out, alpha) == pytest.approx(
                     renyi_entropy(rho, alpha), abs=1e-9
@@ -389,11 +352,10 @@ class TestEntropy:
         """``n log 2 - H_alpha(rho) = D_alpha(rho || I / d)``."""
         rng = np.random.default_rng(47)
         for n in (1, 2, 3):
-            mixed = qsim.maximally_mixed(n)
             for _ in range(10):
                 rho = qsim.random_density_matrix(n, rng)
                 for alpha in ALPHAS:
-                    got = losses.petz_renyi_divergence(rho, mixed, alpha)
+                    got = losses.petz_renyi_divergence(rho, alpha)
                     assert got == pytest.approx(n * math.log(2) - renyi_entropy(rho, alpha), abs=1e-9)
 
     def test_unital_noise_does_not_lower_entropy(self):
@@ -413,7 +375,7 @@ class TestHelpers:
     def test_haar_unitary_is_unitary(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
-            u = qsim.haar_random_unitary(3, rng).data
+            u = qsim.haar_random_unitary(3, rng)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
 
     def test_hermitian_power_clamps_negatives(self):
@@ -425,25 +387,6 @@ class TestHelpers:
     def test_hermitian_power_rejects_singular_inverse(self):
         with pytest.raises(ValidationError):
             qsim.hermitian_power(np.diag([1.0, 0.0]).astype(complex), -1.0)
-
-    def test_diagonal_power_is_the_diagonal_of_hermitian_power(self):
-        """Same clamps as ``hermitian_power`` (negatives and the relative
-        floor to zero, singular negative powers rejected), read from the
-        diagonal; ``None`` for a matrix with an off-diagonal entry."""
-        diag = np.diag([0.5, 0.3, 1e-15, -1e-12]).astype(complex)
-        for power, floor in ((0.5, 0.0), (0.5, 1e-13), (2.0, 1e-13)):
-            want = np.diagonal(qsim.hermitian_power(diag, power, rel_floor=floor)).real
-            got = qsim.diagonal_power(diag, power, rel_floor=floor)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-        with pytest.raises(ValidationError):
-            qsim.diagonal_power(diag, -1.0)
-        full = diag.copy()
-        full[0, 1] = full[1, 0] = 0.1
-        assert qsim.diagonal_power(full, -1.0) is None
-        mixed = qsim.maximally_mixed(2)
-        weights = mixed.diagonal_power(-1.0)
-        assert mixed.diagonal_power(-1.0) is weights and not weights.flags.writeable
-        assert qsim.random_density_matrix(2, np.random.default_rng(5)).diagonal_power(-1.0) is None
 
     def test_embed_one_qubit_positions(self):
         full = dense_reference.embed_one_qubit(qsim.PAULI_Z, 0, 2)
