@@ -30,11 +30,12 @@ import numpy as np
 
 from . import __version__
 from .data import BENCHMARKS, Dataset, dataset_from_idx, synthetic_blobs
-from .errors import ConfigError, DataFormatError, TrainingError, ValidationError
+from .errors import ConfigError, TrainingError, ValidationError
 from .losses import petz_renyi_divergence
 from .noise import (
     amplitude_damping_superoperator,
     apply_qubit_superoperators,
+    default_generators,
     pauli_mix_superoperators,
 )
 from .pqc import encode
@@ -401,8 +402,8 @@ def divergence_trace(
     ring = [(q, (q + 1) % n) for q in range(n)] if n >= 2 else []
     perms = [cnot_permutation(control, target, n) for control, target in ring]
     supports = [(q,) for q in range(n)] + ring
-    letters = [tuple("I" * q + ch + "I" * (n - q - 1) for q in qubits for ch in "XYZ")
-               for qubits in supports]
+    words = default_generators(n)  # qubit q's X, Y, Z are words[3q:3q + 3]
+    letters = [tuple(w for q in qubits for w in words[3 * q:3 * q + 3]) for qubits in supports]
     damping = amplitude_damping_superoperator(rate) if channel == "amplitude_damping" else None
     if damping is not None:
         fixed = [[(q, damping) for q in qubits] for qubits in supports]
@@ -481,15 +482,12 @@ def main(argv=None) -> int:
         from . import selftest
 
         return selftest.run_all()
-    except (ConfigError, DataFormatError) as exc:
+    except ValidationError as exc:  # ConfigError and DataFormatError too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

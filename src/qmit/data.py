@@ -59,7 +59,6 @@ class BenchmarkSpec:
     """Source classes of a benchmark, remapped to 0..c-1 in listed order."""
 
     name: str
-    source: str  # "mnist" or "fashion"
     classes: tuple[int, ...]
 
     @property
@@ -68,10 +67,10 @@ class BenchmarkSpec:
 
 
 BENCHMARKS = {
-    "MNIST-4": BenchmarkSpec("MNIST-4", "mnist", (0, 1, 2, 3)),
-    "MNIST-2": BenchmarkSpec("MNIST-2", "mnist", (3, 6)),
-    "Fashion-4": BenchmarkSpec("Fashion-4", "fashion", (0, 1, 2, 3)),
-    "Fashion-2": BenchmarkSpec("Fashion-2", "fashion", (3, 6)),
+    "MNIST-4": BenchmarkSpec("MNIST-4", (0, 1, 2, 3)),
+    "MNIST-2": BenchmarkSpec("MNIST-2", (3, 6)),
+    "Fashion-4": BenchmarkSpec("Fashion-4", (0, 1, 2, 3)),
+    "Fashion-2": BenchmarkSpec("Fashion-2", (3, 6)),
 }
 
 

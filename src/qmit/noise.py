@@ -3,6 +3,9 @@
 A noise model is a set of Pauli-string generators with nonnegative rates
 ``lambda``.  Its channel is the product of per-generator factors, each
 mixing ``rho`` with ``P rho P`` at weight ``w = (1 + exp(-2 lambda)) / 2``.
+A generator is a plain ``n``-letter string over ``IXYZ``, qubit 0 first
+(``"XI"`` is X on qubit 0 of two); every function here that takes
+generators takes a tuple or a list of such strings.
 
 The product channel is diagonal in the Pauli basis: the component of
 ``rho`` along a Pauli string ``b`` is multiplied by the fidelity
@@ -53,28 +56,6 @@ from .qsim import _check_qubit_count
 PAULI_LETTERS = "IXYZ"
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit I/X/Y/Z operators."""
-
-    n: int
-    letters: str
-
-    def __post_init__(self):
-        _check_qubit_count(self.n)
-        if len(self.letters) != self.n:
-            raise ValidationError(
-                f"pauli string {self.letters!r} has length {len(self.letters)}, expected {self.n}"
-            )
-        bad = set(self.letters) - set(PAULI_LETTERS)
-        if bad:
-            raise ValidationError(f"invalid pauli letters {sorted(bad)} in {self.letters!r}")
-
-    @property
-    def is_identity(self) -> bool:
-        return set(self.letters) == {"I"}
-
-
 def rate_to_weight(rate):
     """``w = (1 + exp(-2 lambda)) / 2``; 1 at zero rate, -> 1/2 as rate grows."""
     return 0.5 * (1.0 + np.exp(-2.0 * np.asarray(rate, dtype=float)))
@@ -85,7 +66,7 @@ class NoiseModel:
     """Pauli generators with nonnegative rates on an ``n``-qubit register."""
 
     n: int
-    generators: tuple[PauliString, ...]
+    generators: tuple[str, ...]
     rates: np.ndarray
 
     def __post_init__(self):
@@ -100,14 +81,17 @@ class NoiseModel:
                 f"{len(gens)} generators but {rates.size} rates"
             )
         for gen in gens:
-            if not isinstance(gen, PauliString):
-                raise ValidationError(f"generator {gen!r} is not a PauliString")
-            if gen.n != self.n:
+            if not isinstance(gen, str):
+                raise ValidationError(f"generator {gen!r} is not a string of Pauli letters")
+            if len(gen) != self.n:
                 raise ValidationError(
-                    f"generator {gen.letters!r} acts on {gen.n} qubits, model has {self.n}"
+                    f"pauli string {gen!r} has length {len(gen)}, expected {self.n}"
                 )
-            if gen.is_identity:
-                raise ValidationError("channel generators must have a non-identity letter")
+            bad = set(gen) - set(PAULI_LETTERS)
+            if bad:
+                raise ValidationError(f"invalid pauli letters {sorted(bad)} in {gen!r}")
+            if set(gen) == {"I"}:
+                raise ValidationError(f"channel generator {gen!r} has no non-identity letter")
         if not np.all(np.isfinite(rates)):
             raise ValidationError("noise rates must be finite")
         if np.any(rates < 0.0):
@@ -121,7 +105,7 @@ class NoiseModel:
         return {
             "n": self.n,
             "generators": [
-                {"pauli": gen.letters, "lambda": float(rate)}
+                {"pauli": gen, "lambda": float(rate)}
                 for gen, rate in zip(self.generators, self.rates)
             ],
         }
@@ -131,7 +115,7 @@ class NoiseModel:
         try:
             n = int(payload["n"])
             entries = payload["generators"]
-            gens = tuple(PauliString(n, str(e["pauli"])) for e in entries)
+            gens = tuple(str(e["pauli"]) for e in entries)
             rates = np.array([float(e["lambda"]) for e in entries])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed noise model JSON: {exc}") from exc
@@ -139,16 +123,12 @@ class NoiseModel:
 
 
 @lru_cache(maxsize=None)
-def default_generators(n: int) -> tuple[PauliString, ...]:
+def default_generators(n: int) -> tuple[str, ...]:
     """Single-qubit X, Y, Z on every qubit, ordered by qubit then X<Y<Z: the
-    generators of the learned inverse, whose rate rows have ``3n`` entries."""
+    generators of the learned inverse, whose rate rows have ``3n`` entries.
+    Qubit ``q``'s three are ``[3q:3q + 3]``."""
     _check_qubit_count(n)
-    gens = []
-    for q in range(n):
-        for letter in "XYZ":
-            letters = "I" * q + letter + "I" * (n - q - 1)
-            gens.append(PauliString(n, letters))
-    return tuple(gens)
+    return tuple("I" * q + ch + "I" * (n - q - 1) for q in range(n) for ch in "XYZ")
 
 
 def learned_z_gains(rate_row) -> np.ndarray:
@@ -166,16 +146,16 @@ def draw_noise_models(
     seed,
     low: float = 0.002,
     high: float = 0.02,
-    generators: tuple[PauliString, ...] | None = None,
 ) -> list[NoiseModel]:
-    """Seeded per-layer, per-generator rates from ``uniform[low, high]``.
+    """Seeded per-layer rates of :func:`default_generators` from
+    ``uniform[low, high]``.
 
     This is the reproducible stand-in for a device calibration; the same
     seed always yields the same rate table.
     """
     if not 0.0 <= low <= high:
         raise ValidationError(f"invalid rate range [{low}, {high}]")
-    gens = default_generators(n) if generators is None else generators
+    gens = default_generators(n)
     rng = np.random.default_rng(seed)
     table = rng.uniform(low, high, size=(layers, len(gens)))
     return [NoiseModel(n, gens, table[i]) for i in range(layers)]
@@ -334,10 +314,6 @@ def _anticommutation_mask(word: str) -> np.ndarray:
     return mask
 
 
-def _letters(generators) -> tuple[str, ...]:
-    return tuple(gen.letters for gen in generators)
-
-
 def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = False) -> np.ndarray:
     """The Pauli-Lindblad channel of ``generators`` and ``rates`` on ``x``.
 
@@ -361,29 +337,28 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = Fal
     rates = np.asarray(rates, dtype=float)
     if not np.any(rates):
         return x
-    letters = _letters(generators)
-    if len(letters[0]) != _num_qubits(x):
+    if len(generators[0]) != _num_qubits(x):
         raise ValidationError(
-            f"dimension mismatch: states on {_num_qubits(x)} qubits, generators on {len(letters[0])}"
+            f"dimension mismatch: states on {_num_qubits(x)} qubits, generators on {len(generators[0])}"
         )
-    mixes = pauli_mix_superoperators(letters, rates, inverse)
+    mixes = pauli_mix_superoperators(generators, rates, inverse)
     if mixes is not None:
         return apply_qubit_superoperators(x, mixes)
     exponent = np.zeros((x.shape[-1],) * 2)
-    for word, rate in zip(letters, rates):
+    for word, rate in zip(generators, rates):
         exponent[_anticommutation_mask(word)] += rate
     out = _pauli_transform(x)
     out *= np.exp((2.0 if inverse else -2.0) * exponent) / x.shape[-1]
     return _pauli_transform(out)
 
 
-def qubit_fidelities(letters: tuple[str, ...], rates, inverse: bool = False):
+def qubit_fidelities(generators, rates, inverse: bool = False):
     """Each qubit's Pauli fidelities ``f_X, f_Y, f_Z``, shape ``(n, 3)``, of
-    the channel of generators ``letters`` (``n``-letter strings) of weight
-    at most 1, or of its inverse; ``None`` when some generator has weight 2
-    or more.  Then the channel multiplies each Pauli string by the product
-    of its letters' fidelities (``f_I = 1``)."""
-    incidence = _separable_incidence(letters)
+    the channel of ``generators`` of weight at most 1, or of its inverse;
+    ``None`` when some generator has weight 2 or more.  Then the channel
+    multiplies each Pauli string by the product of its letters' fidelities
+    (``f_I = 1``)."""
+    incidence = _separable_incidence(tuple(generators))
     if incidence is None:
         return None
     k, n, _ = incidence.shape
@@ -391,20 +366,18 @@ def qubit_fidelities(letters: tuple[str, ...], rates, inverse: bool = False):
     return np.exp(sign * (np.asarray(rates, dtype=float) @ incidence.reshape(k, 3 * n)).reshape(n, 3))
 
 
-def pauli_mix_superoperators(letters: tuple[str, ...], rates, inverse: bool = False):
+def pauli_mix_superoperators(generators, rates, inverse: bool = False):
     """The separable case of :func:`apply_pauli_fidelities` as kernel ops.
 
-    For generators ``letters`` (``n``-letter strings) of weight at most 1,
-    returns ``[(q, S), ...]`` for :func:`apply_qubit_superoperators`: one
-    :func:`_mix_matrix` of its :func:`qubit_fidelities` per qubit whose
-    fidelities are not all 1.  Returns ``None`` when some generator has
-    weight 2 or more.
+    For ``generators`` of weight at most 1, returns ``[(q, S), ...]`` for
+    :func:`apply_qubit_superoperators`: one :func:`_mix_matrix` of its
+    :func:`qubit_fidelities` per qubit whose fidelities are not all 1.
+    Returns ``None`` when some generator has weight 2 or more.
     """
-    fid = qubit_fidelities(letters, rates, inverse)
+    fid = qubit_fidelities(generators, rates, inverse)
     if fid is None:
         return None
-    active = np.flatnonzero(np.any(fid != 1.0, axis=1))
-    return [(q, _mix_matrix(*fid[q])) for q in active]
+    return [(q, _mix_matrix(*row)) for q, row in enumerate(fid.tolist()) if row != [1.0, 1.0, 1.0]]
 
 
 # _ANTICOMMUTES[ch][a]: whether the letter ch anticommutes with IXYZ[a].
@@ -428,9 +401,9 @@ def _anticommuting_strings(word: str) -> np.ndarray:
     return parity
 
 
-def pauli_fidelity_table(letters: tuple[str, ...], rates, inverse: bool = False) -> np.ndarray:
+def pauli_fidelity_table(generators, rates, inverse: bool = False) -> np.ndarray:
     """Fidelity ``f_b`` of every Pauli string ``b`` under the channel of
-    generators ``letters`` (any weight) and ``rates``, or ``1/f_b`` for its
+    ``generators`` (any weight) and ``rates``, or ``1/f_b`` for its
     inverse, shape ``(4^n,)``: one base-4 digit per qubit (I, X, Y, Z),
     qubit 0 the most significant.
 
@@ -438,10 +411,10 @@ def pauli_fidelity_table(letters: tuple[str, ...], rates, inverse: bool = False)
     :func:`_anticommuting_strings` table; terms on the same qubits are
     summed before they are broadcast over all ``4^n`` strings."""
     terms = {}
-    for word, rate in zip(letters, rates):
+    for word, rate in zip(generators, rates):
         parity = _anticommuting_strings(word)
         terms[parity.shape] = terms.get(parity.shape, 0.0) + rate * parity
-    exponent = np.broadcast_to(sum(terms.values(), 0.0), (4,) * len(letters[0]))
+    exponent = np.broadcast_to(sum(terms.values(), 0.0), (4,) * len(generators[0]))
     return np.exp((2.0 if inverse else -2.0) * exponent).ravel()
 
 
@@ -456,8 +429,7 @@ def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
     Both arguments are taken to the Pauli basis, where each generator's term
     is a sum over the strings it anticommutes with.
     """
-    letters = _letters(generators)
-    if not letters:
+    if not generators:
         return np.zeros(0)
     # tr(g D) = sum(g * D^T), and (P y P)^T = P y^T P for a Pauli string P.
     # Both transforms stay in the kernel's pair layout; only their d x d
@@ -470,7 +442,7 @@ def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
     bits = order[g.ndim - 2:]  # the 2n bit axes, each qubit's pair together
     products = summed.reshape((2,) * 2 * n).transpose(np.argsort(bits)).reshape(d, d)
     scale = 2.0 / d
-    return np.array([scale * products[_anticommutation_mask(w)].sum() for w in letters])
+    return np.array([scale * products[_anticommutation_mask(w)].sum() for w in generators])
 
 
 def sampling_overhead(model: NoiseModel, method: str = "exp") -> float:

@@ -397,8 +397,8 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
         raise ValidationError(f"readout count must lie in [1, {n}], got {count}")
 
     def pauli_maps(i):
-        """Layer ``i``'s Pauli maps with a nonzero rate, as ``(letters, rate
-        row, inverse)``: the true noise and, with ``rates``, the inverse."""
+        """Layer ``i``'s Pauli maps with a nonzero rate, as ``(generators,
+        rate row, inverse)``: the true noise and, with ``rates``, the inverse."""
         if noise[i].n != n:
             raise ValidationError(
                 f"dimension mismatch: layers on {n} qubits, generators on {noise[i].n}"
@@ -406,11 +406,7 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
         maps = [(noise[i].generators, noise[i].rates, False)]
         if rates is not None:
             maps.append((default_generators(n), rates[i], True))
-        return [
-            (tuple(g.letters for g in gens), row, inverse)
-            for gens, row, inverse in maps
-            if np.any(row)
-        ]
+        return [(gens, row, inverse) for gens, row, inverse in maps if np.any(row)]
 
     gather, signs = _ring_pauli_gather(n)
     z_entries = (np.arange(count), 3 << 2 * (n - 1 - np.arange(count)))  # Z on qubit k
@@ -419,10 +415,10 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
     ops = None  # the transposed transfer matrices of the layer above, not yet applied
     for i in range(layers - 1, -1, -1):
         tables = []
-        for letters, row, inverse in pauli_maps(i):
-            fid = qubit_fidelities(letters, row, inverse)
+        for gens, row, inverse in pauli_maps(i):
+            fid = qubit_fidelities(gens, row, inverse)
             if fid is None:
-                tables.append(pauli_fidelity_table(letters, row, inverse))
+                tables.append(pauli_fidelity_table(gens, row, inverse))
             elif ops is None:  # the last layer: only the Z_k entries are nonzero
                 obs[z_entries] *= fid[:count, 2]
             else:

@@ -35,6 +35,7 @@ from .noise import (
     NoiseModel,
     apply_pauli_fidelities,
     default_generators,
+    draw_noise_models,
     learned_z_gains,
     load_noise_layers,
     noise_layers_json,
@@ -169,8 +170,6 @@ def noise_models_from_config(config: TrainConfig) -> list[NoiseModel]:
                     f"noise file layer {i} acts on {model.n} qubits, config has {config.n_qubits}"
                 )
         return models
-    from .noise import draw_noise_models
-
     return draw_noise_models(
         config.n_qubits,
         config.layers,

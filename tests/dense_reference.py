@@ -245,8 +245,7 @@ def layer_chain(rho0, units, noise_true, letters, rates, cascaded):
     the last learned inverse."""
     chain = [rho0]
     for u, model, row in zip(units, noise_true, rates):
-        true_letters = [g.letters for g in model.generators]
-        cur = channel(u @ chain[-1] @ u.conj().T, true_letters, model.rates)
+        cur = channel(u @ chain[-1] @ u.conj().T, model.generators, model.rates)
         chain.append(channel(cur, letters, row, inverse=True) if cascaded else cur)
     final = chain[-1] if cascaded else channel(chain[-1], letters, rates[-1], inverse=True)
     return chain, final

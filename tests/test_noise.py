@@ -32,11 +32,31 @@ class TestPauliString:
             mat = dense.pauli_matrix(letters)
             np.testing.assert_allclose(mat @ mat, np.eye(1 << n), atol=1e-12)
 
-    def test_validates_letters(self):
-        with pytest.raises(ValidationError):
-            noise.PauliString(2, "XA")
-        with pytest.raises(ValidationError):
-            noise.PauliString(2, "X")
+
+# A noise file as save_noise_layers writes it: a generator is
+# {"pauli": letters, "lambda": rate}.
+NOISE_FILE = """{
+  "layers": [
+    {
+      "generators": [
+        {
+          "lambda": 0.01,
+          "pauli": "XI"
+        },
+        {
+          "lambda": 0.025,
+          "pauli": "ZZ"
+        },
+        {
+          "lambda": 0.0,
+          "pauli": "IY"
+        }
+      ],
+      "n": 2
+    }
+  ],
+  "n": 2
+}"""
 
 
 class TestNoiseModel:
@@ -45,9 +65,26 @@ class TestNoiseModel:
         with pytest.raises(ValidationError):
             noise.NoiseModel(1, gens, [-0.1, 0.0, 0.0])
 
-    def test_rejects_identity_generator(self):
-        with pytest.raises(ValidationError):
-            noise.NoiseModel(1, (noise.PauliString(1, "I"),), [0.1])
+    @pytest.mark.parametrize(
+        "n, generator, reason",
+        [
+            (2, "X", "length"),
+            (2, "XYZ", "length"),
+            (2, "XA", "letters"),
+            (2, "xz", "letters"),
+            (1, "I", "identity"),
+            (2, "II", "identity"),
+            (1, 5, "not a string"),
+            (1, None, "not a string"),
+            (2, ("X", "Z"), "not a string"),
+        ],
+    )
+    def test_rejects_bad_generator(self, n, generator, reason):
+        """Each generator is an ``n``-letter string over IXYZ with a
+        non-identity letter; the error names the generator."""
+        with pytest.raises(ValidationError, match=reason) as err:
+            noise.NoiseModel(n, ("X" * n, generator), [0.1, 0.1])
+        assert repr(generator) in str(err.value)
 
     def test_weights_range(self):
         rng = np.random.default_rng(3)
@@ -62,12 +99,24 @@ class TestNoiseModel:
         model = random_model(3, rng)
         back = noise.NoiseModel.from_json(json.loads(json.dumps(model.to_json())))
         assert back.n == model.n
-        assert [g.letters for g in back.generators] == [g.letters for g in model.generators]
+        assert back.generators == model.generators
         np.testing.assert_allclose(back.rates, model.rates)
+
+    def test_noise_file_loads_and_round_trips(self, tmp_path):
+        """A noise file in the ``{"pauli", "lambda"}`` layout loads as
+        letter strings and is written back byte for byte."""
+        path = tmp_path / "noise.json"
+        path.write_text(NOISE_FILE, encoding="utf-8")
+        (model,) = noise.load_noise_layers(path)
+        assert model.n == 2
+        assert model.generators == ("XI", "ZZ", "IY")
+        assert model.rates.tolist() == [0.01, 0.025, 0.0]
+        noise.save_noise_layers([model], tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text(encoding="utf-8") == NOISE_FILE
 
     def test_default_generator_order(self):
         gens = noise.default_generators(2)
-        assert [g.letters for g in gens] == ["XI", "YI", "ZI", "IX", "IY", "IZ"]
+        assert gens == ("XI", "YI", "ZI", "IX", "IY", "IZ")
 
 
 def apply(x, model, inverse=False):
@@ -84,7 +133,7 @@ class TestProductChannel:
 
     def test_single_x_weight(self):
         """lambda=0.5 on X mixes with weight w = (1 + e^{-1}) / 2."""
-        model = noise.NoiseModel(1, (noise.PauliString(1, "X"),), [0.5])
+        model = noise.NoiseModel(1, ("X",), [0.5])
         out = apply(qsim.pure_state([1, 0]).data, model)
         w = 0.5 * (1 + math.exp(-1.0))
         np.testing.assert_allclose(out, np.diag([w, 1 - w]), atol=1e-14)
@@ -168,7 +217,7 @@ class TestSamplingOverhead:
         assert noise.sampling_overhead(model) == pytest.approx(1.0)
 
     def test_single_half_rate(self):
-        model = noise.NoiseModel(1, (noise.PauliString(1, "X"),), [0.5])
+        model = noise.NoiseModel(1, ("X",), [0.5])
         assert noise.sampling_overhead(model) == pytest.approx(math.e)
 
     def test_example_value(self):
@@ -263,7 +312,7 @@ class TestDivergenceContraction:
         rng = np.random.default_rng(23)
         for _ in range(100):
             rho = qsim.random_density_matrix(2, rng)
-            model = noise.NoiseModel(2, (noise.PauliString(2, "XI"),), [0.05])
+            model = noise.NoiseModel(2, ("XI",), [0.05])
             before = losses.petz_renyi_divergence(rho)
             after = losses.petz_renyi_divergence(apply(rho.data, model))
             assert after < before - 1e-12
@@ -271,7 +320,7 @@ class TestDivergenceContraction:
     def test_commuting_state_is_fixed(self):
         """A state diagonal in the generator eigenbasis is untouched."""
         rho = qsim.DensityMatrix(1, np.diag([0.8, 0.2]).astype(complex))
-        model = noise.NoiseModel(1, (noise.PauliString(1, "Z"),), [0.3])
+        model = noise.NoiseModel(1, ("Z",), [0.3])
         np.testing.assert_allclose(apply(rho.data, model), rho.data, atol=1e-15)
 
 
@@ -298,9 +347,9 @@ class TestMitigationModel:
 # Generator sets for the kernel checks: weight-1 sets take the per-qubit
 # (separable) path, sets with two- and three-qubit strings the general path.
 GENERATOR_SETS = {
-    "default-1": [g.letters for g in noise.default_generators(1)],
-    "default-2": [g.letters for g in noise.default_generators(2)],
-    "default-3": [g.letters for g in noise.default_generators(3)],
+    "default-1": list(noise.default_generators(1)),
+    "default-2": list(noise.default_generators(2)),
+    "default-3": list(noise.default_generators(3)),
     "one-qubit-model": ["IXI", "IYI", "IZI"],
     "general-2": ["XX", "ZY", "YI", "IZ", "ZZ"],
     "general-3": ["XXI", "IZY", "XYZ", "ZIZ", "YII", "IXX"],
@@ -309,14 +358,13 @@ GENERATOR_SETS = {
 
 def _kernel_case(name, seed):
     rng = np.random.default_rng(seed)
-    letters = GENERATOR_SETS[name]
-    n = len(letters[0])
-    gens = tuple(noise.PauliString(n, w) for w in letters)
-    rates = rng.uniform(0.0, 0.3, len(letters))
+    gens = GENERATOR_SETS[name]
+    n = len(gens[0])
+    rates = rng.uniform(0.0, 0.3, len(gens))
     shape = (3, 1 << n, 1 << n)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return letters, gens, rates, x, g
+    return gens, rates, x, g
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
@@ -325,21 +373,21 @@ class TestPauliFidelityKernel:
 
     @pytest.mark.parametrize("inverse", [False, True])
     def test_matches_dense_channel(self, name, inverse):
-        letters, gens, rates, x, _ = _kernel_case(name, 31)
+        gens, rates, x, _ = _kernel_case(name, 31)
         got = noise.apply_pauli_fidelities(x, gens, rates, inverse=inverse)
-        np.testing.assert_allclose(got, dense.channel(x, letters, rates, inverse), atol=1e-13)
+        np.testing.assert_allclose(got, dense.channel(x, gens, rates, inverse), atol=1e-13)
 
     def test_mix_superoperators(self, name):
         """Weight-1 sets give one mix per qubit, applied by the superoperator
         kernel; sets with a longer string give ``None``."""
-        letters, _, rates, x, _ = _kernel_case(name, 34)
-        mixes = noise.pauli_mix_superoperators(tuple(letters), rates)
+        gens, rates, x, _ = _kernel_case(name, 34)
+        mixes = noise.pauli_mix_superoperators(gens, rates)
         if name.startswith("general"):
             assert mixes is None
             return
-        assert sorted(q for q, _ in mixes) == sorted({w.index(w.strip("I")) for w in letters})
+        assert sorted(q for q, _ in mixes) == sorted({w.index(w.strip("I")) for w in gens})
         got = noise.apply_qubit_superoperators(x, mixes)
-        np.testing.assert_allclose(got, dense.channel(x, letters, rates, False), atol=1e-13)
+        np.testing.assert_allclose(got, dense.channel(x, gens, rates, False), atol=1e-13)
 
     @pytest.mark.parametrize("inverse", [False, True])
     def test_fidelity_table_scales_each_pauli_string(self, name, inverse):
@@ -348,17 +396,17 @@ class TestPauliFidelityKernel:
         base-4 digit per qubit (I, X, Y, Z), qubit 0 the most significant;
         for weight-1 sets it is the product of the letters'
         ``qubit_fidelities``, which are ``None`` for the general sets."""
-        letters, gens, rates, _, _ = _kernel_case(name, 35)
-        n = len(letters[0])
-        table = noise.pauli_fidelity_table(tuple(letters), rates, inverse)
-        fid = noise.qubit_fidelities(tuple(letters), rates, inverse)
+        gens, rates, _, _ = _kernel_case(name, 35)
+        n = len(gens[0])
+        table = noise.pauli_fidelity_table(gens, rates, inverse)
+        fid = noise.qubit_fidelities(gens, rates, inverse)
         assert table.shape == (4**n,)
         assert (fid is None) == name.startswith("general")
         for index, word in enumerate(itertools.product("IXYZ", repeat=n)):
             p = dense.pauli_matrix("".join(word))
             want = table[index] * p
             bound = 1e-13 * table[index]
-            np.testing.assert_allclose(dense.channel(p, letters, rates, inverse), want, atol=bound)
+            np.testing.assert_allclose(dense.channel(p, gens, rates, inverse), want, atol=bound)
             np.testing.assert_allclose(
                 noise.apply_pauli_fidelities(p, gens, rates, inverse), want, atol=bound
             )
@@ -368,11 +416,9 @@ class TestPauliFidelityKernel:
 
     @pytest.mark.parametrize("inverse", [False, True])
     def test_is_its_own_adjoint(self, name, inverse):
-        letters, gens, rates, x, g = _kernel_case(name, 32)
+        gens, rates, x, g = _kernel_case(name, 32)
         kernel_adj = noise.apply_pauli_fidelities(g, gens, rates, inverse=inverse)
-        np.testing.assert_allclose(
-            kernel_adj, dense.adjoint(g, letters, rates, inverse), atol=1e-13
-        )
+        np.testing.assert_allclose(kernel_adj, dense.adjoint(g, gens, rates, inverse), atol=1e-13)
         lhs = dense.pairing(g, noise.apply_pauli_fidelities(x, gens, rates, inverse=inverse))
         rhs = dense.pairing(kernel_adj, x)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -381,21 +427,21 @@ class TestPauliFidelityKernel:
         """``pauli_rate_gradient`` is the rate derivative of ``Re tr(g y)``
         for ``y`` the inverse stack's output, by central differences of the
         dense inverse."""
-        letters, gens, rates, x, g = _kernel_case(name, 33)
+        gens, rates, x, g = _kernel_case(name, 33)
         y = noise.apply_pauli_fidelities(x, gens, rates, inverse=True)
         got = noise.pauli_rate_gradient(g, y, gens)
         h = 1e-6
-        for k in range(len(letters)):
+        for k in range(len(gens)):
             step = np.zeros_like(rates)
             step[k] = h
             fd = (
-                dense.pairing(g, dense.channel(x, letters, rates + step, inverse=True))
-                - dense.pairing(g, dense.channel(x, letters, rates - step, inverse=True))
+                dense.pairing(g, dense.channel(x, gens, rates + step, inverse=True))
+                - dense.pairing(g, dense.channel(x, gens, rates - step, inverse=True))
             ).real / (2 * h)
             assert got[k] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_does_not_write_its_input(self, name):
-        _, gens, rates, x, _ = _kernel_case(name, 34)
+        gens, rates, x, _ = _kernel_case(name, 34)
         before = x.copy()
         noise.apply_pauli_fidelities(x, gens, rates)
         noise.pauli_rate_gradient(x, x, gens)
@@ -423,7 +469,7 @@ class TestLearnedInverse:
     def test_default_generators_are_cached(self):
         gens = noise.default_generators(3)
         assert noise.default_generators(3) is gens
-        assert [g.letters for g in gens[:3]] == ["XII", "YII", "ZII"]
+        assert gens[:3] == ("XII", "YII", "ZII")
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_z_gain_is_the_inverse_on_z_readouts(self, n):
@@ -439,6 +485,39 @@ class TestLearnedInverse:
             assert gain.shape == (n,)
             error = np.abs(gain * pqc.z_expectations(x) - pqc.z_expectations(y)) / gain
             assert np.max(error) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generator_forms_give_identical_results(n):
+    """Every function that takes generators gives the same bits for
+    :func:`noise.default_generators`, a tuple of the same words built here,
+    and a list of them."""
+    rng = np.random.default_rng(90 + n)
+    cached = noise.default_generators(n)
+    built = tuple("".join(ch if k == q else "I" for k in range(n))
+                  for q in range(n) for ch in "XYZ")
+    assert built == cached and built is not cached
+    rates = rng.uniform(0.0, 0.3, 3 * n)
+    shape = (2, 1 << n, 1 << n)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def results(gens):
+        mixes = noise.pauli_mix_superoperators(gens, rates, inverse=True)
+        return [
+            noise.apply_pauli_fidelities(x, gens, rates),
+            noise.apply_pauli_fidelities(x, gens, rates, inverse=True),
+            noise.pauli_rate_gradient(g, x, gens),
+            noise.qubit_fidelities(gens, rates),
+            np.array([q for q, _ in mixes]),
+            np.stack([s for _, s in mixes]),
+            noise.pauli_fidelity_table(gens, rates, inverse=True),
+        ]
+
+    want = results(cached)
+    for gens in (built, list(built)):
+        for got, ref in zip(results(gens), want):
+            assert np.array_equal(got, ref)
 
 
 class TestQubitSuperoperators:
@@ -468,7 +547,7 @@ class TestQubitSuperoperators:
         rng = np.random.default_rng(40 + n)
         x = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
         got = noise._pauli_transform(x)
-        words = [g.letters for g in noise.default_generators(n)] + ["Y" * n, ("XZ" * n)[:n]]
+        words = [*noise.default_generators(n), "Y" * n, ("XZ" * n)[:n]]
         for i in range(d):
             for j in range(d):
                 bits = [((i ^ j) >> (n - 1 - q) & 1, i >> (n - 1 - q) & 1) for q in range(n)]
@@ -491,7 +570,7 @@ def noise_models(draw, max_rate=0.5):
     n = draw(st.integers(1, 3))
     words = draw(st.lists(_pauli_words(n), min_size=1, max_size=6))
     rates = draw(st.lists(st.floats(0.0, max_rate), min_size=len(words), max_size=len(words)))
-    return noise.NoiseModel(n, tuple(noise.PauliString(n, w) for w in words), rates)
+    return noise.NoiseModel(n, words, rates)
 
 
 class TestKernelProperties:
@@ -516,7 +595,7 @@ class TestKernelProperties:
         pb = dense.pauli_matrix(word)
         factor = 1.0
         for gen, w, rate in zip(model.generators, model.weights, model.rates):
-            pk = dense.pauli_matrix(gen.letters)
+            pk = dense.pauli_matrix(gen)
             if np.allclose(pb @ pk, -pk @ pb):
                 assert 2.0 * w - 1.0 == pytest.approx(np.exp(-2.0 * rate), rel=1e-12)
                 factor *= 2.0 * w - 1.0
@@ -555,7 +634,7 @@ def derived_cases(draw, kinds=("pure", "mixed", "quasi")):
     else:
         weight = int(generator_set[-1])
         words = draw(st.lists(_word_of_weight(n, weight), min_size=1, max_size=6))
-        gens = tuple(noise.PauliString(n, w) for w in words)
+        gens = tuple(words)
     rates = draw(st.lists(st.floats(0.0, 0.5), min_size=len(gens), max_size=len(gens)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(kinds))

@@ -560,9 +560,8 @@ class TestForwardMitigated:
         gens = noise.default_generators(3)
         rates = rng.uniform(0, 0.03, (3, 9))
         chain = pqc.layer_chain(rho0, units_of(layers), models, rates)
-        letters = [g.letters for g in gens]
         want, _ = dense_reference.layer_chain(
-            rho0, units_of(layers), models, letters, rates, cascaded=True
+            rho0, units_of(layers), models, gens, rates, cascaded=True
         )
         for got, ref in zip(chain, want):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)

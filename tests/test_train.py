@@ -66,7 +66,7 @@ def dense_reference_pass(rho0, label, layers, rates, noise_true, config):
     ``pqc.LayerSpec``s and ``rates`` the learned rates over the default
     generators, one row per layer.  Returns ``(loss, grad_theta,
     grad_rates)``."""
-    letters = [g.letters for g in noise.default_generators(config.n_qubits)]
+    letters = noise.default_generators(config.n_qubits)
     paulis = [dense_reference.pauli_matrix(word) for word in letters]
     dense = [dense_reference.layer_unitary_and_gradients(layer) for layer in layers]
     units = [u for u, _ in dense]
@@ -88,7 +88,7 @@ def dense_reference_pass(rho0, label, layers, rates, noise_true, config):
         grad_theta[j] += [[2.0 * np.trace(du @ m).real for du in row] for row in dense[j][1]]
 
     def true_noise(i):
-        return [g.letters for g in noise_true[i].generators], noise_true[i].rates
+        return noise_true[i].generators, noise_true[i].rates
 
     chain, final = dense_reference.layer_chain(rho0, units, noise_true, letters, rates, cascaded)
     g_chain = [np.zeros_like(rho0) for _ in chain]
@@ -132,6 +132,13 @@ def dense_reference_pass(rho0, label, layers, rates, noise_true, config):
         g_chain[i] += units[i].conj().T @ g @ units[i]
     loss = config.alpha_fb * np.mean(fb) + config.alpha_task * task
     return loss, grad_theta, grad_rates
+
+
+def seeded_models(n, words, layers, seed, low=0.002, high=0.02):
+    """Per-layer models of the generators ``words`` with rates drawn as
+    :func:`noise.draw_noise_models` draws the default generators' rates."""
+    table = np.random.default_rng(seed).uniform(low, high, (layers, len(words)))
+    return [noise.NoiseModel(n, words, row) for row in table]
 
 
 def random_theta(n, depth, design, rng, theta_scale=math.pi):
@@ -348,8 +355,7 @@ class TestGradients:
         rng = np.random.default_rng(6)
         config = small_config(mode=mode)
         theta = random_theta(3, 2, "U2", rng, theta_scale=1.0)
-        true_gens = tuple(noise.PauliString(3, w) for w in ("ZZI", "IXX", "YIY", "XII"))
-        noise_true = noise.draw_noise_models(3, 2, seed=7, generators=true_gens)
+        noise_true = seeded_models(3, ("ZZI", "IXX", "YIY", "XII"), 2, seed=7)
         rates = rng.uniform(0, 0.03, (2, 9))
         batch = (rng.uniform(0, 1, (2, 64)), np.array([0, 1]))
         assert fd_vs_analytic(config, theta, rates, noise_true, batch) <= 1e-3
@@ -619,14 +625,13 @@ class TestEvaluate:
         rng = np.random.default_rng(60 + n)
         features = rng.uniform(0, 1, (3, 64))
         vectors, qubits = pqc.encode_vectors(features, n), pqc.encode_qubits(features, n)
-        letters = [g.letters for g in noise.default_generators(n)]
+        letters = noise.default_generators(n)
         separable = noise.draw_noise_models(n, 2, seed=n, low=0.0, high=0.2)
         noises = [separable]
         if n >= 2:
             words = ["I" * q + "ZZ" + "I" * (n - q - 2) for q in range(n - 1)]
             words += ["I" * q + "X" + "I" * (n - q - 1) for q in range(n)]
-            weight_two = tuple(noise.PauliString(n, w) for w in words)
-            noises.append(noise.draw_noise_models(n, 2, seed=n, high=0.2, generators=weight_two))
+            noises.append(seeded_models(n, words, 2, seed=n, high=0.2))
         for design in ("RX", "U2", "U3") if n < 7 else ("U2",):
             layers = dense_reference.random_layers(n, 2, design, rng)
             rotations = [pqc.layer_rotations(design, layer.theta) for layer in layers]
