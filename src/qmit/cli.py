@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from collections.abc import Iterable
@@ -30,7 +29,13 @@ import numpy as np
 
 from . import __version__
 from .data import BENCHMARKS, Dataset, dataset_from_idx, synthetic_blobs
-from .errors import ConfigError, TrainingError, ValidationError
+from .errors import (
+    ConfigError,
+    TrainingError,
+    ValidationError,
+    check_json_object,
+    check_json_value,
+)
 from .losses import petz_renyi_divergence
 from .noise import (
     amplitude_damping_superoperator,
@@ -38,8 +43,8 @@ from .noise import (
     default_generators,
     pauli_mix_superoperators,
 )
-from .pqc import encode
-from .qsim import DensityMatrix, cnot_permutation, hermitize, rotation_matrix_2x2
+from .pqc import encode, rotation_matrices
+from .qsim import PAULIS, DensityMatrix, cnot_permutation, hermitize
 from .train import (
     TrainConfig,
     config_to_json,
@@ -102,29 +107,6 @@ def _load_json(path) -> dict:
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return payload
-
-
-def _check_value(value, expected, what: str) -> None:
-    """Raise unless ``value`` has the JSON type ``expected``; booleans and
-    non-finite numbers (``json`` reads ``NaN`` and ``Infinity``) never pass."""
-    if not isinstance(value, expected):
-        names = (
-            expected.__name__
-            if isinstance(expected, type)
-            else "/".join(t.__name__ for t in expected)
-        )
-        raise ConfigError(f"{what} must be {names}, got {type(value).__name__}")
-    if isinstance(value, bool):
-        raise ConfigError(f"{what} must not be a boolean")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite, got {value}")
-
-
-def _check_keys(payload: dict, allowed: dict, where: str) -> None:
-    for key, value in payload.items():
-        if key not in allowed:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        _check_value(value, allowed[key], f"{where}: key {key!r}")
 
 
 def _benchmark_classes(name: str) -> int:
@@ -265,7 +247,7 @@ _METRIC_COLUMNS = ["repeat", "epoch", "fb_loss", "task_loss", "train_acc", "val_
 
 def cmd_train(config_path: str, out_dir: str) -> int:
     payload = _load_json(config_path)
-    _check_keys(payload, _TRAIN_KEYS, "train config")
+    check_json_object(payload, _TRAIN_KEYS, "train config")
     config = build_train_config(payload)
     _check_caps(payload, config.num_classes)
     repeats = _repeats(payload)
@@ -300,11 +282,11 @@ def cmd_train(config_path: str, out_dir: str) -> int:
 
 def cmd_ablation(config_path: str, out_dir: str) -> int:
     payload = _load_json(config_path)
-    _check_keys(payload, _ABLATION_KEYS, "ablation config")
+    check_json_object(payload, _ABLATION_KEYS, "ablation config")
     grid = payload.get("grid")
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("ablation config requires a non-empty 'grid' object")
-    _check_keys(grid, _GRID_KEYS, "grid")
+    check_json_object(grid, _GRID_KEYS, "grid")
     base_payload = {k: v for k, v in payload.items() if k != "grid"}
     base_config = build_train_config(base_payload)
     _check_caps(payload, base_config.num_classes)
@@ -316,7 +298,7 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
     for axis, (name, json_type) in _GRID_AXES.items():
         entries = grid.get(axis, [getattr(base_config, name)])
         for entry in entries:
-            _check_value(entry, json_type, f"grid: {axis} entry")
+            check_json_value(entry, json_type, f"grid: {axis} entry")
         # alpha_fb is written as a float whatever its JSON type: 0 -> 0.0.
         values.append([float(e) for e in entries] if axis == "alpha_fb" else entries)
     configs = []
@@ -373,13 +355,14 @@ def divergence_trace(
     qubit) followed by the ring of CNOTs; after every operation the chosen
     noise acts on the qubit(s) the operation touched.  Each operation is one
     :func:`apply_qubit_superoperators` call and one :func:`hermitize`: a
-    rotation ``R`` on qubit ``q`` is the op ``(q, R (x) conj(R))``, built as
-    a broadcast outer product, which the kernel composes with that qubit's
-    noise ops; a CNOT first permutes the basis (two ``take`` gathers by
-    ``p`` from :func:`cnot_permutation`).  Pauli and depolarizing noise are
-    the mixes of :func:`pauli_mix_superoperators`; their generator letters,
-    and the fixed noise ops of the depolarizing and damping channels, are
-    built once per qubit and ring pair.  Rotations and CNOTs keep the
+    rotation ``R`` (:func:`~qmit.pqc.rotation_matrices`) on qubit ``q`` is
+    the op ``(q, R (x) conj(R))``, built as a broadcast outer product, which
+    the kernel composes with that qubit's noise ops; a CNOT first permutes
+    the basis (two ``take`` gathers by ``p`` from :func:`cnot_permutation`).
+    Pauli and depolarizing noise are the mixes of
+    :func:`pauli_mix_superoperators`; their generator letters, and the fixed
+    noise ops of the depolarizing and damping channels, are built once per
+    qubit and ring pair.  Rotations and CNOTs keep the
     spectrum and Pauli noise cannot lower the smallest eigenvalue, so those
     states are only trace checked; amplitude damping can, so a step with it
     gets the full check, as the encoded state does; nothing else is
@@ -414,7 +397,7 @@ def divergence_trace(
     for k in itertools.islice(itertools.cycle(range(len(supports))), operations):
         if k < n:
             axis = "XYZ"[int(rng.integers(3))]
-            r = rotation_matrix_2x2(axis, float(rng.uniform(-np.pi, np.pi)))
+            r = rotation_matrices(np.float64(rng.uniform(-np.pi, np.pi)), PAULIS[axis])
             # R (x) conj(R): entry (2a + b, 2c + e) is R_ac conj(R_be).
             superop = (r[:, None, :, None] * r.conj()[None, :, None, :]).reshape(4, 4)
             data, ops = state.data, [(k, superop)]
@@ -433,10 +416,7 @@ def divergence_trace(
 
 def cmd_trace_divergence(config_path: str, out_dir: str) -> int:
     payload = _load_json(config_path)
-    _check_keys(payload, _TRACE_KEYS, "trace config")
-    for key in ("channel", "operations", "rate"):
-        if key not in payload:
-            raise ConfigError(f"trace config: missing required key {key!r}")
+    check_json_object(payload, _TRACE_KEYS, "trace config", ("channel", "operations", "rate"))
     n = int(payload.get("n_qubits", 4))
     alpha = float(payload.get("alpha", 2.0))
     seed = int(payload.get("seed", 0))

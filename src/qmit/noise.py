@@ -18,24 +18,22 @@ positive, so its outputs may be quasi-states with small negative
 eigenvalues.  The rate derivative of the inverse is closed form too:
 ``d/dlambda_k`` of the output ``y`` is ``y - P_k y P_k``.
 
-One Pauli-fidelity kernel, :func:`apply_pauli_fidelities`, applies every
-such channel, its inverse and (being self-adjoint) their adjoints, to a
-single matrix or a batch, and :func:`pauli_rate_gradient` contracts the
-rate derivative in the Pauli basis.  The kernel picks one of two cases by
-reading the generator letters.  When every generator has weight 1 (the
-default X, Y, Z on each qubit) the fidelities factor over qubits and the
-channel is one 4x4 mix per qubit.  Otherwise the state is taken to the
-Pauli basis by one 4x4 transform per qubit, multiplied by the fidelity
-table built from the symplectic anticommutation form, and taken back.
-Both cases, and any other map that acts on each qubit's (row bit, column
-bit) pair alone, run through :func:`apply_qubit_superoperators`: one 4x4
-GEMM per qubit in a layout that puts the qubit's pair first.
+Pauli strings have one index throughout: one base-4 digit per qubit, I, X,
+Y, Z = 0, 1, 2, 3, qubit 0 the most significant.  It is the kernel's own
+layout: :func:`apply_qubit_superoperators` runs one 4x4 GEMM per qubit on
+its (row bit, column bit) pair, index ``2 * row + col``, and after the
+transform ``_BUTTERFLY`` on every qubit that pair holds the string's digit
+(entry ``(-i)^{#Y} tr(P x)``).  Anticommutation is read from one per-letter
+table, ``_ANTICOMMUTES``.
 
-On real Pauli coefficients (one base-4 digit per qubit, as
-:func:`qmit.pqc.mitigated_z_readout` carries its observables) every such
-channel is an elementwise product with :func:`pauli_fidelity_table`, or,
-when every generator has weight 1, ``diag(1, f_X, f_Y, f_Z)`` on each qubit
-from :func:`qubit_fidelities`.
+One kernel, :func:`apply_pauli_fidelities`, applies every such channel, its
+inverse and (being self-adjoint) their adjoints to a matrix or a stack:
+one 4x4 mix per qubit when every generator has weight 1, otherwise the
+product with :func:`pauli_fidelity_table` on the digits.  On real Pauli
+coefficients (:func:`qmit.pqc.mitigated_z_readout`) a channel is that
+product, or ``diag(1, f_X, f_Y, f_Z)`` per qubit (:func:`qubit_fidelities`)
+through :func:`digit_passes`.  :func:`pauli_rate_gradient` contracts the
+rate derivative on the digits.
 
 The learned inverse is defined here alone: its generators are
 :func:`default_generators`, and on a Z readout it is the per-qubit gain
@@ -50,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_json_object
 from .qsim import _check_qubit_count
 
 PAULI_LETTERS = "IXYZ"
@@ -111,15 +109,17 @@ class NoiseModel:
         }
 
     @classmethod
-    def from_json(cls, payload: dict) -> "NoiseModel":
-        try:
-            n = int(payload["n"])
-            entries = payload["generators"]
-            gens = tuple(str(e["pauli"]) for e in entries)
-            rates = np.array([float(e["lambda"]) for e in entries])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed noise model JSON: {exc}") from exc
-        return cls(n, gens, rates)
+    def from_json(cls, payload) -> "NoiseModel":
+        """The model of a :meth:`to_json` payload, its keys and values
+        checked as a config's are (:func:`~qmit.errors.check_json_object`)."""
+        model_keys = {"n": int, "generators": list}
+        check_json_object(payload, model_keys, "noise model", tuple(model_keys))
+        entries = payload["generators"]
+        entry_keys = {"pauli": str, "lambda": (int, float)}
+        for entry in entries:
+            check_json_object(entry, entry_keys, "noise model generator", tuple(entry_keys))
+        gens = tuple(entry["pauli"] for entry in entries)
+        return cls(payload["n"], gens, [entry["lambda"] for entry in entries])
 
 
 @lru_cache(maxsize=None)
@@ -174,12 +174,12 @@ def save_noise_layers(models: list[NoiseModel], path) -> None:
 
 
 def load_noise_layers(path) -> list[NoiseModel]:
+    """The per-layer models of a noise file, checked as
+    :meth:`NoiseModel.from_json` checks each layer."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    try:
-        return [NoiseModel.from_json(item) for item in payload["layers"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed noise file {path}: {exc}") from exc
+    check_json_object(payload, {"n": int, "layers": list}, "noise file", ("layers",))
+    return [NoiseModel.from_json(item) for item in payload["layers"]]
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +200,12 @@ def apply_qubit_superoperators(x: np.ndarray, ops) -> np.ndarray:
     Ops on one qubit are composed first, since ops on different qubits
     commute.  One transpose puts each active qubit's pair first and the
     leading axes and inactive bits last.  Each active qubit is then one GEMM
-    ``(4, m)^T @ S^T``, which leaves that pair last, so after the last GEMM
-    one transpose takes the result back.  The axis orders depend only on the
-    number of leading axes, ``n`` and the active qubits, and are built once
-    per such layout (:func:`_pair_layout`), so a call on a small state costs
-    little beyond its two copies and its GEMMs.  ``x`` is never written;
-    with no ops ``x`` itself is returned.
+    of :func:`digit_passes`, which leaves that pair last, so after the last
+    GEMM one transpose takes the result back.  The axis orders depend only
+    on the number of leading axes, ``n`` and the active qubits, and are
+    built once per such layout (:func:`_pair_layout`), so a call on a small
+    state costs little beyond its two copies and its GEMMs.  ``x`` is never
+    written; with no ops ``x`` itself is returned.
     """
     if not ops:
         return x
@@ -248,22 +248,29 @@ def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, tuple, t
     first, order, undo = _pair_layout(lead, n, tuple(per_qubit))
     split = x.shape[:lead] + (2,) * (2 * n)
     y = np.ascontiguousarray(x.reshape(split).transpose(first), dtype=dtype)
-    for s in per_qubit.values():
-        y = y.reshape(4, -1).T @ s.T.astype(dtype)
+    y = digit_passes(y.reshape(1, -1), [s.astype(dtype) for s in per_qubit.values()])
     return y.reshape(split), order, undo
 
 
-# Unnormalized one-qubit Pauli transform: the 00, 11, 01 and 10 entries
-# become twice the I, Z and X components and -2i times the Y component.
+def digit_passes(obs: np.ndarray, ops) -> np.ndarray:
+    """``ops[k]`` (4x4) applied to the ``k``-th base-4 digit of every row of
+    ``obs``, shape ``(rows, 4^m r)``, the first digit the most significant.
+
+    Each op is one batched GEMM ``(rows, 4^(m-1) r, 4) @ op^T`` that takes
+    the leading digit and leaves it last, so after ``m`` passes on Pauli
+    digits (``r = 1``) the digits are back in order and no transpose is
+    needed; the kernel's pairs are such digits."""
+    rows = obs.shape[0]
+    for op in ops:
+        obs = obs.reshape(rows, 4, -1).transpose(0, 2, 1) @ op.T
+    return obs.reshape(rows, -1)
+
+
+# The unnormalized one-qubit Pauli transform: pair entry 2 * row + col
+# becomes the I, X, Y, Z digit, tr(P x) times 1, 1, -i, 1.  Applied twice it
+# multiplies by 2.
 _BUTTERFLY = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]], dtype=float)
 _BUTTERFLY.setflags(write=False)
-
-
-def _pauli_transform(x: np.ndarray) -> np.ndarray:
-    """``_BUTTERFLY`` on every qubit: entry ``(i, j)`` becomes ``tr(P x)``
-    for the Pauli string ``P`` with X-bits ``i ^ j`` and Z-bits ``i``, up to
-    a fixed phase per string; applying it twice multiplies by ``2^n``."""
-    return apply_qubit_superoperators(x, [(q, _BUTTERFLY) for q in range(_num_qubits(x))])
 
 
 def _mix_matrix(fx: float, fy: float, fz: float) -> np.ndarray:
@@ -279,6 +286,13 @@ def _mix_matrix(fx: float, fy: float, fz: float) -> np.ndarray:
     return np.array([[keep, 0, 0, flip], [0, a, b, 0], [0, b, a, 0], [flip, 0, 0, keep]])
 
 
+# _ANTICOMMUTES[ch][a]: whether the letter ch anticommutes with IXYZ[a].
+_ANTICOMMUTES = {
+    ch: np.array([ch != "I" and other not in ("I", ch) for other in PAULI_LETTERS])
+    for ch in PAULI_LETTERS
+}
+
+
 @lru_cache(maxsize=256)
 def _separable_incidence(letters: tuple[str, ...]) -> np.ndarray | None:
     """``M[k, q, t]`` = 1 when generator ``k`` acts on qubit ``q`` with a
@@ -291,27 +305,9 @@ def _separable_incidence(letters: tuple[str, ...]) -> np.ndarray | None:
         if len(support) > 1:
             return None
         for q in support:
-            table[k, q] = [ch != word[q] for ch in "XYZ"]
+            table[k, q] = _ANTICOMMUTES[word[q]][1:]
     table.setflags(write=False)
     return table
-
-
-@lru_cache(maxsize=64)
-def _anticommutation_mask(word: str) -> np.ndarray:
-    """Boolean ``(d, d)``: whether the Pauli string at each entry of the
-    ``_pauli_transform`` layout anticommutes with ``word`` (symplectic form)."""
-    n = len(word)
-    gx = sum(1 << (n - 1 - q) for q, ch in enumerate(word) if ch in "XY")
-    gz = sum(1 << (n - 1 - q) for q, ch in enumerate(word) if ch in "YZ")
-    rows = np.arange(1 << n)[:, None]
-    cols = np.arange(1 << n)[None, :]
-    overlap = (((rows ^ cols) & gz) ^ (rows & gx)).astype(np.int64)
-    parity = np.zeros_like(overlap)
-    for bit in range(n):
-        parity ^= (overlap >> bit) & 1
-    mask = parity.astype(bool)
-    mask.setflags(write=False)
-    return mask
 
 
 def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = False) -> np.ndarray:
@@ -327,10 +323,12 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = Fal
     under ``tr(g x)``.
 
     When every generator has weight 1 the fidelities factor over qubits and
-    the channel is the mixes of :func:`pauli_mix_superoperators`.
-    Otherwise ``x`` is taken to the Pauli basis by one 4x4 transform per
-    qubit, multiplied by the fidelity table and taken back.  Both run
-    through :func:`apply_qubit_superoperators`, so ``x`` is never written.
+    the channel is the mixes of :func:`pauli_mix_superoperators`, applied by
+    :func:`apply_qubit_superoperators`.  Otherwise one ``_BUTTERFLY`` pass
+    per qubit takes ``x`` to the Pauli digits of the kernel's pair layout,
+    the result is multiplied by :func:`pauli_fidelity_table` over ``d`` and
+    passed back (:func:`digit_passes`), and one transpose restores the
+    layout of ``x``.  ``x`` is never written.
     May return ``x`` itself when every rate is zero; otherwise the
     generators must act on the qubits of ``x``.
     """
@@ -344,12 +342,13 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = Fal
     mixes = pauli_mix_superoperators(generators, rates, inverse)
     if mixes is not None:
         return apply_qubit_superoperators(x, mixes)
-    exponent = np.zeros((x.shape[-1],) * 2)
-    for word, rate in zip(generators, rates):
-        exponent[_anticommutation_mask(word)] += rate
-    out = _pauli_transform(x)
-    out *= np.exp((2.0 if inverse else -2.0) * exponent) / x.shape[-1]
-    return _pauli_transform(out)
+    n = _num_qubits(x)
+    y, _, undo = _superoperators_pairs_last(x, [(q, _BUTTERFLY) for q in range(n)])
+    split = y.shape
+    y = y.reshape(-1, 4**n)
+    y *= pauli_fidelity_table(generators, rates, inverse) / x.shape[-1]
+    y = digit_passes(y, [_BUTTERFLY] * n)
+    return y.reshape(split).transpose(undo).reshape(x.shape)
 
 
 def qubit_fidelities(generators, rates, inverse: bool = False):
@@ -380,13 +379,6 @@ def pauli_mix_superoperators(generators, rates, inverse: bool = False):
     return [(q, _mix_matrix(*row)) for q, row in enumerate(fid.tolist()) if row != [1.0, 1.0, 1.0]]
 
 
-# _ANTICOMMUTES[ch][a]: whether the letter ch anticommutes with IXYZ[a].
-_ANTICOMMUTES = {
-    ch: np.array([ch != "I" and other not in ("I", ch) for other in PAULI_LETTERS])
-    for ch in PAULI_LETTERS
-}
-
-
 @lru_cache(maxsize=1024)
 def _anticommuting_strings(word: str) -> np.ndarray:
     """Whether each Pauli string anticommutes with ``word``, read-only: the
@@ -399,6 +391,17 @@ def _anticommuting_strings(word: str) -> np.ndarray:
             parity = parity ^ _ANTICOMMUTES[ch].reshape((4,) + (1,) * (n - 1 - q))
     parity.setflags(write=False)
     return parity
+
+
+@lru_cache(maxsize=64)
+def _anticommuting_entries(word: str) -> np.ndarray:
+    """:func:`_anticommuting_strings` of ``word`` at the ``(d, d)`` entries
+    that ``_BUTTERFLY`` on every qubit turns into each string, read-only."""
+    n = len(word)
+    digits = np.broadcast_to(_anticommuting_strings(word), (4,) * n).reshape((2, 2) * n)
+    mask = digits.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(1 << n, 1 << n)
+    mask.setflags(write=False)
+    return mask
 
 
 def pauli_fidelity_table(generators, rates, inverse: bool = False) -> np.ndarray:
@@ -442,7 +445,7 @@ def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
     bits = order[g.ndim - 2:]  # the 2n bit axes, each qubit's pair together
     products = summed.reshape((2,) * 2 * n).transpose(np.argsort(bits)).reshape(d, d)
     scale = 2.0 / d
-    return np.array([scale * products[_anticommutation_mask(w)].sum() for w in generators])
+    return np.array([scale * products[_anticommuting_entries(w)].sum() for w in generators])
 
 
 def sampling_overhead(model: NoiseModel, method: str = "exp") -> float:

@@ -40,6 +40,7 @@ from .errors import ValidationError
 from .noise import (
     apply_pauli_fidelities,
     default_generators,
+    digit_passes,
     pauli_fidelity_table,
     qubit_fidelities,
 )
@@ -138,10 +139,12 @@ def _ring_pauli_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     return gather, signs
 
 
-def _rotations(angles: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def rotation_matrices(angles, sigma: np.ndarray) -> np.ndarray:
     """``exp(-i angle sigma / 2) = cos(angle/2) I - i sin(angle/2) sigma``
-    for every entry of ``angles``, shape ``angles.shape + (2, 2)``; ``sigma``
-    broadcasts against it, so it may hold one Pauli matrix per axis."""
+    for every entry of ``angles`` (an array or a numpy scalar), shape
+    ``angles.shape + (2, 2)``; ``sigma`` broadcasts against it, so it may
+    hold one Pauli matrix per axis.  The one rotation formula: the layers,
+    the encoder and the divergence trace all build their rotations here."""
     half = 0.5 * angles[..., None, None]
     return np.cos(half) * PAULIS["I"] - 1j * np.sin(half) * sigma
 
@@ -157,7 +160,7 @@ def layer_rotations(design: str, theta) -> np.ndarray:
     """
     layer = LayerSpec(design, len(theta), theta)
     sigmas = np.stack([PAULIS[axis] for axis in layer.axes])
-    prefix = _rotations(layer.theta, sigmas)
+    prefix = rotation_matrices(layer.theta, sigmas)
     for a in range(1, len(layer.axes)):
         prefix[:, a] = prefix[:, a] @ prefix[:, a - 1]
     return prefix
@@ -239,7 +242,8 @@ def encode_qubits(features, n: int) -> np.ndarray:
     qubits = np.zeros((count, n, 2), dtype=np.complex128)
     qubits[..., 0] = 1.0
     for t in range(sublayers):
-        rot = _rotations(angles[:, t], PAULIS[ENCODER_AXIS_CYCLE[t % len(ENCODER_AXIS_CYCLE)]])
+        axis = ENCODER_AXIS_CYCLE[t % len(ENCODER_AXIS_CYCLE)]
+        rot = rotation_matrices(angles[:, t], PAULIS[axis])
         qubits = (rot * qubits[:, :, None, :]).sum(axis=-1)
     return qubits
 
@@ -328,20 +332,6 @@ def z_expectations(x: np.ndarray) -> np.ndarray:
     return diag @ z_sign_table(x.shape[-1].bit_length() - 1).T
 
 
-def _digit_passes(obs: np.ndarray, ops) -> np.ndarray:
-    """``ops[q]`` (4x4) applied to qubit ``q``'s base-4 digit of every row of
-    ``obs``, shape ``(rows, 4^n)``, qubit 0 the most significant digit.
-
-    Each op is one batched GEMM ``(rows, 4^(n-1), 4) @ op^T`` that takes the
-    leading digit and leaves it last, as in
-    :func:`~qmit.noise.apply_qubit_superoperators`; after the ``n`` passes
-    the digits are back in order, so no transpose is needed."""
-    rows = obs.shape[0]
-    for op in ops:
-        obs = obs.reshape(rows, 4, -1).transpose(0, 2, 1) @ op.T
-    return obs.reshape(rows, -1)
-
-
 def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
     """``Tr(Z_k rho_b)`` for qubits ``k < count``, shape ``(N, count)``: the
     Z readouts of the last states ``rho_b`` of :func:`layer_chain` with
@@ -367,7 +357,7 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
     :func:`~qmit.noise.pauli_fidelity_table`.  The ring's adjoint is a
     signed gather (:func:`_ring_pauli_gather`), and each rotation the
     transpose of its :func:`pauli_transfer_matrices` entry, ``n`` real GEMMs
-    per layer (:func:`_digit_passes`).
+    per layer (:func:`~qmit.noise.digit_passes`).
 
     Layer 0's rotations act on the samples instead: each is a product
     state, so its Pauli coefficients are the Kronecker product of its
@@ -424,7 +414,7 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
             else:
                 ops = np.hstack([np.ones((n, 1)), fid])[:, :, None] * ops
         if ops is not None:
-            obs = _digit_passes(obs, ops)
+            obs = digit_passes(obs, ops)
         for table in tables:
             obs *= table
         obs = np.take(obs, gather, axis=1)

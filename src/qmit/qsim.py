@@ -27,7 +27,6 @@ Validation:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,15 +143,6 @@ def pure_state(amplitudes) -> DensityMatrix:
         raise ValidationError(f"amplitude vector norm is {norm:.12g}, expected 1")
     n = length.bit_length() - 1
     return DensityMatrix(n, np.outer(vec, vec.conj()))
-
-
-def rotation_matrix_2x2(axis: str, theta: float) -> np.ndarray:
-    """``exp(-i theta sigma / 2)`` in closed form."""
-    axis = axis.upper()
-    if axis not in ("X", "Y", "Z"):
-        raise ValidationError(f"rotation axis must be X, Y or Z, got {axis!r}")
-    half = 0.5 * float(theta)
-    return math.cos(half) * PAULI_I - 1j * math.sin(half) * PAULIS[axis]
 
 
 def cnot_permutation(control: int, target: int, n: int) -> np.ndarray:

@@ -8,6 +8,9 @@ product ``P rho P^dagger`` with ``P`` from :func:`pauli_matrix`, one
 generator at a time; the adjoint comes from the transposed superoperator
 matrix.  Meant for n <= 3.
 
+Rotations: ``cos(theta/2) I - i sin(theta/2) sigma`` in closed form
+(:func:`rotation`), one angle at a time.
+
 One-qubit operators: a 2x2 matrix Kronecker-embedded in ``n`` qubits
 (:func:`embed_one_qubit`); a one-qubit marginal entry by entry as the
 trace against an embedded matrix unit (:func:`one_qubit_marginal`).
@@ -70,6 +73,12 @@ def random_layers(n, depth, design, rng, theta_scale=math.pi):
         pqc.LayerSpec(design, n, rng.uniform(-theta_scale, theta_scale, size=(n, p)))
         for _ in range(depth)
     ]
+
+
+def rotation(axis, angle):
+    """``exp(-i angle sigma / 2)`` for the Pauli ``axis`` (``"X"``, ``"Y"`` or ``"Z"``)."""
+    half = 0.5 * float(angle)
+    return math.cos(half) * np.eye(2) - 1j * math.sin(half) * qsim.PAULIS[axis]
 
 
 def channel(x, letters, rates, inverse=False):
@@ -157,7 +166,7 @@ def encoder_unitary(x, n):
         for j in range(n):
             idx = t * n + j
             angle = np.pi * x[idx] if idx < len(x) else 0.0
-            sub = np.kron(sub, qsim.rotation_matrix_2x2(axis, angle))
+            sub = np.kron(sub, rotation(axis, angle))
         u = sub @ u
     return u
 
@@ -186,7 +195,7 @@ def conjugate(rho, u):
 def _sublayer(axis, angles):
     sub = np.eye(1, dtype=np.complex128)
     for angle in angles:
-        sub = np.kron(sub, qsim.rotation_matrix_2x2(axis, float(angle)))
+        sub = np.kron(sub, rotation(axis, angle))
     return sub
 
 

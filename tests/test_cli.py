@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
-from qmit import cli, data, losses, noise, pqc, qsim, selftest, train
-from qmit.errors import ConfigError
+from qmit import cli, data, errors, losses, noise, pqc, qsim, selftest, train
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -87,7 +86,7 @@ class TestConfigValidation:
         for f in fields(train.TrainConfig):
             if f.name == "num_classes":
                 continue
-            cli._check_keys({f.name: sample[f.type]}, cli._TRAIN_KEYS, "train config")
+            errors.check_json_object({f.name: sample[f.type]}, cli._TRAIN_KEYS, "train config")
             path = write_config(tmp_path, synthetic_train_payload(**{f.name: [1]}))
             assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
@@ -164,17 +163,24 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablation"])
-    @pytest.mark.parametrize("case", ["missing", "not_json", "layer_count", "qubit_count"])
+    @pytest.mark.parametrize(
+        "case", ["missing", "not_json", "layer_count", "qubit_count", "string_rate"]
+    )
     def test_bad_noise_file_writes_nothing(self, tmp_path, capsys, command, case):
-        """A noise file that is missing, not JSON, or written for another
-        layer or qubit count exits 2 before any data is loaded or output
-        written.  The ablation grid runs 2 and 4 layers, so there a 2-layer
-        file fits the base config and fails on the second cell only; the
-        3-qubit file has zero rates, so only its qubit count is wrong."""
+        """A noise file that is missing, not JSON, written for another layer
+        or qubit count, or with a rate written as a string exits 2 before any
+        data is loaded or output written.  The ablation grid runs 2 and 4
+        layers, so there a 2-layer file fits the base config and fails on the
+        second cell only; the 3-qubit file has zero rates, so only its qubit
+        count is wrong."""
         noise_path = tmp_path / "noise.json"
         layers = 2 if command == "ablation" else 3
         if case == "not_json":
             noise_path.write_text("{not json")
+        elif case == "string_rate":
+            payload = noise.noise_layers_json(noise.draw_noise_models(4, 2, seed=0))
+            payload["layers"][1]["generators"][0]["lambda"] = "0.01"
+            noise_path.write_text(json.dumps(payload))
         elif case == "layer_count":
             noise.save_noise_layers(noise.draw_noise_models(4, layers, seed=0), noise_path)
         elif case == "qubit_count":
@@ -632,7 +638,7 @@ class TestTraceCommand:
             for q in range(n):
                 axis = "XYZ"[int(rng.integers(3))]
                 angle = rng.uniform(-np.pi, np.pi)
-                gate = dense.embed_one_qubit(qsim.rotation_matrix_2x2(axis, angle), q, n)
+                gate = dense.embed_one_qubit(dense.rotation(axis, angle), q, n)
                 rho = step(rho, gate, [q])
                 want.append(d2(rho))
             for q in range(n):

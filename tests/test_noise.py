@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,51 @@ class TestNoiseModel:
         assert model.rates.tolist() == [0.01, 0.025, 0.0]
         noise.save_noise_layers([model], tmp_path / "again.json")
         assert (tmp_path / "again.json").read_text(encoding="utf-8") == NOISE_FILE
+
+    @pytest.mark.parametrize(
+        "where, change, message",
+        [
+            ("model", {"n": 1.9}, "'n' must be int, got float"),
+            ("model", {"n": True}, "'n' must not be a boolean"),
+            ("model", {"n": "2"}, "'n' must be int, got str"),
+            ("model", {"extra": 1}, "unknown key 'extra'"),
+            ("model", {"generators": {"pauli": "XI"}}, "'generators' must be list"),
+            ("generator", {"lambda": True}, "'lambda' must not be a boolean"),
+            ("generator", {"lambda": "0.01"}, "'lambda' must be int/float, got str"),
+            ("generator", {"lambda": None}, "'lambda' must be int/float, got NoneType"),
+            ("generator", {"lambda": math.nan}, "'lambda' must be finite"),
+            ("generator", {"lambda": math.inf}, "'lambda' must be finite"),
+            ("generator", {"pauli": 5}, "'pauli' must be str, got int"),
+            ("generator", {"weight": 1.0}, "unknown key 'weight'"),
+        ],
+    )
+    def test_from_json_checks_values_as_configs_are(self, where, change, message):
+        """A noise model's values are checked as the CLI checks a config's:
+        no truncated float ``n``, no booleans, no numbers as strings, no
+        non-finite rates and no unknown keys, at the model and at each
+        generator; each raises ``ValidationError`` naming the key."""
+        payload = json.loads(NOISE_FILE)["layers"][0]
+        (payload if where == "model" else payload["generators"][1]).update(change)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            noise.NoiseModel.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"n": 2, "layers": [], "extra": 1}, "unknown key 'extra'"),
+            ({"n": 2}, "missing required key 'layers'"),
+            ([], "must be dict"),
+            ({"n": 2, "layers": [[]]}, "noise model must be dict"),
+            ({"n": 2, "layers": [{"n": 2}]}, "missing required key 'generators'"),
+            ({"n": 2, "layers": [{"n": 1, "generators": [{"pauli": "X"}]}]},
+             "missing required key 'lambda'"),
+        ],
+    )
+    def test_noise_file_structure_is_checked(self, tmp_path, payload, message):
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            noise.load_noise_layers(path)
 
     def test_default_generator_order(self):
         gens = noise.default_generators(2)
@@ -356,12 +402,17 @@ GENERATOR_SETS = {
 }
 
 
-def _kernel_case(name, seed):
+# Leading axes of the kernel inputs: none, one and two.
+LEADS = [(), (3,), (2, 3)]
+LEAD_IDS = ["d,d", "3,d,d", "2,3,d,d"]
+
+
+def _kernel_case(name, seed, lead=(3,)):
     rng = np.random.default_rng(seed)
     gens = GENERATOR_SETS[name]
     n = len(gens[0])
     rates = rng.uniform(0.0, 0.3, len(gens))
-    shape = (3, 1 << n, 1 << n)
+    shape = lead + (1 << n, 1 << n)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return gens, rates, x, g
@@ -371,10 +422,12 @@ def _kernel_case(name, seed):
 class TestPauliFidelityKernel:
     """The kernel against the dense reference (``P rho P`` products)."""
 
+    @pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
     @pytest.mark.parametrize("inverse", [False, True])
-    def test_matches_dense_channel(self, name, inverse):
-        gens, rates, x, _ = _kernel_case(name, 31)
+    def test_matches_dense_channel(self, name, inverse, lead):
+        gens, rates, x, _ = _kernel_case(name, 31, lead)
         got = noise.apply_pauli_fidelities(x, gens, rates, inverse=inverse)
+        assert got.shape == x.shape
         np.testing.assert_allclose(got, dense.channel(x, gens, rates, inverse), atol=1e-13)
 
     def test_mix_superoperators(self, name):
@@ -414,20 +467,22 @@ class TestPauliFidelityKernel:
                 factors = [fid[q, "XYZ".index(ch)] for q, ch in enumerate(word) if ch != "I"]
                 assert table[index] == pytest.approx(math.prod(factors), rel=1e-14)
 
+    @pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
     @pytest.mark.parametrize("inverse", [False, True])
-    def test_is_its_own_adjoint(self, name, inverse):
-        gens, rates, x, g = _kernel_case(name, 32)
+    def test_is_its_own_adjoint(self, name, inverse, lead):
+        gens, rates, x, g = _kernel_case(name, 32, lead)
         kernel_adj = noise.apply_pauli_fidelities(g, gens, rates, inverse=inverse)
         np.testing.assert_allclose(kernel_adj, dense.adjoint(g, gens, rates, inverse), atol=1e-13)
         lhs = dense.pairing(g, noise.apply_pauli_fidelities(x, gens, rates, inverse=inverse))
         rhs = dense.pairing(kernel_adj, x)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
-    def test_rate_gradient_matches_dense_differences(self, name):
+    @pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
+    def test_rate_gradient_matches_dense_differences(self, name, lead):
         """``pauli_rate_gradient`` is the rate derivative of ``Re tr(g y)``
         for ``y`` the inverse stack's output, by central differences of the
         dense inverse."""
-        gens, rates, x, g = _kernel_case(name, 33)
+        gens, rates, x, g = _kernel_case(name, 33, lead)
         y = noise.apply_pauli_fidelities(x, gens, rates, inverse=True)
         got = noise.pauli_rate_gradient(g, y, gens)
         h = 1e-6
@@ -539,26 +594,35 @@ class TestQubitSuperoperators:
             assert got is x
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_pauli_transform_layout(self, n):
-        """Entry ``(i, j)`` of the transform is ``(-i)^{#Y} tr(P x)`` for
-        the string ``P`` with X-bits ``i ^ j`` and Z-bits ``i``, and
-        ``_anticommutation_mask`` marks where that string anticommutes."""
+    def test_pair_layout_is_the_pauli_digit_layout(self, n):
+        """After ``_BUTTERFLY`` on every qubit, the kernel's pair layout holds
+        ``(-i)^{#Y} tr(P x)`` at the digit index of every string ``P`` (one
+        base-4 digit per qubit, I X Y Z = 0 1 2 3, qubit 0 the most
+        significant).  ``_anticommuting_strings`` marks exactly the strings
+        that anticommute with each word, and ``_anticommuting_entries`` marks
+        them at the ``(d, d)`` entry ``(i, j)`` whose bits give each qubit's
+        digit ``2 i_q + j_q``."""
         d = 1 << n
         rng = np.random.default_rng(40 + n)
         x = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
-        got = noise._pauli_transform(x)
+        butterflies = [(q, noise._BUTTERFLY) for q in range(n)]
+        pairs, _, _ = noise._superoperators_pairs_last(x, butterflies)
+        got = pairs.reshape(2, 4**n)
         words = [*noise.default_generators(n), "Y" * n, ("XZ" * n)[:n]]
-        for i in range(d):
-            for j in range(d):
-                bits = [((i ^ j) >> (n - 1 - q) & 1, i >> (n - 1 - q) & 1) for q in range(n)]
-                word = "".join("IZXY"[2 * xb + zb] for xb, zb in bits)
-                p = dense.pauli_matrix(word)
-                want = (-1j) ** word.count("Y") * np.einsum("ij,bji->b", p, x)
-                np.testing.assert_allclose(got[:, i, j], want, rtol=0, atol=1e-12)
-                for gen in words:
-                    pk = dense.pauli_matrix(gen)
-                    anti = np.allclose(p @ pk, -pk @ p)
-                    assert noise._anticommutation_mask(gen)[i, j] == anti
+        for index, letters in enumerate(itertools.product("IXYZ", repeat=n)):
+            word = "".join(letters)
+            digits = ["IXYZ".index(ch) for ch in word]
+            i = sum((a >> 1) << (n - 1 - q) for q, a in enumerate(digits))
+            j = sum((a & 1) << (n - 1 - q) for q, a in enumerate(digits))
+            p = dense.pauli_matrix(word)
+            want = (-1j) ** word.count("Y") * np.einsum("ij,bji->b", p, x)
+            np.testing.assert_allclose(got[:, index], want, rtol=0, atol=1e-12)
+            for gen in words:
+                pk = dense.pauli_matrix(gen)
+                anti = np.allclose(p @ pk, -pk @ p)
+                strings = np.broadcast_to(noise._anticommuting_strings(gen), (4,) * n)
+                assert strings[tuple(digits)] == anti
+                assert noise._anticommuting_entries(gen)[i, j] == anti
 
 
 def _pauli_words(n):

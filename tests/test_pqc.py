@@ -15,15 +15,11 @@ def brute_force_layer(design, n, theta):
     """Independent layer oracle: explicit kron/projector matrix chain."""
     dim = 1 << n
 
-    def rot(axis, angle):
-        sigma = {"X": qsim.PAULI_X, "Y": qsim.PAULI_Y, "Z": qsim.PAULI_Z}[axis]
-        return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * sigma
-
     u = np.eye(dim, dtype=complex)
     for a, axis in enumerate({"RX": "X", "U2": "XY", "U3": "XYZ"}[design]):
         sub = np.array([[1.0]], dtype=complex)
         for q in range(n):
-            sub = np.kron(sub, rot(axis, theta[q, a]))
+            sub = np.kron(sub, dense_reference.rotation(axis, theta[q, a]))
         u = sub @ u
     if n >= 2:
         p0 = np.diag([1.0, 0.0]).astype(complex)
@@ -111,7 +107,7 @@ class TestLayerUnitary:
     def test_single_qubit_has_no_entangler(self):
         theta = np.array([[0.7]])
         got = layer_unitary(pqc.LayerSpec("RX", 1, theta))
-        np.testing.assert_allclose(got, qsim.rotation_matrix_2x2("X", 0.7), atol=1e-14)
+        np.testing.assert_allclose(got, dense_reference.rotation("X", 0.7), atol=1e-14)
 
     def test_unitarity_over_random_draws(self):
         rng = np.random.default_rng(2)
@@ -196,7 +192,7 @@ class TestLayerUnitary:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_layer_rotations_compose_to_the_layer_unitary(self, n):
         """The layer has one definition: each qubit's prefix rotations are
-        products of ``qsim.rotation_matrix_2x2``, and the layer unitary is
+        products of ``dense_reference.rotation``, and the layer unitary is
         the dense CNOT ring times the Kronecker product of the last
         prefixes, bit for bit."""
         rng = np.random.default_rng(80 + n)
@@ -209,7 +205,7 @@ class TestLayerUnitary:
             for q in range(n):
                 prefix = np.eye(2)
                 for a, axis in enumerate(pqc.DESIGN_AXES[design]):
-                    prefix = qsim.rotation_matrix_2x2(axis, theta[q, a]) @ prefix
+                    prefix = dense_reference.rotation(axis, theta[q, a]) @ prefix
                     np.testing.assert_allclose(rotations[q, a], prefix, rtol=0, atol=1e-15)
             product = ring @ functools.reduce(np.kron, rotations[:, -1])
             assert np.array_equal(pqc.layer_unitary(rotations), product)
@@ -422,7 +418,7 @@ class TestEncoder:
         x = np.zeros(64)
         x[0] = 1.0
         rho = pqc.encode(x, 4)
-        gate = dense_reference.embed_one_qubit(qsim.rotation_matrix_2x2("X", math.pi), 0, 4)
+        gate = dense_reference.embed_one_qubit(dense_reference.rotation("X", math.pi), 0, 4)
         expected = dense_reference.conjugate(qsim.pure_state([1] + [0] * 15), gate)
         np.testing.assert_allclose(rho.data, expected.data, atol=1e-12)
 

@@ -105,15 +105,21 @@ class TestNonFiniteData:
             qsim.pure_state([bad, 0])
 
 
+def rotation(axis, theta):
+    """The package's one rotation formula, ``pqc.rotation_matrices``, for
+    one angle about ``axis``."""
+    return pqc.rotation_matrices(np.float64(theta), qsim.PAULIS[axis])
+
+
 def rotated(rho, axis, theta):
     """The one-qubit state ``rho`` after the rotation ``axis`` by ``theta``."""
-    return dense_reference.conjugate(rho, qsim.rotation_matrix_2x2(axis, theta))
+    return dense_reference.conjugate(rho, rotation(axis, theta))
 
 
 class TestGates:
     def test_rotation_zero_angle_is_identity(self):
         for axis in "XYZ":
-            np.testing.assert_allclose(qsim.rotation_matrix_2x2(axis, 0.0), np.eye(2), atol=1e-14)
+            np.testing.assert_allclose(rotation(axis, 0.0), np.eye(2), atol=1e-14)
 
     def test_rx_pi_flips_zero(self):
         """RX(pi)|0> = -i|1>, so the density matrix is |1><1|."""
@@ -132,13 +138,13 @@ class TestGates:
         for _ in range(100):
             axis = "XYZ"[int(rng.integers(3))]
             theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-            prod = qsim.rotation_matrix_2x2(axis, theta) @ qsim.rotation_matrix_2x2(axis, -theta)
+            prod = rotation(axis, theta) @ rotation(axis, -theta)
             np.testing.assert_allclose(prod, np.eye(2), atol=1e-10)
 
     def test_rotation_target_out_of_range(self):
         """The kernel that applies a rotation's superoperator to its target
         qubit rejects a target outside the register."""
-        r = qsim.rotation_matrix_2x2("X", 0.3)
+        r = rotation("X", 0.3)
         superop = np.kron(r, r.conj())
         for target in (2, -1):
             with pytest.raises(ValidationError, match="out of range"):
@@ -187,7 +193,7 @@ class TestRotations:
     def test_rotations_are_unitary(self):
         rng = np.random.default_rng(19)
         for _ in range(100):
-            r = qsim.rotation_matrix_2x2("XYZ"[int(rng.integers(3))], rng.uniform(-10, 10))
+            r = rotation("XYZ"[int(rng.integers(3))], rng.uniform(-10, 10))
             np.testing.assert_allclose(r @ r.conj().T, np.eye(2), rtol=0, atol=1e-15)
 
 
