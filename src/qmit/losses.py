@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .noise import apply_pauli_fidelities, default_generators
+from .noise import learned_inverse
 from .qsim import DensityMatrix, _hermiticity_defect, _spectral_power, hermitian_power, hermitize
 
 logger = logging.getLogger(__name__)
@@ -424,7 +424,6 @@ def fb_blocks(chain, psi0, units, step: int, rates=None):
 
 def _stream_blocks(chain, psi0, units, step, rates):
     """The generator behind :func:`fb_blocks`."""
-    learned = default_generators(psi0.shape[-1].bit_length() - 1)
     target = _pure_spectrum(psi0)
     for start in range(0, len(units), step):
         end = start + step
@@ -432,7 +431,7 @@ def _stream_blocks(chain, psi0, units, step, rates):
         layer_caches = []
         for j in range(end - 1, start - 1, -1):
             if rates is not None:
-                x = apply_pauli_fidelities(x, learned, rates[j], inverse=True)
+                x = learned_inverse(x, rates[j])
             # In loss_only mode the conjugation's input is also the inverse
             # stack's output, which that stack's adjoint needs.
             layer_caches.append((j, x))

@@ -32,12 +32,14 @@ one 4x4 mix per qubit when every generator has weight 1, otherwise the
 product with :func:`pauli_fidelity_table` on the digits.  On real Pauli
 coefficients (:func:`qmit.pqc.mitigated_z_readout`) a channel is that
 product, or ``diag(1, f_X, f_Y, f_Z)`` per qubit (:func:`qubit_fidelities`)
-through :func:`digit_passes`.  :func:`pauli_rate_gradient` contracts the
-rate derivative on the digits.
+through :func:`digit_passes`.
 
-The learned inverse is defined here alone: its generators are
-:func:`default_generators`, and on a Z readout it is the per-qubit gain
-:func:`learned_z_gains`.
+The learned inverse, the inverse channel of :func:`default_generators` (X,
+Y and Z on each qubit; a ``3n`` rate row per layer), is defined here alone:
+the map :func:`learned_inverse`, its input and rate gradients
+:func:`learned_inverse_adjoint`, its fidelities :func:`learned_fidelities`
+and Z-readout gains :func:`learned_z_gains`; :func:`default_models` turns
+a rate table into noise models.
 """
 
 from __future__ import annotations
@@ -52,11 +54,6 @@ from .errors import ValidationError, check_json_object
 from .qsim import _check_qubit_count
 
 PAULI_LETTERS = "IXYZ"
-
-
-def rate_to_weight(rate):
-    """``w = (1 + exp(-2 lambda)) / 2``; 1 at zero rate, -> 1/2 as rate grows."""
-    return 0.5 * (1.0 + np.exp(-2.0 * np.asarray(rate, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,8 @@ class NoiseModel:
 
     @property
     def weights(self) -> np.ndarray:
-        return rate_to_weight(self.rates)
+        """``w = (1 + exp(-2 lambda)) / 2``; 1 at zero rate, -> 1/2 as rate grows."""
+        return 0.5 * (1.0 + np.exp(-2.0 * self.rates))
 
     def to_json(self) -> dict:
         return {
@@ -131,13 +129,56 @@ def default_generators(n: int) -> tuple[str, ...]:
     return tuple("I" * q + ch + "I" * (n - q - 1) for q in range(n) for ch in "XYZ")
 
 
+def default_models(rates) -> list[NoiseModel]:
+    """One :class:`NoiseModel` of :func:`default_generators` per row of a
+    ``(layers, 3n)`` rate table: the seeded true noise, and the learned
+    inverse's rates as a checkpoint writes them."""
+    n = np.shape(rates)[1] // 3
+    gens = default_generators(n)
+    return [NoiseModel(n, gens, row) for row in rates]
+
+
+def learned_inverse(x: np.ndarray, rate_row) -> np.ndarray:
+    """The inverse channel of :func:`default_generators` with the rate row
+    ``rate_row`` on a stack ``x`` of shape ``(..., d, d)``, one 4x4 mix per
+    qubit; may return ``x`` itself when every rate is zero."""
+    return apply_pauli_fidelities(x, default_generators(_num_qubits(x)), rate_row, inverse=True)
+
+
+def learned_inverse_adjoint(g: np.ndarray, y: np.ndarray, rate_row) -> tuple[np.ndarray, np.ndarray]:
+    """The input gradient (the map is self-adjoint) and the ``(3n,)`` rate
+    gradient, summed over leading axes, of :func:`learned_inverse` with
+    ``rate_row``, whose output was ``y``, for ``g`` the loss gradient at ``y``.
+
+    ``dy/dlambda_k = y - P_k y P_k``, so the rate gradient is ``(2/d) sum_b
+    Re(tr(P_b g) tr(P_b y))`` over the strings ``b`` that anticommute with
+    ``P_k``: the product of the Pauli digits of ``g`` and of ``y^T``
+    (``P_b^T = (-1)^{#Y} P_b`` cancels the butterfly's ``(-i)^{#Y}``).  A
+    letter on qubit ``q`` anticommutes with ``b`` when ``b``'s digit ``q``
+    does, so qubit ``q``'s rates read one marginal of that product."""
+    n = _num_qubits(g)
+    butterflies = [(q, _BUTTERFLY) for q in range(n)]
+    tg, _ = _superoperators_pairs_last(g, butterflies)
+    ty, _ = _superoperators_pairs_last(np.swapaxes(y, -1, -2), butterflies)
+    product = np.einsum("bk,bk->k", tg.reshape(-1, 4**n), ty.reshape(-1, 4**n)).real
+    marginals = np.stack([np.einsum("aib->i", product.reshape(4**q, 4, -1)) for q in range(n)])
+    anti = np.stack([_ANTICOMMUTES[ch] for ch in "XYZ"], axis=1)
+    grad = (2.0 / g.shape[-1]) * (marginals @ anti)
+    return learned_inverse(g, rate_row), grad.ravel()
+
+
+def learned_fidelities(rate_row) -> np.ndarray:
+    """:func:`qubit_fidelities` ``(n, 3)`` of the learned inverse with the
+    rate row ``rate_row``."""
+    return qubit_fidelities(default_generators(len(rate_row) // 3), rate_row, inverse=True)
+
+
 def learned_z_gains(rate_row) -> np.ndarray:
     """``Tr(Z_q y) / Tr(Z_q x)`` per qubit for ``y`` the learned inverse of
-    any ``x`` with the rate row ``rate_row``: ``exp(2 (lambda_qX +
-    lambda_qY))``, shape ``(n,)``.  The inverse divides each Pauli component
-    by its fidelity, and only ``X_q`` and ``Y_q`` anticommute with ``Z_q``."""
-    row = np.asarray(rate_row, dtype=float).reshape(-1, 3)
-    return np.exp(2.0 * (row[:, 0] + row[:, 1]))
+    any ``x`` with the rate row ``rate_row``, shape ``(n,)``: the Z column
+    of :func:`learned_fidelities`, ``exp(2 (lambda_qX + lambda_qY))``, since
+    only ``X_q`` and ``Y_q`` anticommute with ``Z_q``."""
+    return learned_fidelities(rate_row)[:, 2]
 
 
 def draw_noise_models(
@@ -155,10 +196,8 @@ def draw_noise_models(
     """
     if not 0.0 <= low <= high:
         raise ValidationError(f"invalid rate range [{low}, {high}]")
-    gens = default_generators(n)
-    rng = np.random.default_rng(seed)
-    table = rng.uniform(low, high, size=(layers, len(gens)))
-    return [NoiseModel(n, gens, table[i]) for i in range(layers)]
+    _check_qubit_count(n)
+    return default_models(np.random.default_rng(seed).uniform(low, high, size=(layers, 3 * n)))
 
 
 def noise_layers_json(models: list[NoiseModel]) -> dict:
@@ -175,11 +214,16 @@ def save_noise_layers(models: list[NoiseModel], path) -> None:
 
 def load_noise_layers(path) -> list[NoiseModel]:
     """The per-layer models of a noise file, checked as
-    :meth:`NoiseModel.from_json` checks each layer."""
+    :meth:`NoiseModel.from_json` checks each layer; a top-level ``"n"``
+    must be every layer's ``n``."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     check_json_object(payload, {"n": int, "layers": list}, "noise file", ("layers",))
-    return [NoiseModel.from_json(item) for item in payload["layers"]]
+    models = [NoiseModel.from_json(item) for item in payload["layers"]]
+    if any(model.n != payload.get("n", model.n) for model in models):
+        qubits = [model.n for model in models]
+        raise ValidationError(f'noise file: "n" is {payload["n"]}, its layers act on {qubits} qubits')
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +253,7 @@ def apply_qubit_superoperators(x: np.ndarray, ops) -> np.ndarray:
     """
     if not ops:
         return x
-    y, _, undo = _superoperators_pairs_last(x, ops)
+    y, undo = _superoperators_pairs_last(x, ops)
     return y.transpose(undo).reshape(x.shape)
 
 
@@ -217,26 +261,24 @@ def apply_qubit_superoperators(x: np.ndarray, ops) -> np.ndarray:
 def _pair_layout(lead: int, n: int, active: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The kernel's axis orders for ``lead`` leading axes and ``n`` qubits
     whose ``active`` ones get a GEMM, in that order: the transpose that puts
-    the active pairs first, the order of the axes after the last GEMM (each
-    GEMM moves one pair last), and the transpose that takes that back."""
+    the active pairs first, and the transpose that takes the layout after
+    the last GEMM (each GEMM moves one pair last) back."""
     rows = [lead + q for q in range(n) if q not in active]
-    order = [ax for q in active for ax in (lead + q, lead + n + q)]
-    order += list(range(lead)) + rows + [ax + n for ax in rows]
-    done = order[2 * len(active):] + order[: 2 * len(active)]
+    first = [ax for q in active for ax in (lead + q, lead + n + q)]
+    first += list(range(lead)) + rows + [ax + n for ax in rows]
+    done = first[2 * len(active):] + first[: 2 * len(active)]
     undo = sorted(range(len(done)), key=done.__getitem__)
-    return tuple(order), tuple(done), tuple(undo)
+    return tuple(first), tuple(undo)
 
 
-def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, tuple, tuple]:
+def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, tuple]:
     """:func:`apply_qubit_superoperators` without its last transpose.
 
     Returns the result in the layout the GEMMs leave it in: the leading
     axes, the inactive row bits, the inactive column bits, then each active
     qubit's (row bit, column bit) pair in order of first appearance in
-    ``ops``.  ``order[k]`` is the axis of ``x`` split into bits (leading
-    axes first, then ``n`` row bits and ``n`` column bits) that axis ``k``
-    of the result holds, and ``undo`` is its inverse, the transpose back.
-    ``ops`` must not be empty.
+    ``ops``; and ``undo``, the transpose that takes it back to ``x``'s
+    axes split into bits.  ``ops`` must not be empty.
     """
     lead, n = x.ndim - 2, _num_qubits(x)
     per_qubit = {}
@@ -245,11 +287,11 @@ def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, tuple, t
             raise ValidationError(f"qubit {q} out of range for {n} qubits")
         per_qubit[q] = s @ per_qubit[q] if q in per_qubit else np.asarray(s)
     dtype = np.result_type(x, np.float64, *per_qubit.values())
-    first, order, undo = _pair_layout(lead, n, tuple(per_qubit))
+    first, undo = _pair_layout(lead, n, tuple(per_qubit))
     split = x.shape[:lead] + (2,) * (2 * n)
     y = np.ascontiguousarray(x.reshape(split).transpose(first), dtype=dtype)
     y = digit_passes(y.reshape(1, -1), [s.astype(dtype) for s in per_qubit.values()])
-    return y.reshape(split), order, undo
+    return y.reshape(split), undo
 
 
 def digit_passes(obs: np.ndarray, ops) -> np.ndarray:
@@ -343,7 +385,7 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = Fal
     if mixes is not None:
         return apply_qubit_superoperators(x, mixes)
     n = _num_qubits(x)
-    y, _, undo = _superoperators_pairs_last(x, [(q, _BUTTERFLY) for q in range(n)])
+    y, undo = _superoperators_pairs_last(x, [(q, _BUTTERFLY) for q in range(n)])
     split = y.shape
     y = y.reshape(-1, 4**n)
     y *= pauli_fidelity_table(generators, rates, inverse) / x.shape[-1]
@@ -393,17 +435,6 @@ def _anticommuting_strings(word: str) -> np.ndarray:
     return parity
 
 
-@lru_cache(maxsize=64)
-def _anticommuting_entries(word: str) -> np.ndarray:
-    """:func:`_anticommuting_strings` of ``word`` at the ``(d, d)`` entries
-    that ``_BUTTERFLY`` on every qubit turns into each string, read-only."""
-    n = len(word)
-    digits = np.broadcast_to(_anticommuting_strings(word), (4,) * n).reshape((2, 2) * n)
-    mask = digits.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(1 << n, 1 << n)
-    mask.setflags(write=False)
-    return mask
-
-
 def pauli_fidelity_table(generators, rates, inverse: bool = False) -> np.ndarray:
     """Fidelity ``f_b`` of every Pauli string ``b`` under the channel of
     ``generators`` (any weight) and ``rates``, or ``1/f_b`` for its
@@ -419,33 +450,6 @@ def pauli_fidelity_table(generators, rates, inverse: bool = False) -> np.ndarray
         terms[parity.shape] = terms.get(parity.shape, 0.0) + rate * parity
     exponent = np.broadcast_to(sum(terms.values(), 0.0), (4,) * len(generators[0]))
     return np.exp((2.0 if inverse else -2.0) * exponent).ravel()
-
-
-def pauli_rate_gradient(g: np.ndarray, y: np.ndarray, generators) -> np.ndarray:
-    """``Re tr(g (y - P_k y P_k))`` per generator, summed over leading axes.
-
-    When ``y`` is the output of :func:`apply_pauli_fidelities` with
-    ``inverse=True``, ``dy/dlambda_k = y - P_k y P_k`` (twice the part of
-    ``y`` that anticommutes with ``P_k``), so this is the rate gradient of a
-    loss whose gradient with respect to ``y`` is ``g``; for the forward
-    channel it is the negative.  Only ``y`` is needed, no per-factor stages.
-    Both arguments are taken to the Pauli basis, where each generator's term
-    is a sum over the strings it anticommutes with.
-    """
-    if not generators:
-        return np.zeros(0)
-    # tr(g D) = sum(g * D^T), and (P y P)^T = P y^T P for a Pauli string P.
-    # Both transforms stay in the kernel's pair layout; only their d x d
-    # sum over the leading axes is permuted back.
-    d, n = g.shape[-1], _num_qubits(g)
-    butterflies = [(q, _BUTTERFLY) for q in range(n)]
-    tg, order, _ = _superoperators_pairs_last(g, butterflies)
-    ty, _, _ = _superoperators_pairs_last(np.swapaxes(y, -1, -2), butterflies)
-    summed = np.einsum("bk,bk->k", tg.reshape(-1, d * d), ty.reshape(-1, d * d)).real
-    bits = order[g.ndim - 2:]  # the 2n bit axes, each qubit's pair together
-    products = summed.reshape((2,) * 2 * n).transpose(np.argsort(bits)).reshape(d, d)
-    scale = 2.0 / d
-    return np.array([scale * products[_anticommuting_entries(w)].sum() for w in generators])
 
 
 def sampling_overhead(model: NoiseModel, method: str = "exp") -> float:

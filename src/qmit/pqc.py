@@ -39,8 +39,9 @@ import numpy as np
 from .errors import ValidationError
 from .noise import (
     apply_pauli_fidelities,
-    default_generators,
     digit_passes,
+    learned_fidelities,
+    learned_inverse,
     pauli_fidelity_table,
     qubit_fidelities,
 )
@@ -306,12 +307,11 @@ def layer_chain(rho0, units, noise, rates=None) -> list[np.ndarray]:
     """
     chain = [rho0]
     cur = rho0
-    learned = default_generators(rho0.shape[-1].bit_length() - 1)
     for i, (u, model) in enumerate(zip(units, noise)):
         cur = u @ cur @ u.conj().T
         cur = apply_pauli_fidelities(cur, model.generators, model.rates)
         if rates is not None:
-            cur = apply_pauli_fidelities(cur, learned, rates[i], inverse=True)
+            cur = learned_inverse(cur, rates[i])
         chain.append(cur)
     return chain
 
@@ -351,9 +351,10 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
     qubit (I, X, Y, Z), are pushed back through the layers once, each map
     replaced by its adjoint.  A Pauli map multiplies each string by its
     fidelity: a weight-1 map as ``diag(1, f_X, f_Y, f_Z)`` per qubit
-    (:func:`~qmit.noise.qubit_fidelities`), folded into the rotation pass of
-    the layer above or, in the last layer, scaling the ``Z_k`` entries; any
-    other map as one product with its
+    (:func:`~qmit.noise.qubit_fidelities`, and for the learned inverse
+    :func:`~qmit.noise.learned_fidelities`), folded into the rotation pass
+    of the layer above or, in the last layer, scaling the ``Z_k`` entries;
+    any other map as one product with its
     :func:`~qmit.noise.pauli_fidelity_table`.  The ring's adjoint is a
     signed gather (:func:`_ring_pauli_gather`), and each rotation the
     transpose of its :func:`pauli_transfer_matrices` entry, ``n`` real GEMMs
@@ -387,16 +388,21 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
         raise ValidationError(f"readout count must lie in [1, {n}], got {count}")
 
     def pauli_maps(i):
-        """Layer ``i``'s Pauli maps with a nonzero rate, as ``(generators,
-        rate row, inverse)``: the true noise and, with ``rates``, the inverse."""
-        if noise[i].n != n:
+        """Layer ``i``'s Pauli maps with a nonzero rate, the true noise and,
+        with ``rates``, the learned inverse: a map that factors over qubits
+        as its ``(n, 3)`` fidelities, any other as its fidelity table."""
+        model = noise[i]
+        if model.n != n:
             raise ValidationError(
-                f"dimension mismatch: layers on {n} qubits, generators on {noise[i].n}"
+                f"dimension mismatch: layers on {n} qubits, generators on {model.n}"
             )
-        maps = [(noise[i].generators, noise[i].rates, False)]
-        if rates is not None:
-            maps.append((default_generators(n), rates[i], True))
-        return [(gens, row, inverse) for gens, row, inverse in maps if np.any(row)]
+        maps = []
+        if np.any(model.rates):
+            fid = qubit_fidelities(model.generators, model.rates)
+            maps.append(pauli_fidelity_table(model.generators, model.rates) if fid is None else fid)
+        if rates is not None and np.any(rates[i]):
+            maps.append(learned_fidelities(rates[i]))
+        return maps
 
     gather, signs = _ring_pauli_gather(n)
     z_entries = (np.arange(count), 3 << 2 * (n - 1 - np.arange(count)))  # Z on qubit k
@@ -405,10 +411,9 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
     ops = None  # the transposed transfer matrices of the layer above, not yet applied
     for i in range(layers - 1, -1, -1):
         tables = []
-        for gens, row, inverse in pauli_maps(i):
-            fid = qubit_fidelities(gens, row, inverse)
-            if fid is None:
-                tables.append(pauli_fidelity_table(gens, row, inverse))
+        for fid in pauli_maps(i):
+            if fid.ndim == 1:  # a fidelity table over all 4^n strings
+                tables.append(fid)
             elif ops is None:  # the last layer: only the Z_k entries are nonzero
                 obs[z_entries] *= fid[:count, 2]
             else:

@@ -26,8 +26,7 @@ from . import cli, losses, noise, pqc, qsim, train
 
 
 def _random_model(n: int, rng: np.random.Generator, high: float) -> noise.NoiseModel:
-    gens = noise.default_generators(n)
-    return noise.NoiseModel(n, gens, rng.uniform(0.0, high, len(gens)))
+    return noise.default_models(rng.uniform(0.0, high, (1, 3 * n)))[0]
 
 
 def channel_inversion(seed: int, pairs: int) -> str:
@@ -64,8 +63,7 @@ def overhead_dual_form(seed: int, models: int) -> str:
 
 
 def _zero_noise(n: int, layers: int) -> list[noise.NoiseModel]:
-    gens = noise.default_generators(n)
-    return [noise.NoiseModel(n, gens, np.zeros(len(gens)))] * layers
+    return noise.default_models(np.zeros((layers, 3 * n)))
 
 
 def _random_theta(n: int, depth: int, design: str, rng, scale: float = math.pi) -> list:

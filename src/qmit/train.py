@@ -34,12 +34,12 @@ from .losses import _fb_pair_backward, fb_blocks, softmax_head
 from .noise import (
     NoiseModel,
     apply_pauli_fidelities,
-    default_generators,
+    default_models,
     draw_noise_models,
+    learned_inverse_adjoint,
     learned_z_gains,
     load_noise_layers,
     noise_layers_json,
-    pauli_rate_gradient,
 )
 from .pqc import (
     DESIGN_AXES,
@@ -203,14 +203,6 @@ def encode_dataset(dataset: Dataset, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Gradient engine
 # ---------------------------------------------------------------------------
-
-
-def _inverse_stack_backward(g, y, rate_row, grad_row):
-    """Adjoint of the learned inverse with rates ``rate_row`` whose output was
-    ``y``; accumulates the rate derivatives ``Re tr(g (y - P_k y P_k))`` into ``grad_row``."""
-    generators = default_generators(len(rate_row) // 3)
-    grad_row += pauli_rate_gradient(g, y, generators)
-    return apply_pauli_fidelities(g, generators, rate_row, inverse=True)
 
 
 def _stacked_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -392,7 +384,8 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
                 g = units[j] @ g @ units[j].conj().T
             _theta_grad_backward_conj(g, conj_input, units[j], rotations[j], axes, grad_theta[j])
             if not cascaded:
-                g = _inverse_stack_backward(g, conj_input, rates[j], grad_rates[j])
+                g, g_rates = learned_inverse_adjoint(g, conj_input, rates[j])
+                grad_rates[j] += g_rates
         g_chain[end] += g
 
     # Blocks: each block's adjoint runs right after its forward, and the
@@ -415,7 +408,8 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
     for i in range(depth - 1, -1, -1):
         g, g_chain[i + 1] = g_chain[i + 1], None
         if cascaded:
-            g = _inverse_stack_backward(g, chain[i + 1], rates[i], grad_rates[i])
+            g, g_rates = learned_inverse_adjoint(g, chain[i + 1], rates[i])
+            grad_rates[i] += g_rates
         chain[i + 1] = None
         # Real fidelities in the Pauli basis: the channel is its own adjoint.
         g = apply_pauli_fidelities(g, noise_true[i].generators, noise_true[i].rates)
@@ -711,14 +705,12 @@ def run_experiment(
 def checkpoint_payload(snapshot: dict, config: TrainConfig) -> dict:
     from . import __version__
 
-    gens = default_generators(config.n_qubits)
-    learned = [NoiseModel(config.n_qubits, gens, row) for row in np.maximum(snapshot["rates"], 0.0)]
     return {
         "version": __version__,
         "config": config_to_json(config),
         "epoch": snapshot["epoch"],
         "theta": [t.tolist() for t in snapshot["theta"]],
-        "mitigation": noise_layers_json(learned),
+        "mitigation": noise_layers_json(default_models(np.maximum(snapshot["rates"], 0.0))),
         "seed": config.seed,
     }
 

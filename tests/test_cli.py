@@ -164,12 +164,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command", ["train", "ablation"])
     @pytest.mark.parametrize(
-        "case", ["missing", "not_json", "layer_count", "qubit_count", "string_rate"]
+        "case", ["missing", "not_json", "layer_count", "qubit_count", "string_rate", "top_level_n"]
     )
     def test_bad_noise_file_writes_nothing(self, tmp_path, capsys, command, case):
         """A noise file that is missing, not JSON, written for another layer
-        or qubit count, or with a rate written as a string exits 2 before any
-        data is loaded or output written.  The ablation grid runs 2 and 4
+        or qubit count, with a rate written as a string, or whose top-level
+        ``"n"`` is not its layers' exits 2 before any data is loaded or
+        output written.  The ablation grid runs 2 and 4
         layers, so there a 2-layer file fits the base config and fails on the
         second cell only; the 3-qubit file has zero rates, so only its qubit
         count is wrong."""
@@ -180,6 +181,10 @@ class TestConfigValidation:
         elif case == "string_rate":
             payload = noise.noise_layers_json(noise.draw_noise_models(4, 2, seed=0))
             payload["layers"][1]["generators"][0]["lambda"] = "0.01"
+            noise_path.write_text(json.dumps(payload))
+        elif case == "top_level_n":
+            payload = noise.noise_layers_json(noise.draw_noise_models(4, 2, seed=0))
+            payload["n"] = 3
             noise_path.write_text(json.dumps(payload))
         elif case == "layer_count":
             noise.save_noise_layers(noise.draw_noise_models(4, layers, seed=0), noise_path)

@@ -152,6 +152,11 @@ class TestNoiseModel:
             ({"n": 2, "layers": [{"n": 2}]}, "missing required key 'generators'"),
             ({"n": 2, "layers": [{"n": 1, "generators": [{"pauli": "X"}]}]},
              "missing required key 'lambda'"),
+            ({"n": 2, "layers": [{"n": 3, "generators": [{"pauli": "XII", "lambda": 0.1}]}]},
+             '"n" is 2, its layers act on [3] qubits'),
+            ({"n": 1, "layers": [{"n": 1, "generators": [{"pauli": "X", "lambda": 0.1}]},
+                                 {"n": 2, "generators": [{"pauli": "XY", "lambda": 0.1}]}]},
+             '"n" is 1, its layers act on [1, 2] qubits'),
         ],
     )
     def test_noise_file_structure_is_checked(self, tmp_path, payload, message):
@@ -477,29 +482,11 @@ class TestPauliFidelityKernel:
         rhs = dense.pairing(kernel_adj, x)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
-    @pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
-    def test_rate_gradient_matches_dense_differences(self, name, lead):
-        """``pauli_rate_gradient`` is the rate derivative of ``Re tr(g y)``
-        for ``y`` the inverse stack's output, by central differences of the
-        dense inverse."""
-        gens, rates, x, g = _kernel_case(name, 33, lead)
-        y = noise.apply_pauli_fidelities(x, gens, rates, inverse=True)
-        got = noise.pauli_rate_gradient(g, y, gens)
-        h = 1e-6
-        for k in range(len(gens)):
-            step = np.zeros_like(rates)
-            step[k] = h
-            fd = (
-                dense.pairing(g, dense.channel(x, gens, rates + step, inverse=True))
-                - dense.pairing(g, dense.channel(x, gens, rates - step, inverse=True))
-            ).real / (2 * h)
-            assert got[k] == pytest.approx(fd, rel=1e-6, abs=1e-6)
-
     def test_does_not_write_its_input(self, name):
         gens, rates, x, _ = _kernel_case(name, 34)
         before = x.copy()
         noise.apply_pauli_fidelities(x, gens, rates)
-        noise.pauli_rate_gradient(x, x, gens)
+        noise.apply_pauli_fidelities(x, gens, rates, inverse=True)
         assert np.array_equal(x, before)
 
 
@@ -518,13 +505,87 @@ def superoperator_cases(draw):
     return n, ops, x
 
 
+def _learned_case(n, seed, lead):
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.0, 0.3, 3 * n)
+    shape = lead + (1 << n, 1 << n)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rates, x, g
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+class TestLearnedInverseKernel:
+    """The learned inverse's map, adjoint and rate gradient against the
+    dense inverse channel of the default generators."""
+
+    def test_matches_dense_inverse(self, n, lead):
+        rates, x, _ = _learned_case(n, 130 + n, lead)
+        got = noise.learned_inverse(x, rates)
+        want = dense.channel(x, noise.default_generators(n), rates, inverse=True)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_input_gradient_is_the_dense_adjoint(self, n, lead):
+        rates, x, g = _learned_case(n, 140 + n, lead)
+        g_in, _ = noise.learned_inverse_adjoint(g, noise.learned_inverse(x, rates), rates)
+        want = dense.adjoint(g, noise.default_generators(n), rates, inverse=True)
+        assert g_in.shape == g.shape
+        np.testing.assert_allclose(g_in, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_rate_gradient_matches_dense_differences(self, n, lead):
+        """The rate gradient is the derivative of ``Re tr(g y)`` for ``y``
+        the inverse's output, by central differences of the dense inverse."""
+        rates, x, g = _learned_case(n, 150 + n, lead)
+        gens = noise.default_generators(n)
+        _, got = noise.learned_inverse_adjoint(g, noise.learned_inverse(x, rates), rates)
+        assert got.shape == (3 * n,)
+        h = 1e-6
+        for k in range(3 * n):
+            step = np.zeros_like(rates)
+            step[k] = h
+            fd = (
+                dense.pairing(g, dense.channel(x, gens, rates + step, inverse=True))
+                - dense.pairing(g, dense.channel(x, gens, rates - step, inverse=True))
+            ).real / (2 * h)
+            assert got[k] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    def test_does_not_write_its_input(self, n, lead):
+        rates, x, g = _learned_case(n, 160 + n, lead)
+        x.setflags(write=False)
+        g.setflags(write=False)
+        y = noise.learned_inverse(x, rates)
+        noise.learned_inverse_adjoint(g, y, rates)
+        noise.learned_inverse_adjoint(g, x, rates)
+
+
 class TestLearnedInverse:
-    """The learned inverse: the default generators and its Z-readout gain."""
+    """The learned inverse: the default generators, its fidelities, its
+    noise models and its Z-readout gain."""
 
     def test_default_generators_are_cached(self):
         gens = noise.default_generators(3)
         assert noise.default_generators(3) is gens
         assert gens[:3] == ("XII", "YII", "ZII")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fidelities_scale_each_qubit_letter(self, n):
+        """``learned_fidelities(row)[q, t]`` is the factor by which the
+        learned inverse multiplies the letter ``XYZ[t]`` on qubit ``q``."""
+        rng = np.random.default_rng(170 + n)
+        row = rng.uniform(0.0, 0.3, 3 * n)
+        fid = noise.learned_fidelities(row)
+        assert fid.shape == (n, 3)
+        for q, t in itertools.product(range(n), range(3)):
+            p = dense.pauli_matrix("I" * q + "XYZ"[t] + "I" * (n - q - 1))
+            np.testing.assert_allclose(noise.learned_inverse(p, row), fid[q, t] * p, atol=1e-13)
+
+    def test_models_hold_the_rate_table(self):
+        rates = np.random.default_rng(175).uniform(0.0, 0.3, (3, 6))
+        models = noise.default_models(rates)
+        assert [m.generators for m in models] == [noise.default_generators(2)] * 3
+        np.testing.assert_array_equal(np.stack([m.rates for m in models]), rates)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_z_gain_is_the_inverse_on_z_readouts(self, n):
@@ -536,7 +597,7 @@ class TestLearnedInverse:
             x = qsim.random_density_matrix(n, rng).data
             row = rng.uniform(0.0, 0.3, 3 * n)
             gain = noise.learned_z_gains(row)
-            y = noise.apply_pauli_fidelities(x, noise.default_generators(n), row, inverse=True)
+            y = noise.learned_inverse(x, row)
             assert gain.shape == (n,)
             error = np.abs(gain * pqc.z_expectations(x) - pqc.z_expectations(y)) / gain
             assert np.max(error) <= 1e-12
@@ -555,14 +616,12 @@ def test_generator_forms_give_identical_results(n):
     rates = rng.uniform(0.0, 0.3, 3 * n)
     shape = (2, 1 << n, 1 << n)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def results(gens):
         mixes = noise.pauli_mix_superoperators(gens, rates, inverse=True)
         return [
             noise.apply_pauli_fidelities(x, gens, rates),
             noise.apply_pauli_fidelities(x, gens, rates, inverse=True),
-            noise.pauli_rate_gradient(g, x, gens),
             noise.qubit_fidelities(gens, rates),
             np.array([q for q, _ in mixes]),
             np.stack([s for _, s in mixes]),
@@ -599,21 +658,17 @@ class TestQubitSuperoperators:
         ``(-i)^{#Y} tr(P x)`` at the digit index of every string ``P`` (one
         base-4 digit per qubit, I X Y Z = 0 1 2 3, qubit 0 the most
         significant).  ``_anticommuting_strings`` marks exactly the strings
-        that anticommute with each word, and ``_anticommuting_entries`` marks
-        them at the ``(d, d)`` entry ``(i, j)`` whose bits give each qubit's
-        digit ``2 i_q + j_q``."""
+        that anticommute with each word."""
         d = 1 << n
         rng = np.random.default_rng(40 + n)
         x = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
         butterflies = [(q, noise._BUTTERFLY) for q in range(n)]
-        pairs, _, _ = noise._superoperators_pairs_last(x, butterflies)
+        pairs, _ = noise._superoperators_pairs_last(x, butterflies)
         got = pairs.reshape(2, 4**n)
         words = [*noise.default_generators(n), "Y" * n, ("XZ" * n)[:n]]
         for index, letters in enumerate(itertools.product("IXYZ", repeat=n)):
             word = "".join(letters)
             digits = ["IXYZ".index(ch) for ch in word]
-            i = sum((a >> 1) << (n - 1 - q) for q, a in enumerate(digits))
-            j = sum((a & 1) << (n - 1 - q) for q, a in enumerate(digits))
             p = dense.pauli_matrix(word)
             want = (-1j) ** word.count("Y") * np.einsum("ij,bji->b", p, x)
             np.testing.assert_allclose(got[:, index], want, rtol=0, atol=1e-12)
@@ -622,7 +677,6 @@ class TestQubitSuperoperators:
                 anti = np.allclose(p @ pk, -pk @ p)
                 strings = np.broadcast_to(noise._anticommuting_strings(gen), (4,) * n)
                 assert strings[tuple(digits)] == anti
-                assert noise._anticommuting_entries(gen)[i, j] == anti
 
 
 def _pauli_words(n):

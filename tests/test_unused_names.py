@@ -10,6 +10,10 @@ where its name appears as an attribute (``obj.name``) outside its own
 counts.  Dunder methods are called by Python itself and are not checked.
 Names the package offers to its users and no module of the package calls
 sit in :data:`ALLOWED`, each with the reason it stays.
+
+A second guard keeps the learned inverse in :mod:`qmit.noise`: the modules
+in :data:`LEARNED_INVERSE_USERS` reach it through ``noise.learned_*`` and
+never name its generators, in an import or anywhere else.
 """
 
 import ast
@@ -26,6 +30,8 @@ ALLOWED = {
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+LEARNED_INVERSE_USERS = ("pqc", "losses", "train")
 
 
 def _is_dunder(name: str) -> bool:
@@ -108,3 +114,15 @@ def test_methods_are_checked():
     assert "qsim.DensityMatrix._derived" in defined
     assert "noise.NoiseModel.weights" in defined
     assert not any(_is_dunder(q.rsplit(".", 1)[1]) for q in defined)
+
+
+def test_learned_generators_are_named_only_in_noise():
+    for stem in LEARNED_INVERSE_USERS:
+        tree = ast.parse((SOURCE / f"{stem}.py").read_text(encoding="utf-8"))
+        named = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            and "default_generators" in (getattr(node, f, None) for f in ("id", "attr", "name"))
+        ]
+        assert not named, f"qmit.{stem} names default_generators (lines {named})"
