@@ -7,10 +7,13 @@ and the softmax head of the task loss.  Both measures read a validated
 :class:`qmit.qsim.DensityMatrix` as it is and check a plain array's
 Hermiticity on every call.
 
-The public :func:`fidelity` clamps negative eigenvalues of quasi-states to
-zero and renormalizes, as a hard projection.  Inside the training objective
-both fidelity arguments are instead *conditioned*: eigenvalues pass through
-a sharp softplus floor, a small maximally mixed admixture is added, and the
+Every spectral function of the package is here.  Both fidelities take the
+root overlap ``Tr sqrt(A^{1/2} B A^{1/2})`` of one implementation
+(:func:`_root_overlap`), in the two states' eigenbases.  The public
+:func:`fidelity` clamps negative eigenvalues of quasi-states to zero and
+renormalizes, as a hard projection.  Inside the training objective both
+fidelity arguments are instead *conditioned*: eigenvalues pass through a
+sharp softplus floor, a small maximally mixed admixture is added, and the
 trace is renormalized.
 Conditioning is smooth, keeps the loss exactly zero for identical inputs,
 and bounds the fidelity gradients, which hard clamping does not.
@@ -40,7 +43,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .noise import learned_inverse
-from .qsim import DensityMatrix, _hermiticity_defect, _spectral_power, hermitian_power, hermitize
+from .qsim import DensityMatrix, _hermiticity_defect, hermitize
 
 logger = logging.getLogger(__name__)
 
@@ -72,60 +75,62 @@ def _state_data(state) -> np.ndarray:
     return data
 
 
-def psd_clamp(data: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project onto PSD matrices: zero negative eigenvalues, renormalize.
-
-    Returns the projected matrix and the clamped (absolute) eigenvalue mass.
-    """
-    eigs, vecs = np.linalg.eigh(hermitize(data))
-    clamped_mass = float(np.sum(np.clip(-eigs, 0.0, None)))
-    eigs = np.clip(eigs, 0.0, None)
-    out = (vecs * eigs) @ vecs.conj().T
-    trace = float(np.trace(out).real)
-    if trace <= 0.0:
-        raise ValidationError("state has no positive spectral mass")
-    return out / trace, clamped_mass
-
-
 def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity ``(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))**2``.
-
-    Quasi-states are clamped to PSD first; the clamped mass is logged.
+    """Uhlmann fidelity ``(Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2``: the
+    training head's :func:`_root_overlap` of the two states' PSD
+    projections (:func:`_clamped_spectrum`), whose clamped mass is logged.
     """
     a = _state_data(rho)
     b = _state_data(sigma)
     if a.shape != b.shape:
         raise ValidationError(f"state shapes differ: {a.shape} vs {b.shape}")
-    a, mass_a = psd_clamp(a)
-    b, mass_b = psd_clamp(b)
-    if mass_a > 0.0 or mass_b > 0.0:
-        logger.debug("fidelity clamped negative mass %.3e / %.3e", mass_a, mass_b)
-    return _root_overlap_trace(a, b) ** 2
+    caches = [_clamped_spectrum(a), _clamped_spectrum(b)]
+    masses = [cache["neg_mass"] for cache in caches]
+    if any(masses):
+        logger.debug("fidelity clamped negative mass %.3e / %.3e", *masses)
+    _, em, _ = _root_overlap(*caches)
+    return float(np.sum(np.sqrt(_floored(em)))) ** 2
 
 
-def _root_overlap_trace(a: np.ndarray, b: np.ndarray) -> float:
-    """``Tr sqrt(sqrt(b) a sqrt(b))`` for PSD unit-trace inputs."""
-    sqrt_b = hermitian_power(b, 0.5, rel_floor=_SPECTRAL_REL_FLOOR)
-    inner = hermitize(sqrt_b @ a @ sqrt_b)
-    eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    if eigs.size and eigs.max() > 0.0:
+def _clamped_spectrum(x: np.ndarray) -> dict:
+    """One ``eigh`` of ``x``: its eigenvectors, its spectrum with negative
+    eigenvalues zeroed (:func:`_floored`) and the trace renormalized, under
+    the keys :func:`_root_overlap` reads, and the clamped (absolute) mass."""
+    eigs, vecs = _eigh(x)
+    clamped = _floored(eigs)
+    trace = clamped.sum()
+    if trace <= 0.0:
+        raise ValidationError("state has no positive spectral mass")
+    neg_mass = float(np.sum(np.clip(-eigs, 0.0, None)))
+    return {"vecs": vecs, "cond": clamped / trace, "neg_mass": neg_mass}
+
+
+def _floored(eigs: np.ndarray) -> np.ndarray:
+    """``eigs`` clamped at 0, with the values below ``_SPECTRAL_REL_FLOOR``
+    of the largest set to exact zeros, so that fractional powers read no
+    rank-deficiency residue."""
+    eigs = np.clip(eigs, 0.0, None)
+    if eigs.size:
         eigs[eigs < _SPECTRAL_REL_FLOOR * eigs.max()] = 0.0
-    return float(np.sum(np.sqrt(eigs)))
+    return eigs
 
 
 def petz_renyi_divergence(rho, alpha: float = 2.0) -> float:
-    """``D_alpha(rho || I/d) = log d + log Tr[rho^alpha] / (alpha - 1)``,
+    """``D_alpha(rho || I/d) = log(d Tr[rho^alpha]^(1 / (alpha - 1)))``,
     the divergence to the maximally mixed state.
 
-    Requires ``alpha > 0`` and ``alpha != 1``.  At integer ``alpha`` and
-    Hermitian ``rho``, ``Tr[rho^alpha]`` is ``vdot(rho, rho^(alpha-1))``:
-    no product at ``alpha = 2``, one at ``alpha = 3``, and no ``eigh``.
-    That form does not clamp ``rho``'s eigenvalues: on a state that passes
-    the PSD check they equal the clamped spectral power to rounding, but a
-    quasi-state's negative eigenvalues count with their sign.  Other orders
-    sum the clamped spectral power of :func:`hermitian_power` over the
-    eigenvalues of one ``eigvalsh``.  A :class:`DensityMatrix` is read as
-    it is; a plain array is checked for Hermiticity first.
+    Requires ``alpha > 0`` and ``alpha != 1``.  The product with ``d`` (a
+    power of two) is exact, so near ``I/d`` no digits cancel, as they do
+    in ``log d + log Tr[rho^alpha] / (alpha - 1)``; that sum is used only
+    where the product would overflow or underflow.  At integer ``alpha``
+    and Hermitian ``rho``, ``Tr[rho^alpha]`` is ``vdot(rho,
+    rho^(alpha-1))``: no product at ``alpha = 2``, one at ``alpha = 3``,
+    and no ``eigh``.  That form does not clamp ``rho``'s eigenvalues: on a
+    state that passes the PSD check they equal the clamped ones to
+    rounding, but a quasi-state's negative eigenvalues count with their
+    sign.  Other orders sum the powers of one ``eigvalsh``'s eigenvalues,
+    clamped by :func:`_floored`.  A :class:`DensityMatrix` is read as it
+    is; a plain array is checked for Hermiticity first.
     """
     if not (alpha > 0.0) or alpha == 1.0:
         raise ValidationError(f"divergence order must be positive and != 1, got {alpha}")
@@ -135,9 +140,16 @@ def petz_renyi_divergence(rho, alpha: float = 2.0) -> float:
     elif float(alpha).is_integer():
         value = np.vdot(a, np.linalg.matrix_power(a, int(alpha) - 1)).real
     else:
-        value = _spectral_power(np.linalg.eigvalsh(a), alpha, _SPECTRAL_REL_FLOOR).sum()
+        value = np.power(_floored(np.linalg.eigvalsh(a)), alpha).sum()
     if value <= 0.0:
         return math.inf
+    try:
+        scaled = a.shape[0] * float(value) ** (1.0 / (alpha - 1.0))
+    except OverflowError:
+        scaled = math.inf
+    if 0.0 < scaled < math.inf:
+        return math.log(scaled)
+    # Only a quasi-state, far from I/d, gets here (a state's ``scaled`` is in [1, d]).
     return math.log(a.shape[0]) + math.log(value) / (alpha - 1.0)
 
 
@@ -295,31 +307,42 @@ def _softplus_divided_differences(eigs: np.ndarray, fe: np.ndarray) -> np.ndarra
     return kernel
 
 
-def _fb_pair_forward(a, b, unit: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
-    """Conditioned ``-log F`` for batched Hermitian state pairs.
+def _root_overlap(cache_a: dict, cache_b: dict, unit: np.ndarray | None = None):
+    """The root overlap of two spectrum caches, each holding eigenvectors
+    (see :func:`_rotated_vecs`) and the spectrum ``cond``: ``P`` and the
+    eigenpairs ``(m, v_M)`` of ``P diag(b) P^dagger``.
 
-    ``a`` is the target and ``b`` the pullback's input, each a stack
-    ``(..., d, d)`` or a spectrum cache formed before (by
-    :func:`_condition_spectrum`, or :func:`_pure_spectrum` for a pure
-    target), so a state that two blocks share is decomposed once; the
-    returned loss has the batch shape.  The state compared with the target
-    is ``B = unit^dagger b unit`` (``b`` itself without ``unit``): it has
-    ``b``'s spectrum and the eigenvectors ``V_B = unit^dagger V_b``, so the
-    conjugation is never formed.
-
-    With ``A = V_A diag(a) V_A^dagger`` and ``B = V_B diag(b) V_B^dagger``
-    the conditioned target and pullback, ``M = A^{1/2} B A^{1/2}`` is
+    With ``A = V_A diag(a) V_A^dagger`` and ``B = V_B diag(b) V_B^dagger``,
+    where ``B = unit^dagger V_b diag(b) V_b^dagger unit`` (``unit`` absent:
+    the identity) is never formed, ``M = A^{1/2} B A^{1/2}`` is
     diagonalized in ``A``'s eigenbasis, ``V_A^dagger M V_A = P diag(b)
-    P^dagger`` with ``P = diag(sqrt(a)) (unit V_A)^dagger V_b``: three
-    matrix products besides the ``eigh`` calls, two when ``unit V_A`` is a
-    rank-one update (a pure target, or ``unit`` absent).
+    P^dagger`` with ``P = diag(sqrt(a)) (unit V_A)^dagger V_b``, and
+    ``Tr sqrt(M)`` is the sum of ``sqrt(m)``: three matrix products besides
+    the ``eigh``, two when ``unit V_A`` is a rank-one update (a pure
+    ``A``, or ``unit`` absent).
     """
-    cache_a = a if isinstance(a, dict) else _condition_spectrum(a)
-    cache_b = b if isinstance(b, dict) else _condition_spectrum(b)
-
     p = _dagger(_rotated_vecs(cache_a, unit)) @ _rotated_vecs(cache_b)
     p *= np.sqrt(cache_a["cond"])[..., :, None]
     em, vm = _eigh(_weighted_gram(p, cache_b["cond"]))
+    return p, em, vm
+
+
+def _fb_pair_forward(a, b: np.ndarray, unit: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """Conditioned ``-log F`` for batched Hermitian state pairs.
+
+    ``a`` is the target, a stack ``(..., d, d)`` or a spectrum cache formed
+    before (by :func:`_condition_spectrum`, or :func:`_pure_spectrum` for a
+    pure target), so a state that two blocks share is decomposed once;
+    ``b`` is the pullback's input, a stack.  The returned loss has the
+    batch shape.  The state compared with the target is ``B = unit^dagger
+    b unit`` (``b`` itself without ``unit``): it has ``b``'s spectrum and
+    the eigenvectors ``V_B = unit^dagger V_b``, so the conjugation is never
+    formed.  The fidelity is the squared root overlap
+    (:func:`_root_overlap`) of the conditioned target and pullback.
+    """
+    cache_a = a if isinstance(a, dict) else _condition_spectrum(a)
+    cache_b = _condition_spectrum(b)
+    p, em, vm = _root_overlap(cache_a, cache_b, unit)
     trace_sqrt = np.sum(np.sqrt(np.clip(em, 0.0, None)), axis=-1)
     fid = trace_sqrt**2
     loss = np.maximum(-np.log(fid), 0.0)
@@ -344,7 +367,7 @@ def _fb_pair_backward(
     pullback's input ``b`` (for ``B = unit^dagger b unit``, that is ``unit
     g_B unit^dagger``, at no extra cost: the rotation out uses ``V_b``).
 
-    With ``A``, ``B`` and ``M`` as in :func:`_fb_pair_forward`, ``dF/dB = 2
+    With ``A``, ``B`` and ``M`` as in :func:`_root_overlap`, ``dF/dB = 2
     sqrt(F) A^{1/2} M^{-1/2} A^{1/2}`` and, by the symmetry of ``F``,
     ``dF/dA = 2 sqrt(F) B # A^{-1}`` with the matrix geometric mean ``X # Y
     = X^{1/2} (X^{-1/2} Y X^{-1/2})^{1/2} X^{1/2}``.  The geometric mean is

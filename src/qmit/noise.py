@@ -13,9 +13,9 @@ The product channel is diagonal in the Pauli basis: the component of
 and generator ``k`` anticommute, so each anticommuting factor contributes
 ``2w - 1 = exp(-2 lambda_k)`` (van den Berg, Minev, Kandala, Temme,
 Nat. Phys. 19, 1116 (2023), arXiv:2201.09866).  Its exact linear inverse
-multiplies by ``1/f_b``; it is trace preserving but not completely
-positive, so its outputs may be quasi-states with small negative
-eigenvalues.  The rate derivative of the inverse is closed form too:
+multiplies by ``1/f_b``: it is the channel of the negated rates.  It is
+trace preserving but not completely positive, so its outputs may be
+quasi-states with small negative eigenvalues.  The rate derivative of the inverse is closed form too:
 ``d/dlambda_k`` of the output ``y`` is ``y - P_k y P_k``.
 
 Pauli strings have one index throughout: one base-4 digit per qubit, I, X,
@@ -27,12 +27,12 @@ transform ``_BUTTERFLY`` on every qubit that pair holds the string's digit
 table, ``_ANTICOMMUTES``.
 
 One kernel, :func:`apply_pauli_fidelities`, applies every such channel, its
-inverse and (being self-adjoint) their adjoints to a matrix or a stack:
-one 4x4 mix per qubit when every generator has weight 1, otherwise the
-product with :func:`pauli_fidelity_table` on the digits.  On real Pauli
-coefficients (:func:`qmit.pqc.mitigated_z_readout`) a channel is that
-product, or ``diag(1, f_X, f_Y, f_Z)`` per qubit (:func:`qubit_fidelities`)
-through :func:`digit_passes`.
+inverse (with negated rates) and (being self-adjoint) their adjoints to a
+matrix or a stack: one 4x4 mix per qubit when every generator has weight
+1, otherwise the product with :func:`pauli_fidelity_table` on the digits.
+On real Pauli coefficients (:func:`qmit.pqc.mitigated_z_readout`) a
+channel is that product, or ``diag(1, f_X, f_Y, f_Z)`` per qubit
+(:func:`qubit_fidelities`) through :func:`digit_passes`.
 
 The learned inverse, the inverse channel of :func:`default_generators` (X,
 Y and Z on each qubit; a ``3n`` rate row per layer), is defined here alone:
@@ -140,9 +140,10 @@ def default_models(rates) -> list[NoiseModel]:
 
 def learned_inverse(x: np.ndarray, rate_row) -> np.ndarray:
     """The inverse channel of :func:`default_generators` with the rate row
-    ``rate_row`` on a stack ``x`` of shape ``(..., d, d)``, one 4x4 mix per
-    qubit; may return ``x`` itself when every rate is zero."""
-    return apply_pauli_fidelities(x, default_generators(_num_qubits(x)), rate_row, inverse=True)
+    ``rate_row`` (their channel with the negated rates) on a stack ``x``
+    of shape ``(..., d, d)``, one 4x4 mix per qubit; may return ``x``
+    itself when every rate is zero."""
+    return apply_pauli_fidelities(x, default_generators(_num_qubits(x)), -np.asarray(rate_row))
 
 
 def learned_inverse_adjoint(g: np.ndarray, y: np.ndarray, rate_row) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +170,8 @@ def learned_inverse_adjoint(g: np.ndarray, y: np.ndarray, rate_row) -> tuple[np.
 
 def learned_fidelities(rate_row) -> np.ndarray:
     """:func:`qubit_fidelities` ``(n, 3)`` of the learned inverse with the
-    rate row ``rate_row``."""
-    return qubit_fidelities(default_generators(len(rate_row) // 3), rate_row, inverse=True)
+    rate row ``rate_row``: those of the negated rates."""
+    return qubit_fidelities(default_generators(len(rate_row) // 3), -np.asarray(rate_row))
 
 
 def learned_z_gains(rate_row) -> np.ndarray:
@@ -352,16 +353,16 @@ def _separable_incidence(letters: tuple[str, ...]) -> np.ndarray | None:
     return table
 
 
-def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = False) -> np.ndarray:
+def apply_pauli_fidelities(x: np.ndarray, generators, rates) -> np.ndarray:
     """The Pauli-Lindblad channel of ``generators`` and ``rates`` on ``x``.
 
     ``x`` has shape ``(..., d, d)``.  The product of the factors
     ``rho -> w rho + (1 - w) P rho P`` multiplies the component of ``rho``
     along each Pauli string ``b`` by its fidelity
     ``f_b = exp(-2 sum_k lambda_k <b, k>)``, where ``<b, k>`` is 1 when ``b``
-    and generator ``k`` anticommute; ``inverse=True`` multiplies by ``1/f_b``
-    instead.  Rates are used as given: negative values act as the opposite
-    map, which finite-difference checks rely on.  The map is self-adjoint
+    and generator ``k`` anticommute.  Rates are used as given: negated
+    rates multiply by ``1/f_b``, the inverse channel, which the learned
+    inverse and finite-difference checks rely on.  The map is self-adjoint
     under ``tr(g x)``.
 
     When every generator has weight 1 the fidelities factor over qubits and
@@ -381,33 +382,31 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates, inverse: bool = Fal
         raise ValidationError(
             f"dimension mismatch: states on {_num_qubits(x)} qubits, generators on {len(generators[0])}"
         )
-    mixes = pauli_mix_superoperators(generators, rates, inverse)
+    mixes = pauli_mix_superoperators(generators, rates)
     if mixes is not None:
         return apply_qubit_superoperators(x, mixes)
     n = _num_qubits(x)
     y, undo = _superoperators_pairs_last(x, [(q, _BUTTERFLY) for q in range(n)])
     split = y.shape
     y = y.reshape(-1, 4**n)
-    y *= pauli_fidelity_table(generators, rates, inverse) / x.shape[-1]
+    y *= pauli_fidelity_table(generators, rates) / x.shape[-1]
     y = digit_passes(y, [_BUTTERFLY] * n)
     return y.reshape(split).transpose(undo).reshape(x.shape)
 
 
-def qubit_fidelities(generators, rates, inverse: bool = False):
+def qubit_fidelities(generators, rates):
     """Each qubit's Pauli fidelities ``f_X, f_Y, f_Z``, shape ``(n, 3)``, of
-    the channel of ``generators`` of weight at most 1, or of its inverse;
-    ``None`` when some generator has weight 2 or more.  Then the channel
-    multiplies each Pauli string by the product of its letters' fidelities
-    (``f_I = 1``)."""
+    the channel of ``generators`` of weight at most 1; ``None`` when some
+    generator has weight 2 or more.  Then the channel multiplies each Pauli
+    string by the product of its letters' fidelities (``f_I = 1``)."""
     incidence = _separable_incidence(tuple(generators))
     if incidence is None:
         return None
     k, n, _ = incidence.shape
-    sign = 2.0 if inverse else -2.0
-    return np.exp(sign * (np.asarray(rates, dtype=float) @ incidence.reshape(k, 3 * n)).reshape(n, 3))
+    return np.exp(-2.0 * (np.asarray(rates, dtype=float) @ incidence.reshape(k, 3 * n)).reshape(n, 3))
 
 
-def pauli_mix_superoperators(generators, rates, inverse: bool = False):
+def pauli_mix_superoperators(generators, rates):
     """The separable case of :func:`apply_pauli_fidelities` as kernel ops.
 
     For ``generators`` of weight at most 1, returns ``[(q, S), ...]`` for
@@ -415,7 +414,7 @@ def pauli_mix_superoperators(generators, rates, inverse: bool = False):
     :func:`qubit_fidelities` per qubit whose fidelities are not all 1.
     Returns ``None`` when some generator has weight 2 or more.
     """
-    fid = qubit_fidelities(generators, rates, inverse)
+    fid = qubit_fidelities(generators, rates)
     if fid is None:
         return None
     return [(q, _mix_matrix(*row)) for q, row in enumerate(fid.tolist()) if row != [1.0, 1.0, 1.0]]
@@ -435,11 +434,10 @@ def _anticommuting_strings(word: str) -> np.ndarray:
     return parity
 
 
-def pauli_fidelity_table(generators, rates, inverse: bool = False) -> np.ndarray:
+def pauli_fidelity_table(generators, rates) -> np.ndarray:
     """Fidelity ``f_b`` of every Pauli string ``b`` under the channel of
-    ``generators`` (any weight) and ``rates``, or ``1/f_b`` for its
-    inverse, shape ``(4^n,)``: one base-4 digit per qubit (I, X, Y, Z),
-    qubit 0 the most significant.
+    ``generators`` (any weight) and ``rates``, shape ``(4^n,)``: one base-4
+    digit per qubit (I, X, Y, Z), qubit 0 the most significant.
 
     Each generator's term of the exponent is its
     :func:`_anticommuting_strings` table; terms on the same qubits are
@@ -449,7 +447,7 @@ def pauli_fidelity_table(generators, rates, inverse: bool = False) -> np.ndarray
         parity = _anticommuting_strings(word)
         terms[parity.shape] = terms.get(parity.shape, 0.0) + rate * parity
     exponent = np.broadcast_to(sum(terms.values(), 0.0), (4,) * len(generators[0]))
-    return np.exp((2.0 if inverse else -2.0) * exponent).ravel()
+    return np.exp(-2.0 * exponent).ravel()
 
 
 def sampling_overhead(model: NoiseModel, method: str = "exp") -> float:

@@ -1,7 +1,8 @@
 """Exact density-matrix simulation primitives.
 
 States, gates and random draws for registers of up to ten qubits, all as
-dense complex128 matrices.
+dense complex128 matrices.  Spectral functions (the fidelities and the
+divergence) live in :mod:`qmit.losses`.
 
 Conventions:
     * Qubit 0 is the most significant bit of a computational-basis index,
@@ -157,31 +158,6 @@ def cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
         raise ValidationError("cnot control and target must differ")
     index = np.arange(1 << n)
     return index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target))
-
-
-def hermitian_power(data: np.ndarray, power: float, *, rel_floor: float = 0.0) -> np.ndarray:
-    """Fractional matrix power of a Hermitian matrix via eigendecomposition.
-
-    Eigenvalues are clamped at 0 before the power so that numerical
-    negatives of order -1e-12 cannot produce complex roots.
-    ``rel_floor`` additionally zeroes eigenvalues below that fraction of the
-    largest one: for rank-deficient inputs the eigensolver leaves residues
-    of order 1e-16 whose fractional powers (e.g. sqrt -> 1e-8) would
-    otherwise dominate the error.  Negative powers require a strictly
-    positive spectrum.
-    """
-    eigs, vecs = np.linalg.eigh(hermitize(np.asarray(data, dtype=np.complex128)))
-    return (vecs * _spectral_power(eigs, power, rel_floor)) @ vecs.conj().T
-
-
-def _spectral_power(eigs: np.ndarray, power: float, rel_floor: float) -> np.ndarray:
-    """``eigs ** power`` after the clamps of :func:`hermitian_power`."""
-    eigs = np.clip(eigs, 0.0, None)
-    if rel_floor > 0.0 and eigs.size:
-        eigs[eigs < rel_floor * eigs.max()] = 0.0
-    if power < 0 and np.any(eigs <= 0.0):
-        raise ValidationError("negative matrix power of a singular Hermitian matrix")
-    return np.power(eigs, power)
 
 
 def haar_random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -40,7 +40,7 @@ def channel_inversion(seed: int, pairs: int) -> str:
         rho = qsim.random_density_matrix(n, rng).data
         model = _random_model(n, rng, high=0.1)
         noisy = noise.apply_pauli_fidelities(rho, model.generators, model.rates)
-        back = noise.apply_pauli_fidelities(noisy, model.generators, model.rates, inverse=True)
+        back = noise.apply_pauli_fidelities(noisy, model.generators, -model.rates)
         worst = max(worst, float(np.linalg.norm(back - rho)))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10, f"roundtrip residual {worst:.3e}"

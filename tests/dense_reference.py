@@ -41,10 +41,19 @@ Layer chain: per-sample dense conjugations and channels, with each layer's
 learned inverse inline (cascaded) or only before the readout (loss_only);
 the readout as ``tr(Z_i rho)`` with embedded ``Z_i``.
 
-Fidelity: the conditioned pair loss and both its gradients in matrix form
-(every conditioned state, square root and adjoint rebuilt as a d x d
-matrix and rotated in the standard basis), and the target-side gradient
-with its own ``eigh`` of ``B^{1/2} A B^{1/2}``.
+Matrix powers: ``rho^p`` of a Hermitian matrix from its ``eigh``, with
+negative eigenvalues and those below a fraction of the largest zeroed
+(:func:`hermitian_power`).
+
+Uhlmann fidelity: the textbook ``(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2``
+(:func:`fidelity`): each state projected to PSD by its ``eigh`` and
+rebuilt, ``sqrt(sigma)`` as a matrix, the sandwich as two products and its
+``eigvalsh``.
+
+Conditioned fidelity: the conditioned pair loss and both its gradients in
+matrix form (every conditioned state, square root and adjoint rebuilt as a
+d x d matrix and rotated in the standard basis), and the target-side
+gradient with its own ``eigh`` of ``B^{1/2} A B^{1/2}``.
 """
 
 import math
@@ -350,3 +359,31 @@ def fb_target_gradient(cache, g_loss):
     scale = (np.asarray(g_loss) * (-1.0 / cache["fid"]) * cache["trace_sqrt"])[..., None, None]
     g_a_cond = qsim.hermitize(scale * (b_sqrt @ _from_eigh(1.0 / np.sqrt(en), vn) @ b_sqrt))
     return qsim.hermitize(condition_adjoint(g_a_cond, cache_a))
+
+
+def hermitian_power(data, power, rel_floor=0.0):
+    """``data^power`` for a Hermitian ``data`` and ``power >= 0``, from its
+    ``eigh``: eigenvalues are clamped at 0, and those below ``rel_floor``
+    of the largest are zeroed."""
+    eigs, vecs = np.linalg.eigh(qsim.hermitize(np.asarray(data, dtype=complex)))
+    eigs = np.clip(eigs, 0.0, None)
+    eigs[eigs < rel_floor * eigs.max()] = 0.0
+    return (vecs * eigs**power) @ vecs.conj().T
+
+
+def psd_projection(data):
+    """``data`` with its negative eigenvalues zeroed, renormalized to trace 1."""
+    eigs, vecs = np.linalg.eigh(qsim.hermitize(np.asarray(data, dtype=complex)))
+    out = (vecs * np.clip(eigs, 0.0, None)) @ vecs.conj().T
+    return out / np.trace(out).real
+
+
+def fidelity(rho, sigma):
+    """Uhlmann fidelity ``(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2`` of two
+    Hermitian arrays, each projected by :func:`psd_projection` first; the
+    sandwich's eigenvalues below 1e-13 of the largest count as zero."""
+    a, b = psd_projection(rho), psd_projection(sigma)
+    root_b = hermitian_power(b, 0.5, rel_floor=1e-13)
+    eigs = np.clip(np.linalg.eigvalsh(qsim.hermitize(root_b @ a @ root_b)), 0.0, None)
+    eigs[eigs < 1e-13 * eigs.max()] = 0.0
+    return float(np.sum(np.sqrt(eigs))) ** 2

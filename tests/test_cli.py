@@ -653,9 +653,8 @@ class TestTraceCommand:
         np.testing.assert_allclose(got, want[:61], rtol=0, atol=1e-12)
 
     def test_each_state_checked_once(self, monkeypatch):
-        """Only the encoded state runs the full check, and the trace takes
-        no matrix power: the reference ``I/d`` is implicit."""
-        counts = {"checks": 0, "powers": 0}
+        """Only the encoded state runs the full check."""
+        counts = {"checks": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -666,12 +665,9 @@ class TestTraceCommand:
         monkeypatch.setattr(
             qsim, "check_density_matrices", counting("checks", qsim.check_density_matrices)
         )
-        power = counting("powers", qsim.hermitian_power)
-        monkeypatch.setattr(qsim, "hermitian_power", power)
-        monkeypatch.setattr(losses, "hermitian_power", power)
         values = cli.divergence_trace(3, 30, "pauli", 0.02, seed=6)
         assert len(values) == 31
-        assert counts == {"checks": 1, "powers": 0}
+        assert counts == {"checks": 1}
 
     def test_no_eigendecomposition_per_state(self, monkeypatch):
         """Beyond the encoded state's full check (``eigvalsh``), the trace
@@ -832,12 +828,12 @@ class TestSelftest:
         assert "FAIL  demo.fail" in capsys.readouterr().out
 
     def test_corrupted_inverse_channel_is_caught(self, monkeypatch):
-        """Substituting the forward channel for the inverse breaks the
-        round-trip invariant by name."""
+        """Substituting the forward channel for the inverse (the channel of
+        the negated rates) breaks the round-trip invariant by name."""
         kernel = noise.apply_pauli_fidelities
 
-        def forward_only(x, generators, rates, inverse=False):
-            return kernel(x, generators, rates)
+        def forward_only(x, generators, rates):
+            return kernel(x, generators, np.abs(rates))
 
         monkeypatch.setattr(noise, "apply_pauli_fidelities", forward_only)
         with pytest.raises(AssertionError, match="roundtrip"):

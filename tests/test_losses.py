@@ -1,5 +1,6 @@
 """Fidelity, Renyi divergence, and the training losses."""
 
+import logging
 import math
 
 import numpy as np
@@ -58,11 +59,48 @@ class TestFidelity:
         with pytest.raises(ValidationError):
             losses.fidelity(np.array([[1.0, 1.0], [0.0, 0.0]]), np.eye(2) / 2)
 
-    def test_psd_clamp_reports_mass(self):
-        clamped, mass = losses.psd_clamp(np.diag([1.05, -0.05]).astype(complex))
-        assert mass == pytest.approx(0.05, abs=1e-12)
-        assert np.linalg.eigvalsh(clamped)[0] >= 0.0
-        assert np.trace(clamped).real == pytest.approx(1.0, abs=1e-12)
+    def test_logs_clamped_mass(self, caplog):
+        """The clamped eigenvalue mass of each argument is logged, and a
+        state without it logs nothing."""
+        quasi = np.diag([1.05, -0.05]).astype(complex)
+        with caplog.at_level(logging.DEBUG, logger="qmit.losses"):
+            assert losses.fidelity(quasi, np.eye(2) / 2) == pytest.approx(0.5, abs=1e-12)
+            losses.fidelity(np.eye(2) / 2, np.eye(2) / 2)
+        assert [r.getMessage() for r in caplog.records] == [
+            "fidelity clamped negative mass 5.000e-02 / 0.000e+00"
+        ]
+
+    def test_rejects_state_without_positive_mass(self):
+        with pytest.raises(ValidationError, match="positive spectral mass"):
+            losses.fidelity(np.diag([0.0, -1.0]).astype(complex), np.eye(2) / 2)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_dense_reference(self, n):
+        """Mixed, pure, rank-2 and quasi-state pairs, in both orders, agree
+        with :func:`dense_reference.fidelity` to 1e-12."""
+        rng = np.random.default_rng(60 + n)
+        dim = 1 << n
+
+        def draw(kind):
+            if kind == "mixed":
+                return qsim.random_density_matrix(n, rng).data
+            if kind == "pure":
+                return qsim.pure_state(qsim.random_state_vector(n, rng)).data
+            vecs = qsim.haar_random_unitary(n, rng)
+            eigs = np.zeros(dim)
+            eigs[:2] = rng.uniform(0.2, 1.0, 2)
+            if kind == "quasi":
+                eigs[2:] = rng.uniform(0.0, 0.2, dim - 2)
+                eigs[-1] = -0.02
+            eigs /= eigs.sum()
+            return qsim.hermitize((vecs * eigs) @ vecs.conj().T)
+
+        kinds = ("mixed", "pure", "rank2", "quasi")
+        for a_kind in kinds:
+            for b_kind in kinds:
+                rho, sigma = draw(a_kind), draw(b_kind)
+                got = losses.fidelity(rho, sigma)
+                assert got == pytest.approx(dense_reference.fidelity(rho, sigma), abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
@@ -79,8 +117,9 @@ def conditioned(x):
 
 
 class TestLogFidelityForm:
-    """The engine's pair loss is ``-log`` of the paper's fidelity
-    (:func:`losses.fidelity`) of the two conditioned states."""
+    """The engine's pair loss is ``-log`` of the paper's fidelity of the two
+    conditioned states, from the textbook form
+    (:func:`dense_reference.fidelity`)."""
 
     def test_identical_states_give_zero(self):
         rng = np.random.default_rng(4)
@@ -88,7 +127,7 @@ class TestLogFidelityForm:
         pure = qsim.pure_state(qsim.random_state_vector(2, rng)).data
         for rho in (mixed, pure):
             cond = conditioned(rho)
-            assert losses.fidelity(cond, cond) == pytest.approx(1.0, abs=1e-10)
+            assert dense_reference.fidelity(cond, cond) == pytest.approx(1.0, abs=1e-10)
             loss, _ = losses._fb_pair_forward(rho[None], rho[None])
             assert loss[0] == pytest.approx(0.0, abs=1e-10)
 
@@ -98,7 +137,7 @@ class TestLogFidelityForm:
             rho = qsim.random_density_matrix(2, rng).data
             sigma = qsim.random_density_matrix(2, rng).data
             loss, _ = losses._fb_pair_forward(rho[None], sigma[None])
-            want = -math.log(losses.fidelity(conditioned(rho), conditioned(sigma)))
+            want = -math.log(dense_reference.fidelity(conditioned(rho), conditioned(sigma)))
             assert loss[0] == pytest.approx(want, abs=1e-10)
 
     def test_zero_vs_plus_value(self):
@@ -107,8 +146,8 @@ class TestLogFidelityForm:
         s = 1 / math.sqrt(2)
         a, b = qsim.pure_state([1, 0]).data, qsim.pure_state([s, s]).data
         loss, _ = losses._fb_pair_forward(a[None], b[None])
-        assert loss[0] == pytest.approx(-math.log(losses.fidelity(conditioned(a), conditioned(b))),
-                                        abs=1e-10)
+        want = -math.log(dense_reference.fidelity(conditioned(a), conditioned(b)))
+        assert loss[0] == pytest.approx(want, abs=1e-10)
         assert loss[0] == pytest.approx(0.2776, abs=1e-4)
 
 
@@ -160,6 +199,16 @@ class TestPetzRenyi:
         want = math.inf if trace <= 0.0 else math.log(4) + math.log(trace) / (alpha - 1.0)
         assert losses.petz_renyi_divergence(rho, alpha) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.999, 1.001])
+    def test_quasi_state_beyond_the_float_range(self, alpha):
+        """Near ``alpha = 1`` a quasi-state's ``Tr[rho^alpha]^(1 / (alpha -
+        1))`` (here ``3^(+-1000)``) leaves the float range; the divergence is
+        still ``log d + log Tr[rho^alpha] / (alpha - 1)``, with no warning."""
+        vecs = qsim.haar_random_unitary(2, np.random.default_rng(14))
+        rho = qsim.hermitize((vecs * [-2.0, 1.5, 1.5, 0.0]) @ vecs.conj().T)
+        want = math.log(4) + math.log(2.0 * 1.5**alpha) / (alpha - 1.0)
+        assert losses.petz_renyi_divergence(rho, alpha) == pytest.approx(want, rel=1e-12)
+
     def test_non_square_arrays_rejected(self):
         for shape in ((2,), (2, 3), (1, 2, 2)):
             with pytest.raises(ValidationError, match="square"):
@@ -168,11 +217,11 @@ class TestPetzRenyi:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_spectral_form(self, n):
         """Every order agrees with ``log d + log Tr[rho^alpha] / (alpha - 1)``
-        with ``rho^alpha`` from :func:`qsim.hermitian_power` (``eigh``) to
-        1e-12."""
+        with ``rho^alpha`` from :func:`dense_reference.hermitian_power`
+        (``eigh``) to 1e-12."""
 
         def spectral(rho, alpha):
-            rho_a = qsim.hermitian_power(rho.data, alpha, rel_floor=1e-13)
+            rho_a = dense_reference.hermitian_power(rho.data, alpha, rel_floor=1e-13)
             return n * math.log(2) + math.log(np.trace(rho_a).real) / (alpha - 1.0)
 
         rng = np.random.default_rng(40 + n)

@@ -171,8 +171,10 @@ class TestNoiseModel:
 
 
 def apply(x, model, inverse=False):
-    """The model's channel (or its inverse) on the matrix ``x``."""
-    return noise.apply_pauli_fidelities(x, model.generators, model.rates, inverse)
+    """The model's channel (or its inverse, the channel of the negated
+    rates) on the matrix ``x``."""
+    rates = -model.rates if inverse else model.rates
+    return noise.apply_pauli_fidelities(x, model.generators, rates)
 
 
 class TestProductChannel:
@@ -431,7 +433,7 @@ class TestPauliFidelityKernel:
     @pytest.mark.parametrize("inverse", [False, True])
     def test_matches_dense_channel(self, name, inverse, lead):
         gens, rates, x, _ = _kernel_case(name, 31, lead)
-        got = noise.apply_pauli_fidelities(x, gens, rates, inverse=inverse)
+        got = noise.apply_pauli_fidelities(x, gens, -rates if inverse else rates)
         assert got.shape == x.shape
         np.testing.assert_allclose(got, dense.channel(x, gens, rates, inverse), atol=1e-13)
 
@@ -456,8 +458,9 @@ class TestPauliFidelityKernel:
         ``qubit_fidelities``, which are ``None`` for the general sets."""
         gens, rates, _, _ = _kernel_case(name, 35)
         n = len(gens[0])
-        table = noise.pauli_fidelity_table(gens, rates, inverse)
-        fid = noise.qubit_fidelities(gens, rates, inverse)
+        signed = -rates if inverse else rates
+        table = noise.pauli_fidelity_table(gens, signed)
+        fid = noise.qubit_fidelities(gens, signed)
         assert table.shape == (4**n,)
         assert (fid is None) == name.startswith("general")
         for index, word in enumerate(itertools.product("IXYZ", repeat=n)):
@@ -466,7 +469,7 @@ class TestPauliFidelityKernel:
             bound = 1e-13 * table[index]
             np.testing.assert_allclose(dense.channel(p, gens, rates, inverse), want, atol=bound)
             np.testing.assert_allclose(
-                noise.apply_pauli_fidelities(p, gens, rates, inverse), want, atol=bound
+                noise.apply_pauli_fidelities(p, gens, signed), want, atol=bound
             )
             if fid is not None:
                 factors = [fid[q, "XYZ".index(ch)] for q, ch in enumerate(word) if ch != "I"]
@@ -476,9 +479,10 @@ class TestPauliFidelityKernel:
     @pytest.mark.parametrize("inverse", [False, True])
     def test_is_its_own_adjoint(self, name, inverse, lead):
         gens, rates, x, g = _kernel_case(name, 32, lead)
-        kernel_adj = noise.apply_pauli_fidelities(g, gens, rates, inverse=inverse)
+        signed = -rates if inverse else rates
+        kernel_adj = noise.apply_pauli_fidelities(g, gens, signed)
         np.testing.assert_allclose(kernel_adj, dense.adjoint(g, gens, rates, inverse), atol=1e-13)
-        lhs = dense.pairing(g, noise.apply_pauli_fidelities(x, gens, rates, inverse=inverse))
+        lhs = dense.pairing(g, noise.apply_pauli_fidelities(x, gens, signed))
         rhs = dense.pairing(kernel_adj, x)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
@@ -486,7 +490,7 @@ class TestPauliFidelityKernel:
         gens, rates, x, _ = _kernel_case(name, 34)
         before = x.copy()
         noise.apply_pauli_fidelities(x, gens, rates)
-        noise.apply_pauli_fidelities(x, gens, rates, inverse=True)
+        noise.apply_pauli_fidelities(x, gens, -rates)
         assert np.array_equal(x, before)
 
 
@@ -618,14 +622,14 @@ def test_generator_forms_give_identical_results(n):
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def results(gens):
-        mixes = noise.pauli_mix_superoperators(gens, rates, inverse=True)
+        mixes = noise.pauli_mix_superoperators(gens, -rates)
         return [
             noise.apply_pauli_fidelities(x, gens, rates),
-            noise.apply_pauli_fidelities(x, gens, rates, inverse=True),
+            noise.apply_pauli_fidelities(x, gens, -rates),
             noise.qubit_fidelities(gens, rates),
             np.array([q for q, _ in mixes]),
             np.stack([s for _, s in mixes]),
-            noise.pauli_fidelity_table(gens, rates, inverse=True),
+            noise.pauli_fidelity_table(gens, -rates),
         ]
 
     want = results(cached)
@@ -702,7 +706,7 @@ class TestKernelProperties:
     def test_trace_preserved(self, model, seed):
         rho = qsim.random_density_matrix(model.n, np.random.default_rng(seed)).data
         for inverse in (False, True):
-            out = noise.apply_pauli_fidelities(rho, model.generators, model.rates, inverse)
+            out = apply(rho, model, inverse)
             assert abs(np.trace(out) - 1.0) <= 1e-12
 
     @given(noise_models(), st.data())

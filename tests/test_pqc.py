@@ -513,7 +513,7 @@ class TestForwardMitigated:
         cascaded = pqc.layer_chain(rho0, units_of(layers), models, zero)
         for a, b in zip(cascaded, noisy):
             np.testing.assert_allclose(a, b, atol=1e-12)
-        hat = noise.apply_pauli_fidelities(noisy[-1], gens, zero[-1], inverse=True)
+        hat = noise.apply_pauli_fidelities(noisy[-1], gens, -zero[-1])
         np.testing.assert_allclose(hat, noisy[-1], atol=1e-12)
 
     def test_cascaded_perfect_mitigation_recovers_noise_free(self):
@@ -538,7 +538,7 @@ class TestForwardMitigated:
         models = noise.draw_noise_models(2, 2, seed=4, low=0.02, high=0.05)
         gens, rates = models[0].generators, np.stack([m.rates for m in models])
         states = pqc.layer_chain(pqc.pure_states(psi), units_of(layers), models)
-        hat = noise.apply_pauli_fidelities(states[-1], gens, rates[-1], inverse=True)
+        hat = noise.apply_pauli_fidelities(states[-1], gens, -rates[-1])
         free = noise_free_chain(pqc.pure_states(psi), layers)
         assert np.linalg.norm(hat - free[-1]) > 1e-4
         rotations = [pqc.layer_rotations("U2", layer.theta) for layer in layers]

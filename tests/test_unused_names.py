@@ -14,6 +14,11 @@ sit in :data:`ALLOWED`, each with the reason it stays.
 A second guard keeps the learned inverse in :mod:`qmit.noise`: the modules
 in :data:`LEARNED_INVERSE_USERS` reach it through ``noise.learned_*`` and
 never name its generators, in an import or anywhere else.
+
+A third keeps the eigensolvers in the places :data:`EIGENSOLVER_USERS`
+names, so that a change to how the package decomposes matrices (its BLAS
+thread count, say) has one place to edit: ``numpy.linalg.eigh`` and
+``eigvalsh`` are named, as an attribute or in an import, only there.
 """
 
 import ast
@@ -32,6 +37,11 @@ ALLOWED = {
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 LEARNED_INVERSE_USERS = ("pqc", "losses", "train")
+
+EIGENSOLVER_USERS = {
+    "eigh": {"losses._eigh"},
+    "eigvalsh": {"losses.petz_renyi_divergence", "qsim.check_density_matrices"},
+}
 
 
 def _is_dunder(name: str) -> bool:
@@ -126,3 +136,15 @@ def test_learned_generators_are_named_only_in_noise():
             and "default_generators" in (getattr(node, f, None) for f in ("id", "attr", "name"))
         ]
         assert not named, f"qmit.{stem} names default_generators (lines {named})"
+
+
+def test_eigensolvers_are_named_only_where_allowed():
+    found = {name: set() for name in EIGENSOLVER_USERS}
+    for path in sorted(SOURCE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            user = f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
+            for node in ast.walk(stmt):
+                name = getattr(node, "attr", None) or getattr(node, "name", None)
+                if isinstance(node, (ast.Attribute, ast.alias)) and name in found:
+                    found[name].add(user)
+    assert found == EIGENSOLVER_USERS
