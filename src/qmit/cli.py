@@ -204,6 +204,15 @@ def resolve_datasets(payload: dict) -> tuple[Dataset, Dataset]:
 # ---------------------------------------------------------------------------
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the output directory ``path`` (and its parents) if it is not
+    there; ``ConfigError`` if it cannot be, say because a file has its name."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def _header_lines(config_echo: dict) -> list[str]:
     return [
         f"# qmit {__version__}",
@@ -255,7 +264,7 @@ def cmd_train(config_path: str, out_dir: str) -> int:
     if config.noise_source == "file":
         noise_models_from_config(config)
     train_set, test_set = resolve_datasets(payload)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
 
     result = run_experiment(config, train_set, test_set, repeats=repeats)
     echo = _config_echo(payload, config)
@@ -314,7 +323,7 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
         for cfg in configs:
             noise_models_from_config(cfg)
     train_set, test_set = resolve_datasets(base_payload)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
 
     rows = []
     for cfg in configs:
@@ -377,6 +386,8 @@ def divergence_trace(
         raise ConfigError("operation count must be >= 1")
     if rate < 0.0:
         raise ConfigError("noise rate must be nonnegative")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     state = encode(rng.uniform(0.0, 1.0, 64), n)
 
@@ -424,7 +435,7 @@ def cmd_trace_divergence(config_path: str, out_dir: str) -> int:
         n, int(payload["operations"]), str(payload["channel"]), float(payload["rate"]),
         alpha=alpha, seed=seed,
     )
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     echo = dict(payload)
     echo["version"] = __version__
     # One row at a time: a list of dicts would hold ~1500 of them at once.

@@ -2,10 +2,12 @@
 
 Provides Uhlmann fidelity, the Petz-Renyi divergence to the maximally
 mixed state (in closed form, with no reference argument), the conditioned
-forward-backward loss ``-log F`` over blocks of layers (:func:`fb_blocks`)
-and the softmax head of the task loss.  Both measures read a validated
-:class:`qmit.qsim.DensityMatrix` as it is and check a plain array's
-Hermiticity on every call.
+forward-backward pair loss ``-log F`` with its gradients, and the softmax
+head of the task loss: functions of states (the pair head also takes one
+layer unitary), which know nothing of the layer chain or its blocks; the
+trainer pulls each block back and runs its adjoint.
+Both measures read a validated :class:`qmit.qsim.DensityMatrix` as it is
+and check a plain array's Hermiticity on every call.
 
 Every spectral function of the package is here.  Both fidelities take the
 root overlap ``Tr sqrt(A^{1/2} B A^{1/2})`` of one implementation
@@ -29,9 +31,6 @@ pullback's gradient leaves that eigenbasis already conjugated back to
 and 7 without it, besides up to three ``eigh``; a pure target's spectrum
 is closed form (no ``eigh``, one product less), and a chain state that is
 one block's pullback input and the next block's target is decomposed once.
-The blocks are streamed (:func:`fb_blocks` yields one at a time), so the
-trainer runs each block's backward right after its forward and holds one
-block's caches at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .noise import learned_inverse
 from .qsim import DensityMatrix, _hermiticity_defect, hermitize
 
 logger = logging.getLogger(__name__)
@@ -404,65 +402,3 @@ def _fb_pair_backward(
     g_a_raw = hermitize(_condition_adjoint_eigenbasis(g_a, cache_a))
     return g_a_raw, g_b_raw
 
-
-def fb_blocks(chain, psi0, units, step: int, rates=None):
-    """Forward-backward blocks of a propagated chain ``[t_0, ..., t_L]``,
-    streamed: an iterator that runs one block's forward per step.
-
-    Entries of ``chain`` are stacks ``(batch, d, d)``; ``chain[0] = psi0
-    psi0^dagger`` for the state vectors ``psi0``.  Block ``b`` covers layers
-    ``start = b * step`` to ``end = start + step``: ``t_end`` is pulled back
-    through the block's layers, last first, and compared with ``t_start`` by
-    the conditioned ``-log F``.  With ``rates`` (``loss_only`` mode) each
-    layer's pullback first undoes the learned residual noise, the inverse
-    with the rate row ``rates[j]``; without them (``cascaded`` mode) the
-    chain is mitigated inline, so only the unitary pullback remains (the
-    mitigation layer and its exact inverse cancel algebraically).
-
-    The conjugation by the block's first layer ``units[start]`` is left to
-    the fidelity head (:func:`_fb_pair_forward`), which decomposes its input
-    instead.  When that input is ``chain[end]`` itself (``cascaded`` mode at
-    ``step`` 1), its spectrum is the next block's target's.  Block 0's
-    target takes the closed-form spectrum of ``psi0``
-    (:func:`_pure_spectrum`).  A block's forward costs two batched d x d
-    products per layer after its first (the explicit conjugations) and the
-    head's three (two for block 0).
-
-    Yields ``(start, end, layer_caches, loss, cache)`` per block, in block
-    order: ``layer_caches`` lists ``(j, x)`` with ``x`` the input of layer
-    ``j``'s inverse conjugation, ``loss`` has the batch shape and ``cache``
-    is the fidelity cache of :func:`_fb_pair_backward`, whose pullback
-    gradient is with respect to the last ``x`` (``j = start``).  The
-    iterator reads no block after yielding it and holds none but the last
-    one yielded (and the spectrum the next block's target shares): a caller
-    that runs each block's backward before asking for the next, then drops
-    the block or clears its ``cache``, keeps one block's caches alive at a
-    time.  ``step`` must divide the layer count; that is checked here,
-    before any block runs.
-    """
-    if step < 1 or len(units) % step:
-        raise ValidationError(f"block step {step} does not divide {len(units)} layers")
-    return _stream_blocks(chain, psi0, units, step, rates)
-
-
-def _stream_blocks(chain, psi0, units, step, rates):
-    """The generator behind :func:`fb_blocks`."""
-    target = _pure_spectrum(psi0)
-    for start in range(0, len(units), step):
-        end = start + step
-        x = chain[end]
-        layer_caches = []
-        for j in range(end - 1, start - 1, -1):
-            if rates is not None:
-                x = learned_inverse(x, rates[j])
-            # In loss_only mode the conjugation's input is also the inverse
-            # stack's output, which that stack's adjoint needs.
-            layer_caches.append((j, x))
-            if j > start:
-                x = units[j].conj().T @ x @ units[j]
-        loss, cache = _fb_pair_forward(target, x, units[start])
-        target = cache["cache_b"] if x is chain[end] else chain[end]
-        yield start, end, layer_caches, loss, cache
-        # Free the fidelity cache before the next block allocates (x and
-        # layer_caches are rebound first).
-        del cache

@@ -30,12 +30,13 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, TrainingError, ValidationError
-from .losses import _fb_pair_backward, fb_blocks, softmax_head
+from .losses import _fb_pair_backward, _fb_pair_forward, _pure_spectrum, softmax_head
 from .noise import (
     NoiseModel,
     apply_pauli_fidelities,
     default_models,
     draw_noise_models,
+    learned_inverse,
     learned_inverse_adjoint,
     learned_z_gains,
     load_noise_layers,
@@ -119,6 +120,8 @@ class TrainConfig:
             raise ConfigError("batch size must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epoch count must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.noise_source not in ("seeded", "file"):
             raise ConfigError(f"noise source must be 'seeded' or 'file', got {self.noise_source!r}")
         if self.noise_source == "file" and not self.noise_path:
@@ -371,15 +374,39 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
         idx = np.arange(rho0.shape[-1])
         g_chain[depth][:, idx, idx] += diag_vals
 
-    def block_backward(start, end, layer_caches, fid_cache):
+    def run_block(start, target):
+        """Block ``start``: ``chain[end]`` pulled back through layers ``end -
+        1`` to ``start`` and compared with ``target`` (``chain[start]`` or its
+        spectrum) by the conditioned ``-log F``, then, with gradients, its
+        adjoint.  In ``loss_only`` mode each pullback first undoes the
+        learned noise; ``cascaded`` chains are mitigated inline.  The head
+        absorbs layer ``start``'s conjugation; when its input is
+        ``chain[end]`` itself, that spectrum is the next target.  Returns
+        the loss, the clamped mass and the next target.  The caches die
+        with the call, before the next block's forward."""
+        end = start + step
+        x, trail = chain[end], []
+        for j in range(end - 1, start - 1, -1):
+            if not cascaded:
+                x = learned_inverse(x, rates[j])
+            # In loss_only mode the conjugation's input is also the inverse
+            # stack's output, which that stack's adjoint needs.
+            trail.append((j, x))
+            if j > start:
+                x = units[j].conj().T @ x @ units[j]
+        loss, fid_cache = _fb_pair_forward(target, x, units[start])
+        next_target = fid_cache["cache_b"] if x is chain[end] else chain[end]
+        mass = fid_cache["neg_mass"]
+        if g_loss is None:
+            return loss, mass, next_target
         # g is the gradient w.r.t. the input of layer start's conjugation,
         # which the fidelity head absorbed.
         g_target, g = _fb_pair_backward(fid_cache, g_loss, with_target=start > 0)
         # The fidelity cache is spent: free it before the pullback's adjoint.
-        fid_cache.clear()
+        del fid_cache
         if start > 0:
             g_chain[start] += g_target
-        for j, conj_input in reversed(layer_caches):
+        for j, conj_input in reversed(trail):
             if j > start:
                 g = units[j] @ g @ units[j].conj().T
             _theta_grad_backward_conj(g, conj_input, units[j], rotations[j], axes, grad_theta[j])
@@ -387,18 +414,16 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
                 g, g_rates = learned_inverse_adjoint(g, conj_input, rates[j])
                 grad_rates[j] += g_rates
         g_chain[end] += g
+        return loss, mass, next_target
 
-    # Blocks: each block's adjoint runs right after its forward, and the
-    # block is freed before the next one's forward.
-    blocks = fb_blocks(chain, psi, units, step, None if cascaded else rates)
+    # Block 0's target is the encoded input, whose spectrum is closed form.
+    target = _pure_spectrum(psi)
     fb_per_sample = np.zeros(size)
     clamped = 0.0
-    for start, end, layer_caches, loss_vec, fid_cache in blocks:
+    for start in range(0, depth, step):
+        loss_vec, mass, target = run_block(start, target)
         fb_per_sample += loss_vec / num_blocks
-        clamped += fid_cache["neg_mass"]
-        if g_loss is not None:
-            block_backward(start, end, layer_caches, fid_cache)
-        del layer_caches, fid_cache
+        clamped += mass
 
     if not want_grads:
         return fb_per_sample, ce_per_sample, predictions, clamped, None, None

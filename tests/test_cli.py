@@ -46,6 +46,16 @@ def synthetic_train_payload(**overrides):
     return payload
 
 
+def command_payload(command, **overrides):
+    """A small valid config of ``command``: train, ablation or trace-divergence."""
+    if command == "trace-divergence":
+        return {"channel": "pauli", "operations": 10, "rate": 0.01, **overrides}
+    payload = synthetic_train_payload(epochs=1, repeats=1, **overrides)
+    if command == "ablation":
+        payload["grid"] = {"alpha_fb": [0.0, 1.0]}
+    return payload
+
+
 class TestConfigValidation:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_train_payload(bogus_key=1))
@@ -199,6 +209,27 @@ class TestConfigValidation:
         assert cli.main([command, "--config", path, "--out", str(out)]) == 2
         assert "noise file" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablation", "trace-divergence"])
+    def test_negative_seed_writes_nothing(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, command_payload(command, seed=-1))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablation", "trace-divergence"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        """An ``--out`` that is an existing file is a config error on one
+        line of stderr, and the file is left as it was."""
+        path = write_config(tmp_path, command_payload(command))
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
+        assert out.read_text() == "not a directory"
 
     def test_mnist_requires_data_dir(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_train_payload(benchmark="MNIST-4"))

@@ -377,103 +377,6 @@ class TestTaskLoss:
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
 
 
-def layer_units(layers):
-    """The engine's unitary of each ``pqc.LayerSpec``."""
-    return [pqc.layer_unitary(pqc.layer_rotations(layer.design, layer.theta)) for layer in layers]
-
-
-class TestTotalFbLoss:
-    """The engine's forward-backward term: the mean over the blocks of
-    :func:`losses.fb_blocks` on a :func:`pqc.layer_chain`."""
-
-    GENERATORS = noise.default_generators(4)
-
-    def _chain(self, rng, depth=4, noisy=False, design="U2"):
-        """Units, chain, true noise and input vector of a random circuit."""
-        layers = dense_reference.random_layers(4, depth, design, rng)
-        psi = qsim.random_state_vector(4, rng)[None]
-        if noisy:
-            models = noise.draw_noise_models(4, depth, seed=int(rng.integers(2**31)))
-        else:
-            models = [noise.NoiseModel(4, self.GENERATORS, np.zeros(12))] * depth
-        units = layer_units(layers)
-        return units, pqc.layer_chain(pqc.pure_states(psi), units, models), models, psi
-
-    def _total(self, chain, psi, units, step, rates=None):
-        """Mean block loss and the list of streamed blocks; ``rates`` for
-        loss_only mode."""
-        blocks = list(losses.fb_blocks(chain, psi, units, step, rates))
-        return float(np.mean([loss[0] for *_, loss, _cache in blocks])), blocks
-
-    def test_zero_noise_zero_mitigation_is_zero(self):
-        rng = np.random.default_rng(13)
-        for step in (1, 2, 4):
-            units, chain, _, psi = self._chain(rng)
-            value, blocks = self._total(chain, psi, units, step, np.zeros((4, 12)))
-            assert abs(value) <= 1e-10
-            assert [(start, end) for start, end, *_ in blocks] == [
-                (b, b + step) for b in range(0, 4, step)
-            ]
-
-    def test_single_block_at_full_step(self):
-        rng = np.random.default_rng(14)
-        units, chain, _, psi = self._chain(rng, noisy=True)
-        _, blocks = self._total(chain, psi, units, 4, np.zeros((4, 12)))
-        assert [(start, end) for start, end, *_ in blocks] == [(0, 4)]
-
-    def test_perfect_mitigation_any_step(self):
-        rng = np.random.default_rng(15)
-        units, chain, models, psi = self._chain(rng, noisy=True)
-        rates = np.stack([m.rates for m in models])
-        for step in (1, 2, 4):
-            assert self._total(chain, psi, units, step, rates)[0] <= 1e-8
-
-    def test_step_must_divide_depth(self):
-        """The step is checked when the blocks are asked for, before any
-        block is iterated."""
-        rng = np.random.default_rng(16)
-        units, chain, _, psi = self._chain(rng)
-        with pytest.raises(ValidationError, match="divide"):
-            losses.fb_blocks(chain, psi, units, 3, np.zeros((4, 12)))
-
-    def test_step_must_be_positive(self):
-        rng = np.random.default_rng(20)
-        units, chain, _, psi = self._chain(rng)
-        for step in (0, -2):
-            with pytest.raises(ValidationError, match="divide"):
-                losses.fb_blocks(chain, psi, units, step, np.zeros((4, 12)))
-
-    def test_positive_loss_under_unmitigated_noise(self):
-        rng = np.random.default_rng(17)
-        units, chain, _, psi = self._chain(rng, noisy=True)
-        assert self._total(chain, psi, units, 1, np.zeros((4, 12)))[0] > 1e-6
-
-    def test_cascaded_mode_chain(self):
-        """Cascaded chain with exact rates has zero loss at every step size."""
-        rng = np.random.default_rng(18)
-        layers = dense_reference.random_layers(4, 4, "U2", rng)
-        psi = qsim.random_state_vector(4, rng)[None]
-        models = noise.draw_noise_models(4, 4, seed=7)
-        rates = np.stack([m.rates for m in models])
-        units = layer_units(layers)
-        chain = pqc.layer_chain(pqc.pure_states(psi), units, models, rates)
-        for step in (1, 2, 4):
-            assert self._total(chain, psi, units, step)[0] <= 1e-8
-
-    def test_reports_clamped_mass_for_quasi_states(self):
-        """Rates four times the true ones over-mitigate: the pullbacks have
-        negative eigenvalues, whose mass the blocks report."""
-        rng = np.random.default_rng(19)
-        layers = dense_reference.random_layers(2, 2, "U2", rng)
-        psi = qsim.random_state_vector(2, rng)[None]
-        models = noise.draw_noise_models(2, 2, seed=3, low=0.001, high=0.004)
-        units = layer_units(layers)
-        chain = pqc.layer_chain(pqc.pure_states(psi), units, models)
-        over = np.stack([m.rates for m in models]) * 4.0
-        blocks = losses.fb_blocks(chain, psi, units, 1, over)
-        assert sum(cache["neg_mass"] for *_, cache in blocks) > 0.0
-
-
 def conditioned_adjoint(grad, cache):
     """The engine's conditioning adjoint for a standard-basis gradient."""
     vecs = cache["vecs"]

@@ -497,6 +497,74 @@ class TestBlockStreaming:
         assert np.array_equal(both.predictions, forward.predictions)
 
 
+class TestTotalFbLoss:
+    """The engine's forward-backward term: the ``fb`` and ``clamped_mass``
+    of a forward-only :func:`train._run_batch`, the mean over its blocks of
+    the conditioned ``-log F``."""
+
+    ZERO = noise.NoiseModel(4, noise.default_generators(4), np.zeros(12))
+    HEAD = staticmethod(train._fb_pair_forward)
+
+    def _circuit(self, rng, n=4, depth=4, noisy=False, **noise_range):
+        """Angles, true noise and input vector of a random circuit."""
+        theta = [layer.theta for layer in dense_reference.random_layers(n, depth, "U2", rng)]
+        psi = qsim.random_state_vector(n, rng)[None]
+        if noisy:
+            models = noise.draw_noise_models(n, depth, seed=int(rng.integers(2**31)), **noise_range)
+        else:
+            models = [self.ZERO] * depth
+        return theta, models, psi
+
+    def _run(self, monkeypatch, theta, models, psi, rates, step=1, mode="loss_only"):
+        """The forward-only batch result and the number of blocks it ran,
+        counted as calls of the fidelity head."""
+        n = psi.shape[1].bit_length() - 1
+        config = train.TrainConfig(n_qubits=n, layers=len(theta), step_size=step, mode=mode,
+                                   num_classes=2)
+        calls = []
+        monkeypatch.setattr(train, "_fb_pair_forward", lambda *a: calls.append(1) or self.HEAD(*a))
+        result = train._run_batch(psi, np.zeros(len(psi), dtype=np.int64), theta, rates, config,
+                                  models, want_grads=False)
+        return result, len(calls)
+
+    @pytest.mark.parametrize("step", [1, 2, 4])
+    def test_zero_noise_zero_mitigation_is_zero(self, monkeypatch, step):
+        rng = np.random.default_rng(13)
+        theta, models, psi = self._circuit(rng)
+        result, blocks = self._run(monkeypatch, theta, models, psi, np.zeros((4, 12)), step)
+        assert abs(result.fb) <= 1e-10
+        assert blocks == 4 // step
+
+    def test_single_block_at_full_step(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        theta, models, psi = self._circuit(rng, noisy=True)
+        _, blocks = self._run(monkeypatch, theta, models, psi, np.zeros((4, 12)), 4)
+        assert blocks == 1
+
+    @pytest.mark.parametrize("mode", ["loss_only", "cascaded"])
+    def test_perfect_mitigation_any_step(self, monkeypatch, mode):
+        """The true rates make every block's loss vanish, whether they undo
+        the noise in each pullback or inline in the chain."""
+        rng = np.random.default_rng(15)
+        theta, models, psi = self._circuit(rng, noisy=True)
+        rates = np.stack([m.rates for m in models])
+        for step in (1, 2, 4):
+            assert self._run(monkeypatch, theta, models, psi, rates, step, mode)[0].fb <= 1e-8
+
+    def test_positive_loss_under_unmitigated_noise(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        theta, models, psi = self._circuit(rng, noisy=True)
+        assert self._run(monkeypatch, theta, models, psi, np.zeros((4, 12)))[0].fb > 1e-6
+
+    def test_reports_clamped_mass_for_quasi_states(self, monkeypatch):
+        """Rates four times the true ones over-mitigate: the pullbacks have
+        negative eigenvalues, whose mass the batch reports."""
+        rng = np.random.default_rng(19)
+        theta, models, psi = self._circuit(rng, n=2, depth=2, noisy=True, low=0.001, high=0.004)
+        over = np.stack([m.rates for m in models]) * 4.0
+        assert self._run(monkeypatch, theta, models, psi, over)[0].clamped_mass > 0.0
+
+
 class TestTrainEpoch:
     def test_zero_learning_rate_keeps_parameters_bitwise(self):
         dataset = data.synthetic_blobs(2, 8, 3.0, seed=1)
@@ -911,8 +979,9 @@ class TestConfigValidation:
             small_config(layers=3, step_size=2)
 
     def test_step_size_domain(self):
-        with pytest.raises(ConfigError):
-            small_config(layers=6, step_size=3)
+        for step in (3, 0, -2):
+            with pytest.raises(ConfigError, match="step size must be 1, 2 or 4"):
+                small_config(layers=6, step_size=step)
 
     def test_weights_not_both_zero(self):
         with pytest.raises(ValidationError):

@@ -12,13 +12,18 @@ Names the package offers to its users and no module of the package calls
 sit in :data:`ALLOWED`, each with the reason it stays.
 
 A second guard keeps the learned inverse in :mod:`qmit.noise`: the modules
-in :data:`LEARNED_INVERSE_USERS` reach it through ``noise.learned_*`` and
-never name its generators, in an import or anywhere else.
+in :data:`LEARNED_INVERSE_USERS` never name its generators, in an import or
+anywhere else; those that need the inverse reach it through
+``noise.learned_*``.
 
 A third keeps the eigensolvers in the places :data:`EIGENSOLVER_USERS`
 names, so that a change to how the package decomposes matrices (its BLAS
 thread count, say) has one place to edit: ``numpy.linalg.eigh`` and
 ``eigvalsh`` are named, as an attribute or in an import, only there.
+
+A fourth keeps :mod:`qmit.losses` a module of functions of states: of the
+package it imports only the modules :data:`LOSSES_IMPORTS` names, so the
+layers, the noise and the trainer stay out of it.
 """
 
 import ast
@@ -37,6 +42,8 @@ ALLOWED = {
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 LEARNED_INVERSE_USERS = ("pqc", "losses", "train")
+
+LOSSES_IMPORTS = {"errors", "qsim"}
 
 EIGENSOLVER_USERS = {
     "eigh": {"losses._eigh"},
@@ -148,3 +155,14 @@ def test_eigensolvers_are_named_only_where_allowed():
                 if isinstance(node, (ast.Attribute, ast.alias)) and name in found:
                     found[name].add(user)
     assert found == EIGENSOLVER_USERS
+
+
+def test_losses_imports_only_errors_and_qsim():
+    imported = set()
+    for node in ast.walk(ast.parse((SOURCE / "losses.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qmit")):
+            base = (node.module or "").removeprefix("qmit").strip(".")
+            imported.update([base] if base else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name[5:] for a in node.names if a.name.startswith("qmit."))
+    assert imported <= LOSSES_IMPORTS, f"qmit.losses imports {sorted(imported - LOSSES_IMPORTS)}"
