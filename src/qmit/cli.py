@@ -213,6 +213,15 @@ def _make_out_dir(path: str) -> None:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
 
 
+def _output_paths(out_dir: str, *names: str) -> list[str]:
+    """The output files ``names`` in ``out_dir``, checked before any work:
+    ``ConfigError`` if one of them is a directory."""
+    paths = [os.path.join(out_dir, name) for name in names]
+    for path in filter(os.path.isdir, paths):
+        raise ConfigError(f"output file {path} is a directory")
+    return paths
+
+
 def _header_lines(config_echo: dict) -> list[str]:
     return [
         f"# qmit {__version__}",
@@ -263,14 +272,17 @@ def cmd_train(config_path: str, out_dir: str) -> int:
     # Seeded noise follows from the checked config; a noise file may not.
     if config.noise_source == "file":
         noise_models_from_config(config)
+    metrics_path, summary_path, *checkpoint_paths = _output_paths(
+        out_dir, "metrics.csv", "summary.json", *(f"checkpoint_r{r}.json" for r in range(repeats))
+    )
     train_set, test_set = resolve_datasets(payload)
     _make_out_dir(out_dir)
 
     result = run_experiment(config, train_set, test_set, repeats=repeats)
     echo = _config_echo(payload, config)
-    write_csv(os.path.join(out_dir, "metrics.csv"), echo, _METRIC_COLUMNS, result.metrics_rows)
-    for r, checkpoint in enumerate(result.checkpoints):
-        save_checkpoint(os.path.join(out_dir, f"checkpoint_r{r}.json"), checkpoint)
+    write_csv(metrics_path, echo, _METRIC_COLUMNS, result.metrics_rows)
+    for path, checkpoint in zip(checkpoint_paths, result.checkpoints):
+        save_checkpoint(path, checkpoint)
     # Rates that cannot move stay at 0, the identity mitigation.
     frozen = config.rate_lr_scale == 0.0 or config.learning_rate == 0.0
     summary = {
@@ -281,7 +293,7 @@ def cmd_train(config_path: str, out_dir: str) -> int:
         "mean_accuracy": result.mean_accuracy,
         "std_accuracy": result.std_accuracy,
     }
-    write_json(os.path.join(out_dir, "summary.json"), summary)
+    write_json(summary_path, summary)
     print(
         f"{payload['benchmark']}: accuracy {result.mean_accuracy:.4f} "
         f"+/- {result.std_accuracy:.4f} over {repeats} repeat(s) -> {out_dir}"
@@ -322,6 +334,7 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
     if base_config.noise_source == "file":
         for cfg in configs:
             noise_models_from_config(cfg)
+    (table_path,) = _output_paths(out_dir, "ablation.csv")
     train_set, test_set = resolve_datasets(base_payload)
     _make_out_dir(out_dir)
 
@@ -346,7 +359,7 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
         )
     echo = _config_echo(payload, base_config)
     columns = ["design", "step_size", "layers", "alpha_fb", "mode", "mean_acc", "std_acc"]
-    write_csv(os.path.join(out_dir, "ablation.csv"), echo, columns, rows)
+    write_csv(table_path, echo, columns, rows)
     return 0
 
 
@@ -431,6 +444,7 @@ def cmd_trace_divergence(config_path: str, out_dir: str) -> int:
     n = int(payload.get("n_qubits", 4))
     alpha = float(payload.get("alpha", 2.0))
     seed = int(payload.get("seed", 0))
+    (trace_path,) = _output_paths(out_dir, "trace.csv")
     values = divergence_trace(
         n, int(payload["operations"]), str(payload["channel"]), float(payload["rate"]),
         alpha=alpha, seed=seed,
@@ -440,7 +454,7 @@ def cmd_trace_divergence(config_path: str, out_dir: str) -> int:
     echo["version"] = __version__
     # One row at a time: a list of dicts would hold ~1500 of them at once.
     rows = ({"operation": i, "divergence": float(v)} for i, v in enumerate(values))
-    write_csv(os.path.join(out_dir, "trace.csv"), echo, ["operation", "divergence"], rows)
+    write_csv(trace_path, echo, ["operation", "divergence"], rows)
     print(
         f"{payload['channel']}: divergence {values[0]:.4f} -> {values[-1]:.6g} "
         f"over {len(values) - 1} operations -> {out_dir}"

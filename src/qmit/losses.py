@@ -28,9 +28,11 @@ layer ``U``, is never formed: the head decomposes its input ``X``, whose
 eigenvectors rotated by ``U^dagger`` are the pullback's, and the
 pullback's gradient leaves that eigenbasis already conjugated back to
 ``X``.  A block costs 10 batched d x d products with the target's gradient
-and 7 without it, besides up to three ``eigh``; a pure target's spectrum
-is closed form (no ``eigh``, one product less), and a chain state that is
+and 7 without it, besides up to three ``eigh``, and a chain state that is
 one block's pullback input and the next block's target is decomposed once.
+A pure target stays a vector: the root overlap applies its conditioned root
+(:func:`_pure_root`) as a rank-one update, so its block costs 6 products
+and two ``eigh`` and forms no matrix of the target.
 """
 
 from __future__ import annotations
@@ -183,17 +185,17 @@ def _dagger(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-def _spectrum_cache(eigs: np.ndarray, basis: dict) -> dict:
+def _spectrum_cache(eigs: np.ndarray, vecs: np.ndarray | None) -> dict:
     """The conditioned spectrum ``cond`` of eigenvalues ``eigs``: each passes
     through the softplus floor ``fe`` of sharpness ``FB_SPECTRAL_SHARPNESS``,
     the result is scaled to trace ``1 - FB_STATE_FLOOR`` and ``FB_STATE_FLOOR
     / d`` is added, which bounds ``cond`` below by ``FB_STATE_FLOOR / d``.
-    ``basis`` holds the eigenvectors (see :func:`_rotated_vecs`)."""
+    ``vecs`` holds the eigenvectors."""
     fe = _softplus(FB_SPECTRAL_SHARPNESS * eigs) / FB_SPECTRAL_SHARPNESS
     trace = np.sum(fe, axis=-1)
     return {
         "eigs": eigs,
-        **basis,
+        "vecs": vecs,
         "fe": fe,
         "trace": trace,
         "cond": (1.0 - FB_STATE_FLOOR) * fe / trace[..., None] + FB_STATE_FLOOR / eigs.shape[-1],
@@ -207,58 +209,27 @@ def _condition_spectrum(x: np.ndarray) -> dict:
     Conditioning is a spectral map, so the conditioned state is
     ``vecs diag(cond) vecs^dagger``.
     """
-    eigs, vecs = _eigh(x)
-    return _spectrum_cache(eigs, {"vecs": vecs})
+    return _spectrum_cache(*_eigh(x))
 
 
-def _pure_spectrum(psi: np.ndarray) -> dict:
-    """:func:`_condition_spectrum` of the pure states ``psi psi^dagger``, in
-    closed form from the vectors ``psi`` (shape ``(..., d)``), with no ``eigh``.
-
-    ``psi psi^dagger`` has the eigenvalue ``|psi|^2`` on ``psi`` and 0 on
-    its orthogonal complement.  The eigenvectors are the columns of the
-    Householder reflection ``H = I - 2 w w^dagger`` that takes the last
-    basis vector to a unit multiple of ``psi``, so the eigenvalues stay in
-    ``eigh``'s ascending order; the cache holds ``w`` under
-    ``"householder"``.
-    """
+def _pure_root(psi: np.ndarray) -> dict:
+    """The root ``r I + (t - r) u u^dagger``, ``u = psi / |psi|``, of the
+    conditioned pure states ``psi psi^dagger`` (``psi`` of shape ``(...,
+    d)``), in closed form: ``psi psi^dagger`` has the eigenvalue ``|psi|^2``
+    on ``u`` and 0 on its complement, so its conditioned form has ``t^2`` on
+    ``u`` and ``r^2`` on the complement.  The cache holds ``u`` as ``"vec"``."""
     norm2 = np.sum(psi.real**2 + psi.imag**2, axis=-1)
-    unit = psi / np.sqrt(norm2)[..., None]
-    size = np.abs(unit[..., -1])
-    # H maps e_last to -phase * unit; the phase makes that vector's last
-    # entry -size <= 0, which keeps w away from zero.
-    phase = np.conj(unit[..., -1]) / np.where(size > 0.0, size, 1.0)
-    phase[size == 0.0] = 1.0
-    w = phase[..., None] * unit
-    w[..., -1] += 1.0
-    w /= np.sqrt(2.0 + 2.0 * size)[..., None]
     eigs = np.zeros(psi.shape)
     eigs[..., -1] = norm2
-    return _spectrum_cache(eigs, {"householder": w})
+    root = np.sqrt(_spectrum_cache(eigs, None)["cond"])
+    vec = psi / np.sqrt(norm2)[..., None]
+    return {"vec": vec, "r": root[..., 0], "t": root[..., -1], "neg_mass": 0.0}
 
 
 def _weighted_gram(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``y diag(w) y^dagger`` for a stack ``y`` and real weights ``w`` on its
     last axis: one product."""
     return (y * w[..., None, :]) @ _dagger(y)
-
-
-def _rotated_vecs(cache: dict, unit: np.ndarray | None = None) -> np.ndarray:
-    """``unit @ V`` for the eigenvectors ``V`` of a spectrum cache (``V``
-    itself without ``unit``): one product, or for a Householder ``V = I - 2
-    w w^dagger`` the rank-one update ``unit - 2 (unit w) w^dagger``."""
-    w = cache.get("householder")
-    if w is None:
-        return cache["vecs"] if unit is None else unit @ cache["vecs"]
-    if unit is None:
-        unit, uw = np.eye(w.shape[-1]), w
-    elif w.shape[:-1] == (1,):
-        # numpy hands a single row to BLAS gemv, which rounds differently
-        # from gemm; two rows keep each sample's bits independent of its batch.
-        uw = (np.concatenate([w, w]) @ unit.T)[:1]
-    else:
-        uw = w @ unit.T
-    return unit - 2.0 * uw[..., :, None] * w.conj()[..., None, :]
 
 
 def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
@@ -286,7 +257,7 @@ def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
     g[..., idx, idx] -= (keep * inner / trace**2)[..., None]
 
     g *= _softplus_divided_differences(eigs, fe)
-    vecs = _rotated_vecs(cache)
+    vecs = cache["vecs"]
     return np.matmul(vecs @ g, _dagger(vecs), out=g)
 
 
@@ -306,21 +277,26 @@ def _softplus_divided_differences(eigs: np.ndarray, fe: np.ndarray) -> np.ndarra
 
 
 def _root_overlap(cache_a: dict, cache_b: dict, unit: np.ndarray | None = None):
-    """The root overlap of two spectrum caches, each holding eigenvectors
-    (see :func:`_rotated_vecs`) and the spectrum ``cond``: ``P`` and the
-    eigenpairs ``(m, v_M)`` of ``P diag(b) P^dagger``.
+    """The root overlap of the spectrum cache ``cache_b`` and ``cache_a``, a
+    spectrum cache too or a pure root (:func:`_pure_root`): ``P`` and the
+    eigenpairs ``(m, v_M)`` of ``M = P diag(b) P^dagger``.
 
-    With ``A = V_A diag(a) V_A^dagger`` and ``B = V_B diag(b) V_B^dagger``,
-    where ``B = unit^dagger V_b diag(b) V_b^dagger unit`` (``unit`` absent:
-    the identity) is never formed, ``M = A^{1/2} B A^{1/2}`` is
-    diagonalized in ``A``'s eigenbasis, ``V_A^dagger M V_A = P diag(b)
-    P^dagger`` with ``P = diag(sqrt(a)) (unit V_A)^dagger V_b``, and
-    ``Tr sqrt(M)`` is the sum of ``sqrt(m)``: three matrix products besides
-    the ``eigh``, two when ``unit V_A`` is a rank-one update (a pure
-    ``A``, or ``unit`` absent).
+    ``M`` is ``A^{1/2} B A^{1/2}`` for ``B = W diag(b) W^dagger``, ``W =
+    unit^dagger V_b`` (``unit`` absent: the identity), which is never formed,
+    and ``Tr sqrt(M)`` is the sum of ``sqrt(m)``.  For ``A = V_A diag(a)
+    V_A^dagger``, ``M`` is written in ``A``'s eigenbasis, with ``P =
+    diag(sqrt(a)) V_A^dagger W``: three products besides the ``eigh``, two
+    without ``unit``.  For a pure root ``P = A^{1/2} W``, a rank-one update
+    of ``W``: two products.
     """
-    p = _dagger(_rotated_vecs(cache_a, unit)) @ _rotated_vecs(cache_b)
-    p *= np.sqrt(cache_a["cond"])[..., :, None]
+    w = cache_b["vecs"] if unit is None else _dagger(unit) @ cache_b["vecs"]
+    if "vec" in cache_a:
+        u, r = cache_a["vec"], cache_a["r"][..., None, None]
+        p = u[..., :, None] * ((cache_a["t"][..., None, None] - r) * (u.conj()[..., None, :] @ w))
+        p += r * w
+    else:
+        p = _dagger(cache_a["vecs"]) @ w
+        p *= np.sqrt(cache_a["cond"])[..., :, None]
     em, vm = _eigh(_weighted_gram(p, cache_b["cond"]))
     return p, em, vm
 
@@ -328,9 +304,9 @@ def _root_overlap(cache_a: dict, cache_b: dict, unit: np.ndarray | None = None):
 def _fb_pair_forward(a, b: np.ndarray, unit: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
     """Conditioned ``-log F`` for batched Hermitian state pairs.
 
-    ``a`` is the target, a stack ``(..., d, d)`` or a spectrum cache formed
-    before (by :func:`_condition_spectrum`, or :func:`_pure_spectrum` for a
-    pure target), so a state that two blocks share is decomposed once;
+    ``a`` is the target, a stack ``(..., d, d)``, a spectrum cache formed
+    before (by :func:`_condition_spectrum`), so a state that two blocks
+    share is decomposed once, or the :func:`_pure_root` of a pure target;
     ``b`` is the pullback's input, a stack.  The returned loss has the
     batch shape.  The state compared with the target is ``B = unit^dagger
     b unit`` (``b`` itself without ``unit``): it has ``b``'s spectrum and
@@ -375,12 +351,14 @@ def _fb_pair_backward(
 
     Both sides are assembled in their own state's eigenbasis from the
     forward pass's eigenpairs, with no further ``eigh``.  With ``M =
-    V_A v_M diag(m) v_M^dagger V_A^dagger``, ``B``'s side is ``Y diag(m^{-1/2})
+    V_A v_M diag(m) v_M^dagger V_A^dagger`` (``V_A = I`` for a pure
+    target), ``B``'s side is ``Y diag(m^{-1/2})
     Y^dagger`` with ``Y = P^dagger v_M`` and ``A``'s side is ``diag(a^{-1/2})
     v_M diag(m^{1/2}) v_M^dagger diag(a^{-1/2})``; each then goes through
     the conditioning adjoint and one rotation out.  That is four products
     for ``B``'s side and three for ``A``'s.  ``with_target=False`` skips
-    ``A``'s side and returns ``None`` in its place.
+    ``A``'s side and returns ``None`` in its place; a pure target
+    (:func:`_pure_root`) has no ``A`` side here and needs it.
     """
     em = cache["em"]
     vm = cache["vm"]

@@ -13,8 +13,9 @@ product states in the Heisenberg picture.
 
 The encoder has one definition, :func:`encode_qubits`: each qubit's state
 from its own rotations.  Training takes their Kronecker product
-(:func:`encode_vectors`); the readout takes each qubit's Bloch vector
-(:func:`bloch_vectors`).
+(:func:`encode_vectors`), the chain's input, which no module but this one
+turns into density matrices (:func:`pure_states`); the readout takes each
+qubit's Bloch vector (:func:`bloch_vectors`).
 
 A layer has one definition, :func:`layer_rotations`: each qubit's prefix
 products of its rotations.  Training conjugates by the ``d x d`` unitary
@@ -298,17 +299,21 @@ def encode(x, n: int) -> DensityMatrix:
     return DensityMatrix(n, pure_states(encode_vectors(feats, n))[0])
 
 
-def layer_chain(rho0, units, noise, rates=None) -> list[np.ndarray]:
-    """Propagated states ``[t_0, ..., t_L]`` of a stack ``(..., d, d)`` of inputs.
+def layer_chain(psi, units, noise, rates=None) -> list[np.ndarray]:
+    """Propagated states ``[psi, t_1, ..., t_L]``, ``L >= 1``, of a stack
+    ``(..., d)`` of input state vectors ``psi``.
 
-    Layer ``i`` conjugates by ``units[i]`` and applies the true noise
-    ``noise[i]``; with ``rates`` (cascaded mode) it then applies the learned
-    inverse with the rate row ``rates[i]``.  No state is hermitized or validated.
+    Layer ``i`` conjugates by ``units[i]`` (layer 0 takes :func:`pure_states`
+    of ``U_0 psi``, one matrix-vector product per sample, whose bits do not
+    depend on the batch) and applies the true noise ``noise[i]``; with
+    ``rates`` (cascaded mode) it then applies the learned inverse with the
+    rate row ``rates[i]``.  No state is hermitized or validated.
     """
-    chain = [rho0]
-    cur = rho0
+    cur = pure_states((units[0] @ psi[..., None])[..., 0])
+    chain = [psi]
     for i, (u, model) in enumerate(zip(units, noise)):
-        cur = u @ cur @ u.conj().T
+        if i:
+            cur = u @ cur @ u.conj().T
         cur = apply_pauli_fidelities(cur, model.generators, model.rates)
         if rates is not None:
             cur = learned_inverse(cur, rates[i])

@@ -81,16 +81,17 @@ def noise_free_invariance(seed: int, circuits: int) -> str:
     """03: without noise the divergence to the maximally mixed state
     (:func:`losses.petz_renyi_divergence`, whose reference ``I/d`` is
     implicit) stays within 1e-9 of its input value through the 8 states of
-    :func:`pqc.layer_chain` on 8 U2 layers on 4 qubits.  The encoded input
-    is a checked state; the chain's states are plain arrays, each
-    Hermiticity-checked by the divergence."""
+    :func:`pqc.layer_chain` of its vector on 8 U2 layers on 4 qubits.  The
+    encoded input is a checked state; the chain's states are plain arrays,
+    each Hermiticity-checked by the divergence."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(circuits):
         theta = _random_theta(4, 8, "U2", rng)
-        rho0 = pqc.encode(rng.uniform(0, 1, 64), 4)
-        base = losses.petz_renyi_divergence(rho0)
-        for state in pqc.layer_chain(rho0.data, _units(theta, "U2"), _zero_noise(4, 8))[1:]:
+        features = rng.uniform(0, 1, (1, 64))
+        base = losses.petz_renyi_divergence(pqc.encode(features, 4))
+        psi = pqc.encode_vectors(features, 4)[0]
+        for state in pqc.layer_chain(psi, _units(theta, "U2"), _zero_noise(4, 8))[1:]:
             worst = max(worst, abs(losses.petz_renyi_divergence(state) - base))
     assert worst <= 1e-9, f"divergence drift {worst:.3e}"
     return f"max drift {worst:.2e}"
@@ -145,9 +146,8 @@ def perfect_mitigation(seed: int, circuits: int) -> str:
         models = noise.draw_noise_models(4, 4, seed=int(rng.integers(2**31)))
         rates = np.stack([m.rates for m in models])
         units = _units(theta, "U2")
-        rho0 = pqc.pure_states(psi)
-        z_free = pqc.z_expectations(pqc.layer_chain(rho0, units, _zero_noise(4, 4))[-1])
-        z_train = pqc.z_expectations(pqc.layer_chain(rho0, units, models, rates)[-1])
+        z_free = pqc.z_expectations(pqc.layer_chain(psi, units, _zero_noise(4, 4))[-1])
+        z_train = pqc.z_expectations(pqc.layer_chain(psi, units, models, rates)[-1])
         rotations = [pqc.layer_rotations("U2", t) for t in theta]
         qubits = pqc.encode_qubits(features, 4)
         z_eval = pqc.mitigated_z_readout(qubits, rotations, models, rates, 4)

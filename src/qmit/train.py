@@ -1,7 +1,7 @@
 """Joint training of circuit angles and mitigation rates.
 
-The forward pass propagates a batch of encoded states through the noisy
-(or inline-mitigated) layer chain, computes the block forward-backward
+The forward pass propagates a batch of encoded state vectors through the
+noisy (or inline-mitigated) layer chain, computes the block forward-backward
 losses and the softmax task loss, and the backward pass pushes adjoint
 matrices through the same graph: conjugations, the Pauli channels and
 their inverses (one kernel in :mod:`qmit.noise`, with closed-form rate
@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, TrainingError, ValidationError
-from .losses import _fb_pair_backward, _fb_pair_forward, _pure_spectrum, softmax_head
+from .losses import _fb_pair_backward, _fb_pair_forward, _pure_root, softmax_head
 from .noise import (
     NoiseModel,
     apply_pauli_fidelities,
@@ -52,7 +52,6 @@ from .pqc import (
     layer_rotations,
     layer_unitary,
     mitigated_z_readout,
-    pure_states,
     z_expectations,
     z_sign_table,
 )
@@ -61,8 +60,8 @@ from .qsim import MAX_QUBITS
 NOISE_SEED_STREAM = 0xA11CE  # noise rates come from (seed, this tag), fixed across repeats
 DIVERGENCE_ABORT = 1e4
 # Samples times d**2 per chunk of a batch (see :func:`chunk_size`).  The
-# engine peaks at about 18-22 (chunk, d, d) complex stacks (the chain, its
-# adjoint and one forward-backward block), so this caps a chunk near 44 MB;
+# engine peaks at about 17-21 (chunk, d, d) complex stacks (the chain, its
+# adjoint and one forward-backward block), so this caps a chunk near 42 MB;
 # the sweep behind it is in CHANGES.md.
 CHUNK_ENTRIES = 1 << 17
 
@@ -124,8 +123,8 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.noise_source not in ("seeded", "file"):
             raise ConfigError(f"noise source must be 'seeded' or 'file', got {self.noise_source!r}")
-        if self.noise_source == "file" and not self.noise_path:
-            raise ConfigError("noise source 'file' requires noise_path")
+        if (self.noise_source == "file") != bool(self.noise_path):
+            raise ConfigError("noise_path is read only with noise source 'file', which requires it")
         if not 0.0 <= self.noise_low <= self.noise_high:
             raise ConfigError(f"invalid noise range [{self.noise_low}, {self.noise_high}]")
 
@@ -341,10 +340,9 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
     c = config.num_classes
     size = psi.shape[0]
     cascaded = config.mode == "cascaded"
-    rho0 = pure_states(psi)
     axes = DESIGN_AXES[config.design]
 
-    chain = layer_chain(rho0, units, noise_true, rates if cascaded else None)
+    chain = layer_chain(psi, units, noise_true, rates if cascaded else None)
     z = z_expectations(chain[depth])[:, :c]
     gain = np.ones(c) if cascaded else learned_z_gains(rates[-1])[:c]
     probs = softmax_head(z * gain, c)
@@ -356,7 +354,7 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
         grad_theta = [np.zeros((n, len(axes))) for _ in range(depth)]
         grad_rates = np.zeros_like(rates)
         # g_chain[0], the gradient w.r.t. the encoded input, is never formed.
-        g_chain = [None] + [np.zeros_like(rho0) for _ in range(depth)]
+        g_chain = [None] + [np.zeros_like(chain[1]) for _ in range(depth)]
         if config.alpha_fb != 0.0:
             g_loss = np.full(size, config.alpha_fb / (num_blocks * batch))
 
@@ -371,19 +369,19 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
             grad_rates[-1, 0 : 3 * c : 3] += g_gain
             grad_rates[-1, 1 : 3 * c : 3] += g_gain
         diag_vals = (g_logits * gain) @ z_sign_table(n)[:c]  # (size, dim)
-        idx = np.arange(rho0.shape[-1])
+        idx = np.arange(psi.shape[-1])
         g_chain[depth][:, idx, idx] += diag_vals
 
     def run_block(start, target):
         """Block ``start``: ``chain[end]`` pulled back through layers ``end -
-        1`` to ``start`` and compared with ``target`` (``chain[start]`` or its
-        spectrum) by the conditioned ``-log F``, then, with gradients, its
-        adjoint.  In ``loss_only`` mode each pullback first undoes the
-        learned noise; ``cascaded`` chains are mitigated inline.  The head
-        absorbs layer ``start``'s conjugation; when its input is
-        ``chain[end]`` itself, that spectrum is the next target.  Returns
-        the loss, the clamped mass and the next target.  The caches die
-        with the call, before the next block's forward."""
+        1`` to ``start`` and compared with ``target`` (``chain[start]``, its
+        spectrum or, in block 0, the input's pure root) by the conditioned
+        ``-log F``, then, with gradients, its adjoint.  In ``loss_only`` mode
+        each pullback first undoes the learned noise; ``cascaded`` chains are
+        mitigated inline.  The head absorbs layer ``start``'s conjugation;
+        when its input is ``chain[end]`` itself, that spectrum is the next
+        target.  Returns the loss, the clamped mass and the next target.
+        The caches die with the call, before the next block's forward."""
         end = start + step
         x, trail = chain[end], []
         for j in range(end - 1, start - 1, -1):
@@ -416,8 +414,8 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
         g_chain[end] += g
         return loss, mass, next_target
 
-    # Block 0's target is the encoded input, whose spectrum is closed form.
-    target = _pure_spectrum(psi)
+    # Block 0's target is the encoded input, whose conditioned root is closed form.
+    target = _pure_root(psi)
     fb_per_sample = np.zeros(size)
     clamped = 0.0
     for start in range(0, depth, step):
@@ -438,9 +436,12 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
         chain[i + 1] = None
         # Real fidelities in the Pauli basis: the channel is its own adjoint.
         g = apply_pauli_fidelities(g, noise_true[i].generators, noise_true[i].rates)
-        h = _theta_grad_forward_conj(g, chain[i], units[i], rotations[i], axes, grad_theta[i])
         if i > 0:
+            h = _theta_grad_forward_conj(g, chain[i], units[i], rotations[i], axes, grad_theta[i])
             g_chain[i] += h @ units[i]
+    # Layer 0's input is pure: K = sum_b psi_b (U psi_b)^dagger g_b, no d x d product per sample.
+    w = (units[0] @ psi[..., None]).conj().swapaxes(-1, -2) @ g
+    grad_theta[0] += angle_gradients((psi.T @ w[:, 0]) @ units[0], rotations[0], axes)
 
     return fb_per_sample, ce_per_sample, predictions, clamped, grad_theta, grad_rates
 

@@ -231,6 +231,40 @@ class TestConfigValidation:
         assert err.count("\n") == 1
         assert out.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("command,name", [
+        ("train", "checkpoint_r0.json"), ("ablation", "ablation.csv"),
+        ("trace-divergence", "trace.csv"),
+    ])
+    def test_output_file_naming_a_directory_exits_2(self, tmp_path, monkeypatch, capsys, command,
+                                                    name):
+        """An output file whose path is a directory is a config error on one
+        line of stderr, found before any training or tracing starts, and
+        nothing is written."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", forbidden)
+        monkeypatch.setattr(cli, "divergence_trace", forbidden)
+        path = write_config(tmp_path, command_payload(command))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output file {out / name} is a directory\n"
+        assert os.listdir(out) == [name]
+
+    @pytest.mark.parametrize("command", ["train", "ablation"])
+    def test_noise_path_without_file_source_writes_nothing(self, tmp_path, capsys, command):
+        """A ``noise_path`` under the default seeded noise is a config error,
+        not a run on seeded noise that ignores the file."""
+        payload = command_payload(command, noise_path=str(tmp_path / "missing.json"))
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert "noise_path is read only with noise source 'file'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mnist_requires_data_dir(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_train_payload(benchmark="MNIST-4"))
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2

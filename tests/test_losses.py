@@ -577,8 +577,11 @@ class TestFbPairBackward:
     def test_absorbed_unit_and_closed_form_target(self, n):
         """``_fb_pair_forward(a, b, u)`` compares ``a`` with ``u^dagger b u``
         without forming it, and returns the pullback's gradient w.r.t. ``b``;
-        a pure target may come as the closed-form spectrum of its vector.
-        Both agree with the matrix-form head on the explicit conjugation.
+        a pure target may come as the closed-form root of its vector
+        (:func:`losses._pure_root`).  Both agree with the matrix-form head on
+        the explicit conjugation to 1e-12: the loss, the pullback's gradient
+        and, for a matrix target, the target's gradient (a pure target is
+        the encoded input, whose gradient the engine never asks for).
         The near-degenerate pair is left out: with eigenvalue gaps near
         1e-7 its divided differences carry the rounding of ``eigh`` up by
         1e-9 relative, and ``b`` and ``u^dagger b u`` round differently."""
@@ -591,54 +594,40 @@ class TestFbPairBackward:
         b = np.stack([b for _, b in pairs.values()])
         psi = rng.standard_normal((len(pairs), dim)) + 1j * rng.standard_normal((len(pairs), dim))
         psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-        pure = losses._pure_spectrum(psi)
+        pure = losses._pure_root(psi)
         g_loss = np.linspace(0.3, 1.2, len(pairs))
         for target, dense_target in ((a, a), (pure, pqc.pure_states(psi))):
+            with_target = target is a
             loss, cache = losses._fb_pair_forward(target, b, u)
-            ga, gb = losses._fb_pair_backward(cache, g_loss)
+            ga, gb = losses._fb_pair_backward(cache, g_loss, with_target)
             ref_loss, ref_cache = dense_reference.fb_pair_forward(dense_target, u.conj().T @ b @ u)
             ref_ga, ref_gb = dense_reference.fb_pair_backward(ref_cache, g_loss)
-            for got, ref in ((loss, ref_loss), (ga, ref_ga), (gb, u @ ref_gb @ u.conj().T)):
+            checks = [(loss, ref_loss), (gb, u @ ref_gb @ u.conj().T)]
+            if with_target:
+                checks.append((ga, ref_ga))
+            else:
+                assert ga is None
+            for got, ref in checks:
                 scale = max(1.0, float(np.max(np.abs(ref))))
                 assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
-class TestPureSpectrum:
+class TestPureRoot:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_eigh(self, n):
-        """The closed-form spectrum of ``psi psi^dagger``: orthonormal
-        eigenpairs in ascending order, the conditioned spectrum of ``eigh``,
-        and ``U V`` as a rank-one update; also for ``psi`` orthogonal to
-        and equal to the last basis vector, and of norm other than 1."""
+    def test_square_is_the_conditioned_state(self, n):
+        """The square of the closed-form root ``r I + (t - r) u u^dagger`` of
+        :func:`losses._pure_root` is the dense conditioned ``psi psi^dagger``
+        to 1e-14; also for ``psi`` the first basis vector, ``i`` times the
+        last one, and of norm other than 1."""
         rng = np.random.default_rng(80 + n)
         dim = 1 << n
         psi = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
         psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
         psi[2], psi[3] = np.eye(dim)[0], 1j * np.eye(dim)[-1]
         psi[4] *= 1.0 + 1e-9
-        rho = pqc.pure_states(psi)
-        closed = losses._pure_spectrum(psi)
-        dense = losses._condition_spectrum(rho)
-        vecs = losses._rotated_vecs(closed)
-        np.testing.assert_allclose(vecs @ np.conj(np.swapaxes(vecs, -1, -2)),
-                                   np.broadcast_to(np.eye(dim), vecs.shape), rtol=0, atol=1e-14)
-        eigs = closed["eigs"]
-        np.testing.assert_allclose(rho @ vecs, vecs * eigs[:, None, :], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(closed["eigs"], dense["eigs"], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(closed["cond"], dense["cond"], rtol=0, atol=1e-14)
-        assert closed["neg_mass"] == 0.0
-        u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        np.testing.assert_allclose(losses._rotated_vecs(closed, u), u @ vecs, rtol=0, atol=1e-14)
-
-    @pytest.mark.parametrize("n", [2, 5, 8])
-    def test_rotated_vecs_of_one_state_match_its_row_of_a_stack(self, n):
-        """``U V`` of one state equals its row of a stack bit for bit, so a
-        sample's forward-backward loss does not depend on its batch."""
-        rng = np.random.default_rng(90 + n)
-        dim = 1 << n
-        psi = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
-        u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        stack = losses._rotated_vecs(losses._pure_spectrum(psi), u)
-        for b in range(3):
-            one = losses._rotated_vecs(losses._pure_spectrum(psi[b : b + 1]), u)
-            assert np.array_equal(one[0], stack[b])
+        pure = losses._pure_root(psi)
+        r = pure["r"][:, None, None]
+        root = r * np.eye(dim) + (pure["t"][:, None, None] - r) * pqc.pure_states(pure["vec"])
+        want, _ = dense_reference.condition(pqc.pure_states(psi))
+        np.testing.assert_allclose(root @ root, want, rtol=0, atol=1e-14)
+        assert pure["neg_mass"] == 0.0

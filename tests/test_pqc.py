@@ -57,10 +57,11 @@ def uniform_noise(n, depth, rate):
     return [noise.NoiseModel(n, gens, np.full(len(gens), rate))] * depth
 
 
-def noise_free_chain(rho0, layers):
-    """The states after each layer of the zero-rate :func:`pqc.layer_chain`."""
+def noise_free_chain(psi, layers):
+    """The states after each layer of the zero-rate :func:`pqc.layer_chain`
+    of the state vectors ``psi``."""
     models = uniform_noise(layers[0].n, len(layers), 0.0)
-    return pqc.layer_chain(rho0, units_of(layers), models)[1:]
+    return pqc.layer_chain(psi, units_of(layers), models)[1:]
 
 
 def entropy(rho):
@@ -430,38 +431,38 @@ class TestForwardPasses:
         rng = np.random.default_rng(6)
         for _ in range(20):
             layers = dense_reference.random_layers(4, 8, "U2", rng)
-            rho0 = qsim.pure_state(qsim.random_state_vector(4, rng)).data
-            base = entropy(rho0)
-            for state in noise_free_chain(rho0, layers):
+            psi = qsim.random_state_vector(4, rng)
+            base = entropy(pqc.pure_states(psi))
+            for state in noise_free_chain(psi, layers):
                 assert abs(entropy(state) - base) <= 1e-9
 
     def test_noise_free_divergence_invariant(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             layers = dense_reference.random_layers(4, 8, "U2", rng)
-            rho0 = qsim.pure_state(qsim.random_state_vector(4, rng))
-            base = losses.petz_renyi_divergence(rho0)
+            psi = qsim.random_state_vector(4, rng)
+            base = losses.petz_renyi_divergence(qsim.pure_state(psi))
             drift = max(
-                abs(losses.petz_renyi_divergence(s) - base)
-                for s in noise_free_chain(rho0.data, layers)
+                abs(losses.petz_renyi_divergence(s) - base) for s in noise_free_chain(psi, layers)
             )
             assert drift <= 1e-9
 
     def test_noise_free_reversal(self):
         rng = np.random.default_rng(8)
         layers = dense_reference.random_layers(4, 4, "U3", rng)
-        rho0 = qsim.pure_state(qsim.random_state_vector(4, rng)).data
-        state = noise_free_chain(rho0, layers)[-1]
+        psi = qsim.random_state_vector(4, rng)
+        state = noise_free_chain(psi, layers)[-1]
         for u in reversed(units_of(layers)):
             state = u.conj().T @ state @ u
-        assert np.linalg.norm(state - rho0) <= 1e-9
+        assert np.linalg.norm(state - pqc.pure_states(psi)) <= 1e-9
 
     def test_noisy_equals_noise_free_at_zero_rates(self):
         """Zero rates leave the dense unitary chain ``V rho V^dagger``."""
         rng = np.random.default_rng(9)
         layers = dense_reference.random_layers(4, 3, "U2", rng)
-        state = qsim.pure_state(qsim.random_state_vector(4, rng)).data
-        for layer, got in zip(layers, noise_free_chain(state, layers)):
+        psi = qsim.random_state_vector(4, rng)
+        state = pqc.pure_states(psi)
+        for layer, got in zip(layers, noise_free_chain(psi, layers)):
             u = brute_force_layer(layer.design, 4, layer.theta)
             state = u @ state @ u.conj().T
             np.testing.assert_allclose(got, state, atol=1e-12)
@@ -471,9 +472,9 @@ class TestForwardPasses:
         for lam in (0.01, 0.05):
             for _ in range(20):
                 layers = dense_reference.random_layers(4, 8, "U2", rng)
-                rho0 = qsim.pure_state(qsim.random_state_vector(4, rng))
-                chain = pqc.layer_chain(rho0.data, units_of(layers), uniform_noise(4, 8, lam))
-                values = [losses.petz_renyi_divergence(rho0)]
+                psi = qsim.random_state_vector(4, rng)
+                chain = pqc.layer_chain(psi, units_of(layers), uniform_noise(4, 8, lam))
+                values = [losses.petz_renyi_divergence(qsim.pure_state(psi))]
                 values += [losses.petz_renyi_divergence(s) for s in chain[1:]]
                 assert np.all(np.diff(values) < -1e-12)
 
@@ -481,8 +482,8 @@ class TestForwardPasses:
         rng = np.random.default_rng(11)
         layers = dense_reference.random_layers(4, 4, "RX", rng)
         models = noise.draw_noise_models(4, 4, seed=3)
-        rho0 = qsim.pure_state(qsim.random_state_vector(4, rng)).data
-        for state in pqc.layer_chain(rho0, units_of(layers), models)[1:]:
+        psi = qsim.random_state_vector(4, rng)
+        for state in pqc.layer_chain(psi, units_of(layers), models)[1:]:
             assert abs(np.trace(state).real - 1.0) <= 1e-12
 
     def test_layer_count_mismatch(self):
@@ -506,11 +507,11 @@ class TestForwardMitigated:
         are the noisy chain's."""
         rng = np.random.default_rng(13)
         layers = dense_reference.random_layers(4, 3, "U2", rng)
-        rho0 = qsim.pure_state(qsim.random_state_vector(4, rng)).data
+        psi = qsim.random_state_vector(4, rng)
         models = noise.draw_noise_models(4, 3, seed=1)
         gens, zero = noise.default_generators(4), np.zeros((3, 12))
-        noisy = pqc.layer_chain(rho0, units_of(layers), models)
-        cascaded = pqc.layer_chain(rho0, units_of(layers), models, zero)
+        noisy = pqc.layer_chain(psi, units_of(layers), models)
+        cascaded = pqc.layer_chain(psi, units_of(layers), models, zero)
         for a, b in zip(cascaded, noisy):
             np.testing.assert_allclose(a, b, atol=1e-12)
         hat = noise.apply_pauli_fidelities(noisy[-1], gens, -zero[-1])
@@ -520,11 +521,11 @@ class TestForwardMitigated:
         rng = np.random.default_rng(14)
         for _ in range(50):
             layers = dense_reference.random_layers(4, 4, "U2", rng)
-            rho0 = qsim.pure_state(qsim.random_state_vector(4, rng)).data
+            psi = qsim.random_state_vector(4, rng)
             models = noise.draw_noise_models(4, 4, seed=int(rng.integers(2**31)))
             rates = np.stack([m.rates for m in models])
-            mitigated = pqc.layer_chain(rho0, units_of(layers), models, rates)
-            for a, b in zip(mitigated[1:], noise_free_chain(rho0, layers)):
+            mitigated = pqc.layer_chain(psi, units_of(layers), models, rates)
+            for a, b in zip(mitigated[1:], noise_free_chain(psi, layers)):
                 assert np.linalg.norm(a - b) <= 1e-8
 
     def test_loss_only_removes_final_layer_noise_only(self):
@@ -537,9 +538,9 @@ class TestForwardMitigated:
         psi = pqc.encode_vectors(features, 2)
         models = noise.draw_noise_models(2, 2, seed=4, low=0.02, high=0.05)
         gens, rates = models[0].generators, np.stack([m.rates for m in models])
-        states = pqc.layer_chain(pqc.pure_states(psi), units_of(layers), models)
+        states = pqc.layer_chain(psi, units_of(layers), models)
         hat = noise.apply_pauli_fidelities(states[-1], gens, -rates[-1])
-        free = noise_free_chain(pqc.pure_states(psi), layers)
+        free = noise_free_chain(psi, layers)
         assert np.linalg.norm(hat - free[-1]) > 1e-4
         rotations = [pqc.layer_rotations("U2", layer.theta) for layer in layers]
         z = pqc.mitigated_z_readout(pqc.encode_qubits(features, 2), rotations, models, None, 2)
@@ -551,15 +552,16 @@ class TestForwardMitigated:
         applied to the previous mitigated state, then the dense inverse."""
         rng = np.random.default_rng(21)
         layers = dense_reference.random_layers(3, 3, "U2", rng)
-        rho0 = qsim.pure_state(qsim.random_state_vector(3, rng)).data
+        psi = qsim.random_state_vector(3, rng)
         models = noise.draw_noise_models(3, 3, seed=5)
         gens = noise.default_generators(3)
         rates = rng.uniform(0, 0.03, (3, 9))
-        chain = pqc.layer_chain(rho0, units_of(layers), models, rates)
+        chain = pqc.layer_chain(psi, units_of(layers), models, rates)
         want, _ = dense_reference.layer_chain(
-            rho0, units_of(layers), models, gens, rates, cascaded=True
+            pqc.pure_states(psi), units_of(layers), models, gens, rates, cascaded=True
         )
-        for got, ref in zip(chain, want):
+        assert chain[0] is psi
+        for got, ref in zip(chain[1:], want[1:]):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_mode_validated(self):

@@ -24,6 +24,10 @@ thread count, say) has one place to edit: ``numpy.linalg.eigh`` and
 A fourth keeps :mod:`qmit.losses` a module of functions of states: of the
 package it imports only the modules :data:`LOSSES_IMPORTS` names, so the
 layers, the noise and the trainer stay out of it.
+
+A fifth keeps the encoder's ``(batch, d)`` state vectors the engine's only
+input form: no module but :mod:`qmit.pqc` names ``pqc.pure_states``, so no
+stack of encoded density matrices grows back beside them.
 """
 
 import ast
@@ -133,16 +137,27 @@ def test_methods_are_checked():
     assert not any(_is_dunder(q.rsplit(".", 1)[1]) for q in defined)
 
 
+def _lines_naming(path, name):
+    """Lines of ``path`` that name ``name``: as a bare name, an attribute or
+    in an import."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and name in (getattr(node, f, None) for f in ("id", "attr", "name"))
+    ]
+
+
 def test_learned_generators_are_named_only_in_noise():
     for stem in LEARNED_INVERSE_USERS:
-        tree = ast.parse((SOURCE / f"{stem}.py").read_text(encoding="utf-8"))
-        named = [
-            node.lineno
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
-            and "default_generators" in (getattr(node, f, None) for f in ("id", "attr", "name"))
-        ]
+        named = _lines_naming(SOURCE / f"{stem}.py", "default_generators")
         assert not named, f"qmit.{stem} names default_generators (lines {named})"
+
+
+def test_pure_states_are_named_only_in_pqc():
+    for path in sorted(SOURCE.glob("*.py")):
+        named = [] if path.stem == "pqc" else _lines_naming(path, "pure_states")
+        assert not named, f"qmit.{path.stem} names pure_states (lines {named})"
 
 
 def test_eigensolvers_are_named_only_where_allowed():
