@@ -11,6 +11,11 @@ typos in hyperparameter names cannot silently change an experiment.  Every
 output file carries the resolved configuration and the code version, and
 floats are serialized via ``repr`` so reruns are byte identical.
 
+Of the package, only this module, :mod:`qmit.data` (IDX files) and
+:mod:`qmit.selftest` open files or read the environment.  A command reads
+its config, noise file and ``QMIT_THREADS`` once, checks them and every
+output location before loading data, and writes through one atomic writer.
+
 Exit codes: 0 success, 1 self-test failure, 2 configuration error,
 3 runtime/training failure.
 """
@@ -23,6 +28,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 import numpy as np
@@ -41,6 +47,7 @@ from .noise import (
     amplitude_damping_superoperator,
     apply_qubit_superoperators,
     default_generators,
+    noise_layers_from_json,
     pauli_mix_superoperators,
 )
 from .pqc import encode, rotation_matrices
@@ -49,10 +56,7 @@ from .train import (
     TrainConfig,
     config_to_json,
     noise_models_from_config,
-    replace_on_success,
     run_experiment,
-    save_checkpoint,
-    worker_count,
 )
 
 SYNTHETIC_BENCHMARKS = ("synthetic-2", "synthetic-4")
@@ -95,17 +99,19 @@ _TRACE_KEYS = {
 
 _TRACE_CHANNELS = ("pauli", "depolarizing", "amplitude_damping")
 
+_TMP_SUFFIX = ".tmp"  # an output file's temporary sibling
 
-def _load_json(path) -> dict:
+
+def _load_json(path, what: str = "config") -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise ConfigError(f"{what} {path} must be a JSON object")
     return payload
 
 
@@ -149,14 +155,37 @@ def _check_caps(payload: dict, num_classes: int) -> None:
             raise ConfigError(f"{key} must be at least the class count {num_classes}, got {cap}")
 
 
-def _repeats(payload: dict) -> int:
-    """The config's repeat count, checked with ``QMIT_THREADS`` before any
-    data is loaded or output written."""
+def _repeats_and_workers(payload: dict) -> tuple[int, int]:
+    """The config's repeat count and the threads ``QMIT_THREADS`` asks for
+    (default 1; 0 for one per CPU this process may run on), checked before
+    any data is loaded or output written."""
     repeats = int(payload.get("repeats", 1))
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
-    worker_count()
-    return repeats
+    workers_env = os.environ.get("QMIT_THREADS", "1")
+    try:
+        workers = int(workers_env)
+    except ValueError as exc:
+        raise ConfigError(f"QMIT_THREADS must be an integer, got {workers_env!r}") from exc
+    if workers < 0:
+        raise ConfigError(f"QMIT_THREADS must be >= 0, got {workers}")
+    if workers == 0 and hasattr(os, "sched_getaffinity"):
+        return repeats, len(os.sched_getaffinity(0))
+    return repeats, workers or os.cpu_count() or 1
+
+
+def _true_noise(configs: list[TrainConfig]) -> list:
+    """Each config's true noise, checked before any data is loaded; the
+    configs share one noise source, and a noise file is read once."""
+    file_models = None
+    if configs[0].noise_source == "file":
+        path = configs[0].noise_path
+        payload = _load_json(path, "noise file")
+        try:
+            file_models = noise_layers_from_json(payload)
+        except ValidationError as exc:
+            raise ConfigError(f"cannot load noise file {path}: {exc}") from exc
+    return [noise_models_from_config(cfg, file_models) for cfg in configs]
 
 
 _IDX_NAMES = {
@@ -215,11 +244,33 @@ def _make_out_dir(path: str) -> None:
 
 def _output_paths(out_dir: str, *names: str) -> list[str]:
     """The output files ``names`` in ``out_dir``, checked before any work:
-    ``ConfigError`` if one of them is a directory."""
+    ``ConfigError`` if ``out_dir`` cannot be made a directory, or if a file
+    or its temporary sibling (:data:`_TMP_SUFFIX`) is a directory."""
+    existing = os.path.abspath(out_dir)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"cannot create output directory {out_dir}: {existing} is not a directory")
     paths = [os.path.join(out_dir, name) for name in names]
-    for path in filter(os.path.isdir, paths):
+    for path in filter(os.path.isdir, (p + suffix for p in paths for suffix in ("", _TMP_SUFFIX))):
         raise ConfigError(f"output file {path} is a directory")
     return paths
+
+
+@contextmanager
+def _replace_on_success(path):
+    """Write text to ``path``'s temporary sibling, which replaces ``path``
+    if the block exits cleanly and is removed if it raises, so a failed
+    write leaves no truncated ``path``; one never opened is not removed."""
+    tmp = f"{path}{_TMP_SUFFIX}"
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _header_lines(config_echo: dict) -> list[str]:
@@ -236,7 +287,7 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path, config_echo: dict, columns: list[str], rows: Iterable[dict]) -> None:
-    with replace_on_success(path) as fh:
+    with _replace_on_success(path) as fh:
         for line in _header_lines(config_echo) + [",".join(columns)]:
             fh.write(line + "\n")
         for row in rows:
@@ -244,7 +295,7 @@ def write_csv(path, config_echo: dict, columns: list[str], rows: Iterable[dict])
 
 
 def write_json(path, payload: dict) -> None:
-    with replace_on_success(path) as fh:
+    with _replace_on_success(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -268,21 +319,19 @@ def cmd_train(config_path: str, out_dir: str) -> int:
     check_json_object(payload, _TRAIN_KEYS, "train config")
     config = build_train_config(payload)
     _check_caps(payload, config.num_classes)
-    repeats = _repeats(payload)
-    # Seeded noise follows from the checked config; a noise file may not.
-    if config.noise_source == "file":
-        noise_models_from_config(config)
+    repeats, workers = _repeats_and_workers(payload)
+    (noise_true,) = _true_noise([config])
     metrics_path, summary_path, *checkpoint_paths = _output_paths(
         out_dir, "metrics.csv", "summary.json", *(f"checkpoint_r{r}.json" for r in range(repeats))
     )
     train_set, test_set = resolve_datasets(payload)
     _make_out_dir(out_dir)
 
-    result = run_experiment(config, train_set, test_set, repeats=repeats)
+    result = run_experiment(config, train_set, test_set, noise_true, repeats, workers)
     echo = _config_echo(payload, config)
     write_csv(metrics_path, echo, _METRIC_COLUMNS, result.metrics_rows)
     for path, checkpoint in zip(checkpoint_paths, result.checkpoints):
-        save_checkpoint(path, checkpoint)
+        write_json(path, checkpoint)
     # Rates that cannot move stay at 0, the identity mitigation.
     frozen = config.rate_lr_scale == 0.0 or config.learning_rate == 0.0
     summary = {
@@ -311,7 +360,7 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
     base_payload = {k: v for k, v in payload.items() if k != "grid"}
     base_config = build_train_config(base_payload)
     _check_caps(payload, base_config.num_classes)
-    repeats = _repeats(payload)
+    repeats, workers = _repeats_and_workers(payload)
 
     # Cells are the product over every axis, in table order; an axis the
     # grid leaves out takes the base config's value.
@@ -331,16 +380,14 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
             raise ConfigError(f"grid cell {cell}: {exc}") from exc
     if not configs:
         raise ConfigError("ablation grid axes must be non-empty")
-    if base_config.noise_source == "file":
-        for cfg in configs:
-            noise_models_from_config(cfg)
+    noises = _true_noise(configs)
     (table_path,) = _output_paths(out_dir, "ablation.csv")
     train_set, test_set = resolve_datasets(base_payload)
     _make_out_dir(out_dir)
 
     rows = []
-    for cfg in configs:
-        result = run_experiment(cfg, train_set, test_set, repeats=repeats)
+    for cfg, noise_true in zip(configs, noises):
+        result = run_experiment(cfg, train_set, test_set, noise_true, repeats, workers)
         rows.append(
             {
                 "design": cfg.design,

@@ -40,11 +40,14 @@ the map :func:`learned_inverse`, its input and rate gradients
 :func:`learned_inverse_adjoint`, its fidelities :func:`learned_fidelities`
 and Z-readout gains :func:`learned_z_gains`; :func:`default_models` turns
 a rate table into noise models.
+
+This module opens no file: :func:`noise_layers_json` and its inverse
+:func:`noise_layers_from_json` convert models to and from a noise file's
+JSON, which :mod:`qmit.cli` reads.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -208,17 +211,10 @@ def noise_layers_json(models: list[NoiseModel]) -> dict:
     return {"n": models[0].n, "layers": [m.to_json() for m in models]}
 
 
-def save_noise_layers(models: list[NoiseModel], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(noise_layers_json(models), fh, indent=2, sort_keys=True)
-
-
-def load_noise_layers(path) -> list[NoiseModel]:
-    """The per-layer models of a noise file, checked as
-    :meth:`NoiseModel.from_json` checks each layer; a top-level ``"n"``
-    must be every layer's ``n``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+def noise_layers_from_json(payload) -> list[NoiseModel]:
+    """The per-layer models of a :func:`noise_layers_json` payload (a noise
+    file's parsed JSON), checked as :meth:`NoiseModel.from_json` checks
+    each layer; a top-level ``"n"`` must be every layer's ``n``."""
     check_json_object(payload, {"n": int, "layers": list}, "noise file", ("layers",))
     models = [NoiseModel.from_json(item) for item in payload["layers"]]
     if any(model.n != payload.get("n", model.n) for model in models):

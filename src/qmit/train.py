@@ -15,13 +15,14 @@ Optimizer: SGD with momentum; mitigation rates are projected to ``>= 0``
 after every step.  A single seeded RNG stream per training run is consumed
 in a documented order: parameter initialization first, then one shuffle per
 epoch.
+
+This module opens no file and reads no environment variable: :mod:`qmit.cli`
+passes in the true noise and the thread count, and writes the checkpoints.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -39,7 +40,6 @@ from .noise import (
     learned_inverse,
     learned_inverse_adjoint,
     learned_z_gains,
-    load_noise_layers,
     noise_layers_json,
 )
 from .pqc import (
@@ -152,26 +152,22 @@ class TrainState:
         }
 
 
-def noise_models_from_config(config: TrainConfig) -> list[NoiseModel]:
-    """Per-layer true noise: seeded synthetic calibration or a JSON file.
-
-    Raises ``ConfigError`` for a noise file that cannot be read or parsed,
-    or whose layer count or qubit count differs from the config's."""
+def noise_models_from_config(config: TrainConfig, file_models=None) -> list[NoiseModel]:
+    """Per-layer true noise: the seeded synthetic calibration, or with noise
+    source ``"file"`` the noise file's models ``file_models`` (which
+    :mod:`qmit.cli` reads); ``ConfigError`` if their layer count or qubit
+    count differs from the config's."""
     if config.noise_source == "file":
-        try:
-            models = load_noise_layers(config.noise_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load noise file {config.noise_path}: {exc}") from exc
-        if len(models) != config.layers:
+        if len(file_models) != config.layers:
             raise ConfigError(
-                f"noise file has {len(models)} layers, config wants {config.layers}"
+                f"noise file has {len(file_models)} layers, config wants {config.layers}"
             )
-        for i, model in enumerate(models):
+        for i, model in enumerate(file_models):
             if model.n != config.n_qubits:
                 raise ConfigError(
                     f"noise file layer {i} acts on {model.n} qubits, config has {config.n_qubits}"
                 )
-        return models
+        return file_models
     return draw_noise_models(
         config.n_qubits,
         config.layers,
@@ -654,22 +650,6 @@ def _run_single_repeat(config: TrainConfig, repeat: int, train_set, test_set, no
     return rows, checkpoint, best_acc
 
 
-def worker_count() -> int:
-    """Threads ``QMIT_THREADS`` asks for: default 1, and 0 for one per CPU
-    this process may run on.  Raises ``ConfigError`` unless the variable is
-    a nonnegative integer."""
-    workers_env = os.environ.get("QMIT_THREADS", "1")
-    try:
-        workers = int(workers_env)
-    except ValueError as exc:
-        raise ConfigError(f"QMIT_THREADS must be an integer, got {workers_env!r}") from exc
-    if workers < 0:
-        raise ConfigError(f"QMIT_THREADS must be >= 0, got {workers}")
-    if workers == 0 and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return workers or os.cpu_count() or 1
-
-
 @contextmanager
 def _thread_map(workers: int):
     """An ordered ``map`` over ``workers`` threads; the builtin for one."""
@@ -684,25 +664,26 @@ def run_experiment(
     config: TrainConfig,
     train_set: Dataset,
     test_set: Dataset,
+    noise_true: list[NoiseModel],
     repeats: int = 1,
+    workers: int = 1,
 ) -> ExperimentResult:
     """Train ``repeats`` times with seeds ``seed + r``; report mean and std.
 
-    The true noise is drawn once from the base seed (a fixed simulated
+    Every repeat runs on the true noise ``noise_true`` (one fixed simulated
     device); repeats vary initialization and shuffling only.  The reported
     accuracy per repeat is the best-epoch validation accuracy.
 
-    The :func:`worker_count` threads ``W`` split by a fixed rule:
+    The ``workers`` threads ``W`` (``QMIT_THREADS``, which :mod:`qmit.cli`
+    resolves once per command) split by a fixed rule:
     ``min(W, repeats)`` repeats run at once, each running its batches'
     chunks on ``W // min(W, repeats)`` threads.  Results are merged
     in repeat and chunk order, so they do not depend on ``W``.
     """
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
-    workers = worker_count()
     repeat_workers = min(workers, repeats)
     chunk_workers = workers // repeat_workers
-    noise_true = noise_models_from_config(config)
     encoded_train = encode_dataset(train_set, config.n_qubits)
     encoded_test = encode_qubits(test_set.features, config.n_qubits)
 
@@ -739,32 +720,6 @@ def checkpoint_payload(snapshot: dict, config: TrainConfig) -> dict:
         "mitigation": noise_layers_json(default_models(np.maximum(snapshot["rates"], 0.0))),
         "seed": config.seed,
     }
-
-
-@contextmanager
-def replace_on_success(path):
-    """Open a temporary file next to ``path`` for writing text.  It replaces
-    ``path`` when the block exits cleanly and is removed when the block
-    raises, so a failed write never leaves a truncated ``path``."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def save_checkpoint(path, payload: dict) -> None:
-    with replace_on_success(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
-def load_checkpoint(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def config_to_json(config: TrainConfig) -> dict:

@@ -1,5 +1,6 @@
 """CLI commands: config validation, outputs, determinism, exit codes."""
 
+import builtins
 import gzip
 import json
 import math
@@ -54,6 +55,16 @@ def command_payload(command, **overrides):
     if command == "ablation":
         payload["grid"] = {"alpha_fb": [0.0, 1.0]}
     return payload
+
+
+def forbid_work(monkeypatch):
+    """Make loading data, training and tracing fail the test if called."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("resolve_datasets", "run_experiment", "divergence_trace"):
+        monkeypatch.setattr(cli, name, forbidden)
 
 
 class TestConfigValidation:
@@ -129,16 +140,16 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command", ["train", "ablation"])
     def test_bad_thread_count_writes_nothing(self, tmp_path, monkeypatch, capsys, command):
-        """``QMIT_THREADS`` is checked before any data is loaded or output written."""
-        monkeypatch.setenv("QMIT_THREADS", "-3")
-        payload = synthetic_train_payload()
-        if command == "ablation":
-            payload["grid"] = {"alpha_fb": [0.0, 1.0]}
-        path = write_config(tmp_path, payload)
+        """A negative or non-integer ``QMIT_THREADS`` exits 2 before any
+        data is loaded or output written."""
+        forbid_work(monkeypatch)
+        path = write_config(tmp_path, command_payload(command))
         out = tmp_path / "out"
-        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
-        assert "QMIT_THREADS" in capsys.readouterr().err
-        assert not out.exists()
+        for value, message in (("-3", ">= 0, got -3"), ("two", "an integer, got 'two'")):
+            monkeypatch.setenv("QMIT_THREADS", value)
+            assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+            assert f"QMIT_THREADS must be {message}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_ablation_zero_repeats_writes_nothing(self, tmp_path, capsys):
         payload = synthetic_train_payload(repeats=0)
@@ -197,10 +208,11 @@ class TestConfigValidation:
             payload["n"] = 3
             noise_path.write_text(json.dumps(payload))
         elif case == "layer_count":
-            noise.save_noise_layers(noise.draw_noise_models(4, layers, seed=0), noise_path)
+            models = noise.draw_noise_models(4, layers, seed=0)
+            cli.write_json(noise_path, noise.noise_layers_json(models))
         elif case == "qubit_count":
             zero_rates = noise.draw_noise_models(3, 2, seed=0, low=0.0, high=0.0)
-            noise.save_noise_layers(zero_rates, noise_path)
+            cli.write_json(noise_path, noise.noise_layers_json(zero_rates))
         payload = synthetic_train_payload(noise_source="file", noise_path=str(noise_path))
         if command == "ablation":
             payload["grid"] = {"layer_counts": [2, 4]}
@@ -219,33 +231,35 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablation", "trace-divergence"])
-    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
-        """An ``--out`` that is an existing file is a config error on one
-        line of stderr, and the file is left as it was."""
+    def test_out_naming_a_file_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        """An ``--out`` that is an existing file, or a path under one, is a
+        config error on one line of stderr, found before any data is loaded
+        or any training or tracing starts, and the file is left as it was."""
+        forbid_work(monkeypatch)
         path = write_config(tmp_path, command_payload(command))
         out = tmp_path / "out"
         out.write_text("not a directory")
-        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: cannot create output directory {out}: ")
-        assert err.count("\n") == 1
+        for target in (out, out / "run" / "a"):
+            assert cli.main([command, "--config", path, "--out", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert err == (
+                f"config error: cannot create output directory {target}: {out} is not a directory\n"
+            )
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
         assert out.read_text() == "not a directory"
 
     @pytest.mark.parametrize("command,name", [
         ("train", "checkpoint_r0.json"), ("ablation", "ablation.csv"),
-        ("trace-divergence", "trace.csv"),
+        ("trace-divergence", "trace.csv"), ("train", "metrics.csv.tmp"),
+        ("ablation", "ablation.csv.tmp"), ("trace-divergence", "trace.csv.tmp"),
     ])
     def test_output_file_naming_a_directory_exits_2(self, tmp_path, monkeypatch, capsys, command,
                                                     name):
-        """An output file whose path is a directory is a config error on one
-        line of stderr, found before any training or tracing starts, and
-        nothing is written."""
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the run started")
-
-        monkeypatch.setattr(cli, "run_experiment", forbidden)
-        monkeypatch.setattr(cli, "divergence_trace", forbidden)
+        """An output file whose path, or its temporary sibling's, is a
+        directory is a config error on one line of stderr, found before any
+        data is loaded or any training or tracing starts, and nothing is
+        written."""
+        forbid_work(monkeypatch)
         path = write_config(tmp_path, command_payload(command))
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
@@ -269,6 +283,64 @@ class TestConfigValidation:
         path = write_config(tmp_path, synthetic_train_payload(benchmark="MNIST-4"))
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "data_dir" in capsys.readouterr().err
+
+
+class CountingEnviron(dict):
+    """An environment that counts the reads of ``QMIT_THREADS``."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == "QMIT_THREADS"
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += key == "QMIT_THREADS"
+        return super().__getitem__(key)
+
+
+class TestInputsReadOnce:
+    @pytest.mark.parametrize("command", ["train", "ablation"])
+    def test_noise_file_and_thread_count_read_once(self, tmp_path, monkeypatch, command):
+        """A run opens its noise file once and reads ``QMIT_THREADS`` once,
+        however many grid cells share them (six here), so every cell runs
+        on the device the checks saw."""
+        noise_path = tmp_path / "noise.json"
+        cli.write_json(noise_path, noise.noise_layers_json(noise.draw_noise_models(4, 2, seed=0)))
+        payload = command_payload(command, noise_source="file", noise_path=str(noise_path))
+        if command == "ablation":
+            payload["grid"] = {"step_sizes": [1, 2], "alpha_fb": [0.0, 0.5, 1.0]}
+        path = write_config(tmp_path, payload)
+        opened, real_open = [], builtins.open
+        monkeypatch.setattr(
+            builtins, "open", lambda file, *a, **k: opened.append(str(file)) or real_open(file, *a, **k)
+        )
+        environ = CountingEnviron(os.environ, QMIT_THREADS="2")
+        monkeypatch.setattr(os, "environ", environ)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert opened.count(str(noise_path)) == 1
+        assert environ.reads == 1
+        if command == "ablation":
+            assert len((tmp_path / "out" / "ablation.csv").read_text().splitlines()) == 3 + 6
+
+    def test_auto_thread_count_follows_affinity(self, tmp_path, monkeypatch):
+        """``QMIT_THREADS=0`` counts the CPUs this process may run on, not
+        every CPU of the machine, where the platform tells them apart."""
+        seen = []
+
+        def fake_experiment(cfg, train_set, test_set, noise_true, repeats, workers):
+            seen.append(workers)
+            return train.ExperimentResult([0.5], 0.5, 0.0, [], [])
+
+        monkeypatch.setattr(cli, "run_experiment", fake_experiment)
+        monkeypatch.setenv("QMIT_THREADS", "0")
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        path = write_config(tmp_path, command_payload("train"))
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "b")]) == 0
+        assert seen == [3, 64]
 
 
 class TestTrainCommand:
@@ -383,7 +455,6 @@ class TestCrashSafeWriters:
     @pytest.mark.parametrize("write,good,bad", [
         (lambda path, rows: cli.write_csv(path, {}, ["a"], rows), [{"a": 1}], [{"a": 1}, {}]),
         (cli.write_json, {"a": 1}, {"a": 2, "b": object()}),
-        (train.save_checkpoint, {"a": 1}, {"a": 2, "b": object()}),
     ])
     def test_failed_write_leaves_previous_file(self, tmp_path, write, good, bad):
         """A writer that raises part-way (a row without its column, a value
@@ -396,6 +467,15 @@ class TestCrashSafeWriters:
             write(str(path), bad)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["out"]
+
+    def test_unopened_temporary_file_is_left_alone(self, tmp_path):
+        """A temporary sibling that cannot be opened (a directory here) is
+        not the writer's to remove: the open's error is the only one."""
+        (tmp_path / "out.tmp").mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            cli.write_json(str(tmp_path / "out"), {"a": 1})
+        assert err.value.__context__ is None
+        assert os.listdir(tmp_path) == ["out.tmp"]
 
 
 class TestIdxPipeline:
@@ -562,7 +642,7 @@ class TestAblationCommand:
         (or design, then step), alpha_fb, mode; alpha_fb is written as a
         float whatever its JSON type."""
 
-        def fake_experiment(cfg, train_set, test_set, repeats):
+        def fake_experiment(cfg, train_set, test_set, noise_true, repeats, workers):
             return train.ExperimentResult([0.5], 0.5, 0.0, [], [])
 
         monkeypatch.setattr(cli, "run_experiment", fake_experiment)
@@ -609,7 +689,7 @@ class TestAblationCommand:
         """Every axis joins the product: one layer count, two designs and one
         step size are two cells, the other axes taken from the base config."""
 
-        def fake_experiment(cfg, train_set, test_set, repeats):
+        def fake_experiment(cfg, train_set, test_set, noise_true, repeats, workers):
             return train.ExperimentResult([0.5], 0.5, 0.0, [], [])
 
         monkeypatch.setattr(cli, "run_experiment", fake_experiment)

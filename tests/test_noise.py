@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from qmit import losses, noise, pqc, qsim
+from qmit import cli, losses, noise, pqc, qsim
 from qmit.errors import ValidationError
 
 
@@ -34,8 +34,8 @@ class TestPauliString:
             np.testing.assert_allclose(mat @ mat, np.eye(1 << n), atol=1e-12)
 
 
-# A noise file as save_noise_layers writes it: a generator is
-# {"pauli": letters, "lambda": rate}.
+# A noise file as cli.write_json writes noise_layers_json, but for the last
+# newline: a generator is {"pauli": letters, "lambda": rate}.
 NOISE_FILE = """{
   "layers": [
     {
@@ -106,14 +106,12 @@ class TestNoiseModel:
     def test_noise_file_loads_and_round_trips(self, tmp_path):
         """A noise file in the ``{"pauli", "lambda"}`` layout loads as
         letter strings and is written back byte for byte."""
-        path = tmp_path / "noise.json"
-        path.write_text(NOISE_FILE, encoding="utf-8")
-        (model,) = noise.load_noise_layers(path)
+        (model,) = noise.noise_layers_from_json(json.loads(NOISE_FILE))
         assert model.n == 2
         assert model.generators == ("XI", "ZZ", "IY")
         assert model.rates.tolist() == [0.01, 0.025, 0.0]
-        noise.save_noise_layers([model], tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_text(encoding="utf-8") == NOISE_FILE
+        cli.write_json(tmp_path / "again.json", noise.noise_layers_json([model]))
+        assert (tmp_path / "again.json").read_text(encoding="utf-8") == NOISE_FILE + "\n"
 
     @pytest.mark.parametrize(
         "where, change, message",
@@ -159,11 +157,9 @@ class TestNoiseModel:
              '"n" is 1, its layers act on [1, 2] qubits'),
         ],
     )
-    def test_noise_file_structure_is_checked(self, tmp_path, payload, message):
-        path = tmp_path / "noise.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+    def test_noise_file_structure_is_checked(self, payload, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
-            noise.load_noise_layers(path)
+            noise.noise_layers_from_json(payload)
 
     def test_default_generator_order(self):
         gens = noise.default_generators(2)
@@ -383,8 +379,8 @@ class TestMitigationModel:
     def test_noise_layer_file_roundtrip(self, tmp_path):
         models = noise.draw_noise_models(2, 3, seed=5)
         path = tmp_path / "noise.json"
-        noise.save_noise_layers(models, path)
-        back = noise.load_noise_layers(path)
+        cli.write_json(path, noise.noise_layers_json(models))
+        back = noise.noise_layers_from_json(json.loads(path.read_text(encoding="utf-8")))
         assert len(back) == 3
         for a, b in zip(models, back):
             np.testing.assert_allclose(a.rates, b.rates)

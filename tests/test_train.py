@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from qmit import data, losses, noise, pqc, qsim, train
+from qmit import cli, data, losses, noise, pqc, qsim, train
 from qmit.errors import ConfigError, TrainingError, ValidationError
 from qmit.selftest import fd_vs_analytic, grad_mismatch
 
@@ -890,18 +890,25 @@ class TestEvaluate:
         assert np.array_equal(a.per_class_correct, b.per_class_correct)
 
 
+def run_experiment(config, dataset, repeats, workers=1):
+    """``train.run_experiment`` on ``dataset`` for training and test, on the
+    config's seeded noise."""
+    noise_true = train.noise_models_from_config(config)
+    return train.run_experiment(config, dataset, dataset, noise_true, repeats, workers)
+
+
 class TestRunExperiment:
     def test_single_repeat_zero_std(self):
         dataset = data.synthetic_blobs(2, 8, 3.0, seed=10)
         config = small_config(epochs=2)
-        result = train.run_experiment(config, dataset, dataset, repeats=1)
+        result = run_experiment(config, dataset, repeats=1)
         assert result.std_accuracy == 0.0
         assert len(result.per_seed_accuracy) == 1
 
     def test_repeats_vary_seed_and_report_std(self):
         dataset = data.synthetic_blobs(2, 12, 3.0, seed=11)
         config = small_config(epochs=2)
-        result = train.run_experiment(config, dataset, dataset, repeats=3)
+        result = run_experiment(config, dataset, repeats=3)
         assert len(result.per_seed_accuracy) == 3
         assert result.mean_accuracy == pytest.approx(np.mean(result.per_seed_accuracy))
         expected_std = float(np.std(result.per_seed_accuracy, ddof=1))
@@ -912,17 +919,16 @@ class TestRunExperiment:
     def test_deterministic_metric_stream(self):
         dataset = data.synthetic_blobs(2, 10, 3.0, seed=12)
         config = small_config(epochs=2)
-        a = train.run_experiment(config, dataset, dataset, repeats=2)
-        b = train.run_experiment(config, dataset, dataset, repeats=2)
+        a = run_experiment(config, dataset, repeats=2)
+        b = run_experiment(config, dataset, repeats=2)
         assert a.metrics_rows == b.metrics_rows
         assert a.per_seed_accuracy == b.per_seed_accuracy
 
     def test_thread_pool_matches_serial(self, monkeypatch):
         dataset = data.synthetic_blobs(2, 10, 3.0, seed=13)
         config = small_config(epochs=1)
-        serial = train.run_experiment(config, dataset, dataset, repeats=2)
-        monkeypatch.setenv("QMIT_THREADS", "2")
-        threaded = train.run_experiment(config, dataset, dataset, repeats=2)
+        serial = run_experiment(config, dataset, repeats=2)
+        threaded = run_experiment(config, dataset, repeats=2, workers=2)
         assert serial.metrics_rows == threaded.metrics_rows
 
         # One repeat on two threads runs its batches' chunks on the pool.
@@ -933,24 +939,13 @@ class TestRunExperiment:
             train, "_run_chunk", lambda *args: ran_on.add(threading.get_ident()) or run_chunk(*args)
         )
         rows, threads = {}, {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("QMIT_THREADS", workers)
+        for workers in (1, 2):
             ran_on.clear()
-            rows[workers] = train.run_experiment(config, dataset, dataset, repeats=1).metrics_rows
+            rows[workers] = run_experiment(config, dataset, repeats=1, workers=workers).metrics_rows
             threads[workers] = set(ran_on)
-        assert rows["1"] == rows["2"]
-        assert threads["1"] == {threading.get_ident()}
-        assert threading.get_ident() not in threads["2"]
-
-    def test_auto_thread_count_follows_affinity(self, monkeypatch):
-        """``QMIT_THREADS=0`` counts the CPUs this process may run on, not
-        every CPU of the machine, where the platform tells them apart."""
-        monkeypatch.setenv("QMIT_THREADS", "0")
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert train.worker_count() == 3
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert train.worker_count() == 64
+        assert rows[1] == rows[2]
+        assert threads[1] == {threading.get_ident()}
+        assert threading.get_ident() not in threads[2]
 
     def test_noise_fixed_across_repeats(self):
         """Repeats share the base-seed noise draw (one simulated device)."""
@@ -964,20 +959,18 @@ class TestRunExperiment:
 
 
 class TestCheckpoint:
-    def test_payload_roundtrip(self, tmp_path):
+    def test_payload_roundtrip(self):
         config = small_config()
         state = train.init_state(config)
         payload = train.checkpoint_payload(state.snapshot(), config)
-        path = tmp_path / "ckpt.json"
-        train.save_checkpoint(path, payload)
-        loaded = train.load_checkpoint(path)
+        loaded = json.loads(json.dumps(payload))
         assert loaded["epoch"] == 0
         np.testing.assert_allclose(np.asarray(loaded["theta"]), np.stack(state.theta))
         cfg = train.config_from_json(loaded["config"])
         assert cfg == config
         assert len(loaded["mitigation"]["layers"]) == config.layers
 
-    def test_mitigation_block_reads_back_to_trained_rates(self, tmp_path):
+    def test_mitigation_block_reads_back_to_trained_rates(self):
         """Each layer of a checkpoint's ``"mitigation"`` block reads back
         through ``NoiseModel.from_json`` to the trained rates, bit for bit,
         and the block is the noise-file format of those models."""
@@ -986,9 +979,8 @@ class TestCheckpoint:
         state = train.init_state(config)
         epoch(state, dataset, config)
         assert np.any(state.rates > 0.0)
-        path = tmp_path / "ckpt.json"
-        train.save_checkpoint(path, train.checkpoint_payload(state.snapshot(), config))
-        block = train.load_checkpoint(path)["mitigation"]
+        payload = train.checkpoint_payload(state.snapshot(), config)
+        block = json.loads(json.dumps(payload))["mitigation"]
         models = [noise.NoiseModel.from_json(item) for item in block["layers"]]
         assert block["n"] == config.n_qubits
         assert all(m.generators == noise.default_generators(config.n_qubits) for m in models)
@@ -1043,8 +1035,8 @@ class TestConfigValidation:
     def test_file_noise_loads(self, tmp_path):
         models = noise.draw_noise_models(3, 2, seed=1)
         path = tmp_path / "noise.json"
-        noise.save_noise_layers(models, path)
+        cli.write_json(path, noise.noise_layers_json(models))
         config = small_config(noise_source="file", noise_path=str(path))
-        loaded = train.noise_models_from_config(config)
+        (loaded,) = cli._true_noise([config])
         for a, b in zip(loaded, models):
             np.testing.assert_allclose(a.rates, b.rates)

@@ -28,6 +28,10 @@ layers, the noise and the trainer stay out of it.
 A fifth keeps the encoder's ``(batch, d)`` state vectors the engine's only
 input form: no module but :mod:`qmit.pqc` names ``pqc.pure_states``, so no
 stack of encoded density matrices grows back beside them.
+
+A sixth keeps files and the environment at the package's edge: only the
+modules in :data:`FILE_USERS` import a module of :data:`FILE_MODULES` or
+call an ``open``, so each input is read, and checked, in one place.
 """
 
 import ast
@@ -38,9 +42,7 @@ SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qmit"
 ALLOWED = {
     "data.save_idx_images": "IDX writer: builds corpora of the IDX files dataset_from_idx subsamples",
     "data.save_idx_labels": "IDX writer: builds corpora of the IDX files dataset_from_idx subsamples",
-    "noise.save_noise_layers": "writes the noise file that noise_source 'file' loads",
     "train.config_from_json": "reads back the config that a checkpoint stores",
-    "train.load_checkpoint": "reads the checkpoint files that qmit train writes",
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -48,6 +50,10 @@ _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 LEARNED_INVERSE_USERS = ("pqc", "losses", "train")
 
 LOSSES_IMPORTS = {"errors", "qsim"}
+
+# qmit.data reads and writes IDX files; qmit.selftest runs the CLI on files.
+FILE_USERS = {"cli", "data", "selftest"}
+FILE_MODULES = {"os", "json", "io", "pathlib", "shutil", "tempfile"}
 
 EIGENSOLVER_USERS = {
     "eigh": {"losses._eigh"},
@@ -181,3 +187,23 @@ def test_losses_imports_only_errors_and_qsim():
         elif isinstance(node, ast.Import):
             imported.update(a.name[5:] for a in node.names if a.name.startswith("qmit."))
     assert imported <= LOSSES_IMPORTS, f"qmit.losses imports {sorted(imported - LOSSES_IMPORTS)}"
+
+
+def test_only_the_edge_modules_touch_files_and_the_environment():
+    found = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            elif isinstance(node, ast.Call):
+                called = {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+                modules = ["open"] if "open" in called else []
+            else:
+                continue
+            for name in modules:
+                if name == "open" or name.split(".")[0] in FILE_MODULES:
+                    found.setdefault(path.stem, set()).add(name)
+    strays = {stem: sorted(names) for stem, names in found.items() if stem not in FILE_USERS}
+    assert not strays, f"only {sorted(FILE_USERS)} may touch files or the environment: {strays}"
