@@ -108,6 +108,8 @@ def _load_json(path, what: str = "config") -> dict:
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -438,7 +440,7 @@ def divergence_trace(
     checked.  Each value is one :func:`petz_renyi_divergence` call, whose
     reference ``I/d`` is implicit: ``log d`` plus a trace of ``rho``'s own
     power, with no matrix product at ``alpha = 2`` and no ``eigh`` at
-    integer ``alpha``.
+    integer ``alpha`` up to 64.
     """
     if channel not in _TRACE_CHANNELS:
         raise ConfigError(f"channel must be one of {_TRACE_CHANNELS}, got {channel!r}")

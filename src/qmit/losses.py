@@ -29,7 +29,7 @@ eigenvectors rotated by ``U^dagger`` are the pullback's, and the
 pullback's gradient leaves that eigenbasis already conjugated back to
 ``X``.  A block costs 10 batched d x d products with the target's gradient
 and 7 without it, besides up to three ``eigh``, and a chain state that is
-one block's pullback input and the next block's target is decomposed once.
+one block's target and the previous block's pullback input is decomposed once.
 A pure target stays a vector: the root overlap applies its conditioned root
 (:func:`_pure_root`) as a rank-one update, so its block costs 6 products
 and two ``eigh`` and forms no matrix of the target.
@@ -61,6 +61,9 @@ _INV_SQRT_FLOOR = 1e-13
 # before fractional powers; rank-deficiency residues of order 1e-16 would
 # otherwise contribute ~1e-8 per spurious eigenvalue through a square root.
 _SPECTRAL_REL_FLOOR = 1e-13
+# Divergence orders above this are taken in log space.  Up to it a state's
+# Tr rho^alpha is at least d^-alpha >= 2^-640 (d <= 2^10), far from underflow.
+_LOG_SPACE_ORDER = 64.0
 
 
 def _state_data(state) -> np.ndarray:
@@ -131,10 +134,23 @@ def petz_renyi_divergence(rho, alpha: float = 2.0) -> float:
     sign.  Other orders sum the powers of one ``eigvalsh``'s eigenvalues,
     clamped by :func:`_floored`.  A :class:`DensityMatrix` is read as it
     is; a plain array is checked for Hermiticity first.
+
+    Orders above ``_LOG_SPACE_ORDER`` (64), where ``Tr[rho^alpha]``
+    underflows, are taken in log space from the clamped spectrum, with
+    ``l`` its largest eigenvalue: ``log(d l) + log(sum_i l_i (l_i /
+    l)^(alpha - 1)) / (alpha - 1)``, whose sum is at least ``l``.  It tends
+    to ``log(d l)`` as ``alpha`` grows.
     """
     if not (alpha > 0.0) or alpha == 1.0:
         raise ValidationError(f"divergence order must be positive and != 1, got {alpha}")
     a = _state_data(rho)
+    if alpha > _LOG_SPACE_ORDER:
+        eigs = _floored(np.linalg.eigvalsh(a))
+        top = float(eigs.max())
+        if not top > 0.0:
+            return math.inf
+        tail = float(np.sum(eigs * (eigs / top) ** (alpha - 1.0)))
+        return math.log(a.shape[0] * top) + math.log(tail) / (alpha - 1.0)
     if alpha == 2.0:
         value = np.vdot(a, a).real
     elif float(alpha).is_integer():
@@ -226,10 +242,12 @@ def _pure_root(psi: np.ndarray) -> dict:
     return {"vec": vec, "r": root[..., 0], "t": root[..., -1], "neg_mass": 0.0}
 
 
-def _weighted_gram(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _weighted_gram(y: np.ndarray, w: np.ndarray, spent: bool = False) -> np.ndarray:
     """``y diag(w) y^dagger`` for a stack ``y`` and real weights ``w`` on its
-    last axis: one product."""
-    return (y * w[..., None, :]) @ _dagger(y)
+    last axis: one product.  With ``spent``, ``y`` is conjugated in place
+    for the product instead of copied; the product gets the same operands."""
+    scaled = y * w[..., None, :]
+    return scaled @ (np.swapaxes(np.conj(y, out=y), -1, -2) if spent else _dagger(y))
 
 
 def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
@@ -304,18 +322,19 @@ def _root_overlap(cache_a: dict, cache_b: dict, unit: np.ndarray | None = None):
 def _fb_pair_forward(a, b: np.ndarray, unit: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
     """Conditioned ``-log F`` for batched Hermitian state pairs.
 
-    ``a`` is the target, a stack ``(..., d, d)``, a spectrum cache formed
-    before (by :func:`_condition_spectrum`), so a state that two blocks
-    share is decomposed once, or the :func:`_pure_root` of a pure target;
-    ``b`` is the pullback's input, a stack.  The returned loss has the
-    batch shape.  The state compared with the target is ``B = unit^dagger
-    b unit`` (``b`` itself without ``unit``): it has ``b``'s spectrum and
-    the eigenvectors ``V_B = unit^dagger V_b``, so the conjugation is never
-    formed.  The fidelity is the squared root overlap
-    (:func:`_root_overlap`) of the conditioned target and pullback.
+    ``a`` is the target, a stack ``(..., d, d)`` or the :func:`_pure_root`
+    of a pure target; ``b`` is the pullback's input, a stack or a spectrum
+    cache formed before (the ``"cache_a"`` of a block whose target it was,
+    by :func:`_condition_spectrum`), so a state that two blocks share is
+    decomposed once.  The returned loss has the batch shape.  The state
+    compared with the target is ``B = unit^dagger b unit`` (``b`` itself
+    without ``unit``): it has ``b``'s spectrum and the eigenvectors ``V_B =
+    unit^dagger V_b``, so the conjugation is never formed.  The fidelity is
+    the squared root overlap (:func:`_root_overlap`) of the conditioned
+    target and pullback.
     """
     cache_a = a if isinstance(a, dict) else _condition_spectrum(a)
-    cache_b = _condition_spectrum(b)
+    cache_b = b if isinstance(b, dict) else _condition_spectrum(b)
     p, em, vm = _root_overlap(cache_a, cache_b, unit)
     trace_sqrt = np.sum(np.sqrt(np.clip(em, 0.0, None)), axis=-1)
     fid = trace_sqrt**2
@@ -359,13 +378,21 @@ def _fb_pair_backward(
     for ``B``'s side and three for ``A``'s.  ``with_target=False`` skips
     ``A``'s side and returns ``None`` in its place; a pure target
     (:func:`_pure_root`) has no ``A`` side here and needs it.
+
+    ``cache`` is consumed, so that each temporary is freed once read: ``P``
+    leaves it and is conjugated in place for ``Y``, and ``Y`` and ``v_M``
+    are conjugated in place for their grams.
     """
     em = cache["em"]
     vm = cache["vm"]
     g_scale = np.asarray(g_loss) * (-1.0 / cache["fid"]) * cache["trace_sqrt"]
 
     inv_root_m = g_scale[..., None] / np.sqrt(np.clip(em, _INV_SQRT_FLOOR, None))
-    g_b = _weighted_gram(_dagger(cache["p"]) @ vm, inv_root_m)
+    p = cache.pop("p")
+    y = np.swapaxes(np.conj(p, out=p), -1, -2) @ vm
+    del p
+    g_b = _weighted_gram(y, inv_root_m, spent=True)
+    del y
     g_b_raw = hermitize(_condition_adjoint_eigenbasis(g_b, cache["cache_b"]))
     del g_b
     if not with_target:
@@ -374,7 +401,7 @@ def _fb_pair_backward(
     cache_a = cache["cache_a"]
     root_m = g_scale[..., None] * np.sqrt(np.clip(em, 0.0, None))
     inv_root_a = 1.0 / np.sqrt(cache_a["cond"])
-    g_a = _weighted_gram(vm, root_m)
+    g_a = _weighted_gram(vm, root_m, spent=True)
     g_a *= inv_root_a[..., :, None]
     g_a *= inv_root_a[..., None, :]
     g_a_raw = hermitize(_condition_adjoint_eigenbasis(g_a, cache_a))

@@ -165,6 +165,7 @@ def learned_inverse_adjoint(g: np.ndarray, y: np.ndarray, rate_row) -> tuple[np.
     tg, _ = _superoperators_pairs_last(g, butterflies)
     ty, _ = _superoperators_pairs_last(np.swapaxes(y, -1, -2), butterflies)
     product = np.einsum("bk,bk->k", tg.reshape(-1, 4**n), ty.reshape(-1, 4**n)).real
+    del tg, ty  # free both transforms before the inverse's output is formed
     marginals = np.stack([np.einsum("aib->i", product.reshape(4**q, 4, -1)) for q in range(n)])
     anti = np.stack([_ANTICOMMUTES[ch] for ch in "XYZ"], axis=1)
     grad = (2.0 / g.shape[-1]) * (marginals @ anti)
@@ -286,8 +287,11 @@ def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, tuple]:
     dtype = np.result_type(x, np.float64, *per_qubit.values())
     first, undo = _pair_layout(lead, n, tuple(per_qubit))
     split = x.shape[:lead] + (2,) * (2 * n)
-    y = np.ascontiguousarray(x.reshape(split).transpose(first), dtype=dtype)
-    y = digit_passes(y.reshape(1, -1), [s.astype(dtype) for s in per_qubit.values()])
+    ops = [s.astype(dtype) for s in per_qubit.values()]
+    # The transposed copy is handed straight to the passes, so nothing here
+    # holds it once the first pass has read it.
+    y = digit_passes(np.ascontiguousarray(x.reshape(split).transpose(first), dtype=dtype)
+                     .reshape(1, -1), ops)
     return y.reshape(split), undo
 
 

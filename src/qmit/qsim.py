@@ -64,8 +64,12 @@ def _hermiticity_defect(data: np.ndarray) -> float:
 
 
 def hermitize(data: np.ndarray) -> np.ndarray:
-    """Symmetrize away the floating-point anti-Hermitian residue."""
-    return 0.5 * (data + np.conj(np.swapaxes(data, -1, -2)))
+    """Symmetrize away the floating-point anti-Hermitian residue:
+    ``(data + data^dagger) / 2``, formed in one new C-ordered array."""
+    out = np.conj(np.swapaxes(data, -1, -2), out=np.empty(data.shape, np.result_type(data)))
+    out += data
+    out *= 0.5
+    return out
 
 
 def _check_traces(data: np.ndarray) -> None:

@@ -60,9 +60,9 @@ from .qsim import MAX_QUBITS
 NOISE_SEED_STREAM = 0xA11CE  # noise rates come from (seed, this tag), fixed across repeats
 DIVERGENCE_ABORT = 1e4
 # Samples times d**2 per chunk of a batch (see :func:`chunk_size`).  The
-# engine peaks at about 17-21 (chunk, d, d) complex stacks (the chain, its
-# adjoint and one forward-backward block), so this caps a chunk near 42 MB;
-# the sweep behind it is in CHANGES.md.
+# engine peaks at about 13-16 (chunk, d, d) complex stacks (the chain, the
+# live part of its adjoint and one forward-backward block), so this caps a
+# chunk near 32 MB; the sweep behind it is in CHANGES.md.
 CHUNK_ENTRIES = 1 << 17
 
 
@@ -328,6 +328,13 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
     the angle and rate gradients of the batch loss restricted to these
     samples: the adjoints are normalised by ``batch``, so the gradients of
     a batch's chunks add up to the batch gradient.
+
+    The blocks run last to first, each with its adjoint, and the chain
+    adjoint runs one block behind them, freeing each chain state and its
+    gradient once read, so the chain's gradient never holds more than a
+    block's span.  Every sum keeps the order of a pass that runs all blocks
+    first: a boundary's gradient is (pullback + target) + layer adjoint,
+    and the losses and masses are summed in block order.
     """
     depth = config.layers
     step = config.step_size
@@ -346,13 +353,22 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
     predictions = np.argmax(probs, axis=1)
 
     g_loss = None
+    # g_chain[i], the gradient w.r.t. chain[i], is created by its first term
+    # and freed by layer i's adjoint, its last reader; g_chain[0], the
+    # gradient w.r.t. the encoded input, is never formed.
+    g_chain = [None] * (depth + 1)
     if want_grads:
         grad_theta = [np.zeros((n, len(axes))) for _ in range(depth)]
         grad_rates = np.zeros_like(rates)
-        # g_chain[0], the gradient w.r.t. the encoded input, is never formed.
-        g_chain = [None] + [np.zeros_like(chain[1]) for _ in range(depth)]
         if config.alpha_fb != 0.0:
             g_loss = np.full(size, config.alpha_fb / (num_blocks * batch))
+
+    def add(i, g):
+        """Add the term ``g``, which nothing else holds, to ``g_chain[i]``."""
+        if g_chain[i] is None:
+            g_chain[i] = g
+        else:
+            g_chain[i] += g
 
     # Task head adjoint, before any block's.
     if want_grads and config.alpha_task != 0.0:
@@ -366,18 +382,23 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
             grad_rates[-1, 1 : 3 * c : 3] += g_gain
         diag_vals = (g_logits * gain) @ z_sign_table(n)[:c]  # (size, dim)
         idx = np.arange(psi.shape[-1])
+        g_chain[depth] = np.zeros_like(chain[depth])
         g_chain[depth][:, idx, idx] += diag_vals
 
-    def run_block(start, target):
+    spectrum = None  # chain[end]'s conditioned spectrum, left by the next block
+
+    def run_block(start):
         """Block ``start``: ``chain[end]`` pulled back through layers ``end -
-        1`` to ``start`` and compared with ``target`` (``chain[start]``, its
-        spectrum or, in block 0, the input's pure root) by the conditioned
-        ``-log F``, then, with gradients, its adjoint.  In ``loss_only`` mode
-        each pullback first undoes the learned noise; ``cascaded`` chains are
-        mitigated inline.  The head absorbs layer ``start``'s conjugation;
-        when its input is ``chain[end]`` itself, that spectrum is the next
-        target.  Returns the loss, the clamped mass and the next target.
-        The caches die with the call, before the next block's forward."""
+        1`` to ``start`` and compared with its target (``chain[start]`` or, in
+        block 0, the input's pure root) by the conditioned ``-log F``, then,
+        with gradients, its adjoint into ``g_chain[start]`` and
+        ``g_chain[end]``.  In ``loss_only`` mode each pullback first undoes
+        the learned noise; ``cascaded`` chains are mitigated inline.  The
+        head absorbs layer ``start``'s conjugation and reads ``spectrum`` when
+        its input is ``chain[end]`` itself (else drops it first), and leaves
+        its target's spectrum there for the block before.  Returns the loss
+        and the clamped mass; the caches die with the call."""
+        nonlocal spectrum
         end = start + step
         x, trail = chain[end], []
         for j in range(end - 1, start - 1, -1):
@@ -388,18 +409,21 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
             trail.append((j, x))
             if j > start:
                 x = units[j].conj().T @ x @ units[j]
-        loss, fid_cache = _fb_pair_forward(target, x, units[start])
-        next_target = fid_cache["cache_b"] if x is chain[end] else chain[end]
+        if x is not chain[end]:
+            spectrum = None
+        target = chain[start] if start > 0 else _pure_root(psi)
+        loss, fid_cache = _fb_pair_forward(target, x if spectrum is None else spectrum, units[start])
+        spectrum = fid_cache["cache_a"]
         mass = fid_cache["neg_mass"]
         if g_loss is None:
-            return loss, mass, next_target
+            return loss, mass
         # g is the gradient w.r.t. the input of layer start's conjugation,
         # which the fidelity head absorbed.
         g_target, g = _fb_pair_backward(fid_cache, g_loss, with_target=start > 0)
         # The fidelity cache is spent: free it before the pullback's adjoint.
         del fid_cache
         if start > 0:
-            g_chain[start] += g_target
+            add(start, g_target)
         for j, conj_input in reversed(trail):
             if j > start:
                 g = units[j] @ g @ units[j].conj().T
@@ -407,24 +431,14 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
             if not cascaded:
                 g, g_rates = learned_inverse_adjoint(g, conj_input, rates[j])
                 grad_rates[j] += g_rates
-        g_chain[end] += g
-        return loss, mass, next_target
+        add(end, g)
+        return loss, mass
 
-    # Block 0's target is the encoded input, whose conditioned root is closed form.
-    target = _pure_root(psi)
-    fb_per_sample = np.zeros(size)
-    clamped = 0.0
-    for start in range(0, depth, step):
-        loss_vec, mass, target = run_block(start, target)
-        fb_per_sample += loss_vec / num_blocks
-        clamped += mass
-
-    if not want_grads:
-        return fb_per_sample, ce_per_sample, predictions, clamped, None, None
-
-    # Chain adjoint.  Layer i is the last reader of chain[i + 1] and
-    # g_chain[i + 1], which are freed as it goes.
-    for i in range(depth - 1, -1, -1):
+    def layer_adjoint(i):
+        """Layer ``i``'s adjoint, from ``g_chain[i + 1]`` into ``g_chain[i]``
+        (and, for the pure input, into layer 0's angles alone).  Layer ``i``
+        is the last reader of ``chain[i + 1]`` and ``g_chain[i + 1]``, which
+        it frees."""
         g, g_chain[i + 1] = g_chain[i + 1], None
         if cascaded:
             g, g_rates = learned_inverse_adjoint(g, chain[i + 1], rates[i])
@@ -434,11 +448,29 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
         g = apply_pauli_fidelities(g, noise_true[i].generators, noise_true[i].rates)
         if i > 0:
             h = _theta_grad_forward_conj(g, chain[i], units[i], rotations[i], axes, grad_theta[i])
-            g_chain[i] += h @ units[i]
-    # Layer 0's input is pure: K = sum_b psi_b (U psi_b)^dagger g_b, no d x d product per sample.
-    w = (units[0] @ psi[..., None]).conj().swapaxes(-1, -2) @ g
-    grad_theta[0] += angle_gradients((psi.T @ w[:, 0]) @ units[0], rotations[0], axes)
+            add(i, h @ units[i])
+        else:
+            # Layer 0's input is pure: K = sum_b psi_b (U psi_b)^dagger g_b, no d x d product per sample.
+            w = (units[0] @ psi[..., None]).conj().swapaxes(-1, -2) @ g
+            grad_theta[0] += angle_gradients((psi.T @ w[:, 0]) @ units[0], rotations[0], axes)
 
+    # Once block b has run, g_chain[end_b] holds its pullback term and block
+    # b + 1's target term: layer end_b's adjoint, then b's interior layers'.
+    per_block = []
+    for start in range(depth - step, -1, -step):
+        per_block.append(run_block(start))
+        if want_grads:
+            for i in range(min(start + step, depth - 1), start, -1):
+                layer_adjoint(i)
+    fb_per_sample = np.zeros(size)
+    clamped = 0.0
+    for loss_vec, mass in reversed(per_block):  # summed in block order
+        fb_per_sample += loss_vec / num_blocks
+        clamped += mass
+
+    if not want_grads:
+        return fb_per_sample, ce_per_sample, predictions, clamped, None, None
+    layer_adjoint(0)
     return fb_per_sample, ce_per_sample, predictions, clamped, grad_theta, grad_rates
 
 

@@ -95,6 +95,19 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("command", ["train", "ablation", "trace-divergence"])
+    def test_config_not_utf8_writes_nothing(self, tmp_path, monkeypatch, capsys, command):
+        """A config whose bytes are not UTF-8 is a config error on one line
+        of stderr, before any work starts, not a traceback."""
+        forbid_work(monkeypatch)
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "is not UTF-8 text" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_weights_both_zero_rejected_at_load(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_train_payload(alpha_fb=0.0, alpha_task=0.0))
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
@@ -185,13 +198,14 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command", ["train", "ablation"])
     @pytest.mark.parametrize(
-        "case", ["missing", "not_json", "layer_count", "qubit_count", "string_rate", "top_level_n"]
+        "case", ["missing", "not_json", "not_utf8", "layer_count", "qubit_count", "string_rate",
+                 "top_level_n"]
     )
     def test_bad_noise_file_writes_nothing(self, tmp_path, capsys, command, case):
-        """A noise file that is missing, not JSON, written for another layer
-        or qubit count, with a rate written as a string, or whose top-level
-        ``"n"`` is not its layers' exits 2 before any data is loaded or
-        output written.  The ablation grid runs 2 and 4
+        """A noise file that is missing, not UTF-8, not JSON, written for
+        another layer or qubit count, with a rate written as a string, or
+        whose top-level ``"n"`` is not its layers' exits 2 before any data is
+        loaded or output written.  The ablation grid runs 2 and 4
         layers, so there a 2-layer file fits the base config and fails on the
         second cell only; the 3-qubit file has zero rates, so only its qubit
         count is wrong."""
@@ -199,6 +213,8 @@ class TestConfigValidation:
         layers = 2 if command == "ablation" else 3
         if case == "not_json":
             noise_path.write_text("{not json")
+        elif case == "not_utf8":
+            noise_path.write_bytes(b"\xff\xfe{}")
         elif case == "string_rate":
             payload = noise.noise_layers_json(noise.draw_noise_models(4, 2, seed=0))
             payload["layers"][1]["generators"][0]["lambda"] = "0.01"
@@ -742,6 +758,20 @@ class TestTraceCommand:
         lines = (out / "trace.csv").read_text().splitlines()[3:]
         values = np.array([float(line.split(",")[1]) for line in lines])
         assert np.all(np.diff(values) < -1e-12)
+
+    def test_huge_order_stays_finite(self, tmp_path):
+        """At ``alpha = 1e308`` every value of an amplitude-damping trace is
+        finite, in ``[0, log d]``, and the command exits 0."""
+        payload = {"channel": "amplitude_damping", "operations": 20, "rate": 0.05,
+                   "alpha": 1e308, "n_qubits": 2}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "tr"
+        assert cli.main(["trace-divergence", "--config", path, "--out", str(out)]) == 0
+        lines = (out / "trace.csv").read_text().splitlines()[3:]
+        values = np.array([float(line.split(",")[1]) for line in lines])
+        assert len(values) == 21
+        assert np.all((values >= 0.0) & (values <= math.log(4) + 1e-12))
+        assert values[0] == pytest.approx(math.log(4), abs=1e-12)
 
     def test_amplitude_damping_initial_decline(self, tmp_path):
         values = cli.divergence_trace(4, 120, "amplitude_damping", 0.08, seed=5)

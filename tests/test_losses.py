@@ -1,5 +1,6 @@
 """Fidelity, Renyi divergence, and the training losses."""
 
+import decimal
 import logging
 import math
 
@@ -166,6 +167,29 @@ class TestPetzRenyi:
             for alpha in (0.5, 2.0, 3.0):
                 got = losses.petz_renyi_divergence(pure, alpha)
                 assert got == pytest.approx(n * math.log(2), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [1e3, 1e6, 1e6 + 0.5, 1e308])
+    def test_large_orders_stay_finite(self, alpha):
+        """Where ``Tr rho^alpha`` underflows the divergence is still ``log d
+        + log Tr[rho^alpha] / (alpha - 1)``, here in 40-digit decimals, on a
+        pure and a mixed state in a random basis, and it stays below its
+        limit ``log(d lambda_max)``.  At ``alpha = 1e308`` the decimals
+        underflow too, and the limit is the reference."""
+        rng = np.random.default_rng(31)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        ctx = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+        for eigs in ([1.0, 0.0, 0.0, 0.0], [0.5, 0.3, 0.2, 0.0]):
+            rho = qsim.hermitize((q * eigs) @ q.conj().T)
+            limit = math.log(4 * max(eigs))
+            if alpha == 1e308:
+                want = limit
+            else:
+                order = decimal.Decimal(alpha)
+                total = sum(ctx.power(decimal.Decimal(e), order) for e in eigs if e > 0.0)
+                want = float(ctx.ln(4) + ctx.divide(ctx.ln(total), order - 1))
+            got = losses.petz_renyi_divergence(rho, alpha)
+            assert got == pytest.approx(want, rel=0, abs=1e-13), eigs
+            assert got <= limit + 1e-15
 
     def test_two_level_example(self):
         rho = qsim.DensityMatrix(1, np.diag([0.75, 0.25]).astype(complex))
@@ -565,10 +589,13 @@ class TestFbPairBackward:
                     assert got == pytest.approx(fd, abs=1e-6), (name, moved)
 
     def test_without_target_skips_it(self):
+        """The backward consumes its forward cache, so each call gets its own,
+        built from the same inputs."""
         rng = np.random.default_rng(60)
         a, b = _fb_pairs(rng, 2)["mixed"]
         _, cache = losses._fb_pair_forward(a[None], b[None])
         ga, gb = losses._fb_pair_backward(cache, np.ones(1))
+        _, cache = losses._fb_pair_forward(a[None], b[None])
         none, gb_only = losses._fb_pair_backward(cache, np.ones(1), with_target=False)
         assert none is None
         assert np.array_equal(gb, gb_only)
