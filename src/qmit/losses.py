@@ -194,11 +194,11 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(hermitize(x))
-
-
-def _dagger(x: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(x, -1, -2))
+    """Eigenpairs of the hermitized ``x``; ``x`` is freed (when nothing
+    else holds it) before the eigensolver runs."""
+    h = hermitize(x)
+    del x
+    return np.linalg.eigh(h)
 
 
 def _spectrum_cache(eigs: np.ndarray, vecs: np.ndarray | None) -> dict:
@@ -242,12 +242,13 @@ def _pure_root(psi: np.ndarray) -> dict:
     return {"vec": vec, "r": root[..., 0], "t": root[..., -1], "neg_mass": 0.0}
 
 
-def _weighted_gram(y: np.ndarray, w: np.ndarray, spent: bool = False) -> np.ndarray:
+def _weighted_gram(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``y diag(w) y^dagger`` for a stack ``y`` and real weights ``w`` on its
-    last axis: one product.  With ``spent``, ``y`` is conjugated in place
-    for the product instead of copied; the product gets the same operands."""
+    last axis: one product.  ``y`` is conjugated in place for the product
+    (the caller owns it, and after the call it holds ``conj(y)``); its
+    transposed view is the product's right operand."""
     scaled = y * w[..., None, :]
-    return scaled @ (np.swapaxes(np.conj(y, out=y), -1, -2) if spent else _dagger(y))
+    return scaled @ np.swapaxes(np.conj(y, out=y), -1, -2)
 
 
 def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
@@ -263,6 +264,9 @@ def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
     *Functions of Matrices*, SIAM 2008, section 3.2), with the derivative
     ``sigmoid`` at the midpoint of (numerically) equal eigenvalues.  The
     rotation out of the eigenbasis (two products) is its only matrix work.
+    It is formed as ``conj(conj(V g) V^T)`` with both conjugations in
+    place, so it holds one temporary stack and copies no ``V^dagger``; the
+    result has the bits of ``V g V^dagger``.
     """
     eigs = cache["eigs"]
     fe = cache["fe"]
@@ -276,7 +280,11 @@ def _condition_adjoint_eigenbasis(g: np.ndarray, cache: dict) -> np.ndarray:
 
     g *= _softplus_divided_differences(eigs, fe)
     vecs = cache["vecs"]
-    return np.matmul(vecs @ g, _dagger(vecs), out=g)
+    rotated = vecs @ g
+    np.conj(rotated, out=rotated)
+    np.matmul(rotated, np.swapaxes(vecs, -1, -2), out=g)
+    del rotated
+    return np.conj(g, out=g)
 
 
 def _softplus_divided_differences(eigs: np.ndarray, fe: np.ndarray) -> np.ndarray:
@@ -296,8 +304,8 @@ def _softplus_divided_differences(eigs: np.ndarray, fe: np.ndarray) -> np.ndarra
 
 def _root_overlap(cache_a: dict, cache_b: dict, unit: np.ndarray | None = None):
     """The root overlap of the spectrum cache ``cache_b`` and ``cache_a``, a
-    spectrum cache too or a pure root (:func:`_pure_root`): ``P`` and the
-    eigenpairs ``(m, v_M)`` of ``M = P diag(b) P^dagger``.
+    spectrum cache too or a pure root (:func:`_pure_root`): ``conj(P)`` and
+    the eigenpairs ``(m, v_M)`` of ``M = P diag(b) P^dagger``.
 
     ``M`` is ``A^{1/2} B A^{1/2}`` for ``B = W diag(b) W^dagger``, ``W =
     unit^dagger V_b`` (``unit`` absent: the identity), which is never formed,
@@ -306,15 +314,24 @@ def _root_overlap(cache_a: dict, cache_b: dict, unit: np.ndarray | None = None):
     diag(sqrt(a)) V_A^dagger W``: three products besides the ``eigh``, two
     without ``unit``.  For a pure root ``P = A^{1/2} W``, a rank-one update
     of ``W``: two products.
+
+    No copy of a stack is made for a conjugate transpose: ``V_A^dagger W``
+    is ``conj(V_A^T conj(W))``, with ``W`` conjugated in place when it was
+    formed here (without ``unit`` it is ``V_b``, which is only read), and
+    :func:`_weighted_gram` leaves ``conj(P)`` behind.  ``W`` is freed once
+    ``P`` exists, and ``M`` before its ``eigh``.
     """
-    w = cache_b["vecs"] if unit is None else _dagger(unit) @ cache_b["vecs"]
+    w = cache_b["vecs"] if unit is None else unit.conj().T @ cache_b["vecs"]
+    owned = None if unit is None else w
     if "vec" in cache_a:
         u, r = cache_a["vec"], cache_a["r"][..., None, None]
         p = u[..., :, None] * ((cache_a["t"][..., None, None] - r) * (u.conj()[..., None, :] @ w))
-        p += r * w
+        p += np.multiply(r, w, out=owned)
     else:
-        p = _dagger(cache_a["vecs"]) @ w
+        p = np.swapaxes(cache_a["vecs"], -1, -2) @ np.conj(w, out=owned)
+        np.conj(p, out=p)
         p *= np.sqrt(cache_a["cond"])[..., :, None]
+    del w, owned
     em, vm = _eigh(_weighted_gram(p, cache_b["cond"]))
     return p, em, vm
 
@@ -335,7 +352,7 @@ def _fb_pair_forward(a, b: np.ndarray, unit: np.ndarray | None = None) -> tuple[
     """
     cache_a = a if isinstance(a, dict) else _condition_spectrum(a)
     cache_b = b if isinstance(b, dict) else _condition_spectrum(b)
-    p, em, vm = _root_overlap(cache_a, cache_b, unit)
+    p_conj, em, vm = _root_overlap(cache_a, cache_b, unit)
     trace_sqrt = np.sum(np.sqrt(np.clip(em, 0.0, None)), axis=-1)
     fid = trace_sqrt**2
     loss = np.maximum(-np.log(fid), 0.0)
@@ -343,7 +360,7 @@ def _fb_pair_forward(a, b: np.ndarray, unit: np.ndarray | None = None) -> tuple[
     cache = {
         "cache_a": cache_a,
         "cache_b": cache_b,
-        "p": p,
+        "p_conj": p_conj,
         "em": em,
         "vm": vm,
         "trace_sqrt": trace_sqrt,
@@ -379,19 +396,20 @@ def _fb_pair_backward(
     ``A``'s side and returns ``None`` in its place; a pure target
     (:func:`_pure_root`) has no ``A`` side here and needs it.
 
-    ``cache`` is consumed, so that each temporary is freed once read: ``P``
-    leaves it and is conjugated in place for ``Y``, and ``Y`` and ``v_M``
-    are conjugated in place for their grams.
+    ``cache`` is consumed: ``conj(P)`` and ``v_M`` are popped from it, and
+    each is freed once read, ``conj(P)`` when ``Y`` exists and ``v_M`` after
+    ``A``'s gram; ``Y`` and ``v_M`` are conjugated in place for their grams
+    (:func:`_weighted_gram`).  The spectrum caches are only read: ``A``'s is
+    the pullback spectrum of the block before, and without ``unit`` the
+    eigenvectors in ``B``'s are ``W`` itself.
     """
     em = cache["em"]
-    vm = cache["vm"]
+    vm = cache.pop("vm")
     g_scale = np.asarray(g_loss) * (-1.0 / cache["fid"]) * cache["trace_sqrt"]
 
     inv_root_m = g_scale[..., None] / np.sqrt(np.clip(em, _INV_SQRT_FLOOR, None))
-    p = cache.pop("p")
-    y = np.swapaxes(np.conj(p, out=p), -1, -2) @ vm
-    del p
-    g_b = _weighted_gram(y, inv_root_m, spent=True)
+    y = np.swapaxes(cache.pop("p_conj"), -1, -2) @ vm
+    g_b = _weighted_gram(y, inv_root_m)
     del y
     g_b_raw = hermitize(_condition_adjoint_eigenbasis(g_b, cache["cache_b"]))
     del g_b
@@ -401,9 +419,9 @@ def _fb_pair_backward(
     cache_a = cache["cache_a"]
     root_m = g_scale[..., None] * np.sqrt(np.clip(em, 0.0, None))
     inv_root_a = 1.0 / np.sqrt(cache_a["cond"])
-    g_a = _weighted_gram(vm, root_m, spent=True)
+    g_a = _weighted_gram(vm, root_m)
+    del vm
     g_a *= inv_root_a[..., :, None]
     g_a *= inv_root_a[..., None, :]
     g_a_raw = hermitize(_condition_adjoint_eigenbasis(g_a, cache_a))
     return g_a_raw, g_b_raw
-

@@ -371,7 +371,9 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates) -> np.ndarray:
     per qubit takes ``x`` to the Pauli digits of the kernel's pair layout,
     the result is multiplied by :func:`pauli_fidelity_table` over ``d`` and
     passed back (:func:`digit_passes`), and one transpose restores the
-    layout of ``x``.  ``x`` is never written.
+    layout of ``x``; nothing holds the digits once the first pass back has
+    read them, so either path peaks near two stacks the size of ``x``.
+    ``x`` is never written.
     May return ``x`` itself when every rate is zero; otherwise the
     generators must act on the qubits of ``x``.
     """
@@ -386,12 +388,22 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates) -> np.ndarray:
     if mixes is not None:
         return apply_qubit_superoperators(x, mixes)
     n = _num_qubits(x)
-    y, undo = _superoperators_pairs_last(x, [(q, _BUTTERFLY) for q in range(n)])
-    split = y.shape
-    y = y.reshape(-1, 4**n)
-    y *= pauli_fidelity_table(generators, rates) / x.shape[-1]
-    y = digit_passes(y, [_BUTTERFLY] * n)
-    return y.reshape(split).transpose(undo).reshape(x.shape)
+    # The scaled digits are handed straight to the passes back, so nothing
+    # here holds them once the first pass has read them.
+    y = digit_passes(_scaled_pauli_digits(x, pauli_fidelity_table(generators, rates) / x.shape[-1]),
+                     [_BUTTERFLY] * n)
+    _, undo = _pair_layout(x.ndim - 2, n, tuple(range(n)))
+    return y.reshape(x.shape[:-2] + (2,) * (2 * n)).transpose(undo).reshape(x.shape)
+
+
+def _scaled_pauli_digits(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The unnormalized Pauli digits of ``x`` (one ``_BUTTERFLY`` pass per
+    qubit), shape ``(rows, 4^n)`` in the kernel's pair layout, times
+    ``scale`` of shape ``(4^n,)``."""
+    y, _ = _superoperators_pairs_last(x, [(q, _BUTTERFLY) for q in range(_num_qubits(x))])
+    y = y.reshape(-1, scale.size)
+    y *= scale
+    return y
 
 
 def qubit_fidelities(generators, rates):

@@ -60,9 +60,9 @@ from .qsim import MAX_QUBITS
 NOISE_SEED_STREAM = 0xA11CE  # noise rates come from (seed, this tag), fixed across repeats
 DIVERGENCE_ABORT = 1e4
 # Samples times d**2 per chunk of a batch (see :func:`chunk_size`).  The
-# engine peaks at about 13-16 (chunk, d, d) complex stacks (the chain, the
+# engine peaks at about 11-13 (chunk, d, d) complex stacks (the chain, the
 # live part of its adjoint and one forward-backward block), so this caps a
-# chunk near 32 MB; the sweep behind it is in CHANGES.md.
+# chunk near 26 MB; the sweep behind it is in CHANGES.md.
 CHUNK_ENTRIES = 1 << 17
 
 
@@ -330,18 +330,22 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
     a batch's chunks add up to the batch gradient.
 
     The blocks run last to first, each with its adjoint, and the chain
-    adjoint runs one block behind them, freeing each chain state and its
-    gradient once read, so the chain's gradient never holds more than a
-    block's span.  Every sum keeps the order of a pass that runs all blocks
-    first: a boundary's gradient is (pullback + target) + layer adjoint,
-    and the losses and masses are summed in block order.
+    adjoint runs beside them: the adjoint of layer ``end``, the next
+    block's first, is formed just before the block and added just after
+    it, and the block's interior layers follow.  Each chain state and each
+    gradient is freed once read, so the chain's gradient never holds more
+    than a block's span, and the task head's gradient stays a diagonal
+    until layer ``L - 1`` reads it.  Every sum keeps the order of a pass
+    that runs all blocks first: a boundary's gradient is (pullback +
+    target) + layer adjoint, and the losses and masses are summed in block
+    order.
     """
     depth = config.layers
     step = config.step_size
     num_blocks = depth // step
     n = config.n_qubits
     c = config.num_classes
-    size = psi.shape[0]
+    size, dim = psi.shape
     cascaded = config.mode == "cascaded"
     axes = DESIGN_AXES[config.design]
 
@@ -354,7 +358,7 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
 
     g_loss = None
     # g_chain[i], the gradient w.r.t. chain[i], is created by its first term
-    # and freed by layer i's adjoint, its last reader; g_chain[0], the
+    # and freed by layer i - 1's adjoint, its last reader; g_chain[0], the
     # gradient w.r.t. the encoded input, is never formed.
     g_chain = [None] * (depth + 1)
     if want_grads:
@@ -371,6 +375,7 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
             g_chain[i] += g
 
     # Task head adjoint, before any block's.
+    task_diag = None
     if want_grads and config.alpha_task != 0.0:
         g_logits = probs.copy()
         g_logits[np.arange(size), labels] -= 1.0
@@ -380,10 +385,9 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
             g_gain = 2.0 * gain * np.einsum("bq,bq->q", g_logits, z)
             grad_rates[-1, 0 : 3 * c : 3] += g_gain
             grad_rates[-1, 1 : 3 * c : 3] += g_gain
-        diag_vals = (g_logits * gain) @ z_sign_table(n)[:c]  # (size, dim)
-        idx = np.arange(psi.shape[-1])
-        g_chain[depth] = np.zeros_like(chain[depth])
-        g_chain[depth][:, idx, idx] += diag_vals
+        # The task term of g_chain[depth] is diagonal: it stays a (size, d)
+        # diagonal until layer depth - 1's adjoint reads g_chain[depth].
+        task_diag = (g_logits * gain) @ z_sign_table(n)[:c]
 
     spectrum = None  # chain[end]'s conditioned spectrum, left by the next block
 
@@ -396,8 +400,10 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
         the learned noise; ``cascaded`` chains are mitigated inline.  The
         head absorbs layer ``start``'s conjugation and reads ``spectrum`` when
         its input is ``chain[end]`` itself (else drops it first), and leaves
-        its target's spectrum there for the block before.  Returns the loss
-        and the clamped mass; the caches die with the call."""
+        its target's spectrum there for the block before.  In ``loss_only``
+        mode the pullback is the last reader of ``chain[end]``, which the
+        block frees.  Returns the loss and the clamped mass; the caches die
+        with the call."""
         nonlocal spectrum
         end = start + step
         x, trail = chain[end], []
@@ -411,6 +417,8 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
                 x = units[j].conj().T @ x @ units[j]
         if x is not chain[end]:
             spectrum = None
+        if not cascaded:
+            chain[end] = None
         target = chain[start] if start > 0 else _pure_root(psi)
         loss, fid_cache = _fb_pair_forward(target, x if spectrum is None else spectrum, units[start])
         spectrum = fid_cache["cache_a"]
@@ -434,34 +442,52 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
         add(end, g)
         return loss, mass
 
-    def layer_adjoint(i):
-        """Layer ``i``'s adjoint, from ``g_chain[i + 1]`` into ``g_chain[i]``
-        (and, for the pure input, into layer 0's angles alone).  Layer ``i``
-        is the last reader of ``chain[i + 1]`` and ``g_chain[i + 1]``, which
-        it frees."""
+    def layer_term(i):
+        """Layer ``i``'s adjoint: from ``g_chain[i + 1]``, which it frees, the
+        term it adds to ``g_chain[i]``, or ``None`` for layer 0, whose input
+        is pure and whose adjoint reaches its angles alone.  In ``cascaded``
+        mode it is the last reader of ``chain[i + 1]``, its learned inverse's
+        output; in ``loss_only`` mode, of its input ``chain[i]`` when no block
+        pulls that back.  It frees what it last reads."""
         g, g_chain[i + 1] = g_chain[i + 1], None
+        if i + 1 == depth and task_diag is not None:
+            # IEEE addition commutes: the blocks' terms plus the diagonal
+            # has the bits of the diagonal plus the blocks' terms.
+            g = np.zeros((size, dim, dim), complex) if g is None else g
+            g[:, np.arange(dim), np.arange(dim)] += task_diag
         if cascaded:
             g, g_rates = learned_inverse_adjoint(g, chain[i + 1], rates[i])
             grad_rates[i] += g_rates
-        chain[i + 1] = None
+            chain[i + 1] = None
         # Real fidelities in the Pauli basis: the channel is its own adjoint.
         g = apply_pauli_fidelities(g, noise_true[i].generators, noise_true[i].rates)
-        if i > 0:
-            h = _theta_grad_forward_conj(g, chain[i], units[i], rotations[i], axes, grad_theta[i])
-            add(i, h @ units[i])
-        else:
+        if i == 0:
             # Layer 0's input is pure: K = sum_b psi_b (U psi_b)^dagger g_b, no d x d product per sample.
             w = (units[0] @ psi[..., None]).conj().swapaxes(-1, -2) @ g
             grad_theta[0] += angle_gradients((psi.T @ w[:, 0]) @ units[0], rotations[0], axes)
+            return None
+        h = _theta_grad_forward_conj(g, chain[i], units[i], rotations[i], axes, grad_theta[i])
+        del g
+        if not cascaded and i % step:
+            chain[i] = None
+        return h @ units[i]
 
-    # Once block b has run, g_chain[end_b] holds its pullback term and block
-    # b + 1's target term: layer end_b's adjoint, then b's interior layers'.
+    # g_chain[end_b + 1] is complete once block b + 1 and its interior layers
+    # have run, so layer end_b's term is formed before block b, which then
+    # holds it instead of g_chain[end_b + 1] (and, in cascaded mode,
+    # chain[end_b + 1]).  It is added after block b's terms, then b's
+    # interior layers run.
     per_block = []
     for start in range(depth - step, -1, -step):
+        end = start + step
+        term = layer_term(end) if want_grads and end < depth else None
         per_block.append(run_block(start))
+        if term is not None:
+            add(end, term)
+        del term  # g_chain[end] holds it now, or the sum with it
         if want_grads:
-            for i in range(min(start + step, depth - 1), start, -1):
-                layer_adjoint(i)
+            for i in range(end - 1, start, -1):
+                add(i, layer_term(i))
     fb_per_sample = np.zeros(size)
     clamped = 0.0
     for loss_vec, mass in reversed(per_block):  # summed in block order
@@ -470,7 +496,7 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
 
     if not want_grads:
         return fb_per_sample, ce_per_sample, predictions, clamped, None, None
-    layer_adjoint(0)
+    layer_term(0)
     return fb_per_sample, ce_per_sample, predictions, clamped, grad_theta, grad_rates
 
 

@@ -404,7 +404,7 @@ class TestTaskLoss:
 def conditioned_adjoint(grad, cache):
     """The engine's conditioning adjoint for a standard-basis gradient."""
     vecs = cache["vecs"]
-    return losses._condition_adjoint_eigenbasis(losses._dagger(vecs) @ grad @ vecs, cache)
+    return losses._condition_adjoint_eigenbasis(dense_reference._dagger(vecs) @ grad @ vecs, cache)
 
 
 class TestConditioning:
@@ -439,7 +439,7 @@ class TestConditioning:
         rho = np.stack([qsim.random_density_matrix(2, rng).data, np.diag([1.04, -0.04, 0, 0])])
         cache = losses._condition_spectrum(rho)
         vecs = cache["vecs"]
-        rebuilt = (vecs * cache["cond"][..., None, :]) @ losses._dagger(vecs)
+        rebuilt = (vecs * cache["cond"][..., None, :]) @ dense_reference._dagger(vecs)
         np.testing.assert_allclose(rebuilt, dense_reference.condition(rho)[0], rtol=0, atol=1e-14)
 
     def test_adjoint_matches_finite_differences(self):
@@ -599,6 +599,25 @@ class TestFbPairBackward:
         none, gb_only = losses._fb_pair_backward(cache, np.ones(1), with_target=False)
         assert none is None
         assert np.array_equal(gb, gb_only)
+
+    @pytest.mark.parametrize("with_unit", [False, True])
+    def test_spectrum_caches_are_not_written(self, with_unit):
+        """The head conjugates only stacks it owns: the target's eigenvectors,
+        which the block before reads as its pullback spectrum, and the
+        pullback's, which are ``W`` itself without a unit, keep their bits
+        through the forward and backward pass."""
+        rng = np.random.default_rng(61)
+        pairs = _fb_pairs(rng, 3)
+        cache_a = losses._condition_spectrum(np.stack([a for a, _ in pairs.values()]))
+        cache_b = losses._condition_spectrum(np.stack([b for _, b in pairs.values()]))
+        before = [cache_a["vecs"].copy(), cache_b["vecs"].copy()]
+        u = None
+        if with_unit:
+            u, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        _, cache = losses._fb_pair_forward(cache_a, cache_b, u)
+        losses._fb_pair_backward(cache, np.ones(len(pairs)))
+        assert np.array_equal(cache_a["vecs"], before[0])
+        assert np.array_equal(cache_b["vecs"], before[1])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_absorbed_unit_and_closed_form_target(self, n):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,6 +489,30 @@ class TestPauliFidelityKernel:
         noise.apply_pauli_fidelities(x, gens, rates)
         noise.apply_pauli_fidelities(x, gens, -rates)
         assert np.array_equal(x, before)
+
+
+class TestKernelMemory:
+    @pytest.mark.parametrize(
+        "gens", [["ZZIIIIII", "IXXIIIII", "YIYIIIII", "XIIIIIII"], noise.default_generators(8)],
+        ids=["general", "separable"],
+    )
+    def test_peak_in_stacks(self, gens):
+        """Both paths of the kernel peak below 2.5 copies of a ``(2, 256,
+        256)`` input (traced memory, input excluded): 2.25 on the general
+        path, whose Pauli-digit stack is freed by the first pass back, and
+        2.00 on the separable one.  Holding the digit stack through the
+        passes back took 3.00."""
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal((2, 256, 256)) + 1j * rng.standard_normal((2, 256, 256))
+        rates = rng.uniform(0.0, 0.02, len(gens))
+        noise.apply_pauli_fidelities(x, gens, rates)
+        tracemalloc.start()
+        try:
+            noise.apply_pauli_fidelities(x, gens, rates)
+            peak = tracemalloc.get_traced_memory()[1] / x.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5, peak
 
 
 @st.composite

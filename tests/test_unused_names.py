@@ -45,6 +45,15 @@ ALLOWED = {
     "train.config_from_json": "reads back the config that a checkpoint stores",
 }
 
+# Names the package has removed, each with what replaced it; none may be
+# defined again.
+REMOVED = {
+    "losses._dagger": "stacks are conjugated in place and read through transposed views",
+    "losses.fb_blocks": "train._run_chunk runs each block and its adjoint",
+    "qsim.hermitian_power": "losses._root_overlap takes roots on spectra",
+    "train.load_checkpoint": "qmit.cli reads every file",
+}
+
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 LEARNED_INVERSE_USERS = ("pqc", "losses", "train")
@@ -132,6 +141,12 @@ def test_allowed_names_are_defined_and_unused():
         assert qualified in defined, f"{qualified} is allowed but not defined"
         users = _users(qualified, used)
         assert not users, f"{qualified} is allowed but used by {users}"
+
+
+def test_removed_names_stay_removed():
+    defined, _ = _definitions_and_uses()
+    back = sorted(set(REMOVED) & set(defined))
+    assert not back, f"removed names are defined again: {back}"
 
 
 def test_methods_are_checked():
