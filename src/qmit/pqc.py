@@ -17,22 +17,24 @@ from its own rotations.  Training takes their Kronecker product
 turns into density matrices (:func:`pure_states`); the readout takes each
 qubit's Bloch vector (:func:`bloch_vectors`).
 
-A layer has one definition, :func:`layer_rotations`: each qubit's prefix
-products of its rotations.  Training conjugates by the ``d x d`` unitary
-that :func:`layer_unitary` builds from them and takes every angle gradient
-from their ``2 x 2`` matrices (:func:`angle_gradients`).  The readout never
-forms the unitary: it works on real Pauli coefficients, where each qubit's
-rotation is its real 4x4 Pauli transfer matrix
-(:func:`pauli_transfer_matrices`), the CNOT ring maps each Pauli string to a
-signed Pauli string (:func:`_ring_pauli_gather`) and every Pauli channel
-multiplies each string by its fidelity.  Layer 0's rotations act on the
-samples' Bloch vectors instead, and one real GEMM reads them out.
+The model's angles are one ``(L, n, p)`` array, ``p`` angles per qubit
+and layer, one per design axis.  The layers have one definition,
+:func:`layer_rotations`: from that array, in one call, each qubit's prefix
+products of its rotations in every layer.  Training conjugates by the
+``d x d`` unitary that :func:`layer_unitary` builds from a layer's entry
+and takes every angle gradient from their ``2 x 2`` matrices
+(:func:`angle_gradients`).  The readout never forms the unitary: it works
+on real Pauli coefficients, where each qubit's rotation is its real 4x4
+Pauli transfer matrix (:func:`pauli_transfer_matrices`), the CNOT ring
+maps each Pauli string to a signed Pauli string (:func:`_ring_pauli_gather`)
+and every Pauli channel multiplies each string by its fidelity.  Layer 0's
+rotations act on the samples' Bloch vectors instead, and one real GEMM
+reads them out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -60,36 +62,6 @@ EXECUTION_MODES = ("loss_only", "cascaded")
 # I, X, Y, Z as one (4, 2, 2) stack.
 _PAULI_MATRICES = np.stack([PAULIS[ch] for ch in "IXYZ"])
 _PAULI_MATRICES.setflags(write=False)
-
-
-@dataclass
-class LayerSpec:
-    """One parameterized layer: rotation angles plus the CNOT ring."""
-
-    design: str
-    n: int
-    theta: np.ndarray  # shape (n, axes-per-design)
-
-    def __post_init__(self):
-        if self.design not in DESIGN_AXES:
-            raise ValidationError(
-                f"unknown layer design {self.design!r}, expected one of {sorted(DESIGN_AXES)}"
-            )
-        _check_qubit_count(self.n)
-        axes = DESIGN_AXES[self.design]
-        theta = np.array(self.theta, dtype=float, copy=True)
-        if theta.shape != (self.n, len(axes)):
-            raise ValidationError(
-                f"theta shape {theta.shape} does not match {self.design} on "
-                f"{self.n} qubits (expected {(self.n, len(axes))})"
-            )
-        if not np.all(np.isfinite(theta)):
-            raise ValidationError("layer angles must be finite")
-        self.theta = theta
-
-    @property
-    def axes(self) -> str:
-        return DESIGN_AXES[self.design]
 
 
 @lru_cache(maxsize=None)
@@ -152,26 +124,39 @@ def rotation_matrices(angles, sigma: np.ndarray) -> np.ndarray:
 
 
 def layer_rotations(design: str, theta) -> np.ndarray:
-    """The one definition of a layer: each qubit's prefix products of its
-    rotations, ``R_{q,<=a} = R_{q,a} ... R_{q,0}``, shape ``(n, axes, 2, 2)``.
+    """The one definition of the layers: each qubit's prefix products of its
+    rotations in every layer, ``R_{l,q,<=a} = R_{l,q,a} ... R_{l,q,0}``,
+    shape ``(L, n, axes, 2, 2)`` for the ``(L, n, axes)`` angles ``theta``.
 
-    ``R_{q,a}`` rotates qubit ``q`` by ``theta[q, a]`` about the design's
-    axis ``a``.  The last prefix ``V_q = R_{q,<=last}`` is the qubit's whole
-    rotation, and the layer unitary is ``ring @ kron(V_0, ..., V_{n-1})``
-    (:func:`layer_unitary`).
+    ``R_{l,q,a}`` rotates qubit ``q`` of layer ``l`` by ``theta[l, q, a]``
+    about the design's axis ``a``.  The last prefix ``V_{l,q} =
+    R_{l,q,<=last}`` is the qubit's whole rotation, and layer ``l``'s
+    unitary is ``ring @ kron(V_{l,0}, ..., V_{l,n-1})``
+    (:func:`layer_unitary` of entry ``l``).  Raises ``ValidationError``
+    unless the design is known and ``theta`` holds ``L >= 1`` layers on
+    ``1 <= n <= MAX_QUBITS`` qubits, one finite angle per design axis.
     """
-    layer = LayerSpec(design, len(theta), theta)
-    sigmas = np.stack([PAULIS[axis] for axis in layer.axes])
-    prefix = rotation_matrices(layer.theta, sigmas)
-    for a in range(1, len(layer.axes)):
-        prefix[:, a] = prefix[:, a] @ prefix[:, a - 1]
+    if design not in DESIGN_AXES:
+        raise ValidationError(f"unknown layer design {design!r}, not one of {sorted(DESIGN_AXES)}")
+    axes = DESIGN_AXES[design]
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 3 or not len(theta) or theta.shape[2] != len(axes):
+        raise ValidationError(f"theta shape {theta.shape} is not (layers >= 1, n, {len(axes)})")
+    _check_qubit_count(theta.shape[1])
+    if not np.all(np.isfinite(theta)):
+        raise ValidationError("layer angles must be finite")
+    sigmas = np.stack([PAULIS[axis] for axis in axes])
+    prefix = rotation_matrices(theta, sigmas)
+    for a in range(1, len(axes)):
+        prefix[:, :, a] = prefix[:, :, a] @ prefix[:, :, a - 1]
     return prefix
 
 
 def layer_unitary(rotations: np.ndarray) -> np.ndarray:
-    """The ``d x d`` unitary of the layer whose :func:`layer_rotations` are
-    ``rotations``: ``kron(V_0, ..., V_{n-1})`` with its rows gathered by the
-    ring permutation.  The only place a layer unitary is built."""
+    """The ``d x d`` unitary of the layer whose :func:`layer_rotations` entry
+    is ``rotations``, shape ``(n, axes, 2, 2)``: ``kron(V_0, ..., V_{n-1})``
+    with its rows gathered by the ring permutation.  The only place a layer
+    unitary is built."""
     return reduce(np.kron, rotations[:, -1])[_cnot_ring_permutation(len(rotations))]
 
 
@@ -199,7 +184,7 @@ def _one_qubit_marginals(w: np.ndarray) -> np.ndarray:
 
 def angle_gradients(j: np.ndarray, rotations: np.ndarray, axes: str) -> np.ndarray:
     """``2 Re tr(dU/dtheta[q, a] K)`` for every angle, shape ``(n, len(axes))``,
-    from ``j = K U`` and the layer's :func:`layer_rotations`.
+    from ``j = K U`` and the layer's :func:`layer_rotations` entry.
 
     The derivative of rotation ``a`` on qubit ``q`` inserts the generator
     ``G_a = -i sigma_a / 2`` after its prefix (Jones & Gacon,
@@ -342,11 +327,11 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
     Z readouts of the last states ``rho_b`` of :func:`layer_chain` with
     ``rates`` (or ``None``) for the product states whose qubits' states are
     ``qubits``, shape ``(N, n, 2)`` (:func:`encode_qubits`), through the
-    layers whose :func:`layer_rotations` are ``rotations`` and the true
-    noise ``noise``.  With ``rates`` that is the mitigated readout of
-    ``cascaded`` mode; ``loss_only`` mode reads the noisy chain
-    (``rates=None``) and multiplies by :func:`~qmit.noise.learned_z_gains`
-    of its last rate row.  Raises ``ValidationError`` unless there is one
+    layers whose :func:`layer_rotations` are ``rotations``, shape ``(L, n,
+    axes, 2, 2)``, and the true noise ``noise``.  With ``rates`` that is the
+    mitigated readout of ``cascaded`` mode; ``loss_only`` mode reads the
+    noisy chain (``rates=None``) and multiplies by
+    :func:`~qmit.noise.learned_z_gains` of its last rate row.  Raises ``ValidationError`` unless there is one
     noise model (and rate row) per layer, rate rows have ``3n`` entries,
     ``1 <= count <= n`` and the qubit states and generators act on the
     layers' ``n`` qubits.

@@ -66,15 +66,14 @@ def _zero_noise(n: int, layers: int) -> list[noise.NoiseModel]:
     return noise.default_models(np.zeros((layers, 3 * n)))
 
 
-def _random_theta(n: int, depth: int, design: str, rng, scale: float = math.pi) -> list:
-    """Layer angles drawn uniformly from ``[-scale, scale)``, one ``(n, p)``
-    array per layer."""
-    p = len(pqc.DESIGN_AXES[design])
-    return [rng.uniform(-scale, scale, size=(n, p)) for _ in range(depth)]
+def _random_theta(n: int, depth: int, design: str, rng, scale: float = math.pi) -> np.ndarray:
+    """The ``(depth, n, p)`` angles of ``depth`` layers, drawn uniformly from
+    ``[-scale, scale)``."""
+    return rng.uniform(-scale, scale, size=(depth, n, len(pqc.DESIGN_AXES[design])))
 
 
-def _units(theta: list, design: str) -> list[np.ndarray]:
-    return [pqc.layer_unitary(pqc.layer_rotations(design, t)) for t in theta]
+def _units(theta: np.ndarray, design: str) -> list[np.ndarray]:
+    return [pqc.layer_unitary(r) for r in pqc.layer_rotations(design, theta)]
 
 
 def noise_free_invariance(seed: int, circuits: int) -> str:
@@ -148,7 +147,7 @@ def perfect_mitigation(seed: int, circuits: int) -> str:
         units = _units(theta, "U2")
         z_free = pqc.z_expectations(pqc.layer_chain(psi, units, _zero_noise(4, 4))[-1])
         z_train = pqc.z_expectations(pqc.layer_chain(psi, units, models, rates)[-1])
-        rotations = [pqc.layer_rotations("U2", t) for t in theta]
+        rotations = pqc.layer_rotations("U2", theta)
         qubits = pqc.encode_qubits(features, 4)
         z_eval = pqc.mitigated_z_readout(qubits, rotations, models, rates, 4)
         worst_train = max(worst_train, float(np.max(np.abs(z_train - z_free))))
@@ -202,7 +201,9 @@ def grad_mismatch(analytic: float, fd: float) -> float:
 def fd_vs_analytic(config, theta, rates, noise_true, batch, h: float = 1e-4) -> float:
     """Worst :func:`grad_mismatch` between the analytic gradient of every angle
     and rate and its central difference with step ``h``, for the engine
-    :func:`train._run_batch` on ``batch = (features, labels)``."""
+    :func:`train._run_batch` on ``batch = (features, labels)``.  ``theta``
+    is the ``(layers, n, p)`` angle array and ``rates`` the ``(layers, 3n)``
+    rate table; each is perturbed one entry at a time."""
     features, labels = batch
     psi = pqc.encode_vectors(features, config.n_qubits)
 
@@ -211,21 +212,18 @@ def fd_vs_analytic(config, theta, rates, noise_true, batch, h: float = 1e-4) -> 
 
     got = run(theta, rates, True)
     worst = 0.0
-    for i in range(len(theta)):
-        for q, a in np.ndindex(theta[i].shape):
-            tp = [t.copy() for t in theta]
-            tm = [t.copy() for t in theta]
-            tp[i][q, a] += h
-            tm[i][q, a] -= h
-            fd = (run(tp, rates, False).total - run(tm, rates, False).total) / (2 * h)
-            worst = max(worst, grad_mismatch(got.grad_theta[i][q, a], fd))
-        for g in range(rates.shape[1]):
-            rp = rates.copy()
-            rm = rates.copy()
-            rp[i, g] += h
-            rm[i, g] -= h
-            fd = (run(theta, rp, False).total - run(theta, rm, False).total) / (2 * h)
-            worst = max(worst, grad_mismatch(got.grad_rates[i, g], fd))
+    for index in np.ndindex(theta.shape):
+        tp, tm = theta.copy(), theta.copy()
+        tp[index] += h
+        tm[index] -= h
+        fd = (run(tp, rates, False).total - run(tm, rates, False).total) / (2 * h)
+        worst = max(worst, grad_mismatch(got.grad_theta[index], fd))
+    for index in np.ndindex(rates.shape):
+        rp, rm = rates.copy(), rates.copy()
+        rp[index] += h
+        rm[index] -= h
+        fd = (run(theta, rp, False).total - run(theta, rm, False).total) / (2 * h)
+        worst = max(worst, grad_mismatch(got.grad_rates[index], fd))
     return worst
 
 

@@ -11,9 +11,12 @@ to a central finite-difference oracle.  A batch runs in chunks whose size
 depends only on the qubit count (:func:`chunk_size`), so memory follows the
 chunk, not the batch; the chunks may run on threads and are merged in order.
 
-Optimizer: SGD with momentum; mitigation rates are projected to ``>= 0``
-after every step.  A single seeded RNG stream per training run is consumed
-in a documented order: parameter initialization first, then one shuffle per
+The model is the config plus two arrays, the angles ``(L, n, p)`` (one
+per qubit, layer and design axis) and the rates ``(L, 3n)``; their
+velocities and gradients have the same shapes.  Optimizer: SGD with
+momentum, one expression per array; rates are projected to ``>= 0`` after
+every step.  A single seeded RNG stream per training run is consumed in a
+documented order: parameter initialization first, then one shuffle per
 epoch.
 
 This module opens no file and reads no environment variable: :mod:`qmit.cli`
@@ -129,24 +132,26 @@ class TrainConfig:
             raise ConfigError(f"invalid noise range [{self.noise_low}, {self.noise_high}]")
 
     @property
-    def theta_shape(self) -> tuple[int, int]:
-        return (self.n_qubits, len(DESIGN_AXES[self.design]))
+    def theta_shape(self) -> tuple[int, int, int]:
+        """``(layers, n_qubits, p)``, ``p`` the design's axis count."""
+        return (self.layers, self.n_qubits, len(DESIGN_AXES[self.design]))
 
 
 @dataclass
 class TrainState:
-    """Learnable parameters plus optimizer and RNG state."""
+    """The angles (:attr:`TrainConfig.theta_shape`) and the ``(layers, 3n)``
+    rates, each beside its velocity, plus the epoch and the RNG."""
 
-    theta: list[np.ndarray]
+    theta: np.ndarray
     rates: np.ndarray
-    vel_theta: list[np.ndarray]
+    vel_theta: np.ndarray
     vel_rates: np.ndarray
     epoch: int
     rng: np.random.Generator
 
     def snapshot(self) -> dict:
         return {
-            "theta": [t.copy() for t in self.theta],
+            "theta": self.theta.copy(),
             "rates": self.rates.copy(),
             "epoch": self.epoch,
         }
@@ -180,13 +185,12 @@ def noise_models_from_config(config: TrainConfig, file_models=None) -> list[Nois
 def init_state(config: TrainConfig) -> TrainState:
     """Angles uniform in [-0.1, 0.1]; rates start at zero (identity mitigation)."""
     rng = np.random.default_rng(config.seed)
-    n, p = config.theta_shape
-    theta = [rng.uniform(-0.1, 0.1, size=(n, p)) for _ in range(config.layers)]
-    rates = np.zeros((config.layers, 3 * n))
+    theta = rng.uniform(-0.1, 0.1, size=config.theta_shape)
+    rates = np.zeros((config.layers, 3 * config.n_qubits))
     return TrainState(
         theta=theta,
         rates=rates,
-        vel_theta=[np.zeros((n, p)) for _ in range(config.layers)],
+        vel_theta=np.zeros_like(theta),
         vel_rates=np.zeros_like(rates),
         epoch=0,
         rng=rng,
@@ -237,7 +241,7 @@ class BatchResult:
     total: float
     fb: float
     task: float
-    grad_theta: list[np.ndarray] | None
+    grad_theta: np.ndarray | None
     grad_rates: np.ndarray | None
     predictions: np.ndarray
     clamped_mass: float
@@ -252,7 +256,7 @@ def chunk_size(n: int) -> int:
 def _run_batch(
     psi: np.ndarray,
     labels: np.ndarray,
-    theta: list[np.ndarray],
+    theta: np.ndarray,
     rates: np.ndarray,
     config: TrainConfig,
     noise_true: list[NoiseModel],
@@ -262,10 +266,12 @@ def _run_batch(
     """One forward (and with ``want_grads`` backward) pass over a batch.
 
     ``psi`` holds the ``(batch, d)`` encoded state vectors of the inputs
-    (:func:`encode_dataset`), ``theta`` and ``noise_true`` one entry per
-    layer, ``rates`` the ``(layers, 3n)`` learned rates, and ``labels`` lie
-    in ``[0, num_classes)``.  The readout is ``Tr(Z_q .)`` of the last chain
-    state; in ``loss_only`` mode, whose chain is not mitigated, times the
+    (:func:`encode_dataset`), ``theta`` the :attr:`TrainConfig.theta_shape`
+    angles, whose rotations come from one :func:`pqc.layer_rotations` call,
+    ``rates`` the ``(layers, 3n)`` learned rates, ``noise_true`` one model
+    per layer, and ``labels`` lie in ``[0, num_classes)``; the gradients
+    have the shapes of ``theta`` and ``rates``.  The readout is ``Tr(Z_q
+    .)`` of the last chain state; in ``loss_only`` mode, whose chain is not mitigated, times the
     last rate row's :func:`noise.learned_z_gains`.
 
     The batch runs as consecutive chunks of :func:`chunk_size` samples
@@ -279,17 +285,16 @@ def _run_batch(
     c = config.num_classes
     if psi.ndim != 2 or psi.shape[1] != 1 << n:
         raise ValidationError(f"inputs must be (batch, {1 << n}) state vectors, got {psi.shape}")
-    if not len(theta) == len(noise_true) == len(rates) == depth:
+    shapes = (np.shape(theta), np.shape(rates), len(noise_true))
+    if shapes != (config.theta_shape, (depth, 3 * n), depth):
         raise ValidationError(
-            f"need one angle array, true-noise model and rate row per layer ({depth}), "
-            f"got {len(theta)}, {len(noise_true)} and {len(rates)}"
+            f"need {config.theta_shape} angles, a {(depth, 3 * n)} rate table and one true-noise "
+            f"model per layer, got {shapes[0]}, {shapes[1]} and {shapes[2]}"
         )
-    if np.shape(rates) != (depth, 3 * n):
-        raise ValidationError(f"rate table must have shape {(depth, 3 * n)}, got {np.shape(rates)}")
     if labels.size and not (0 <= labels.min() and labels.max() < c):
         raise ValidationError(f"labels must lie in [0, {c})")
     batch = psi.shape[0]
-    rotations = [layer_rotations(config.design, t) for t in theta]
+    rotations = layer_rotations(config.design, theta)
     units = [layer_unitary(r) for r in rotations]
     size = chunk_size(n)
 
@@ -308,8 +313,7 @@ def _run_batch(
         if grad_theta is None:
             grad_theta, grad_rates = g_theta, g_rates
         else:
-            for acc, g in zip(grad_theta, g_theta):
-                acc += g
+            grad_theta += g_theta
             grad_rates += g_rates
 
     fb_mean = float(np.concatenate(fb_parts).mean())
@@ -362,7 +366,7 @@ def _run_chunk(psi, labels, batch, rotations, units, rates, config, noise_true, 
     # gradient w.r.t. the encoded input, is never formed.
     g_chain = [None] * (depth + 1)
     if want_grads:
-        grad_theta = [np.zeros((n, len(axes))) for _ in range(depth)]
+        grad_theta = np.zeros(config.theta_shape)
         grad_rates = np.zeros_like(rates)
         if config.alpha_fb != 0.0:
             g_loss = np.full(size, config.alpha_fb / (num_blocks * batch))
@@ -514,6 +518,14 @@ class EpochMetrics:
     clamped_mass: float
 
 
+def _diverged(state: TrainState, lo: int, detail: str) -> TrainingError:
+    """The abort of the step at batch offset ``lo``: ``detail`` and the largest parameters."""
+    return TrainingError(
+        f"training diverged at epoch {state.epoch}, batch offset {lo}: {detail}, "
+        f"max|theta|={np.max(np.abs(state.theta)):.3g}, max rate={np.max(state.rates):.3g}"
+    )
+
+
 def train_epoch(
     state: TrainState,
     dataset: Dataset,
@@ -538,22 +550,17 @@ def train_epoch(
     correct = 0
     for lo in range(0, len(order), config.batch_size):
         sel = order[lo : lo + config.batch_size]
-        result = _run_batch(
-            encoded[sel],
-            dataset.labels[sel],
-            state.theta,
-            state.rates,
-            config,
-            noise_true,
-            True,
-            chunk_map,
-        )
+        try:
+            result = _run_batch(
+                encoded[sel], dataset.labels[sel], state.theta, state.rates, config, noise_true,
+                True, chunk_map,
+            )
+        except np.linalg.LinAlgError as exc:
+            # Parameters that blew up leave non-finite states, which eigh rejects.
+            raise _diverged(state, lo, str(exc)) from exc
         if not np.isfinite(result.total) or result.total > DIVERGENCE_ABORT:
-            raise TrainingError(
-                f"training diverged at epoch {state.epoch}, batch offset {lo}: "
-                f"total={result.total:.6g} fb={result.fb:.6g} task={result.task:.6g}, "
-                f"max|theta|={max(float(np.max(np.abs(t))) for t in state.theta):.3g}, "
-                f"max rate={float(np.max(state.rates)):.3g}"
+            raise _diverged(
+                state, lo, f"total={result.total:.6g} fb={result.fb:.6g} task={result.task:.6g}"
             )
         weight = sel.size
         fb_sum += result.fb * weight
@@ -561,13 +568,14 @@ def train_epoch(
         clamp_sum += result.clamped_mass
         correct += int(np.sum(result.predictions == dataset.labels[sel]))
 
-        for i in range(config.layers):
-            state.vel_theta[i] = mom * state.vel_theta[i] - lr * result.grad_theta[i]
-            state.theta[i] = state.theta[i] + state.vel_theta[i]
+        state.vel_theta = mom * state.vel_theta - lr * result.grad_theta
+        state.theta = state.theta + state.vel_theta
         # Rates live on a much smaller scale than angles; the multiplier lets
         # one optimizer serve both parameter groups.
         state.vel_rates = mom * state.vel_rates - lr * config.rate_lr_scale * result.grad_rates
         state.rates = np.maximum(state.rates + state.vel_rates, 0.0)
+        if not (np.all(np.isfinite(state.theta)) and np.all(np.isfinite(state.rates))):
+            raise _diverged(state, lo, "the step left non-finite parameters")
 
     state.epoch += 1
     size = len(dataset)
@@ -608,7 +616,7 @@ def evaluate(
     if labels.size and not (0 <= labels.min() and labels.max() < c):
         raise ValidationError(f"labels must lie in [0, {c})")
     cascaded = config.mode == "cascaded"
-    rotations = [layer_rotations(config.design, t) for t in state.theta]
+    rotations = layer_rotations(config.design, state.theta)
     rates = np.maximum(state.rates, 0.0)
     logits = mitigated_z_readout(encoded, rotations, noise_true, rates if cascaded else None, c)
     if not cascaded:
@@ -621,7 +629,7 @@ def evaluate(
 
 def recover_rates(
     config: TrainConfig,
-    theta: list[np.ndarray],
+    theta: np.ndarray,
     noise_true: list[NoiseModel],
     psi: np.ndarray,
     steps: int = 200,
@@ -630,7 +638,8 @@ def recover_rates(
 ) -> np.ndarray:
     """Fit mitigation rates alone on the forward-backward loss.
 
-    Angles stay frozen; the task term is switched off.  Because the inverse
+    The angles ``theta`` (shape :attr:`TrainConfig.theta_shape`) stay
+    frozen; the task term is switched off.  Because the inverse
     channel is the exact inverse of the forward channel, the loss has its
     global minimum at the true rates, making this an identifiability probe.
     ``psi`` holds the ``(batch, d)`` encoded state vectors of the inputs.
@@ -652,7 +661,7 @@ def recover_rates_report(
     """Run the rate-identifiability probe on random encoded states."""
     config = TrainConfig(n_qubits=4, layers=4, design="U2", step_size=1, num_classes=2, seed=seed)
     rng = np.random.default_rng(seed)
-    theta = [rng.uniform(-math.pi, math.pi, size=config.theta_shape) for _ in range(config.layers)]
+    theta = rng.uniform(-math.pi, math.pi, size=config.theta_shape)
     noise_true = noise_models_from_config(config)
     psi = encode_vectors(rng.uniform(0.0, 1.0, (states, 64)), config.n_qubits)
     fitted = recover_rates(config, theta, noise_true, psi, steps=steps, lr=lr)
@@ -774,7 +783,7 @@ def checkpoint_payload(snapshot: dict, config: TrainConfig) -> dict:
         "version": __version__,
         "config": config_to_json(config),
         "epoch": snapshot["epoch"],
-        "theta": [t.tolist() for t in snapshot["theta"]],
+        "theta": snapshot["theta"].tolist(),
         "mitigation": noise_layers_json(default_models(np.maximum(snapshot["rates"], 0.0))),
         "seed": config.seed,
     }

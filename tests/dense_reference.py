@@ -21,8 +21,8 @@ matrix on the row-major ``vec``, multiplied in order.  Meant for n <= 4.
 Encoder: the full encoding unitary as a product of dense Kronecker
 sub-layers.
 
-Random layers: ``pqc.LayerSpec`` angles drawn uniformly, one ``(n, p)``
-array per layer (:func:`random_layers`), for tests that need circuits.
+Random layers: the ``(L, n, p)`` angle array of ``L`` layers, drawn
+uniformly (:func:`random_layers`), for tests that need circuits.
 
 Layer factors: the unitary and the partial products its derivatives need,
 as plain matrix products starting from the identity, with dense CNOTs.
@@ -75,13 +75,10 @@ def pauli_matrix(letters):
 
 
 def random_layers(n, depth, design, rng, theta_scale=math.pi):
-    """``depth`` layers of ``design`` on ``n`` qubits with angles drawn
-    uniformly from ``[-theta_scale, theta_scale)``, one layer after another."""
+    """The ``(depth, n, p)`` angles of ``depth`` layers of ``design`` on ``n``
+    qubits, drawn uniformly from ``[-theta_scale, theta_scale)``."""
     p = len(pqc.DESIGN_AXES[design])
-    return [
-        pqc.LayerSpec(design, n, rng.uniform(-theta_scale, theta_scale, size=(n, p)))
-        for _ in range(depth)
-    ]
+    return rng.uniform(-theta_scale, theta_scale, size=(depth, n, p))
 
 
 def rotation(axis, angle):
@@ -208,15 +205,16 @@ def _sublayer(axis, angles):
     return sub
 
 
-def layer_factors(layer):
-    """``(U, upto, after)`` of a ``pqc.LayerSpec`` as plain matrix products
-    of dense Kronecker sub-layers, independent of ``pqc.layer_rotations``:
+def layer_factors(design, theta):
+    """``(U, upto, after)`` of the layer of ``design`` with the ``(n, p)``
+    angles ``theta`` as plain matrix products of dense Kronecker sub-layers,
+    independent of ``pqc.layer_rotations``:
     ``upto[a] = sub[a] ... sub[0] @ I``, ``after[a] = ring @ sub[last] ...
     sub[a + 1]`` and ``U = after[a] @ upto[a]``, with the ring a product of
     dense CNOT matrices."""
-    n = layer.n
+    n = len(theta)
     dim = 1 << n
-    subs = [_sublayer(axis, layer.theta[:, a]) for a, axis in enumerate(layer.axes)]
+    subs = [_sublayer(axis, theta[:, a]) for a, axis in enumerate(pqc.DESIGN_AXES[design])]
     ring = np.eye(dim, dtype=np.complex128)
     if n >= 2:
         for j in range(n):
@@ -232,16 +230,18 @@ def layer_factors(layer):
     return ring @ cur, upto, after
 
 
-def layer_unitary_and_gradients(layer):
+def layer_unitary_and_gradients(design, theta):
     """Layer unitary plus dense ``dU/dtheta[q, a]`` (``grads[q][a]``) for
-    every angle: ``after[a] (-i/2 sigma_a on qubit q) upto[a]``."""
-    u, upto, after = layer_factors(layer)
+    every angle of the ``(n, p)`` angles ``theta``: ``after[a] (-i/2
+    sigma_a on qubit q) upto[a]``."""
+    u, upto, after = layer_factors(design, theta)
+    n = len(theta)
     grads = [
         [
-            after[a] @ embed_one_qubit(-0.5j * qsim.PAULIS[axis], q, layer.n) @ upto[a]
-            for a, axis in enumerate(layer.axes)
+            after[a] @ embed_one_qubit(-0.5j * qsim.PAULIS[axis], q, n) @ upto[a]
+            for a, axis in enumerate(pqc.DESIGN_AXES[design])
         ]
-        for q in range(layer.n)
+        for q in range(n)
     ]
     return u, grads
 

@@ -5,6 +5,7 @@ import gzip
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -428,6 +429,42 @@ class TestTrainCommand:
             assert proc.returncode == 0, proc.stderr
             outputs.append((out / "metrics.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"learning_rate": 1e6},
+            {"learning_rate": 1e300, "momentum": 0.999999},
+            {"learning_rate": 1.7e308, "rate_lr_scale": 0.0},
+        ],
+        ids=["rates-overflow", "huge-momentum", "angles-overflow"],
+    )
+    def test_blown_up_parameters_exit_3(self, tmp_path, overrides):
+        """Parameters that a step blows up abort training with exit code 3,
+        no traceback and one ``training failure:`` line last on stderr that
+        reports the largest angle and rate, as the loss bound's abort does;
+        no output file is written.  Rates that overflow ``exp(2 sum
+        lambda)`` leave non-finite states, which ``eigh`` rejects; angles
+        that overflow are caught after the step.  Run in a subprocess, where
+        the overflow warnings stay warnings."""
+        payload = {
+            "benchmark": "synthetic-4", "train_cap": 32, "test_cap": 8, "repeats": 1,
+            "n_qubits": 4, "layers": 2, "epochs": 3, "batch_size": 8, "seed": 0, **overrides,
+        }
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmit.cli", "train", "--config", path, "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert re.fullmatch(
+            r"training failure: training diverged at epoch \d+, batch offset \d+: .+, "
+            r"max\|theta\|=\S+, max rate=\S+",
+            proc.stderr.splitlines()[-1],
+        ), proc.stderr
+        assert not out.exists() or not any(out.iterdir())
 
     def test_baseline_role_label(self, tmp_path):
         """Only a run whose rates cannot train is the baseline: with

@@ -377,7 +377,7 @@ class TestTaskLoss:
         """The engine checks the labels against the class count."""
         rng = np.random.default_rng(23)
         config = train.TrainConfig(n_qubits=2, layers=1, num_classes=2)
-        theta = [layer.theta for layer in dense_reference.random_layers(2, 1, "U2", rng)]
+        theta = dense_reference.random_layers(2, 1, "U2", rng)
         noise_true = train.noise_models_from_config(config)
         for label in (2, -1):
             psi = pqc.encode_vectors(rng.uniform(0, 1, (2, 64)), 2)

@@ -43,12 +43,14 @@ def brute_force_layer(design, n, theta):
     return u
 
 
-def layer_unitary(layer):
-    return pqc.layer_unitary(pqc.layer_rotations(layer.design, layer.theta))
+def layer_unitary(design, theta):
+    """The unitary of the one layer of ``design`` with the ``(n, p)`` angles ``theta``."""
+    return pqc.layer_unitary(pqc.layer_rotations(design, theta[None])[0])
 
 
-def units_of(layers):
-    return [layer_unitary(layer) for layer in layers]
+def units_of(design, theta):
+    """The unitaries of the layers of ``design`` with the ``(L, n, p)`` angles ``theta``."""
+    return [pqc.layer_unitary(r) for r in pqc.layer_rotations(design, theta)]
 
 
 def uniform_noise(n, depth, rate):
@@ -57,11 +59,12 @@ def uniform_noise(n, depth, rate):
     return [noise.NoiseModel(n, gens, np.full(len(gens), rate))] * depth
 
 
-def noise_free_chain(psi, layers):
+def noise_free_chain(psi, design, theta):
     """The states after each layer of the zero-rate :func:`pqc.layer_chain`
-    of the state vectors ``psi``."""
-    models = uniform_noise(layers[0].n, len(layers), 0.0)
-    return pqc.layer_chain(psi, units_of(layers), models)[1:]
+    of the state vectors ``psi`` through the layers of ``design`` with the
+    ``(L, n, p)`` angles ``theta``."""
+    models = uniform_noise(theta.shape[1], len(theta), 0.0)
+    return pqc.layer_chain(psi, units_of(design, theta), models)[1:]
 
 
 def entropy(rho):
@@ -95,32 +98,30 @@ class TestLayerUnitary:
             for _ in range(10):
                 n = int(rng.integers(2, 5))
                 theta = rng.uniform(-math.pi, math.pi, (n, p))
-                got = layer_unitary(pqc.LayerSpec(design, n, theta))
+                got = layer_unitary(design, theta)
                 expected = brute_force_layer(design, n, theta)
                 np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_zero_angles_leave_ring_only(self):
-        layer = pqc.LayerSpec("RX", 3, np.zeros((3, 1)))
-        got = layer_unitary(layer)
+        got = layer_unitary("RX", np.zeros((3, 1)))
         expected = brute_force_layer("RX", 3, np.zeros((3, 1)))
         np.testing.assert_allclose(got, expected, atol=1e-14)
 
     def test_single_qubit_has_no_entangler(self):
         theta = np.array([[0.7]])
-        got = layer_unitary(pqc.LayerSpec("RX", 1, theta))
+        got = layer_unitary("RX", theta)
         np.testing.assert_allclose(got, dense_reference.rotation("X", 0.7), atol=1e-14)
 
     def test_unitarity_over_random_draws(self):
         rng = np.random.default_rng(2)
         for design in ("RX", "U2", "U3"):
             for _ in range(100):
-                layers = dense_reference.random_layers(4, 1, design, rng)
-                u = layer_unitary(layers[0])
+                u = units_of(design, dense_reference.random_layers(4, 1, design, rng))[0]
                 assert np.max(np.abs(u @ u.conj().T - np.eye(16))) <= 1e-10
 
     def test_u2_example_against_chain(self):
         theta = np.array([[math.pi, 0.0], [0.0, 0.0]])
-        got = layer_unitary(pqc.LayerSpec("U2", 2, theta))
+        got = layer_unitary("U2", theta)
         expected = brute_force_layer("U2", 2, theta)
         rho = qsim.pure_state([1, 0, 0, 0])
         a = dense_reference.conjugate(rho, got)
@@ -128,11 +129,6 @@ class TestLayerUnitary:
         np.testing.assert_allclose(a.data, b, atol=1e-12)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
-    def test_theta_shape_validated(self):
-        with pytest.raises(ValidationError):
-            pqc.LayerSpec("U2", 2, np.zeros((2, 3)))
-        with pytest.raises(ValidationError):
-            pqc.LayerSpec("U2", 2, np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
     def test_layer_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -140,17 +136,14 @@ class TestLayerUnitary:
         for design in ("RX", "U3"):
             p = len(pqc.DESIGN_AXES[design])
             theta = rng.uniform(-1, 1, (3, p))
-            _, grads = dense_reference.layer_unitary_and_gradients(pqc.LayerSpec(design, 3, theta))
+            _, grads = dense_reference.layer_unitary_and_gradients(design, theta)
             for q in range(3):
                 for a in range(p):
                     tp = theta.copy()
                     tm = theta.copy()
                     tp[q, a] += h
                     tm[q, a] -= h
-                    fd = (
-                        layer_unitary(pqc.LayerSpec(design, 3, tp))
-                        - layer_unitary(pqc.LayerSpec(design, 3, tm))
-                    ) / (2 * h)
+                    fd = (layer_unitary(design, tp) - layer_unitary(design, tm)) / (2 * h)
                     np.testing.assert_allclose(grads[q][a], fd, atol=1e-8)
 
     def test_layer_factors_compose_to_the_layer_unitary(self):
@@ -162,13 +155,13 @@ class TestLayerUnitary:
         for n in range(1, 6):
             for design in ("RX", "U2", "U3"):
                 p = len(pqc.DESIGN_AXES[design])
-                layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
-                rotations = pqc.layer_rotations(design, layer.theta)
+                theta = rng.uniform(-math.pi, math.pi, (n, p))
+                rotations = pqc.layer_rotations(design, theta[None])[0]
                 u = pqc.layer_unitary(rotations)
-                ref, grads = dense_reference.layer_unitary_and_gradients(layer)
+                ref, grads = dense_reference.layer_unitary_and_gradients(design, theta)
                 np.testing.assert_allclose(u, ref, atol=1e-13)
                 for q in range(n):
-                    for a, axis in enumerate(layer.axes):
+                    for a, axis in enumerate(pqc.DESIGN_AXES[design]):
                         r = rotations[q, a]
                         turned = r.conj().T @ (-0.5j * qsim.PAULIS[axis]) @ r
                         du = u @ dense_reference.embed_one_qubit(turned, q, n)
@@ -182,9 +175,9 @@ class TestLayerUnitary:
         rng = np.random.default_rng(40 + n)
         for design in ("RX", "U2", "U3"):
             p = len(pqc.DESIGN_AXES[design])
-            layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
-            rotations = pqc.layer_rotations(design, layer.theta)
-            ref_u, ref_upto, _ = dense_reference.layer_factors(layer)
+            theta = rng.uniform(-math.pi, math.pi, (n, p))
+            rotations = pqc.layer_rotations(design, theta[None])[0]
+            ref_u, ref_upto, _ = dense_reference.layer_factors(design, theta)
             np.testing.assert_allclose(pqc.layer_unitary(rotations), ref_u, rtol=0, atol=1e-14)
             for a in range(p):
                 prefix = functools.reduce(np.kron, rotations[:, a])
@@ -192,30 +185,66 @@ class TestLayerUnitary:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_layer_rotations_compose_to_the_layer_unitary(self, n):
-        """The layer has one definition: each qubit's prefix rotations are
-        products of ``dense_reference.rotation``, and the layer unitary is
-        the dense CNOT ring times the Kronecker product of the last
-        prefixes, bit for bit."""
+        """The layers have one definition: each qubit's prefix rotations in
+        each layer are products of ``dense_reference.rotation``, and each
+        layer unitary is the dense CNOT ring times the Kronecker product of
+        the layer's last prefixes, bit for bit."""
         rng = np.random.default_rng(80 + n)
         ring = reference_ring(n)
         for design in ("RX", "U2", "U3"):
             p = len(pqc.DESIGN_AXES[design])
-            theta = rng.uniform(-math.pi, math.pi, (n, p))
+            theta = rng.uniform(-math.pi, math.pi, (2, n, p))
             rotations = pqc.layer_rotations(design, theta)
-            assert rotations.shape == (n, p, 2, 2)
-            for q in range(n):
-                prefix = np.eye(2)
-                for a, axis in enumerate(pqc.DESIGN_AXES[design]):
-                    prefix = dense_reference.rotation(axis, theta[q, a]) @ prefix
-                    np.testing.assert_allclose(rotations[q, a], prefix, rtol=0, atol=1e-15)
-            product = ring @ functools.reduce(np.kron, rotations[:, -1])
-            assert np.array_equal(pqc.layer_unitary(rotations), product)
+            assert rotations.shape == (2, n, p, 2, 2)
+            for layer, angles in zip(rotations, theta):
+                for q in range(n):
+                    prefix = np.eye(2)
+                    for a, axis in enumerate(pqc.DESIGN_AXES[design]):
+                        prefix = dense_reference.rotation(axis, angles[q, a]) @ prefix
+                        np.testing.assert_allclose(layer[q, a], prefix, rtol=0, atol=1e-15)
+                product = ring @ functools.reduce(np.kron, layer[:, -1])
+                assert np.array_equal(pqc.layer_unitary(layer), product)
 
-    def test_layer_rotations_validate_their_input(self):
-        with pytest.raises(ValidationError, match="unknown layer design"):
-            pqc.layer_rotations("U4", np.zeros((2, 2)))
-        with pytest.raises(ValidationError, match="theta shape"):
-            pqc.layer_rotations("U2", np.zeros((2, 3)))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("design", ["RX", "U2", "U3"])
+    def test_layer_rotations_of_a_stack_are_those_of_each_layer(self, n, design):
+        """Entry ``l`` of one call on the whole ``(L, n, p)`` stack equals the
+        call on layer ``l`` alone, bit for bit."""
+        rng = np.random.default_rng(200 + 10 * n + len(design))
+        theta = rng.uniform(-math.pi, math.pi, (5, n, len(pqc.DESIGN_AXES[design])))
+        whole = pqc.layer_rotations(design, theta)
+        for layer in range(len(theta)):
+            alone = pqc.layer_rotations(design, theta[layer : layer + 1])
+            assert alone.shape == (1,) + whole.shape[1:]
+            assert np.array_equal(whole[layer], alone[0])
+
+    @pytest.mark.parametrize(
+        "design, shape, bad, match",
+        [
+            ("U4", (1, 2, 2), None, "unknown layer design"),
+            ("U2", (2, 2), None, "theta shape"),
+            ("U2", (1, 1, 2, 2), None, "theta shape"),
+            ("U2", (0, 2, 2), None, "theta shape"),
+            ("U2", (1, 2, 3), None, "theta shape"),
+            ("RX", (1, 2, 2), None, "theta shape"),
+            ("U2", (1, 0, 2), None, "positive integer"),
+            ("U2", (1, qsim.MAX_QUBITS + 1, 2), None, "exceeds the supported maximum"),
+            ("U2", (2, 2, 2), np.inf, "must be finite"),
+            ("U3", (2, 2, 3), np.nan, "must be finite"),
+        ],
+        ids=[
+            "unknown-design", "ndim-2", "ndim-4", "no-layers", "axis-count", "axis-count-rx",
+            "no-qubits", "too-many-qubits", "inf-angle", "nan-angle",
+        ],
+    )
+    def test_layer_rotations_reject_invalid_angles(self, design, shape, bad, match):
+        """One check of the whole array: the design, its ``(L >= 1, n, p)``
+        shape, the qubit count and finiteness."""
+        theta = np.zeros(shape)
+        if bad is not None:
+            theta[-1, -1, -1] = bad
+        with pytest.raises(ValidationError, match=match):
+            pqc.layer_rotations(design, theta)
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("design", ["RX", "U2", "U3"])
@@ -226,13 +255,13 @@ class TestLayerUnitary:
         rng = np.random.default_rng(100 * n + len(design))
         p = len(pqc.DESIGN_AXES[design])
         dim = 1 << n
-        layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
-        rotations = pqc.layer_rotations(design, layer.theta)
-        u, dense = dense_reference.layer_unitary_and_gradients(layer)
+        theta = rng.uniform(-math.pi, math.pi, (n, p))
+        rotations = pqc.layer_rotations(design, theta[None])[0]
+        u, dense = dense_reference.layer_unitary_and_gradients(design, theta)
         k = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        fwd = pqc.angle_gradients(k @ u, rotations, layer.axes)
-        bwd = pqc.angle_gradients(a.conj().T @ u, rotations, layer.axes)
+        fwd = pqc.angle_gradients(k @ u, rotations, pqc.DESIGN_AXES[design])
+        bwd = pqc.angle_gradients(a.conj().T @ u, rotations, pqc.DESIGN_AXES[design])
         ref_fwd = np.array([[2.0 * np.einsum("ij,ji->", du, k).real for du in row] for row in dense])
         ref_bwd = np.array([[2.0 * np.vdot(du, a).real for du in row] for row in dense])
         assert fwd.shape == bwd.shape == (n, p)
@@ -284,12 +313,12 @@ class TestPauliCoordinates:
         sum_b R[a, b] P_b``, with ``V_q`` the dense one-qubit layer of
         ``dense_reference.layer_factors``."""
         rng = np.random.default_rng(9)
-        layer = dense_reference.random_layers(3, 1, design, rng)[0]
-        ptm = pqc.pauli_transfer_matrices(pqc.layer_rotations(design, layer.theta)[:, -1])
+        theta = dense_reference.random_layers(3, 1, design, rng)
+        ptm = pqc.pauli_transfer_matrices(pqc.layer_rotations(design, theta)[0, :, -1])
         assert ptm.shape == (3, 4, 4) and ptm.dtype == np.float64
         paulis = [qsim.PAULIS[ch] for ch in "IXYZ"]
         for q in range(3):
-            v = dense_reference.layer_factors(pqc.LayerSpec(design, 1, layer.theta[q:q + 1]))[0]
+            v = dense_reference.layer_factors(design, theta[0, q : q + 1])[0]
             for a, p in enumerate(paulis):
                 forward = sum(ptm[q, b, a] * pb for b, pb in enumerate(paulis))
                 adjoint = sum(ptm[q, a, b] * pb for b, pb in enumerate(paulis))
@@ -430,40 +459,41 @@ class TestForwardPasses:
     def test_noise_free_entropy_constant(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            layers = dense_reference.random_layers(4, 8, "U2", rng)
+            theta = dense_reference.random_layers(4, 8, "U2", rng)
             psi = qsim.random_state_vector(4, rng)
             base = entropy(pqc.pure_states(psi))
-            for state in noise_free_chain(psi, layers):
+            for state in noise_free_chain(psi, "U2", theta):
                 assert abs(entropy(state) - base) <= 1e-9
 
     def test_noise_free_divergence_invariant(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            layers = dense_reference.random_layers(4, 8, "U2", rng)
+            theta = dense_reference.random_layers(4, 8, "U2", rng)
             psi = qsim.random_state_vector(4, rng)
             base = losses.petz_renyi_divergence(qsim.pure_state(psi))
             drift = max(
-                abs(losses.petz_renyi_divergence(s) - base) for s in noise_free_chain(psi, layers)
+                abs(losses.petz_renyi_divergence(s) - base)
+                for s in noise_free_chain(psi, "U2", theta)
             )
             assert drift <= 1e-9
 
     def test_noise_free_reversal(self):
         rng = np.random.default_rng(8)
-        layers = dense_reference.random_layers(4, 4, "U3", rng)
+        theta = dense_reference.random_layers(4, 4, "U3", rng)
         psi = qsim.random_state_vector(4, rng)
-        state = noise_free_chain(psi, layers)[-1]
-        for u in reversed(units_of(layers)):
+        state = noise_free_chain(psi, "U3", theta)[-1]
+        for u in reversed(units_of("U3", theta)):
             state = u.conj().T @ state @ u
         assert np.linalg.norm(state - pqc.pure_states(psi)) <= 1e-9
 
     def test_noisy_equals_noise_free_at_zero_rates(self):
         """Zero rates leave the dense unitary chain ``V rho V^dagger``."""
         rng = np.random.default_rng(9)
-        layers = dense_reference.random_layers(4, 3, "U2", rng)
+        theta = dense_reference.random_layers(4, 3, "U2", rng)
         psi = qsim.random_state_vector(4, rng)
         state = pqc.pure_states(psi)
-        for layer, got in zip(layers, noise_free_chain(psi, layers)):
-            u = brute_force_layer(layer.design, 4, layer.theta)
+        for angles, got in zip(theta, noise_free_chain(psi, "U2", theta)):
+            u = brute_force_layer("U2", 4, angles)
             state = u @ state @ u.conj().T
             np.testing.assert_allclose(got, state, atol=1e-12)
 
@@ -471,26 +501,26 @@ class TestForwardPasses:
         rng = np.random.default_rng(10)
         for lam in (0.01, 0.05):
             for _ in range(20):
-                layers = dense_reference.random_layers(4, 8, "U2", rng)
+                theta = dense_reference.random_layers(4, 8, "U2", rng)
                 psi = qsim.random_state_vector(4, rng)
-                chain = pqc.layer_chain(psi, units_of(layers), uniform_noise(4, 8, lam))
+                chain = pqc.layer_chain(psi, units_of("U2", theta), uniform_noise(4, 8, lam))
                 values = [losses.petz_renyi_divergence(qsim.pure_state(psi))]
                 values += [losses.petz_renyi_divergence(s) for s in chain[1:]]
                 assert np.all(np.diff(values) < -1e-12)
 
     def test_noisy_trace_one(self):
         rng = np.random.default_rng(11)
-        layers = dense_reference.random_layers(4, 4, "RX", rng)
+        theta = dense_reference.random_layers(4, 4, "RX", rng)
         models = noise.draw_noise_models(4, 4, seed=3)
         psi = qsim.random_state_vector(4, rng)
-        for state in pqc.layer_chain(psi, units_of(layers), models)[1:]:
+        for state in pqc.layer_chain(psi, units_of("RX", theta), models)[1:]:
             assert abs(np.trace(state).real - 1.0) <= 1e-12
 
     def test_layer_count_mismatch(self):
         """The engine takes one true-noise model per layer."""
         rng = np.random.default_rng(12)
         config = train.TrainConfig(n_qubits=4, layers=3, design="RX", num_classes=2)
-        theta = [layer.theta for layer in dense_reference.random_layers(4, 3, "RX", rng)]
+        theta = dense_reference.random_layers(4, 3, "RX", rng)
         psi = pqc.encode_vectors(rng.uniform(0, 1, (1, 64)), 4)
         with pytest.raises(ValidationError, match="true-noise model .*per layer"):
             train._run_batch(
@@ -506,12 +536,12 @@ class TestForwardMitigated:
         """Zero rates: the cascaded chain and the loss_only readout state
         are the noisy chain's."""
         rng = np.random.default_rng(13)
-        layers = dense_reference.random_layers(4, 3, "U2", rng)
+        theta = dense_reference.random_layers(4, 3, "U2", rng)
         psi = qsim.random_state_vector(4, rng)
         models = noise.draw_noise_models(4, 3, seed=1)
         gens, zero = noise.default_generators(4), np.zeros((3, 12))
-        noisy = pqc.layer_chain(psi, units_of(layers), models)
-        cascaded = pqc.layer_chain(psi, units_of(layers), models, zero)
+        noisy = pqc.layer_chain(psi, units_of("U2", theta), models)
+        cascaded = pqc.layer_chain(psi, units_of("U2", theta), models, zero)
         for a, b in zip(cascaded, noisy):
             np.testing.assert_allclose(a, b, atol=1e-12)
         hat = noise.apply_pauli_fidelities(noisy[-1], gens, -zero[-1])
@@ -520,12 +550,12 @@ class TestForwardMitigated:
     def test_cascaded_perfect_mitigation_recovers_noise_free(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
-            layers = dense_reference.random_layers(4, 4, "U2", rng)
+            theta = dense_reference.random_layers(4, 4, "U2", rng)
             psi = qsim.random_state_vector(4, rng)
             models = noise.draw_noise_models(4, 4, seed=int(rng.integers(2**31)))
             rates = np.stack([m.rates for m in models])
-            mitigated = pqc.layer_chain(psi, units_of(layers), models, rates)
-            for a, b in zip(mitigated[1:], noise_free_chain(psi, layers)):
+            mitigated = pqc.layer_chain(psi, units_of("U2", theta), models, rates)
+            for a, b in zip(mitigated[1:], noise_free_chain(psi, "U2", theta)):
                 assert np.linalg.norm(a - b) <= 1e-8
 
     def test_loss_only_removes_final_layer_noise_only(self):
@@ -533,16 +563,16 @@ class TestForwardMitigated:
         the readout of the noisy chain by ``mitigated_z_readout`` times the
         last rate row's gain is that loss_only state's readout."""
         rng = np.random.default_rng(15)
-        layers = dense_reference.random_layers(2, 2, "U2", rng)
+        theta = dense_reference.random_layers(2, 2, "U2", rng)
         features = rng.uniform(0, 1, (1, 64))
         psi = pqc.encode_vectors(features, 2)
         models = noise.draw_noise_models(2, 2, seed=4, low=0.02, high=0.05)
         gens, rates = models[0].generators, np.stack([m.rates for m in models])
-        states = pqc.layer_chain(psi, units_of(layers), models)
+        states = pqc.layer_chain(psi, units_of("U2", theta), models)
         hat = noise.apply_pauli_fidelities(states[-1], gens, -rates[-1])
-        free = noise_free_chain(psi, layers)
+        free = noise_free_chain(psi, "U2", theta)
         assert np.linalg.norm(hat - free[-1]) > 1e-4
-        rotations = [pqc.layer_rotations("U2", layer.theta) for layer in layers]
+        rotations = pqc.layer_rotations("U2", theta)
         z = pqc.mitigated_z_readout(pqc.encode_qubits(features, 2), rotations, models, None, 2)
         z *= noise.learned_z_gains(rates[-1])
         np.testing.assert_allclose(z, pqc.z_expectations(hat), rtol=0, atol=1e-12)
@@ -551,14 +581,14 @@ class TestForwardMitigated:
         """With nonzero rates each cascaded state is the dense noisy layer
         applied to the previous mitigated state, then the dense inverse."""
         rng = np.random.default_rng(21)
-        layers = dense_reference.random_layers(3, 3, "U2", rng)
+        theta = dense_reference.random_layers(3, 3, "U2", rng)
         psi = qsim.random_state_vector(3, rng)
         models = noise.draw_noise_models(3, 3, seed=5)
         gens = noise.default_generators(3)
         rates = rng.uniform(0, 0.03, (3, 9))
-        chain = pqc.layer_chain(psi, units_of(layers), models, rates)
+        chain = pqc.layer_chain(psi, units_of("U2", theta), models, rates)
         want, _ = dense_reference.layer_chain(
-            pqc.pure_states(psi), units_of(layers), models, gens, rates, cascaded=True
+            pqc.pure_states(psi), units_of("U2", theta), models, gens, rates, cascaded=True
         )
         assert chain[0] is psi
         for got, ref in zip(chain[1:], want[1:]):

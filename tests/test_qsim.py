@@ -226,7 +226,7 @@ class TestExpectation:
         two-qubit ones under one-qubit noise."""
         gens = noise.default_generators(2)
         models = [noise.NoiseModel(2, gens, np.zeros(6))]
-        rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))]
+        rotations = pqc.layer_rotations("RX", np.zeros((1, 2, 1)))
         qubits = np.array([[[1.0, 0.0]]], dtype=complex)
         with pytest.raises(ValidationError, match="dimension mismatch"):
             pqc.mitigated_z_readout(qubits, rotations, models, np.zeros((1, 6)), 1)
@@ -252,7 +252,7 @@ class TestExpectation:
         """The readout takes one ``(n, 2)`` block of qubit states per sample
         for the layers' ``n``; any other shape raises ``ValidationError``."""
         gens = noise.default_generators(2)
-        rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))] * 2
+        rotations = pqc.layer_rotations("RX", np.zeros((2, 2, 1)))
         noise_models = [noise.NoiseModel(2, gens, np.zeros(6))] * 2
         with pytest.raises(ValidationError, match="dimension mismatch"):
             pqc.mitigated_z_readout(np.ones(shape, dtype=complex), rotations, noise_models, None, 1)
@@ -262,7 +262,7 @@ class TestExpectation:
         """Zero samples give a ``(0, count)`` readout, also where one half
         of the digits is empty (n = 1)."""
         gens = noise.default_generators(n)
-        rotations = [pqc.layer_rotations("U2", np.ones((n, 2)))] * 2
+        rotations = pqc.layer_rotations("U2", np.ones((2, n, 2)))
         noise_models = [noise.NoiseModel(n, gens, np.full(3 * n, 0.01))] * 2
         qubits = np.zeros((0, n, 2), dtype=complex)
         z = pqc.mitigated_z_readout(qubits, rotations, noise_models, np.zeros((2, 3 * n)), n)
@@ -289,12 +289,12 @@ class TestExpectation:
         on an index."""
         gens = noise.default_generators(2)
         qubits = np.array([[[1.0, 0.0], [1.0, 0.0]]], dtype=complex)  # |00>
-        rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))] * layers
+        rotations = pqc.layer_rotations("RX", np.zeros((2, 2, 1)))[:layers]
         noise_models = [noise.NoiseModel(2, gens, np.zeros(6))] * models
         rates = None if rows is None else np.zeros((rows, width))
         with pytest.raises(ValidationError):
             pqc.mitigated_z_readout(qubits, rotations, noise_models, rates, count)
-        rotations = [pqc.layer_rotations("RX", np.zeros((2, 1)))] * 2
+        rotations = pqc.layer_rotations("RX", np.zeros((2, 2, 1)))
         noise_models = [noise.NoiseModel(2, gens, np.zeros(6))] * 2
         z = pqc.mitigated_z_readout(qubits, rotations, noise_models, np.zeros((2, 6)), 2)
         np.testing.assert_allclose(z, [[1.0, 1.0]], rtol=0, atol=1e-15)

@@ -57,22 +57,22 @@ def small_config(**overrides):
     return train.TrainConfig(**base)
 
 
-def dense_reference_pass(rho0, label, layers, rates, noise_true, config):
+def dense_reference_pass(rho0, label, theta, rates, noise_true, config):
     """Total loss of one input state and its gradients by dense reverse mode:
     channels and their adjoints as ``P rho P`` products, conjugations and
     every ``dU`` as d x d matrices, the readout as ``tr(Z rho)`` of the
     mitigated final state (in loss_only mode the dense last inverse of the
-    noisy one), and the fidelity from the dense pair loss.  ``layers`` are
-    ``pqc.LayerSpec``s and ``rates`` the learned rates over the default
-    generators, one row per layer.  Returns ``(loss, grad_theta,
+    noisy one), and the fidelity from the dense pair loss.  ``theta`` is the
+    ``(L, n, p)`` angle array of ``config.design`` and ``rates`` the learned
+    rates over the default generators, one row per layer.  Returns ``(loss, grad_theta,
     grad_rates)``."""
     letters = noise.default_generators(config.n_qubits)
     paulis = [dense_reference.pauli_matrix(word) for word in letters]
-    dense = [dense_reference.layer_unitary_and_gradients(layer) for layer in layers]
+    dense = [dense_reference.layer_unitary_and_gradients(config.design, t) for t in theta]
     units = [u for u, _ in dense]
     cascaded = config.mode == "cascaded"
     depth, step = config.layers, config.step_size
-    grad_theta = [np.zeros(layer.theta.shape) for layer in layers]
+    grad_theta = np.zeros_like(theta)
     grad_rates = np.zeros_like(rates)
 
     def inverse(x, j):
@@ -141,12 +141,6 @@ def seeded_models(n, words, layers, seed, low=0.002, high=0.02):
     return [noise.NoiseModel(n, words, row) for row in table]
 
 
-def random_theta(n, depth, design, rng, theta_scale=math.pi):
-    """Angle arrays of :func:`dense_reference.random_layers`, one per layer."""
-    layers = dense_reference.random_layers(n, depth, design, rng, theta_scale)
-    return [layer.theta for layer in layers]
-
-
 def run_batch(features, labels, theta, rates, noise_true, config, want_grads=True):
     """The engine on encoded ``features``."""
     psi = pqc.encode_vectors(features, config.n_qubits)
@@ -189,7 +183,7 @@ class TestGradients:
     def test_matches_finite_differences_loss_only(self):
         rng = np.random.default_rng(1)
         config = small_config()
-        theta = random_theta(3, 2, "U2", rng, theta_scale=1.0)
+        theta = dense_reference.random_layers(3, 2, "U2", rng, theta_scale=1.0)
         noise_true = noise.draw_noise_models(3, 2, seed=2)
         rates = rng.uniform(0, 0.03, (2, 9))
         batch = (rng.uniform(0, 1, (2, 64)), np.array([0, 1]))
@@ -198,7 +192,7 @@ class TestGradients:
     def test_matches_finite_differences_cascaded(self):
         rng = np.random.default_rng(2)
         config = small_config(mode="cascaded", step_size=2, design="U3")
-        theta = random_theta(3, 2, "U3", rng, theta_scale=1.0)
+        theta = dense_reference.random_layers(3, 2, "U3", rng, theta_scale=1.0)
         noise_true = noise.draw_noise_models(3, 2, seed=3)
         rates = rng.uniform(0, 0.03, (2, 9))
         batch = (rng.uniform(0, 1, (2, 64)), np.array([1, 0]))
@@ -209,7 +203,7 @@ class TestGradients:
         task loss matches finite differences."""
         rng = np.random.default_rng(3)
         config = small_config(alpha_fb=0.0, noise_low=0.0, noise_high=0.0)
-        theta = random_theta(3, 2, "U2", rng, theta_scale=1.0)
+        theta = dense_reference.random_layers(3, 2, "U2", rng, theta_scale=1.0)
         noise_true = train.noise_models_from_config(config)
         rates = np.zeros((2, 9))
         features, labels = rng.uniform(0, 1, (2, 64)), np.array([0, 1])
@@ -234,14 +228,14 @@ class TestGradients:
             n_qubits=4, layers=2, design="U3", step_size=1, num_classes=4,
             batch_size=1, seed=0,
         )
-        theta = [np.zeros((4, 3)), np.zeros((4, 3))]
-        theta[0][0, 2] = 0.7  # Z on qubit 0, which still holds |0>
-        theta[0][1, 0] = 0.8  # X on qubit 1 for a nontrivial state
+        theta = np.zeros(config.theta_shape)
+        theta[0, 0, 2] = 0.7  # Z on qubit 0, which still holds |0>
+        theta[0, 1, 0] = 0.8  # X on qubit 1 for a nontrivial state
         noise_true = train.noise_models_from_config(config)
         rates = np.full((2, 12), 0.01)
         got = run_batch(np.zeros((1, 64)), np.array([0]), theta, rates, noise_true, config)
-        assert abs(got.grad_theta[0][0, 2]) <= 1e-8
-        assert abs(got.grad_theta[0][1, 0]) > 1e-6
+        assert abs(got.grad_theta[0, 0, 2]) <= 1e-8
+        assert abs(got.grad_theta[0, 1, 0]) > 1e-6
 
     def test_engine_agrees_with_dense_reference(self):
         """The batched engine computes the loss of dense per-sample channels
@@ -249,15 +243,14 @@ class TestGradients:
         rng = np.random.default_rng(4)
         for mode in ("loss_only", "cascaded"):
             config = small_config(mode=mode, alpha_fb=0.7, alpha_task=1.3)
-            layers = dense_reference.random_layers(3, 2, "U2", rng, theta_scale=1.0)
+            theta = dense_reference.random_layers(3, 2, "U2", rng, theta_scale=1.0)
             noise_true = noise.draw_noise_models(3, 2, seed=11)
             rates = rng.uniform(0, 0.02, (2, 9))
             features = rng.uniform(0, 1, (3, 64))
             labels = np.array([0, 1, 0])
-            theta = [layer.theta for layer in layers]
             engine_loss = run_batch(features, labels, theta, rates, noise_true, config, False).total
             reference = np.mean([
-                dense_reference_pass(pqc.encode(x, 3).data, y, layers, rates, noise_true, config)[0]
+                dense_reference_pass(pqc.encode(x, 3).data, y, theta, rates, noise_true, config)[0]
                 for x, y in zip(features, labels)
             ])
             assert engine_loss == pytest.approx(reference, abs=1e-12)
@@ -272,21 +265,19 @@ class TestGradients:
         multiplies by its per-qubit gain."""
         rng = np.random.default_rng(16)
         config = small_config(mode=mode, layers=4, step_size=step, alpha_fb=0.7, alpha_task=1.3)
-        layers = dense_reference.random_layers(3, 4, "U2", rng, theta_scale=1.0)
+        theta = dense_reference.random_layers(3, 4, "U2", rng, theta_scale=1.0)
         noise_true = noise.draw_noise_models(3, 4, seed=12)
         rates = rng.uniform(0, 0.02, (4, 9))
-        theta = [layer.theta for layer in layers]
         labels = np.array([0, 1, 1, 0])
         vectors = pqc.encode_vectors(rng.uniform(0, 1, (4, 64)), 3)
         got = train._run_batch(vectors, labels, theta, rates, config, noise_true, True)
         refs = [
-            dense_reference_pass(rho, y, layers, rates, noise_true, config)
+            dense_reference_pass(rho, y, theta, rates, noise_true, config)
             for rho, y in zip(pqc.pure_states(vectors), labels)
         ]
         assert got.total == pytest.approx(np.mean([r[0] for r in refs]), abs=1e-12)
-        for i in range(config.layers):
-            want = np.mean([r[1][i] for r in refs], axis=0)
-            np.testing.assert_allclose(got.grad_theta[i], want, rtol=0, atol=1e-12)
+        want = np.mean([r[1] for r in refs], axis=0)
+        np.testing.assert_allclose(got.grad_theta, want, rtol=0, atol=1e-12)
         want = np.mean([r[2] for r in refs], axis=0)
         np.testing.assert_allclose(got.grad_rates, want, rtol=0, atol=1e-12)
 
@@ -296,17 +287,16 @@ class TestGradients:
         gradients."""
         rng = np.random.default_rng(17)
         config = small_config(layers=2)
-        theta = [rng.uniform(-math.pi, math.pi, config.theta_shape) for _ in range(2)]
+        theta = rng.uniform(-math.pi, math.pi, config.theta_shape)
         noise_true = train.noise_models_from_config(config)
         psi = pqc.encode_vectors(rng.uniform(0, 1, (4, 64)), 3)
         got = train.recover_rates(config, theta, noise_true, psi, steps=3, lr=2.0)
         fb_config = small_config(layers=2, alpha_fb=1.0, alpha_task=0.0)
-        layers = [pqc.LayerSpec("U2", 3, t) for t in theta]
         rates = np.zeros((2, 9))
         vel = np.zeros_like(rates)
         for _ in range(3):
             grad = np.mean([
-                dense_reference_pass(rho, 0, layers, rates, noise_true, fb_config)[2]
+                dense_reference_pass(rho, 0, theta, rates, noise_true, fb_config)[2]
                 for rho in pqc.pure_states(psi)
             ], axis=0)
             vel = 0.9 * vel - 2.0 * grad
@@ -343,17 +333,18 @@ class TestGradients:
         dim = 1 << n
         for design in ("RX", "U2", "U3"):
             p = len(pqc.DESIGN_AXES[design])
-            layer = pqc.LayerSpec(design, n, rng.uniform(-math.pi, math.pi, (n, p)))
-            rotations = pqc.layer_rotations(design, layer.theta)
-            u, dense = dense_reference.layer_unitary_and_gradients(layer)
+            theta = rng.uniform(-math.pi, math.pi, (n, p))
+            rotations = pqc.layer_rotations(design, theta[None])[0]
+            u, dense = dense_reference.layer_unitary_and_gradients(design, theta)
+            axes = pqc.DESIGN_AXES[design]
             g = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
             x = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
             k = (x @ u.conj().T @ g).sum(axis=0)
             a = (x @ u @ g).sum(axis=0)
             fwd = np.zeros((n, p))
             bwd = np.zeros((n, p))
-            h = train._theta_grad_forward_conj(g, x, u, rotations, layer.axes, fwd)
-            train._theta_grad_backward_conj(u @ g @ u.conj().T, x, u, rotations, layer.axes, bwd)
+            h = train._theta_grad_forward_conj(g, x, u, rotations, axes, fwd)
+            train._theta_grad_backward_conj(u @ g @ u.conj().T, x, u, rotations, axes, bwd)
             np.testing.assert_allclose(h, u.conj().T @ g, rtol=0, atol=1e-12)
             ref_fwd = [[2.0 * np.einsum("ij,ji->", du, k).real for du in row] for row in dense]
             ref_bwd = [[2.0 * np.vdot(du, a).real for du in row] for row in dense]
@@ -366,25 +357,33 @@ class TestGradients:
         general path; the learned inverse has the default generators."""
         rng = np.random.default_rng(6)
         config = small_config(mode=mode)
-        theta = random_theta(3, 2, "U2", rng, theta_scale=1.0)
+        theta = dense_reference.random_layers(3, 2, "U2", rng, theta_scale=1.0)
         noise_true = seeded_models(3, ("ZZI", "IXX", "YIY", "XII"), 2, seed=7)
         rates = rng.uniform(0, 0.03, (2, 9))
         batch = (rng.uniform(0, 1, (2, 64)), np.array([0, 1]))
         assert fd_vs_analytic(config, theta, rates, noise_true, batch) <= 1e-3
 
     def test_loss_and_gradients_rejects_shape_mismatch(self):
-        """The engine takes one angle array and one rate row of ``3n``
-        rates per layer, and a ``(batch, 2**n)`` stack of state vectors."""
+        """The engine takes the ``(layers, n, p)`` angles of the config, finite,
+        one true-noise model and one rate row of ``3n`` rates per layer, and
+        a ``(batch, 2**n)`` stack of state vectors."""
         rng = np.random.default_rng(5)
         config = small_config()
-        theta = random_theta(3, 3, "U2", rng)  # depth 3 vs config 2
+        theta = dense_reference.random_layers(3, 3, "U2", rng)  # depth 3 vs config 2
         noise_true = noise.draw_noise_models(3, 2, seed=1)
         features, labels = rng.uniform(0, 1, (1, 64)), np.array([0])
-        with pytest.raises(ValidationError, match="per layer"):
-            run_batch(features, labels, theta, np.zeros((2, 9)), noise_true, config)
-        with pytest.raises(ValidationError, match="per layer"):
+        for bad in (theta, theta[:2, :2], theta[:2, :, :1], theta[:2, :, :, None]):
+            with pytest.raises(ValidationError, match=r"need \(2, 3, 2\) angles"):
+                run_batch(features, labels, bad, np.zeros((2, 9)), noise_true, config)
+        infinite = theta[:2].copy()
+        infinite[1, 2, 1] = np.inf
+        with pytest.raises(ValidationError, match="angles must be finite"):
+            run_batch(features, labels, infinite, np.zeros((2, 9)), noise_true, config)
+        with pytest.raises(ValidationError, match="true-noise model per layer"):
+            run_batch(features, labels, theta[:2], np.zeros((2, 9)), noise_true[:1], config)
+        with pytest.raises(ValidationError, match=r"a \(2, 9\) rate table"):
             run_batch(features, labels, theta[:2], np.zeros((3, 9)), noise_true, config)
-        with pytest.raises(ValidationError, match=r"rate table must have shape \(2, 9\)"):
+        with pytest.raises(ValidationError, match=r"a \(2, 9\) rate table"):
             run_batch(features, labels, theta[:2], np.zeros((2, 8)), noise_true, config)
         psi = pqc.encode_vectors(features, 3)
         for inputs in (pqc.pure_states(psi), psi[:, :4], psi[0]):
@@ -412,7 +411,7 @@ class TestChunks:
         the gradients and clamped mass to rounding of their sums."""
         rng = np.random.default_rng(40 + step)
         config = small_config(mode=mode, layers=4, step_size=step, alpha_fb=0.7, alpha_task=1.3)
-        theta = random_theta(3, 4, "U2", rng, theta_scale=1.0)
+        theta = dense_reference.random_layers(3, 4, "U2", rng, theta_scale=1.0)
         noise_true = noise.draw_noise_models(3, 4, seed=13)
         rates = rng.uniform(0, 0.02, (4, 9))
         labels = np.array([0, 1, 1, 0, 1, 0, 0])
@@ -422,16 +421,15 @@ class TestChunks:
             chunked_to(monkeypatch, 3, size)
             results[size] = train._run_batch(psi, labels, theta, rates, config, noise_true, True)
         whole = results.pop(7)
-        theta_scale = np.abs(np.stack(whole.grad_theta)).max()
+        theta_scale = np.abs(whole.grad_theta).max()
         rate_scale = np.abs(whole.grad_rates).max()
         for got in results.values():
             assert np.array_equal(got.predictions, whole.predictions)
             for field in ("total", "fb", "task"):
                 assert getattr(got, field) == pytest.approx(getattr(whole, field), rel=1e-15, abs=0)
             assert got.clamped_mass == pytest.approx(whole.clamped_mass, rel=1e-12, abs=1e-30)
-            for i in range(config.layers):
-                np.testing.assert_allclose(got.grad_theta[i], whole.grad_theta[i], rtol=0,
-                                           atol=1e-13 * theta_scale)
+            np.testing.assert_allclose(got.grad_theta, whole.grad_theta, rtol=0,
+                                       atol=1e-13 * theta_scale)
             np.testing.assert_allclose(got.grad_rates, whole.grad_rates, rtol=0,
                                        atol=1e-13 * rate_scale)
 
@@ -444,7 +442,7 @@ class TestChunks:
         rng = np.random.default_rng(90 + n)
         chunked_to(monkeypatch, n, 3)
         config = small_config(n_qubits=n, layers=2, mode=mode)
-        theta = random_theta(n, 2, "U2", rng, theta_scale=1.0)
+        theta = dense_reference.random_layers(n, 2, "U2", rng, theta_scale=1.0)
         noise_true = train.noise_models_from_config(config)
         rates = rng.uniform(0, 0.02, (2, 3 * n))
         psi = pqc.encode_vectors(rng.uniform(0, 1, (3, 64)), n)
@@ -469,7 +467,7 @@ class TestChunks:
         chunk of 4 alone; run whole, it needs more than twice that."""
         rng = np.random.default_rng(44)
         config = small_config(n_qubits=6)
-        theta = random_theta(6, 2, "U2", rng, theta_scale=1.0)
+        theta = dense_reference.random_layers(6, 2, "U2", rng, theta_scale=1.0)
         noise_true = train.noise_models_from_config(config)
         rates = rng.uniform(0, 0.02, (2, 18))
         psi = pqc.encode_vectors(rng.uniform(0, 1, (16, 64)), 6)
@@ -506,7 +504,7 @@ class TestChunks:
         rng = np.random.default_rng(45)
         config = small_config(n_qubits=n, layers=4, step_size=step, batch_size=chunk, mode=mode)
         assert train.chunk_size(n) == chunk
-        theta = random_theta(n, 4, "U2", rng, theta_scale=1.0)
+        theta = dense_reference.random_layers(n, 4, "U2", rng, theta_scale=1.0)
         noise_true = train.noise_models_from_config(config)
         rates = rng.uniform(0, high, (4, 3 * n))
         psi = pqc.encode_vectors(rng.uniform(0, 1, (chunk, 64)), n)
@@ -528,7 +526,7 @@ class TestBlockStreaming:
         pass gives them."""
         rng = np.random.default_rng(50 + 10 * n + step)
         config = small_config(n_qubits=n, layers=4, step_size=step, mode=mode)
-        theta = random_theta(n, 4, "U2", rng, theta_scale=1.0)
+        theta = dense_reference.random_layers(n, 4, "U2", rng, theta_scale=1.0)
         noise_true = train.noise_models_from_config(config)
         rates = rng.uniform(0, 0.05, (4, 3 * n))  # over-mitigates some rows
         features, labels = rng.uniform(0, 1, (6, 64)), np.arange(6) % 2
@@ -550,7 +548,7 @@ class TestTotalFbLoss:
 
     def _circuit(self, rng, n=4, depth=4, noisy=False, **noise_range):
         """Angles, true noise and input vector of a random circuit."""
-        theta = [layer.theta for layer in dense_reference.random_layers(n, depth, "U2", rng)]
+        theta = dense_reference.random_layers(n, depth, "U2", rng)
         psi = qsim.random_state_vector(n, rng)[None]
         if noisy:
             models = noise.draw_noise_models(n, depth, seed=int(rng.integers(2**31)), **noise_range)
@@ -613,11 +611,10 @@ class TestTrainEpoch:
         dataset = data.synthetic_blobs(2, 8, 3.0, seed=1)
         config = small_config(learning_rate=0.0, epochs=1)
         state = train.init_state(config)
-        theta_before = [t.copy() for t in state.theta]
+        theta_before = state.theta.copy()
         rates_before = state.rates.copy()
         epoch(state, dataset, config)
-        for a, b in zip(state.theta, theta_before):
-            assert np.array_equal(a, b)
+        assert np.array_equal(state.theta, theta_before)
         assert np.array_equal(state.rates, rates_before)
 
     def test_rates_stay_nonnegative(self):
@@ -645,9 +642,24 @@ class TestTrainEpoch:
     def test_theta_init_range_and_zero_rates(self):
         config = small_config(seed=7)
         state = train.init_state(config)
-        for t in state.theta:
-            assert np.all(np.abs(t) <= 0.1)
+        assert state.theta.shape == (2, 3, 2)
+        assert np.all(np.abs(state.theta) <= 0.1)
         np.testing.assert_allclose(state.rates, 0.0)
+
+    @pytest.mark.parametrize("design, layers", [("RX", 1), ("U2", 2), ("U3", 4)])
+    def test_init_draws_the_seeded_stream_layer_by_layer(self, design, layers):
+        """The angles are the per-layer ``(n, p)`` draws of ``default_rng(seed)``
+        stacked, bit for bit, and leave the generator where those draws do:
+        the epoch shuffle that follows is the same permutation, so
+        checkpoints and ``metrics.csv`` keep their bytes."""
+        config = small_config(design=design, layers=layers, seed=23)
+        state = train.init_state(config)
+        rng = np.random.default_rng(23)
+        n, p = config.n_qubits, len(pqc.DESIGN_AXES[design])
+        want = np.stack([rng.uniform(-0.1, 0.1, (n, p)) for _ in range(layers)])
+        assert state.theta.shape == want.shape == config.theta_shape
+        assert state.theta.tobytes() == want.tobytes()
+        assert np.array_equal(state.rng.permutation(50), rng.permutation(50))
 
     def test_learns_separable_blobs(self):
         """Noise-free 2-class blobs reach 95% train accuracy inside 30 epochs."""
@@ -702,7 +714,7 @@ class TestEvaluate:
             config = small_config(mode=mode, layers=4, step_size=2)
             state = train.init_state(config)
             rng = np.random.default_rng(15)
-            state.theta = [rng.uniform(-math.pi, math.pi, t.shape) for t in state.theta]
+            state.theta = rng.uniform(-math.pi, math.pi, state.theta.shape)
             # Rates far apart make the final inverse stack reorder the logits.
             state.rates = rng.uniform(0.0, 0.2, state.rates.shape)
             noise_true = train.noise_models_from_config(config)
@@ -744,9 +756,9 @@ class TestEvaluate:
             words += ["I" * q + "X" + "I" * (n - q - 1) for q in range(n)]
             noises.append(seeded_models(n, words, 2, seed=n, high=0.2))
         for design in ("RX", "U2", "U3") if n < 7 else ("U2",):
-            layers = dense_reference.random_layers(n, 2, design, rng)
-            rotations = [pqc.layer_rotations(design, layer.theta) for layer in layers]
-            dense_units = [dense_reference.layer_factors(layer)[0] for layer in layers]
+            theta = dense_reference.random_layers(n, 2, design, rng)
+            rotations = pqc.layer_rotations(design, theta)
+            dense_units = [dense_reference.layer_factors(design, t)[0] for t in theta]
             # Below the weight-1 true rates, so that every mitigated state
             # of that model is a state.
             rates = np.stack([m.rates for m in separable]) * rng.uniform(0.5, 1.0, (2, 1))
@@ -771,7 +783,7 @@ class TestEvaluate:
                 for step in (1, 2):
                     config = small_config(n_qubits=n, design=design, mode=mode, step_size=step)
                     state = train.init_state(config)
-                    state.theta = [layer.theta for layer in layers]
+                    state.theta = theta
                     state.rates = rates
                     result = train.evaluate(state, dataset, config, noise_true, qubits)
                     assert result.accuracy == 1.0
@@ -979,7 +991,7 @@ class TestCheckpoint:
         payload = train.checkpoint_payload(state.snapshot(), config)
         loaded = json.loads(json.dumps(payload))
         assert loaded["epoch"] == 0
-        np.testing.assert_allclose(np.asarray(loaded["theta"]), np.stack(state.theta))
+        np.testing.assert_allclose(np.asarray(loaded["theta"]), state.theta)
         cfg = train.config_from_json(loaded["config"])
         assert cfg == config
         assert len(loaded["mitigation"]["layers"]) == config.layers

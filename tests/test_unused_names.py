@@ -50,6 +50,7 @@ ALLOWED = {
 REMOVED = {
     "losses._dagger": "stacks are conjugated in place and read through transposed views",
     "losses.fb_blocks": "train._run_chunk runs each block and its adjoint",
+    "pqc.LayerSpec": "pqc.layer_rotations checks the whole (L, n, p) angle array once",
     "qsim.hermitian_power": "losses._root_overlap takes roots on spectra",
     "train.load_checkpoint": "qmit.cli reads every file",
 }
