@@ -235,13 +235,31 @@ def resolve_datasets(payload: dict) -> tuple[Dataset, Dataset]:
 # ---------------------------------------------------------------------------
 
 
-def _make_out_dir(path: str) -> None:
+@contextmanager
+def _out_dir(path: str):
     """Create the output directory ``path`` (and its parents) if it is not
-    there; ``ConfigError`` if it cannot be, say because a file has its name."""
+    there, for the block that fills it; ``ConfigError`` if it cannot be, say
+    because a file has its name.  If the block fails in training
+    (``TrainingError``), the directories made here are removed while they
+    are empty, so a failed run leaves none behind; one that was there
+    before is left as it was."""
+    made, missing = [], os.path.abspath(path)
+    while not os.path.lexists(missing):
+        made.append(missing)  # deepest first
+        missing = os.path.dirname(missing)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    try:
+        yield
+    except TrainingError:
+        for directory in made:
+            try:
+                os.rmdir(directory)
+            except OSError:
+                break
+        raise
 
 
 def _output_paths(out_dir: str, *names: str) -> list[str]:
@@ -327,9 +345,8 @@ def cmd_train(config_path: str, out_dir: str) -> int:
         out_dir, "metrics.csv", "summary.json", *(f"checkpoint_r{r}.json" for r in range(repeats))
     )
     train_set, test_set = resolve_datasets(payload)
-    _make_out_dir(out_dir)
-
-    result = run_experiment(config, train_set, test_set, noise_true, repeats, workers)
+    with _out_dir(out_dir):
+        result = run_experiment(config, train_set, test_set, noise_true, repeats, workers)
     echo = _config_echo(payload, config)
     write_csv(metrics_path, echo, _METRIC_COLUMNS, result.metrics_rows)
     for path, checkpoint in zip(checkpoint_paths, result.checkpoints):
@@ -385,27 +402,27 @@ def cmd_ablation(config_path: str, out_dir: str) -> int:
     noises = _true_noise(configs)
     (table_path,) = _output_paths(out_dir, "ablation.csv")
     train_set, test_set = resolve_datasets(base_payload)
-    _make_out_dir(out_dir)
 
     rows = []
-    for cfg, noise_true in zip(configs, noises):
-        result = run_experiment(cfg, train_set, test_set, noise_true, repeats, workers)
-        rows.append(
-            {
-                "design": cfg.design,
-                "step_size": cfg.step_size,
-                "layers": cfg.layers,
-                "alpha_fb": cfg.alpha_fb,
-                "mode": cfg.mode,
-                "mean_acc": result.mean_accuracy,
-                "std_acc": result.std_accuracy,
-            }
-        )
-        print(
-            f"design={cfg.design} step={cfg.step_size} layers={cfg.layers} "
-            f"alpha_fb={cfg.alpha_fb} mode={cfg.mode}: "
-            f"{result.mean_accuracy:.4f} +/- {result.std_accuracy:.4f}"
-        )
+    with _out_dir(out_dir):
+        for cfg, noise_true in zip(configs, noises):
+            result = run_experiment(cfg, train_set, test_set, noise_true, repeats, workers)
+            rows.append(
+                {
+                    "design": cfg.design,
+                    "step_size": cfg.step_size,
+                    "layers": cfg.layers,
+                    "alpha_fb": cfg.alpha_fb,
+                    "mode": cfg.mode,
+                    "mean_acc": result.mean_accuracy,
+                    "std_acc": result.std_accuracy,
+                }
+            )
+            print(
+                f"design={cfg.design} step={cfg.step_size} layers={cfg.layers} "
+                f"alpha_fb={cfg.alpha_fb} mode={cfg.mode}: "
+                f"{result.mean_accuracy:.4f} +/- {result.std_accuracy:.4f}"
+            )
     echo = _config_echo(payload, base_config)
     columns = ["design", "step_size", "layers", "alpha_fb", "mode", "mean_acc", "std_acc"]
     write_csv(table_path, echo, columns, rows)
@@ -498,12 +515,12 @@ def cmd_trace_divergence(config_path: str, out_dir: str) -> int:
         n, int(payload["operations"]), str(payload["channel"]), float(payload["rate"]),
         alpha=alpha, seed=seed,
     )
-    _make_out_dir(out_dir)
     echo = dict(payload)
     echo["version"] = __version__
     # One row at a time: a list of dicts would hold ~1500 of them at once.
     rows = ({"operation": i, "divergence": float(v)} for i, v in enumerate(values))
-    write_csv(trace_path, echo, ["operation", "divergence"], rows)
+    with _out_dir(out_dir):
+        write_csv(trace_path, echo, ["operation", "divergence"], rows)
     print(
         f"{payload['channel']}: divergence {values[0]:.4f} -> {values[-1]:.6g} "
         f"over {len(values) - 1} operations -> {out_dir}"

@@ -38,8 +38,9 @@ The learned inverse, the inverse channel of :func:`default_generators` (X,
 Y and Z on each qubit; a ``3n`` rate row per layer), is defined here alone:
 the map :func:`learned_inverse`, its input and rate gradients
 :func:`learned_inverse_adjoint`, its fidelities :func:`learned_fidelities`
-and Z-readout gains :func:`learned_z_gains`; :func:`default_models` turns
-a rate table into noise models.
+and Z-readout gains :func:`learned_z_gains`, and the log of the most a chain
+of them can scale a Pauli string by, :func:`learned_max_log_fidelity`;
+:func:`default_models` turns a rate table into noise models.
 
 This module opens no file: :func:`noise_layers_json` and its inverse
 :func:`noise_layers_from_json` convert models to and from a noise file's
@@ -186,6 +187,20 @@ def learned_z_gains(rate_row) -> np.ndarray:
     return learned_fidelities(rate_row)[:, 2]
 
 
+def learned_max_log_fidelity(rates) -> float:
+    """The largest ``log`` of the factor by which the chain of learned
+    inverses with the finite ``(layers, 3n)`` rate table ``rates`` can scale
+    a Pauli string, found without ``exp``.  Qubit ``q``'s letter ``t`` gets
+    ``2 (lambda_qX + lambda_qY + lambda_qZ - lambda_qt)`` (the other two
+    letters anticommute with it), so a layer's largest is twice the sum over
+    qubits of the three rates' sum less their least, and the chain's is the
+    sum over layers; a true noise's fidelities are at most 1 and can only
+    lower it.  ``inf`` when that sum overflows."""
+    per_qubit = np.asarray(rates, dtype=float).reshape(len(rates), -1, 3)
+    with np.errstate(over="ignore"):
+        return float(2.0 * np.sum(per_qubit.sum(axis=2) - per_qubit.min(axis=2)))
+
+
 def draw_noise_models(
     n: int,
     layers: int,
@@ -288,25 +303,35 @@ def _superoperators_pairs_last(x: np.ndarray, ops) -> tuple[np.ndarray, tuple]:
     first, undo = _pair_layout(lead, n, tuple(per_qubit))
     split = x.shape[:lead] + (2,) * (2 * n)
     ops = [s.astype(dtype) for s in per_qubit.values()]
-    # The transposed copy is handed straight to the passes, so nothing here
-    # holds it once the first pass has read it.
-    y = digit_passes(np.ascontiguousarray(x.reshape(split).transpose(first), dtype=dtype)
-                     .reshape(1, -1), ops)
+    # Always a copy, which the passes overwrite: where the layout is the
+    # identity (one qubit, no leading axes) ``ascontiguousarray`` would
+    # return ``x`` itself.  Nothing here holds the copy, so the passes' two
+    # buffers are all this call keeps.
+    y = digit_passes(x.reshape(split).transpose(first).astype(dtype, order="C").reshape(1, -1), ops)
     return y.reshape(split), undo
 
 
-def digit_passes(obs: np.ndarray, ops) -> np.ndarray:
+def digit_passes(obs: np.ndarray, ops, spare: np.ndarray | None = None) -> np.ndarray:
     """``ops[k]`` (4x4) applied to the ``k``-th base-4 digit of every row of
     ``obs``, shape ``(rows, 4^m r)``, the first digit the most significant.
 
     Each op is one batched GEMM ``(rows, 4^(m-1) r, 4) @ op^T`` that takes
     the leading digit and leaves it last, so after ``m`` passes on Pauli
     digits (``r = 1``) the digits are back in order and no transpose is
-    needed; the kernel's pairs are such digits."""
+    needed; the kernel's pairs are such digits.
+
+    The passes run back and forth between ``obs``, which is overwritten,
+    and ``spare``, of the same shape and dtype (allocated here when
+    ``None``), so a call allocates at most that one array.  Both must be
+    C-contiguous, and the passes' results must have ``obs``'s dtype.
+    Returns whichever of the two holds the result: ``obs`` itself after an
+    even number of passes, else ``spare``."""
     rows = obs.shape[0]
+    src, dst = obs, np.empty(obs.shape, obs.dtype) if spare is None else spare
     for op in ops:
-        obs = obs.reshape(rows, 4, -1).transpose(0, 2, 1) @ op.T
-    return obs.reshape(rows, -1)
+        np.matmul(src.reshape(rows, 4, -1).transpose(0, 2, 1), op.T, out=dst.reshape(rows, -1, 4))
+        src, dst = dst, src
+    return src
 
 
 # The unnormalized one-qubit Pauli transform: pair entry 2 * row + col
@@ -371,8 +396,8 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates) -> np.ndarray:
     per qubit takes ``x`` to the Pauli digits of the kernel's pair layout,
     the result is multiplied by :func:`pauli_fidelity_table` over ``d`` and
     passed back (:func:`digit_passes`), and one transpose restores the
-    layout of ``x``; nothing holds the digits once the first pass back has
-    read them, so either path peaks near two stacks the size of ``x``.
+    layout of ``x``; the passes back overwrite the digits and one spare, so
+    either path peaks near two stacks the size of ``x``.
     ``x`` is never written.
     May return ``x`` itself when every rate is zero; otherwise the
     generators must act on the qubits of ``x``.
@@ -388,8 +413,7 @@ def apply_pauli_fidelities(x: np.ndarray, generators, rates) -> np.ndarray:
     if mixes is not None:
         return apply_qubit_superoperators(x, mixes)
     n = _num_qubits(x)
-    # The scaled digits are handed straight to the passes back, so nothing
-    # here holds them once the first pass has read them.
+    # The passes back run in the scaled digits' buffer and one spare.
     y = digit_passes(_scaled_pauli_digits(x, pauli_fidelity_table(generators, rates) / x.shape[-1]),
                      [_BUTTERFLY] * n)
     _, undo = _pair_layout(x.ndim - 2, n, tuple(range(n)))

@@ -357,8 +357,10 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
     ``A_b`` of qubits ``< h`` and ``B_b`` of the rest, ``z_bk = A_b .
     O_k B_b`` is one real GEMM ``(count 4^h, 4^(n-h)) @ (4^(n-h), N)`` and
     a row-wise dot.  So a call costs ``L`` gathers and ``L - 1`` passes on
-    ``count x 4^n`` reals plus that GEMM, holds ``O(count 4^n + N (count
-    4^h + 4^(n-h)))`` reals and forms no matrix of any state or unitary.
+    ``count x 4^n`` reals plus that GEMM, and forms no matrix of any state
+    or unitary.  Every pass, table and gather runs in place in two
+    ``(count, 4^n)`` arrays, the only ones a call allocates at that size;
+    the rest holds ``O(N (count 4^h + 4^(n-h)))`` reals.
     """
     layers = len(rotations)
     if not layers or len(noise) != layers or (rates is not None and len(rates) != layers):
@@ -396,7 +398,7 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
 
     gather, signs = _ring_pauli_gather(n)
     z_entries = (np.arange(count), 3 << 2 * (n - 1 - np.arange(count)))  # Z on qubit k
-    obs = np.zeros((count, 4**n))
+    obs, spare = np.zeros((count, 4**n)), np.empty((count, 4**n))
     obs[z_entries] = 1.0
     ops = None  # the transposed transfer matrices of the layer above, not yet applied
     for i in range(layers - 1, -1, -1):
@@ -408,11 +410,12 @@ def mitigated_z_readout(qubits, rotations, noise, rates, count) -> np.ndarray:
                 obs[z_entries] *= fid[:count, 2]
             else:
                 ops = np.hstack([np.ones((n, 1)), fid])[:, :, None] * ops
-        if ops is not None:
-            obs = digit_passes(obs, ops)
+        if ops is not None and digit_passes(obs, ops, spare) is spare:
+            obs, spare = spare, obs
         for table in tables:
             obs *= table
-        obs = np.take(obs, gather, axis=1)
+        # mode="raise" would gather into a temporary; every index is in range.
+        obs, spare = np.take(obs, gather, axis=1, out=spare, mode="clip"), obs
         obs *= signs
         ops = np.swapaxes(pauli_transfer_matrices(rotations[i][:, -1]), -1, -2)
     # r[q, b] = R_q beta_bq, each sample's qubits after layer 0's rotations.

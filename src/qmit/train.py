@@ -42,6 +42,7 @@ from .noise import (
     draw_noise_models,
     learned_inverse,
     learned_inverse_adjoint,
+    learned_max_log_fidelity,
     learned_z_gains,
     noise_layers_json,
 )
@@ -62,6 +63,8 @@ from .qsim import MAX_QUBITS
 
 NOISE_SEED_STREAM = 0xA11CE  # noise rates come from (seed, this tag), fixed across repeats
 DIVERGENCE_ABORT = 1e4
+# The largest exponent whose exp is a finite float64.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # Samples times d**2 per chunk of a batch (see :func:`chunk_size`).  The
 # engine peaks at about 11-13 (chunk, d, d) complex stacks (the chain, the
 # live part of its adjoint and one forward-backward block), so this caps a
@@ -538,7 +541,11 @@ def train_epoch(
 
     ``noise_true`` is the per-layer true noise, ``encoded`` holds the
     :func:`encode_dataset` state vectors of ``dataset`` and ``chunk_map``
-    runs each batch's chunks (see :func:`_run_batch`).
+    runs each batch's chunks (see :func:`_run_batch`).  A batch whose loss
+    is not finite or exceeds :data:`DIVERGENCE_ABORT`, or whose step leaves
+    non-finite parameters or rates whose learned inverses can scale a Pauli
+    string past the float64 range (:func:`learned_max_log_fidelity`),
+    raises ``TrainingError`` naming that batch's offset.
     """
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
@@ -576,6 +583,12 @@ def train_epoch(
         state.rates = np.maximum(state.rates + state.vel_rates, 0.0)
         if not (np.all(np.isfinite(state.theta)) and np.all(np.isfinite(state.rates))):
             raise _diverged(state, lo, "the step left non-finite parameters")
+        # Caught here, before the next forward overflows in exp.
+        log_gain = learned_max_log_fidelity(state.rates)
+        if log_gain >= _LOG_FLOAT_MAX:
+            raise _diverged(
+                state, lo, f"the learned inverse can scale a Pauli string by exp({log_gain:.6g})"
+            )
 
     state.epoch += 1
     size = len(dataset)

@@ -443,10 +443,10 @@ class TestTrainCommand:
         """Parameters that a step blows up abort training with exit code 3,
         no traceback and one ``training failure:`` line last on stderr that
         reports the largest angle and rate, as the loss bound's abort does;
-        no output file is written.  Rates that overflow ``exp(2 sum
-        lambda)`` leave non-finite states, which ``eigh`` rejects; angles
-        that overflow are caught after the step.  Run in a subprocess, where
-        the overflow warnings stay warnings."""
+        the output directory the run made is removed.  Rates whose learned
+        inverse could overflow ``exp`` are caught after the step that makes
+        them, and so are angles that overflow.  Run in a subprocess, where
+        the warning of the step whose angles overflow stays a warning."""
         payload = {
             "benchmark": "synthetic-4", "train_cap": 32, "test_cap": 8, "repeats": 1,
             "n_qubits": 4, "layers": 2, "epochs": 3, "batch_size": 8, "seed": 0, **overrides,
@@ -464,7 +464,31 @@ class TestTrainCommand:
             r"max\|theta\|=\S+, max rate=\S+",
             proc.stderr.splitlines()[-1],
         ), proc.stderr
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    def test_training_failure_removes_only_the_directories_it_made(self, tmp_path):
+        """A ``train`` run that fails in training (the rates-overflow case
+        above, in-process: its abort comes before any warning) removes the
+        output directory and the parents it made, while they are empty; a
+        directory that was there before is left as it was, empty or not."""
+        payload = {
+            "benchmark": "synthetic-4", "train_cap": 32, "test_cap": 8, "repeats": 1,
+            "n_qubits": 4, "layers": 2, "epochs": 3, "batch_size": 8, "seed": 0,
+            "learning_rate": 1e6,
+        }
+        path = write_config(tmp_path, payload)
+        made = tmp_path / "made"
+        assert cli.main(["train", "--config", path, "--out", str(made / "a" / "out")]) == 3
+        assert not made.exists()
+        empty, full = tmp_path / "empty", tmp_path / "full"
+        empty.mkdir()
+        full.mkdir()
+        (full / "notes.txt").write_text("kept")
+        for before in (empty, full):
+            assert cli.main(["train", "--config", path, "--out", str(before / "out")]) == 3
+            assert cli.main(["train", "--config", path, "--out", str(before)]) == 3
+        assert list(empty.iterdir()) == []
+        assert [p.name for p in full.iterdir()] == ["notes.txt"]
 
     def test_baseline_role_label(self, tmp_path):
         """Only a run whose rates cannot train is the baseline: with

@@ -515,6 +515,77 @@ class TestKernelMemory:
         assert peak < 2.5, peak
 
 
+class TestKernelBuffers:
+    """The kernel's passes run in two buffers it owns and never write its
+    input."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_entry_point_writes_its_input(self, monkeypatch, n, lead, dtype):
+        """``apply_qubit_superoperators``, both paths of
+        ``apply_pauli_fidelities`` (the general one from n = 2) and
+        ``learned_inverse_adjoint`` leave read-only inputs as they were and
+        hand ``digit_passes``, which overwrites its ``obs``, no view of
+        them: also at one qubit with no leading axes, where the pair layout
+        is the identity and a contiguous view of the input is the input."""
+        handed, passes = [], noise.digit_passes
+        monkeypatch.setattr(
+            noise, "digit_passes", lambda obs, *args: handed.append(obs) or passes(obs, *args)
+        )
+        rng = np.random.default_rng(170 + n)
+        shape = lead + (1 << n, 1 << n)
+        x, g = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+        if dtype is complex:
+            x += 1j * rng.standard_normal(shape)
+        before = [x.copy(), g.copy()]
+        x.setflags(write=False)
+        g.setflags(write=False)
+        rates = rng.uniform(0.0, 0.3, 3 * n)
+        mixes = noise.pauli_mix_superoperators(noise.default_generators(n), rates)
+        noise.apply_qubit_superoperators(x, mixes)
+        noise.apply_qubit_superoperators(x, [(0, rng.uniform(-1, 1, (4, 4)))])
+        for signed in (rates, -rates):
+            noise.apply_pauli_fidelities(x, noise.default_generators(n), signed)
+            if n >= 2:
+                noise.apply_pauli_fidelities(x, ["Z" * n, "X" + "I" * (n - 1)], signed[:2])
+        noise.learned_inverse_adjoint(g, x, rates)
+        assert all(np.array_equal(a, b) for a, b in zip((x, g), before))
+        assert handed
+        assert not any(np.shares_memory(obs, x) or np.shares_memory(obs, g) for obs in handed)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_digit_passes_alternate_two_buffers(self, n, dtype):
+        """``digit_passes`` gives the bits of one fresh ``@`` per pass and
+        returns ``obs`` after an even number of passes, else the spare;
+        traced, a call allocates at most one array the size of ``obs`` (the
+        spare it is not given) and 16 KiB of views."""
+        rng = np.random.default_rng(180 + n)
+        obs = rng.standard_normal((3, 4**n)).astype(dtype)
+        ops = list(rng.standard_normal((n, 4, 4)))
+        want = obs
+        for op in ops:
+            want = want.reshape(3, 4, -1).transpose(0, 2, 1) @ op.T
+        want = want.reshape(3, -1)
+        for given in (False, True):
+            buffers = [obs.copy(), np.empty_like(obs) if given else None]
+            tracemalloc.start()
+            try:
+                got = noise.digit_passes(buffers[0], ops, buffers[1])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (0 if given else obs.nbytes) + 16 * 1024
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if n % 2 == 0:
+                assert got is buffers[0]
+            elif given:
+                assert got is buffers[1]
+            else:
+                assert not np.shares_memory(got, buffers[0])
+
+
 @st.composite
 def superoperator_cases(draw):
     """A stack on 1-4 qubits with leading shape (), (1,) or (3,) and up to
@@ -611,6 +682,18 @@ class TestLearnedInverse:
         models = noise.default_models(rates)
         assert [m.generators for m in models] == [noise.default_generators(2)] * 3
         np.testing.assert_array_equal(np.stack([m.rates for m in models]), rates)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_max_log_fidelity_bounds_every_string(self, n):
+        """``learned_max_log_fidelity`` of a rate table is the sum over its
+        layers of the largest log of the inverse's ``pauli_fidelity_table``,
+        and ``inf`` for rates whose sum overflows."""
+        rng = np.random.default_rng(190 + n)
+        rates = rng.uniform(0.0, 0.3, (3, 3 * n))
+        gens = noise.default_generators(n)
+        want = sum(np.log(noise.pauli_fidelity_table(gens, -row)).max() for row in rates)
+        assert noise.learned_max_log_fidelity(rates) == pytest.approx(want, rel=1e-14)
+        assert noise.learned_max_log_fidelity(np.full((1, 3 * n), 1e308)) == math.inf
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_z_gain_is_the_inverse_on_z_readouts(self, n):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,32 @@ class TestPauliCoordinates:
                 np.testing.assert_allclose(v @ p @ v.conj().T, forward, rtol=0, atol=1e-14)
                 np.testing.assert_allclose(v.conj().T @ p @ v, adjoint, rtol=0, atol=1e-14)
 
+
+
+class TestReadoutMemory:
+    @pytest.mark.parametrize("cascaded", [False, True], ids=["loss_only", "cascaded"])
+    def test_peak_is_two_observable_buffers(self, cascaded):
+        """At n = 8 with 4 readouts, L = 4 and weight-1 true noise,
+        ``mitigated_z_readout`` peaks (traced memory) within its two ``(4,
+        4^8)`` float buffers, the copy ``np.take`` makes of the read-only
+        ring gather (one ``4^8`` index row) and 64 KiB for the small
+        arrays: every pass, table and gather runs in place.  A fresh array
+        per pass and per gather took three buffers."""
+        n, count, layers = 8, 4, 4
+        rng = np.random.default_rng(71)
+        rotations = pqc.layer_rotations("U2", rng.uniform(-np.pi, np.pi, (layers, n, 2)))
+        qubits = pqc.encode_qubits(rng.uniform(0, 1, (6, 64)), n)
+        models = noise.draw_noise_models(n, layers, seed=72)
+        rates = rng.uniform(0.0, 0.02, (layers, 3 * n)) if cascaded else None
+        pqc.mitigated_z_readout(qubits, rotations, models, rates, count)  # caches the ring gather
+        tracemalloc.start()
+        try:
+            pqc.mitigated_z_readout(qubits, rotations, models, rates, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = count * 4**n * 8
+        assert peak <= 2 * buffer + 4**n * 8 + 64 * 1024, peak / buffer
 
 class TestEncoder:
     def test_zero_features_give_ground_state(self):

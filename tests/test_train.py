@@ -632,6 +632,19 @@ class TestTrainEpoch:
         with pytest.raises(TrainingError, match="diverged"):
             epoch(state, dataset, config)
 
+    def test_rates_past_the_float_range_abort_in_their_step(self):
+        """At learning rate 1e6 the first step takes the rates where their
+        learned inverse could scale a Pauli string past the float64 range:
+        that step aborts, at batch offset 0, before any ``exp`` overflows,
+        so no ``RuntimeWarning`` comes first (the suite turns warnings into
+        errors)."""
+        dataset = data.synthetic_blobs(4, 8, 3.0, seed=0)
+        config = small_config(n_qubits=4, num_classes=4, batch_size=8, learning_rate=1e6)
+        state = train.init_state(config)
+        with pytest.raises(TrainingError, match=r"epoch 0, batch offset 0: the learned inverse"):
+            epoch(state, dataset, config)
+        assert noise.learned_max_log_fidelity(state.rates) > math.log(np.finfo(float).max)
+
     def test_empty_dataset_rejected(self):
         config = small_config()
         state = train.init_state(config)

@@ -32,6 +32,10 @@ stack of encoded density matrices grows back beside them.
 A sixth keeps files and the environment at the package's edge: only the
 modules in :data:`FILE_USERS` import a module of :data:`FILE_MODULES` or
 call an ``open``, so each input is read, and checked, in one place.
+
+A seventh keeps gathers into a given buffer in that buffer: every
+``np.take`` that passes ``out=`` passes a ``mode`` other than ``"raise"``,
+with which numpy gathers into a temporary first.
 """
 
 import ast
@@ -223,3 +227,23 @@ def test_only_the_edge_modules_touch_files_and_the_environment():
                     found.setdefault(path.stem, set()).add(name)
     strays = {stem: sorted(names) for stem, names in found.items() if stem not in FILE_USERS}
     assert not strays, f"only {sorted(FILE_USERS)} may touch files or the environment: {strays}"
+
+
+def test_take_into_a_buffer_names_a_mode_that_does_not_copy():
+    takes, strays = 0, []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)):
+                continue
+            if func.attr != "take" or getattr(func.value, "id", None) != "np":
+                continue
+            keywords = {k.arg: k.value for k in node.keywords}
+            if "out" not in keywords:
+                continue
+            takes += 1
+            mode = keywords.get("mode")
+            if not isinstance(mode, ast.Constant) or mode.value == "raise":
+                strays.append(f"{path.stem}.py line {node.lineno}")
+    assert takes, "no np.take(..., out=...) found: the guard checks nothing"
+    assert not strays, f"np.take with out= must pass mode='clip' or 'wrap': {strays}"
