@@ -575,12 +575,14 @@ def train_epoch(
         clamp_sum += result.clamped_mass
         correct += int(np.sum(result.predictions == dataset.labels[sel]))
 
-        state.vel_theta = mom * state.vel_theta - lr * result.grad_theta
-        state.theta = state.theta + state.vel_theta
-        # Rates live on a much smaller scale than angles; the multiplier lets
-        # one optimizer serve both parameter groups.
-        state.vel_rates = mom * state.vel_rates - lr * config.rate_lr_scale * result.grad_rates
-        state.rates = np.maximum(state.rates + state.vel_rates, 0.0)
+        # A step that overflows is reported by the check below, not by a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            state.vel_theta = mom * state.vel_theta - lr * result.grad_theta
+            state.theta = state.theta + state.vel_theta
+            # Rates live on a much smaller scale than angles; the multiplier
+            # lets one optimizer serve both parameter groups.
+            state.vel_rates = mom * state.vel_rates - lr * config.rate_lr_scale * result.grad_rates
+            state.rates = np.maximum(state.rates + state.vel_rates, 0.0)
         if not (np.all(np.isfinite(state.theta)) and np.all(np.isfinite(state.rates))):
             raise _diverged(state, lo, "the step left non-finite parameters")
         # Caught here, before the next forward overflows in exp.

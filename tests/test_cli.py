@@ -445,8 +445,8 @@ class TestTrainCommand:
         reports the largest angle and rate, as the loss bound's abort does;
         the output directory the run made is removed.  Rates whose learned
         inverse could overflow ``exp`` are caught after the step that makes
-        them, and so are angles that overflow.  Run in a subprocess, where
-        the warning of the step whose angles overflow stays a warning."""
+        them, and so are angles that overflow, before any warning; run in a
+        subprocess, where a warning would reach stderr."""
         payload = {
             "benchmark": "synthetic-4", "train_cap": 32, "test_cap": 8, "repeats": 1,
             "n_qubits": 4, "layers": 2, "epochs": 3, "batch_size": 8, "seed": 0, **overrides,
@@ -458,7 +458,7 @@ class TestTrainCommand:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
         )
         assert proc.returncode == 3, proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert re.fullmatch(
             r"training failure: training diverged at epoch \d+, batch offset \d+: .+, "
             r"max\|theta\|=\S+, max rate=\S+",
